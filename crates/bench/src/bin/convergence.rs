@@ -22,11 +22,7 @@ const OPTIMIZE_DAYS: u64 = 7;
 const BUCKET_HOURS: u64 = 4;
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .skip_while(|a| a != "--seed")
-        .nth(1)
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(5);
+    let seed: u64 = bench::args::value("--seed").unwrap_or(5);
 
     header("Onboarding convergence — savings vs hours since onboarding");
     let original = WarehouseConfig::new(WarehouseSize::Large).with_auto_suspend_secs(1800);

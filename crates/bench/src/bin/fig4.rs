@@ -19,11 +19,8 @@ const OBSERVE_DAYS: u64 = 7;
 const TOTAL_DAYS: u64 = 14;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let variant = flag(&args, "--variant").unwrap_or_else(|| "both".into());
-    let seed: u64 = flag(&args, "--seed")
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
+    let variant: String = bench::args::value("--variant").unwrap_or_else(|| "both".into());
+    let seed: u64 = bench::args::value("--seed").unwrap_or(42);
 
     if variant == "a" || variant == "both" {
         run_variant_a(seed);
@@ -31,12 +28,6 @@ fn main() {
     if variant == "b" || variant == "both" {
         run_variant_b(seed);
     }
-}
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
 }
 
 /// Fig. 4a: less predictable workload, fluctuating daily usage.

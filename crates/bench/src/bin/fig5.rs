@@ -24,11 +24,7 @@ const TRAIN_DAYS: u64 = 5;
 const EVAL_DAYS: u64 = 2;
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .skip_while(|a| a != "--seed")
-        .nth(1)
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(7);
+    let seed: u64 = bench::args::value("--seed").unwrap_or(7);
 
     header("Figure 5 — estimated vs actual warehouse cost");
     let cases: Vec<(String, Box<dyn WorkloadGenerator>, WarehouseConfig)> = vec![

@@ -20,11 +20,7 @@ const OBSERVE_DAYS: u64 = 2;
 const TOTAL_DAYS: u64 = 4;
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .skip_while(|a| a != "--seed")
-        .nth(1)
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(11);
+    let seed: u64 = bench::args::value("--seed").unwrap_or(11);
 
     header("Figure 6 — hourly usage, KWO overhead, and estimated savings (ETL warehouse)");
     let original = WarehouseConfig::new(WarehouseSize::Medium).with_auto_suspend_secs(600);

@@ -18,11 +18,7 @@ const OBSERVE_DAYS: u64 = 3;
 const TOTAL_DAYS: u64 = 8;
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .skip_while(|a| a != "--seed")
-        .nth(1)
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(21);
+    let seed: u64 = bench::args::value("--seed").unwrap_or(21);
 
     header("Figure 7 — cost vs latency across the five slider positions");
     let mut results: Vec<(SliderPosition, f64, f64)> = Vec::new();

@@ -12,14 +12,10 @@
 //! 3 days.
 
 use bench::report::{header, pct, table};
-use cdw_sim::{WarehouseConfig, WarehouseSize, DAY_MS, MINUTE_MS};
-use keebo::{
-    derive_stream_seed, FleetController, FleetReport, KwoSetup, TenantSpec, WarehouseSpec,
-    WorkerPool,
-};
+use cdw_sim::DAY_MS;
+use keebo::{FleetReport, WorkerPool};
 use serde::Serialize;
 use std::time::Instant;
-use workload::{fleet_mix, generate_trace};
 
 const SEED: u64 = 42;
 
@@ -64,53 +60,11 @@ struct BenchOutput {
     ops: keebo::OpsKpis,
 }
 
-fn bench_setup() -> KwoSetup {
-    KwoSetup {
-        realtime_interval_ms: 30 * MINUTE_MS,
-        onboarding_episodes: 2,
-        refresh_episodes: 0,
-        train_interval_ms: 2 * DAY_MS,
-        ..KwoSetup::default()
-    }
-}
-
-fn build_fleet(tenants: usize, per_tenant: usize, total_days: u64, light: bool) -> FleetController {
-    let mut fleet = FleetController::new(SEED);
-    let members = fleet_mix(tenants, per_tenant, light);
-    let mut current: Option<TenantSpec> = None;
-    for m in members {
-        let spec = WarehouseSpec {
-            name: m.warehouse.clone(),
-            config: WarehouseConfig::new(WarehouseSize::Large).with_auto_suspend_secs(3600),
-            setup: bench_setup(),
-            queries: generate_trace(
-                m.generator.as_ref(),
-                0,
-                total_days * DAY_MS,
-                derive_stream_seed(SEED, &m.warehouse),
-            )
-            .into(),
-        };
-        match current.take() {
-            Some(t) if t.name == m.tenant => current = Some(t.add_warehouse(spec)),
-            Some(t) => {
-                fleet.add_tenant(t);
-                current = Some(TenantSpec::new(&m.tenant).add_warehouse(spec));
-            }
-            None => current = Some(TenantSpec::new(&m.tenant).add_warehouse(spec)),
-        }
-    }
-    if let Some(t) = current {
-        fleet.add_tenant(t);
-    }
-    fleet
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = bench::args::flag("--smoke");
     let (tenants, per_tenant, observe_days, total_days) =
         if smoke { (2, 2, 1, 2) } else { (4, 4, 1, 3) };
-    let fleet = build_fleet(tenants, per_tenant, total_days, true);
+    let fleet = bench::mixed_fleet(SEED, tenants, per_tenant, total_days);
     let warehouses = fleet.warehouse_count();
     header(&format!(
         "fleet bench: {tenants} tenants x {per_tenant} warehouses, \

@@ -33,14 +33,6 @@ struct FuzzOutput {
     invariant_violations: u64,
 }
 
-fn arg_value(name: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn counter(snapshot: &keebo::MetricsSnapshot, name: &str) -> u64 {
     snapshot
         .counters
@@ -50,9 +42,9 @@ fn counter(snapshot: &keebo::MetricsSnapshot, name: &str) -> u64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let start_seed = arg_value("--seed").unwrap_or(0);
-    let cases = arg_value("--cases").unwrap_or(if smoke { 256 } else { 2048 }) as usize;
+    let smoke = bench::args::flag("--smoke");
+    let start_seed = bench::args::value("--seed").unwrap_or(0);
+    let cases = bench::args::value("--cases").unwrap_or(if smoke { 256 } else { 2048 });
     let cfg = FuzzConfig::default();
     header(&format!(
         "fuzz campaign: {cases} cases from seed {start_seed} \

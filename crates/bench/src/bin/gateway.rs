@@ -15,8 +15,8 @@
 use bench::report::{header, table};
 use cdw_sim::{QuerySpec, WarehouseConfig, WarehouseSize, DAY_MS, HOUR_MS, MINUTE_MS};
 use keebo::{
-    derive_stream_seed, Gateway, GatewayConfig, GatewayStats, KwoSetup, Priority, Request,
-    RequestKind, Rule, RuleEffect, SliderPosition, TenantSpec, WarehouseSpec, WorkerPool,
+    derive_stream_seed, Gateway, GatewayConfig, GatewayStats, Priority, Request, RequestKind, Rule,
+    RuleEffect, SliderPosition, TenantSpec, WarehouseSpec, WorkerPool,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -66,16 +66,6 @@ struct BenchOutput {
     digests_bit_identical: bool,
 }
 
-fn fast_setup() -> KwoSetup {
-    KwoSetup {
-        realtime_interval_ms: 30 * MINUTE_MS,
-        onboarding_episodes: 2,
-        refresh_episodes: 0,
-        train_interval_ms: 2 * DAY_MS,
-        ..KwoSetup::default()
-    }
-}
-
 fn build_tenants(tenants: usize, per_tenant: usize, days: u64) -> Vec<TenantSpec> {
     (0..tenants)
         .map(|t| {
@@ -111,7 +101,7 @@ fn build_tenants(tenants: usize, per_tenant: usize, days: u64) -> Vec<TenantSpec
                     name,
                     config: WarehouseConfig::new(WarehouseSize::Medium)
                         .with_auto_suspend_secs(1800),
-                    setup: fast_setup(),
+                    setup: keebo::drill::fast_setup(),
                     queries: queries.into(),
                 });
             }
@@ -209,7 +199,7 @@ fn run_once(
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = bench::args::flag("--smoke");
     let (tenants_n, per_tenant, ticks) = if smoke { (4, 2, 8) } else { (32, 2, 48) };
     let thread_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
     let clients_per_tenant = 4;

@@ -5,7 +5,10 @@
 //! seeded fault plans — cycling backends, scenarios, and compaction
 //! policies cell by cell. Every cell kills the control plane at a seeded
 //! tick, restores from the surviving store, and compares the finished run
-//! bit-for-bit against an uninterrupted baseline. Any divergence exits
+//! bit-for-bit against an uninterrupted baseline. A slice of the file-backed
+//! cells also tears the WAL mid-frame at the kill: those must recover and
+//! report the truncated bytes, but legitimately lose the final record, so
+//! bit-identity is asserted on the clean cells only. Any divergence exits
 //! non-zero; a diverging file-backed cell keeps its WAL directory on disk
 //! (`STORE_wal/cell<N>/`) for CI artifact upload.
 //!
@@ -15,6 +18,7 @@
 //! Usage: `store_faults [--smoke] [--seed N] [--cells N]` — `--smoke` is
 //! the bounded CI configuration (9 cells); the default campaign is 30.
 
+use bench::mean;
 use bench::report::{header, write_json};
 use keebo::drill::{run_cell, run_uninterrupted, DrillBackend, DrillCell, SCENARIOS};
 use keebo::{SnapshotPolicy, StoreFaultPlan};
@@ -30,6 +34,8 @@ struct StoreFaultsOutput {
     mem_cells: usize,
     file_cells: usize,
     remote_cells: usize,
+    torn_cells: usize,
+    wal_bytes_truncated_total: u64,
     digest_matches: usize,
     wall_secs: f64,
     recovery_ms_mean: f64,
@@ -39,14 +45,6 @@ struct StoreFaultsOutput {
     snapshot_bytes_mean: f64,
     snapshot_bytes_max: u64,
     remote_recovery_ms_mean: f64,
-}
-
-fn arg_value(name: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }
 
 /// Mild fault plans for the remote cells: rates stay far inside the
@@ -87,9 +85,9 @@ fn tight_policy() -> SnapshotPolicy {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let start_seed = arg_value("--seed").unwrap_or(0);
-    let cells = arg_value("--cells").unwrap_or(if smoke { 9 } else { 30 }) as usize;
+    let smoke = bench::args::flag("--smoke");
+    let start_seed = bench::args::value("--seed").unwrap_or(0);
+    let cells = bench::args::value("--cells").unwrap_or(if smoke { 9 } else { 30 });
     header(&format!(
         "store-faults campaign: {cells} crash-drill cells from seed {start_seed}{}",
         if smoke { " [smoke]" } else { "" }
@@ -99,6 +97,8 @@ fn main() {
     let start = Instant::now();
 
     let mut digest_matches = 0usize;
+    let mut torn_cells = 0usize;
+    let mut truncated_total = 0u64;
     let mut backend_counts = [0usize; 3];
     let mut recovery_ms = Vec::with_capacity(cells);
     let mut remote_recovery_ms = Vec::new();
@@ -125,7 +125,8 @@ fn main() {
             crash_seed: seed.wrapping_mul(1_000) + i as u64,
             backend,
             policy: (i % 2 == 1).then(tight_policy),
-            torn: false,
+            // Every other file-backed cell is killed mid-write.
+            torn: i % 6 == 4,
         };
 
         let baseline = run_uninterrupted(scenario, seed);
@@ -143,8 +144,18 @@ fn main() {
         }
         replayed.push(out.stats.replayed_records);
         snapshot_bytes.push(out.stats.snapshot_bytes);
+        truncated_total += out.stats.wal_truncated_bytes;
 
-        if out.fingerprint == baseline {
+        if cell.torn {
+            torn_cells += 1;
+            if out.stats.wal_truncated_bytes > 0 {
+                digest_matches += 1;
+                std::fs::remove_dir_all(&dir).ok();
+            } else {
+                eprintln!("cell {i} (seed {seed}): torn WAL tail went unreported");
+                failed = true;
+            }
+        } else if out.fingerprint == baseline {
             digest_matches += 1;
             if matches!(cell.backend, DrillBackend::File(_)) {
                 std::fs::remove_dir_all(&dir).ok();
@@ -169,13 +180,6 @@ fn main() {
     }
 
     let wall = start.elapsed().as_secs_f64();
-    let mean = |v: &[f64]| {
-        if v.is_empty() {
-            0.0
-        } else {
-            v.iter().sum::<f64>() / v.len() as f64
-        }
-    };
     let out = StoreFaultsOutput {
         smoke,
         start_seed,
@@ -183,6 +187,8 @@ fn main() {
         mem_cells: backend_counts[0],
         file_cells: backend_counts[1],
         remote_cells: backend_counts[2],
+        torn_cells,
+        wal_bytes_truncated_total: truncated_total,
         digest_matches,
         wall_secs: wall,
         recovery_ms_mean: mean(&recovery_ms),
@@ -194,14 +200,16 @@ fn main() {
         remote_recovery_ms_mean: mean(&remote_recovery_ms),
     };
     println!(
-        "{}/{} digests matched ({} mem / {} file / {} remote) in {:.2}s; \
-         recovery mean {:.2}ms max {:.2}ms (remote mean {:.2}ms); \
+        "{}/{} digests matched ({} mem / {} file / {} remote; {} torn, {} WAL bytes truncated) \
+         in {:.2}s; recovery mean {:.2}ms max {:.2}ms (remote mean {:.2}ms); \
          replayed mean {:.1} max {}; snapshot mean {:.0}B max {}B",
         out.digest_matches,
         out.cells,
         out.mem_cells,
         out.file_cells,
         out.remote_cells,
+        out.torn_cells,
+        out.wal_bytes_truncated_total,
         wall,
         out.recovery_ms_mean,
         out.recovery_ms_max,

@@ -7,11 +7,16 @@
 //! integration tests.
 
 use cdw_sim::{
-    Account, QueryRecord, SimTime, Simulator, WarehouseConfig, WarehouseId, DAY_MS, HOUR_MS,
+    Account, QueryRecord, SimTime, Simulator, WarehouseConfig, WarehouseId, WarehouseSize, DAY_MS,
+    HOUR_MS,
 };
-use keebo::{KwoSetup, Orchestrator};
-use workload::{generate_trace, WorkloadGenerator};
+use keebo::drill::fast_setup;
+use keebo::{
+    derive_stream_seed, FleetController, KwoSetup, Orchestrator, TenantSpec, WarehouseSpec,
+};
+use workload::{fleet_mix, generate_trace, WorkloadGenerator};
 
+pub mod args;
 pub mod estimator;
 pub mod report;
 
@@ -37,25 +42,8 @@ pub fn run_with_kwo(
     total_days: u64,
     seed: u64,
 ) -> KwoRun {
-    let warehouse = workload.name().to_uppercase() + "_WH";
-    let mut account = Account::new();
-    let wh = account.create_warehouse(&warehouse, original);
-    let mut sim = Simulator::new(account);
-    for q in generate_trace(workload, 0, total_days * DAY_MS, seed) {
-        sim.submit_query(wh, q);
-    }
-    let mut kwo = Orchestrator::new(seed ^ 0x4B45_4542); // "KEEB"
-    kwo.manage(&sim, &warehouse, setup);
-    kwo.observe_until(&mut sim, observe_days * DAY_MS);
-    kwo.onboard(&mut sim);
-    kwo.run_until(&mut sim, total_days * DAY_MS);
-    KwoRun {
-        sim,
-        kwo,
-        warehouse,
-        wh,
-        onboard_at: observe_days * DAY_MS,
-    }
+    let (observe_ms, total_ms) = (observe_days * DAY_MS, total_days * DAY_MS);
+    run_with_kwo_ms(workload, original, setup, observe_ms, total_ms, seed)
 }
 
 /// Hour-granular variant of [`run_with_kwo`] for onboarding experiments.
@@ -67,25 +55,69 @@ pub fn run_with_kwo_hours(
     total_hours: u64,
     seed: u64,
 ) -> KwoRun {
+    let (observe_ms, total_ms) = (observe_hours * HOUR_MS, total_hours * HOUR_MS);
+    run_with_kwo_ms(workload, original, setup, observe_ms, total_ms, seed)
+}
+
+fn run_with_kwo_ms(
+    workload: &dyn WorkloadGenerator,
+    original: WarehouseConfig,
+    setup: KwoSetup,
+    observe_ms: SimTime,
+    total_ms: SimTime,
+    seed: u64,
+) -> KwoRun {
     let warehouse = workload.name().to_uppercase() + "_WH";
     let mut account = Account::new();
     let wh = account.create_warehouse(&warehouse, original);
     let mut sim = Simulator::new(account);
-    for q in generate_trace(workload, 0, total_hours * HOUR_MS, seed) {
+    for q in generate_trace(workload, 0, total_ms, seed) {
         sim.submit_query(wh, q);
     }
-    let mut kwo = Orchestrator::new(seed ^ 0x4B45_4542);
+    let mut kwo = Orchestrator::new(seed ^ 0x4B45_4542); // "KEEB"
     kwo.manage(&sim, &warehouse, setup);
-    kwo.observe_until(&mut sim, observe_hours * HOUR_MS);
+    kwo.observe_until(&mut sim, observe_ms);
     kwo.onboard(&mut sim);
-    kwo.run_until(&mut sim, total_hours * HOUR_MS);
+    kwo.run_until(&mut sim, total_ms);
     KwoRun {
         sim,
         kwo,
         warehouse,
         wh,
-        onboard_at: observe_hours * HOUR_MS,
+        onboard_at: observe_ms,
     }
+}
+
+/// The fleet benches' fleet: `tenants × per_tenant` Large warehouses with
+/// archetypes cycled by [`fleet_mix`] (its light generators), each on the
+/// drill-speed setup, every trace seeded from `seed` and the warehouse name.
+pub fn mixed_fleet(
+    seed: u64,
+    tenants: usize,
+    per_tenant: usize,
+    total_days: u64,
+) -> FleetController {
+    let mut fleet = FleetController::new(seed);
+    let members = fleet_mix(tenants, per_tenant, true);
+    for tenant in members.chunks(per_tenant.max(1)) {
+        let mut spec = TenantSpec::new(&tenant[0].tenant);
+        for m in tenant {
+            spec = spec.add_warehouse(WarehouseSpec {
+                name: m.warehouse.clone(),
+                config: WarehouseConfig::new(WarehouseSize::Large).with_auto_suspend_secs(3600),
+                setup: fast_setup(),
+                queries: generate_trace(
+                    m.generator.as_ref(),
+                    0,
+                    total_days * DAY_MS,
+                    derive_stream_seed(seed, &m.warehouse),
+                )
+                .into(),
+            });
+        }
+        fleet.add_tenant(spec);
+    }
+    fleet
 }
 
 /// Runs `workload` with a static configuration and no optimizer; returns

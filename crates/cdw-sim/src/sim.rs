@@ -225,20 +225,13 @@ impl Simulator {
         self.push(spec.arrival, Event::Arrival { wh, spec });
     }
 
-    /// Schedules a whole trace of (warehouse, query) arrivals.
-    pub fn submit_trace(&mut self, trace: impl IntoIterator<Item = (WarehouseId, QuerySpec)>) {
-        for (wh, spec) in trace {
-            self.submit_query(wh, spec);
-        }
-    }
-
     /// Schedules a whole trace for one warehouse from a *shared* immutable
     /// buffer. The specs are never cloned into the event heap: each arrival
     /// event carries only `(trace, index)` into an arena slot holding the
     /// `Arc`, so many shards can replay the same trace with one allocation
     /// fleet-wide. Event ordering (arrival time, then submission sequence)
-    /// is identical to feeding the same specs through
-    /// [`Simulator::submit_trace`], so results are bit-identical.
+    /// is identical to feeding the same specs one by one through
+    /// [`Simulator::submit_query`], so results are bit-identical.
     ///
     /// # Panics
     /// Panics if any arrival time is in the simulated past, like
@@ -1030,7 +1023,9 @@ mod command_tests {
             .collect();
 
         let (mut cloned, wh_a) = sim_one(cfg.clone());
-        cloned.submit_trace(trace.iter().cloned().map(|spec| (wh_a, spec)));
+        for spec in trace.iter().cloned() {
+            cloned.submit_query(wh_a, spec);
+        }
         cloned.run_to_completion();
 
         let (mut shared, wh_b) = sim_one(cfg);

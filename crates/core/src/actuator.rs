@@ -188,27 +188,31 @@ impl Actuator {
         (outcome, results)
     }
 
+    /// Runs `commands` and logs them as one entry under `action` and `kind`.
     #[allow(clippy::too_many_arguments)]
-    fn push_entry(
+    fn execute(
         &mut self,
-        at: SimTime,
-        warehouse: &str,
+        sim: &mut Simulator,
+        wh: WarehouseId,
+        warehouse_name: &str,
+        commands: &[WarehouseCommand],
         action: AgentAction,
         kind: LogEntryKind,
-        outcome: ActionOutcome,
-        commands: Vec<CommandOutcome>,
         reason: &str,
-    ) {
+    ) -> ActionOutcome {
+        let at = sim.now();
+        let (outcome, commands) = self.run_commands(sim, wh, warehouse_name, commands);
         self.log.push(ActionLogEntry {
             at,
-            warehouse: warehouse.to_string(),
+            warehouse: warehouse_name.to_string(),
             action,
             sql: commands.iter().map(|c| c.sql.clone()).collect(),
-            outcome,
+            outcome: outcome.clone(),
             reason: reason.to_string(),
             kind,
             commands,
         });
+        outcome
     }
 
     /// Applies `action` from `current` config, charging command overhead and
@@ -224,18 +228,15 @@ impl Actuator {
         reason: &str,
     ) -> ActionOutcome {
         let commands = action.to_commands(current);
-        let now = sim.now();
-        let (outcome, per_command) = self.run_commands(sim, wh, warehouse_name, &commands);
-        self.push_entry(
-            now,
+        self.execute(
+            sim,
+            wh,
             warehouse_name,
+            &commands,
             action,
             LogEntryKind::Action,
-            outcome.clone(),
-            per_command,
             reason,
-        );
-        outcome
+        )
     }
 
     /// Applies raw commands under an explicit entry kind (rollbacks, §4.3
@@ -250,18 +251,15 @@ impl Actuator {
         kind: LogEntryKind,
         reason: &str,
     ) -> ActionOutcome {
-        let now = sim.now();
-        let (outcome, per_command) = self.run_commands(sim, wh, warehouse_name, commands);
-        self.push_entry(
-            now,
+        self.execute(
+            sim,
+            wh,
             warehouse_name,
+            commands,
             AgentAction::NoOp,
             kind,
-            outcome.clone(),
-            per_command,
             reason,
-        );
-        outcome
+        )
     }
 
     /// Full action history.

@@ -18,7 +18,9 @@ use std::path::PathBuf;
 use crate::actuator::ActionLogEntry;
 use crate::orchestrator::{KwoSetup, Orchestrator, SnapshotPolicy};
 use crate::persist::{PersistError, RecoveryStats};
-use crate::store::{CrashPlan, FileStore, MemStore, RemoteKvStore, StateStore, StoreFaultPlan};
+use crate::store::{
+    CrashPlan, FileStore, MemStore, RemoteKvStore, StateStore, StoreFaultPlan, FRAME_HEADER_BYTES,
+};
 use cdw_sim::{
     Account, FaultPlan, Simulator, WarehouseConfig, WarehouseId, WarehouseSize, DAY_MS, HOUR_MS,
     MINUTE_MS,
@@ -152,8 +154,9 @@ pub struct DrillCell {
     /// Compaction-policy override; `None` runs the setup default
     /// (48-tick cadence).
     pub policy: Option<SnapshotPolicy>,
-    /// Also tear the WAL tail after the kill (loses the final record, so
-    /// bit-identity against the baseline is not expected).
+    /// Also tear the WAL tail after the kill: the final record is lost (cut
+    /// mid-frame on a file store), so bit-identity against the baseline is
+    /// not expected.
     pub torn: bool,
 }
 
@@ -172,7 +175,7 @@ impl DrillCell {
 
     /// The tick boundary this cell's control plane is killed at.
     pub fn crash_tick(&self) -> u64 {
-        CrashPlan::clean_from_seed(self.crash_seed, OPTIMIZE_TICKS).crash_tick
+        CrashPlan::from_seed(self.crash_seed, OPTIMIZE_TICKS).crash_tick
     }
 }
 
@@ -187,6 +190,8 @@ pub struct DrillOutcome {
     pub crash_tick: u64,
     /// WAL bytes destroyed by the torn-tail injection (0 for clean kills).
     pub dropped_bytes: u64,
+    /// Whether the recovered optimizer was still onboarded at the end.
+    pub onboarded: bool,
 }
 
 /// The survivor side of the crash: whatever outlives the dead control
@@ -202,7 +207,7 @@ enum Survivor {
 /// fault plan defeats the orchestrator's retries reports it here rather
 /// than panicking.
 pub fn run_cell(cell: &DrillCell) -> Result<DrillOutcome, PersistError> {
-    let plan = CrashPlan::clean_from_seed(cell.crash_seed, OPTIMIZE_TICKS);
+    let plan = CrashPlan::from_seed(cell.crash_seed, OPTIMIZE_TICKS);
     let crash_t = OBSERVE_MS + plan.crash_tick * TICK_MS;
     let (mut sim, wh) = build_sim(cell.scenario, cell.seed);
     let mut kwo = Orchestrator::new(cell.seed);
@@ -244,12 +249,14 @@ pub fn run_cell(cell: &DrillCell) -> Result<DrillOutcome, PersistError> {
         Survivor::File(dir) => {
             let mut s = FileStore::open(&dir)?;
             if cell.torn {
-                let len = s.wal_bytes();
-                let keep = plan.torn_offset(len);
-                if keep < len {
-                    s.truncate_wal_to(keep)?;
-                    dropped_bytes = len - keep;
-                }
+                // Kill mid-write: cut inside the final frame.
+                let last_frame = s
+                    .load()?
+                    .records
+                    .last()
+                    .map_or(0, |p| (p.len() + FRAME_HEADER_BYTES) as u64);
+                dropped_bytes = last_frame - plan.torn_offset(last_frame);
+                s.truncate_wal_to(s.wal_bytes() - dropped_bytes)?;
             }
             Box::new(s)
         }
@@ -268,6 +275,7 @@ pub fn run_cell(cell: &DrillCell) -> Result<DrillOutcome, PersistError> {
         stats,
         crash_tick: plan.crash_tick,
         dropped_bytes,
+        onboarded: kwo.optimizer(WAREHOUSE).is_some_and(|o| o.onboarded()),
     })
 }
 

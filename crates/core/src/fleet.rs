@@ -8,10 +8,9 @@
 //! parallel across tenants.
 //!
 //! [`FleetController`] shards tenants into independent simulator/optimizer
-//! pairs and drives the shards concurrently on a persistent
-//! [`WorkerPool`] (see [`crate::pool`]) — or a transient one, for the
-//! convenience [`FleetController::run`] entry point. Determinism is
-//! preserved by construction:
+//! pairs and drives the shards concurrently on a caller-owned persistent
+//! [`WorkerPool`] (see [`crate::pool`]). Determinism is preserved by
+//! construction:
 //!
 //! * every random stream is derived from the fleet seed and a *name* via
 //!   [`derive_stream_seed`] — the tenant name for the orchestrator and
@@ -426,41 +425,11 @@ impl FleetController {
         self.tenants.iter().map(|t| t.warehouses.len()).sum()
     }
 
-    /// Runs the whole fleet on a *transient* pool: every tenant observes
-    /// until `observe_until`, onboards, then optimizes until `until`.
-    /// Shards run concurrently on up to `threads` workers pulling from a
-    /// shared work queue; the report is bit-identical for any
-    /// `threads >= 1`. Callers driving many runs (the scale bench, repeated
-    /// experiments) should create one [`WorkerPool`] and use
-    /// [`FleetController::run_on`] to skip the per-run spawn/join churn.
-    ///
-    /// # Panics
-    /// Panics if the fleet has no tenants or `threads == 0`.
-    pub fn run(&self, observe_until: SimTime, until: SimTime, threads: usize) -> FleetReport {
-        assert!(threads > 0, "need at least one worker thread");
-        let pool = WorkerPool::new(threads.min(self.tenants.len()).max(1));
-        self.run_on(&pool, observe_until, until, threads)
-    }
-
-    /// Like [`FleetController::run`], but on a caller-owned persistent
-    /// [`WorkerPool`], using at most `parallelism` of its workers. The
-    /// report is bit-identical for any pool size and parallelism.
-    ///
-    /// # Panics
-    /// Panics if the fleet has no tenants or `parallelism == 0`, and
-    /// re-raises the first shard panic after the run drains (the pool
-    /// itself stays usable).
-    pub fn run_on(
-        &self,
-        pool: &WorkerPool,
-        observe_until: SimTime,
-        until: SimTime,
-        parallelism: usize,
-    ) -> FleetReport {
-        self.run_on_timed(pool, observe_until, until, parallelism).0
-    }
-
-    /// [`FleetController::run_on`] plus per-run wall-clock accounting:
+    /// Runs the whole fleet on a caller-owned persistent [`WorkerPool`],
+    /// using at most `parallelism` of its workers: every tenant observes
+    /// until `observe_until`, onboards, then optimizes until `until`. Shards
+    /// pull from a shared work queue; the report is bit-identical for any
+    /// pool size and parallelism. Also returns per-run wall-clock accounting:
     /// cumulative shard *build* seconds and shard *drive* seconds, kept
     /// apart so benches stop billing trace construction to the simulator
     /// (the timing bug the 4×4 bench shipped with).
@@ -577,18 +546,38 @@ impl ShardCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drill::fast_setup;
     use crate::health::HealthState;
-    use cdw_sim::{WarehouseSize, DAY_MS, HOUR_MS, MINUTE_MS};
+    use cdw_sim::{WarehouseSize, DAY_MS, HOUR_MS};
     use workload::{generate_trace, BiWorkload, EtlWorkload};
 
-    fn fast_setup() -> KwoSetup {
-        KwoSetup {
-            realtime_interval_ms: 30 * MINUTE_MS,
-            onboarding_episodes: 2,
-            refresh_episodes: 0,
-            train_interval_ms: 2 * DAY_MS,
-            ..KwoSetup::default()
-        }
+    /// The report of a run on `pool` (what the deleted `run_on` returned).
+    fn run_on(
+        fleet: &FleetController,
+        pool: &WorkerPool,
+        observe_until: SimTime,
+        until: SimTime,
+        parallelism: usize,
+    ) -> FleetReport {
+        fleet
+            .run_on_timed(pool, observe_until, until, parallelism)
+            .0
+    }
+
+    /// A run on a fresh pool of `threads` workers.
+    fn run(
+        fleet: &FleetController,
+        observe_until: SimTime,
+        until: SimTime,
+        threads: usize,
+    ) -> FleetReport {
+        run_on(
+            fleet,
+            &WorkerPool::new(threads),
+            observe_until,
+            until,
+            threads,
+        )
     }
 
     fn warehouse_spec(name: &str, archetype: usize, seed: u64, days: u64) -> WarehouseSpec {
@@ -642,7 +631,7 @@ mod tests {
     #[test]
     fn fleet_reports_every_warehouse() {
         let fleet = small_fleet(11, 2);
-        let report = fleet.run(DAY_MS, 2 * DAY_MS, 2);
+        let report = run(&fleet, DAY_MS, 2 * DAY_MS, 2);
         assert_eq!(report.tenants.len(), 2);
         assert_eq!(report.warehouses, 4);
         assert!(report.estimated_without_keebo > 0.0);
@@ -658,9 +647,9 @@ mod tests {
     #[test]
     fn fleet_is_bit_identical_across_thread_counts() {
         let fleet = small_fleet(7, 2);
-        let one = fleet.run(DAY_MS, 2 * DAY_MS, 1);
-        let two = fleet.run(DAY_MS, 2 * DAY_MS, 2);
-        let four = fleet.run(DAY_MS, 2 * DAY_MS, 4);
+        let one = run(&fleet, DAY_MS, 2 * DAY_MS, 1);
+        let two = run(&fleet, DAY_MS, 2 * DAY_MS, 2);
+        let four = run(&fleet, DAY_MS, 2 * DAY_MS, 4);
         assert_eq!(one.digest(), two.digest());
         assert_eq!(one.digest(), four.digest());
         // Digest covers the rollups; spot-check raw bits too.
@@ -678,9 +667,9 @@ mod tests {
         // are fire-and-forget atomics and the trace only copies values out,
         // so the digest cannot move.
         let fleet = small_fleet(13, 2);
-        let metrics_on = fleet.run(DAY_MS, 2 * DAY_MS, 2).digest();
+        let metrics_on = run(&fleet, DAY_MS, 2 * DAY_MS, 2).digest();
         keebo_obs::set_enabled(false);
-        let metrics_off = fleet.run(DAY_MS, 2 * DAY_MS, 2).digest();
+        let metrics_off = run(&fleet, DAY_MS, 2 * DAY_MS, 2).digest();
         keebo_obs::set_enabled(true);
         assert_eq!(metrics_on, metrics_off, "metrics on/off must not perturb");
 
@@ -698,7 +687,7 @@ mod tests {
             }
             no_trace.add_tenant(tenant);
         }
-        let trace_off = no_trace.run(DAY_MS, 2 * DAY_MS, 2).digest();
+        let trace_off = run(&no_trace, DAY_MS, 2 * DAY_MS, 2).digest();
         assert_eq!(metrics_on, trace_off, "trace on/off must not perturb");
     }
 
@@ -709,10 +698,10 @@ mod tests {
         // digest as one without, at any worker count.
         let plain = small_fleet(21, 2);
         let durable = small_fleet(21, 2).with_persistence();
-        let baseline = plain.run(DAY_MS, 2 * DAY_MS, 1).digest();
+        let baseline = run(&plain, DAY_MS, 2 * DAY_MS, 1).digest();
         for threads in [1, 2, 4] {
             assert_eq!(
-                durable.run(DAY_MS, 2 * DAY_MS, threads).digest(),
+                run(&durable, DAY_MS, 2 * DAY_MS, threads).digest(),
                 baseline,
                 "persisted fleet digest diverged at {threads} threads"
             );
@@ -738,12 +727,12 @@ mod tests {
 
         let mut solo = FleetController::new(seed);
         solo.add_tenant(spec(1));
-        let solo_report = solo.run(DAY_MS, days * DAY_MS, 1);
+        let solo_report = run(&solo, DAY_MS, days * DAY_MS, 1);
 
         let mut both = FleetController::new(seed);
         both.add_tenant(spec(0));
         both.add_tenant(spec(1));
-        let both_report = both.run(DAY_MS, days * DAY_MS, 2);
+        let both_report = run(&both, DAY_MS, days * DAY_MS, 2);
 
         let solo_t = &solo_report.tenants[0];
         let both_t = &both_report.tenants[1];
@@ -761,13 +750,12 @@ mod tests {
     #[test]
     fn reused_pool_matches_fresh_pools_bit_for_bit() {
         // The pool-reuse contract: consecutive runs on one persistent pool
-        // produce the same digest as runs on freshly spawned pools (which
-        // is what `run` uses under the hood).
+        // produce the same digest as runs on freshly spawned pools.
         let fleet = small_fleet(31, 2);
-        let fresh = fleet.run(DAY_MS, 2 * DAY_MS, 2).digest();
+        let fresh = run(&fleet, DAY_MS, 2 * DAY_MS, 2).digest();
         let pool = WorkerPool::new(3);
-        let first = fleet.run_on(&pool, DAY_MS, 2 * DAY_MS, 2).digest();
-        let second = fleet.run_on(&pool, DAY_MS, 2 * DAY_MS, 3).digest();
+        let first = run_on(&fleet, &pool, DAY_MS, 2 * DAY_MS, 2).digest();
+        let second = run_on(&fleet, &pool, DAY_MS, 2 * DAY_MS, 3).digest();
         assert_eq!(first, fresh, "persistent pool diverged from fresh pool");
         assert_eq!(second, fresh, "pool reuse perturbed the digest");
     }
@@ -777,12 +765,12 @@ mod tests {
         let fleet = small_fleet(33, 2);
         // threads > shards: the extra capacity must idle harmlessly.
         let wide = WorkerPool::new(8);
-        let wide_digest = fleet.run_on(&wide, DAY_MS, 2 * DAY_MS, 8).digest();
+        let wide_digest = run_on(&fleet, &wide, DAY_MS, 2 * DAY_MS, 8).digest();
         // threads = 1: strictly sequential execution.
         let narrow = WorkerPool::new(1);
-        let narrow_digest = fleet.run_on(&narrow, DAY_MS, 2 * DAY_MS, 1).digest();
+        let narrow_digest = run_on(&fleet, &narrow, DAY_MS, 2 * DAY_MS, 1).digest();
         assert_eq!(wide_digest, narrow_digest);
-        assert_eq!(wide_digest, fleet.run(DAY_MS, 2 * DAY_MS, 16).digest());
+        assert_eq!(wide_digest, run(&fleet, DAY_MS, 2 * DAY_MS, 16).digest());
     }
 
     #[test]
@@ -799,7 +787,7 @@ mod tests {
 
         let pool = WorkerPool::new(2);
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            bad.run_on(&pool, DAY_MS, DAY_MS, 2)
+            run_on(&bad, &pool, DAY_MS, DAY_MS, 2)
         }));
         assert!(res.is_err(), "duplicate warehouse shard must panic the run");
 
@@ -807,8 +795,8 @@ mod tests {
         // a fresh-pool digest exactly.
         let good = small_fleet(35, 1);
         assert_eq!(
-            good.run_on(&pool, DAY_MS, DAY_MS, 2).digest(),
-            good.run(DAY_MS, DAY_MS, 2).digest(),
+            run_on(&good, &pool, DAY_MS, DAY_MS, 2).digest(),
+            run(&good, DAY_MS, DAY_MS, 2).digest(),
             "pool poisoned by a panicking shard"
         );
     }
@@ -837,7 +825,7 @@ mod tests {
         // net for the bug where OpsKpis health/staleness/fetch_partials
         // fields silently fell out of the hash.
         let fleet = small_fleet(41, 2);
-        let base = fleet.run(DAY_MS, 2 * DAY_MS, 2);
+        let base = run(&fleet, DAY_MS, 2 * DAY_MS, 2);
         let base_digest = base.digest();
 
         type Mutator = (&'static str, fn(&mut FleetReport));

@@ -8,10 +8,11 @@
 //!
 //! The pieces:
 //!
-//! * [`orchestrator`] — the data-learning loop of Algorithm 1: periodic
-//!   telemetry reads, periodic (re)training, real-time decisions at
-//!   `T_realtime` cadence, constraint filtering, monitoring feedback, and
-//!   savings reporting;
+//! * [`orchestrator`] — the data-learning loop of Algorithm 1. Each
+//!   warehouse's control tick is one fixed pipeline of stages (sense →
+//!   assess → retrain → gate → decide → learn → act → journal) gated by a
+//!   single per-tick decision of what may run; admin events and WAL replay
+//!   share one apply path, and persistence sits behind one journal value;
 //! * [`monitoring`] — real-time state, load-spike detection, and
 //!   external-change detection (§4.4);
 //! * [`actuator`] — translates agent actions into `ALTER WAREHOUSE`
@@ -27,7 +28,13 @@
 //!   (§4.1): spend, savings, latency percentiles, queue times, cost per
 //!   query;
 //! * [`pricing`] — value-based pricing: the customer pays a percentage of
-//!   realized savings (§4.7).
+//!   realized savings (§4.7);
+//! * [`store`] / [`persist`] / [`drill`] — the durable control plane: the
+//!   WAL + snapshot store family, the record and snapshot codecs, and the
+//!   crash-drill harness the recovery tests and the `store_faults` bench
+//!   share;
+//! * [`fleet`] / [`pool`] / [`gateway`] — tenants sharded over a persistent
+//!   worker pool, fronted by the admission gateway.
 //!
 //! ## Quickstart
 //!

@@ -1,0 +1,1259 @@
+//! The data-learning loop — Algorithm 1 of the paper.
+//!
+//! One [`WarehouseOptimizer`] per warehouse (C5: a fresh smart model per
+//! warehouse, never shared), coordinated by the [`Orchestrator`]:
+//!
+//! ```text
+//! while true:
+//!   if T hours elapsed since last training:
+//!     D ← D ∪ ReadTelemetryData(last T hours)       # fetcher
+//!     M ← TrainSmartModel(D, wh, aggr, WCM)          # trainer
+//!   if T_realtime minutes elapsed since last action:
+//!     feedback ← Monitoring.RealTimeState()          # monitor
+//!     action ← M.nextAction(UC, WCM, feedback)       # agent + constraints
+//!     Actuator.apply(wh, action)                     # actuator
+//!   savings ← cm.estimateSavings(...)                # cost model
+//!   report(...)
+//! ```
+//!
+//! The loop is fault-aware: every tick first evaluates a [`HealthMonitor`]
+//! from live signals (telemetry staleness, reconciler failures, config
+//! drift) and the resulting state gates what runs — training is skipped on
+//! stale data, decisions fall back to a conservative live-signal policy
+//! while degraded, and repeated actuation failures freeze optimization
+//! entirely while the [`Reconciler`] keeps probing the control plane.
+
+mod journal;
+mod restore;
+mod tick;
+
+use crate::actuator::Actuator;
+use crate::drng::DetRng;
+use crate::health::{HealthMonitor, HealthSettings};
+use crate::monitoring::Monitor;
+use crate::persist::{CtlState, OptimizerSnapshot, PersistError, PersistRecord, RetrainRecord};
+use crate::reconciler::{Reconciler, ReconcilerSettings};
+use crate::store::StateStore;
+use agent::{
+    baseline_p99, reconstruct_specs, train_on_workload, AgentAction, ConstraintSet,
+    DegradedFallback, DqnAgent, DqnConfig, EpisodeConfig, Rule, SliderPosition, Transition,
+};
+use cdw_sim::{
+    QueryRecord, SimTime, Simulator, WarehouseConfig, WarehouseId, DAY_MS, HOUR_MS, MINUTE_MS,
+};
+use costmodel::{estimate_savings, ReplayConfig, SavingsReport, WarehouseCostModel};
+use journal::Journal;
+use keebo_obs::{DecisionTrace, Histogram};
+use rand::Rng;
+use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
+use telemetry::{TelemetryFetcher, TelemetryStore};
+
+/// Wall-clock time per control tick (µs), across every optimizer in the
+/// process. Observability only — wall time never feeds back into decisions.
+fn tick_wall_histogram() -> &'static Histogram {
+    static H: OnceLock<Histogram> = OnceLock::new();
+    H.get_or_init(|| {
+        keebo_obs::global().histogram(
+            "keebo.tick.wall_us",
+            &[
+                50.0, 100.0, 250.0, 500.0, 1_000.0, 5_000.0, 25_000.0, 100_000.0,
+            ],
+        )
+    })
+}
+
+/// Per-warehouse KWO configuration: everything the customer's admin sets in
+/// the web portal (§4.1) plus operational cadences.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct KwoSetup {
+    /// The cost/performance slider.
+    pub slider: SliderPosition,
+    /// Hard business rules.
+    pub constraints: ConstraintSet,
+    /// `T_realtime`: decision + feedback cadence.
+    pub realtime_interval_ms: SimTime,
+    /// `T`: retraining cadence.
+    pub train_interval_ms: SimTime,
+    /// Offline episodes at onboarding.
+    pub onboarding_episodes: usize,
+    /// Offline episodes per periodic retrain.
+    pub refresh_episodes: usize,
+    /// How much trailing history feeds each offline training pass.
+    pub train_window_ms: SimTime,
+    /// Optimization pause after an external change (the admin can also
+    /// resume explicitly via [`Orchestrator::admin_resume`]).
+    pub external_pause_ms: SimTime,
+    /// Degradation thresholds for the health state machine.
+    pub health: HealthSettings,
+    /// Retry/backoff tuning for the desired-state reconciler.
+    pub reconciler: ReconcilerSettings,
+    /// Decision-trace ring-buffer capacity (events kept per warehouse);
+    /// 0 disables tracing. Tracing is read-only bookkeeping and never
+    /// perturbs decisions.
+    pub trace_capacity: usize,
+    /// WAL/snapshot compaction policy when a durable store is attached.
+    /// `#[serde(default)]` keeps pre-policy persisted setups decodable — a
+    /// v1 reader restoring a v0 snapshot fills in the historical default
+    /// (48-tick cadence), which is exactly what the v0 writer ran.
+    #[serde(default)]
+    pub snapshot_policy: SnapshotPolicy,
+}
+
+impl Default for KwoSetup {
+    fn default() -> Self {
+        Self {
+            slider: SliderPosition::Balanced,
+            constraints: ConstraintSet::new(),
+            realtime_interval_ms: 10 * MINUTE_MS,
+            train_interval_ms: 24 * HOUR_MS,
+            onboarding_episodes: 5,
+            refresh_episodes: 1,
+            train_window_ms: 3 * DAY_MS,
+            external_pause_ms: 12 * HOUR_MS,
+            health: HealthSettings::default(),
+            reconciler: ReconcilerSettings::default(),
+            trace_capacity: 2048,
+            snapshot_policy: SnapshotPolicy::default(),
+        }
+    }
+}
+
+/// When to compact the WAL into a snapshot, and how many superseded
+/// snapshots to keep. Age- and size-based triggers compose: the first one
+/// to fire wins. A `0` disables that trigger; all triggers disabled means
+/// the WAL grows until [`Orchestrator::restore`] compacts it.
+///
+/// Compaction timing never feeds back into decisions, so any policy leaves
+/// the optimization trajectory bit-identical — the crash-drill matrix pins
+/// this.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SnapshotPolicy {
+    /// Age trigger: snapshot after this many control ticks.
+    pub interval_ticks: u64,
+    /// Size trigger: snapshot once the WAL reaches this many bytes.
+    pub max_wal_bytes: u64,
+    /// Size trigger: snapshot once the WAL holds this many records.
+    pub max_wal_records: u64,
+    /// Superseded snapshot generations to retain after each compaction
+    /// (0 = current snapshot only).
+    pub retain_snapshots: u32,
+}
+
+impl Default for SnapshotPolicy {
+    fn default() -> Self {
+        Self {
+            interval_ticks: DEFAULT_SNAPSHOT_INTERVAL_TICKS,
+            max_wal_bytes: 0,
+            max_wal_records: 0,
+            retain_snapshots: 0,
+        }
+    }
+}
+
+impl SnapshotPolicy {
+    /// Tighter of two trigger thresholds, treating 0 as "disabled".
+    fn tight(a: u64, b: u64) -> u64 {
+        match (a, b) {
+            (0, x) | (x, 0) => x,
+            (a, b) => a.min(b),
+        }
+    }
+
+    /// Combines two policies conservatively: the tighter trigger wins on
+    /// every axis, and retention keeps the larger request. Used to fold
+    /// per-warehouse setups into one store-level policy.
+    pub fn merge(self, other: Self) -> Self {
+        Self {
+            interval_ticks: Self::tight(self.interval_ticks, other.interval_ticks),
+            max_wal_bytes: Self::tight(self.max_wal_bytes, other.max_wal_bytes),
+            max_wal_records: Self::tight(self.max_wal_records, other.max_wal_records),
+            retain_snapshots: self.retain_snapshots.max(other.retain_snapshots),
+        }
+    }
+}
+
+/// Derives an independent deterministic RNG seed for a named stream (a
+/// managed warehouse, a fleet shard) from a root seed.
+///
+/// The seed depends only on `(root, key)` — never on how many other streams
+/// exist or in what order they were created — so a warehouse's learning
+/// randomness is identical whether it is managed alone or alongside a whole
+/// fleet (C5 isolation by construction), and fleet results are bit-identical
+/// regardless of worker-thread count.
+pub fn derive_stream_seed(root: u64, key: &str) -> u64 {
+    // FNV-1a over the key, then a splitmix64 finalizer to decorrelate
+    // nearby roots and short keys.
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in key.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    let mut z = root ^ h;
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Why [`Orchestrator::try_manage`] refused to manage a warehouse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ManageError {
+    /// No warehouse with that name exists in the simulator's account.
+    UnknownWarehouse(String),
+    /// The warehouse already has an optimizer; managing it twice would
+    /// create two models fighting over one warehouse.
+    AlreadyManaged(String),
+}
+
+impl std::fmt::Display for ManageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ManageError::UnknownWarehouse(w) => write!(f, "unknown warehouse {w}"),
+            ManageError::AlreadyManaged(w) => write!(f, "warehouse {w} is already managed"),
+        }
+    }
+}
+
+impl std::error::Error for ManageError {}
+
+/// What one tick did that replay cannot re-derive from the simulator: the
+/// nondeterministic inputs (training seeds, the observed transition) and
+/// whether telemetry was ingested. Captured unconditionally per tick, read
+/// by [`WarehouseOptimizer::tick_record`] when a state store is attached.
+#[derive(Debug, Clone, Default)]
+struct TickEffects {
+    fetched: bool,
+    retrain: Option<RetrainRecord>,
+    /// The transition observed this tick and the seed of the train step
+    /// paired with it.
+    learned: Option<(Transition, u64)>,
+}
+
+/// The per-warehouse optimization state: smart model, cost model, telemetry,
+/// monitoring, actuation, and learning bookkeeping.
+pub struct WarehouseOptimizer {
+    wh: WarehouseId,
+    name: String,
+    /// The customer's configuration at onboarding — the without-Keebo
+    /// state every replay compares against.
+    original_config: WarehouseConfig,
+    /// The most recently observed configuration (feeds training).
+    expected_config: WarehouseConfig,
+    setup: KwoSetup,
+    agent: DqnAgent,
+    cost_model: WarehouseCostModel,
+    store: TelemetryStore,
+    fetcher: TelemetryFetcher,
+    monitor: Monitor,
+    actuator: Actuator,
+    reconciler: Reconciler,
+    health: HealthMonitor,
+    fallback: DegradedFallback,
+    rng: DetRng,
+    onboarded: bool,
+    last_train: SimTime,
+    last_action: Option<AgentAction>,
+    prev_state: Option<(Vec<f64>, usize)>,
+    prev_credits: f64,
+    prev_dropped: u64,
+    paused_until: Option<SimTime>,
+    baseline_p99_ms: f64,
+    /// Warehouse events before this time have already been scanned for
+    /// external changes; advances only when a fetch succeeds, so events
+    /// delivered late (after an outage) are still inspected.
+    events_cursor: SimTime,
+    /// The most recent configuration under which performance was healthy
+    /// (latency near baseline, no queue buildup). Back-off rolls back to
+    /// this — "roll back the previous settings of the warehouse" (§4.3).
+    last_good_config: Option<WarehouseConfig>,
+    /// Auto-suspend setting computed analytically at the last training
+    /// (idle cost vs cold-restart cost, §3); applied at the next tick.
+    pending_auto_suspend: Option<SimTime>,
+    /// Consecutive healthy ticks; sustained health decays any capacity
+    /// held above the customer's original configuration.
+    healthy_streak: u32,
+    /// Per-tick decision log (ring buffer; capacity from
+    /// [`KwoSetup::trace_capacity`]). Write-only from the control loop.
+    /// Deliberately *not* persisted: it is observability, recreated empty
+    /// after recovery so the trace never perturbs (or bloats) durability.
+    trace: DecisionTrace,
+    /// Replay-relevant effects of the current tick (see [`TickEffects`]).
+    effects: TickEffects,
+}
+
+impl WarehouseOptimizer {
+    fn new(
+        wh: WarehouseId,
+        name: String,
+        original_config: WarehouseConfig,
+        setup: KwoSetup,
+        seed: u64,
+    ) -> Self {
+        let mut rng = DetRng::seed_from_u64(seed);
+        let agent = DqnAgent::new(DqnConfig::default(), &mut rng);
+        // The reconciler's jitter stream is derived from the optimizer seed
+        // but independent of the learning stream, so adding or removing
+        // retries never perturbs training randomness.
+        let reconciler = Reconciler::with_settings(seed ^ 0xD6E8_FEB8_6659_FD93, setup.reconciler);
+        let health = HealthMonitor::new(setup.health);
+        let trace = DecisionTrace::new(setup.trace_capacity);
+        Self {
+            wh,
+            expected_config: original_config.clone(),
+            original_config,
+            setup,
+            agent,
+            cost_model: WarehouseCostModel::default(),
+            store: TelemetryStore::new(),
+            fetcher: TelemetryFetcher::new(),
+            monitor: Monitor::new(10_000.0),
+            actuator: Actuator::new(),
+            reconciler,
+            health,
+            fallback: DegradedFallback::default(),
+            rng,
+            onboarded: false,
+            last_train: 0,
+            last_action: None,
+            prev_state: None,
+            prev_credits: 0.0,
+            prev_dropped: 0,
+            paused_until: None,
+            baseline_p99_ms: 10_000.0,
+            events_cursor: 0,
+            last_good_config: None,
+            pending_auto_suspend: None,
+            healthy_streak: 0,
+            trace,
+            effects: TickEffects::default(),
+            name,
+        }
+    }
+
+    /// Warehouse name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The original (without-Keebo) configuration.
+    pub fn original_config(&self) -> &WarehouseConfig {
+        &self.original_config
+    }
+
+    /// Telemetry accumulated so far.
+    pub fn store(&self) -> &TelemetryStore {
+        &self.store
+    }
+
+    /// Action history.
+    pub fn actuator(&self) -> &Actuator {
+        &self.actuator
+    }
+
+    /// The trained cost model.
+    pub fn cost_model(&self) -> &WarehouseCostModel {
+        &self.cost_model
+    }
+
+    /// The health state machine (degradation history and tick counters).
+    pub fn health(&self) -> &HealthMonitor {
+        &self.health
+    }
+
+    /// The desired-state reconciler.
+    pub fn reconciler(&self) -> &Reconciler {
+        &self.reconciler
+    }
+
+    /// Telemetry fetch statistics (including outages and partial batches).
+    pub fn fetcher(&self) -> &TelemetryFetcher {
+        &self.fetcher
+    }
+
+    /// The per-tick decision trace (empty when `trace_capacity` is 0).
+    pub fn trace(&self) -> &DecisionTrace {
+        &self.trace
+    }
+
+    /// Whether optimization is currently paused due to an external change.
+    pub fn is_paused(&self, now: SimTime) -> bool {
+        self.paused_until.is_some_and(|t| now < t)
+    }
+
+    /// Whether this optimizer has completed onboarding (a warm-restored
+    /// optimizer reports `true` immediately — no re-onboarding).
+    pub fn onboarded(&self) -> bool {
+        self.onboarded
+    }
+
+    /// Moves the slider (no retraining needed; the model re-calibrates its
+    /// decisions because the slider is part of its state — §4.3).
+    pub fn set_slider(&mut self, slider: SliderPosition) {
+        self.setup.slider = slider;
+    }
+
+    /// Adds a constraint rule (applies from the next decision's mask).
+    fn add_constraint(&mut self, rule: Rule) {
+        self.setup.constraints.add(rule);
+    }
+
+    /// Clears an external-change pause; `expected_config` is the
+    /// configuration observed at resume time.
+    fn resume(&mut self, expected_config: WarehouseConfig) {
+        self.paused_until = None;
+        self.expected_config = expected_config;
+    }
+
+    /// Onboarding: one fetch and the initial training pass, after which the
+    /// optimizer starts deciding.
+    fn onboard(&mut self, sim: &mut Simulator) {
+        self.effects = TickEffects::default();
+        self.sense(sim);
+        self.retrain(sim.now(), self.setup.onboarding_episodes, None);
+        self.onboarded = true;
+    }
+
+    /// Trains the cost model and smart model from accumulated telemetry.
+    /// Returns the episode seed — `replay_seed` when WAL replay supplies the
+    /// originally drawn one, otherwise drawn from the learning RNG — or
+    /// `None` when an early path skipped the episode loop (the WAL records
+    /// the outcome so recovery replays the exact same pass).
+    fn train(&mut self, now: SimTime, episodes: usize, replay_seed: Option<u64>) -> Option<u64> {
+        let records = self.store.queries(&self.name).to_vec();
+        if records.is_empty() {
+            return None;
+        }
+        let cfg = &self.expected_config;
+        self.cost_model =
+            WarehouseCostModel::train(&records, 0, now, cfg.max_concurrency, cfg.max_clusters);
+        // Offline episodes on the recent reconstructed workload.
+        let from = now.saturating_sub(self.setup.train_window_ms);
+        let recent: Vec<QueryRecord> = records
+            .iter()
+            .filter(|r| r.arrival >= from)
+            .cloned()
+            .collect();
+        if recent.is_empty() || episodes == 0 {
+            self.last_train = now;
+            return None;
+        }
+        let mut specs = reconstruct_specs(&recent, &self.cost_model.latency);
+        // Shift arrivals to episode-local time.
+        let t0 = specs.iter().map(|s| s.arrival).min().unwrap_or(0);
+        for s in &mut specs {
+            s.arrival -= t0;
+        }
+        // Serving baseline: the *observed* p99 restricted to executions at
+        // the original size, so KWO's own downsizing can never inflate what
+        // "normal" means, while the estimate still sharpens with more data.
+        let observed: Vec<f64> = records
+            .iter()
+            .filter(|r| r.size == self.original_config.size)
+            .map(|r| r.total_latency_ms() as f64)
+            .collect();
+        if !observed.is_empty() {
+            self.baseline_p99_ms = telemetry::percentile(&observed, 99.0).max(1.0);
+            self.monitor.baseline_p99_ms = self.baseline_p99_ms;
+        }
+        // Auto-suspend: analytic optimum over the observed gap distribution
+        // (idle cost at the current rate vs measured cold-restart cost).
+        let aso = costmodel::AutoSuspendOptimizer::train(&recent);
+        let best = aso.optimal_ms(
+            &agent::AUTO_SUSPEND_LADDER_MS,
+            self.expected_config.size.credits_per_hour(),
+            self.setup.slider.perf_penalty_weight(),
+            self.setup.slider.backoff_latency_ratio(),
+        );
+        self.pending_auto_suspend = Some(best);
+
+        // Training baseline: measured inside the reconstructed world so the
+        // episode reward compares like with like.
+        let episode_baseline = baseline_p99(&specs, &self.original_config).max(1.0);
+        let ep_cfg = EpisodeConfig {
+            decision_interval_ms: self.setup.realtime_interval_ms,
+            baseline_p99_ms: episode_baseline,
+            tail_ms: HOUR_MS,
+        };
+        let seed: u64 = match replay_seed {
+            Some(s) => s,
+            None => self.rng.gen(),
+        };
+        train_on_workload(
+            &mut self.agent,
+            &specs,
+            &self.original_config,
+            self.setup.slider,
+            &self.setup.constraints,
+            &ep_cfg,
+            episodes,
+            seed,
+        );
+        self.last_train = now;
+        Some(seed)
+    }
+
+    /// Estimates savings for `[start, end)` per §5 (replay without-Keebo,
+    /// subtract actual billed credits).
+    pub fn savings_report(&self, sim: &Simulator, start: SimTime, end: SimTime) -> SavingsReport {
+        let records = self.store.queries(&self.name);
+        let billing = sim.account().ledger().warehouse(&self.name);
+        estimate_savings(
+            &self.cost_model,
+            records,
+            &billing,
+            &ReplayConfig {
+                original: self.original_config.clone(),
+                window_start: start,
+                window_end: end,
+            },
+        )
+    }
+
+    /// Every mutable control scalar/cursor, captured post-event for the WAL.
+    fn export_ctl(&self) -> CtlState {
+        CtlState {
+            expected_config: self.expected_config.clone(),
+            slider: self.setup.slider,
+            onboarded: self.onboarded,
+            last_train: self.last_train,
+            last_action: self.last_action,
+            prev_state: self.prev_state.clone(),
+            prev_credits: self.prev_credits,
+            prev_dropped: self.prev_dropped,
+            paused_until: self.paused_until,
+            baseline_p99_ms: self.baseline_p99_ms,
+            events_cursor: self.events_cursor,
+            last_good_config: self.last_good_config.clone(),
+            pending_auto_suspend: self.pending_auto_suspend,
+            healthy_streak: self.healthy_streak,
+            rng: self.rng.clone(),
+            monitor: self.monitor.clone(),
+            fetcher: self.fetcher.clone(),
+            reconciler: self.reconciler.clone(),
+            health: self.health.clone(),
+            actuator_cost_per_command: self.actuator.cost_per_command,
+            actuator_max_transient_retries: self.actuator.max_transient_retries,
+            actuator_transient_retries: self.actuator.transient_retries(),
+        }
+    }
+
+    /// Imports a [`CtlState`] wholesale — the learning RNG, cursors, and
+    /// backoff schedules land exactly where the exporter left them.
+    fn import_ctl(&mut self, ctl: CtlState) {
+        self.expected_config = ctl.expected_config;
+        self.setup.slider = ctl.slider;
+        self.onboarded = ctl.onboarded;
+        self.last_train = ctl.last_train;
+        self.last_action = ctl.last_action;
+        self.prev_state = ctl.prev_state;
+        self.prev_credits = ctl.prev_credits;
+        self.prev_dropped = ctl.prev_dropped;
+        self.paused_until = ctl.paused_until;
+        self.baseline_p99_ms = ctl.baseline_p99_ms;
+        self.events_cursor = ctl.events_cursor;
+        self.last_good_config = ctl.last_good_config;
+        self.pending_auto_suspend = ctl.pending_auto_suspend;
+        self.healthy_streak = ctl.healthy_streak;
+        self.rng = ctl.rng;
+        self.monitor = ctl.monitor;
+        self.fetcher = ctl.fetcher;
+        self.reconciler = ctl.reconciler;
+        self.health = ctl.health;
+        self.actuator.cost_per_command = ctl.actuator_cost_per_command;
+        self.actuator.max_transient_retries = ctl.actuator_max_transient_retries;
+        self.actuator
+            .set_transient_retries(ctl.actuator_transient_retries);
+    }
+
+    /// Everything needed to rebuild this optimizer without replaying its
+    /// history (the decision trace is deliberately excluded).
+    fn export_snapshot(&self) -> OptimizerSnapshot {
+        OptimizerSnapshot {
+            name: self.name.clone(),
+            original_config: self.original_config.clone(),
+            setup: self.setup.clone(),
+            agent: self.agent.export_state(),
+            cost_model: self.cost_model.clone(),
+            telemetry: self.store.clone(),
+            actuator_log: self.actuator.log().to_vec(),
+            ctl: self.export_ctl(),
+        }
+    }
+
+    /// Rebuilds an optimizer from a snapshot against the surviving
+    /// simulator (which still knows the warehouse by name).
+    fn from_snapshot(snap: OptimizerSnapshot, sim: &Simulator) -> Result<Self, PersistError> {
+        let wh = sim.account().warehouse_id(&snap.name).ok_or_else(|| {
+            PersistError::Corrupt(format!(
+                "snapshot references warehouse {} absent from the simulator",
+                snap.name
+            ))
+        })?;
+        let agent = DqnAgent::from_state(snap.agent).map_err(PersistError::Corrupt)?;
+        let mut o = WarehouseOptimizer::new(wh, snap.name, snap.original_config, snap.setup, 0);
+        o.agent = agent;
+        o.cost_model = snap.cost_model;
+        o.store = snap.telemetry;
+        o.actuator.extend_log(snap.actuator_log);
+        o.import_ctl(snap.ctl);
+        Ok(o)
+    }
+
+    /// Builds the WAL record for the tick that just ran. `log_from` is the
+    /// actuator-log length captured before the tick.
+    fn tick_record(&self, now: SimTime, log_from: usize) -> PersistRecord {
+        let (transition, train_step_seed) = self.effects.learned.clone().unzip();
+        PersistRecord::Tick {
+            warehouse: self.name.clone(),
+            now,
+            fetched: self.effects.fetched,
+            retrain: self.effects.retrain,
+            transition,
+            train_step_seed,
+            log_delta: self.actuator.log()[log_from..].to_vec(),
+            ctl: self.export_ctl(),
+        }
+    }
+}
+
+/// Default snapshot cadence: one full snapshot every 48 control ticks
+/// (a day at the 30-minute cadence) compacts the WAL and bounds replay.
+pub const DEFAULT_SNAPSHOT_INTERVAL_TICKS: u64 = 48;
+
+/// Coordinates one optimizer per managed warehouse.
+pub struct Orchestrator {
+    optimizers: Vec<WarehouseOptimizer>,
+    seed: u64,
+    journal: Journal,
+}
+
+impl Orchestrator {
+    /// Creates an orchestrator; `seed` drives all learning randomness.
+    pub fn new(seed: u64) -> Self {
+        Self {
+            optimizers: Vec::new(),
+            seed,
+            journal: Journal::default(),
+        }
+    }
+
+    /// Attaches a durable state store, journals a genesis record, and
+    /// immediately writes a full snapshot, so attaching mid-run is safe:
+    /// recovery never needs records from before the store existed. The
+    /// genesis record makes the store recoverable even if every snapshot
+    /// write fails (injected or real): [`Self::restore`] can rebuild from
+    /// `Orchestrator::new(seed)` plus the full WAL. From here on every
+    /// control event is appended to the WAL and compaction follows the
+    /// effective [`SnapshotPolicy`].
+    ///
+    /// Persistence is fail-open and failures are graded by what they cost:
+    /// transient append/snapshot errors are retried in line and counted
+    /// (`keebo.store.append_errors` / `keebo.store.snapshot_errors`); a
+    /// snapshot that keeps failing leaves the store attached (the WAL still
+    /// holds every record, so nothing is lost — compaction retries at the
+    /// next trigger); an append that exhausts its retries detaches the
+    /// store (`keebo.store.detached`) because a hole in the WAL would
+    /// poison replay.
+    pub fn attach_store(&mut self, store: Box<dyn StateStore>, at: SimTime) {
+        self.journal.attach(store);
+        self.journal.append(&PersistRecord::Genesis {
+            seed: self.seed,
+            at,
+        });
+        self.journal.snapshot(self.seed, &self.optimizers, at);
+    }
+
+    /// Overrides the store-level compaction policy. Without an override the
+    /// policy folds every managed setup's `snapshot_policy` (tightest
+    /// trigger wins, largest retention wins).
+    pub fn set_snapshot_policy(&mut self, policy: SnapshotPolicy) {
+        self.journal.policy_override = Some(policy);
+    }
+
+    /// Starts managing a warehouse. Its *current* configuration becomes the
+    /// original (without-Keebo) reference.
+    ///
+    /// # Panics
+    /// Panics if the warehouse does not exist or is already managed; use
+    /// [`Orchestrator::try_manage`] for a non-panicking variant.
+    pub fn manage(&mut self, sim: &Simulator, warehouse: &str, setup: KwoSetup) {
+        if let Err(e) = self.try_manage(sim, warehouse, setup) {
+            // lint: allow(D5) — documented panicking wrapper; try_manage is the fallible path
+            panic!("{e}");
+        }
+    }
+
+    /// Starts managing a warehouse, rejecting duplicates instead of creating
+    /// a second optimizer that would fight the first over one warehouse
+    /// (with [`Orchestrator::optimizer`] only ever returning the first).
+    pub fn try_manage(
+        &mut self,
+        sim: &Simulator,
+        warehouse: &str,
+        setup: KwoSetup,
+    ) -> Result<(), ManageError> {
+        let adopted = self.adopt(sim, warehouse, None, setup.clone())?;
+        let record = PersistRecord::Manage {
+            warehouse: warehouse.to_string(),
+            original_config: adopted.original_config.clone(),
+            setup,
+        };
+        self.journal.append(&record);
+        Ok(())
+    }
+
+    /// Puts `warehouse` under management — the one path for the live call
+    /// and for WAL replay. `original_config` is `None` live (the warehouse's
+    /// current configuration becomes the reference) and the recorded one at
+    /// replay, because the live config may have changed since.
+    fn adopt(
+        &mut self,
+        sim: &Simulator,
+        warehouse: &str,
+        original_config: Option<WarehouseConfig>,
+        setup: KwoSetup,
+    ) -> Result<&WarehouseOptimizer, ManageError> {
+        let wh = sim
+            .account()
+            .warehouse_id(warehouse)
+            .ok_or_else(|| ManageError::UnknownWarehouse(warehouse.to_string()))?;
+        if self.optimizer(warehouse).is_some() {
+            return Err(ManageError::AlreadyManaged(warehouse.to_string()));
+        }
+        let original = original_config.unwrap_or_else(|| sim.account().describe(wh).config);
+        // The learning seed derives from the warehouse *name*, not the
+        // manage order: managing A then B gives each warehouse the same
+        // stream as managing it alone.
+        let seed = derive_stream_seed(self.seed, warehouse);
+        self.optimizers.push(WarehouseOptimizer::new(
+            wh,
+            warehouse.to_string(),
+            original,
+            setup,
+            seed,
+        ));
+        Ok(&self.optimizers[self.optimizers.len() - 1])
+    }
+
+    /// Borrow an optimizer by warehouse name.
+    pub fn optimizer(&self, warehouse: &str) -> Option<&WarehouseOptimizer> {
+        self.optimizers.iter().find(|o| o.name == warehouse)
+    }
+
+    /// All managed optimizers, in manage order (fleet rollups iterate this).
+    pub fn optimizers(&self) -> &[WarehouseOptimizer] {
+        &self.optimizers
+    }
+
+    fn optimizer_mut(&mut self, warehouse: &str) -> Option<&mut WarehouseOptimizer> {
+        self.optimizers.iter_mut().find(|o| o.name == warehouse)
+    }
+
+    /// Changes a warehouse's slider (takes effect at the next decision).
+    pub fn set_slider(&mut self, warehouse: &str, slider: SliderPosition) {
+        let Some(o) = self.optimizer_mut(warehouse) else {
+            return;
+        };
+        o.set_slider(slider);
+        self.journal.append(&PersistRecord::SliderChanged {
+            warehouse: warehouse.to_string(),
+            slider,
+        });
+    }
+
+    /// Adds a constraint rule to a warehouse's rule set ("users can specify
+    /// conditions/constraints that must be always met", §4.3). The rule
+    /// applies from the next decision's action mask; like
+    /// [`Orchestrator::set_slider`] it journals when a store is attached.
+    pub fn add_constraint(&mut self, warehouse: &str, rule: Rule) {
+        let Some(o) = self.optimizer_mut(warehouse) else {
+            return;
+        };
+        o.add_constraint(rule.clone());
+        self.journal.append(&PersistRecord::ConstraintAdded {
+            warehouse: warehouse.to_string(),
+            rule,
+        });
+    }
+
+    /// Clears an external-change pause ("the admin explicitly asks the
+    /// optimizations to continue", §4.4).
+    pub fn admin_resume(&mut self, sim: &Simulator, warehouse: &str) {
+        let Some(o) = self.optimizer_mut(warehouse) else {
+            return;
+        };
+        let expected_config = sim.account().describe(o.wh).config;
+        o.resume(expected_config.clone());
+        self.journal.append(&PersistRecord::AdminResume {
+            warehouse: warehouse.to_string(),
+            expected_config,
+        });
+    }
+
+    /// Observation mode: advance time, collecting telemetry without taking
+    /// any action (pre-onboarding history building).
+    pub fn observe_until(&mut self, sim: &mut Simulator, until: SimTime) {
+        self.run_until(sim, until);
+    }
+
+    /// Trains every optimizer on the telemetry collected so far and enables
+    /// optimization. Persisted as one Tick record per optimizer.
+    pub fn onboard(&mut self, sim: &mut Simulator) {
+        let now = sim.now();
+        for o in &mut self.optimizers {
+            self.journal.journal_tick(o, now, |o| o.onboard(sim));
+        }
+    }
+
+    /// The main loop: advance to `until`, ticking every optimizer at its
+    /// own `T_realtime` cadence. With nothing managed (a fresh orchestrator,
+    /// or one restored from a store that held only its genesis record) the
+    /// simulator just advances.
+    pub fn run_until(&mut self, sim: &mut Simulator, until: SimTime) {
+        // All optimizers share a global tick at the minimum cadence; each
+        // fires when its own interval divides the tick time.
+        let Some(tick) = self
+            .optimizers
+            .iter()
+            .map(|o| o.setup.realtime_interval_ms)
+            .min()
+        else {
+            sim.run_until(until);
+            return;
+        };
+        let mut t = (sim.now() / tick + 1) * tick;
+        while t <= until {
+            sim.run_until(t);
+            for o in &mut self.optimizers {
+                if t.is_multiple_of(o.setup.realtime_interval_ms) {
+                    self.journal.journal_tick(o, t, |o| o.tick(sim));
+                }
+            }
+            self.journal.note_tick(self.seed, &self.optimizers, t);
+            t += tick;
+        }
+        sim.run_until(until);
+    }
+
+    /// Savings report for one warehouse over a window.
+    pub fn savings_report(
+        &self,
+        sim: &Simulator,
+        warehouse: &str,
+        start: SimTime,
+        end: SimTime,
+    ) -> SavingsReport {
+        self.optimizer(warehouse)
+            // lint: allow(D5) — reporting on an unmanaged warehouse is a caller bug worth aborting
+            .unwrap_or_else(|| panic!("unknown warehouse {warehouse}"))
+            .savings_report(sim, start, end)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cdw_sim::{Account, FaultPlan, QuerySpec, WarehouseSize};
+
+    fn idle_heavy_sim() -> (Simulator, WarehouseId) {
+        idle_heavy_sim_with(FaultPlan::none())
+    }
+
+    fn idle_heavy_sim_with(plan: FaultPlan) -> (Simulator, WarehouseId) {
+        let mut account = Account::new();
+        let wh = account.create_warehouse(
+            "WH",
+            WarehouseConfig::new(WarehouseSize::Large).with_auto_suspend_secs(3600),
+        );
+        let mut sim = Simulator::with_faults(account, plan, 0);
+        // 4 days of hourly 30-second queries: mostly idle.
+        for h in 0..(4 * 24) {
+            sim.submit_query(
+                wh,
+                QuerySpec::builder(h)
+                    .work_ms_xs(30_000.0)
+                    .cache_affinity(0.2)
+                    .arrival_ms(h * HOUR_MS + 7 * MINUTE_MS)
+                    .build(),
+            );
+        }
+        (sim, wh)
+    }
+
+    fn fast_setup() -> KwoSetup {
+        KwoSetup {
+            realtime_interval_ms: 30 * MINUTE_MS,
+            onboarding_episodes: 2,
+            refresh_episodes: 0,
+            train_interval_ms: 2 * DAY_MS,
+            ..KwoSetup::default()
+        }
+    }
+
+    #[test]
+    fn observation_mode_takes_no_actions() {
+        let (mut sim, _) = idle_heavy_sim();
+        let mut kwo = Orchestrator::new(1);
+        kwo.manage(&sim, "WH", fast_setup());
+        kwo.observe_until(&mut sim, DAY_MS);
+        let o = kwo.optimizer("WH").unwrap();
+        assert_eq!(o.actuator().log().len(), 0);
+        assert!(o.store().total_queries() > 0, "telemetry still collected");
+    }
+
+    #[test]
+    fn onboarding_trains_models() {
+        let (mut sim, _) = idle_heavy_sim();
+        let mut kwo = Orchestrator::new(1);
+        kwo.manage(&sim, "WH", fast_setup());
+        kwo.observe_until(&mut sim, DAY_MS);
+        kwo.onboard(&mut sim);
+        let o = kwo.optimizer("WH").unwrap();
+        assert!(o.onboarded);
+        assert!(o.cost_model().gaps.dependent_fraction >= 0.0);
+        assert!(o.baseline_p99_ms > 1.0);
+    }
+
+    #[test]
+    fn optimization_reduces_spend_on_idle_heavy_warehouse() {
+        let (mut sim, wh) = idle_heavy_sim();
+        let mut kwo = Orchestrator::new(7);
+        kwo.manage(&sim, "WH", fast_setup());
+        // Day 1–2: observe. Onboard. Day 3–4: optimize.
+        kwo.observe_until(&mut sim, 2 * DAY_MS);
+        kwo.onboard(&mut sim);
+        let credits_before = sim.account().accrued_credits(wh, sim.now());
+        kwo.run_until(&mut sim, 4 * DAY_MS);
+        let credits_after = sim.account().accrued_credits(wh, sim.now());
+        let with_keebo = credits_after - credits_before;
+        // Without Keebo the warehouse burns ~8 credits/hour * 48h ≈ 384.
+        let without = 8.0 * 48.0;
+        assert!(
+            with_keebo < without * 0.9,
+            "with-Keebo 2-day spend {with_keebo:.1} should undercut static {without:.1}"
+        );
+        let o = kwo.optimizer("WH").unwrap();
+        assert!(o.actuator().applied_count() > 0, "actions were taken");
+    }
+
+    #[test]
+    fn external_change_pauses_and_admin_resume_unpauses() {
+        let (mut sim, wh) = idle_heavy_sim();
+        let mut kwo = Orchestrator::new(3);
+        kwo.manage(&sim, "WH", fast_setup());
+        kwo.observe_until(&mut sim, DAY_MS);
+        kwo.onboard(&mut sim);
+        kwo.run_until(&mut sim, DAY_MS + 2 * HOUR_MS);
+        // An external admin resizes the warehouse behind Keebo's back.
+        sim.alter_warehouse(
+            wh,
+            cdw_sim::WarehouseCommand::SetSize(WarehouseSize::X4Large),
+            cdw_sim::ActionSource::External,
+        )
+        .unwrap();
+        kwo.run_until(&mut sim, DAY_MS + 4 * HOUR_MS);
+        let o = kwo.optimizer("WH").unwrap();
+        assert!(
+            o.is_paused(sim.now()),
+            "external change pauses optimization"
+        );
+        assert!(
+            o.reconciler().desired().is_none(),
+            "external config becomes the truth; intent is dropped"
+        );
+        let actions_at_pause = o.actuator().log().len();
+        kwo.run_until(&mut sim, DAY_MS + 8 * HOUR_MS);
+        assert_eq!(
+            kwo.optimizer("WH").unwrap().actuator().log().len(),
+            actions_at_pause,
+            "no actions while paused"
+        );
+        kwo.admin_resume(&sim, "WH");
+        assert!(!kwo.optimizer("WH").unwrap().is_paused(sim.now()));
+    }
+
+    #[test]
+    fn savings_report_compares_replay_to_actuals() {
+        let (mut sim, _) = idle_heavy_sim();
+        let mut kwo = Orchestrator::new(7);
+        kwo.manage(
+            &sim,
+            "WH",
+            KwoSetup {
+                slider: SliderPosition::LowestCost,
+                onboarding_episodes: 6,
+                ..fast_setup()
+            },
+        );
+        kwo.observe_until(&mut sim, 2 * DAY_MS);
+        kwo.onboard(&mut sim);
+        kwo.run_until(&mut sim, 4 * DAY_MS);
+        let report = kwo.savings_report(&sim, "WH", 2 * DAY_MS, 4 * DAY_MS);
+        assert!(report.estimated_without_keebo > 0.0);
+        assert!(report.actual_with_keebo > 0.0);
+        assert!(
+            report.estimated_savings > 0.0,
+            "KWO should save on this workload: {report:?}"
+        );
+    }
+
+    #[test]
+    fn telemetry_outage_degrades_and_blocks_retraining() {
+        // A 6-hour metadata outage starting mid-optimization.
+        let outage_from = 2 * DAY_MS + 4 * HOUR_MS;
+        let outage_until = outage_from + 6 * HOUR_MS;
+        let (mut sim, _) =
+            idle_heavy_sim_with(FaultPlan::none().with_telemetry_outage(outage_from, outage_until));
+        let mut kwo = Orchestrator::new(11);
+        kwo.manage(
+            &sim,
+            "WH",
+            KwoSetup {
+                // Retrain cadence that lands inside the outage window.
+                train_interval_ms: DAY_MS,
+                ..fast_setup()
+            },
+        );
+        kwo.observe_until(&mut sim, 2 * DAY_MS);
+        kwo.onboard(&mut sim);
+        kwo.run_until(&mut sim, outage_until + HOUR_MS);
+        let o = kwo.optimizer("WH").unwrap();
+        assert!(o.fetcher().stats().failed_fetches > 0, "outage was hit");
+        assert!(
+            o.health().degraded_ticks() > 0,
+            "stale telemetry degraded the optimizer"
+        );
+        assert!(
+            !(outage_from + o.setup.health.stale_telemetry_after_ms..outage_until)
+                .contains(&o.last_train),
+            "no retraining on stale data inside the outage"
+        );
+        // After the outage clears, health recovers on its own.
+        kwo.run_until(&mut sim, outage_until + 3 * HOUR_MS);
+        let o = kwo.optimizer("WH").unwrap();
+        assert_eq!(o.health().state(), crate::health::HealthState::Healthy);
+    }
+
+    #[test]
+    fn alter_burst_drives_reconciler_and_recovery() {
+        // Every ALTER fails for 12 hours starting shortly after onboarding.
+        let burst_from = 2 * DAY_MS + HOUR_MS;
+        let burst_until = burst_from + 12 * HOUR_MS;
+        let (mut sim, wh) =
+            idle_heavy_sim_with(FaultPlan::none().with_alter_burst(burst_from, burst_until, 1.0));
+        let mut kwo = Orchestrator::new(5);
+        kwo.manage(&sim, "WH", fast_setup());
+        kwo.observe_until(&mut sim, 2 * DAY_MS);
+        kwo.onboard(&mut sim);
+        kwo.run_until(&mut sim, 4 * DAY_MS);
+        let o = kwo.optimizer("WH").unwrap();
+        assert!(
+            o.actuator().failure_count() > 0,
+            "the burst produced failed actuations"
+        );
+        assert!(
+            o.actuator().transient_retries() > 0,
+            "transient errors were retried in-line"
+        );
+        // Well after the burst the reconciler has converged the config back
+        // onto the recorded intent and health is clean again.
+        assert_eq!(o.reconciler().consecutive_failures(), 0);
+        if let Some(want) = o.reconciler().desired() {
+            assert!(
+                Reconciler::drift_commands(want, &sim.account().describe(wh).config).is_empty(),
+                "reconciler converged after the burst"
+            );
+        }
+        assert_eq!(o.health().state(), crate::health::HealthState::Healthy);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown warehouse")]
+    fn managing_unknown_warehouse_panics() {
+        let account = Account::new();
+        let sim = Simulator::new(account);
+        let mut kwo = Orchestrator::new(1);
+        kwo.manage(&sim, "NOPE", KwoSetup::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "already managed")]
+    fn double_manage_panics() {
+        let (sim, _) = idle_heavy_sim();
+        let mut kwo = Orchestrator::new(1);
+        kwo.manage(&sim, "WH", KwoSetup::default());
+        kwo.manage(&sim, "WH", KwoSetup::default());
+    }
+
+    #[test]
+    fn try_manage_rejects_duplicates_without_panicking() {
+        let (sim, _) = idle_heavy_sim();
+        let mut kwo = Orchestrator::new(1);
+        assert_eq!(kwo.try_manage(&sim, "WH", KwoSetup::default()), Ok(()));
+        assert_eq!(
+            kwo.try_manage(&sim, "WH", KwoSetup::default()),
+            Err(ManageError::AlreadyManaged("WH".to_string()))
+        );
+        assert_eq!(
+            kwo.try_manage(&sim, "NOPE", KwoSetup::default()),
+            Err(ManageError::UnknownWarehouse("NOPE".to_string()))
+        );
+        // The rejected duplicate left no second optimizer behind.
+        assert_eq!(kwo.optimizers().len(), 1);
+    }
+
+    #[test]
+    fn stream_seed_depends_on_name_not_order() {
+        assert_eq!(
+            derive_stream_seed(42, "WH_A"),
+            derive_stream_seed(42, "WH_A")
+        );
+        assert_ne!(
+            derive_stream_seed(42, "WH_A"),
+            derive_stream_seed(42, "WH_B")
+        );
+        assert_ne!(
+            derive_stream_seed(42, "WH_A"),
+            derive_stream_seed(43, "WH_A")
+        );
+    }
+
+    /// Two warehouses sharing one account + queue, each with its own hourly
+    /// query stream at staggered offsets.
+    fn two_warehouse_sim() -> (Simulator, WarehouseId, WarehouseId) {
+        let mut account = Account::new();
+        let wh_a = account.create_warehouse(
+            "WH_A",
+            WarehouseConfig::new(WarehouseSize::Large).with_auto_suspend_secs(3600),
+        );
+        let wh_b = account.create_warehouse(
+            "WH_B",
+            WarehouseConfig::new(WarehouseSize::Medium).with_auto_suspend_secs(1800),
+        );
+        let mut sim = Simulator::new(account);
+        for h in 0..(4 * 24) {
+            sim.submit_query(
+                wh_a,
+                QuerySpec::builder(h)
+                    .work_ms_xs(30_000.0)
+                    .cache_affinity(0.2)
+                    .arrival_ms(h * HOUR_MS + 7 * MINUTE_MS)
+                    .build(),
+            );
+            sim.submit_query(
+                wh_b,
+                QuerySpec::builder(10_000 + h)
+                    .work_ms_xs(12_000.0)
+                    .cache_affinity(0.8)
+                    .arrival_ms(h * HOUR_MS + 23 * MINUTE_MS)
+                    .build(),
+            );
+        }
+        (sim, wh_a, wh_b)
+    }
+
+    #[test]
+    fn managed_together_equals_managed_alone() {
+        // C5 isolation: WH_A's decisions and spend must be bit-identical
+        // whether it is the orchestrator's only warehouse or shares the
+        // orchestrator with WH_B. Seeds derive from names, faults are off,
+        // and warehouses share no compute, so there is no cross-talk path.
+        let run = |manage_b: bool| {
+            let (mut sim, wh_a, _) = two_warehouse_sim();
+            let mut kwo = Orchestrator::new(9);
+            kwo.manage(&sim, "WH_A", fast_setup());
+            if manage_b {
+                kwo.manage(&sim, "WH_B", fast_setup());
+            }
+            kwo.observe_until(&mut sim, 2 * DAY_MS);
+            kwo.onboard(&mut sim);
+            kwo.run_until(&mut sim, 4 * DAY_MS);
+            let log = kwo.optimizer("WH_A").unwrap().actuator().log().to_vec();
+            let credits = sim.account().accrued_credits(wh_a, sim.now());
+            (log, credits)
+        };
+        let (log_alone, credits_alone) = run(false);
+        let (log_together, credits_together) = run(true);
+        assert!(!log_alone.is_empty(), "WH_A took actions");
+        assert_eq!(log_alone, log_together, "identical decision sequence");
+        assert_eq!(
+            credits_alone.to_bits(),
+            credits_together.to_bits(),
+            "bit-identical spend"
+        );
+    }
+
+    /// The state `kwo` would snapshot right now, encoded.
+    fn snapshot_bytes(kwo: &Orchestrator, at: SimTime) -> Vec<u8> {
+        let state = journal::snapshot_state(kwo.seed, &kwo.optimizers, at);
+        crate::persist::encode_snapshot(&state).unwrap()
+    }
+
+    #[test]
+    fn live_admin_events_and_their_replay_leave_identical_state() {
+        use crate::store::MemStore;
+        // After each admin event on the live orchestrator, a second one
+        // restored from the same store (snapshot + replayed WAL) must hold
+        // byte-identical state.
+        let assert_replay_matches = |live: &Orchestrator, store: &MemStore, sim: &Simulator| {
+            let (replayed, _) = Orchestrator::restore(Box::new(store.clone()), sim).unwrap();
+            assert_eq!(
+                snapshot_bytes(&replayed, sim.now()),
+                snapshot_bytes(live, sim.now())
+            );
+        };
+        let (mut sim, wh) = idle_heavy_sim();
+        let store = MemStore::new();
+        let mut kwo = Orchestrator::new(21);
+        kwo.attach_store(Box::new(store.clone()), sim.now());
+        kwo.set_snapshot_policy(SnapshotPolicy {
+            interval_ticks: 0,
+            ..SnapshotPolicy::default()
+        });
+
+        kwo.manage(&sim, "WH", fast_setup());
+        assert_replay_matches(&kwo, &store, &sim);
+
+        kwo.observe_until(&mut sim, DAY_MS);
+        kwo.onboard(&mut sim);
+        kwo.run_until(&mut sim, DAY_MS + 2 * HOUR_MS);
+        kwo.set_slider("WH", SliderPosition::LowestCost);
+        assert_replay_matches(&kwo, &store, &sim);
+
+        let rule = Rule::new(
+            "nights",
+            agent::TimeWindow::daily(20.0, 23.0),
+            agent::RuleEffect::NoSuspend,
+        );
+        kwo.add_constraint("WH", rule);
+        assert_replay_matches(&kwo, &store, &sim);
+
+        sim.alter_warehouse(
+            wh,
+            cdw_sim::WarehouseCommand::SetSize(WarehouseSize::X4Large),
+            cdw_sim::ActionSource::External,
+        )
+        .unwrap();
+        kwo.run_until(&mut sim, DAY_MS + 4 * HOUR_MS);
+        assert!(kwo.optimizer("WH").unwrap().is_paused(sim.now()));
+        kwo.admin_resume(&sim, "WH");
+        assert!(!kwo.optimizer("WH").unwrap().is_paused(sim.now()));
+        assert_replay_matches(&kwo, &store, &sim);
+    }
+
+    #[test]
+    fn restored_empty_orchestrator_passes_time_through() {
+        // Crash between attach_store and the first manage: the store holds
+        // no optimizer, and the restored orchestrator has nothing to tick.
+        let (mut sim, _) = idle_heavy_sim();
+        let store = crate::store::MemStore::new();
+        let mut kwo = Orchestrator::new(1);
+        kwo.attach_store(Box::new(store.clone()), sim.now());
+        drop(kwo);
+        let (mut kwo, _) = Orchestrator::restore(Box::new(store), &sim).unwrap();
+        kwo.run_until(&mut sim, 3 * HOUR_MS);
+        assert_eq!(sim.now(), 3 * HOUR_MS);
+        assert!(kwo.optimizers().is_empty());
+    }
+}

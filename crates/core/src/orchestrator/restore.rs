@@ -1,0 +1,222 @@
+//! Warm restart: rebuild an orchestrator from a durable store by loading the
+//! latest snapshot and replaying the WAL on top. Replay goes through the
+//! same functions the live path calls — [`Orchestrator::adopt`], the
+//! optimizer's admin setters, and the tick's `retrain`/`learn` stages — so
+//! there is no second copy of any event's effect to keep in step.
+
+use super::{Orchestrator, TickEffects, WarehouseOptimizer};
+use crate::actuator::ActionLogEntry;
+use crate::persist::{self, CtlState, PersistError, PersistRecord, RecoveryStats};
+use crate::store::StateStore;
+use cdw_sim::{SimTime, Simulator};
+use std::time::Instant;
+
+const STORE_LOAD_ATTEMPTS: u32 = 6;
+
+impl WarehouseOptimizer {
+    /// Replays one logged tick. Re-ingests telemetry by cursor range and
+    /// re-runs training with the recorded seeds, but never touches the
+    /// account (fetch overhead and ALTERs already happened before the
+    /// crash) and never advances the live RNG — the final `import_ctl`
+    /// restores every control scalar, RNG included, to the post-tick state.
+    fn replay_tick(
+        &mut self,
+        sim: &Simulator,
+        now: SimTime,
+        effects: TickEffects,
+        log_delta: Vec<ActionLogEntry>,
+        ctl: CtlState,
+    ) {
+        if effects.fetched {
+            let (q0, e0) = self.fetcher.cursors();
+            let (q1, e1) = ctl.fetcher.cursors();
+            let account = sim.account();
+            let queries = account.query_records();
+            let events = account.event_records();
+            // Clamp defensively: a corrupt record must degrade, not panic.
+            let q0 = q0.min(queries.len());
+            let q1 = q1.min(queries.len()).max(q0);
+            let e0 = e0.min(events.len());
+            let e1 = e1.min(events.len()).max(e0);
+            self.store.ingest_queries(queries[q0..q1].iter().cloned());
+            self.store.ingest_events(events[e0..e1].iter().cloned());
+            for name in account.ledger().warehouse_names() {
+                self.store
+                    .set_billing(name, account.ledger().warehouse(name));
+            }
+            self.store.note_fetch_success(now);
+        }
+        if let Some(rt) = effects.retrain {
+            self.retrain(now, rt.episodes, rt.seed);
+        }
+        if let Some((transition, seed)) = effects.learned {
+            self.learn(transition, seed);
+        }
+        self.actuator.extend_log(log_delta);
+        self.import_ctl(ctl);
+    }
+}
+
+impl Orchestrator {
+    /// Rebuilds a warm orchestrator from a durable store: loads the latest
+    /// snapshot, replays every WAL record on top, re-attaches the store, and
+    /// compacts (the recovered state becomes the new snapshot baseline).
+    ///
+    /// The simulator is the *surviving* warehouse side of the crash — only
+    /// the control plane died — so replay resolves warehouses by name
+    /// against it and re-reads telemetry by cursor range, but never charges
+    /// it or re-issues ALTERs.
+    ///
+    /// A clean crash (at a tick boundary, after the append) recovers
+    /// bit-identically; a torn WAL tail loses at most the last unflushed
+    /// record and is reported in [`RecoveryStats::wal_truncated_bytes`].
+    pub fn restore(
+        mut store: Box<dyn StateStore>,
+        sim: &Simulator,
+    ) -> Result<(Self, RecoveryStats), PersistError> {
+        // lint: allow(D1) — recovery wall time is reported, never decided on
+        let t0 = Instant::now();
+        let obs = keebo_obs::global();
+        // A remote store can time out transiently; retry the load a bounded
+        // number of times (counted) before giving up.
+        let contents = {
+            let mut attempt = 0;
+            loop {
+                match store.load() {
+                    Ok(c) => break c,
+                    Err(e) if e.kind() == std::io::ErrorKind::TimedOut => {
+                        obs.counter("keebo.store.read_timeouts").inc();
+                        attempt += 1;
+                        if attempt >= STORE_LOAD_ATTEMPTS {
+                            return Err(e.into());
+                        }
+                    }
+                    Err(e) => return Err(e.into()),
+                }
+            }
+        };
+        let snapshot_len = contents.snapshot.as_ref().map_or(0, |s| s.len() as u64);
+        let (mut orch, replay_from) = match &contents.snapshot {
+            Some(snapshot_bytes) => {
+                let snap = persist::decode_snapshot(snapshot_bytes)?;
+                let mut orch = Orchestrator::new(snap.seed);
+                for osnap in snap.optimizers {
+                    let o = WarehouseOptimizer::from_snapshot(osnap, sim)?;
+                    orch.optimizers.push(o);
+                }
+                (orch, 0)
+            }
+            None => {
+                // No snapshot ever landed (every write failed, fail-open).
+                // The WAL must then start at a genesis record, which is the
+                // empty-orchestrator starting point replay needs.
+                let first = contents.records.first().ok_or_else(|| {
+                    PersistError::Corrupt(
+                        "state store is empty (attach_store journals a genesis record; \
+                         nothing to restore)"
+                            .to_string(),
+                    )
+                })?;
+                match persist::decode_record(first)? {
+                    PersistRecord::Genesis { seed, .. } => (Orchestrator::new(seed), 1),
+                    _ => {
+                        return Err(PersistError::Corrupt(
+                            "state store has no snapshot and its WAL does not start with a \
+                             genesis record"
+                                .to_string(),
+                        ))
+                    }
+                }
+            }
+        };
+        let mut replayed_records = replay_from as u64;
+        for bytes in &contents.records[replay_from..] {
+            let record = persist::decode_record(bytes)?;
+            orch.apply_record(record, sim)?;
+            replayed_records += 1;
+        }
+        orch.journal.attach(store);
+        // Compact: recovered state becomes the new snapshot baseline, so a
+        // second crash never replays this WAL again.
+        orch.journal
+            .snapshot(orch.seed, &orch.optimizers, sim.now());
+        obs.counter("keebo.store.recoveries_total").inc();
+        obs.counter("keebo.store.wal_truncated_bytes")
+            .add(contents.truncated_bytes);
+        let stats = RecoveryStats {
+            replayed_records,
+            wal_truncated_bytes: contents.truncated_bytes,
+            snapshot_bytes: snapshot_len,
+            recovery_wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        };
+        Ok((orch, stats))
+    }
+
+    /// The optimizer a replayed `kind` record addresses.
+    fn replay_target(
+        &mut self,
+        kind: &str,
+        warehouse: &str,
+    ) -> Result<&mut WarehouseOptimizer, PersistError> {
+        self.optimizer_mut(warehouse).ok_or_else(|| {
+            PersistError::Corrupt(format!("{kind} record for unmanaged warehouse {warehouse}"))
+        })
+    }
+
+    /// Applies one replayed WAL record.
+    fn apply_record(&mut self, record: PersistRecord, sim: &Simulator) -> Result<(), PersistError> {
+        match record {
+            PersistRecord::Genesis { .. } => {
+                // Genesis is only valid as the very first record of a
+                // snapshot-less store, and restore() consumes it before the
+                // replay loop — reaching here means the WAL is malformed.
+                return Err(PersistError::Corrupt(
+                    "genesis record mid-stream (only valid as the first record of a \
+                     snapshot-less store)"
+                        .to_string(),
+                ));
+            }
+            PersistRecord::Manage {
+                warehouse,
+                original_config,
+                setup,
+            } => {
+                self.adopt(sim, &warehouse, Some(original_config), setup)
+                    .map_err(|e| PersistError::Corrupt(format!("manage record: {e}")))?;
+            }
+            PersistRecord::Tick {
+                warehouse,
+                now,
+                fetched,
+                retrain,
+                transition,
+                train_step_seed,
+                log_delta,
+                ctl,
+            } => {
+                let effects = TickEffects {
+                    fetched,
+                    retrain,
+                    learned: transition.zip(train_step_seed),
+                };
+                self.replay_target("tick", &warehouse)?
+                    .replay_tick(sim, now, effects, log_delta, ctl);
+            }
+            PersistRecord::SliderChanged { warehouse, slider } => {
+                self.replay_target("slider", &warehouse)?.set_slider(slider);
+            }
+            PersistRecord::ConstraintAdded { warehouse, rule } => {
+                self.replay_target("constraint", &warehouse)?
+                    .add_constraint(rule);
+            }
+            PersistRecord::AdminResume {
+                warehouse,
+                expected_config,
+            } => {
+                self.replay_target("admin-resume", &warehouse)?
+                    .resume(expected_config);
+            }
+        }
+        Ok(())
+    }
+}

@@ -411,7 +411,7 @@ mod tests {
     }
 }
 
-/// What recovery did, for operators and the `recovery` bench.
+/// What recovery did, for operators and the `store_faults` bench.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryStats {
     /// WAL records replayed on top of the snapshot.

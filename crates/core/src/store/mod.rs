@@ -23,7 +23,7 @@
 //!   append errors, snapshot write failures, and read timeouts, all
 //!   deterministic so the crash-drill matrix is reproducible.
 //! * [`CrashPlan`] — deterministic crash-injection schedule for the recovery
-//!   harness (kill tick and optional torn-write byte offset from a seed).
+//!   harness (kill tick and torn-write byte offset from a seed).
 //!
 //! Crash model: the *control plane* process dies; the warehouse (the cloud)
 //! keeps running. A clean crash at a tick boundary loses nothing — recovery
@@ -174,9 +174,6 @@ pub struct CrashPlan {
     /// Tick boundary (1-based tick count into the run) after which the
     /// control plane is killed.
     pub crash_tick: u64,
-    /// When set, the kill also tears the WAL: the file is truncated at
-    /// [`CrashPlan::torn_offset`] instead of ending on a record boundary.
-    pub torn_tail: bool,
     seed: u64,
 }
 
@@ -188,26 +185,13 @@ impl CrashPlan {
         let mut sm = seed ^ 0xC2A5_9F5C_7E1D_3B41;
         let span = total_ticks.saturating_sub(2).max(1);
         let crash_tick = 1 + splitmix64(&mut sm) % span;
-        let torn_tail = splitmix64(&mut sm).is_multiple_of(4);
-        Self {
-            crash_tick,
-            torn_tail,
-            seed,
-        }
+        Self { crash_tick, seed }
     }
 
-    /// As [`CrashPlan::from_seed`], but always a clean kill at a tick
-    /// boundary — the crash-drill matrix asserts bit-identity, which a torn
-    /// tail (legitimately losing the final record) cannot promise.
-    pub fn clean_from_seed(seed: u64, total_ticks: u64) -> Self {
-        Self {
-            torn_tail: false,
-            ..Self::from_seed(seed, total_ticks)
-        }
-    }
-
-    /// Byte offset to tear the WAL at, in `(0, wal_len)` — always cuts at
-    /// least one byte so the final record really is damaged.
+    /// Byte offset to tear a WAL (or its final frame) of `wal_len` bytes at,
+    /// in `(0, wal_len)` — always cuts at least one byte so the final record
+    /// really is damaged. Whether a kill tears at all is the drill's choice
+    /// ([`crate::drill::DrillCell::torn`]).
     pub fn torn_offset(&self, wal_len: u64) -> u64 {
         if wal_len <= 1 {
             return 0;
@@ -275,15 +259,5 @@ mod tests {
         let tiny = CrashPlan::from_seed(1, 1);
         assert_eq!(tiny.crash_tick, 1);
         assert_eq!(tiny.torn_offset(0), 0);
-    }
-
-    #[test]
-    fn clean_plan_matches_seeded_plan_except_torn_flag() {
-        for seed in 0..64u64 {
-            let full = CrashPlan::from_seed(seed, 96);
-            let clean = CrashPlan::clean_from_seed(seed, 96);
-            assert_eq!(clean.crash_tick, full.crash_tick);
-            assert!(!clean.torn_tail);
-        }
     }
 }

@@ -34,7 +34,7 @@ use keebo::persist::{decode_record, decode_snapshot, encode_record, encode_snaps
 use keebo::{
     generate_trace, scan_frames, ActionLogEntry, CrashPlan, DetRng, FileStore, KwoSetup, MemStore,
     Orchestrator, PersistRecord, RecoveryStats, RetrainRecord, Rule, RuleEffect, SliderPosition,
-    StateStore, TimeWindow,
+    SnapshotPolicy, StateStore, TimeWindow,
 };
 use proptest::prelude::*;
 use workload::{BiWorkload, EtlWorkload};
@@ -70,115 +70,82 @@ fn recovery_is_bit_identical_smoke() {
     }
 }
 
+/// A torn-tail cell with a long snapshot interval: plenty of WAL records at
+/// kill time.
+fn torn_cell(scenario: usize, seed: u64, crash_seed: u64, backend: DrillBackend) -> DrillCell {
+    DrillCell {
+        policy: Some(SnapshotPolicy {
+            interval_ticks: 1_000,
+            ..SnapshotPolicy::default()
+        }),
+        torn: true,
+        ..DrillCell::clean(scenario, seed, crash_seed, backend)
+    }
+}
+
 #[test]
 fn torn_wal_tail_loses_at_most_the_last_record() {
-    let seed = 909;
-    let crash_t = OBSERVE_MS + 11 * TICK_MS;
-    let (mut sim, wh) = build_sim(0, seed);
-    let store = MemStore::new();
-    let mut kwo = Orchestrator::new(seed);
-    kwo.attach_store(Box::new(store.clone()), sim.now());
-    // Long snapshot interval: plenty of WAL records at kill time.
-    kwo.set_snapshot_interval_ticks(1_000);
-    kwo.manage(&sim, WAREHOUSE, fast_setup());
-    kwo.observe_until(&mut sim, OBSERVE_MS);
-    kwo.onboard(&mut sim);
-    kwo.run_until(&mut sim, crash_t);
-    drop(kwo);
-
-    let records_before = store.wal_records();
+    let torn = torn_cell(0, 909, 11, DrillBackend::Mem);
+    // The same kill without the tear replays every record the WAL held.
+    let clean = DrillCell {
+        torn: false,
+        ..torn.clone()
+    };
+    let records_before = run_cell(&clean).expect("clean twin").stats.replayed_records;
     assert!(records_before > 1, "scenario accumulated WAL records");
+    let out = run_cell(&torn).expect("torn tail must not prevent recovery");
     // The kill tore the final record off the log.
-    assert!(store.drop_last_record() > 0);
-    let (mut kwo, stats) =
-        Orchestrator::restore(Box::new(store), &sim).expect("torn tail must not prevent recovery");
-    assert_eq!(stats.replayed_records, records_before - 1);
+    assert!(out.dropped_bytes > 0);
+    assert_eq!(out.stats.replayed_records, records_before - 1);
     // The recovered control plane lost one tick of bookkeeping but keeps
     // operating: the run completes and keeps making decisions.
-    kwo.run_until(&mut sim, END_MS);
-    let o = kwo.optimizer(WAREHOUSE).expect("managed warehouse");
-    assert!(o.onboarded(), "recovery preserved onboarding");
+    assert!(out.onboarded, "recovery preserved onboarding");
     assert!(
-        sim.account().accrued_credits(wh, sim.now()) > 0.0,
+        f64::from_bits(out.fingerprint.1) > 0.0,
         "run completed with billing intact"
     );
 }
 
 #[test]
 fn file_store_clean_recovery_is_bit_identical() {
-    let seed = 4242;
-    let scenario = 1;
+    let (scenario, seed) = (1, 4242);
     let (base_log, base_credits) = run_uninterrupted(scenario, seed);
-
     let dir = scratch_dir("clean");
-    let (mut sim, wh) = build_sim(scenario, seed);
-    let mut kwo = Orchestrator::new(seed);
-    kwo.attach_store(
-        Box::new(FileStore::open(&dir).expect("open store")),
-        sim.now(),
+    // Process dies: every file handle goes away; only the directory
+    // survives. Mid-cycle snapshot cadence: recovery mixes snapshot + live
+    // WAL.
+    let cell = DrillCell {
+        policy: Some(SnapshotPolicy {
+            interval_ticks: 13,
+            ..SnapshotPolicy::default()
+        }),
+        ..DrillCell::clean(scenario, seed, 17, DrillBackend::File(dir.clone()))
+    };
+    let out = run_cell(&cell).expect("recovery");
+    assert!(out.stats.snapshot_bytes > 0);
+    assert_eq!(out.stats.wal_truncated_bytes, 0);
+    assert_eq!(out.fingerprint.0, base_log, "file-backed recovery diverged");
+    assert_eq!(
+        out.fingerprint.1, base_credits,
+        "file-backed billing diverged"
     );
-    // Mid-cycle snapshot cadence: recovery mixes snapshot + live WAL.
-    kwo.set_snapshot_interval_ticks(13);
-    kwo.manage(&sim, WAREHOUSE, fast_setup());
-    kwo.observe_until(&mut sim, OBSERVE_MS);
-    kwo.onboard(&mut sim);
-    kwo.run_until(&mut sim, OBSERVE_MS + 17 * TICK_MS);
-    // Process dies: every file handle goes away; only the directory survives.
-    drop(kwo);
-
-    let store = FileStore::open(&dir).expect("reopen store");
-    let (mut kwo, stats) = Orchestrator::restore(Box::new(store), &sim).expect("recovery");
-    assert!(stats.snapshot_bytes > 0);
-    assert_eq!(stats.wal_truncated_bytes, 0);
-    kwo.run_until(&mut sim, END_MS);
-    let (log, credits) = fingerprint(&kwo, &sim, wh);
-    assert_eq!(log, base_log, "file-backed recovery diverged");
-    assert_eq!(credits, base_credits, "file-backed billing diverged");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn file_store_torn_write_is_truncated_and_reported() {
-    let seed = 5150;
     let dir = scratch_dir("torn");
-    let (mut sim, wh) = build_sim(2, seed);
-    let mut kwo = Orchestrator::new(seed);
-    kwo.attach_store(
-        Box::new(FileStore::open(&dir).expect("open store")),
-        sim.now(),
-    );
-    kwo.set_snapshot_interval_ticks(1_000);
-    kwo.manage(&sim, WAREHOUSE, fast_setup());
-    kwo.observe_until(&mut sim, OBSERVE_MS);
-    kwo.onboard(&mut sim);
-    kwo.run_until(&mut sim, OBSERVE_MS + 9 * TICK_MS);
-    drop(kwo);
-
-    // Kill mid-write: a partial frame (bogus length + checksum, truncated
-    // payload) sits at the end of the WAL.
-    {
-        use std::io::Write;
-        let mut wal = std::fs::OpenOptions::new()
-            .append(true)
-            .open(dir.join("wal.log"))
-            .expect("open wal");
-        wal.write_all(&[
-            0x40, 0x00, 0x00, 0x00, 0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03,
-        ])
-        .expect("tear wal");
-    }
-
-    let store = FileStore::open(&dir).expect("reopen store");
-    let (mut kwo, stats) =
-        Orchestrator::restore(Box::new(store), &sim).expect("a torn tail is truncated, not fatal");
+    // Kill mid-write: the final frame of the WAL file is cut short.
+    let cell = torn_cell(2, 5150, 9, DrillBackend::File(dir.clone()));
+    let out = run_cell(&cell).expect("a torn tail is truncated, not fatal");
     assert!(
-        stats.wal_truncated_bytes > 0,
-        "torn bytes are reported: {stats:?}"
+        out.stats.wal_truncated_bytes > 0,
+        "torn bytes are reported: {:?}",
+        out.stats
     );
-    assert!(stats.replayed_records > 0, "intact prefix replayed");
-    kwo.run_until(&mut sim, END_MS);
-    assert!(kwo.optimizer(WAREHOUSE).expect("managed").onboarded());
-    assert!(sim.account().accrued_credits(wh, sim.now()) > 0.0);
+    assert!(out.stats.replayed_records > 0, "intact prefix replayed");
+    assert!(out.onboarded);
+    assert!(f64::from_bits(out.fingerprint.1) > 0.0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -260,7 +227,10 @@ fn every_persisted_record_re_encodes_byte_identically() {
     let store = MemStore::new();
     let mut kwo = Orchestrator::new(seed);
     kwo.attach_store(Box::new(store.clone()), sim.now());
-    kwo.set_snapshot_interval_ticks(1_000);
+    kwo.set_snapshot_policy(SnapshotPolicy {
+        interval_ticks: 1_000,
+        ..SnapshotPolicy::default()
+    });
     kwo.manage(&sim, WAREHOUSE, fast_setup());
     kwo.observe_until(&mut sim, OBSERVE_MS);
     kwo.onboard(&mut sim);

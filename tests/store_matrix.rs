@@ -426,7 +426,10 @@ fn run_to_crash_with_snapshot() -> (Simulator, WarehouseId, MemStore) {
     let store = MemStore::new();
     let mut kwo = Orchestrator::new(55);
     kwo.attach_store(Box::new(store.clone()), sim.now());
-    kwo.set_snapshot_interval_ticks(10);
+    kwo.set_snapshot_policy(SnapshotPolicy {
+        interval_ticks: 10,
+        ..SnapshotPolicy::default()
+    });
     kwo.manage(&sim, WAREHOUSE, fast_setup());
     kwo.observe_until(&mut sim, OBSERVE_MS);
     kwo.onboard(&mut sim);
