@@ -1,11 +1,11 @@
-//! Store backend family benchmark: crash drills under injected faults.
+//! Store benchmark: crash drills under injected faults.
 //!
-//! Drives the shared `keebo::drill` harness across the whole store family —
-//! [`keebo::MemStore`], [`keebo::FileStore`], [`keebo::RemoteKvStore`] under
-//! seeded fault plans — cycling backends, scenarios, and compaction
-//! policies cell by cell. Every cell kills the control plane at a seeded
-//! tick, restores from the surviving store, and compares the finished run
-//! bit-for-bit against an uninterrupted baseline. A slice of the file-backed
+//! Drives the shared `keebo::drill` harness across both store media —
+//! [`keebo::MemStore`] and [`keebo::FileStore`], healthy and behind a
+//! [`keebo::FaultyStore`] under seeded fault plans — cycling media, fault
+//! plans, scenarios, and compaction policies cell by cell. Every cell kills
+//! the control plane at a seeded tick, restores from the surviving store, and
+//! compares the finished run bit-for-bit against an uninterrupted baseline. A slice of the file-backed
 //! cells also tears the WAL mid-frame at the kill: those must recover and
 //! report the truncated bytes, but legitimately lose the final record, so
 //! bit-identity is asserted on the clean cells only. Any divergence exits
@@ -13,7 +13,7 @@
 //! (`STORE_wal/cell<N>/`) for CI artifact upload.
 //!
 //! Writes `BENCH_store.json` with recovery-latency and replay-length
-//! statistics per backend.
+//! statistics.
 //!
 //! Usage: `store_faults [--smoke] [--seed N] [--cells N]` — `--smoke` is
 //! the bounded CI configuration (9 cells); the default campaign is 30.
@@ -33,7 +33,8 @@ struct StoreFaultsOutput {
     cells: usize,
     mem_cells: usize,
     file_cells: usize,
-    remote_cells: usize,
+    /// Cells (of either medium) run behind a fault plan.
+    faulted_cells: usize,
     torn_cells: usize,
     wal_bytes_truncated_total: u64,
     digest_matches: usize,
@@ -44,13 +45,13 @@ struct StoreFaultsOutput {
     replayed_records_max: u64,
     snapshot_bytes_mean: f64,
     snapshot_bytes_max: u64,
-    remote_recovery_ms_mean: f64,
+    faulted_recovery_ms_mean: f64,
 }
 
-/// Mild fault plans for the remote cells: rates stay far inside the
+/// Mild fault plans for the faulted cells: rates stay far inside the
 /// orchestrator's retry budgets so a drilled store never detaches (a detach
 /// would legitimately break bit-identity).
-fn remote_plan(k: u64) -> StoreFaultPlan {
+fn fault_plan(k: u64) -> StoreFaultPlan {
     match k % 3 {
         0 => StoreFaultPlan {
             seed: 0xBEEF ^ k,
@@ -99,9 +100,9 @@ fn main() {
     let mut digest_matches = 0usize;
     let mut torn_cells = 0usize;
     let mut truncated_total = 0u64;
-    let mut backend_counts = [0usize; 3];
+    let mut file_cells = 0usize;
     let mut recovery_ms = Vec::with_capacity(cells);
-    let mut remote_recovery_ms = Vec::new();
+    let mut faulted_recovery_ms = Vec::new();
     let mut replayed = Vec::with_capacity(cells);
     let mut snapshot_bytes = Vec::with_capacity(cells);
     let mut failed = false;
@@ -110,20 +111,26 @@ fn main() {
         let seed = start_seed + i as u64 * 7 + 11;
         let scenario = i % SCENARIOS;
         let dir = wal_root.join(format!("cell{i}"));
-        let backend = match i % 3 {
-            0 => DrillBackend::Mem,
-            1 => {
-                std::fs::remove_dir_all(&dir).ok();
-                DrillBackend::File(dir.clone())
-            }
-            _ => DrillBackend::Remote(remote_plan(seed)),
+        // Cells cycle healthy mem / healthy file / faulted; every other
+        // faulted cell is file-backed too.
+        let faulted = i % 3 == 2;
+        let backend = if i % 3 == 1 || i % 6 == 5 {
+            std::fs::remove_dir_all(&dir).ok();
+            file_cells += 1;
+            DrillBackend::File(dir.clone())
+        } else {
+            DrillBackend::Mem
         };
-        backend_counts[i % 3] += 1;
         let cell = DrillCell {
             scenario,
             seed,
             crash_seed: seed.wrapping_mul(1_000) + i as u64,
             backend,
+            faults: if faulted {
+                fault_plan(seed)
+            } else {
+                StoreFaultPlan::none()
+            },
             policy: (i % 2 == 1).then(tight_policy),
             // Every other file-backed cell is killed mid-write.
             torn: i % 6 == 4,
@@ -139,8 +146,8 @@ fn main() {
             }
         };
         recovery_ms.push(out.stats.recovery_wall_ms);
-        if matches!(cell.backend, DrillBackend::Remote(_)) {
-            remote_recovery_ms.push(out.stats.recovery_wall_ms);
+        if faulted {
+            faulted_recovery_ms.push(out.stats.recovery_wall_ms);
         }
         replayed.push(out.stats.replayed_records);
         snapshot_bytes.push(out.stats.snapshot_bytes);
@@ -184,9 +191,9 @@ fn main() {
         smoke,
         start_seed,
         cells,
-        mem_cells: backend_counts[0],
-        file_cells: backend_counts[1],
-        remote_cells: backend_counts[2],
+        mem_cells: cells - file_cells,
+        file_cells,
+        faulted_cells: faulted_recovery_ms.len(),
         torn_cells,
         wal_bytes_truncated_total: truncated_total,
         digest_matches,
@@ -197,23 +204,23 @@ fn main() {
         replayed_records_max: replayed.iter().copied().max().unwrap_or(0),
         snapshot_bytes_mean: mean(&snapshot_bytes.iter().map(|&b| b as f64).collect::<Vec<_>>()),
         snapshot_bytes_max: snapshot_bytes.iter().copied().max().unwrap_or(0),
-        remote_recovery_ms_mean: mean(&remote_recovery_ms),
+        faulted_recovery_ms_mean: mean(&faulted_recovery_ms),
     };
     println!(
-        "{}/{} digests matched ({} mem / {} file / {} remote; {} torn, {} WAL bytes truncated) \
-         in {:.2}s; recovery mean {:.2}ms max {:.2}ms (remote mean {:.2}ms); \
+        "{}/{} digests matched ({} mem / {} file, {} of them faulted; {} torn, {} WAL bytes \
+         truncated) in {:.2}s; recovery mean {:.2}ms max {:.2}ms (faulted mean {:.2}ms); \
          replayed mean {:.1} max {}; snapshot mean {:.0}B max {}B",
         out.digest_matches,
         out.cells,
         out.mem_cells,
         out.file_cells,
-        out.remote_cells,
+        out.faulted_cells,
         out.torn_cells,
         out.wal_bytes_truncated_total,
         wall,
         out.recovery_ms_mean,
         out.recovery_ms_max,
-        out.remote_recovery_ms_mean,
+        out.faulted_recovery_ms_mean,
         out.replayed_records_mean,
         out.replayed_records_max,
         out.snapshot_bytes_mean,
@@ -226,5 +233,5 @@ fn main() {
         std::process::exit(1);
     }
     std::fs::remove_dir_all(&wal_root).ok();
-    println!("all drills bit-identical across the backend family");
+    println!("all drills bit-identical across both media, healthy and faulted");
 }

@@ -5,9 +5,9 @@
 //! journaling control plane, kill it at a seeded tick, restore from the
 //! surviving store, finish the run, and compare the [`Fingerprint`] (full
 //! action log + billed credits, bit for bit) against an uninterrupted run.
-//! This module is that experiment, factored once so every store backend —
-//! [`MemStore`], [`FileStore`], [`RemoteKvStore`] under a fault plan — runs
-//! through one table-driven path instead of three near-duplicate setups.
+//! This module is that experiment, factored once so both store media —
+//! [`MemStore`] and [`FileStore`], each behind a [`FaultyStore`] running the
+//! cell's fault plan — go through one table-driven path.
 //!
 //! Like [`CrashPlan`], this is library code rather than test-only code on
 //! purpose: the bench bin drives the same cells the tests pin, so a
@@ -19,7 +19,7 @@ use crate::actuator::ActionLogEntry;
 use crate::orchestrator::{KwoSetup, Orchestrator, SnapshotPolicy};
 use crate::persist::{PersistError, RecoveryStats};
 use crate::store::{
-    CrashPlan, FileStore, MemStore, RemoteKvStore, StateStore, StoreFaultPlan, FRAME_HEADER_BYTES,
+    CrashPlan, FaultyStore, FileStore, MemStore, StateStore, StoreFaultPlan, FRAME_HEADER_BYTES,
 };
 use cdw_sim::{
     Account, FaultPlan, Simulator, WarehouseConfig, WarehouseId, WarehouseSize, DAY_MS, HOUR_MS,
@@ -129,15 +129,13 @@ pub fn run_uninterrupted(scenario: usize, seed: u64) -> Fingerprint {
     fingerprint(&kwo, &sim, wh)
 }
 
-/// Which store the drill journals through.
+/// Which medium the drill journals to.
 #[derive(Debug, Clone)]
 pub enum DrillBackend {
     /// In-memory store (handle cloned across the crash).
     Mem,
     /// File store rooted at this directory (reopened after the crash).
     File(PathBuf),
-    /// Simulated remote KV under this fault plan (handle cloned).
-    Remote(StoreFaultPlan),
 }
 
 /// One cell of the crash-drill matrix.
@@ -149,8 +147,11 @@ pub struct DrillCell {
     pub seed: u64,
     /// Seed for the [`CrashPlan`] picking the kill tick.
     pub crash_seed: u64,
-    /// Store backend under drill.
+    /// Store medium under drill.
     pub backend: DrillBackend,
+    /// Fault plan the store runs behind ([`StoreFaultPlan::none`] for a
+    /// healthy one).
+    pub faults: StoreFaultPlan,
     /// Compaction-policy override; `None` runs the setup default
     /// (48-tick cadence).
     pub policy: Option<SnapshotPolicy>,
@@ -161,13 +162,14 @@ pub struct DrillCell {
 }
 
 impl DrillCell {
-    /// A clean-kill cell on `backend` with the default policy.
+    /// A clean-kill cell on a healthy `backend` with the default policy.
     pub fn clean(scenario: usize, seed: u64, crash_seed: u64, backend: DrillBackend) -> Self {
         Self {
             scenario,
             seed,
             crash_seed,
             backend,
+            faults: StoreFaultPlan::none(),
             policy: None,
             torn: false,
         }
@@ -197,9 +199,8 @@ pub struct DrillOutcome {
 /// The survivor side of the crash: whatever outlives the dead control
 /// plane's store handle.
 enum Survivor {
-    Mem(MemStore),
+    Mem(FaultyStore<MemStore>),
     File(PathBuf),
-    Remote(RemoteKvStore),
 }
 
 /// Runs one drill cell end to end: journal, kill, (optionally) tear,
@@ -216,19 +217,14 @@ pub fn run_cell(cell: &DrillCell) -> Result<DrillOutcome, PersistError> {
     }
     let survivor = match &cell.backend {
         DrillBackend::Mem => {
-            let s = MemStore::new();
+            let s = FaultyStore::new(MemStore::new(), cell.faults);
             kwo.attach_store(Box::new(s.clone()), sim.now());
             Survivor::Mem(s)
         }
         DrillBackend::File(dir) => {
-            let s = FileStore::open(dir)?;
+            let s = FaultyStore::new(FileStore::open(dir)?, cell.faults);
             kwo.attach_store(Box::new(s), sim.now());
             Survivor::File(dir.clone())
-        }
-        DrillBackend::Remote(fault_plan) => {
-            let s = RemoteKvStore::new(*fault_plan);
-            kwo.attach_store(Box::new(s.clone()), sim.now());
-            Survivor::Remote(s)
         }
     };
     kwo.manage(&sim, WAREHOUSE, fast_setup());
@@ -242,7 +238,7 @@ pub fn run_cell(cell: &DrillCell) -> Result<DrillOutcome, PersistError> {
     let store: Box<dyn StateStore> = match survivor {
         Survivor::Mem(s) => {
             if cell.torn {
-                dropped_bytes = s.drop_last_record();
+                dropped_bytes = s.inner().drop_last_record();
             }
             Box::new(s)
         }
@@ -258,13 +254,8 @@ pub fn run_cell(cell: &DrillCell) -> Result<DrillOutcome, PersistError> {
                 dropped_bytes = last_frame - plan.torn_offset(last_frame);
                 s.truncate_wal_to(s.wal_bytes() - dropped_bytes)?;
             }
-            Box::new(s)
-        }
-        Survivor::Remote(s) => {
-            if cell.torn {
-                dropped_bytes = s.drop_last_record();
-            }
-            Box::new(s)
+            // A reopened file is a new handle: its fault stream starts over.
+            Box::new(FaultyStore::new(s, cell.faults))
         }
     };
 

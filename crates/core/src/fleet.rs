@@ -33,7 +33,6 @@ use crate::dashboard::OpsKpis;
 use crate::orchestrator::{derive_stream_seed, KwoSetup, Orchestrator};
 use crate::pool::WorkerPool;
 use crate::pricing::{Invoice, ValueBasedPricing};
-use crate::store::MemStore;
 use cdw_sim::{Account, FaultPlan, QuerySpec, SimTime, Simulator, WarehouseConfig};
 use costmodel::SavingsReport;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,11 +69,6 @@ impl TenantSpec {
             warehouses: Vec::new(),
             fault_plan: FaultPlan::none(),
         }
-    }
-
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
     }
 
     pub fn add_warehouse(mut self, spec: WarehouseSpec) -> Self {
@@ -273,14 +267,10 @@ pub struct FleetRunStats {
 #[derive(Debug, Clone)]
 pub struct FleetController {
     seed: u64,
-    pricing: ValueBasedPricing,
     /// Shared so worker-pool jobs (which need `'static` captures) can hold
     /// the specs without cloning the fleet. [`FleetController::add_tenant`]
     /// copy-on-writes via [`Arc::make_mut`].
     tenants: Arc<Vec<TenantSpec>>,
-    /// When set, every shard orchestrator journals to its own in-memory
-    /// state store (durability plumbing on, zero cross-shard sharing).
-    persistence: bool,
 }
 
 /// One shard: a tenant's isolated simulator plus its orchestrator. Shared
@@ -298,7 +288,7 @@ pub(crate) struct FleetShard {
 /// traces go through the simulator's shared-trace arena, so no
 /// [`QuerySpec`] is ever cloned here. Used by both the batch fleet run and
 /// the serving gateway so the two paths cannot drift apart.
-pub(crate) fn build_shard(seed: u64, persistence: bool, tenant: &TenantSpec) -> FleetShard {
+pub(crate) fn build_shard(seed: u64, tenant: &TenantSpec) -> FleetShard {
     let tenant_seed = derive_stream_seed(seed, &tenant.name);
     let (account, ids) = Account::with_warehouses(
         tenant
@@ -312,9 +302,6 @@ pub(crate) fn build_shard(seed: u64, persistence: bool, tenant: &TenantSpec) -> 
         sim.submit_trace_shared(id, Arc::clone(&w.queries));
     }
     let mut kwo = Orchestrator::new(tenant_seed);
-    if persistence {
-        kwo.attach_store(Box::new(MemStore::new()), sim.now());
-    }
     for w in &tenant.warehouses {
         kwo.manage(&sim, &w.name, w.setup.clone());
     }
@@ -326,12 +313,12 @@ pub(crate) fn build_shard(seed: u64, persistence: bool, tenant: &TenantSpec) -> 
 }
 
 /// Rolls one driven shard up into its [`TenantReport`]: per-warehouse
-/// savings over `[window_start, window_end)`, invoices (clamped per
-/// warehouse), and ops KPIs, folded in managed-warehouse order.
+/// savings over `[window_start, window_end)`, invoices at the default
+/// value-based pricing (clamped per warehouse), and ops KPIs, folded in
+/// managed-warehouse order.
 pub(crate) fn tenant_report(
     shard: &FleetShard,
     tenant_name: &str,
-    pricing: &ValueBasedPricing,
     window_start: SimTime,
     window_end: SimTime,
 ) -> TenantReport {
@@ -341,7 +328,7 @@ pub(crate) fn tenant_report(
         let savings = shard
             .kwo
             .savings_report(&shard.sim, name, window_start, window_end);
-        let invoice = pricing.invoice(&savings);
+        let invoice = ValueBasedPricing::default().invoice(&savings);
         // lint: allow(D5) — shard.warehouses lists exactly the names onboard() managed
         let ops = OpsKpis::collect(shard.kwo.optimizer(name).expect("managed warehouse"), now);
         warehouses.push(WarehouseOutcome {
@@ -392,33 +379,13 @@ impl FleetController {
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            pricing: ValueBasedPricing::default(),
             tenants: Arc::new(Vec::new()),
-            persistence: false,
         }
-    }
-
-    pub fn with_pricing(mut self, pricing: ValueBasedPricing) -> Self {
-        self.pricing = pricing;
-        self
-    }
-
-    /// Turns on per-shard durable journaling (an isolated [`MemStore`] per
-    /// tenant orchestrator). Persistence is write-path bookkeeping only, so
-    /// fleet results stay bit-identical with it on or off — the zero-
-    /// perturbation contract the fleet tests pin.
-    pub fn with_persistence(mut self) -> Self {
-        self.persistence = true;
-        self
     }
 
     pub fn add_tenant(&mut self, tenant: TenantSpec) -> &mut Self {
         Arc::make_mut(&mut self.tenants).push(tenant);
         self
-    }
-
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
     }
 
     pub fn warehouse_count(&self) -> usize {
@@ -452,8 +419,6 @@ impl FleetController {
 
         let ctx = Arc::new(ShardCtx {
             seed: self.seed,
-            pricing: self.pricing,
-            persistence: self.persistence,
             tenants: Arc::clone(&self.tenants),
             observe_until,
             until,
@@ -490,8 +455,6 @@ impl FleetController {
 /// can outlive the `run_on` stack frame on the persistent pool's workers.
 struct ShardCtx {
     seed: u64,
-    pricing: ValueBasedPricing,
-    persistence: bool,
     tenants: Arc<Vec<TenantSpec>>,
     observe_until: SimTime,
     until: SimTime,
@@ -508,7 +471,7 @@ impl ShardCtx {
         let tenant = &self.tenants[index];
         // lint: allow(D1) — wall time only feeds the build/drive histograms, never a decision
         let t0 = std::time::Instant::now();
-        let mut shard = build_shard(self.seed, self.persistence, tenant);
+        let mut shard = build_shard(self.seed, tenant);
         let build = t0.elapsed();
         // lint: allow(D1) — wall time only feeds the build/drive histograms, never a decision
         let t1 = std::time::Instant::now();
@@ -516,13 +479,7 @@ impl ShardCtx {
         shard.kwo.onboard(&mut shard.sim);
         shard.kwo.run_until(&mut shard.sim, self.until);
 
-        let report = tenant_report(
-            &shard,
-            &tenant.name,
-            &self.pricing,
-            self.observe_until,
-            self.until,
-        );
+        let report = tenant_report(&shard, &tenant.name, self.observe_until, self.until);
         let drive = t1.elapsed();
         self.build_micros
             // lint: allow(D11) — wall-time tally; join synchronizes before the read
@@ -689,23 +646,6 @@ mod tests {
         }
         let trace_off = run(&no_trace, DAY_MS, 2 * DAY_MS, 2).digest();
         assert_eq!(metrics_on, trace_off, "trace on/off must not perturb");
-    }
-
-    #[test]
-    fn persistence_is_zero_perturbation_across_thread_counts() {
-        // Durable journaling is pure write-path bookkeeping: a fleet run
-        // with per-shard state stores must produce the same bit-identical
-        // digest as one without, at any worker count.
-        let plain = small_fleet(21, 2);
-        let durable = small_fleet(21, 2).with_persistence();
-        let baseline = run(&plain, DAY_MS, 2 * DAY_MS, 1).digest();
-        for threads in [1, 2, 4] {
-            assert_eq!(
-                run(&durable, DAY_MS, 2 * DAY_MS, threads).digest(),
-                baseline,
-                "persisted fleet digest diverged at {threads} threads"
-            );
-        }
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub use request::{Admission, Priority, Request, RequestKind, ShedReason};
 use crate::fleet::{build_shard, fleet_rollup, tenant_report, FleetShard, Fnv};
 use crate::fleet::{FleetReport, TenantSpec};
 use crate::pool::WorkerPool;
-use crate::pricing::ValueBasedPricing;
 use cdw_sim::SimTime;
 use queue::{AdmissionQueue, Ticket};
 use std::collections::BTreeMap;
@@ -155,9 +154,7 @@ pub struct GatewayStats {
 /// module docs for the protocol and determinism contract.
 pub struct Gateway {
     config: GatewayConfig,
-    pricing: ValueBasedPricing,
     seed: u64,
-    persistence: bool,
     tenants: Arc<Vec<TenantSpec>>,
     /// Tenant name → spec index (BTreeMap: deterministic iteration).
     index: BTreeMap<String, usize>,
@@ -205,9 +202,7 @@ impl Gateway {
         let shards = Arc::new(tenants.iter().map(|_| Mutex::new(None)).collect::<Vec<_>>());
         Self {
             config,
-            pricing: ValueBasedPricing::default(),
             seed,
-            persistence: false,
             tenants: Arc::new(tenants),
             index,
             shards,
@@ -223,18 +218,6 @@ impl Gateway {
         }
     }
 
-    /// Turns on per-shard durable journaling (mirrors
-    /// [`crate::fleet::FleetController::with_persistence`]).
-    pub fn with_persistence(mut self) -> Self {
-        self.persistence = true;
-        self
-    }
-
-    pub fn with_pricing(mut self, pricing: ValueBasedPricing) -> Self {
-        self.pricing = pricing;
-        self
-    }
-
     /// Builds every tenant shard on the pool, observes the workload until
     /// `observe_until`, and onboards the optimizers. After this the
     /// gateway accepts requests; the fleet clock sits at `observe_until`.
@@ -246,9 +229,8 @@ impl Gateway {
         let tenants = Arc::clone(&self.tenants);
         let shards = Arc::clone(&self.shards);
         let seed = self.seed;
-        let persistence = self.persistence;
         pool.run_indexed(self.tenants.len(), parallelism, move |i| {
-            let mut shard = build_shard(seed, persistence, &tenants[i]);
+            let mut shard = build_shard(seed, &tenants[i]);
             shard.kwo.observe_until(&mut shard.sim, observe_until);
             shard.kwo.onboard(&mut shard.sim);
             *lock(&shards[i]) = Some(shard);
@@ -423,7 +405,6 @@ impl Gateway {
         let reports: Arc<Vec<Mutex<Option<crate::fleet::TenantReport>>>> =
             Arc::new((0..self.tenants.len()).map(|_| Mutex::new(None)).collect());
         let jobs_reports = Arc::clone(&reports);
-        let pricing = self.pricing;
         let (window_start, window_end) = (self.observe_until, self.now);
         pool.run_indexed(self.tenants.len(), parallelism, move |i| {
             // lint: allow(D5) — start() filled every slot; finish() is the only taker
@@ -431,7 +412,6 @@ impl Gateway {
             *lock(&jobs_reports[i]) = Some(tenant_report(
                 &shard,
                 &tenants[i].name,
-                &pricing,
                 window_start,
                 window_end,
             ));

@@ -110,8 +110,8 @@ pub use pool::WorkerPool;
 pub use pricing::{Invoice, ValueBasedPricing};
 pub use reconciler::{ReconcileOutcome, Reconciler, ReconcilerSettings};
 pub use store::{
-    scan_frames, CrashPlan, FileStore, FrameScan, MemStore, RemoteKvStore, StateStore,
-    StoreContents, StoreFaultPlan,
+    scan_frames, CrashPlan, FaultyStore, FileStore, FrameScan, MemStore, StateStore, StoreContents,
+    StoreFaultPlan,
 };
 
 // Re-export the user-facing configuration surface so downstream users need

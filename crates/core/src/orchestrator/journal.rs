@@ -32,9 +32,8 @@ pub(super) fn snapshot_state(
 pub(super) struct Journal {
     /// Durable state store; `None` runs in-memory only (the default).
     store: Option<Box<dyn StateStore>>,
-    /// Explicit compaction policy; `None` folds the managed setups'
-    /// per-warehouse policies (tightest trigger wins).
-    pub(super) policy_override: Option<SnapshotPolicy>,
+    /// When to compact the WAL, and how many snapshots to retain.
+    pub(super) policy: SnapshotPolicy,
     /// Trigger clock: ticks since the last snapshot *attempt window* was
     /// satisfied. Not reset by failed writes, so the next tick re-triggers.
     ticks_since_snapshot: u64,
@@ -47,17 +46,6 @@ impl Journal {
         self.store = Some(store);
         self.ticks_since_snapshot = 0;
         self.ticks_since_good_snapshot = 0;
-    }
-
-    /// The compaction policy currently in force over `optimizers`.
-    fn effective_policy(&self, optimizers: &[WarehouseOptimizer]) -> SnapshotPolicy {
-        self.policy_override.unwrap_or_else(|| {
-            optimizers
-                .iter()
-                .map(|o| o.setup.snapshot_policy)
-                .reduce(SnapshotPolicy::merge)
-                .unwrap_or_default()
-        })
     }
 
     /// Appends one record to the WAL, fail-open; a no-op with no store
@@ -110,7 +98,6 @@ impl Journal {
         optimizers: &[WarehouseOptimizer],
         at: SimTime,
     ) -> bool {
-        let retain = self.effective_policy(optimizers).retain_snapshots;
         let Some(store) = self.store.as_mut() else {
             return false;
         };
@@ -123,7 +110,7 @@ impl Journal {
             self.store = None;
             return false;
         };
-        store.set_snapshot_retention(retain);
+        store.set_snapshot_retention(self.policy.retain_snapshots);
         for _ in 0..STORE_SNAPSHOT_ATTEMPTS {
             if store.write_snapshot(&bytes).is_ok() {
                 self.ticks_since_snapshot = 0;
@@ -147,7 +134,7 @@ impl Journal {
         keebo_obs::global()
             .gauge("keebo.store.snapshot_age_ticks")
             .set(self.ticks_since_good_snapshot as f64);
-        let policy = self.effective_policy(optimizers);
+        let policy = self.policy;
         let age_due =
             policy.interval_ticks > 0 && self.ticks_since_snapshot >= policy.interval_ticks;
         let bytes_due = policy.max_wal_bytes > 0 && store.wal_bytes() >= policy.max_wal_bytes;

@@ -92,12 +92,6 @@ pub struct KwoSetup {
     /// 0 disables tracing. Tracing is read-only bookkeeping and never
     /// perturbs decisions.
     pub trace_capacity: usize,
-    /// WAL/snapshot compaction policy when a durable store is attached.
-    /// `#[serde(default)]` keeps pre-policy persisted setups decodable — a
-    /// v1 reader restoring a v0 snapshot fills in the historical default
-    /// (48-tick cadence), which is exactly what the v0 writer ran.
-    #[serde(default)]
-    pub snapshot_policy: SnapshotPolicy,
 }
 
 impl Default for KwoSetup {
@@ -114,7 +108,6 @@ impl Default for KwoSetup {
             health: HealthSettings::default(),
             reconciler: ReconcilerSettings::default(),
             trace_capacity: 2048,
-            snapshot_policy: SnapshotPolicy::default(),
         }
     }
 }
@@ -147,28 +140,6 @@ impl Default for SnapshotPolicy {
             max_wal_bytes: 0,
             max_wal_records: 0,
             retain_snapshots: 0,
-        }
-    }
-}
-
-impl SnapshotPolicy {
-    /// Tighter of two trigger thresholds, treating 0 as "disabled".
-    fn tight(a: u64, b: u64) -> u64 {
-        match (a, b) {
-            (0, x) | (x, 0) => x,
-            (a, b) => a.min(b),
-        }
-    }
-
-    /// Combines two policies conservatively: the tighter trigger wins on
-    /// every axis, and retention keeps the larger request. Used to fold
-    /// per-warehouse setups into one store-level policy.
-    pub fn merge(self, other: Self) -> Self {
-        Self {
-            interval_ticks: Self::tight(self.interval_ticks, other.interval_ticks),
-            max_wal_bytes: Self::tight(self.max_wal_bytes, other.max_wal_bytes),
-            max_wal_records: Self::tight(self.max_wal_records, other.max_wal_records),
-            retain_snapshots: self.retain_snapshots.max(other.retain_snapshots),
         }
     }
 }
@@ -645,7 +616,7 @@ impl Orchestrator {
     /// write fails (injected or real): [`Self::restore`] can rebuild from
     /// `Orchestrator::new(seed)` plus the full WAL. From here on every
     /// control event is appended to the WAL and compaction follows the
-    /// effective [`SnapshotPolicy`].
+    /// [`SnapshotPolicy`] (see [`Self::set_snapshot_policy`]).
     ///
     /// Persistence is fail-open and failures are graded by what they cost:
     /// transient append/snapshot errors are retried in line and counted
@@ -664,11 +635,10 @@ impl Orchestrator {
         self.journal.snapshot(self.seed, &self.optimizers, at);
     }
 
-    /// Overrides the store-level compaction policy. Without an override the
-    /// policy folds every managed setup's `snapshot_policy` (tightest
-    /// trigger wins, largest retention wins).
+    /// Sets the store's compaction policy (the default snapshots every
+    /// [`DEFAULT_SNAPSHOT_INTERVAL_TICKS`] ticks and retains nothing).
     pub fn set_snapshot_policy(&mut self, policy: SnapshotPolicy) {
-        self.journal.policy_override = Some(policy);
+        self.journal.policy = policy;
     }
 
     /// Starts managing a warehouse. Its *current* configuration becomes the
@@ -1203,43 +1173,56 @@ mod tests {
                 snapshot_bytes(live, sim.now())
             );
         };
-        let (mut sim, wh) = idle_heavy_sim();
-        let store = MemStore::new();
-        let mut kwo = Orchestrator::new(21);
-        kwo.attach_store(Box::new(store.clone()), sim.now());
-        kwo.set_snapshot_policy(SnapshotPolicy {
-            interval_ticks: 0,
-            ..SnapshotPolicy::default()
-        });
+        // Second input: a telemetry outage and a partial-delivery window
+        // inside the journaled span, so live `sense` and replayed delivery
+        // are compared across `Outage` and `Partial` ticks too.
+        let faulted = FaultPlan::none()
+            .with_telemetry_outage(DAY_MS + HOUR_MS / 2, DAY_MS + 3 * HOUR_MS / 2)
+            .with_partial_telemetry(DAY_MS + 5 * HOUR_MS / 2, DAY_MS + 7 * HOUR_MS / 2, 0.5);
+        for plan in [FaultPlan::none(), faulted] {
+            let expect_faults = plan != FaultPlan::none();
+            let (mut sim, wh) = idle_heavy_sim_with(plan);
+            let store = MemStore::new();
+            let mut kwo = Orchestrator::new(21);
+            kwo.attach_store(Box::new(store.clone()), sim.now());
+            kwo.set_snapshot_policy(SnapshotPolicy {
+                interval_ticks: 0,
+                ..SnapshotPolicy::default()
+            });
 
-        kwo.manage(&sim, "WH", fast_setup());
-        assert_replay_matches(&kwo, &store, &sim);
+            kwo.manage(&sim, "WH", fast_setup());
+            assert_replay_matches(&kwo, &store, &sim);
 
-        kwo.observe_until(&mut sim, DAY_MS);
-        kwo.onboard(&mut sim);
-        kwo.run_until(&mut sim, DAY_MS + 2 * HOUR_MS);
-        kwo.set_slider("WH", SliderPosition::LowestCost);
-        assert_replay_matches(&kwo, &store, &sim);
+            kwo.observe_until(&mut sim, DAY_MS);
+            kwo.onboard(&mut sim);
+            kwo.run_until(&mut sim, DAY_MS + 2 * HOUR_MS);
+            kwo.set_slider("WH", SliderPosition::LowestCost);
+            assert_replay_matches(&kwo, &store, &sim);
 
-        let rule = Rule::new(
-            "nights",
-            agent::TimeWindow::daily(20.0, 23.0),
-            agent::RuleEffect::NoSuspend,
-        );
-        kwo.add_constraint("WH", rule);
-        assert_replay_matches(&kwo, &store, &sim);
+            let rule = Rule::new(
+                "nights",
+                agent::TimeWindow::daily(20.0, 23.0),
+                agent::RuleEffect::NoSuspend,
+            );
+            kwo.add_constraint("WH", rule);
+            assert_replay_matches(&kwo, &store, &sim);
 
-        sim.alter_warehouse(
-            wh,
-            cdw_sim::WarehouseCommand::SetSize(WarehouseSize::X4Large),
-            cdw_sim::ActionSource::External,
-        )
-        .unwrap();
-        kwo.run_until(&mut sim, DAY_MS + 4 * HOUR_MS);
-        assert!(kwo.optimizer("WH").unwrap().is_paused(sim.now()));
-        kwo.admin_resume(&sim, "WH");
-        assert!(!kwo.optimizer("WH").unwrap().is_paused(sim.now()));
-        assert_replay_matches(&kwo, &store, &sim);
+            sim.alter_warehouse(
+                wh,
+                cdw_sim::WarehouseCommand::SetSize(WarehouseSize::X4Large),
+                cdw_sim::ActionSource::External,
+            )
+            .unwrap();
+            kwo.run_until(&mut sim, DAY_MS + 4 * HOUR_MS);
+            assert!(kwo.optimizer("WH").unwrap().is_paused(sim.now()));
+            kwo.admin_resume(&sim, "WH");
+            assert!(!kwo.optimizer("WH").unwrap().is_paused(sim.now()));
+            assert_replay_matches(&kwo, &store, &sim);
+
+            let fetches = kwo.optimizer("WH").unwrap().fetcher().stats();
+            assert_eq!(fetches.failed_fetches > 0, expect_faults);
+            assert_eq!(fetches.partial_fetches > 0, expect_faults);
+        }
     }
 
     #[test]

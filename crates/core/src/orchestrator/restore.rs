@@ -14,8 +14,9 @@ use std::time::Instant;
 const STORE_LOAD_ATTEMPTS: u32 = 6;
 
 impl WarehouseOptimizer {
-    /// Replays one logged tick. Re-ingests telemetry by cursor range and
-    /// re-runs training with the recorded seeds, but never touches the
+    /// Replays one logged tick. Re-delivers the telemetry the live `sense`
+    /// stage delivered (same fetcher function, by cursor range) and re-runs
+    /// training with the recorded seeds, but never touches the
     /// account (fetch overhead and ALTERs already happened before the
     /// crash) and never advances the live RNG — the final `import_ctl`
     /// restores every control scalar, RNG included, to the post-tick state.
@@ -28,23 +29,8 @@ impl WarehouseOptimizer {
         ctl: CtlState,
     ) {
         if effects.fetched {
-            let (q0, e0) = self.fetcher.cursors();
-            let (q1, e1) = ctl.fetcher.cursors();
-            let account = sim.account();
-            let queries = account.query_records();
-            let events = account.event_records();
-            // Clamp defensively: a corrupt record must degrade, not panic.
-            let q0 = q0.min(queries.len());
-            let q1 = q1.min(queries.len()).max(q0);
-            let e0 = e0.min(events.len());
-            let e1 = e1.min(events.len()).max(e0);
-            self.store.ingest_queries(queries[q0..q1].iter().cloned());
-            self.store.ingest_events(events[e0..e1].iter().cloned());
-            for name in account.ledger().warehouse_names() {
-                self.store
-                    .set_billing(name, account.ledger().warehouse(name));
-            }
-            self.store.note_fetch_success(now);
+            self.fetcher
+                .redeliver(sim.account(), &mut self.store, now, &ctl.fetcher);
         }
         if let Some(rt) = effects.retrain {
             self.retrain(now, rt.episodes, rt.seed);

@@ -37,10 +37,8 @@ use crate::actuator::ActionLogEntry;
 /// Bumped on any incompatible change to the persisted schema.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// Magic prefix of a versioned snapshot envelope. A snapshot that does not
-/// start with it is a legacy v0 snapshot (bare JSON, PR 6 format) and is
-/// decoded through the legacy path — a v1 reader restores a v0 snapshot
-/// bit-identically, which is what makes rolling upgrades safe.
+/// Magic prefix of the snapshot envelope, the only snapshot format: bytes
+/// that do not start with it are not a snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"KWSN";
 
 /// Version of the envelope *framing* (magic + header field encoding), bumped
@@ -212,7 +210,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<PersistRecord, PersistError> {
     serde_json::from_slice(bytes).map_err(|e| PersistError::Codec(e.to_string()))
 }
 
-/// Encodes a snapshot in the current (v1, enveloped) format: `KWSN` magic,
+/// Encodes a snapshot in the enveloped format: `KWSN` magic,
 /// envelope version, a tag-length-value header, then the JSON body. The
 /// header exists for readers *newer* than this writer: every field is
 /// self-delimiting, so a future writer can add fields and this decoder
@@ -251,12 +249,6 @@ pub fn encode_snapshot_with_extra_fields(
     }
     out.extend_from_slice(&body);
     Ok(out)
-}
-
-/// Encodes a snapshot in the legacy v0 (bare JSON, pre-envelope) format —
-/// kept so the upgrade tests can produce exactly what a PR 6 writer wrote.
-pub fn encode_snapshot_v0(snapshot: &SnapshotState) -> Result<Vec<u8>, PersistError> {
-    serde_json::to_vec(snapshot).map_err(|e| PersistError::Codec(e.to_string()))
 }
 
 /// Parses the envelope header, returning the body slice and the body-version
@@ -300,22 +292,20 @@ fn decode_envelope(bytes: &[u8]) -> Result<(&[u8], Option<u32>), PersistError> {
 }
 
 /// Total decoder: arbitrary bytes yield `Err`, never a panic (fuzzed).
-/// Reads both the current enveloped format (sniffed by magic) and legacy
-/// v0 bare-JSON snapshots.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotState, PersistError> {
-    let body = if bytes.starts_with(&SNAPSHOT_MAGIC) {
-        let (body, header_version) = decode_envelope(bytes)?;
-        if let Some(hv) = header_version {
-            if hv != FORMAT_VERSION {
-                return Err(PersistError::Corrupt(format!(
-                    "snapshot body format v{hv} (this build reads v{FORMAT_VERSION})"
-                )));
-            }
+    if !bytes.starts_with(&SNAPSHOT_MAGIC) {
+        return Err(PersistError::Codec(
+            "snapshot does not start with the KWSN envelope magic".into(),
+        ));
+    }
+    let (body, header_version) = decode_envelope(bytes)?;
+    if let Some(hv) = header_version {
+        if hv != FORMAT_VERSION {
+            return Err(PersistError::Corrupt(format!(
+                "snapshot body format v{hv} (this build reads v{FORMAT_VERSION})"
+            )));
         }
-        body
-    } else {
-        bytes
-    };
+    }
     let snap: SnapshotState =
         serde_json::from_slice(body).map_err(|e| PersistError::Codec(e.to_string()))?;
     if snap.version != FORMAT_VERSION {
@@ -351,16 +341,12 @@ mod tests {
         // Re-encoding is byte-identical: the header derives purely from the
         // body, so digest pins survive a decode/encode cycle.
         assert_eq!(encode_snapshot(&back).unwrap(), bytes);
-    }
-
-    #[test]
-    fn v1_reader_decodes_legacy_v0_snapshot() {
-        let snap = empty_snapshot();
-        let v0 = encode_snapshot_v0(&snap).unwrap();
-        assert!(!v0.starts_with(&SNAPSHOT_MAGIC));
-        let back = decode_snapshot(&v0).unwrap();
-        assert_eq!(back.seed, snap.seed);
-        assert_eq!(back.at, snap.at);
+        // The envelope is the only format: its bare JSON body is refused.
+        let body = serde_json::to_vec(&snap).unwrap();
+        assert!(matches!(
+            decode_snapshot(&body),
+            Err(PersistError::Codec(_))
+        ));
     }
 
     #[test]

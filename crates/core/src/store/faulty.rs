@@ -1,0 +1,350 @@
+//! Seeded fault injection in front of any store medium.
+//!
+//! Real deployments of the control plane would keep durable state in a
+//! remote service (the memory/redis/dynamodb spread of typical state
+//! crates), which brings two failure modes a local medium does not have:
+//! per-operation service latency and transient request failures.
+//! [`FaultyStore`] simulates both deterministically in front of a
+//! [`super::MemStore`] or a [`super::FileStore`]: a [`StoreFaultPlan`]
+//! derives every fault and latency sample from `(plan seed, operation kind,
+//! operation sequence number)` via splitmix64, so a crash drill that hits
+//! an injected append failure hits exactly the same failure on every run.
+//! Everything else — storage, retention, counters — is the medium's.
+//!
+//! Simulated time only: operation latency is *recorded* (histogram
+//! `keebo.store.remote_op_us`) but never slept — wall-clock sleeps would
+//! violate the repo's determinism rules and slow the drill matrix.
+
+use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use super::{StateStore, StoreContents};
+use crate::drng::splitmix64;
+
+/// Operation-kind salts for fault derivation — distinct streams per verb so
+/// e.g. a 100% append-fault plan leaves snapshot writes untouched.
+const KIND_APPEND: u64 = 0x41;
+const KIND_SNAPSHOT: u64 = 0x53;
+const KIND_LOAD: u64 = 0x4C;
+
+const PPM_SCALE: u64 = 1_000_000;
+
+/// Latency histogram bounds, microseconds.
+const REMOTE_OP_US_BOUNDS: [f64; 7] = [50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0];
+
+/// Seeded fault-injection plan for a [`FaultyStore`]: per-operation
+/// failure rates in parts-per-million plus a nominal service latency.
+/// Everything derives from `seed`, so a plan is a complete, reproducible
+/// description of the store's behavior.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreFaultPlan {
+    /// Stream seed for fault and latency sampling.
+    pub seed: u64,
+    /// Probability an `append` fails (ppm). The record is NOT stored.
+    pub append_error_ppm: u32,
+    /// Probability a `write_snapshot` fails (ppm). Nothing is replaced.
+    pub snapshot_error_ppm: u32,
+    /// Probability a `load` times out (ppm) — `io::ErrorKind::TimedOut`.
+    pub read_timeout_ppm: u32,
+    /// Nominal per-op service latency, microseconds (jittered ±50%).
+    pub latency_us: u64,
+}
+
+impl StoreFaultPlan {
+    /// A healthy remote: no faults, no recorded latency.
+    pub fn none() -> Self {
+        Self {
+            seed: 0,
+            append_error_ppm: 0,
+            snapshot_error_ppm: 0,
+            read_timeout_ppm: 0,
+            latency_us: 0,
+        }
+    }
+
+    /// Decodes a plan from arbitrary genome bytes. Total and deterministic:
+    /// any byte string (including empty) yields a valid plan — the verify
+    /// fuzzer drives this directly. Rates are capped so fuzzed stores stay
+    /// mostly operational: appends ≤12%, snapshots ≤50%, reads ≤20%.
+    pub fn from_genome(bytes: &[u8]) -> Self {
+        let mut padded = [0u8; 24];
+        for (dst, src) in padded.iter_mut().zip(bytes) {
+            *dst = *src;
+        }
+        let le_u32 = |at: usize| {
+            u32::from_le_bytes([padded[at], padded[at + 1], padded[at + 2], padded[at + 3]])
+        };
+        Self {
+            seed: u64::from_le_bytes([
+                padded[0], padded[1], padded[2], padded[3], padded[4], padded[5], padded[6],
+                padded[7],
+            ]),
+            append_error_ppm: le_u32(8) % 120_001,
+            snapshot_error_ppm: le_u32(12) % 500_001,
+            read_timeout_ppm: le_u32(16) % 200_001,
+            latency_us: u64::from(le_u32(20)) % 5_001,
+        }
+    }
+
+    /// One deterministic sample for operation `op_seq` of `kind`.
+    fn roll(&self, kind: u64, op_seq: u64) -> u64 {
+        let mut s = self
+            .seed
+            .wrapping_add(kind.wrapping_mul(0x9E6D_29AA_C2A3_3F25))
+            .wrapping_add(op_seq.wrapping_mul(0xA24B_AED4_963E_E407));
+        splitmix64(&mut s)
+    }
+
+    fn hits(&self, ppm: u32, kind: u64, op_seq: u64) -> bool {
+        ppm > 0 && self.roll(kind, op_seq) % PPM_SCALE < u64::from(ppm)
+    }
+
+    /// Simulated service latency for this op: nominal ±50% jitter.
+    fn latency_sample_us(&self, kind: u64, op_seq: u64) -> u64 {
+        if self.latency_us == 0 {
+            return 0;
+        }
+        let jitter_span = self.latency_us.max(1);
+        self.latency_us / 2 + self.roll(kind ^ 0x77, op_seq) % (jitter_span + 1)
+    }
+}
+
+/// Fault-injecting decorator over any [`StateStore`]: every `append`,
+/// `write_snapshot` and `load` first consults the plan, and an injected
+/// failure never reaches the medium — a failed append stores nothing, a
+/// failed snapshot write replaces and compacts nothing. `Clone` shares the
+/// operation counter (the simulated service outlives any one handle on it),
+/// so over a [`super::MemStore`] a crash drill's surviving handle continues
+/// the dead control plane's fault stream.
+#[derive(Debug, Clone)]
+pub struct FaultyStore<S> {
+    inner: S,
+    plan: StoreFaultPlan,
+    /// Operations begun so far, of any kind, across every clone.
+    ops: Arc<AtomicU64>,
+}
+
+impl<S: StateStore> FaultyStore<S> {
+    pub fn new(inner: S, plan: StoreFaultPlan) -> Self {
+        Self {
+            inner,
+            plan,
+            ops: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    /// The medium behind the decorator.
+    pub fn inner(&self) -> &S {
+        &self.inner
+    }
+
+    /// Records one op's simulated service latency and returns whether the
+    /// plan injects a fault for it.
+    fn begin_op(&self, kind: u64, ppm: u32) -> bool {
+        let op = self.ops.fetch_add(1, Ordering::SeqCst);
+        let us = self.plan.latency_sample_us(kind, op);
+        if us > 0 {
+            keebo_obs::global()
+                .histogram("keebo.store.remote_op_us", &REMOTE_OP_US_BOUNDS)
+                .observe(us as f64);
+        }
+        self.plan.hits(ppm, kind, op)
+    }
+}
+
+impl<S: StateStore> StateStore for FaultyStore<S> {
+    fn append(&mut self, payload: &[u8]) -> io::Result<()> {
+        if self.begin_op(KIND_APPEND, self.plan.append_error_ppm) {
+            return Err(io::Error::other("injected remote append failure"));
+        }
+        self.inner.append(payload)
+    }
+
+    fn write_snapshot(&mut self, snapshot: &[u8]) -> io::Result<()> {
+        if self.begin_op(KIND_SNAPSHOT, self.plan.snapshot_error_ppm) {
+            return Err(io::Error::other("injected remote snapshot write failure"));
+        }
+        self.inner.write_snapshot(snapshot)
+    }
+
+    fn load(&mut self) -> io::Result<StoreContents> {
+        if self.begin_op(KIND_LOAD, self.plan.read_timeout_ppm) {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "injected remote read timeout",
+            ));
+        }
+        self.inner.load()
+    }
+
+    fn wal_records(&self) -> u64 {
+        self.inner.wal_records()
+    }
+
+    fn wal_bytes(&self) -> u64 {
+        self.inner.wal_bytes()
+    }
+
+    fn snapshot_bytes(&self) -> u64 {
+        self.inner.snapshot_bytes()
+    }
+
+    fn set_snapshot_retention(&mut self, generations: u32) {
+        self.inner.set_snapshot_retention(generations);
+    }
+
+    fn snapshot_generations(&self) -> u64 {
+        self.inner.snapshot_generations()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::store::MemStore;
+
+    #[test]
+    fn injected_faults_are_deterministic_per_op() {
+        let plan = StoreFaultPlan {
+            seed: 42,
+            append_error_ppm: 300_000,
+            snapshot_error_ppm: 0,
+            read_timeout_ppm: 0,
+            latency_us: 0,
+        };
+        let drive = || {
+            let mut s = FaultyStore::new(MemStore::new(), plan);
+            (0..64)
+                .map(|i| s.append(format!("r{i}").as_bytes()).is_err())
+                .collect::<Vec<_>>()
+        };
+        let a = drive();
+        assert_eq!(a, drive(), "fault schedule must be reproducible");
+        // Clones share the op counter: two handles taking turns see the
+        // schedule one handle would.
+        let first = FaultyStore::new(MemStore::new(), plan);
+        let mut handles = [first.clone(), first];
+        let alternating: Vec<bool> = (0..64)
+            .map(|i| handles[i % 2].append(format!("r{i}").as_bytes()).is_err())
+            .collect();
+        assert_eq!(a, alternating, "the op counter must survive a clone");
+        let failures = a.iter().filter(|&&f| f).count();
+        assert!(
+            (5..60).contains(&failures),
+            "~30% fault rate expected, got {failures}/64"
+        );
+    }
+
+    #[test]
+    fn each_fault_kind_targets_only_its_verb() {
+        let mut s = FaultyStore::new(
+            MemStore::new(),
+            StoreFaultPlan {
+                seed: 7,
+                append_error_ppm: 1_000_000,
+                snapshot_error_ppm: 0,
+                read_timeout_ppm: 0,
+                latency_us: 0,
+            },
+        );
+        assert!(s.append(b"doomed").is_err());
+        assert!(s.write_snapshot(b"fine").is_ok());
+        assert!(s.load().is_ok());
+
+        let mut s = FaultyStore::new(
+            MemStore::new(),
+            StoreFaultPlan {
+                seed: 7,
+                append_error_ppm: 0,
+                snapshot_error_ppm: 1_000_000,
+                read_timeout_ppm: 0,
+                latency_us: 0,
+            },
+        );
+        assert!(s.append(b"fine").is_ok());
+        assert!(s.write_snapshot(b"doomed").is_err());
+        // A failed snapshot write replaces nothing and compacts nothing.
+        let c = s.load().unwrap();
+        assert!(c.snapshot.is_none());
+        assert_eq!(c.records.len(), 1);
+
+        let mut s = FaultyStore::new(
+            MemStore::new(),
+            StoreFaultPlan {
+                seed: 7,
+                append_error_ppm: 0,
+                snapshot_error_ppm: 0,
+                read_timeout_ppm: 1_000_000,
+                latency_us: 0,
+            },
+        );
+        let err = s.load().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+    }
+
+    #[test]
+    fn failed_append_stores_nothing() {
+        let plan = StoreFaultPlan {
+            seed: 3,
+            append_error_ppm: 500_000,
+            snapshot_error_ppm: 0,
+            read_timeout_ppm: 0,
+            latency_us: 0,
+        };
+        let mut s = FaultyStore::new(MemStore::new(), plan);
+        let mut stored = Vec::new();
+        for i in 0..32 {
+            let rec = format!("rec-{i}");
+            if s.append(rec.as_bytes()).is_ok() {
+                stored.push(rec.into_bytes());
+            }
+        }
+        assert_eq!(s.load().unwrap().records, stored);
+    }
+
+    #[test]
+    fn fault_plan_genome_decode_is_total_and_deterministic() {
+        assert_eq!(
+            StoreFaultPlan::from_genome(&[]),
+            StoreFaultPlan {
+                seed: 0,
+                append_error_ppm: 0,
+                snapshot_error_ppm: 0,
+                read_timeout_ppm: 0,
+                latency_us: 0
+            }
+        );
+        let genome: Vec<u8> = (0..64u8).collect();
+        let a = StoreFaultPlan::from_genome(&genome);
+        assert_eq!(a, StoreFaultPlan::from_genome(&genome));
+        // Rate caps hold whatever the bytes say.
+        for len in 0..40 {
+            let p = StoreFaultPlan::from_genome(&vec![0xFF; len]);
+            assert!(p.append_error_ppm <= 120_000);
+            assert!(p.snapshot_error_ppm <= 500_000);
+            assert!(p.read_timeout_ppm <= 200_000);
+            assert!(p.latency_us <= 5_000);
+        }
+    }
+
+    #[test]
+    fn latency_is_recorded_not_slept() {
+        let plan = StoreFaultPlan {
+            seed: 9,
+            append_error_ppm: 0,
+            snapshot_error_ppm: 0,
+            read_timeout_ppm: 0,
+            latency_us: 400,
+        };
+        let mut s = FaultyStore::new(MemStore::new(), plan);
+        for i in 0..16 {
+            s.append(format!("r{i}").as_bytes()).unwrap();
+        }
+        // Sampled latency stays within the nominal ±50% jitter band.
+        for op in 0..16u64 {
+            let us = plan.latency_sample_us(KIND_APPEND, op);
+            assert!((200..=800).contains(&us), "latency {us}µs out of band");
+        }
+    }
+}

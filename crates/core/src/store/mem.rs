@@ -134,6 +134,18 @@ mod tests {
     }
 
     #[test]
+    fn drop_last_record_returns_the_framed_size() {
+        let mut s = MemStore::new();
+        assert_eq!(s.drop_last_record(), 0);
+        s.append(b"keep").unwrap();
+        s.append(b"lose-me").unwrap();
+        let dropped = s.drop_last_record();
+        assert_eq!(dropped, b"lose-me".len() as u64 + FRAME_HEADER_BYTES as u64);
+        assert_eq!(s.load().unwrap().records, vec![b"keep".to_vec()]);
+        assert_eq!(s.wal_records(), 1);
+    }
+
+    #[test]
     fn mem_store_retains_last_n_snapshot_generations() {
         let mut s = MemStore::new();
         assert_eq!(s.snapshot_generations(), 0);

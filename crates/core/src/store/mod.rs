@@ -1,4 +1,5 @@
-//! Durable state stores for the control plane — the store backend family.
+//! Durable state stores for the control plane: two media and one fault
+//! decorator.
 //!
 //! The paper's warehouse optimizer runs as a long-lived service; §7 stresses
 //! that optimization must be "fully automated" and safe to operate. A
@@ -17,11 +18,12 @@
 //! * [`FileStore`] — file-backed store with length+CRC32-framed records,
 //!   atomic (tmp file + rename) snapshot writes, and torn-tail truncation on
 //!   open: a record half-written at kill time is dropped, never replayed.
-//! * [`RemoteKvStore`] — a simulated remote KV service (the
-//!   memory/redis/dynamodb spread of a real deployment) with per-operation
-//!   service latency and seeded fault injection via [`StoreFaultPlan`]:
-//!   append errors, snapshot write failures, and read timeouts, all
-//!   deterministic so the crash-drill matrix is reproducible.
+//! * [`FaultyStore`] — a decorator over either medium that simulates a
+//!   remote service (the memory/redis/dynamodb spread of a real deployment):
+//!   per-operation service latency and seeded fault injection via
+//!   [`StoreFaultPlan`] — append errors, snapshot write failures, and read
+//!   timeouts, all deterministic so the crash-drill matrix is reproducible.
+//!   It owns the plan and the op counter and forwards everything else.
 //! * [`CrashPlan`] — deterministic crash-injection schedule for the recovery
 //!   harness (kill tick and torn-write byte offset from a seed).
 //!
@@ -29,20 +31,21 @@
 //! keeps running. A clean crash at a tick boundary loses nothing — recovery
 //! replays the WAL and resumes bit-identically. A torn write loses at most
 //! the final unflushed record; recovery truncates the tail and resumes from
-//! the last complete record. A *faulty* store (remote KV under injected
+//! the last complete record. A *faulty* store (either medium under injected
 //! faults) degrades durability fail-open: the orchestrator retries
 //! transient errors in line, counts every failure under `keebo.store.*`,
 //! and only detaches when an append can never land.
 
+use crate::drng::splitmix64;
 use std::io;
 
+mod faulty;
 mod file;
 mod mem;
-mod remote;
 
+pub use faulty::{FaultyStore, StoreFaultPlan};
 pub use file::FileStore;
 pub use mem::MemStore;
-pub use remote::{RemoteKvStore, StoreFaultPlan};
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes`. Hand-rolled bitwise loop —
 /// record frames are small and this avoids a table or a dependency.
@@ -157,14 +160,6 @@ pub fn scan_frames(bytes: &[u8]) -> FrameScan {
         payloads,
         valid_bytes: pos,
     }
-}
-
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Deterministic crash-injection schedule: derived purely from a seed so

@@ -78,13 +78,6 @@ impl TelemetryFetcher {
         Self::default()
     }
 
-    /// Current `(query, event)` stream cursors: indexes of the next
-    /// unconsumed records in the account's append-only telemetry streams.
-    /// Used by crash recovery to re-ingest exactly the delivered ranges.
-    pub fn cursors(&self) -> (usize, usize) {
-        (self.query_cursor, self.event_cursor)
-    }
-
     /// Fetches new records from the account into the store, charging
     /// overhead credits at `now`. Returns the number of new query records
     /// ingested.
@@ -115,10 +108,10 @@ impl TelemetryFetcher {
             return Err(FetchError::Outage);
         }
 
-        let queries = &account.query_records()[self.query_cursor..];
-        let events = &account.event_records()[self.event_cursor..];
-        let mut n_queries = queries.len();
-        let mut n_events = events.len();
+        let query_records = account.query_records().len();
+        let event_records = account.event_records().len();
+        let mut n_queries = query_records.saturating_sub(self.query_cursor);
+        let mut n_events = event_records.saturating_sub(self.event_cursor);
         if let TelemetryFault::Partial { keep_fraction } = fault {
             let f = keep_fraction.clamp(0.0, 1.0);
             n_queries = (n_queries as f64 * f).floor() as usize;
@@ -128,18 +121,13 @@ impl TelemetryFetcher {
                 .inc();
             self.stats.partial_fetches += 1;
         }
-
-        store.ingest_queries(queries[..n_queries].iter().cloned());
-        store.ingest_events(events[..n_events].iter().cloned());
-        self.query_cursor += n_queries;
-        self.event_cursor += n_events;
-
-        // Billing snapshots are authoritative per fetch. Walk the ledger
-        // by reference: no name list, no per-warehouse history clone unless
-        // the snapshot actually changed since the last fetch.
-        for (name, credits) in account.ledger().iter_warehouses() {
-            store.update_billing(name, credits);
-        }
+        self.deliver(
+            account,
+            store,
+            now,
+            self.query_cursor + n_queries,
+            self.event_cursor + n_events,
+        );
 
         let records = (n_queries + n_events) as u64;
         let cost = self.base_cost_per_fetch + self.cost_per_1k_records * records as f64 / 1000.0;
@@ -148,8 +136,54 @@ impl TelemetryFetcher {
         self.stats.fetches += 1;
         self.stats.records_fetched += records;
         self.stats.overhead_credits += cost;
-        store.note_fetch_success(now);
         Ok(n_queries)
+    }
+
+    /// WAL replay's half of a fetch: delivers again what the original fetch
+    /// delivered — the records between this fetcher's cursors and those of
+    /// `after`, the fetcher state logged once that fetch completed — and
+    /// charges nothing, because the account paid before the crash.
+    pub fn redeliver(
+        &mut self,
+        account: &Account,
+        store: &mut TelemetryStore,
+        now: SimTime,
+        after: &TelemetryFetcher,
+    ) {
+        self.deliver(account, store, now, after.query_cursor, after.event_cursor);
+    }
+
+    /// Delivers the account's records from the cursors up to `query_end` /
+    /// `event_end` into the store, with the authoritative billing
+    /// snapshots, and marks the store fresh at `now`.
+    fn deliver(
+        &mut self,
+        account: &Account,
+        store: &mut TelemetryStore,
+        now: SimTime,
+        query_end: usize,
+        event_end: usize,
+    ) {
+        let queries = account.query_records();
+        let events = account.event_records();
+        // Clamp defensively: a corrupt replayed record must degrade, not
+        // panic.
+        let q0 = self.query_cursor.min(queries.len());
+        let q1 = query_end.min(queries.len()).max(q0);
+        let e0 = self.event_cursor.min(events.len());
+        let e1 = event_end.min(events.len()).max(e0);
+        store.ingest_queries(queries[q0..q1].iter().cloned());
+        store.ingest_events(events[e0..e1].iter().cloned());
+        self.query_cursor = q1;
+        self.event_cursor = e1;
+
+        // Billing snapshots are authoritative per fetch. Walk the ledger
+        // by reference: no name list, no per-warehouse history clone unless
+        // the snapshot actually changed since the last fetch.
+        for (name, credits) in account.ledger().iter_warehouses() {
+            store.update_billing(name, credits);
+        }
+        store.note_fetch_success(now);
     }
 
     /// Cumulative statistics.

@@ -80,15 +80,10 @@ impl TelemetryStore {
     }
 
     /// Replaces the billing history of a warehouse (billing is cumulative,
-    /// so each fetch supplies the authoritative snapshot).
-    pub fn set_billing(&mut self, warehouse: &str, credits: HourlyCredits) {
-        self.billing.insert(warehouse.to_string(), credits);
-    }
-
-    /// Borrowing variant of [`TelemetryStore::set_billing`] for batch
-    /// refreshes straight off the ledger: skips the clone entirely when the
-    /// snapshot is unchanged since the last fetch (the common case for
-    /// suspended warehouses) and reuses the existing key otherwise.
+    /// so each fetch supplies the authoritative snapshot), straight off the
+    /// ledger: skips the clone entirely when the snapshot is unchanged since
+    /// the last fetch (the common case for suspended warehouses) and reuses
+    /// the existing key otherwise.
     pub fn update_billing(&mut self, warehouse: &str, credits: &HourlyCredits) {
         match self.billing.get_mut(warehouse) {
             Some(cur) => {
@@ -251,30 +246,27 @@ mod tests {
         let mut s = TelemetryStore::new();
         let mut h = HourlyCredits::new();
         h.add(0, 1.0);
-        s.set_billing("A", h.clone());
+        s.update_billing("A", &h);
         h.add(0, 1.0);
-        s.set_billing("A", h);
+        s.update_billing("A", &h);
         assert_eq!(s.billing("A").unwrap().total(), 2.0);
     }
 
     #[test]
-    fn update_billing_matches_set_billing_semantics() {
-        let mut a = TelemetryStore::new();
-        let mut b = TelemetryStore::new();
+    fn update_billing_is_authoritative_whether_or_not_the_snapshot_changed() {
+        let mut s = TelemetryStore::new();
         let mut h = HourlyCredits::new();
         h.add(0, 1.0);
-        a.set_billing("A", h.clone());
-        b.update_billing("A", &h);
-        assert_eq!(a.billing("A"), b.billing("A"));
+        s.update_billing("A", &h);
+        assert_eq!(s.billing("A"), Some(&h));
         // Unchanged snapshot: update is a no-op but stays authoritative.
-        b.update_billing("A", &h);
-        assert_eq!(b.billing("A").unwrap().total(), 1.0);
-        // Changed snapshot replaces, exactly like set_billing.
+        s.update_billing("A", &h);
+        assert_eq!(s.billing("A").unwrap().total(), 1.0);
+        // Changed snapshot replaces the stored one.
         h.add(3 * cdw_sim::HOUR_MS, 2.0);
-        a.set_billing("A", h.clone());
-        b.update_billing("A", &h);
-        assert_eq!(a.billing("A"), b.billing("A"));
-        assert_eq!(b.billing("A").unwrap().total(), 3.0);
+        s.update_billing("A", &h);
+        assert_eq!(s.billing("A"), Some(&h));
+        assert_eq!(s.billing("A").unwrap().total(), 3.0);
     }
 
     #[test]

@@ -396,8 +396,8 @@ pub fn probe_persist_decoders(bytes: &[u8]) -> Result<(), CaseFailure> {
     })
 }
 
-/// Drives [`keebo::StoreFaultPlan::from_genome`] and a [`keebo::RemoteKvStore`]
-/// under the decoded plan with the raw genome bytes. Three contracts, all
+/// Drives [`keebo::StoreFaultPlan::from_genome`] and a [`keebo::FaultyStore`]
+/// over a `MemStore` under the decoded plan with the raw genome bytes. Three contracts, all
 /// checked under `catch_unwind` so any panic becomes a shrinkable failure:
 ///
 /// 1. genome decode is total and deterministic, and the advertised rate
@@ -409,7 +409,7 @@ pub fn probe_persist_decoders(bytes: &[u8]) -> Result<(), CaseFailure> {
 ///    read failure), never corruption.
 pub fn probe_store_fault_plan(bytes: &[u8]) -> Result<(), CaseFailure> {
     catch_unwind(AssertUnwindSafe(|| {
-        use keebo::{RemoteKvStore, StateStore, StoreFaultPlan};
+        use keebo::{FaultyStore, MemStore, StateStore, StoreFaultPlan};
         let plan = StoreFaultPlan::from_genome(bytes);
         assert!(plan.append_error_ppm <= 120_000, "append cap violated");
         assert!(plan.snapshot_error_ppm <= 500_000, "snapshot cap violated");
@@ -421,7 +421,7 @@ pub fn probe_store_fault_plan(bytes: &[u8]) -> Result<(), CaseFailure> {
             "genome decode must be deterministic"
         );
 
-        let mut store = RemoteKvStore::new(plan);
+        let mut store = FaultyStore::new(MemStore::new(), plan);
         let mut model_wal: Vec<Vec<u8>> = Vec::new();
         let mut model_snapshot: Option<Vec<u8>> = None;
         for (i, chunk) in bytes.chunks(5).enumerate().take(64) {
@@ -446,7 +446,7 @@ pub fn probe_store_fault_plan(bytes: &[u8]) -> Result<(), CaseFailure> {
                             contents.snapshot, model_snapshot,
                             "snapshot diverged from model"
                         );
-                        assert_eq!(contents.truncated_bytes, 0, "remote WAL never tears");
+                        assert_eq!(contents.truncated_bytes, 0, "an in-memory WAL never tears");
                     }
                     Err(e) => assert_eq!(
                         e.kind(),

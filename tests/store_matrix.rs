@@ -1,24 +1,24 @@
-//! Crash-drill matrix across the store backend family.
+//! Crash-drill matrix across the store media and the fault decorator.
 //!
-//! The contract pinned here extends `tests/recovery.rs` from one backend to
-//! the whole family (see `keebo::store`): for **every** backend —
-//! [`MemStore`], [`FileStore`], [`RemoteKvStore`] under seeded fault plans —
-//! a control plane killed at any seeded tick boundary recovers
+//! The contract pinned here extends `tests/recovery.rs` from one store to
+//! every composition `keebo::store` offers: on **both** media — [`MemStore`]
+//! and `FileStore`, healthy or behind a [`FaultyStore`] under seeded fault
+//! plans — a control plane killed at any seeded tick boundary recovers
 //! *bit-identically*: the recovered run's decision log and billing match an
 //! uninterrupted run of the same scenario exactly. The matrix covers ≥100
-//! seeded (backend, scenario, seed, crash tick, policy) cells; half the
+//! seeded (medium, fault plan, scenario, seed, crash tick, policy) cells; half the
 //! cells run a tight size-triggered [`SnapshotPolicy`] instead of the
 //! default 48-tick cadence, so compaction itself is proven invisible.
 //!
 //! Also pinned here:
-//! * negative paths: each injected `RemoteKvStore` fault increments its
+//! * negative paths: each injected `FaultyStore` fault increments its
 //!   matching fail-open `keebo.store.*` counter while the optimization
 //!   digest stays identical to a store-less run;
 //! * compaction bounds replay: a 10k-tick run under a size+age policy keeps
 //!   the WAL (and therefore recovery replay) bounded and retains exactly
 //!   the configured number of snapshot generations;
-//! * snapshot-format versioning end to end: a v1 reader restores a v0
-//!   (bare-JSON, pre-envelope) snapshot bit-identically.
+//! * the snapshot envelope stays forward-compatible: unknown header fields
+//!   are skipped, every truncation is an error.
 
 // Offline builds patch proptest with a no-op stub (.devstubs/), under which
 // the imports below count as unused; real proptest (CI) uses all of them.
@@ -27,16 +27,14 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-use cdw_sim::{
-    Account, Simulator, WarehouseConfig, WarehouseId, WarehouseSize, DAY_MS, HOUR_MS, MINUTE_MS,
-};
+use cdw_sim::{Account, Simulator, WarehouseConfig, WarehouseSize, DAY_MS, HOUR_MS, MINUTE_MS};
 use keebo::drill::{
     build_sim, fast_setup, fingerprint, run_cell, run_uninterrupted, DrillBackend, DrillCell,
     Fingerprint, END_MS, OBSERVE_MS, SCENARIOS, TICK_MS, WAREHOUSE,
 };
-use keebo::persist::{decode_snapshot, encode_snapshot_v0, encode_snapshot_with_extra_fields};
+use keebo::persist::{decode_snapshot, encode_snapshot_with_extra_fields};
 use keebo::{
-    generate_trace, KwoSetup, MemStore, Orchestrator, RemoteKvStore, SnapshotPolicy, StateStore,
+    generate_trace, FaultyStore, KwoSetup, MemStore, Orchestrator, SnapshotPolicy, StateStore,
     StoreFaultPlan,
 };
 use proptest::prelude::*;
@@ -53,10 +51,10 @@ fn tight_policy() -> SnapshotPolicy {
     }
 }
 
-/// Fault plans the remote cells run under. Append rates stay well under the
+/// Fault plans the faulted cells run under. Append rates stay well under the
 /// orchestrator's 4-attempt retry budget so no plan ever detaches the store
 /// (a detach would — correctly — fail the bit-identity assertion).
-fn remote_plans() -> [StoreFaultPlan; 4] {
+fn fault_plans() -> [StoreFaultPlan; 4] {
     [
         // Healthy remote, latency only.
         StoreFaultPlan {
@@ -135,18 +133,23 @@ fn file_cells() -> Vec<DrillCell> {
     cells
 }
 
-fn remote_cells() -> Vec<DrillCell> {
+/// Every fault plan over both media: the first two crash seeds of each
+/// (plan, scenario) wrap a `MemStore`, the last two a `FileStore`, so each
+/// medium meets each plan under both compaction policies.
+fn faulted_cells() -> Vec<DrillCell> {
     let mut cells = Vec::new();
-    for (p, plan) in remote_plans().into_iter().enumerate() {
+    for (p, plan) in fault_plans().into_iter().enumerate() {
         for scenario in [0usize, 2, 3] {
             for k in 0..4u64 {
                 let crash_seed = p as u64 * 10_000 + scenario as u64 * 100 + k;
-                cells.push(with_policy_split(DrillCell::clean(
-                    scenario,
-                    31,
-                    crash_seed,
-                    DrillBackend::Remote(plan),
-                )));
+                let backend = if k < 2 {
+                    DrillBackend::Mem
+                } else {
+                    DrillBackend::File(scratch_dir(&format!("faulted-{p}-{scenario}-{k}")))
+                };
+                let mut cell = DrillCell::clean(scenario, 31, crash_seed, backend);
+                cell.faults = plan;
+                cells.push(with_policy_split(cell));
             }
         }
     }
@@ -192,7 +195,7 @@ fn drill_cells(cells: &[DrillCell], label: &str) -> usize {
 
 #[test]
 fn matrix_covers_at_least_100_cells() {
-    let total = mem_cells().len() + file_cells().len() + remote_cells().len();
+    let total = mem_cells().len() + file_cells().len() + faulted_cells().len();
     assert!(total >= 100, "matrix shrank below the floor: {total} cells");
 }
 
@@ -209,8 +212,8 @@ fn file_store_matrix_recovers_bit_identically() {
 }
 
 #[test]
-fn remote_store_matrix_recovers_bit_identically() {
-    let n = drill_cells(&remote_cells(), "remote");
+fn faulted_store_matrix_recovers_bit_identically() {
+    let n = drill_cells(&faulted_cells(), "faulted");
     assert_eq!(n, 48);
 }
 
@@ -218,7 +221,7 @@ fn remote_store_matrix_recovers_bit_identically() {
 
 /// Runs scenario 0 / seed 77 with the given store attached the whole way
 /// (no crash) and returns its fingerprint.
-fn run_attached(store: RemoteKvStore) -> Fingerprint {
+fn run_attached(store: FaultyStore<MemStore>) -> Fingerprint {
     let (mut sim, wh) = build_sim(0, 77);
     let mut kwo = Orchestrator::new(77);
     kwo.attach_store(Box::new(store), sim.now());
@@ -243,7 +246,7 @@ fn append_faults_count_then_detach_fail_open() {
         append_error_ppm: 1_000_000,
         ..StoreFaultPlan::none()
     };
-    let digest = run_attached(RemoteKvStore::new(plan));
+    let digest = run_attached(FaultyStore::new(MemStore::new(), plan));
 
     assert_eq!(
         digest, baseline,
@@ -274,7 +277,7 @@ fn snapshot_faults_count_but_keep_the_store_attached() {
         snapshot_error_ppm: 1_000_000,
         ..StoreFaultPlan::none()
     };
-    let store = RemoteKvStore::new(plan);
+    let store = FaultyStore::new(MemStore::new(), plan);
     let probe = store.clone();
     let (mut sim, wh) = build_sim(0, 77);
     let mut kwo = Orchestrator::new(77);
@@ -319,7 +322,7 @@ fn read_timeouts_count_and_surface_after_bounded_retries() {
         read_timeout_ppm: 1_000_000,
         ..StoreFaultPlan::none()
     };
-    let store = RemoteKvStore::new(plan);
+    let store = FaultyStore::new(MemStore::new(), plan);
     let probe = store.clone();
     let _ = run_attached(store);
 
@@ -413,68 +416,6 @@ fn compaction_bounds_replay_over_a_10k_tick_run() {
     );
     assert!(stats.snapshot_bytes > 0, "recovery started from a snapshot");
     assert!(kwo.optimizer(WAREHOUSE).is_some());
-}
-
-// ---- snapshot-format versioning: v1 reader, v0 snapshot ----
-
-/// Runs scenario 2 / seed 55 to a mid-run crash with a mid-cycle snapshot
-/// cadence, so the surviving store holds a *meaty* snapshot (trained
-/// optimizer state) plus live WAL records.
-fn run_to_crash_with_snapshot() -> (Simulator, WarehouseId, MemStore) {
-    let crash_t = OBSERVE_MS + 29 * TICK_MS;
-    let (mut sim, wh) = build_sim(2, 55);
-    let store = MemStore::new();
-    let mut kwo = Orchestrator::new(55);
-    kwo.attach_store(Box::new(store.clone()), sim.now());
-    kwo.set_snapshot_policy(SnapshotPolicy {
-        interval_ticks: 10,
-        ..SnapshotPolicy::default()
-    });
-    kwo.manage(&sim, WAREHOUSE, fast_setup());
-    kwo.observe_until(&mut sim, OBSERVE_MS);
-    kwo.onboard(&mut sim);
-    kwo.run_until(&mut sim, crash_t);
-    drop(kwo);
-    (sim, wh, store)
-}
-
-#[test]
-fn v1_reader_restores_a_v0_snapshot_bit_identically() {
-    // Reference: restore from the v1 (enveloped) snapshot and finish.
-    let (mut sim_v1, wh_v1, store_v1) = run_to_crash_with_snapshot();
-    let (mut kwo, stats_v1) =
-        Orchestrator::restore(Box::new(store_v1), &sim_v1).expect("v1 restore");
-    kwo.run_until(&mut sim_v1, END_MS);
-    let digest_v1 = fingerprint(&kwo, &sim_v1, wh_v1);
-
-    // Same history, but the snapshot is re-encoded in the legacy v0 format
-    // (bare JSON, no envelope) — what a store written before the format
-    // versioning change holds.
-    let (mut sim_v0, wh_v0, store_now) = run_to_crash_with_snapshot();
-    let mut boxed: Box<dyn StateStore> = Box::new(store_now);
-    let contents = boxed.load().expect("load surviving store");
-    let snap_bytes = contents.snapshot.expect("cadence 10 landed a snapshot");
-    let snap = decode_snapshot(&snap_bytes).expect("decode v1 snapshot");
-    let v0_bytes = encode_snapshot_v0(&snap).expect("re-encode as legacy v0");
-    assert_ne!(v0_bytes, snap_bytes, "v0 and v1 encodings must differ");
-
-    let mut legacy = MemStore::new();
-    legacy
-        .write_snapshot(&v0_bytes)
-        .expect("seed legacy snapshot");
-    for record in &contents.records {
-        legacy.append(record).expect("replay WAL into legacy store");
-    }
-    let (mut kwo, stats_v0) =
-        Orchestrator::restore(Box::new(legacy), &sim_v0).expect("v1 reader restores v0 snapshot");
-    kwo.run_until(&mut sim_v0, END_MS);
-    let digest_v0 = fingerprint(&kwo, &sim_v0, wh_v0);
-
-    assert_eq!(
-        digest_v0, digest_v1,
-        "a v0 snapshot must restore bit-identically to its v1 encoding"
-    );
-    assert_eq!(stats_v0.replayed_records, stats_v1.replayed_records);
 }
 
 // ---- versioned-envelope and fault-plan decode properties ----
