@@ -39,6 +39,5 @@ pub use reward::{compute_reward, PerfSignals};
 pub use slider::SliderPosition;
 pub use state::{AgentState, STATE_DIM};
 pub use trainer::{
-    baseline_p99, reconstruct_specs, rollout_static, train_on_workload, EpisodeConfig,
-    TrainingStats,
+    baseline_p99, reconstruct_specs, train_on_workload, EpisodeConfig, TrainingStats,
 };

@@ -111,8 +111,8 @@ pub fn baseline_p99(specs: &[QuerySpec], config: &WarehouseConfig) -> f64 {
 }
 
 /// Runs the workload under a fixed configuration, returning (records,
-/// total credits). Useful for baselines and tests.
-pub fn rollout_static(specs: &[QuerySpec], config: &WarehouseConfig) -> (Vec<QueryRecord>, f64) {
+/// total credits).
+fn rollout_static(specs: &[QuerySpec], config: &WarehouseConfig) -> (Vec<QueryRecord>, f64) {
     let mut account = Account::new();
     let wh = account.create_warehouse("TRAIN", config.clone());
     let mut sim = Simulator::new(account);

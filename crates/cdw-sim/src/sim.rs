@@ -143,11 +143,6 @@ impl Simulator {
         self.post_event_hook = Some(PostEventHook(Box::new(hook)));
     }
 
-    /// Removes the post-event observer, if any.
-    pub fn clear_post_event_hook(&mut self) {
-        self.post_event_hook = None;
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.clock
@@ -795,31 +790,6 @@ mod tests {
         assert_eq!(seen.len() as u64, sim.processed_events());
         assert!(seen.windows(2).all(|w| w[0] <= w[1]), "clock monotone");
         assert!(!seen.is_empty());
-    }
-
-    #[test]
-    fn clearing_post_event_hook_stops_callbacks() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let (mut sim, wh) =
-            single_wh_sim(WarehouseConfig::new(WarehouseSize::XSmall).with_auto_suspend_secs(60));
-        let count = Arc::new(AtomicU64::new(0));
-        let sink = Arc::clone(&count);
-        sim.set_post_event_hook(move |_, _| {
-            sink.fetch_add(1, Ordering::Relaxed);
-        });
-        sim.submit_query(wh, q(1, 0, 1_000.0));
-        sim.run_until(10 * SECOND_MS);
-        let frozen = count.load(Ordering::Relaxed);
-        assert!(frozen > 0);
-        sim.clear_post_event_hook();
-        sim.submit_query(wh, q(2, 11 * SECOND_MS, 1_000.0));
-        sim.run_until(HOUR_MS);
-        assert_eq!(
-            count.load(Ordering::Relaxed),
-            frozen,
-            "no callbacks after clear"
-        );
     }
 
     #[test]

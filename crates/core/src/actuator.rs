@@ -77,37 +77,31 @@ pub struct ActionLogEntry {
     pub commands: Vec<CommandOutcome>,
 }
 
-/// Applies actions and remembers everything it did. Serializable so the
-/// action log (the portal's audit trail) survives a control-plane crash.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+/// Small credit cost per executed command (ALTER statements are metadata
+/// queries; nearly free but not zero — part of Fig. 6's overhead
+/// accounting).
+const COST_PER_COMMAND: f64 = 0.0005;
+/// In-line retries per command on transient control-plane errors
+/// (`ServiceUnavailable`/`Throttled`). These model sub-second client
+/// retries, so they don't advance sim time; longer waits are the
+/// reconciler's job (cross-tick exponential backoff).
+const MAX_TRANSIENT_RETRIES: u32 = 2;
+
+/// Applies actions and remembers everything it did: the action log is the
+/// portal's audit trail, and every count below is read off it.
+#[derive(Debug, Default, Clone)]
 pub struct Actuator {
     log: Vec<ActionLogEntry>,
-    /// Small credit cost per executed command (ALTER statements are
-    /// metadata queries; nearly free but not zero — part of Fig. 6's
-    /// overhead accounting).
-    pub cost_per_command: f64,
-    /// In-line retries per command on transient control-plane errors
-    /// (`ServiceUnavailable`/`Throttled`). These model sub-second client
-    /// retries, so they don't advance sim time; longer waits are the
-    /// reconciler's job (cross-tick exponential backoff).
-    pub max_transient_retries: u32,
-    retries: u64,
 }
 
 impl Actuator {
     pub fn new() -> Self {
-        Self {
-            log: Vec::new(),
-            cost_per_command: 0.0005,
-            max_transient_retries: 2,
-            retries: 0,
-        }
+        Self::default()
     }
 
     /// Runs one command, retrying transient errors up to
-    /// `max_transient_retries` times; every attempt is billed.
+    /// [`MAX_TRANSIENT_RETRIES`] times; every attempt is billed.
     fn run_command(
-        &mut self,
         sim: &mut Simulator,
         wh: WarehouseId,
         cmd: WarehouseCommand,
@@ -116,11 +110,9 @@ impl Actuator {
         let mut attempts = 0;
         loop {
             attempts += 1;
-            sim.account_mut()
-                .charge_overhead(now, self.cost_per_command);
+            sim.account_mut().charge_overhead(now, COST_PER_COMMAND);
             match sim.alter_warehouse(wh, cmd, ActionSource::Keebo) {
-                Err(ref e) if e.is_transient() && attempts <= self.max_transient_retries => {
-                    self.retries += 1;
+                Err(ref e) if e.is_transient() && attempts <= MAX_TRANSIENT_RETRIES => {
                     keebo_obs::global()
                         .counter("keebo.actuator.transient_retries")
                         .inc();
@@ -133,7 +125,6 @@ impl Actuator {
     /// Runs a command list, recording per-command outcomes; commands after
     /// the first hard failure are marked `Skipped`.
     fn run_commands(
-        &mut self,
         sim: &mut Simulator,
         wh: WarehouseId,
         warehouse_name: &str,
@@ -153,7 +144,7 @@ impl Actuator {
                 });
                 continue;
             }
-            let (res, attempts) = self.run_command(sim, wh, *cmd, now);
+            let (res, attempts) = Self::run_command(sim, wh, *cmd, now);
             let status = match res {
                 Ok(()) => {
                     any_applied = true;
@@ -201,7 +192,7 @@ impl Actuator {
         reason: &str,
     ) -> ActionOutcome {
         let at = sim.now();
-        let (outcome, commands) = self.run_commands(sim, wh, warehouse_name, commands);
+        let (outcome, commands) = Self::run_commands(sim, wh, warehouse_name, commands);
         self.log.push(ActionLogEntry {
             at,
             warehouse: warehouse_name.to_string(),
@@ -299,20 +290,20 @@ impl Actuator {
             .count()
     }
 
-    /// Total in-line transient retries performed.
+    /// Total in-line transient retries performed: every attempt of a
+    /// command beyond its first.
     pub fn transient_retries(&self) -> u64 {
-        self.retries
+        self.log
+            .iter()
+            .flat_map(|e| &e.commands)
+            .map(|c| u64::from(c.attempts.saturating_sub(1)))
+            .sum()
     }
 
     /// Appends previously recorded entries (WAL replay during crash
     /// recovery — the commands already ran, only the record is restored).
     pub(crate) fn extend_log(&mut self, entries: impl IntoIterator<Item = ActionLogEntry>) {
         self.log.extend(entries);
-    }
-
-    /// Restores the transient-retry counter (crash recovery).
-    pub(crate) fn set_transient_retries(&mut self, retries: u64) {
-        self.retries = retries;
     }
 }
 
@@ -369,7 +360,7 @@ mod tests {
         let mut act = Actuator::new();
         act.apply(&mut sim, wh, "WH", &cfg, AgentAction::SizeUp, "policy");
         let overhead = sim.account().ledger().overhead().total();
-        assert!((overhead - act.cost_per_command).abs() < 1e-12);
+        assert!((overhead - COST_PER_COMMAND).abs() < 1e-12);
     }
 
     #[test]
@@ -406,8 +397,8 @@ mod tests {
         let out = act.apply(&mut sim, wh, "WH", &cfg, AgentAction::SizeDown, "policy");
         assert!(matches!(out, ActionOutcome::Failed(_)));
         let e = &act.log()[0];
-        assert_eq!(e.commands[0].attempts, 1 + act.max_transient_retries);
-        assert_eq!(act.transient_retries() as u32, act.max_transient_retries);
+        assert_eq!(e.commands[0].attempts, 1 + MAX_TRANSIENT_RETRIES);
+        assert_eq!(act.transient_retries(), u64::from(MAX_TRANSIENT_RETRIES));
         assert!(matches!(e.commands[0].status, CommandStatus::Failed(_)));
         // Config untouched.
         assert_eq!(
@@ -416,7 +407,7 @@ mod tests {
         );
         // Each attempt billed.
         let overhead = sim.account().ledger().overhead().total();
-        let expected = act.cost_per_command * (1 + act.max_transient_retries) as f64;
+        let expected = COST_PER_COMMAND * (1 + MAX_TRANSIENT_RETRIES) as f64;
         assert!((overhead - expected).abs() < 1e-12);
     }
 

@@ -37,7 +37,7 @@ pub struct DailyKpis {
 /// Operational / fault KPIs for one managed warehouse — the reliability
 /// panel next to the cost charts: is the optimizer healthy, how often did
 /// actuation fail, and how much of the time was spent flying blind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct OpsKpis {
     /// Current health state.
     pub health: HealthState,
@@ -118,20 +118,7 @@ impl OpsKpis {
     /// Rolls a group of per-warehouse KPI snapshots up into one row (an
     /// all-healthy zero row when the group is empty).
     pub fn rollup<'a>(kpis: impl IntoIterator<Item = &'a OpsKpis>) -> OpsKpis {
-        let mut acc = OpsKpis {
-            health: HealthState::Healthy,
-            healthy_ticks: 0,
-            degraded_ticks: 0,
-            frozen_ticks: 0,
-            actions_applied: 0,
-            actions_failed: 0,
-            rollbacks: 0,
-            reconciliations: 0,
-            transient_retries: 0,
-            fetch_outages: 0,
-            fetch_partials: 0,
-            telemetry_staleness_ms: 0,
-        };
+        let mut acc = OpsKpis::default();
         for k in kpis {
             acc.merge(k);
         }

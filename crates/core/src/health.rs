@@ -29,9 +29,10 @@ pub enum DegradeReason {
 }
 
 /// The optimizer's operating state for one warehouse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum HealthState {
     /// Full optimization: train, predict, act.
+    #[default]
     Healthy,
     /// Reduced operation; the reason picks what is withheld.
     Degraded(DegradeReason),
@@ -75,24 +76,14 @@ impl fmt::Display for HealthState {
     }
 }
 
-/// Thresholds for the health evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HealthSettings {
-    /// Telemetry older than this marks the optimizer degraded.
-    pub stale_telemetry_after_ms: SimTime,
-    /// Consecutive actuation failures at which optimization freezes.
-    pub freeze_after_failures: u32,
-}
-
-impl Default for HealthSettings {
-    fn default() -> Self {
-        Self {
-            // Two hours ≈ several realtime ticks and two training fetches.
-            stale_telemetry_after_ms: 2 * 60 * 60 * 1000,
-            freeze_after_failures: 4,
-        }
-    }
-}
+/// Telemetry older than this marks the optimizer degraded. Two hours ≈
+/// several realtime ticks and two training fetches.
+pub(crate) const STALE_TELEMETRY_AFTER_MS: SimTime = 2 * 60 * 60 * 1000;
+/// Consecutive actuation failures at which optimization freezes.
+const FREEZE_AFTER_FAILURES: u32 = 4;
+/// State changes kept in [`HealthMonitor::transitions`] (the most recent
+/// ones): the history rides inside every journaled tick, so it is bounded.
+const MAX_TRANSITIONS: usize = 64;
 
 /// The live signals the state machine is evaluated from each tick.
 #[derive(Debug, Clone, Copy, Default)]
@@ -116,9 +107,8 @@ pub struct HealthTransition {
 /// Evaluates [`HealthSignals`] into a [`HealthState`] and keeps history.
 /// Serializable so degradation history and tick counters survive a
 /// control-plane crash (the chaos KPIs are computed from them).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct HealthMonitor {
-    settings: HealthSettings,
     state: HealthState,
     transitions: Vec<HealthTransition>,
     healthy_ticks: u64,
@@ -126,22 +116,9 @@ pub struct HealthMonitor {
     frozen_ticks: u64,
 }
 
-impl Default for HealthMonitor {
-    fn default() -> Self {
-        Self::new(HealthSettings::default())
-    }
-}
-
 impl HealthMonitor {
-    pub fn new(settings: HealthSettings) -> Self {
-        Self {
-            settings,
-            state: HealthState::Healthy,
-            transitions: Vec::new(),
-            healthy_ticks: 0,
-            degraded_ticks: 0,
-            frozen_ticks: 0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Re-evaluates the state from live signals at `now`. The evaluation is
@@ -149,10 +126,9 @@ impl HealthMonitor {
     /// follows the signals — and severity is ordered: frozen beats stale
     /// telemetry beats actuation trouble beats drift.
     pub fn evaluate(&mut self, now: SimTime, signals: HealthSignals) -> HealthState {
-        let next = if signals.consecutive_actuation_failures >= self.settings.freeze_after_failures
-        {
+        let next = if signals.consecutive_actuation_failures >= FREEZE_AFTER_FAILURES {
             HealthState::Frozen
-        } else if signals.telemetry_staleness_ms > self.settings.stale_telemetry_after_ms {
+        } else if signals.telemetry_staleness_ms > STALE_TELEMETRY_AFTER_MS {
             HealthState::Degraded(DegradeReason::StaleTelemetry)
         } else if signals.consecutive_actuation_failures > 0 {
             HealthState::Degraded(DegradeReason::ActuationFailures)
@@ -162,6 +138,9 @@ impl HealthMonitor {
             HealthState::Healthy
         };
         if next != self.state {
+            if self.transitions.len() == MAX_TRANSITIONS {
+                self.transitions.remove(0);
+            }
             self.transitions.push(HealthTransition {
                 at: now,
                 from: self.state,
@@ -181,11 +160,6 @@ impl HealthMonitor {
         self.state
     }
 
-    /// Whether new optimization actions may be proposed at all.
-    pub fn can_optimize(&self) -> bool {
-        self.state != HealthState::Frozen
-    }
-
     /// Whether model (re)training on stored telemetry is trustworthy.
     pub fn can_train(&self) -> bool {
         !matches!(
@@ -194,7 +168,7 @@ impl HealthMonitor {
         )
     }
 
-    /// Every state change observed so far.
+    /// The most recent state changes (at most 64), oldest first.
     pub fn transitions(&self) -> &[HealthTransition] {
         &self.transitions
     }
@@ -227,7 +201,6 @@ mod tests {
             m.evaluate(0, HealthSignals::default()),
             HealthState::Healthy
         );
-        assert!(m.can_optimize());
         assert!(m.can_train());
         assert!(m.transitions().is_empty());
         assert_eq!(m.healthy_ticks(), 1);
@@ -244,7 +217,6 @@ mod tests {
             m.evaluate(100, s),
             HealthState::Degraded(DegradeReason::StaleTelemetry)
         );
-        assert!(m.can_optimize(), "degraded still acts (conservatively)");
         assert!(!m.can_train(), "stale data must not retrain models");
     }
 
@@ -276,7 +248,6 @@ mod tests {
             ),
             HealthState::Frozen
         );
-        assert!(!m.can_optimize());
         assert!(!m.can_train());
         // Control plane heals → a successful probe zeroes the failure count
         // and the machine recovers by itself.
@@ -285,7 +256,7 @@ mod tests {
             m.evaluate(t, HealthSignals::default()),
             HealthState::Healthy
         );
-        assert!(m.can_optimize());
+        assert!(m.can_train());
         // Transitions: Healthy→Degraded→Frozen→Healthy.
         let tos: Vec<HealthState> = m.transitions().iter().map(|tr| tr.to).collect();
         assert_eq!(

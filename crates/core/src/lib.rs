@@ -95,9 +95,7 @@ pub use gateway::{
     Admission, Gateway, GatewayConfig, GatewayStats, Priority, Request, RequestKind, ShedCounts,
     ShedReason, TokenBucket,
 };
-pub use health::{
-    DegradeReason, HealthMonitor, HealthSettings, HealthSignals, HealthState, HealthTransition,
-};
+pub use health::{DegradeReason, HealthMonitor, HealthSignals, HealthState, HealthTransition};
 pub use monitoring::{is_external_config_change, Monitor, RealTimeState};
 pub use orchestrator::{
     derive_stream_seed, KwoSetup, ManageError, Orchestrator, SnapshotPolicy, WarehouseOptimizer,
@@ -108,7 +106,7 @@ pub use persist::{
 };
 pub use pool::WorkerPool;
 pub use pricing::{Invoice, ValueBasedPricing};
-pub use reconciler::{ReconcileOutcome, Reconciler, ReconcilerSettings};
+pub use reconciler::{ReconcileOutcome, Reconciler};
 pub use store::{
     scan_frames, CrashPlan, FaultyStore, FileStore, FrameScan, MemStore, StateStore, StoreContents,
     StoreFaultPlan,

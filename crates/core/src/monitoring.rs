@@ -46,27 +46,26 @@ pub struct RealTimeState {
     pub should_back_off: bool,
 }
 
+/// Maximum spike-detector history length: two days of 10-minute intervals.
+const MAX_HISTORY: usize = 288;
+/// Load z-score beyond which a spike is declared.
+const SPIKE_ZSCORE: f64 = 3.0;
+
 /// Sliding-statistics monitor for one warehouse. Serializable so the spike
 /// detector's trailing history survives a control-plane crash.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Monitor {
     /// Trailing per-interval arrival counts for the spike z-score.
     history: Vec<f64>,
-    /// Maximum history length (intervals).
-    max_history: usize,
     /// Baseline p99 (ms) from training, for the latency ratio.
     pub baseline_p99_ms: f64,
-    /// Load z-score beyond which a spike is declared.
-    pub spike_zscore: f64,
 }
 
 impl Monitor {
     pub fn new(baseline_p99_ms: f64) -> Self {
         Self {
             history: Vec::new(),
-            max_history: 288, // two days of 10-minute intervals
             baseline_p99_ms: baseline_p99_ms.max(1.0),
-            spike_zscore: 3.0,
         }
     }
 
@@ -113,7 +112,7 @@ impl Monitor {
         let window = WindowFeatures::compute(records, now.saturating_sub(interval_ms), interval_ms);
         let load_zscore = self.zscore(window.arrivals as f64);
         self.history.push(window.arrivals as f64);
-        if self.history.len() > self.max_history {
+        if self.history.len() > MAX_HISTORY {
             self.history.remove(0);
         }
 
@@ -132,7 +131,7 @@ impl Monitor {
             && (queue_pressure_s > slider.backoff_queue_threshold_s()
                 || latency_ratio > slider.backoff_latency_ratio()
                 || queue_depth >= slider.backoff_queue_depth()
-                || (load_zscore > self.spike_zscore && queue_depth > 0));
+                || (load_zscore > SPIKE_ZSCORE && queue_depth > 0));
 
         RealTimeState {
             window,

@@ -29,14 +29,13 @@ mod tick;
 
 use crate::actuator::Actuator;
 use crate::drng::DetRng;
-use crate::health::{HealthMonitor, HealthSettings};
-use crate::monitoring::Monitor;
+use crate::health::HealthMonitor;
 use crate::persist::{CtlState, OptimizerSnapshot, PersistError, PersistRecord, RetrainRecord};
-use crate::reconciler::{Reconciler, ReconcilerSettings};
+use crate::reconciler::Reconciler;
 use crate::store::StateStore;
 use agent::{
-    baseline_p99, reconstruct_specs, train_on_workload, AgentAction, ConstraintSet,
-    DegradedFallback, DqnAgent, DqnConfig, EpisodeConfig, Rule, SliderPosition, Transition,
+    baseline_p99, reconstruct_specs, train_on_workload, ConstraintSet, DegradedFallback, DqnAgent,
+    DqnConfig, EpisodeConfig, Rule, SliderPosition, Transition,
 };
 use cdw_sim::{
     QueryRecord, SimTime, Simulator, WarehouseConfig, WarehouseId, DAY_MS, HOUR_MS, MINUTE_MS,
@@ -48,6 +47,9 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 use telemetry::{TelemetryFetcher, TelemetryStore};
+
+/// Decision-trace ring-buffer capacity: events kept per warehouse.
+const TRACE_CAPACITY: usize = 2048;
 
 /// Wall-clock time per control tick (µs), across every optimizer in the
 /// process. Observability only — wall time never feeds back into decisions.
@@ -81,17 +83,6 @@ pub struct KwoSetup {
     pub refresh_episodes: usize,
     /// How much trailing history feeds each offline training pass.
     pub train_window_ms: SimTime,
-    /// Optimization pause after an external change (the admin can also
-    /// resume explicitly via [`Orchestrator::admin_resume`]).
-    pub external_pause_ms: SimTime,
-    /// Degradation thresholds for the health state machine.
-    pub health: HealthSettings,
-    /// Retry/backoff tuning for the desired-state reconciler.
-    pub reconciler: ReconcilerSettings,
-    /// Decision-trace ring-buffer capacity (events kept per warehouse);
-    /// 0 disables tracing. Tracing is read-only bookkeeping and never
-    /// perturbs decisions.
-    pub trace_capacity: usize,
 }
 
 impl Default for KwoSetup {
@@ -104,10 +95,6 @@ impl Default for KwoSetup {
             onboarding_episodes: 5,
             refresh_episodes: 1,
             train_window_ms: 3 * DAY_MS,
-            external_pause_ms: 12 * HOUR_MS,
-            health: HealthSettings::default(),
-            reconciler: ReconcilerSettings::default(),
-            trace_capacity: 2048,
         }
     }
 }
@@ -167,6 +154,13 @@ pub fn derive_stream_seed(root: u64, key: &str) -> u64 {
     z ^ (z >> 31)
 }
 
+fn gcd(mut a: SimTime, mut b: SimTime) -> SimTime {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
 /// Why [`Orchestrator::try_manage`] refused to manage a warehouse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ManageError {
@@ -201,53 +195,28 @@ struct TickEffects {
     learned: Option<(Transition, u64)>,
 }
 
-/// The per-warehouse optimization state: smart model, cost model, telemetry,
-/// monitoring, actuation, and learning bookkeeping.
+/// One warehouse's optimizer, in three parts: what the admin set
+/// ([`KwoSetup`], the original configuration), what the loop journals every
+/// tick ([`CtlState`]), and what replay rebuilds from the journal (smart
+/// model, cost model, telemetry, actuator log).
 pub struct WarehouseOptimizer {
     wh: WarehouseId,
     name: String,
     /// The customer's configuration at onboarding — the without-Keebo
     /// state every replay compares against.
     original_config: WarehouseConfig,
-    /// The most recently observed configuration (feeds training).
-    expected_config: WarehouseConfig,
     setup: KwoSetup,
+    /// Algorithm 1's loop state, mutated in place by the tick.
+    ctl: CtlState,
     agent: DqnAgent,
     cost_model: WarehouseCostModel,
     store: TelemetryStore,
-    fetcher: TelemetryFetcher,
-    monitor: Monitor,
     actuator: Actuator,
-    reconciler: Reconciler,
-    health: HealthMonitor,
     fallback: DegradedFallback,
-    rng: DetRng,
-    onboarded: bool,
-    last_train: SimTime,
-    last_action: Option<AgentAction>,
-    prev_state: Option<(Vec<f64>, usize)>,
-    prev_credits: f64,
-    prev_dropped: u64,
-    paused_until: Option<SimTime>,
-    baseline_p99_ms: f64,
-    /// Warehouse events before this time have already been scanned for
-    /// external changes; advances only when a fetch succeeds, so events
-    /// delivered late (after an outage) are still inspected.
-    events_cursor: SimTime,
-    /// The most recent configuration under which performance was healthy
-    /// (latency near baseline, no queue buildup). Back-off rolls back to
-    /// this — "roll back the previous settings of the warehouse" (§4.3).
-    last_good_config: Option<WarehouseConfig>,
-    /// Auto-suspend setting computed analytically at the last training
-    /// (idle cost vs cold-restart cost, §3); applied at the next tick.
-    pending_auto_suspend: Option<SimTime>,
-    /// Consecutive healthy ticks; sustained health decays any capacity
-    /// held above the customer's original configuration.
-    healthy_streak: u32,
-    /// Per-tick decision log (ring buffer; capacity from
-    /// [`KwoSetup::trace_capacity`]). Write-only from the control loop.
-    /// Deliberately *not* persisted: it is observability, recreated empty
-    /// after recovery so the trace never perturbs (or bloats) durability.
+    /// Per-tick decision log (ring buffer). Write-only from the control
+    /// loop. Deliberately *not* persisted: it is observability, recreated
+    /// empty after recovery so the trace never perturbs (or bloats)
+    /// durability.
     trace: DecisionTrace,
     /// Replay-relevant effects of the current tick (see [`TickEffects`]).
     effects: TickEffects,
@@ -263,42 +232,19 @@ impl WarehouseOptimizer {
     ) -> Self {
         let mut rng = DetRng::seed_from_u64(seed);
         let agent = DqnAgent::new(DqnConfig::default(), &mut rng);
-        // The reconciler's jitter stream is derived from the optimizer seed
-        // but independent of the learning stream, so adding or removing
-        // retries never perturbs training randomness.
-        let reconciler = Reconciler::with_settings(seed ^ 0xD6E8_FEB8_6659_FD93, setup.reconciler);
-        let health = HealthMonitor::new(setup.health);
-        let trace = DecisionTrace::new(setup.trace_capacity);
         Self {
             wh,
-            expected_config: original_config.clone(),
+            name,
+            ctl: CtlState::new(original_config.clone(), rng, seed ^ 0xD6E8_FEB8_6659_FD93),
             original_config,
             setup,
             agent,
             cost_model: WarehouseCostModel::default(),
             store: TelemetryStore::new(),
-            fetcher: TelemetryFetcher::new(),
-            monitor: Monitor::new(10_000.0),
             actuator: Actuator::new(),
-            reconciler,
-            health,
             fallback: DegradedFallback::default(),
-            rng,
-            onboarded: false,
-            last_train: 0,
-            last_action: None,
-            prev_state: None,
-            prev_credits: 0.0,
-            prev_dropped: 0,
-            paused_until: None,
-            baseline_p99_ms: 10_000.0,
-            events_cursor: 0,
-            last_good_config: None,
-            pending_auto_suspend: None,
-            healthy_streak: 0,
-            trace,
+            trace: DecisionTrace::new(TRACE_CAPACITY),
             effects: TickEffects::default(),
-            name,
         }
     }
 
@@ -329,38 +275,38 @@ impl WarehouseOptimizer {
 
     /// The health state machine (degradation history and tick counters).
     pub fn health(&self) -> &HealthMonitor {
-        &self.health
+        &self.ctl.health
     }
 
     /// The desired-state reconciler.
     pub fn reconciler(&self) -> &Reconciler {
-        &self.reconciler
+        &self.ctl.reconciler
     }
 
     /// Telemetry fetch statistics (including outages and partial batches).
     pub fn fetcher(&self) -> &TelemetryFetcher {
-        &self.fetcher
+        &self.ctl.fetcher
     }
 
-    /// The per-tick decision trace (empty when `trace_capacity` is 0).
+    /// The per-tick decision trace.
     pub fn trace(&self) -> &DecisionTrace {
         &self.trace
     }
 
     /// Whether optimization is currently paused due to an external change.
     pub fn is_paused(&self, now: SimTime) -> bool {
-        self.paused_until.is_some_and(|t| now < t)
+        self.ctl.paused_until.is_some_and(|t| now < t)
     }
 
     /// Whether this optimizer has completed onboarding (a warm-restored
     /// optimizer reports `true` immediately — no re-onboarding).
     pub fn onboarded(&self) -> bool {
-        self.onboarded
+        self.ctl.onboarded
     }
 
     /// Moves the slider (no retraining needed; the model re-calibrates its
     /// decisions because the slider is part of its state — §4.3).
-    pub fn set_slider(&mut self, slider: SliderPosition) {
+    fn set_slider(&mut self, slider: SliderPosition) {
         self.setup.slider = slider;
     }
 
@@ -372,8 +318,8 @@ impl WarehouseOptimizer {
     /// Clears an external-change pause; `expected_config` is the
     /// configuration observed at resume time.
     fn resume(&mut self, expected_config: WarehouseConfig) {
-        self.paused_until = None;
-        self.expected_config = expected_config;
+        self.ctl.paused_until = None;
+        self.ctl.expected_config = expected_config;
     }
 
     /// Onboarding: one fetch and the initial training pass, after which the
@@ -382,7 +328,7 @@ impl WarehouseOptimizer {
         self.effects = TickEffects::default();
         self.sense(sim);
         self.retrain(sim.now(), self.setup.onboarding_episodes, None);
-        self.onboarded = true;
+        self.ctl.onboarded = true;
     }
 
     /// Trains the cost model and smart model from accumulated telemetry.
@@ -395,7 +341,7 @@ impl WarehouseOptimizer {
         if records.is_empty() {
             return None;
         }
-        let cfg = &self.expected_config;
+        let cfg = &self.ctl.expected_config;
         self.cost_model =
             WarehouseCostModel::train(&records, 0, now, cfg.max_concurrency, cfg.max_clusters);
         // Offline episodes on the recent reconstructed workload.
@@ -406,7 +352,7 @@ impl WarehouseOptimizer {
             .cloned()
             .collect();
         if recent.is_empty() || episodes == 0 {
-            self.last_train = now;
+            self.ctl.last_train = now;
             return None;
         }
         let mut specs = reconstruct_specs(&recent, &self.cost_model.latency);
@@ -424,19 +370,18 @@ impl WarehouseOptimizer {
             .map(|r| r.total_latency_ms() as f64)
             .collect();
         if !observed.is_empty() {
-            self.baseline_p99_ms = telemetry::percentile(&observed, 99.0).max(1.0);
-            self.monitor.baseline_p99_ms = self.baseline_p99_ms;
+            self.ctl.monitor.baseline_p99_ms = telemetry::percentile(&observed, 99.0).max(1.0);
         }
         // Auto-suspend: analytic optimum over the observed gap distribution
         // (idle cost at the current rate vs measured cold-restart cost).
         let aso = costmodel::AutoSuspendOptimizer::train(&recent);
         let best = aso.optimal_ms(
             &agent::AUTO_SUSPEND_LADDER_MS,
-            self.expected_config.size.credits_per_hour(),
+            self.ctl.expected_config.size.credits_per_hour(),
             self.setup.slider.perf_penalty_weight(),
             self.setup.slider.backoff_latency_ratio(),
         );
-        self.pending_auto_suspend = Some(best);
+        self.ctl.pending_auto_suspend = Some(best);
 
         // Training baseline: measured inside the reconstructed world so the
         // episode reward compares like with like.
@@ -448,7 +393,7 @@ impl WarehouseOptimizer {
         };
         let seed: u64 = match replay_seed {
             Some(s) => s,
-            None => self.rng.gen(),
+            None => self.ctl.rng.gen(),
         };
         train_on_workload(
             &mut self.agent,
@@ -460,7 +405,7 @@ impl WarehouseOptimizer {
             episodes,
             seed,
         );
-        self.last_train = now;
+        self.ctl.last_train = now;
         Some(seed)
     }
 
@@ -481,62 +426,6 @@ impl WarehouseOptimizer {
         )
     }
 
-    /// Every mutable control scalar/cursor, captured post-event for the WAL.
-    fn export_ctl(&self) -> CtlState {
-        CtlState {
-            expected_config: self.expected_config.clone(),
-            slider: self.setup.slider,
-            onboarded: self.onboarded,
-            last_train: self.last_train,
-            last_action: self.last_action,
-            prev_state: self.prev_state.clone(),
-            prev_credits: self.prev_credits,
-            prev_dropped: self.prev_dropped,
-            paused_until: self.paused_until,
-            baseline_p99_ms: self.baseline_p99_ms,
-            events_cursor: self.events_cursor,
-            last_good_config: self.last_good_config.clone(),
-            pending_auto_suspend: self.pending_auto_suspend,
-            healthy_streak: self.healthy_streak,
-            rng: self.rng.clone(),
-            monitor: self.monitor.clone(),
-            fetcher: self.fetcher.clone(),
-            reconciler: self.reconciler.clone(),
-            health: self.health.clone(),
-            actuator_cost_per_command: self.actuator.cost_per_command,
-            actuator_max_transient_retries: self.actuator.max_transient_retries,
-            actuator_transient_retries: self.actuator.transient_retries(),
-        }
-    }
-
-    /// Imports a [`CtlState`] wholesale — the learning RNG, cursors, and
-    /// backoff schedules land exactly where the exporter left them.
-    fn import_ctl(&mut self, ctl: CtlState) {
-        self.expected_config = ctl.expected_config;
-        self.setup.slider = ctl.slider;
-        self.onboarded = ctl.onboarded;
-        self.last_train = ctl.last_train;
-        self.last_action = ctl.last_action;
-        self.prev_state = ctl.prev_state;
-        self.prev_credits = ctl.prev_credits;
-        self.prev_dropped = ctl.prev_dropped;
-        self.paused_until = ctl.paused_until;
-        self.baseline_p99_ms = ctl.baseline_p99_ms;
-        self.events_cursor = ctl.events_cursor;
-        self.last_good_config = ctl.last_good_config;
-        self.pending_auto_suspend = ctl.pending_auto_suspend;
-        self.healthy_streak = ctl.healthy_streak;
-        self.rng = ctl.rng;
-        self.monitor = ctl.monitor;
-        self.fetcher = ctl.fetcher;
-        self.reconciler = ctl.reconciler;
-        self.health = ctl.health;
-        self.actuator.cost_per_command = ctl.actuator_cost_per_command;
-        self.actuator.max_transient_retries = ctl.actuator_max_transient_retries;
-        self.actuator
-            .set_transient_retries(ctl.actuator_transient_retries);
-    }
-
     /// Everything needed to rebuild this optimizer without replaying its
     /// history (the decision trace is deliberately excluded).
     fn export_snapshot(&self) -> OptimizerSnapshot {
@@ -548,7 +437,7 @@ impl WarehouseOptimizer {
             cost_model: self.cost_model.clone(),
             telemetry: self.store.clone(),
             actuator_log: self.actuator.log().to_vec(),
-            ctl: self.export_ctl(),
+            ctl: self.ctl.clone(),
         }
     }
 
@@ -567,7 +456,7 @@ impl WarehouseOptimizer {
         o.cost_model = snap.cost_model;
         o.store = snap.telemetry;
         o.actuator.extend_log(snap.actuator_log);
-        o.import_ctl(snap.ctl);
+        o.ctl = snap.ctl;
         Ok(o)
     }
 
@@ -583,7 +472,7 @@ impl WarehouseOptimizer {
             transition,
             train_step_seed,
             log_delta: self.actuator.log()[log_from..].to_vec(),
-            ctl: self.export_ctl(),
+            ctl: self.ctl.clone(),
         }
     }
 }
@@ -781,26 +670,27 @@ impl Orchestrator {
     /// or one restored from a store that held only its genesis record) the
     /// simulator just advances.
     pub fn run_until(&mut self, sim: &mut Simulator, until: SimTime) {
-        // All optimizers share a global tick at the minimum cadence; each
-        // fires when its own interval divides the tick time.
+        // All optimizers share a global tick at the gcd of their cadences;
+        // each fires when its own interval divides the tick time.
         let Some(tick) = self
             .optimizers
             .iter()
             .map(|o| o.setup.realtime_interval_ms)
-            .min()
+            .reduce(gcd)
         else {
             sim.run_until(until);
             return;
         };
         let mut t = (sim.now() / tick + 1) * tick;
         while t <= until {
-            sim.run_until(t);
-            for o in &mut self.optimizers {
-                if t.is_multiple_of(o.setup.realtime_interval_ms) {
+            let due = |o: &WarehouseOptimizer| t.is_multiple_of(o.setup.realtime_interval_ms);
+            if self.optimizers.iter().any(due) {
+                sim.run_until(t);
+                for o in self.optimizers.iter_mut().filter(|o| due(o)) {
                     self.journal.journal_tick(o, t, |o| o.tick(sim));
                 }
+                self.journal.note_tick(self.seed, &self.optimizers, t);
             }
-            self.journal.note_tick(self.seed, &self.optimizers, t);
             t += tick;
         }
         sim.run_until(until);
@@ -880,9 +770,9 @@ mod tests {
         kwo.observe_until(&mut sim, DAY_MS);
         kwo.onboard(&mut sim);
         let o = kwo.optimizer("WH").unwrap();
-        assert!(o.onboarded);
+        assert!(o.onboarded());
         assert!(o.cost_model().gaps.dependent_fraction >= 0.0);
-        assert!(o.baseline_p99_ms > 1.0);
+        assert!(o.ctl.monitor.baseline_p99_ms > 1.0);
     }
 
     #[test]
@@ -995,8 +885,8 @@ mod tests {
             "stale telemetry degraded the optimizer"
         );
         assert!(
-            !(outage_from + o.setup.health.stale_telemetry_after_ms..outage_until)
-                .contains(&o.last_train),
+            !(outage_from + crate::health::STALE_TELEMETRY_AFTER_MS..outage_until)
+                .contains(&o.ctl.last_train),
             "no retraining on stale data inside the outage"
         );
         // After the outage clears, health recovers on its own.
@@ -1152,6 +1042,27 @@ mod tests {
             credits_together.to_bits(),
             "bit-identical spend"
         );
+    }
+
+    #[test]
+    fn mixed_cadences_each_tick_at_their_own_interval() {
+        let (mut sim, _, _) = two_warehouse_sim();
+        let mut kwo = Orchestrator::new(9);
+        for (name, minutes) in [("WH_A", 20), ("WH_B", 30)] {
+            let setup = KwoSetup {
+                realtime_interval_ms: minutes * MINUTE_MS,
+                ..fast_setup()
+            };
+            kwo.manage(&sim, name, setup);
+        }
+        kwo.observe_until(&mut sim, DAY_MS);
+        kwo.onboard(&mut sim);
+        kwo.run_until(&mut sim, DAY_MS + 6 * HOUR_MS);
+        // One trace event per post-onboarding tick: six hours hold eighteen
+        // 20-minute ticks and twelve 30-minute ticks.
+        let ticks = |name: &str| kwo.optimizer(name).unwrap().trace().len();
+        assert_eq!(ticks("WH_A"), 18);
+        assert_eq!(ticks("WH_B"), 12);
     }
 
     /// The state `kwo` would snapshot right now, encoded.

@@ -18,8 +18,9 @@ impl WarehouseOptimizer {
     /// stage delivered (same fetcher function, by cursor range) and re-runs
     /// training with the recorded seeds, but never touches the
     /// account (fetch overhead and ALTERs already happened before the
-    /// crash) and never advances the live RNG — the final `import_ctl`
-    /// restores every control scalar, RNG included, to the post-tick state.
+    /// crash) and never advances the live RNG — assigning the journaled
+    /// [`CtlState`] last puts every control scalar, RNG included, in its
+    /// post-tick state.
     fn replay_tick(
         &mut self,
         sim: &Simulator,
@@ -29,7 +30,8 @@ impl WarehouseOptimizer {
         ctl: CtlState,
     ) {
         if effects.fetched {
-            self.fetcher
+            self.ctl
+                .fetcher
                 .redeliver(sim.account(), &mut self.store, now, &ctl.fetcher);
         }
         if let Some(rt) = effects.retrain {
@@ -39,7 +41,7 @@ impl WarehouseOptimizer {
             self.learn(transition, seed);
         }
         self.actuator.extend_log(log_delta);
-        self.import_ctl(ctl);
+        self.ctl = ctl;
     }
 }
 

@@ -29,6 +29,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
+/// Optimization pause after an external change (§4.4); the admin can also
+/// resume explicitly (`Orchestrator::admin_resume`).
+const EXTERNAL_PAUSE_MS: SimTime = 12 * HOUR_MS;
+
 /// What a tick may do, decided once from lifecycle and health. DESIGN.md
 /// ("The control tick") tabulates, per variant, the condition, what still
 /// runs, and the trace reason.
@@ -250,20 +254,25 @@ impl WarehouseOptimizer {
         // Periodic retraining (lines 14–16) — never on stale telemetry: a
         // model refreshed on pre-outage data would silently learn that the
         // world stopped.
-        if self.onboarded
-            && self.health.can_train()
-            && now.saturating_sub(self.last_train) >= self.setup.train_interval_ms
+        if self.ctl.onboarded
+            && self.ctl.health.can_train()
+            && now.saturating_sub(self.ctl.last_train) >= self.setup.train_interval_ms
         {
             self.retrain(now, self.setup.refresh_episodes, None);
         }
         // Monitoring feedback starts at onboarding: events seen before it
         // are setup, not interference.
-        let feedback = self.onboarded.then(|| self.watch(sim, now, health));
+        let feedback = self.ctl.onboarded.then(|| self.watch(sim, now, health));
         if fetched {
-            self.events_cursor = now;
+            self.ctl.events_cursor = now;
         }
         let external_change = feedback.as_ref().is_some_and(|c| c.rts.external_change);
-        let gate = Gate::of(self.onboarded, self.is_paused(now), external_change, health);
+        let gate = Gate::of(
+            self.ctl.onboarded,
+            self.is_paused(now),
+            external_change,
+            health,
+        );
         let Some(mut ctx) = feedback else {
             return; // observation mode: learn the workload before acting
         };
@@ -273,15 +282,16 @@ impl WarehouseOptimizer {
         // when frozen it is the *only* thing that runs, probing the control
         // plane under its own backoff until it heals.
         if gate.degraded() || gate == Gate::Optimize {
-            self.reconciler
+            self.ctl
+                .reconciler
                 .reconcile(sim, &mut self.actuator, self.wh, &self.name);
         }
         if gate != Gate::Optimize {
             // No transition is attributed across a tick the policy sat out.
-            self.prev_state = None;
+            self.ctl.prev_state = None;
         }
         if gate.degraded() {
-            self.healthy_streak = 0;
+            self.ctl.healthy_streak = 0;
         }
         let decision = match gate {
             Gate::Observing => return,
@@ -312,6 +322,7 @@ impl WarehouseOptimizer {
         let now = sim.now();
         let fault = sim.poll_telemetry_fault();
         let fetched = self
+            .ctl
             .fetcher
             .fetch(sim.account_mut(), &mut self.store, now, fault)
             .is_ok();
@@ -322,14 +333,14 @@ impl WarehouseOptimizer {
     /// Stage 2 — assess: health from the live signals at `now`
     /// (pre-reconcile: this tick's repair outcome is seen next tick).
     fn assess(&mut self, sim: &Simulator, now: SimTime) -> HealthState {
-        let config_drift = self.reconciler.desired().is_some_and(|want| {
+        let config_drift = self.ctl.reconciler.desired().is_some_and(|want| {
             !Reconciler::drift_commands(want, &sim.account().describe(self.wh).config).is_empty()
         });
-        self.health.evaluate(
+        self.ctl.health.evaluate(
             now,
             HealthSignals {
                 telemetry_staleness_ms: self.store.staleness_ms(now),
-                consecutive_actuation_failures: self.reconciler.consecutive_failures(),
+                consecutive_actuation_failures: self.ctl.reconciler.consecutive_failures(),
                 config_drift,
             },
         )
@@ -358,9 +369,10 @@ impl WarehouseOptimizer {
         // issued during a telemetry outage is still caught when the events
         // are finally delivered.
         let window_events: Vec<&WarehouseEventRecord> =
-            self.store.events_in(&self.name, self.events_cursor, now);
+            self.store
+                .events_in(&self.name, self.ctl.events_cursor, now);
         let warehouse = sim.account().warehouse(self.wh);
-        let rts = self.monitor.assess(
+        let rts = self.ctl.monitor.assess(
             &window_records,
             &window_events,
             now,
@@ -385,6 +397,7 @@ impl WarehouseOptimizer {
         let mut chosen = AgentAction::NoOp;
         if !self.is_paused(ctx.now) {
             let revert = self
+                .ctl
                 .last_action
                 .take()
                 .and_then(AgentAction::inverse)
@@ -394,10 +407,10 @@ impl WarehouseOptimizer {
                 chosen = inv;
             }
         }
-        self.paused_until = Some(ctx.now + self.setup.external_pause_ms);
-        self.reconciler.clear();
+        self.ctl.paused_until = Some(ctx.now + EXTERNAL_PAUSE_MS);
+        self.ctl.reconciler.clear();
         ctx.desc = sim.account().describe(self.wh);
-        self.expected_config = ctx.desc.config.clone();
+        self.ctl.expected_config = ctx.desc.config.clone();
         Decision::held(Gate::ExternalChange, chosen)
     }
 
@@ -407,7 +420,7 @@ impl WarehouseOptimizer {
     /// racing a mid-repair reconciler.
     fn apply_pending_auto_suspend(&mut self, sim: &mut Simulator, ctx: &TickCtx) {
         let current = &ctx.desc.config;
-        let Some(target) = self.pending_auto_suspend.take() else {
+        let Some(target) = self.ctl.pending_auto_suspend.take() else {
             return;
         };
         if target == current.auto_suspend_ms {
@@ -463,7 +476,7 @@ impl WarehouseOptimizer {
             ] {
                 mask.disallow(a, "health:stale-telemetry");
             }
-            fallback = Some(self.fallback.decide(&state, &mask.mask, &mut self.rng));
+            fallback = Some(self.fallback.decide(&state, &mask.mask, &mut self.ctl.rng));
         } else {
             self.guard_performance(ctx, &mut mask);
         }
@@ -491,8 +504,8 @@ impl WarehouseOptimizer {
         if !rts.should_back_off {
             // Consecutive healthy ticks the policy owned (feeds capacity
             // decay; a back-off tick neither extends nor breaks the run).
-            self.healthy_streak = if perf_healthy {
-                self.healthy_streak + 1
+            self.ctl.healthy_streak = if perf_healthy {
+                self.ctl.healthy_streak + 1
             } else {
                 0
             };
@@ -508,7 +521,7 @@ impl WarehouseOptimizer {
             }
             return;
         }
-        self.last_good_config = Some(desc.config.clone());
+        self.ctl.last_good_config = Some(desc.config.clone());
         // Downsizing only pays while queries actually run (a suspended
         // warehouse bills nothing at any size), and without live load
         // there is no evidence the smaller size performs acceptably —
@@ -558,20 +571,22 @@ impl WarehouseOptimizer {
         let rts = &ctx.rts;
         let credits_now = sim.account().accrued_credits(self.wh, ctx.now);
         let dropped_now = sim.account().warehouse(self.wh).dropped_queries();
-        let reward = self.prev_state.take().map(|(state, action)| {
+        let reward = self.ctl.prev_state.take().map(|(state, action)| {
             let perf = PerfSignals {
                 mean_queue_s: rts.window.mean_queue_ms / 1000.0,
                 latency_ratio: rts.latency_ratio,
-                dropped_queries: dropped_now - self.prev_dropped,
+                dropped_queries: dropped_now - self.ctl.prev_dropped,
             };
             let churn = if action == AgentAction::NoOp.index() {
                 0.0
             } else {
                 agent::reward::ACTION_CHURN_PENALTY
             };
-            let reward =
-                agent::compute_reward(credits_now - self.prev_credits, &perf, self.setup.slider)
-                    - churn;
+            let reward = agent::compute_reward(
+                credits_now - self.ctl.prev_credits,
+                &perf,
+                self.setup.slider,
+            ) - churn;
             let transition = Transition {
                 state,
                 action,
@@ -580,13 +595,13 @@ impl WarehouseOptimizer {
                 next_mask: plan.mask.mask,
                 terminal: false,
             };
-            let seed: u64 = self.rng.gen();
+            let seed: u64 = self.ctl.rng.gen();
             self.effects.learned = Some((transition.clone(), seed));
             self.learn(transition, seed);
             reward
         });
-        self.prev_credits = credits_now;
-        self.prev_dropped = dropped_now;
+        self.ctl.prev_credits = credits_now;
+        self.ctl.prev_dropped = dropped_now;
         reward
     }
 
@@ -649,7 +664,8 @@ impl WarehouseOptimizer {
             // original posture instead of escalating further.
             Some(self.original_config.clone())
         } else {
-            self.last_good_config
+            self.ctl
+                .last_good_config
                 .as_ref()
                 .filter(|good| has_more_capacity(good))
                 .cloned()
@@ -680,7 +696,7 @@ impl WarehouseOptimizer {
                 (format!("Rollback(to {:?})", good.size), reason)
             }
             None => {
-                let action = backoff_action(rts, &mask.mask, self.last_action);
+                let action = backoff_action(rts, &mask.mask, self.ctl.last_action);
                 let reason = Override::Backoff.as_str();
                 self.act(sim, current, Move::Action(action), reason);
                 (format!("{action:?}"), reason)
@@ -688,9 +704,9 @@ impl WarehouseOptimizer {
         };
         // Back-off is a monitoring override, not a policy choice; no
         // transition is attributed to the model for it.
-        self.last_action = None;
-        self.prev_state = None;
-        self.prev_credits = sim.account().accrued_credits(self.wh, ctx.now);
+        self.ctl.last_action = None;
+        self.ctl.prev_state = None;
+        self.ctl.prev_credits = sim.account().accrued_credits(self.wh, ctx.now);
         (chosen, reason)
     }
 
@@ -706,7 +722,7 @@ impl WarehouseOptimizer {
         mask: &MaskTrace,
     ) -> (String, &'static str) {
         let streak_needed = (HOUR_MS / self.setup.realtime_interval_ms.max(1)).max(1) as u32;
-        let decay = self.healthy_streak >= streak_needed;
+        let decay = self.ctl.healthy_streak >= streak_needed;
         let (orig, policy) = (&self.original_config, Gate::Optimize.as_str());
         let (action, reason) =
             if decay && current.size > orig.size && mask.allows(AgentAction::SizeDown) {
@@ -722,9 +738,9 @@ impl WarehouseOptimizer {
         // The action log files decay under the policy it pre-empts.
         self.act(sim, current, Move::Action(action), policy);
         if action != AgentAction::NoOp {
-            self.last_action = Some(action);
+            self.ctl.last_action = Some(action);
         }
-        self.prev_state = Some((state_vec, action.index()));
+        self.ctl.prev_state = Some((state_vec, action.index()));
         (format!("{action:?}"), reason)
     }
 
@@ -744,17 +760,14 @@ impl WarehouseOptimizer {
                 intended_config(current.clone(), cmds)
             }
         };
-        self.reconciler.set_desired(intent);
-        self.expected_config = sim.account().describe(self.wh).config;
+        self.ctl.reconciler.set_desired(intent);
+        self.ctl.expected_config = sim.account().describe(self.wh).config;
     }
 
     /// Appends the tick's decision event. Pure bookkeeping: reads values
     /// the stages already computed and never feeds back. Features are
     /// sanitized so the JSONL export never carries NaN/Inf.
     fn record_decision(&mut self, ctx: &TickCtx, decision: Decision) {
-        if !self.trace.is_enabled() {
-            return;
-        }
         let (config, rts) = (&ctx.desc.config, &ctx.rts);
         self.trace.record(DecisionEvent {
             t_ms: ctx.now,
@@ -941,8 +954,8 @@ mod tests {
         // The untrained latency model tolerates no step below the original.
         assert_eq!(reasons(&plan, SizeDown), ["slider-floor"]);
         assert!(plan.mask.allows(ClustersDown) && plan.fallback.is_none());
-        assert_eq!(o.last_good_config.as_ref(), Some(&ctx.desc.config));
-        assert_eq!(o.healthy_streak, 1);
+        assert_eq!(o.ctl.last_good_config.as_ref(), Some(&ctx.desc.config));
+        assert_eq!(o.ctl.healthy_streak, 1);
 
         // No arrivals in the window: no evidence a smaller size would do.
         let (mut o, mut idle) = optimizer_and_ctx();
@@ -960,8 +973,8 @@ mod tests {
             assert_eq!(reasons(&plan, a), ["C4:perf-unhealthy"]);
         }
         assert!(plan.mask.allows(SizeUp), "capacity may still be added");
-        assert_eq!(o.last_good_config, None);
-        assert_eq!(o.healthy_streak, 0);
+        assert_eq!(o.ctl.last_good_config, None);
+        assert_eq!(o.ctl.healthy_streak, 0);
 
         // Stale telemetry: capacity may be added, never removed, and the
         // live-signal fallback has already picked.

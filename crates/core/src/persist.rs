@@ -5,9 +5,12 @@
 //! [`SnapshotState`]. Recovery (`Orchestrator::restore`) loads the snapshot
 //! and replays the log:
 //!
-//! * every record carries the *post*-event control state ([`CtlState`]),
-//!   imported wholesale after replaying the event's side effects — so the
-//!   RNG, cursors, and backoff schedules land exactly where they were;
+//! * every `Tick` record carries the *post*-tick control state — a clone of
+//!   the [`CtlState`] the optimizer holds — assigned back after replaying
+//!   the tick's side effects, so the RNG, cursors, and backoff schedules
+//!   land exactly where they were. It is state only: what the admin set
+//!   ([`KwoSetup`]) is journaled once by `Manage` and then by
+//!   `SliderChanged` / `ConstraintAdded`, never per tick;
 //! * nondeterministic inputs that recovery cannot re-derive are logged
 //!   explicitly: the training seed drawn from the learning RNG, the episode
 //!   count in force at the time (onboarding vs refresh), the transition the
@@ -81,33 +84,75 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-/// Post-tick control state of one optimizer: every mutable scalar/cursor the
-/// decision loop reads, including the learning RNG. Importing this after a
-/// replayed tick puts the optimizer exactly where the original left off.
+/// The control state of one optimizer — Algorithm 1's loop state: every
+/// mutable scalar, cursor and sub-machine the decision loop reads, the
+/// learning RNG included. [`crate::WarehouseOptimizer`] *holds* one of these
+/// and the tick mutates it in place, so journaling a tick clones it and
+/// replaying one assigns it back: the optimizer lands exactly where the
+/// original left off. State only — what the admin set lives in
+/// [`KwoSetup`], and fixed tuning lives in module constants.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CtlState {
+    /// The most recently observed configuration (feeds training).
     pub expected_config: WarehouseConfig,
-    pub slider: SliderPosition,
+    /// Onboarding completed (a warm-restored optimizer never re-onboards).
     pub onboarded: bool,
     pub last_train: SimTime,
     pub last_action: Option<AgentAction>,
+    /// The state and action awaiting their reward at the next tick.
     pub prev_state: Option<(Vec<f64>, usize)>,
     pub prev_credits: f64,
     pub prev_dropped: u64,
+    /// External-change pause (§4.4), until this time or an admin resume.
     pub paused_until: Option<SimTime>,
-    pub baseline_p99_ms: f64,
+    /// Warehouse events before this time have already been scanned for
+    /// external changes; advances only when a fetch succeeds, so events
+    /// delivered late (after an outage) are still inspected.
     pub events_cursor: SimTime,
+    /// The most recent configuration under which performance was healthy
+    /// (latency near baseline, no queue buildup). Back-off rolls back to
+    /// this — "roll back the previous settings of the warehouse" (§4.3).
     pub last_good_config: Option<WarehouseConfig>,
+    /// Auto-suspend setting computed analytically at the last training
+    /// (idle cost vs cold-restart cost, §3); applied at the next tick.
     pub pending_auto_suspend: Option<SimTime>,
+    /// Consecutive healthy ticks; sustained health decays any capacity
+    /// held above the customer's original configuration.
     pub healthy_streak: u32,
+    /// The learning RNG.
     pub rng: DetRng,
     pub monitor: Monitor,
     pub fetcher: TelemetryFetcher,
     pub reconciler: Reconciler,
     pub health: HealthMonitor,
-    pub actuator_cost_per_command: f64,
-    pub actuator_max_transient_retries: u32,
-    pub actuator_transient_retries: u64,
+}
+
+impl CtlState {
+    /// The state of a freshly managed optimizer observing `config`. `rng`
+    /// is the learning stream (already past the agent's initialisation
+    /// draws); the reconciler's jitter stream is seeded apart from it, so
+    /// adding or removing retries never perturbs training randomness.
+    pub(crate) fn new(config: WarehouseConfig, rng: DetRng, reconciler_seed: u64) -> Self {
+        Self {
+            expected_config: config,
+            onboarded: false,
+            last_train: 0,
+            last_action: None,
+            prev_state: None,
+            prev_credits: 0.0,
+            prev_dropped: 0,
+            paused_until: None,
+            events_cursor: 0,
+            last_good_config: None,
+            pending_auto_suspend: None,
+            healthy_streak: 0,
+            rng,
+            monitor: Monitor::new(10_000.0),
+            fetcher: TelemetryFetcher::new(),
+            reconciler: Reconciler::new(reconciler_seed),
+            health: HealthMonitor::new(),
+        }
+    }
 }
 
 /// A logged retraining pass: the episode count in force (onboarding and
@@ -347,6 +392,50 @@ mod tests {
             decode_snapshot(&body),
             Err(PersistError::Codec(_))
         ));
+    }
+
+    #[test]
+    fn a_flapping_warehouse_does_not_grow_its_tick_records() {
+        use crate::health::HealthSignals;
+        use cdw_sim::WarehouseSize;
+        let flapped = |flaps: u64| {
+            let config = WarehouseConfig::new(WarehouseSize::Medium);
+            let mut ctl = CtlState::new(config, DetRng::seed_from_u64(1), 2);
+            for t in 0..flaps {
+                let signals = HealthSignals {
+                    config_drift: t % 2 == 0,
+                    ..Default::default()
+                };
+                ctl.health.evaluate(t, signals);
+            }
+            ctl
+        };
+        let tick_bytes = |ctl: CtlState| {
+            let record = PersistRecord::Tick {
+                warehouse: "WH".to_string(),
+                now: 0,
+                fetched: true,
+                retrain: None,
+                transition: None,
+                train_step_seed: None,
+                log_delta: Vec::new(),
+                ctl,
+            };
+            encode_record(&record).unwrap().len()
+        };
+        // Every evaluation flipped the state; the history keeps the newest
+        // 64 transitions and the tick counters still saw all thousand.
+        let ctl = flapped(1_000);
+        let kept: Vec<SimTime> = ctl.health.transitions().iter().map(|t| t.at).collect();
+        assert_eq!(kept, (936..1_000).collect::<Vec<SimTime>>());
+        assert_eq!(
+            ctl.health.healthy_ticks() + ctl.health.degraded_ticks(),
+            1_000
+        );
+        // So a thousand flaps cost a tick record what a hundred do, give or
+        // take a digit per timestamp.
+        let bytes = tick_bytes(ctl);
+        assert!(bytes <= tick_bytes(flapped(100)) + 128 && bytes < 8 * 1024);
     }
 
     #[test]

@@ -20,26 +20,12 @@ use cdw_sim::{SimTime, Simulator, WarehouseCommand, WarehouseConfig, WarehouseId
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Backoff and convergence tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ReconcilerSettings {
-    /// First retry delay after a failure.
-    pub base_backoff_ms: SimTime,
-    /// Backoff ceiling.
-    pub max_backoff_ms: SimTime,
-    /// Jitter as a fraction of the computed backoff (± this fraction).
-    pub jitter_fraction: f64,
-}
-
-impl Default for ReconcilerSettings {
-    fn default() -> Self {
-        Self {
-            base_backoff_ms: 10 * MINUTE_MS,
-            max_backoff_ms: 2 * 60 * MINUTE_MS,
-            jitter_fraction: 0.2,
-        }
-    }
-}
+/// First retry delay after a failure.
+const BASE_BACKOFF_MS: SimTime = 10 * MINUTE_MS;
+/// Backoff ceiling.
+const MAX_BACKOFF_MS: SimTime = 2 * 60 * MINUTE_MS;
+/// Jitter as a fraction of the computed backoff (± this fraction).
+const JITTER_FRACTION: f64 = 0.2;
 
 /// What one reconciliation pass concluded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,21 +50,15 @@ pub struct Reconciler {
     desired: Option<WarehouseConfig>,
     next_attempt_at: SimTime,
     consecutive_failures: u32,
-    settings: ReconcilerSettings,
     rng: DetRng,
 }
 
 impl Reconciler {
     pub fn new(seed: u64) -> Self {
-        Self::with_settings(seed, ReconcilerSettings::default())
-    }
-
-    pub fn with_settings(seed: u64, settings: ReconcilerSettings) -> Self {
         Self {
             desired: None,
             next_attempt_at: 0,
             consecutive_failures: 0,
-            settings,
             rng: DetRng::seed_from_u64(seed),
         }
     }
@@ -149,20 +129,12 @@ impl Reconciler {
     fn schedule_backoff(&mut self, now: SimTime) {
         self.consecutive_failures += 1;
         let exp = self.consecutive_failures.saturating_sub(1).min(16);
-        let base = self
-            .settings
-            .base_backoff_ms
+        let base = BASE_BACKOFF_MS
             .saturating_mul(1u64 << exp)
-            .min(self.settings.max_backoff_ms);
-        // Deterministic jitter in [-f, +f] of the base, never below base/2.
-        let f = self.settings.jitter_fraction.clamp(0.0, 0.9);
-        let jittered = if f > 0.0 {
-            let scale = 1.0 + self.rng.gen_range(-f..f);
-            ((base as f64) * scale) as SimTime
-        } else {
-            base
-        };
-        self.next_attempt_at = now + jittered.max(self.settings.base_backoff_ms / 2);
+            .min(MAX_BACKOFF_MS);
+        // Deterministic jitter in [-f, +f] of the base.
+        let scale = 1.0 + self.rng.gen_range(-JITTER_FRACTION..JITTER_FRACTION);
+        self.next_attempt_at = now + ((base as f64) * scale) as SimTime;
     }
 
     /// One reconciliation pass at `now`: diff observed vs desired and, if

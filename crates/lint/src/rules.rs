@@ -667,7 +667,7 @@ mod tests {
         );
         assert_eq!(FileInfo::classify("crates/core/src/fleet.rs").krate, "core");
         assert_eq!(
-            FileInfo::classify("crates/bench/src/bin/fleet.rs").kind,
+            FileInfo::classify("crates/bench/src/bin/fleet_scale.rs").kind,
             FileKind::Bin
         );
         assert_eq!(

@@ -11,10 +11,10 @@
 //!
 //! No suitable offline ML crates exist in this environment, so this crate
 //! implements the required pieces from scratch: a dense [`Mlp`] with
-//! backpropagation, [`optim`] (SGD and Adam), an experience [`replay`] buffer,
-//! ordinary least squares ([`ols`]), and feature [`scaling`]. Everything is
-//! deterministic given a seeded RNG, which the rest of the workspace depends
-//! on for reproducible experiments.
+//! backpropagation, [`optim`] (Adam), an experience [`replay`] buffer, and
+//! ordinary least squares ([`ols`]). Everything is deterministic given a
+//! seeded RNG, which the rest of the workspace depends on for reproducible
+//! experiments.
 
 pub mod loss;
 pub mod matrix;
@@ -22,12 +22,10 @@ pub mod mlp;
 pub mod ols;
 pub mod optim;
 pub mod replay;
-pub mod scaling;
 
 pub use loss::{huber_loss, huber_loss_grad, mse_loss, mse_loss_grad};
 pub use matrix::Matrix;
 pub use mlp::{Activation, Mlp, MlpConfig};
 pub use ols::{ols_fit, ridge_fit, LinearModel};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};
 pub use replay::ReplayBuffer;
-pub use scaling::Standardizer;

@@ -21,50 +21,6 @@ pub trait Optimizer {
     fn set_learning_rate(&mut self, lr: f64);
 }
 
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sgd {
-    lr: f64,
-    momentum: f64,
-    velocity: Vec<Vec<f64>>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer for `slots` parameter tensors.
-    pub fn new(lr: f64, momentum: f64, slots: usize) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Self {
-            lr,
-            momentum,
-            velocity: vec![Vec::new(); slots],
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, slot: usize, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        let v = &mut self.velocity[slot];
-        if v.len() != params.len() {
-            *v = vec![0.0; params.len()];
-        }
-        for ((p, g), vel) in params.iter_mut().zip(grads).zip(v.iter_mut()) {
-            *vel = self.momentum * *vel - self.lr * g;
-            *p += *vel;
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-}
-
 /// Adam optimizer (Kingma & Ba) with bias correction.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
@@ -163,20 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1, 0.0, 1);
-        let x = minimize(&mut opt, 200);
-        assert!((x - 3.0).abs() < 1e-6, "got {x}");
-    }
-
-    #[test]
-    fn sgd_with_momentum_converges() {
-        let mut opt = Sgd::new(0.05, 0.9, 1);
-        let x = minimize(&mut opt, 400);
-        assert!((x - 3.0).abs() < 1e-4, "got {x}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.1, 1);
         let x = minimize(&mut opt, 500);
@@ -209,7 +151,7 @@ mod tests {
 
     #[test]
     fn learning_rate_can_be_scheduled() {
-        let mut opt = Sgd::new(0.1, 0.0, 1);
+        let mut opt = Adam::new(0.1, 1);
         opt.set_learning_rate(0.01);
         assert_eq!(opt.learning_rate(), 0.01);
     }
@@ -217,7 +159,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "param/grad length mismatch")]
     fn step_panics_on_length_mismatch() {
-        let mut opt = Sgd::new(0.1, 0.0, 1);
+        let mut opt = Adam::new(0.1, 1);
         let mut p = [0.0, 1.0];
         opt.step(0, &mut p, &[1.0]);
     }

@@ -102,11 +102,6 @@ impl DecisionTrace {
         }
     }
 
-    /// Whether this trace records anything at all.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -224,7 +219,6 @@ mod tests {
     #[test]
     fn zero_capacity_records_nothing() {
         let mut tr = DecisionTrace::new(0);
-        assert!(!tr.is_enabled());
         tr.record(event(0, "NoOp"));
         assert!(tr.is_empty());
         assert_eq!(tr.dropped(), 0);

@@ -43,34 +43,22 @@ impl fmt::Display for FetchError {
 
 impl std::error::Error for FetchError {}
 
+/// Fixed credit cost per fetch round-trip (metadata queries batched into
+/// one, per §7.3). With [`COST_PER_1K_RECORDS`], chosen so that a typical
+/// hourly fetch costs ~0.003 credits — two orders of magnitude below typical
+/// hourly usage, matching Fig. 6's "negligibly small" overhead.
+const BASE_COST_PER_FETCH: f64 = 0.002;
+/// Marginal credit cost per 1000 records transferred.
+const COST_PER_1K_RECORDS: f64 = 0.001;
+
 /// Pulls telemetry from an [`Account`] into a [`TelemetryStore`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TelemetryFetcher {
     /// Index of the next unconsumed query record in the account stream.
     query_cursor: usize,
     /// Index of the next unconsumed event record.
     event_cursor: usize,
-    /// Fixed credit cost per fetch round-trip (metadata queries batched
-    /// into one, per §7.3).
-    pub base_cost_per_fetch: f64,
-    /// Marginal credit cost per 1000 records transferred.
-    pub cost_per_1k_records: f64,
     stats: FetchStats,
-}
-
-impl Default for TelemetryFetcher {
-    fn default() -> Self {
-        Self {
-            query_cursor: 0,
-            event_cursor: 0,
-            // Chosen so that a typical hourly fetch costs ~0.003 credits —
-            // two orders of magnitude below typical hourly usage, matching
-            // Fig. 6's "negligibly small" overhead.
-            base_cost_per_fetch: 0.002,
-            cost_per_1k_records: 0.001,
-            stats: FetchStats::default(),
-        }
-    }
 }
 
 impl TelemetryFetcher {
@@ -101,10 +89,10 @@ impl TelemetryFetcher {
         fault: TelemetryFault,
     ) -> Result<usize, FetchError> {
         if let TelemetryFault::Outage = fault {
-            account.charge_overhead(now, self.base_cost_per_fetch);
+            account.charge_overhead(now, BASE_COST_PER_FETCH);
             keebo_obs::global().counter("telemetry.fetch.outages").inc();
             self.stats.failed_fetches += 1;
-            self.stats.overhead_credits += self.base_cost_per_fetch;
+            self.stats.overhead_credits += BASE_COST_PER_FETCH;
             return Err(FetchError::Outage);
         }
 
@@ -130,7 +118,7 @@ impl TelemetryFetcher {
         );
 
         let records = (n_queries + n_events) as u64;
-        let cost = self.base_cost_per_fetch + self.cost_per_1k_records * records as f64 / 1000.0;
+        let cost = BASE_COST_PER_FETCH + COST_PER_1K_RECORDS * records as f64 / 1000.0;
         account.charge_overhead(now, cost);
 
         self.stats.fetches += 1;

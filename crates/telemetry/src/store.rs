@@ -15,8 +15,6 @@ pub struct TelemetryStore {
     billing: BTreeMap<String, HourlyCredits>,
     /// Warehouse lifecycle events per warehouse, sorted by time.
     events: BTreeMap<String, Vec<WarehouseEventRecord>>,
-    /// Completion time of the newest query record ingested.
-    high_watermark: SimTime,
     /// Time of the last successful fetch into this store, if any. Drives
     /// staleness-aware degradation in the control plane.
     last_fetch_at: Option<SimTime>,
@@ -37,7 +35,6 @@ impl TelemetryStore {
     pub fn ingest_queries(&mut self, records: impl IntoIterator<Item = QueryRecord>) {
         let mut dirty: Vec<String> = Vec::new();
         for r in records {
-            self.high_watermark = self.high_watermark.max(r.end);
             if let Some(v) = self.queries.get_mut(&r.warehouse) {
                 let breaks_order = v
                     .last()
@@ -97,11 +94,6 @@ impl TelemetryStore {
         }
     }
 
-    /// Completion time of the newest ingested record.
-    pub fn high_watermark(&self) -> SimTime {
-        self.high_watermark
-    }
-
     /// Records a successful fetch at `now` (called by the fetcher).
     pub fn note_fetch_success(&mut self, now: SimTime) {
         self.last_fetch_at = Some(self.last_fetch_at.map_or(now, |t| t.max(now)));
@@ -138,22 +130,6 @@ impl TelemetryStore {
         &all[lo..hi]
     }
 
-    /// Query records *arriving* within `[start, end)` (needed by the cost
-    /// model's replay, which reasons about arrivals). Linear scan — arrival
-    /// order differs from the stored completion order only within overlap
-    /// windows, so this filters rather than re-indexing.
-    pub fn queries_arriving_in(
-        &self,
-        warehouse: &str,
-        start: SimTime,
-        end: SimTime,
-    ) -> Vec<&QueryRecord> {
-        self.queries(warehouse)
-            .iter()
-            .filter(|r| (start..end).contains(&r.arrival))
-            .collect()
-    }
-
     /// Billing history of a warehouse.
     pub fn billing(&self, warehouse: &str) -> Option<&HourlyCredits> {
         self.billing.get(warehouse)
@@ -170,11 +146,6 @@ impl TelemetryStore {
             .get(warehouse)
             .map(|v| v.iter().filter(|e| (start..end).contains(&e.at)).collect())
             .unwrap_or_default()
-    }
-
-    /// Names of warehouses with any telemetry.
-    pub fn warehouses(&self) -> impl Iterator<Item = &str> {
-        self.queries.keys().map(String::as_str)
     }
 
     /// Total stored query records (diagnostics).
@@ -211,7 +182,6 @@ mod tests {
         let q = s.queries("A");
         assert_eq!(q[0].query_id, 1);
         assert_eq!(q[1].query_id, 2);
-        assert_eq!(s.high_watermark(), 500);
     }
 
     #[test]
@@ -221,14 +191,6 @@ mod tests {
         let w = s.queries_in("A", 200, 500);
         assert_eq!(w.len(), 3);
         assert!(w.iter().all(|r| (200..500).contains(&r.end)));
-    }
-
-    #[test]
-    fn arrival_scan_uses_arrival_time() {
-        let mut s = TelemetryStore::new();
-        s.ingest_queries((0..10).map(|i| rec(i, "A", i * 10, 1_000 - i * 10)));
-        let w = s.queries_arriving_in("A", 30, 60);
-        assert_eq!(w.len(), 3);
     }
 
     #[test]

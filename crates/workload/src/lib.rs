@@ -22,7 +22,6 @@ pub mod generators;
 pub mod loadgen;
 pub mod mix;
 pub mod template;
-pub mod trace;
 
 pub use arrival::{diurnal_rate, poisson_arrivals, scheduled_arrivals};
 pub use fleet::{fleet_mix, FleetMember};
@@ -32,4 +31,3 @@ pub use generators::{
 pub use loadgen::{open_loop_plan, ClosedLoopDriver, LoadEvent, LoadOp, LoadPriority};
 pub use mix::MixedWorkload;
 pub use template::{IdAllocator, QueryTemplate};
-pub use trace::{TraceStats, WorkloadTrace};

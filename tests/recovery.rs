@@ -263,6 +263,27 @@ fn every_persisted_record_re_encodes_byte_identically() {
         }] = true;
         let re = encode_record(&record).expect("re-encode");
         assert_eq!(&re, bytes, "record round trip must be byte-identical");
+        // A tick journals state only: the slider is `SliderChanged`'s, and
+        // fixed tuning is not re-serialised per tick.
+        if let PersistRecord::Tick { .. } = record {
+            let text = std::str::from_utf8(bytes).expect("records are JSON");
+            let ctl = &text[text.find("\"ctl\":").expect("a tick carries ctl")..];
+            for key in [
+                "slider",
+                "settings",
+                "max_history",
+                "spike_zscore",
+                "base_cost_per_fetch",
+                "cost_per_1k_records",
+                "actuator_cost_per_command",
+                "actuator_max_transient_retries",
+                "actuator_transient_retries",
+            ] {
+                assert!(!ctl.contains(&format!("\"{key}\":")), "ctl carries {key}");
+            }
+            // The serving baseline is the monitor's alone.
+            assert_eq!(ctl.matches("\"baseline_p99_ms\":").count(), 1);
+        }
     }
     // The genesis record is compacted away by attach_store's immediate
     // snapshot here (a MemStore never fails the write), so round-trip it
