@@ -4,7 +4,7 @@
 //! ("millions of queries"); KEA-style centralized tuning only pays off when
 //! the harness can cheaply drive thousands of clusters. This bench is the
 //! scale probe for that claim: it builds a 1000-tenant × 4-warehouse
-//! mixed-archetype fleet (4000 warehouses), drives it on a persistent
+//! mixed-archetype fleet (4000 warehouses), drives it through one
 //! [`WorkerPool`] at 1/2/4/8 worker threads, and writes a
 //! `BENCH_fleet_scale.json` trajectory — warehouses/sec per thread count,
 //! shard build vs drive seconds kept apart, and the report digest at every
@@ -93,8 +93,8 @@ fn main() {
         build_start.elapsed().as_secs_f64()
     ));
 
-    // One persistent pool, sized for the widest run, reused across every
-    // thread count: pool reuse must be digest-invisible.
+    // One pool, sized for the widest run, reused across every thread
+    // count: pool reuse must be digest-invisible.
     let pool = WorkerPool::new(*thread_counts.iter().max().unwrap());
     let mut runs: Vec<RunRow> = Vec::new();
     let mut reports: Vec<FleetReport> = Vec::new();

@@ -120,25 +120,6 @@ pub fn mixed_fleet(
     fleet
 }
 
-/// Runs `workload` with a static configuration and no optimizer; returns
-/// the simulator after `total_days`.
-pub fn run_static(
-    workload: &dyn WorkloadGenerator,
-    original: WarehouseConfig,
-    total_days: u64,
-    seed: u64,
-) -> (Simulator, WarehouseId, String) {
-    let warehouse = workload.name().to_uppercase() + "_WH";
-    let mut account = Account::new();
-    let wh = account.create_warehouse(&warehouse, original);
-    let mut sim = Simulator::new(account);
-    for q in generate_trace(workload, 0, total_days * DAY_MS, seed) {
-        sim.submit_query(wh, q);
-    }
-    sim.run_until(total_days * DAY_MS);
-    (sim, wh, warehouse)
-}
-
 /// Daily billed credits for a warehouse over `[0, days)`, including credits
 /// still accrued in an open session on the final day.
 pub fn daily_credits(sim: &Simulator, warehouse: &str, wh: WarehouseId, days: u64) -> Vec<f64> {

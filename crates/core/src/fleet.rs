@@ -8,16 +8,16 @@
 //! parallel across tenants.
 //!
 //! [`FleetController`] shards tenants into independent simulator/optimizer
-//! pairs and drives the shards concurrently on a caller-owned persistent
-//! [`WorkerPool`] (see [`crate::pool`]). Determinism is preserved by
-//! construction:
+//! pairs and drives the shards concurrently through a caller-owned
+//! [`WorkerPool`] (see [`crate::pool`]), whose scoped jobs borrow the tenant
+//! specs in place. Determinism is preserved by construction:
 //!
 //! * every random stream is derived from the fleet seed and a *name* via
 //!   [`derive_stream_seed`] — the tenant name for the orchestrator and
 //!   fault injector, the warehouse name (within the tenant stream) for each
 //!   optimizer — never from creation order or thread identity;
-//! * each shard's result lands in a slot indexed by its spec order, and
-//!   aggregation folds the slots in that order;
+//! * [`WorkerPool::map`] returns the shard results in spec order, and
+//!   aggregation folds them in that order;
 //! * query traces live in shared immutable [`std::sync::Arc`] buffers
 //!   replayed through the simulator's trace arena
 //!   ([`Simulator::submit_trace_shared`]), so shard construction never
@@ -35,8 +35,8 @@ use crate::pool::WorkerPool;
 use crate::pricing::{Invoice, ValueBasedPricing};
 use cdw_sim::{Account, FaultPlan, QuerySpec, SimTime, Simulator, WarehouseConfig};
 use costmodel::SavingsReport;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// One warehouse a tenant brings to the fleet: its name, starting
 /// configuration, optimizer setup, and query trace.
@@ -267,10 +267,7 @@ pub struct FleetRunStats {
 #[derive(Debug, Clone)]
 pub struct FleetController {
     seed: u64,
-    /// Shared so worker-pool jobs (which need `'static` captures) can hold
-    /// the specs without cloning the fleet. [`FleetController::add_tenant`]
-    /// copy-on-writes via [`Arc::make_mut`].
-    tenants: Arc<Vec<TenantSpec>>,
+    tenants: Vec<TenantSpec>,
 }
 
 /// One shard: a tenant's isolated simulator plus its orchestrator. Shared
@@ -279,7 +276,6 @@ pub struct FleetController {
 pub(crate) struct FleetShard {
     pub(crate) sim: Simulator,
     pub(crate) kwo: Orchestrator,
-    pub(crate) warehouses: Vec<String>,
 }
 
 /// Builds one tenant's shard: an account with the tenant's warehouses, a
@@ -305,17 +301,13 @@ pub(crate) fn build_shard(seed: u64, tenant: &TenantSpec) -> FleetShard {
     for w in &tenant.warehouses {
         kwo.manage(&sim, &w.name, w.setup.clone());
     }
-    FleetShard {
-        sim,
-        kwo,
-        warehouses: tenant.warehouses.iter().map(|w| w.name.clone()).collect(),
-    }
+    FleetShard { sim, kwo }
 }
 
 /// Rolls one driven shard up into its [`TenantReport`]: per-warehouse
 /// savings over `[window_start, window_end)`, invoices at the default
 /// value-based pricing (clamped per warehouse), and ops KPIs, folded in
-/// managed-warehouse order.
+/// managed-warehouse order (the tenant spec's).
 pub(crate) fn tenant_report(
     shard: &FleetShard,
     tenant_name: &str,
@@ -323,21 +315,20 @@ pub(crate) fn tenant_report(
     window_end: SimTime,
 ) -> TenantReport {
     let now = shard.sim.now();
-    let mut warehouses = Vec::with_capacity(shard.warehouses.len());
-    for name in &shard.warehouses {
-        let savings = shard
-            .kwo
-            .savings_report(&shard.sim, name, window_start, window_end);
-        let invoice = ValueBasedPricing::default().invoice(&savings);
-        // lint: allow(D5) — shard.warehouses lists exactly the names onboard() managed
-        let ops = OpsKpis::collect(shard.kwo.optimizer(name).expect("managed warehouse"), now);
-        warehouses.push(WarehouseOutcome {
-            warehouse: name.clone(),
-            savings,
-            ops,
-            invoice,
-        });
-    }
+    let warehouses: Vec<WarehouseOutcome> = shard
+        .kwo
+        .optimizers()
+        .iter()
+        .map(|optimizer| {
+            let savings = optimizer.savings_report(&shard.sim, window_start, window_end);
+            WarehouseOutcome {
+                warehouse: optimizer.name().to_string(),
+                invoice: ValueBasedPricing::default().invoice(&savings),
+                ops: OpsKpis::collect(optimizer, now),
+                savings,
+            }
+        })
+        .collect();
     let mut invoice = zero_invoice();
     for w in &warehouses {
         add_invoice(&mut invoice, &w.invoice);
@@ -379,12 +370,12 @@ impl FleetController {
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            tenants: Arc::new(Vec::new()),
+            tenants: Vec::new(),
         }
     }
 
     pub fn add_tenant(&mut self, tenant: TenantSpec) -> &mut Self {
-        Arc::make_mut(&mut self.tenants).push(tenant);
+        self.tenants.push(tenant);
         self
     }
 
@@ -392,11 +383,11 @@ impl FleetController {
         self.tenants.iter().map(|t| t.warehouses.len()).sum()
     }
 
-    /// Runs the whole fleet on a caller-owned persistent [`WorkerPool`],
-    /// using at most `parallelism` of its workers: every tenant observes
-    /// until `observe_until`, onboards, then optimizes until `until`. Shards
-    /// pull from a shared work queue; the report is bit-identical for any
-    /// pool size and parallelism. Also returns per-run wall-clock accounting:
+    /// Runs the whole fleet through a caller-owned [`WorkerPool`], on at
+    /// most `parallelism` threads: every tenant observes until
+    /// `observe_until`, onboards, then optimizes until `until`. Jobs claim
+    /// shards off a shared cursor; the report is bit-identical for any pool
+    /// size and parallelism. Also returns per-run wall-clock accounting:
     /// cumulative shard *build* seconds and shard *drive* seconds, kept
     /// apart so benches stop billing trace construction to the simulator
     /// (the timing bug the 4×4 bench shipped with).
@@ -417,87 +408,49 @@ impl FleetController {
             .gauge("keebo.fleet.workers")
             .set(parallelism.min(pool.size()).min(shards) as f64);
 
-        let ctx = Arc::new(ShardCtx {
-            seed: self.seed,
-            tenants: Arc::clone(&self.tenants),
-            observe_until,
-            until,
-            results: Mutex::new(vec![None; shards]),
-            build_micros: AtomicU64::new(0),
-            drive_micros: AtomicU64::new(0),
+        let results = pool.map(self.tenants.iter().collect(), parallelism, |_, tenant| {
+            run_shard(self.seed, tenant, observe_until, until)
         });
-        let jobs = Arc::clone(&ctx);
-        pool.run_indexed(shards, parallelism, move |index| jobs.run_shard(index));
-
-        let tenants: Vec<TenantReport> = ctx
-            .results
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter_mut()
-            // lint: allow(D5) — the work queue hands every index to exactly one worker
-            .map(|slot| slot.take().expect("every shard reports"))
-            .collect();
-
-        let report = fleet_rollup(tenants);
-        let stats = FleetRunStats {
-            // lint: allow(D11) — write-only wall-time tally, read here after every shard thread has been joined
-            build_secs: ctx.build_micros.load(Ordering::Relaxed) as f64 / 1e6,
-            // lint: allow(D11) — write-only wall-time tally, read here after every shard thread has been joined
-            drive_secs: ctx.drive_micros.load(Ordering::Relaxed) as f64 / 1e6,
-        };
-        (report, stats)
+        let mut stats = FleetRunStats::default();
+        let mut tenants = Vec::with_capacity(shards);
+        for (report, build, drive) in results {
+            stats.build_secs += build.as_secs_f64();
+            stats.drive_secs += drive.as_secs_f64();
+            tenants.push(report);
+        }
+        (fleet_rollup(tenants), stats)
     }
 }
 
-/// Everything a pool job needs to run one shard: the fleet parameters, the
-/// shared tenant specs, spec-order result slots, and the build/drive time
-/// accumulators. `'static` by construction (all owned or [`Arc`]) so jobs
-/// can outlive the `run_on` stack frame on the persistent pool's workers.
-struct ShardCtx {
+/// Drives one shard through the full lifecycle and rolls up its report,
+/// timing shard *build* and shard *drive* separately (the old bench lumped
+/// both into one window).
+fn run_shard(
     seed: u64,
-    tenants: Arc<Vec<TenantSpec>>,
+    tenant: &TenantSpec,
     observe_until: SimTime,
     until: SimTime,
-    results: Mutex<Vec<Option<TenantReport>>>,
-    build_micros: AtomicU64,
-    drive_micros: AtomicU64,
-}
+) -> (TenantReport, Duration, Duration) {
+    // lint: allow(D1) — wall time only feeds the build/drive histograms, never a decision
+    let t0 = std::time::Instant::now();
+    let mut shard = build_shard(seed, tenant);
+    let build = t0.elapsed();
+    // lint: allow(D1) — wall time only feeds the build/drive histograms, never a decision
+    let t1 = std::time::Instant::now();
+    shard.kwo.observe_until(&mut shard.sim, observe_until);
+    shard.kwo.onboard(&mut shard.sim);
+    shard.kwo.run_until(&mut shard.sim, until);
+    let report = tenant_report(&shard, &tenant.name, observe_until, until);
+    let drive = t1.elapsed();
 
-impl ShardCtx {
-    /// Drives one shard through the full lifecycle, rolls up its report
-    /// into the spec-order slot, and attributes build vs drive wall time
-    /// separately (the old bench lumped both into one window).
-    fn run_shard(&self, index: usize) {
-        let tenant = &self.tenants[index];
-        // lint: allow(D1) — wall time only feeds the build/drive histograms, never a decision
-        let t0 = std::time::Instant::now();
-        let mut shard = build_shard(self.seed, tenant);
-        let build = t0.elapsed();
-        // lint: allow(D1) — wall time only feeds the build/drive histograms, never a decision
-        let t1 = std::time::Instant::now();
-        shard.kwo.observe_until(&mut shard.sim, self.observe_until);
-        shard.kwo.onboard(&mut shard.sim);
-        shard.kwo.run_until(&mut shard.sim, self.until);
-
-        let report = tenant_report(&shard, &tenant.name, self.observe_until, self.until);
-        let drive = t1.elapsed();
-        self.build_micros
-            // lint: allow(D11) — wall-time tally; join synchronizes before the read
-            .fetch_add(build.as_micros() as u64, Ordering::Relaxed);
-        self.drive_micros
-            // lint: allow(D11) — wall-time tally; join synchronizes before the read
-            .fetch_add(drive.as_micros() as u64, Ordering::Relaxed);
-        let buckets = [1.0, 10.0, 100.0, 500.0, 2_000.0, 10_000.0, 60_000.0];
-        keebo_obs::global()
-            .histogram("keebo.fleet.shard_build_ms", &buckets)
-            .observe(build.as_secs_f64() * 1e3);
-        keebo_obs::global()
-            .histogram("keebo.fleet.shard_drive_ms", &buckets)
-            .observe(drive.as_secs_f64() * 1e3);
-        // Recover from poisoning: slots hold plain data, and a panicked
-        // sibling shard already propagates via the pool batch.
-        self.results.lock().unwrap_or_else(PoisonError::into_inner)[index] = Some(report);
-    }
+    let buckets = [1.0, 10.0, 100.0, 500.0, 2_000.0, 10_000.0, 60_000.0];
+    keebo_obs::global()
+        .histogram("keebo.fleet.shard_build_ms", &buckets)
+        .observe(build.as_secs_f64() * 1e3);
+    keebo_obs::global()
+        .histogram("keebo.fleet.shard_drive_ms", &buckets)
+        .observe(drive.as_secs_f64() * 1e3);
+    (report, build, drive)
 }
 
 #[cfg(test)]
@@ -672,14 +625,14 @@ mod tests {
 
     #[test]
     fn reused_pool_matches_fresh_pools_bit_for_bit() {
-        // The pool-reuse contract: consecutive runs on one persistent pool
-        // produce the same digest as runs on freshly spawned pools.
+        // The pool-reuse contract: consecutive runs on one pool produce the
+        // same digest as runs on fresh pools.
         let fleet = small_fleet(31, 2);
         let fresh = run(&fleet, DAY_MS, 2 * DAY_MS, 2).digest();
         let pool = WorkerPool::new(3);
         let first = run_on(&fleet, &pool, DAY_MS, 2 * DAY_MS, 2).digest();
         let second = run_on(&fleet, &pool, DAY_MS, 2 * DAY_MS, 3).digest();
-        assert_eq!(first, fresh, "persistent pool diverged from fresh pool");
+        assert_eq!(first, fresh, "reused pool diverged from fresh pool");
         assert_eq!(second, fresh, "pool reuse perturbed the digest");
     }
 

@@ -5,8 +5,8 @@
 //! plane that optimizes many tenants at once. This module is that front
 //! door for the simulated fleet. Clients call [`Gateway::submit`] and get a
 //! synchronous [`Admission`]; admitted requests execute on the next control
-//! tick, which drives every tenant shard concurrently on the existing
-//! persistent [`WorkerPool`].
+//! tick, which drives every tenant shard concurrently through the fleet's
+//! [`WorkerPool`].
 //!
 //! Admission control (all per tenant, all deterministic):
 //!
@@ -28,8 +28,8 @@
 //!   caller's thread; worker threads never influence them;
 //! * each tick drains per-tenant batches by (priority class, admission
 //!   seq) and hands shard `i` exactly its own batch; shards only touch
-//!   their own state, and per-shard response fingerprints fold in spec
-//!   order after the barrier;
+//!   their own state, and [`WorkerPool::map`] hands the per-shard response
+//!   fingerprints back in spec order, where they fold after the barrier;
 //! * query specs dispatched into a shard get ids and arrivals derived
 //!   from the admission seq and the shard's virtual clock.
 //!
@@ -50,7 +50,6 @@ use crate::pool::WorkerPool;
 use cdw_sim::SimTime;
 use queue::{AdmissionQueue, Ticket};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
 
 /// Query ids minted by the gateway start here so they can never collide
 /// with trace-generator ids (workload generators count up from 0).
@@ -58,10 +57,6 @@ const GATEWAY_QUERY_ID_BASE: u64 = 1_000_000_000;
 
 /// Histogram buckets for admission wall latency (microseconds).
 const ADMIT_US_BUCKETS: [f64; 7] = [1.0, 5.0, 10.0, 50.0, 100.0, 1_000.0, 10_000.0];
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Gateway tuning. Every knob is in virtual-tick units; nothing reads a
 /// wall clock, so one config + one request sequence = one outcome.
@@ -155,12 +150,11 @@ pub struct GatewayStats {
 pub struct Gateway {
     config: GatewayConfig,
     seed: u64,
-    tenants: Arc<Vec<TenantSpec>>,
+    tenants: Vec<TenantSpec>,
     /// Tenant name → spec index (BTreeMap: deterministic iteration).
     index: BTreeMap<String, usize>,
-    /// One shard slot per tenant, filled by [`Gateway::start`]. Shared
-    /// with pool jobs, which each lock only their own index.
-    shards: Arc<Vec<Mutex<Option<FleetShard>>>>,
+    /// One shard per tenant, in spec order; empty until [`Gateway::start`].
+    shards: Vec<FleetShard>,
     meters: Vec<limiter::TenantMeter>,
     queues: Vec<AdmissionQueue>,
     next_seq: u64,
@@ -199,13 +193,12 @@ impl Gateway {
             })
             .collect();
         let queues = tenants.iter().map(|_| AdmissionQueue::default()).collect();
-        let shards = Arc::new(tenants.iter().map(|_| Mutex::new(None)).collect::<Vec<_>>());
         Self {
             config,
             seed,
-            tenants: Arc::new(tenants),
+            tenants,
             index,
-            shards,
+            shards: Vec::new(),
             meters,
             queues,
             next_seq: 0,
@@ -226,14 +219,12 @@ impl Gateway {
         self.started = true;
         self.observe_until = observe_until;
         self.now = observe_until;
-        let tenants = Arc::clone(&self.tenants);
-        let shards = Arc::clone(&self.shards);
         let seed = self.seed;
-        pool.run_indexed(self.tenants.len(), parallelism, move |i| {
-            let mut shard = build_shard(seed, &tenants[i]);
+        self.shards = pool.map(self.tenants.iter().collect(), parallelism, |_, tenant| {
+            let mut shard = build_shard(seed, tenant);
             shard.kwo.observe_until(&mut shard.sim, observe_until);
             shard.kwo.onboard(&mut shard.sim);
-            *lock(&shards[i]) = Some(shard);
+            shard
         });
     }
 
@@ -296,10 +287,7 @@ impl Gateway {
                     priority: request.priority,
                     kind: request.kind,
                 };
-                self.queues[i]
-                    .push(ticket, self.config.queue_capacity)
-                    // lint: allow(D5) — has_room() held the slot; nothing ran in between
-                    .expect("room was checked");
+                self.queues[i].push(ticket);
                 self.stats.admitted += 1;
                 self.decisions.eat(0);
                 self.decisions.eat(seq);
@@ -367,26 +355,15 @@ impl Gateway {
             .set(self.queue_depth() as f64);
 
         let target = self.now + self.config.tick_ms;
-        let shards = Arc::clone(&self.shards);
-        let work: Arc<Vec<Mutex<Option<Vec<Ticket>>>>> =
-            Arc::new(batches.into_iter().map(|b| Mutex::new(Some(b))).collect());
-        let results: Arc<Vec<Mutex<u64>>> =
-            Arc::new((0..self.tenants.len()).map(|_| Mutex::new(0u64)).collect());
-        let jobs_work = Arc::clone(&work);
-        let jobs_results = Arc::clone(&results);
-        pool.run_indexed(self.tenants.len(), parallelism, move |i| {
-            let mut slot = lock(&shards[i]);
-            // lint: allow(D5) — start() filled every slot; ticks never empty them
-            let shard = slot.as_mut().expect("shard built by start()");
-            // lint: allow(D5) — each index's batch is taken exactly once per tick
-            let batch = lock(&jobs_work[i]).take().expect("batch for this tick");
-            *lock(&jobs_results[i]) = apply_batch(shard, batch, target);
+        let work = self.shards.iter_mut().zip(batches).collect();
+        let fingerprints = pool.map(work, parallelism, |_, (shard, batch)| {
+            apply_batch(shard, batch, target)
         });
 
         // Fold per-shard fingerprints in spec order — identical at any
         // parallelism because each value depends only on its own shard.
-        for r in results.iter() {
-            self.responses.eat(*lock(r));
+        for fingerprint in fingerprints {
+            self.responses.eat(fingerprint);
         }
         self.now = target;
         self.stats.ticks += 1;
@@ -400,27 +377,11 @@ impl Gateway {
     /// Panics if called before [`Gateway::start`].
     pub fn finish(mut self, pool: &WorkerPool, parallelism: usize) -> (FleetReport, GatewayStats) {
         assert!(self.started, "finish before start");
-        let tenants = Arc::clone(&self.tenants);
-        let shards = Arc::clone(&self.shards);
-        let reports: Arc<Vec<Mutex<Option<crate::fleet::TenantReport>>>> =
-            Arc::new((0..self.tenants.len()).map(|_| Mutex::new(None)).collect());
-        let jobs_reports = Arc::clone(&reports);
         let (window_start, window_end) = (self.observe_until, self.now);
-        pool.run_indexed(self.tenants.len(), parallelism, move |i| {
-            // lint: allow(D5) — start() filled every slot; finish() is the only taker
-            let shard = lock(&shards[i]).take().expect("shard built by start()");
-            *lock(&jobs_reports[i]) = Some(tenant_report(
-                &shard,
-                &tenants[i].name,
-                window_start,
-                window_end,
-            ));
+        let work = self.shards.into_iter().zip(&self.tenants).collect();
+        let tenant_reports = pool.map(work, parallelism, |_, (shard, tenant)| {
+            tenant_report(&shard, &tenant.name, window_start, window_end)
         });
-        let tenant_reports: Vec<_> = reports
-            .iter()
-            // lint: allow(D5) — the work queue hands every index to exactly one worker
-            .map(|slot| lock(slot).take().expect("every shard reports"))
-            .collect();
         self.stats.decisions_digest = self.decisions.finish();
         self.stats.responses_digest = self.responses.finish();
         (fleet_rollup(tenant_reports), self.stats)

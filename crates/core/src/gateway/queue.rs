@@ -2,7 +2,7 @@
 //!
 //! Each tenant owns one [`AdmissionQueue`] holding two bounded FIFO
 //! classes, one per [`Priority`]. A full class sheds the *arriving*
-//! request ([`ShedReason::QueueFull`]) — the gateway never blocks a
+//! request (`ShedReason::QueueFull`) — the gateway never blocks a
 //! client and never buffers unboundedly.
 //!
 //! The per-tick drain gives interactive traffic strict preference but
@@ -12,7 +12,7 @@
 //! Draining pops in admission-sequence order within each class, which keeps
 //! dispatch order a pure function of the admission sequence.
 
-use super::request::{Priority, RequestKind, ShedReason};
+use super::request::{Priority, RequestKind};
 use std::collections::VecDeque;
 
 /// One admitted request waiting for dispatch.
@@ -35,9 +35,10 @@ pub(crate) struct AdmissionQueue {
 }
 
 impl AdmissionQueue {
-    /// True when the class has room for one more ticket. Checked *before*
-    /// the rate/quota meters so a request the queue would refuse anyway
-    /// never consumes a token or quota.
+    /// True when the class has room for one more ticket — the queue's one
+    /// capacity check. The gateway asks *before* the rate/quota meters, so
+    /// a request the queue would refuse anyway never consumes a token or
+    /// quota, and sheds the arrival itself when the answer is no.
     pub(crate) fn has_room(&self, priority: Priority, capacity: usize) -> bool {
         let class = match priority {
             Priority::Interactive => &self.interactive,
@@ -46,17 +47,12 @@ impl AdmissionQueue {
         class.len() < capacity
     }
 
-    /// Enqueues, shedding when the ticket's class is at `capacity`.
-    pub(crate) fn push(&mut self, ticket: Ticket, capacity: usize) -> Result<(), ShedReason> {
-        let class = match ticket.priority {
-            Priority::Interactive => &mut self.interactive,
-            Priority::Batch => &mut self.batch,
-        };
-        if class.len() >= capacity {
-            return Err(ShedReason::QueueFull);
+    /// Enqueues a ticket whose class [`AdmissionQueue::has_room`].
+    pub(crate) fn push(&mut self, ticket: Ticket) {
+        match ticket.priority {
+            Priority::Interactive => self.interactive.push_back(ticket),
+            Priority::Batch => self.batch.push_back(ticket),
         }
-        class.push_back(ticket);
-        Ok(())
     }
 
     /// Total queued tickets across both classes.
@@ -117,13 +113,12 @@ mod tests {
     #[test]
     fn full_class_sheds_arrival() {
         let mut q = AdmissionQueue::default();
-        assert!(q.push(ticket(0, Priority::Batch), 1).is_ok());
-        assert_eq!(
-            q.push(ticket(1, Priority::Batch), 1),
-            Err(ShedReason::QueueFull)
-        );
+        assert!(q.has_room(Priority::Batch, 1));
+        q.push(ticket(0, Priority::Batch));
+        assert!(!q.has_room(Priority::Batch, 1));
         // The other class has its own bound.
-        assert!(q.push(ticket(2, Priority::Interactive), 1).is_ok());
+        assert!(q.has_room(Priority::Interactive, 1));
+        q.push(ticket(2, Priority::Interactive));
         assert_eq!(q.depth(), 2);
     }
 
@@ -131,10 +126,10 @@ mod tests {
     fn drain_prefers_interactive_but_reserves_batch_slots() {
         let mut q = AdmissionQueue::default();
         for s in 0..4 {
-            q.push(ticket(s, Priority::Interactive), 8).unwrap();
+            q.push(ticket(s, Priority::Interactive));
         }
         for s in 4..8 {
-            q.push(ticket(s, Priority::Batch), 8).unwrap();
+            q.push(ticket(s, Priority::Batch));
         }
         let got = q.drain(4, 1);
         let seqs: Vec<u64> = got.iter().map(|t| t.seq).collect();
@@ -146,7 +141,7 @@ mod tests {
     fn reserved_slots_backfill_interactive_when_batch_is_empty() {
         let mut q = AdmissionQueue::default();
         for s in 0..4 {
-            q.push(ticket(s, Priority::Interactive), 8).unwrap();
+            q.push(ticket(s, Priority::Interactive));
         }
         let seqs: Vec<u64> = q.drain(4, 2).iter().map(|t| t.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3]);
@@ -156,7 +151,7 @@ mod tests {
     fn interactive_slots_flow_to_batch_when_interactive_is_empty() {
         let mut q = AdmissionQueue::default();
         for s in 0..3 {
-            q.push(ticket(s, Priority::Batch), 8).unwrap();
+            q.push(ticket(s, Priority::Batch));
         }
         let seqs: Vec<u64> = q.drain(4, 1).iter().map(|t| t.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);

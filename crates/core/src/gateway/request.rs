@@ -29,14 +29,6 @@ impl Priority {
             Priority::Batch => 1,
         }
     }
-
-    /// Metric-label suffix (`keebo.gateway.dispatched.<label>`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Priority::Interactive => "interactive",
-            Priority::Batch => "batch",
-        }
-    }
 }
 
 /// What the client is asking for.
@@ -101,16 +93,6 @@ impl ShedReason {
             ShedReason::RateLimited => 2,
             ShedReason::QuotaExhausted => 3,
             ShedReason::QueueFull => 4,
-        }
-    }
-
-    /// Metric-label suffix (`keebo.gateway.shed.<label>`).
-    pub fn label(self) -> &'static str {
-        match self {
-            ShedReason::UnknownTenant => "unknown_tenant",
-            ShedReason::RateLimited => "rate_limited",
-            ShedReason::QuotaExhausted => "quota_exhausted",
-            ShedReason::QueueFull => "queue_full",
         }
     }
 }

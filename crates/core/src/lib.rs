@@ -33,8 +33,8 @@
 //!   WAL + snapshot store family, the record and snapshot codecs, and the
 //!   crash-drill harness the recovery tests and the `store_faults` bench
 //!   share;
-//! * [`fleet`] / [`pool`] / [`gateway`] — tenants sharded over a persistent
-//!   worker pool, fronted by the admission gateway.
+//! * [`fleet`] / [`pool`] / [`gateway`] — tenants sharded over
+//!   width-capped scoped worker jobs, fronted by the admission gateway.
 //!
 //! ## Quickstart
 //!

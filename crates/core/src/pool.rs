@@ -1,290 +1,158 @@
-//! Persistent worker pool for fleet-scale shard execution.
+//! Width-capped scoped worker jobs for fleet-scale shard execution.
 //!
-//! [`crate::fleet::FleetController`] used to spawn throwaway
-//! `std::thread::scope` workers on every `run` call. At 4×4 fleets that cost
-//! is noise; at 1k-tenant scale the bench re-runs the same fleet at several
-//! thread counts and the per-run spawn/join churn (plus the inability to
-//! keep any warm state on the workers) starts to matter. [`WorkerPool`]
-//! keeps a fixed set of named worker threads alive across runs and feeds
-//! them batches of *tickets* — indices into a shard list — through a shared
-//! queue.
+//! All the fleet layer needs is "run shard *i* on some thread and hand the
+//! result back in spec order". A [`WorkerPool`] is therefore only a width
+//! cap: each batch runs inside one [`std::thread::scope`], so tasks borrow
+//! the caller's data (no `'static`, no `Arc`) and nothing outlives the call.
+//! The traffic is one batch per fleet run and one per gateway tick, each
+//! milliseconds long against a scoped spawn+join of tens of microseconds,
+//! and no job keeps warm state — a persistent thread set had nothing to
+//! amortize.
 //!
-//! Design constraints, in order:
-//!
-//! * **Determinism.** The pool never influences results: tickets carry only
-//!   an index, every shard is self-contained, and each result lands in a
-//!   slot keyed by that index. Which worker ran which ticket is
-//!   unobservable in the output — the crown-jewel digest invariant
-//!   (`FleetReport::digest` bit-identical at any worker count) survives by
+//! * **Determinism.** The pool never influences results: a ticket is only an
+//!   index, every shard is self-contained, and [`WorkerPool::map`] returns
+//!   results in item order. Which job ran which ticket is unobservable in
+//!   the output, so `FleetReport::digest` is bit-identical at any width by
 //!   construction.
-//! * **Panic safety.** A panicking ticket is caught on the worker, recorded
-//!   in the batch, and re-raised on the *submitting* thread once the batch
-//!   drains. The worker itself survives — nothing is poisoned, and the pool
-//!   is immediately reusable for the next run.
-//! * **Work stealing.** Tickets are claimed with an atomic cursor
-//!   (`fetch_add`), so a worker that finishes a cheap shard immediately
-//!   steals the next index instead of idling behind a static partition.
+//! * **The submitter is job 0.** A batch of width `w` spawns `w - 1` helper
+//!   threads (`kwo-fleet-{i}`) and runs the remaining job on the calling
+//!   thread: width 1 spawns nothing, and a helper that fails to spawn only
+//!   lowers the width.
+//! * **Panic safety.** A panicking ticket is caught where it ran, ends that
+//!   job's participation, and is re-raised on the submitting thread once the
+//!   scope has joined. The pool holds no state a panic could poison.
+//! * **Work stealing.** Jobs claim tickets off one atomic cursor, so a job
+//!   that finishes a cheap shard takes the next index instead of idling
+//!   behind a static partition.
 //!
-//! Observability: the pool exports `keebo.fleet.pool.workers`,
-//! `keebo.fleet.pool.queue_depth`, and `keebo.fleet.pool.busy_workers`
-//! gauges through the global [`keebo_obs`] registry.
+//! Observability: `keebo.fleet.pool.workers` (the configured width),
+//! `keebo.fleet.pool.busy_workers` and `keebo.fleet.pool.ticket_panics`
+//! through the global [`keebo_obs`] registry.
 
 use std::any::Any;
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Locks a pool mutex, recovering from poisoning. Pool state is plain data
-/// (queues and counters) that a panicking job cannot leave torn: jobs run
-/// outside the lock and their panics are caught at the ticket boundary.
+/// Locks a mutex, recovering from poisoning: every lock here guards plain
+/// data and is never held across a ticket.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-struct PoolState {
-    queue: VecDeque<Job>,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<PoolState>,
-    /// Signalled when a job is queued or shutdown begins.
-    work_ready: Condvar,
-}
-
-/// State for one batch of tickets submitted via [`WorkerPool::run_indexed`].
-struct Batch {
-    /// Next unclaimed ticket (the work-stealing cursor).
-    next: AtomicUsize,
-    tickets: usize,
-    /// Worker-jobs still running for this batch.
-    pending: Mutex<usize>,
-    done: Condvar,
-    /// First panic payload raised by a ticket, re-raised by the submitter.
-    panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-}
-
-/// A fixed-size pool of persistent worker threads executing indexed ticket
-/// batches. Create once, reuse across any number of fleet runs; dropped
-/// pools shut their workers down and join them.
+/// A cap on how many threads one batch of indexed tickets may use. Create
+/// once, reuse across any number of fleet runs.
+#[derive(Debug)]
 pub struct WorkerPool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.workers.len())
-            .finish()
-    }
+    size: usize,
 }
 
 impl WorkerPool {
-    /// Spawns a pool with `size` persistent workers.
+    /// A pool whose batches run on at most `size` threads.
     ///
     /// # Panics
     /// Panics if `size` is zero.
     pub fn new(size: usize) -> Self {
         assert!(size > 0, "worker pool needs at least one worker");
-        let shared = Arc::new(Shared {
-            state: Mutex::new(PoolState {
-                queue: VecDeque::new(),
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-        });
-        let workers = (0..size)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("kwo-fleet-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    // lint: allow(D5) — thread spawn failure at pool construction is unrecoverable setup error
-                    .expect("spawn fleet worker")
-            })
-            .collect();
         keebo_obs::global()
             .gauge("keebo.fleet.pool.workers")
             .set(size as f64);
-        Self { shared, workers }
+        Self { size }
     }
 
-    /// Number of worker threads.
+    /// Maximum number of threads a batch may use.
     pub fn size(&self) -> usize {
-        self.workers.len()
+        self.size
     }
 
-    fn submit(&self, job: Job) {
-        let mut state = lock(&self.shared.state);
-        state.queue.push_back(job);
-        keebo_obs::global()
-            .gauge("keebo.fleet.pool.queue_depth")
-            .set(state.queue.len() as f64);
-        drop(state);
-        self.shared.work_ready.notify_one();
-    }
-
-    /// Runs `task(i)` for every ticket `i in 0..tickets`, using at most
-    /// `parallelism` workers (clamped to the pool size and the ticket
-    /// count), and blocks until the whole batch has drained. Ticket
-    /// assignment is work-stealing and racy by design; callers must keep
-    /// results independent per index.
-    ///
-    /// If any ticket panics, the first panic payload is re-raised here
-    /// after the batch drains. The worker that caught it keeps running —
-    /// the pool stays fully usable.
+    /// Runs `task(i)` for every ticket `i in 0..tickets` on at most
+    /// `parallelism` threads (clamped to the pool size and the ticket
+    /// count), the calling thread among them, and returns once the whole
+    /// batch has drained. Ticket assignment is work-stealing and racy by
+    /// design; callers must keep results independent per index.
     ///
     /// # Panics
-    /// Re-raises the first ticket panic. Must not be called from inside
-    /// one of this pool's own workers (the batch would deadlock waiting
-    /// for the worker it occupies).
-    pub fn run_indexed(
-        &self,
-        tickets: usize,
-        parallelism: usize,
-        task: impl Fn(usize) + Send + Sync + 'static,
-    ) {
+    /// Re-raises the first ticket panic after the batch drains. The job
+    /// that caught it claims no further tickets; the batch's other jobs
+    /// finish the rest.
+    pub fn run_indexed(&self, tickets: usize, parallelism: usize, task: impl Fn(usize) + Sync) {
         if tickets == 0 {
             return;
         }
-        let jobs = parallelism.clamp(1, self.size()).min(tickets);
-        let task: Arc<dyn Fn(usize) + Send + Sync> = Arc::new(task);
-        let batch = Arc::new(Batch {
-            next: AtomicUsize::new(0),
-            tickets,
-            pending: Mutex::new(jobs),
-            done: Condvar::new(),
-            panic: Mutex::new(None),
-        });
-        for _ in 0..jobs {
-            let batch = Arc::clone(&batch);
-            let task = Arc::clone(&task);
-            self.submit(Box::new(move || run_tickets(&batch, &*task)));
-        }
-        // Wait for every worker-job of this batch to finish.
-        let mut pending = lock(&batch.pending);
-        while *pending > 0 {
-            pending = batch
-                .done
-                .wait(pending)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(pending);
-        let payload = lock(&batch.panic).take();
-        if let Some(payload) = payload {
-            std::panic::resume_unwind(payload);
-        }
-    }
-}
-
-/// Drop guard completing one worker-job's participation in a batch: counts
-/// the job out of `pending` and wakes the submitter when it was the last.
-/// Running this from `Drop` (rather than straight-line code at the end of
-/// [`run_tickets`]) means a panic escaping ticket handling itself — not the
-/// ticket, which has its own `catch_unwind` — can never strand
-/// [`WorkerPool::run_indexed`] waiting on a count that will never reach
-/// zero.
-struct BatchExit<'a> {
-    batch: &'a Batch,
-}
-
-impl Drop for BatchExit<'_> {
-    fn drop(&mut self) {
-        let mut pending = lock(&self.batch.pending);
-        *pending -= 1;
-        if *pending == 0 {
-            self.batch.done.notify_all();
-        }
-    }
-}
-
-/// Claims tickets off the batch cursor until exhausted. A panicking ticket
-/// ends this worker-job's participation (mirroring the death of a scoped
-/// thread) but leaves the remaining tickets to the batch's other jobs.
-///
-/// Gauge accounting is unwind-safe by construction: `busy_workers` rides a
-/// [`keebo_obs::GaugeGuard`] and the `pending` handoff rides [`BatchExit`],
-/// so both are restored on every exit path. The previous paired
-/// `add(+1)`/`add(-1)` calls could leave `busy_workers` drifted (and the
-/// submitter deadlocked) if anything between them unwound past the ticket
-/// boundary.
-fn run_tickets(batch: &Batch, task: &(dyn Fn(usize) + Send + Sync)) {
-    // Declaration order matters: locals drop in reverse, so `_busy` must
-    // come *after* `_exit` — the gauge then decrements before the exit
-    // guard wakes the submitter, and a caller observing a drained
-    // `run_indexed` never reads a stale busy count.
-    let _exit = BatchExit { batch };
-    let _busy = keebo_obs::global()
-        .gauge("keebo.fleet.pool.busy_workers")
-        .add_scoped(1.0);
-    loop {
-        // lint: allow(D11) — ticket claim: RMW atomicity alone guarantees unique indices; results are published by the batch latch
-        let index = batch.next.fetch_add(1, Ordering::Relaxed);
-        if index >= batch.tickets {
-            break;
-        }
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(index))) {
-            let mut slot = lock(&batch.panic);
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-            keebo_obs::global()
-                .counter("keebo.fleet.pool.ticket_panics")
-                .inc();
-            break;
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let job = {
-            let mut state = lock(&shared.state);
+        let width = parallelism.clamp(1, self.size).min(tickets);
+        let next = AtomicUsize::new(0);
+        let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+        let job = || {
+            let _busy = keebo_obs::global()
+                .gauge("keebo.fleet.pool.busy_workers")
+                .add_scoped(1.0);
             loop {
-                if let Some(job) = state.queue.pop_front() {
+                // lint: allow(D11) — ticket claim: RMW atomicity alone guarantees unique indices; results are published by the scope's join
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= tickets {
+                    break;
+                }
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(index))) {
+                    lock(&first_panic).get_or_insert(payload);
                     keebo_obs::global()
-                        .gauge("keebo.fleet.pool.queue_depth")
-                        .set(state.queue.len() as f64);
-                    break job;
+                        .counter("keebo.fleet.pool.ticket_panics")
+                        .inc();
+                    break;
                 }
-                if state.shutdown {
-                    return;
-                }
-                state = shared
-                    .work_ready
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        // Belt and braces: run_tickets already catches ticket panics, so a
-        // panic escaping the job itself is a pool bug — contain it anyway
-        // so one bad job can never take a worker down.
-        if catch_unwind(AssertUnwindSafe(job)).is_err() {
-            keebo_obs::global()
-                .counter("keebo.fleet.pool.job_panics")
-                .inc();
+        std::thread::scope(|scope| {
+            for i in 1..width {
+                let helper = std::thread::Builder::new().name(format!("kwo-fleet-{i}"));
+                if helper.spawn_scoped(scope, job).is_err() {
+                    break;
+                }
+            }
+            job();
+        });
+        let payload = first_panic
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(payload) = payload {
+            resume_unwind(payload);
         }
     }
-}
 
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut state = lock(&self.shared.state);
-            state.shutdown = true;
-        }
-        self.shared.work_ready.notify_all();
-        for handle in self.workers.drain(..) {
-            // A worker only exits its loop voluntarily, and ticket/job
-            // panics are caught inside it, so join can only fail if the
-            // thread was killed externally — nothing to clean up then.
-            let _ = handle.join();
-        }
+    /// Runs `f(i, item)` for every item on at most `parallelism` threads and
+    /// returns the results in item order, whichever job ran which item.
+    /// Items are moved into `f`, so they may be borrows (`&T`, `&mut T`) of
+    /// the caller's data or owned values.
+    ///
+    /// # Panics
+    /// Re-raises the first panic out of `f`; no result is returned then.
+    pub fn map<I: Send, O: Send>(
+        &self,
+        items: Vec<I>,
+        parallelism: usize,
+        f: impl Fn(usize, I) -> O + Sync,
+    ) -> Vec<O> {
+        // One slot per item: the item until its ticket takes it, then the
+        // result. Each slot is locked only by the one job that claimed its
+        // index, and never while `f` runs.
+        let slots: Vec<Mutex<(Option<I>, Option<O>)>> = items
+            .into_iter()
+            .map(|item| Mutex::new((Some(item), None)))
+            .collect();
+        self.run_indexed(slots.len(), parallelism, |i| {
+            let item = lock(&slots[i]).0.take();
+            if let Some(item) = item {
+                let out = f(i, item);
+                lock(&slots[i]).1 = Some(out);
+            }
+        });
+        slots
+            .into_iter()
+            .map(|slot| {
+                let (_, out) = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
+                // lint: allow(D5) — run_indexed returned, so every ticket ran to completion
+                out.expect("every item maps to a result")
+            })
+            .collect()
     }
 }
 
@@ -296,10 +164,9 @@ mod tests {
     #[test]
     fn executes_every_ticket_exactly_once() {
         let pool = WorkerPool::new(4);
-        let hits: Arc<Vec<AtomicU64>> = Arc::new((0..100).map(|_| AtomicU64::new(0)).collect());
-        let sink = Arc::clone(&hits);
-        pool.run_indexed(100, 4, move |i| {
-            sink[i].fetch_add(1, Ordering::Relaxed);
+        let hits: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
+        pool.run_indexed(100, 4, |i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
@@ -307,11 +174,10 @@ mod tests {
     #[test]
     fn pool_is_reusable_across_batches() {
         let pool = WorkerPool::new(2);
-        let total = Arc::new(AtomicU64::new(0));
+        let total = AtomicU64::new(0);
         for _ in 0..5 {
-            let sink = Arc::clone(&total);
-            pool.run_indexed(10, 2, move |_| {
-                sink.fetch_add(1, Ordering::Relaxed);
+            pool.run_indexed(10, 2, |_| {
+                total.fetch_add(1, Ordering::Relaxed);
             });
         }
         assert_eq!(total.load(Ordering::Relaxed), 50);
@@ -320,18 +186,26 @@ mod tests {
     #[test]
     fn parallelism_is_clamped_not_fatal() {
         let pool = WorkerPool::new(2);
-        let total = Arc::new(AtomicU64::new(0));
-        let sink = Arc::clone(&total);
+        let total = AtomicU64::new(0);
         // More requested parallelism than workers, more tickets than both.
-        pool.run_indexed(7, 64, move |_| {
-            sink.fetch_add(1, Ordering::Relaxed);
+        pool.run_indexed(7, 64, |_| {
+            total.fetch_add(1, Ordering::Relaxed);
         });
-        let sink = Arc::clone(&total);
         // Zero parallelism clamps up to one worker.
-        pool.run_indexed(3, 0, move |_| {
-            sink.fetch_add(1, Ordering::Relaxed);
+        pool.run_indexed(3, 0, |_| {
+            total.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 10);
+    }
+
+    #[test]
+    fn width_one_batch_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let check = |_| assert_eq!(std::thread::current().id(), caller);
+        // Width 1 by request, by pool size, and by ticket count.
+        WorkerPool::new(4).run_indexed(16, 1, check);
+        WorkerPool::new(1).run_indexed(16, 8, check);
+        WorkerPool::new(4).run_indexed(1, 4, check);
     }
 
     #[test]
@@ -349,17 +223,85 @@ mod tests {
         assert_eq!(msg, "ticket boom");
 
         // The pool is not poisoned: the next batch runs normally.
-        let total = Arc::new(AtomicU64::new(0));
-        let sink = Arc::clone(&total);
-        pool.run_indexed(8, 2, move |_| {
-            sink.fetch_add(1, Ordering::Relaxed);
+        let total = AtomicU64::new(0);
+        pool.run_indexed(8, 2, |_| {
+            total.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 8);
+
+        // Same contract through `map`: the closure's payload re-raises, and
+        // every other item was either mapped whole or never touched.
+        let mut cells = vec![0u64; 64];
+        let res = catch_unwind(AssertUnwindSafe(|| {
+            pool.map(cells.iter_mut().collect(), 2, |i, cell: &mut u64| {
+                if i == 5 {
+                    panic!("map boom");
+                }
+                *cell = i as u64 + 1;
+            })
+        }));
+        let payload = res.expect_err("map panic must propagate");
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(msg, "map boom");
+        assert_eq!(cells[5], 0);
+        for (i, &cell) in cells.iter().enumerate() {
+            assert!(cell == 0 || cell == i as u64 + 1, "item {i} torn: {cell}");
+        }
+        assert_eq!(pool.map(vec![1, 2, 3], 2, |_, x| x * 2), vec![2, 4, 6]);
     }
 
     #[test]
     fn zero_tickets_is_a_noop() {
         let pool = WorkerPool::new(1);
         pool.run_indexed(0, 1, |_| panic!("never called"));
+        assert!(pool.map(Vec::<u8>::new(), 1, |_, x| x).is_empty());
+    }
+
+    #[test]
+    fn map_returns_results_in_item_order_at_every_width() {
+        let pool = WorkerPool::new(8);
+        let expected: Vec<usize> = (0..257).map(|x| x * x).collect();
+        for width in [1, 2, 8] {
+            let owned = pool.map((0..257usize).collect(), width, |i, x| {
+                assert_eq!(i, x);
+                x * x
+            });
+            assert_eq!(owned, expected, "owned items, width {width}");
+            // The gateway-tick shape: `&mut` state zipped with a per-item
+            // input, mutated in place, one value handed back per item.
+            let mut state: Vec<usize> = (0..257).collect();
+            let inputs: Vec<usize> = (0..257).rev().collect();
+            let sums = pool.map(
+                state.iter_mut().zip(inputs).collect(),
+                width,
+                |_, (s, input): (&mut usize, usize)| {
+                    *s *= *s;
+                    *s + input
+                },
+            );
+            assert_eq!(state, expected, "mutated items, width {width}");
+            let want: Vec<usize> = (0..257).map(|x| x * x + 256 - x).collect();
+            assert_eq!(sums, want, "mutated items, width {width}");
+        }
+    }
+
+    #[test]
+    fn a_ticket_may_submit_a_batch_to_its_own_pool() {
+        // Driven from a helper thread so a deadlock fails instead of hanging.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = WorkerPool::new(1);
+            let inner_hits = AtomicU64::new(0);
+            pool.run_indexed(1, 1, |_| {
+                pool.run_indexed(4, 1, |_| {
+                    inner_hits.fetch_add(1, Ordering::Relaxed);
+                });
+            });
+            let _ = tx.send(inner_hits.load(Ordering::Relaxed));
+        });
+        let hits = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("nested batch deadlocked");
+        assert_eq!(hits, 4);
     }
 }

@@ -86,11 +86,14 @@ impl FileStore {
         self.dir.join(format!("snapshot.old.{generation}.bin"))
     }
 
-    /// Rotates the current snapshot into the retained-generation chain and
-    /// prunes generations beyond the retention limit. Best-effort: rotation
-    /// is operator convenience, never correctness, so any failure is
-    /// counted (`keebo.store.retention_errors`) and the snapshot write
-    /// proceeds — the new snapshot simply overwrites the current slot.
+    /// Retains the current snapshot as generation 1 of the retained chain
+    /// and prunes generations beyond the retention limit. The current slot
+    /// is linked (or copied), never renamed away: `snapshot.bin` must only
+    /// ever be replaced by the atomic tmp rename in `write_snapshot`, or a
+    /// kill between the two would leave a store with every byte on disk and
+    /// no snapshot to restore from. Best-effort: retention is operator
+    /// convenience, never correctness, so any failure is counted
+    /// (`keebo.store.retention_errors`) and the snapshot write proceeds.
     fn rotate_retained(&self) {
         let mut failed = false;
         // Prune anything at or beyond the retention horizon (also clears
@@ -107,7 +110,9 @@ impl FileStore {
             }
         }
         if self.retention > 0 {
-            // Shift old.N-1 → old.N … old.1 → old.2, then current → old.1.
+            // Shift old.N-1 → old.N … old.1 → old.2, then retain current
+            // as old.1 (a second name for the same file where the
+            // filesystem links, a copy where it does not).
             for g in (1..self.retention).rev() {
                 let from = self.old_snapshot_path(g);
                 if let Err(e) = fs::rename(&from, self.old_snapshot_path(g + 1)) {
@@ -117,7 +122,11 @@ impl FileStore {
                 }
             }
             let current = self.dir.join(SNAPSHOT_FILE);
-            if current.exists() && fs::rename(&current, self.old_snapshot_path(1)).is_err() {
+            let retained = self.old_snapshot_path(1);
+            if current.exists()
+                && fs::hard_link(&current, &retained).is_err()
+                && fs::copy(&current, &retained).is_err()
+            {
                 failed = true;
             }
         }
@@ -351,6 +360,25 @@ mod tests {
         s.write_snapshot(b"gen-5").unwrap();
         assert_eq!(s.snapshot_generations(), 2);
         assert_eq!(read(s.old_snapshot_path(1)), b"gen-4".to_vec());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rotation_never_removes_the_current_snapshot() {
+        // A kill between rotation and the tmp rename must find the store
+        // as it was: the WAL only holds records since this snapshot.
+        let dir = scratch_dir("retain-kill");
+        let mut s = FileStore::open(&dir).unwrap();
+        s.write_snapshot(b"snapshot A").unwrap();
+        s.set_snapshot_retention(1);
+        s.rotate_retained();
+        let c = s.load().unwrap();
+        assert_eq!(c.snapshot.as_deref(), Some(&b"snapshot A"[..]));
+        let retained = fs::read(s.old_snapshot_path(1)).unwrap();
+        assert_eq!(
+            scan_frames(&retained).payloads,
+            vec![b"snapshot A".to_vec()]
+        );
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -113,11 +113,6 @@ impl AutoSuspendOptimizer {
         self.cold_uplift
     }
 
-    /// Number of observed idle gaps.
-    pub fn gap_count(&self) -> usize {
-        self.gaps_ms.len()
-    }
-
     /// Expected cost (credits-equivalent) of running with auto-suspend `a`,
     /// over the training window. `allowed_latency_ratio` is the slider's
     /// tolerated p99 inflation: a cold start whose uplift stays within it

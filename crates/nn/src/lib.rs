@@ -27,5 +27,5 @@ pub use loss::{huber_loss, huber_loss_grad, mse_loss, mse_loss_grad};
 pub use matrix::Matrix;
 pub use mlp::{Activation, Mlp, MlpConfig};
 pub use ols::{ols_fit, ridge_fit, LinearModel};
-pub use optim::{Adam, Optimizer};
+pub use optim::Adam;
 pub use replay::ReplayBuffer;

@@ -6,7 +6,7 @@
 //! the implementation favors clarity and determinism over raw throughput.
 
 use crate::matrix::Matrix;
-use crate::optim::Optimizer;
+use crate::optim::Adam;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -305,7 +305,7 @@ impl Mlp {
     }
 
     /// Applies gradients with the given optimizer.
-    pub fn apply_gradients(&mut self, grads: &MlpGradients, optimizer: &mut dyn Optimizer) {
+    pub fn apply_gradients(&mut self, grads: &MlpGradients, optimizer: &mut Adam) {
         let mut slot = 0;
         for (layer, (wg, bg)) in self
             .layers
@@ -334,24 +334,6 @@ impl Mlp {
             "cannot copy parameters between different architectures"
         );
         self.layers = source.layers.clone();
-    }
-
-    /// Soft update `theta <- tau * theta_src + (1 - tau) * theta` (Polyak).
-    pub fn blend_parameters_from(&mut self, source: &Mlp, tau: f64) {
-        assert_eq!(self.config.layer_sizes, source.config.layer_sizes);
-        for (dst, src) in self.layers.iter_mut().zip(&source.layers) {
-            for (d, s) in dst
-                .weights
-                .as_mut_slice()
-                .iter_mut()
-                .zip(src.weights.as_slice())
-            {
-                *d = tau * s + (1.0 - tau) * *d;
-            }
-            for (d, s) in dst.biases.iter_mut().zip(&src.biases) {
-                *d = tau * s + (1.0 - tau) * *d;
-            }
-        }
     }
 }
 
@@ -574,14 +556,6 @@ mod tests {
         assert_ne!(a.forward(&[0.5, 0.5]), b.forward(&[0.5, 0.5]));
         a.copy_parameters_from(&b);
         assert_eq!(a.forward(&[0.5, 0.5]), b.forward(&[0.5, 0.5]));
-    }
-
-    #[test]
-    fn blend_with_tau_one_equals_copy() {
-        let mut a = tiny_net(1);
-        let b = tiny_net(2);
-        a.blend_parameters_from(&b, 1.0);
-        assert_eq!(a.forward(&[0.1, 0.9]), b.forward(&[0.1, 0.9]));
     }
 
     #[test]

@@ -1,27 +1,13 @@
-//! First-order optimizers.
+//! The first-order optimizer.
 //!
-//! Optimizers are keyed by a *slot* index so that one optimizer instance can
+//! Updates are keyed by a *slot* index so that one optimizer instance can
 //! own the state (moments) for every parameter tensor of a network: the MLP
 //! uses two slots per layer (weights, biases).
 
 use serde::{Deserialize, Serialize};
 
-/// A first-order optimizer over flat parameter buffers.
-pub trait Optimizer {
-    /// Applies one update to `params` given `grads` for parameter slot `slot`.
-    ///
-    /// # Panics
-    /// Implementations panic if `params.len() != grads.len()`.
-    fn step(&mut self, slot: usize, params: &mut [f64], grads: &[f64]);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f64;
-
-    /// Replaces the learning rate (for schedules).
-    fn set_learning_rate(&mut self, lr: f64);
-}
-
-/// Adam optimizer (Kingma & Ba) with bias correction.
+/// Adam optimizer (Kingma & Ba) with bias correction, over flat parameter
+/// buffers.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
     lr: f64,
@@ -34,20 +20,14 @@ pub struct Adam {
 }
 
 impl Adam {
-    /// Creates an Adam optimizer with default betas (0.9, 0.999) for `slots`
-    /// parameter tensors.
+    /// Creates an Adam optimizer with the standard betas (0.9, 0.999) for
+    /// `slots` parameter tensors.
     pub fn new(lr: f64, slots: usize) -> Self {
-        Self::with_betas(lr, 0.9, 0.999, slots)
-    }
-
-    /// Full-control constructor.
-    pub fn with_betas(lr: f64, beta1: f64, beta2: f64, slots: usize) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2));
         Self {
             lr,
-            beta1,
-            beta2,
+            beta1: 0.9,
+            beta2: 0.999,
             eps: 1e-8,
             t: 0,
             m: vec![Vec::new(); slots],
@@ -66,10 +46,12 @@ impl Adam {
             self.t = 1;
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, slot: usize, params: &mut [f64], grads: &[f64]) {
+    /// Applies one update to `params` given `grads` for parameter slot `slot`.
+    ///
+    /// # Panics
+    /// Panics if `params.len() != grads.len()`.
+    pub fn step(&mut self, slot: usize, params: &mut [f64], grads: &[f64]) {
         assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
         self.maybe_advance(slot);
         let m = &mut self.m[slot];
@@ -93,15 +75,6 @@ impl Optimizer for Adam {
             *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
     }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +82,7 @@ mod tests {
     use super::*;
 
     /// Minimizes f(x) = (x - 3)^2 with the given optimizer.
-    fn minimize(opt: &mut dyn Optimizer, steps: usize) -> f64 {
+    fn minimize(opt: &mut Adam, steps: usize) -> f64 {
         let mut x = [0.0];
         for _ in 0..steps {
             let g = [2.0 * (x[0] - 3.0)];
@@ -147,13 +120,6 @@ mod tests {
         }
         assert!((a[0] - 1.0).abs() < 1e-2);
         assert!((b[0] + 2.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn learning_rate_can_be_scheduled() {
-        let mut opt = Adam::new(0.1, 1);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
     }
 
     #[test]

@@ -208,10 +208,6 @@ impl ClosedLoopDriver {
         }
     }
 
-    pub fn client_count(&self) -> usize {
-        self.clients.len()
-    }
-
     /// Requests issued in tick window `tick`: every idle client whose
     /// think/backoff timer has expired, in client-index order. Each issuing
     /// client becomes outstanding until [`ClosedLoopDriver::on_outcome`].
