@@ -289,13 +289,6 @@ impl BillingLedger {
         self.per_warehouse.keys().map(String::as_str)
     }
 
-    /// `(name, hourly credits)` pairs for every warehouse, in name order.
-    /// Lets batch readers (the telemetry fetcher) walk the ledger without
-    /// materializing a name list or cloning any credit history.
-    pub fn iter_warehouses(&self) -> impl Iterator<Item = (&str, &HourlyCredits)> {
-        self.per_warehouse.iter().map(|(n, c)| (n.as_str(), c))
-    }
-
     /// Closed billing sessions for one warehouse, in recording order
     /// (session end times are non-decreasing because the simulator clock
     /// is monotone). Empty for unknown warehouses.

@@ -80,7 +80,7 @@ impl OpsKpis {
             transient_retries: act.transient_retries(),
             fetch_outages: fetch.failed_fetches,
             fetch_partials: fetch.partial_fetches,
-            telemetry_staleness_ms: optimizer.store().staleness_ms(now),
+            telemetry_staleness_ms: optimizer.fetcher().staleness_ms(now),
         }
     }
 

@@ -234,13 +234,13 @@ impl WarehouseOptimizer {
         let agent = DqnAgent::new(DqnConfig::default(), &mut rng);
         Self {
             wh,
+            store: TelemetryStore::for_warehouse(&name),
             name,
             ctl: CtlState::new(original_config.clone(), rng, seed ^ 0xD6E8_FEB8_6659_FD93),
             original_config,
             setup,
             agent,
             cost_model: WarehouseCostModel::default(),
-            store: TelemetryStore::new(),
             actuator: Actuator::new(),
             fallback: DegradedFallback::default(),
             trace: DecisionTrace::new(TRACE_CAPACITY),
@@ -258,7 +258,7 @@ impl WarehouseOptimizer {
         &self.original_config
     }
 
-    /// Telemetry accumulated so far.
+    /// This warehouse's telemetry accumulated so far.
     pub fn store(&self) -> &TelemetryStore {
         &self.store
     }
@@ -337,13 +337,13 @@ impl WarehouseOptimizer {
     /// `None` when an early path skipped the episode loop (the WAL records
     /// the outcome so recovery replays the exact same pass).
     fn train(&mut self, now: SimTime, episodes: usize, replay_seed: Option<u64>) -> Option<u64> {
-        let records = self.store.queries(&self.name).to_vec();
+        let records = self.store.queries(&self.name);
         if records.is_empty() {
             return None;
         }
         let cfg = &self.ctl.expected_config;
         self.cost_model =
-            WarehouseCostModel::train(&records, 0, now, cfg.max_concurrency, cfg.max_clusters);
+            WarehouseCostModel::train(records, 0, now, cfg.max_concurrency, cfg.max_clusters);
         // Offline episodes on the recent reconstructed workload.
         let from = now.saturating_sub(self.setup.train_window_ms);
         let recent: Vec<QueryRecord> = records
@@ -427,7 +427,8 @@ impl WarehouseOptimizer {
     }
 
     /// Everything needed to rebuild this optimizer without replaying its
-    /// history (the decision trace is deliberately excluded).
+    /// history (the decision trace is deliberately excluded, and telemetry
+    /// is re-derived from the surviving account by `ctl`'s fetcher cursors).
     fn export_snapshot(&self) -> OptimizerSnapshot {
         OptimizerSnapshot {
             name: self.name.clone(),
@@ -435,14 +436,14 @@ impl WarehouseOptimizer {
             setup: self.setup.clone(),
             agent: self.agent.export_state(),
             cost_model: self.cost_model.clone(),
-            telemetry: self.store.clone(),
             actuator_log: self.actuator.log().to_vec(),
             ctl: self.ctl.clone(),
         }
     }
 
     /// Rebuilds an optimizer from a snapshot against the surviving
-    /// simulator (which still knows the warehouse by name).
+    /// simulator (which still knows the warehouse by name and still holds
+    /// the telemetry stream `replay_tick`'s delivery function reads).
     fn from_snapshot(snap: OptimizerSnapshot, sim: &Simulator) -> Result<Self, PersistError> {
         let wh = sim.account().warehouse_id(&snap.name).ok_or_else(|| {
             PersistError::Corrupt(format!(
@@ -452,9 +453,15 @@ impl WarehouseOptimizer {
         })?;
         let agent = DqnAgent::from_state(snap.agent).map_err(PersistError::Corrupt)?;
         let mut o = WarehouseOptimizer::new(wh, snap.name, snap.original_config, snap.setup, 0);
+        if !snap.ctl.fetcher.covered_by(sim.account()) {
+            return Err(PersistError::Corrupt(format!(
+                "snapshot telemetry cursors of {} reach past the simulator's account stream",
+                o.name
+            )));
+        }
         o.agent = agent;
         o.cost_model = snap.cost_model;
-        o.store = snap.telemetry;
+        TelemetryFetcher::new().redeliver(sim.account(), &mut o.store, &snap.ctl.fetcher);
         o.actuator.extend_log(snap.actuator_log);
         o.ctl = snap.ctl;
         Ok(o)
@@ -1076,12 +1083,17 @@ mod tests {
         use crate::store::MemStore;
         // After each admin event on the live orchestrator, a second one
         // restored from the same store (snapshot + replayed WAL) must hold
-        // byte-identical state.
+        // byte-identical state — and, since snapshots carry no telemetry,
+        // the same re-derived telemetry view.
         let assert_replay_matches = |live: &Orchestrator, store: &MemStore, sim: &Simulator| {
             let (replayed, _) = Orchestrator::restore(Box::new(store.clone()), sim).unwrap();
             assert_eq!(
                 snapshot_bytes(&replayed, sim.now()),
                 snapshot_bytes(live, sim.now())
+            );
+            assert_eq!(
+                replayed.optimizer("WH").unwrap().store(),
+                live.optimizer("WH").unwrap().store()
             );
         };
         // Second input: a telemetry outage and a partial-delivery window

@@ -32,7 +32,7 @@ impl WarehouseOptimizer {
         if effects.fetched {
             self.ctl
                 .fetcher
-                .redeliver(sim.account(), &mut self.store, now, &ctl.fetcher);
+                .redeliver(sim.account(), &mut self.store, &ctl.fetcher);
         }
         if let Some(rt) = effects.retrain {
             self.retrain(now, rt.episodes, rt.seed);

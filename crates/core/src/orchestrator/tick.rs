@@ -339,7 +339,7 @@ impl WarehouseOptimizer {
         self.ctl.health.evaluate(
             now,
             HealthSignals {
-                telemetry_staleness_ms: self.store.staleness_ms(now),
+                telemetry_staleness_ms: self.ctl.fetcher.staleness_ms(now),
                 consecutive_actuation_failures: self.ctl.reconciler.consecutive_failures(),
                 config_drift,
             },

@@ -18,7 +18,10 @@
 //! * side effects already applied to the surviving simulator/warehouse
 //!   (fetch overhead charges, ALTER statements) are *not* re-run — replay
 //!   re-ingests telemetry by cursor range and re-trains models, but never
-//!   touches the account.
+//!   touches the account;
+//! * telemetry itself is never persisted: the account stream survives, so
+//!   [`CtlState`] keeps the fetcher cursors and both restore paths (a
+//!   snapshot's `0..cursor`, a `Tick`'s range) re-deliver from the stream.
 //!
 //! All encoding is serde JSON: self-describing, append-friendly, and
 //! byte-exact for finite floats (the digest pins in the recovery tests
@@ -33,12 +36,12 @@ use agent::{AgentAction, DqnAgentState, Rule, SliderPosition, Transition};
 use cdw_sim::{SimTime, WarehouseConfig};
 use costmodel::WarehouseCostModel;
 use serde::{Deserialize, Serialize};
-use telemetry::{TelemetryFetcher, TelemetryStore};
+use telemetry::TelemetryFetcher;
 
 use crate::actuator::ActionLogEntry;
 
 /// Bumped on any incompatible change to the persisted schema.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Magic prefix of the snapshot envelope, the only snapshot format: bytes
 /// that do not start with it are not a snapshot.
@@ -231,7 +234,6 @@ pub struct OptimizerSnapshot {
     pub setup: KwoSetup,
     pub agent: DqnAgentState,
     pub cost_model: WarehouseCostModel,
-    pub telemetry: TelemetryStore,
     pub actuator_log: Vec<ActionLogEntry>,
     pub ctl: CtlState,
 }
@@ -476,13 +478,16 @@ mod tests {
 
     #[test]
     fn mismatched_body_version_header_is_corrupt() {
-        let mut snap = empty_snapshot();
-        snap.version = FORMAT_VERSION + 1;
-        let bytes = encode_snapshot(&snap).unwrap();
-        assert!(matches!(
-            decode_snapshot(&bytes),
-            Err(PersistError::Corrupt(_))
-        ));
+        // The next format and the previous one: no dual decode.
+        for version in [FORMAT_VERSION + 1, 1] {
+            let mut snap = empty_snapshot();
+            snap.version = version;
+            let bytes = encode_snapshot(&snap).unwrap();
+            assert!(matches!(
+                decode_snapshot(&bytes),
+                Err(PersistError::Corrupt(_))
+            ));
+        }
     }
 }
 

@@ -7,6 +7,11 @@
 //! queries. The fetcher models both the pull and its cost: every fetch
 //! charges a small, per-record-batched overhead to the account's overhead
 //! ledger — which is exactly the red series of Fig. 6.
+//!
+//! The fetcher is also all of telemetry that a control plane journals: two
+//! cursors into the account's append-only stream, and the time of the last
+//! successful fetch — the one product of a fetch the stream cannot give
+//! back. The store is a derived view, rebuilt by [`TelemetryFetcher::redeliver`].
 
 use crate::store::TelemetryStore;
 use cdw_sim::{Account, SimTime, TelemetryFault};
@@ -17,7 +22,6 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct FetchStats {
     pub fetches: u64,
-    pub records_fetched: u64,
     pub overhead_credits: f64,
     /// Fetch attempts that failed outright (telemetry outage).
     pub failed_fetches: u64,
@@ -58,6 +62,8 @@ pub struct TelemetryFetcher {
     query_cursor: usize,
     /// Index of the next unconsumed event record.
     event_cursor: usize,
+    /// Time of the last fetch that delivered, if any.
+    last_success_at: Option<SimTime>,
     stats: FetchStats,
 }
 
@@ -76,11 +82,11 @@ impl TelemetryFetcher {
     ///
     /// * `Outage` — the metadata queries failed. The base round-trip cost is
     ///   still charged (the queries ran and timed out), the cursors stay
-    ///   put, and the store keeps its previous staleness.
+    ///   put, and staleness keeps growing.
     /// * `Partial { keep_fraction }` — only a prefix of the new records
     ///   arrives; the cursors advance past exactly what was delivered, so
-    ///   the remainder comes on a later fetch. The store still counts this
-    ///   as a successful (fresh) fetch — data is delayed, not lost.
+    ///   the remainder comes on a later fetch. This still counts as a
+    ///   successful (fresh) fetch — data is delayed, not lost.
     pub fn fetch(
         &mut self,
         account: &mut Account,
@@ -112,43 +118,49 @@ impl TelemetryFetcher {
         self.deliver(
             account,
             store,
-            now,
             self.query_cursor + n_queries,
             self.event_cursor + n_events,
         );
+        self.last_success_at = self.last_success_at.max(Some(now));
 
-        let records = (n_queries + n_events) as u64;
-        let cost = BASE_COST_PER_FETCH + COST_PER_1K_RECORDS * records as f64 / 1000.0;
+        let records = (n_queries + n_events) as f64;
+        let cost = BASE_COST_PER_FETCH + COST_PER_1K_RECORDS * records / 1000.0;
         account.charge_overhead(now, cost);
 
         self.stats.fetches += 1;
-        self.stats.records_fetched += records;
         self.stats.overhead_credits += cost;
         Ok(n_queries)
     }
 
-    /// WAL replay's half of a fetch: delivers again what the original fetch
+    /// Recovery's half of a fetch: delivers again what the original fetches
     /// delivered — the records between this fetcher's cursors and those of
-    /// `after`, the fetcher state logged once that fetch completed — and
-    /// charges nothing, because the account paid before the crash.
+    /// `after`, the fetcher state journaled once they completed — and
+    /// charges nothing, because the account paid before the crash. One
+    /// delivery of a range equals the incremental ones that first covered
+    /// it (append-only stream, total query sort key, stable event re-sort):
+    /// a fresh fetcher rebuilds a whole store from a snapshot's cursors.
     pub fn redeliver(
         &mut self,
         account: &Account,
         store: &mut TelemetryStore,
-        now: SimTime,
         after: &TelemetryFetcher,
     ) {
-        self.deliver(account, store, now, after.query_cursor, after.event_cursor);
+        self.deliver(account, store, after.query_cursor, after.event_cursor);
+    }
+
+    /// Whether `account`'s stream reaches this fetcher's cursors (else
+    /// [`Self::redeliver`] towards them clamps).
+    pub fn covered_by(&self, account: &Account) -> bool {
+        self.query_cursor <= account.query_records().len()
+            && self.event_cursor <= account.event_records().len()
     }
 
     /// Delivers the account's records from the cursors up to `query_end` /
-    /// `event_end` into the store, with the authoritative billing
-    /// snapshots, and marks the store fresh at `now`.
+    /// `event_end` into the store.
     fn deliver(
         &mut self,
         account: &Account,
         store: &mut TelemetryStore,
-        now: SimTime,
         query_end: usize,
         event_end: usize,
     ) {
@@ -160,18 +172,21 @@ impl TelemetryFetcher {
         let q1 = query_end.min(queries.len()).max(q0);
         let e0 = self.event_cursor.min(events.len());
         let e1 = event_end.min(events.len()).max(e0);
-        store.ingest_queries(queries[q0..q1].iter().cloned());
-        store.ingest_events(events[e0..e1].iter().cloned());
+        store.ingest_queries(&queries[q0..q1]);
+        store.ingest_events(&events[e0..e1]);
         self.query_cursor = q1;
         self.event_cursor = e1;
+    }
 
-        // Billing snapshots are authoritative per fetch. Walk the ledger
-        // by reference: no name list, no per-warehouse history clone unless
-        // the snapshot actually changed since the last fetch.
-        for (name, credits) in account.ledger().iter_warehouses() {
-            store.update_billing(name, credits);
-        }
-        store.note_fetch_success(now);
+    /// Time of the last fetch that delivered, if any.
+    pub fn last_success_at(&self) -> Option<SimTime> {
+        self.last_success_at
+    }
+
+    /// Age of the fetched data at `now`; a fetcher that never succeeded is
+    /// maximally stale (`now`). Drives staleness-aware degradation.
+    pub fn staleness_ms(&self, now: SimTime) -> SimTime {
+        self.last_success_at.map_or(now, |t| now.saturating_sub(t))
     }
 
     /// Cumulative statistics.
@@ -275,18 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn billing_snapshot_lands_in_store() {
-        let mut sim = sim_with_queries(2);
-        let mut store = TelemetryStore::new();
-        let mut fetcher = TelemetryFetcher::new();
-        fetcher
-            .fetch(sim.account_mut(), &mut store, HOUR_MS, TelemetryFault::None)
-            .unwrap();
-        let billed = store.billing("WH").map(|h| h.total()).unwrap_or(0.0);
-        assert!(billed > 0.0, "billing history present");
-    }
-
-    #[test]
     fn events_flow_through() {
         let mut sim = sim_with_queries(1);
         let wh = sim.account().warehouse_id("WH").unwrap();
@@ -323,7 +326,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, FetchError::Outage);
         assert_eq!(store.total_queries(), 0);
-        assert_eq!(store.last_fetch_at(), None);
+        assert_eq!(fetcher.last_success_at(), None);
         assert_eq!(fetcher.stats().failed_fetches, 1);
         let overhead = sim.account().ledger().overhead().total();
         assert!(overhead > 0.0, "attempt still billed");
@@ -337,7 +340,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(n, 4);
-        assert_eq!(store.last_fetch_at(), Some(2 * HOUR_MS));
+        assert_eq!(fetcher.last_success_at(), Some(2 * HOUR_MS));
     }
 
     #[test]
@@ -377,13 +380,13 @@ mod tests {
         fetcher
             .fetch(sim.account_mut(), &mut store, HOUR_MS, TelemetryFault::None)
             .unwrap();
-        assert_eq!(store.staleness_ms(HOUR_MS), 0);
+        assert_eq!(fetcher.staleness_ms(HOUR_MS), 0);
         for k in 1..=3 {
             let at = HOUR_MS + k * HOUR_MS;
             assert!(fetcher
                 .fetch(sim.account_mut(), &mut store, at, TelemetryFault::Outage)
                 .is_err());
-            assert_eq!(store.staleness_ms(at), k * HOUR_MS);
+            assert_eq!(fetcher.staleness_ms(at), k * HOUR_MS);
         }
         fetcher
             .fetch(
@@ -393,6 +396,6 @@ mod tests {
                 TelemetryFault::None,
             )
             .unwrap();
-        assert_eq!(store.staleness_ms(5 * HOUR_MS), 0);
+        assert_eq!(fetcher.staleness_ms(5 * HOUR_MS), 0);
     }
 }

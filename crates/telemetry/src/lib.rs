@@ -1,17 +1,18 @@
 //! The telemetry metadata pipeline.
 //!
 //! KWO trains exclusively on *performance telemetry metadata* — query
-//! history and billing history — and, per the paper's security criterion
+//! history and warehouse events — and, per the paper's security criterion
 //! (C6), never sees query text or customer data: "even query texts and
 //! usernames ... must be securely hashed". This crate is that boundary:
 //!
 //! * [`hashing`] — query-text and template hashing (the only representation
 //!   that crosses into the learning stack);
-//! * [`store`] — time-indexed stores for query and billing history, the
-//!   simulator-side equivalent of Snowflake's ACCOUNT_USAGE views;
+//! * [`store`] — time-indexed query history and warehouse events pulled so
+//!   far, whole-account or one warehouse's partition: a derived, never
+//!   persisted view of the stream (Snowflake's ACCOUNT_USAGE views here);
 //! * [`fetcher`] — the periodic metadata pull of Algorithm 1 line 14, which
 //!   itself costs a small number of credits (the overhead measured in the
-//!   paper's Fig. 6);
+//!   paper's Fig. 6); its cursors and freshness time are all that is journaled;
 //! * [`features`] — windowed aggregate features consumed by the smart
 //!   models and the cost model's parameter estimators.
 

@@ -1,23 +1,21 @@
-//! Time-indexed telemetry stores: the query history and billing history the
-//! data-learning platform trains on (§6.1).
+//! Time-indexed telemetry store: the query history and warehouse events the
+//! data-learning platform trains on (§6.1). A derived view of the account
+//! stream up to the fetcher's cursors, which is why it is never persisted.
 
-use cdw_sim::{HourlyCredits, QueryRecord, SimTime, WarehouseEventRecord};
-use serde::{Deserialize, Serialize};
+use cdw_sim::{QueryRecord, SimTime, WarehouseEventRecord};
 use std::collections::BTreeMap;
 
-/// Accumulated telemetry for one account, indexed for the access patterns
-/// the learning stack needs: per-warehouse, time-windowed scans.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Accumulated telemetry of an account ([`TelemetryStore::new`]) or of one
+/// warehouse ([`TelemetryStore::for_warehouse`]), indexed for the access
+/// patterns the learning stack needs: per-warehouse, time-windowed scans.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryStore {
+    /// When set, records of every other warehouse are dropped at ingest.
+    only: Option<String>,
     /// Query history per warehouse, kept sorted by completion time.
     queries: BTreeMap<String, Vec<QueryRecord>>,
-    /// Billing history per warehouse (hourly credits).
-    billing: BTreeMap<String, HourlyCredits>,
     /// Warehouse lifecycle events per warehouse, sorted by time.
     events: BTreeMap<String, Vec<WarehouseEventRecord>>,
-    /// Time of the last successful fetch into this store, if any. Drives
-    /// staleness-aware degradation in the control plane.
-    last_fetch_at: Option<SimTime>,
 }
 
 impl TelemetryStore {
@@ -25,92 +23,74 @@ impl TelemetryStore {
         Self::default()
     }
 
+    /// A store that keeps `warehouse`'s partition only (what one optimizer reads).
+    pub fn for_warehouse(warehouse: &str) -> Self {
+        Self {
+            only: Some(warehouse.to_string()),
+            ..Self::default()
+        }
+    }
+
+    fn keeps(&self, warehouse: &str) -> bool {
+        self.only.as_deref().is_none_or(|w| w == warehouse)
+    }
+
     /// Ingests query records (idempotence is the fetcher's responsibility;
-    /// the store trusts its input ordering only loosely and re-sorts).
+    /// the store trusts its input ordering only loosely and re-sorts),
+    /// skipping other partitions' records before they are cloned.
     ///
     /// The hot path is the fetcher's: records arrive completion-ordered per
-    /// warehouse, so appends stay sorted and nothing is re-sorted or
-    /// cloned. Only a warehouse whose append actually broke the order pays
-    /// a sort.
-    pub fn ingest_queries(&mut self, records: impl IntoIterator<Item = QueryRecord>) {
-        let mut dirty: Vec<String> = Vec::new();
+    /// warehouse, so appends stay sorted and nothing is re-sorted. Only a
+    /// warehouse whose append actually broke the order pays a sort.
+    pub fn ingest_queries(&mut self, records: &[QueryRecord]) {
+        let mut dirty: Vec<&str> = Vec::new();
         for r in records {
+            if !self.keeps(&r.warehouse) {
+                continue;
+            }
             if let Some(v) = self.queries.get_mut(&r.warehouse) {
                 let breaks_order = v
                     .last()
                     .is_some_and(|last| (last.end, last.query_id) > (r.end, r.query_id));
-                if breaks_order && !dirty.contains(&r.warehouse) {
-                    dirty.push(r.warehouse.clone());
+                if breaks_order && !dirty.contains(&r.warehouse.as_str()) {
+                    dirty.push(&r.warehouse);
                 }
-                v.push(r);
+                v.push(r.clone());
             } else {
-                self.queries.insert(r.warehouse.clone(), vec![r]);
+                self.queries.insert(r.warehouse.clone(), vec![r.clone()]);
             }
         }
         for wh in dirty {
-            if let Some(v) = self.queries.get_mut(&wh) {
+            if let Some(v) = self.queries.get_mut(wh) {
                 v.sort_by_key(|r| (r.end, r.query_id));
             }
         }
     }
 
-    /// Ingests warehouse events. Same sorted-append fast path as
-    /// [`TelemetryStore::ingest_queries`]: only a warehouse whose vector
-    /// actually went out of time order is re-sorted.
-    pub fn ingest_events(&mut self, records: impl IntoIterator<Item = WarehouseEventRecord>) {
-        let mut dirty: Vec<String> = Vec::new();
+    /// Ingests warehouse events. Same partition filter and sorted-append
+    /// fast path as [`TelemetryStore::ingest_queries`]: only a warehouse
+    /// whose vector actually went out of time order is re-sorted.
+    pub fn ingest_events(&mut self, records: &[WarehouseEventRecord]) {
+        let mut dirty: Vec<&str> = Vec::new();
         for r in records {
+            if !self.keeps(&r.warehouse) {
+                continue;
+            }
             if let Some(v) = self.events.get_mut(&r.warehouse) {
-                if v.last().is_some_and(|last| last.at > r.at) && !dirty.contains(&r.warehouse) {
-                    dirty.push(r.warehouse.clone());
+                if v.last().is_some_and(|last| last.at > r.at)
+                    && !dirty.contains(&r.warehouse.as_str())
+                {
+                    dirty.push(&r.warehouse);
                 }
-                v.push(r);
+                v.push(r.clone());
             } else {
-                self.events.insert(r.warehouse.clone(), vec![r]);
+                self.events.insert(r.warehouse.clone(), vec![r.clone()]);
             }
         }
         for wh in dirty {
-            if let Some(v) = self.events.get_mut(&wh) {
+            if let Some(v) = self.events.get_mut(wh) {
                 v.sort_by_key(|r| r.at);
             }
-        }
-    }
-
-    /// Replaces the billing history of a warehouse (billing is cumulative,
-    /// so each fetch supplies the authoritative snapshot), straight off the
-    /// ledger: skips the clone entirely when the snapshot is unchanged since
-    /// the last fetch (the common case for suspended warehouses) and reuses
-    /// the existing key otherwise.
-    pub fn update_billing(&mut self, warehouse: &str, credits: &HourlyCredits) {
-        match self.billing.get_mut(warehouse) {
-            Some(cur) => {
-                if cur != credits {
-                    cur.clone_from(credits);
-                }
-            }
-            None => {
-                self.billing.insert(warehouse.to_string(), credits.clone());
-            }
-        }
-    }
-
-    /// Records a successful fetch at `now` (called by the fetcher).
-    pub fn note_fetch_success(&mut self, now: SimTime) {
-        self.last_fetch_at = Some(self.last_fetch_at.map_or(now, |t| t.max(now)));
-    }
-
-    /// Time of the last successful fetch, if any.
-    pub fn last_fetch_at(&self) -> Option<SimTime> {
-        self.last_fetch_at
-    }
-
-    /// Age of the store's data at `now`: elapsed time since the last
-    /// successful fetch. A store that has never been fetched into is
-    /// maximally stale (`now`).
-    pub fn staleness_ms(&self, now: SimTime) -> SimTime {
-        match self.last_fetch_at {
-            Some(t) => now.saturating_sub(t),
-            None => now,
         }
     }
 
@@ -128,11 +108,6 @@ impl TelemetryStore {
         let lo = all.partition_point(|r| r.end < start);
         let hi = all.partition_point(|r| r.end < end);
         &all[lo..hi]
-    }
-
-    /// Billing history of a warehouse.
-    pub fn billing(&self, warehouse: &str) -> Option<&HourlyCredits> {
-        self.billing.get(warehouse)
     }
 
     /// Warehouse events in `[start, end)`.
@@ -178,7 +153,7 @@ mod tests {
     #[test]
     fn ingest_sorts_by_completion() {
         let mut s = TelemetryStore::new();
-        s.ingest_queries(vec![rec(2, "A", 0, 500), rec(1, "A", 0, 100)]);
+        s.ingest_queries(&[rec(2, "A", 0, 500), rec(1, "A", 0, 100)]);
         let q = s.queries("A");
         assert_eq!(q[0].query_id, 1);
         assert_eq!(q[1].query_id, 2);
@@ -187,7 +162,8 @@ mod tests {
     #[test]
     fn windowed_scan_uses_completion_time() {
         let mut s = TelemetryStore::new();
-        s.ingest_queries((0..10).map(|i| rec(i, "A", i * 10, i * 100)));
+        let records: Vec<QueryRecord> = (0..10).map(|i| rec(i, "A", i * 10, i * 100)).collect();
+        s.ingest_queries(&records);
         let w = s.queries_in("A", 200, 500);
         assert_eq!(w.len(), 3);
         assert!(w.iter().all(|r| (200..500).contains(&r.end)));
@@ -196,39 +172,19 @@ mod tests {
     #[test]
     fn warehouses_are_isolated() {
         let mut s = TelemetryStore::new();
-        s.ingest_queries(vec![rec(1, "A", 0, 10), rec(2, "B", 0, 20)]);
+        s.ingest_queries(&[rec(1, "A", 0, 10), rec(2, "B", 0, 20)]);
         assert_eq!(s.queries("A").len(), 1);
         assert_eq!(s.queries("B").len(), 1);
         assert_eq!(s.queries("C").len(), 0);
         assert_eq!(s.total_queries(), 2);
-    }
-
-    #[test]
-    fn billing_snapshot_replaces() {
-        let mut s = TelemetryStore::new();
-        let mut h = HourlyCredits::new();
-        h.add(0, 1.0);
-        s.update_billing("A", &h);
-        h.add(0, 1.0);
-        s.update_billing("A", &h);
-        assert_eq!(s.billing("A").unwrap().total(), 2.0);
-    }
-
-    #[test]
-    fn update_billing_is_authoritative_whether_or_not_the_snapshot_changed() {
-        let mut s = TelemetryStore::new();
-        let mut h = HourlyCredits::new();
-        h.add(0, 1.0);
-        s.update_billing("A", &h);
-        assert_eq!(s.billing("A"), Some(&h));
-        // Unchanged snapshot: update is a no-op but stays authoritative.
-        s.update_billing("A", &h);
-        assert_eq!(s.billing("A").unwrap().total(), 1.0);
-        // Changed snapshot replaces the stored one.
-        h.add(3 * cdw_sim::HOUR_MS, 2.0);
-        s.update_billing("A", &h);
-        assert_eq!(s.billing("A"), Some(&h));
-        assert_eq!(s.billing("A").unwrap().total(), 3.0);
+        // A one-warehouse store drops foreign records and keeps its own in
+        // completion order.
+        let mut b = TelemetryStore::for_warehouse("B");
+        b.ingest_queries(&[rec(3, "B", 0, 30), rec(1, "A", 0, 10), rec(2, "B", 0, 20)]);
+        let ids: Vec<u64> = b.queries("B").iter().map(|r| r.query_id).collect();
+        assert_eq!(ids, vec![2, 3]);
+        assert_eq!(b.queries("A").len(), 0);
+        assert_eq!(b.total_queries(), 2);
     }
 
     #[test]
@@ -247,8 +203,8 @@ mod tests {
             scaling_policy: Default::default(),
         };
         let mut s = TelemetryStore::new();
-        s.ingest_events(vec![ev(300), ev(100), ev(200)]);
-        s.ingest_events(vec![ev(150)]);
+        s.ingest_events(&[ev(300), ev(100), ev(200)]);
+        s.ingest_events(&[ev(150)]);
         let ats: Vec<SimTime> = s.events_in("A", 0, 1_000).iter().map(|e| e.at).collect();
         assert_eq!(ats, vec![100, 150, 200, 300]);
     }
@@ -256,8 +212,8 @@ mod tests {
     #[test]
     fn incremental_ingest_maintains_order() {
         let mut s = TelemetryStore::new();
-        s.ingest_queries(vec![rec(1, "A", 0, 100)]);
-        s.ingest_queries(vec![rec(2, "A", 0, 50)]);
+        s.ingest_queries(&[rec(1, "A", 0, 100)]);
+        s.ingest_queries(&[rec(2, "A", 0, 50)]);
         let ends: Vec<SimTime> = s.queries("A").iter().map(|r| r.end).collect();
         assert_eq!(ends, vec![50, 100]);
     }

@@ -66,10 +66,6 @@ fn telemetry_pipeline_reflects_simulator_truth() {
         )
         .unwrap();
     assert_eq!(n, sim.account().query_records().len());
-    // Billing snapshot must match the ledger.
-    let ledger_total = sim.account().ledger().warehouse("WH").total();
-    let store_total = store.billing("WH").map(|h| h.total()).unwrap_or(0.0);
-    assert!((ledger_total - store_total).abs() < 1e-9);
     // Window features over the whole day count every arrival.
     let features = WindowFeatures::series(store.queries("WH"), 0, DAY_MS, HOUR_MS);
     let arrivals: usize = features.iter().map(|w| w.arrivals).sum();

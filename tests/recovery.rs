@@ -219,6 +219,110 @@ fn warm_restart_beats_cold_start_on_the_same_seed() {
     );
 }
 
+/// Two warehouses on one account, each with its own hourly query stream,
+/// managed by `kwo` and optimized until five hours past onboarding.
+fn two_warehouse_run(kwo: &mut Orchestrator) -> Simulator {
+    const STREAMS: [(&str, WarehouseSize, f64, u64); 2] = [
+        ("WH_A", WarehouseSize::Large, 30_000.0, 7),
+        ("WH_B", WarehouseSize::Medium, 12_000.0, 23),
+    ];
+    let mut account = Account::new();
+    let ids = STREAMS.map(|(name, size, ..)| {
+        account.create_warehouse(
+            name,
+            WarehouseConfig::new(size).with_auto_suspend_secs(1800),
+        )
+    });
+    let mut sim = Simulator::new(account);
+    for h in 0..(2 * 24) {
+        for (i, (_, _, work_ms, minute)) in STREAMS.into_iter().enumerate() {
+            let id = i as u64 * 10_000 + h;
+            let at = h * HOUR_MS + minute * MINUTE_MS;
+            sim.submit_query(
+                ids[i],
+                QuerySpec::builder(id)
+                    .work_ms_xs(work_ms)
+                    .arrival_ms(at)
+                    .build(),
+            );
+        }
+    }
+    for (name, ..) in STREAMS {
+        kwo.manage(&sim, name, fast_setup());
+    }
+    kwo.observe_until(&mut sim, OBSERVE_MS);
+    kwo.onboard(&mut sim);
+    kwo.run_until(&mut sim, OBSERVE_MS + 5 * HOUR_MS);
+    sim
+}
+
+/// [`two_warehouse_run`] journaled to a store, control plane killed at the
+/// end: the day-one snapshot (default policy, 48 ticks) has landed and the
+/// onboarding plus ten ticks per warehouse sit in the WAL on top of it.
+fn two_warehouse_crash() -> (Simulator, MemStore) {
+    let store = MemStore::new();
+    let mut kwo = Orchestrator::new(5);
+    kwo.attach_store(Box::new(store.clone()), 0);
+    let sim = two_warehouse_run(&mut kwo);
+    drop(kwo);
+    (sim, store)
+}
+
+#[test]
+fn restore_rebuilds_each_warehouses_telemetry_from_the_account() {
+    let (mut sim, store) = two_warehouse_crash();
+    let (mut restored, stats) = Orchestrator::restore(Box::new(store), &sim).expect("recovery");
+    assert!(stats.snapshot_bytes > 0 && stats.replayed_records > 0);
+    let mut twin = Orchestrator::new(5);
+    let mut twin_sim = two_warehouse_run(&mut twin);
+
+    for name in ["WH_A", "WH_B"] {
+        let rebuilt = restored.optimizer(name).expect("managed").store();
+        let live = twin.optimizer(name).expect("managed").store();
+        assert!(!live.queries(name).is_empty());
+        assert_eq!(rebuilt.queries(name), live.queries(name), "{name}");
+        assert_eq!(
+            rebuilt.total_queries(),
+            rebuilt.queries(name).len(),
+            "{name} holds its own partition only"
+        );
+    }
+    restored.run_until(&mut sim, END_MS);
+    twin.run_until(&mut twin_sim, END_MS);
+    for name in ["WH_A", "WH_B"] {
+        assert_eq!(
+            restored.optimizer(name).expect("managed").actuator().log(),
+            twin.optimizer(name).expect("managed").actuator().log(),
+            "{name}"
+        );
+    }
+    assert!(!twin.optimizers()[0].actuator().log().is_empty());
+    assert_eq!(
+        sim.account().ledger().total_with_overhead().to_bits(),
+        twin_sim.account().ledger().total_with_overhead().to_bits()
+    );
+}
+
+#[test]
+fn snapshot_cursors_past_the_account_stream_are_corrupt() {
+    // The snapshot's fetcher cursors index the account stream it was taken
+    // against; a simulator whose stream is shorter is not that account.
+    let (_, store) = two_warehouse_crash();
+    let fresh_sim = {
+        let mut account = Account::new();
+        for name in ["WH_A", "WH_B"] {
+            account.create_warehouse(name, WarehouseConfig::new(WarehouseSize::Small));
+        }
+        Simulator::new(account)
+    };
+    match Orchestrator::restore(Box::new(store), &fresh_sim) {
+        Err(keebo::persist::PersistError::Corrupt(msg)) => {
+            assert!(msg.contains("account stream"), "{msg}")
+        }
+        other => panic!("expected Corrupt, got {:?}", other.map(|(_, stats)| stats)),
+    }
+}
+
 #[test]
 fn every_persisted_record_re_encodes_byte_identically() {
     // A real run exercising every record variant, captured via MemStore.
