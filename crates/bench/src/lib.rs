@@ -7,14 +7,10 @@
 //! integration tests.
 
 use cdw_sim::{
-    Account, QueryRecord, SimTime, Simulator, WarehouseConfig, WarehouseId, WarehouseSize, DAY_MS,
-    HOUR_MS,
+    Account, QueryRecord, SimTime, Simulator, WarehouseConfig, WarehouseId, DAY_MS, HOUR_MS,
 };
-use keebo::drill::fast_setup;
-use keebo::{
-    derive_stream_seed, FleetController, KwoSetup, Orchestrator, TenantSpec, WarehouseSpec,
-};
-use workload::{fleet_mix, generate_trace, WorkloadGenerator};
+use keebo::{KwoSetup, Orchestrator};
+use workload::{generate_trace, WorkloadGenerator};
 
 pub mod args;
 pub mod estimator;
@@ -86,38 +82,6 @@ fn run_with_kwo_ms(
         wh,
         onboard_at: observe_ms,
     }
-}
-
-/// The fleet benches' fleet: `tenants × per_tenant` Large warehouses with
-/// archetypes cycled by [`fleet_mix`] (its light generators), each on the
-/// drill-speed setup, every trace seeded from `seed` and the warehouse name.
-pub fn mixed_fleet(
-    seed: u64,
-    tenants: usize,
-    per_tenant: usize,
-    total_days: u64,
-) -> FleetController {
-    let mut fleet = FleetController::new(seed);
-    let members = fleet_mix(tenants, per_tenant, true);
-    for tenant in members.chunks(per_tenant.max(1)) {
-        let mut spec = TenantSpec::new(&tenant[0].tenant);
-        for m in tenant {
-            spec = spec.add_warehouse(WarehouseSpec {
-                name: m.warehouse.clone(),
-                config: WarehouseConfig::new(WarehouseSize::Large).with_auto_suspend_secs(3600),
-                setup: fast_setup(),
-                queries: generate_trace(
-                    m.generator.as_ref(),
-                    0,
-                    total_days * DAY_MS,
-                    derive_stream_seed(seed, &m.warehouse),
-                )
-                .into(),
-            });
-        }
-        fleet.add_tenant(spec);
-    }
-    fleet
 }
 
 /// Daily billed credits for a warehouse over `[0, days)`, including credits

@@ -1,26 +1,19 @@
-//! Plain-text table/series rendering and report-file output for the
-//! figure/bench binaries.
+//! Plain-text table/series rendering for the figure binaries, and the fuzz
+//! campaign's report-file output.
 
-/// Writes `contents` to `path`. Bench binaries are CI steps: an output
-/// failure prints the error and exits non-zero instead of panicking, so the
-/// step fails with a readable message rather than a backtrace.
-pub fn write_report(path: &str, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
+/// Serializes `value` as pretty JSON and writes it to `path`. The fuzz bin
+/// is a CI step: an output failure prints the error and exits non-zero
+/// instead of panicking, so the step fails with a readable message rather
+/// than a backtrace.
+pub fn write_json<T: serde::Serialize>(path: &str, value: &T) {
+    let written = serde_json::to_string_pretty(value)
+        .map_err(|e| e.to_string())
+        .and_then(|json| std::fs::write(path, json).map_err(|e| e.to_string()));
+    if let Err(e) = written {
         eprintln!("failed to write {path}: {e}");
         std::process::exit(1);
     }
     println!("wrote {path}");
-}
-
-/// Serializes `value` as pretty JSON and writes it via [`write_report`].
-pub fn write_json<T: serde::Serialize>(path: &str, value: &T) {
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => write_report(path, &json),
-        Err(e) => {
-            eprintln!("failed to serialize {path}: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 /// Prints a two-column bar chart row: label, bar scaled to `max`, value.

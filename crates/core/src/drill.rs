@@ -1,17 +1,18 @@
 //! Backend-generic crash-drill harness for the durable control plane.
 //!
-//! The recovery suite, the crash-drill matrix, and the `store_faults` bench
-//! all run the same experiment: optimize a seeded scenario with a
-//! journaling control plane, kill it at a seeded tick, restore from the
-//! surviving store, finish the run, and compare the [`Fingerprint`] (full
-//! action log + billed credits, bit for bit) against an uninterrupted run.
+//! The recovery suite (`tests/recovery.rs`) and the crash-drill matrix
+//! (`tests/store_matrix.rs`) run the same experiment: optimize a seeded
+//! scenario with a journaling control plane, kill it at a seeded tick,
+//! restore from the surviving store, finish the run, and compare the
+//! [`Fingerprint`] (full action log + billed credits, bit for bit) against
+//! an uninterrupted run.
 //! This module is that experiment, factored once so both store media —
 //! [`MemStore`] and [`FileStore`], each behind a [`FaultyStore`] running the
 //! cell's fault plan — go through one table-driven path.
 //!
 //! Like [`CrashPlan`], this is library code rather than test-only code on
-//! purpose: the bench bin drives the same cells the tests pin, so a
-//! BENCH_store.json regression and a test failure point at the same drill.
+//! purpose: two integration-test files drive the same cells, so a failure
+//! in either points at the same drill.
 
 use std::path::PathBuf;
 

@@ -379,18 +379,14 @@ impl FleetController {
         self
     }
 
-    pub fn warehouse_count(&self) -> usize {
-        self.tenants.iter().map(|t| t.warehouses.len()).sum()
-    }
-
     /// Runs the whole fleet through a caller-owned [`WorkerPool`], on at
     /// most `parallelism` threads: every tenant observes until
     /// `observe_until`, onboards, then optimizes until `until`. Jobs claim
     /// shards off a shared cursor; the report is bit-identical for any pool
     /// size and parallelism. Also returns per-run wall-clock accounting:
     /// cumulative shard *build* seconds and shard *drive* seconds, kept
-    /// apart so benches stop billing trace construction to the simulator
-    /// (the timing bug the 4×4 bench shipped with).
+    /// apart so a throughput figure does not bill trace construction to the
+    /// simulator.
     pub fn run_on_timed(
         &self,
         pool: &WorkerPool,
@@ -423,8 +419,7 @@ impl FleetController {
 }
 
 /// Drives one shard through the full lifecycle and rolls up its report,
-/// timing shard *build* and shard *drive* separately (the old bench lumped
-/// both into one window).
+/// timing shard *build* and shard *drive* separately.
 fn run_shard(
     seed: u64,
     tenant: &TenantSpec,
@@ -568,6 +563,28 @@ mod tests {
             four.estimated_savings.to_bits()
         );
         assert_eq!(one.ops.actions_applied, four.ops.actions_applied);
+
+        // All four archetypes (`small_fleet` is ETL and BI only) as 4
+        // tenants x 2 Large warehouses, at widths 1 and 2 of one reused pool.
+        let fleet_seed = 1009;
+        let mut mixed = FleetController::new(fleet_seed);
+        for tenant in workload::fleet_mix(4, 2, true).chunks(2) {
+            let mut spec = TenantSpec::new(&tenant[0].tenant);
+            for m in tenant {
+                let seed = derive_stream_seed(fleet_seed, &m.warehouse);
+                spec = spec.add_warehouse(WarehouseSpec {
+                    name: m.warehouse.clone(),
+                    config: WarehouseConfig::new(WarehouseSize::Large).with_auto_suspend_secs(3600),
+                    setup: fast_setup(),
+                    queries: generate_trace(m.generator.as_ref(), 0, 2 * DAY_MS, seed).into(),
+                });
+            }
+            mixed.add_tenant(spec);
+        }
+        let pool = WorkerPool::new(2);
+        let [one, two] = [1, 2].map(|width| run_on(&mixed, &pool, DAY_MS, 2 * DAY_MS, width));
+        assert_eq!(one.warehouses, 8);
+        assert_eq!(one.digest(), two.digest());
     }
 
     #[test]

@@ -34,8 +34,8 @@
 //!   from the admission seq and the shard's virtual clock.
 //!
 //! So [`FleetReport::digest`], the decision digest, and the response
-//! digest are all invariant across `parallelism` — pinned by the gateway
-//! determinism tests and the `gateway` bench.
+//! digest are all invariant across `parallelism` — pinned by
+//! `tests/gateway.rs` under open-loop and closed-loop load.
 
 mod limiter;
 mod queue;
@@ -116,10 +116,9 @@ impl ShedCounts {
     }
 }
 
-/// Everything the gateway measured over one run. The digests and the
-/// virtual-tick wait samples are deterministic; the wall-clock admission
-/// latencies (`admit_wall_us`) are measurement-only and never fold into
-/// any digest.
+/// Everything the gateway measured over one run, all of it deterministic:
+/// counts, digests and virtual-tick wait samples. (Wall-clock admission
+/// latency goes to the `keebo.gateway.admission_wait_us` histogram only.)
 #[derive(Debug, Clone, Default)]
 pub struct GatewayStats {
     /// Requests admitted (dense seq space: `0..admitted`).
@@ -140,9 +139,6 @@ pub struct GatewayStats {
     pub wait_ticks_interactive: Vec<f64>,
     /// See [`GatewayStats::wait_ticks_interactive`].
     pub wait_ticks_batch: Vec<f64>,
-    /// Wall microseconds spent inside each `submit` call (bench
-    /// percentiles; excluded from all digests).
-    pub admit_wall_us: Vec<f64>,
 }
 
 /// The admission/dispatch front door for one simulated fleet. See the
@@ -239,11 +235,9 @@ impl Gateway {
         // lint: allow(D1) — wall time only feeds the admission-latency histogram, never a decision
         let t0 = std::time::Instant::now();
         let decision = self.admit(request);
-        let us = t0.elapsed().as_secs_f64() * 1e6;
-        self.stats.admit_wall_us.push(us);
         let reg = keebo_obs::global();
         reg.histogram("keebo.gateway.admission_wait_us", &ADMIT_US_BUCKETS)
-            .observe(us);
+            .observe(t0.elapsed().as_secs_f64() * 1e6);
         match decision {
             Admission::Admitted { .. } => reg.counter("keebo.gateway.admitted").inc(),
             Admission::Shed { reason } => {

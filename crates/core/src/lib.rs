@@ -31,7 +31,7 @@
 //!   realized savings (§4.7);
 //! * [`store`] / [`persist`] / [`drill`] — the durable control plane: the
 //!   WAL + snapshot store family, the record and snapshot codecs, and the
-//!   crash-drill harness the recovery tests and the `store_faults` bench
+//!   crash-drill harness `tests/recovery.rs` and `tests/store_matrix.rs`
 //!   share;
 //! * [`fleet`] / [`pool`] / [`gateway`] — tenants sharded over
 //!   width-capped scoped worker jobs, fronted by the admission gateway.

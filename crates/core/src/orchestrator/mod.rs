@@ -169,6 +169,8 @@ pub enum ManageError {
     /// The warehouse already has an optimizer; managing it twice would
     /// create two models fighting over one warehouse.
     AlreadyManaged(String),
+    /// The setup cannot drive a control loop; the string says which field.
+    InvalidSetup(String),
 }
 
 impl std::fmt::Display for ManageError {
@@ -176,6 +178,7 @@ impl std::fmt::Display for ManageError {
         match self {
             ManageError::UnknownWarehouse(w) => write!(f, "unknown warehouse {w}"),
             ManageError::AlreadyManaged(w) => write!(f, "warehouse {w} is already managed"),
+            ManageError::InvalidSetup(why) => write!(f, "invalid setup: {why}"),
         }
     }
 }
@@ -587,6 +590,13 @@ impl Orchestrator {
         if self.optimizer(warehouse).is_some() {
             return Err(ManageError::AlreadyManaged(warehouse.to_string()));
         }
+        // `run_until` steps at the gcd of the cadences and fires an optimizer
+        // when its own divides the tick time: zero would divide by zero.
+        if setup.realtime_interval_ms == 0 {
+            return Err(ManageError::InvalidSetup(
+                "realtime_interval_ms must be > 0".to_string(),
+            ));
+        }
         let original = original_config.unwrap_or_else(|| sim.account().describe(wh).config);
         // The learning seed derives from the warehouse *name*, not the
         // manage order: managing A then B gives each warehouse the same
@@ -966,6 +976,18 @@ mod tests {
             kwo.try_manage(&sim, "NOPE", KwoSetup::default()),
             Err(ManageError::UnknownWarehouse("NOPE".to_string()))
         );
+        // A zero cadence is refused here, not as a division by zero in
+        // `run_until`.
+        let never_ticks = KwoSetup {
+            realtime_interval_ms: 0,
+            ..KwoSetup::default()
+        };
+        let mut fresh = Orchestrator::new(2);
+        assert!(matches!(
+            fresh.try_manage(&sim, "WH", never_ticks),
+            Err(ManageError::InvalidSetup(_))
+        ));
+        assert!(fresh.optimizers().is_empty());
         // The rejected duplicate left no second optimizer behind.
         assert_eq!(kwo.optimizers().len(), 1);
     }

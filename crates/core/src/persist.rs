@@ -491,7 +491,7 @@ mod tests {
     }
 }
 
-/// What recovery did, for operators and the `store_faults` bench.
+/// What recovery did, for operators and the crash-drill tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryStats {
     /// WAL records replayed on top of the snapshot.

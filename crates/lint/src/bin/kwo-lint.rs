@@ -79,7 +79,7 @@ fn parse_args() -> Result<Args, String> {
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
                 println!(
-                    "kwo-lint: determinism, numeric-safety & concurrency lints (D1-D12)\n\
+                    "kwo-lint: determinism, numeric-safety & concurrency lints (D1-D8, D10-D12)\n\
                      usage: kwo-lint [--root DIR] [--baseline FILE] [--format text|json|github]\n\
                      \x20      [--json FILE] [--write-baseline] [--smoke] [--quiet]"
                 );

@@ -83,7 +83,7 @@ struct Analyzed {
 }
 
 /// Lints a set of sources as one workspace: per-file token rules first,
-/// then the crate-level concurrency rules (D8–D10) over per-crate symbol
+/// then the crate-level concurrency rules (D8, D10) over per-crate symbol
 /// sets, then the workspace metrics audit (D12) against `design` (path +
 /// content of DESIGN.md) or, when absent, against any `// lint-inventory:`
 /// directives in the sources. Allow directives are applied last so they
@@ -146,17 +146,12 @@ pub fn lint_sources(files: &[(String, String)], design: Option<(&str, &str)>) ->
 
     // Phase 2: crate-level symbol sets, then the structural rules.
     let mut wrappers: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
-    let mut condvars: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
     for a in &analyzed {
         let k = a.facts.info.krate.as_str();
         wrappers
             .entry(k)
             .or_default()
             .extend(a.facts.lock_wrappers.iter().cloned());
-        condvars
-            .entry(k)
-            .or_default()
-            .extend(a.facts.condvars.iter().cloned());
     }
     let by_path: BTreeMap<String, usize> = analyzed
         .iter()
@@ -167,7 +162,7 @@ pub fn lint_sources(files: &[(String, String)], design: Option<(&str, &str)>) ->
     let mut structural: Vec<StructFinding> = Vec::new();
     for a in &analyzed {
         let k = a.facts.info.krate.as_str();
-        let mut rep = scan_concurrency(&a.facts, &wrappers[k], &condvars[k]);
+        let mut rep = scan_concurrency(&a.facts, &wrappers[k]);
         edges.entry(k).or_default().append(&mut rep.edges);
         structural.append(&mut rep.findings);
     }
@@ -555,23 +550,23 @@ mod tests {
 
     #[test]
     fn structural_rules_run_through_lint_source() {
-        // D9 via a single-file workspace: the Condvar symbol set and the
-        // wait site live in the same source.
+        // D10 via a single-file workspace: the guard and the boundary it
+        // crosses live in the same source.
         let src = "// lint-fixture: crates/core/src/sync.rs\n\
-                   struct S { cv: Condvar }\n\
-                   fn f(s: &S, g: G) -> G { s.cv.wait(g) }\n";
+                   fn f(m: &Mutex<u32>) { let g = m.lock().unwrap_or_else(p); \
+                   catch_unwind(job); }\n";
         let r = lint_source("x.rs", src);
         assert_eq!(r.diags.len(), 1, "{:?}", r.diags);
-        assert_eq!(r.diags[0].rule, "D9");
+        assert_eq!(r.diags[0].rule, "D10");
         assert_eq!(r.diags[0].file, "x.rs");
     }
 
     #[test]
     fn allow_directive_suppresses_structural_findings() {
         let src = "// lint-fixture: crates/core/src/sync.rs\n\
-                   struct S { cv: Condvar }\n\
-                   // lint: allow(D9) — woken exactly once by drop\n\
-                   fn f(s: &S, g: G) -> G { s.cv.wait(g) }\n";
+                   fn f(m: &Mutex<u32>) { let g = m.lock().unwrap_or_else(p);\n\
+                   // lint: allow(D10) — the job cannot panic\n\
+                   catch_unwind(job); }\n";
         let r = lint_source("x.rs", src);
         assert!(r.diags.is_empty(), "{:?}", r.diags);
     }

@@ -1,18 +1,14 @@
-//! Workspace symbol index and the structural concurrency rules (D8–D10)
+//! Workspace symbol index and the structural concurrency rules (D8, D10)
 //! plus the cross-artifact metrics audit (D12).
 //!
 //! The per-file token rules in `rules.rs` cannot see a lock held across a
-//! callback or a `Condvar` waited on outside its predicate loop. This module
-//! extracts per-file *facts* — lock-wrapper functions (anything returning a
-//! `MutexGuard`), `Condvar`-typed symbols, `keebo.*` metric-name literals —
+//! callback. This module extracts per-file *facts* — lock-wrapper functions
+//! (anything returning a `MutexGuard`), `keebo.*` metric-name literals —
 //! aggregates them per crate, and runs the rules that need that context:
 //!
 //! * **D8 lock-order** — a static acquisition graph per crate (an edge for
 //!   every lock taken while another guard is live); any cycle — two locks
 //!   ever taken in both orders, or a re-acquisition of a held lock — fails.
-//! * **D9 condvar-wait-loop** — `Condvar::wait`/`wait_timeout` must sit
-//!   inside a `while`/`loop` block within its function (spurious wakeups);
-//!   `wait_while` carries its predicate and is exempt.
 //! * **D10 guard-across-boundary** — no `MutexGuard` live across
 //!   `catch_unwind`, a channel `.send(..)`, or a call of a caller-supplied
 //!   callback parameter (`impl Fn*`). The PR-8 `BatchExit`/`GaugeGuard`
@@ -38,7 +34,6 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Metadata for the rules implemented here (D11 lives in the `rules.rs`
 /// table; it is a plain token rule).
 pub const D8_MESSAGE: &str = "locks acquired in conflicting orders within this crate: a cycle in the static acquisition graph can deadlock — pick one global order and stick to it";
-pub const D9_MESSAGE: &str = "Condvar wait outside a predicate loop: spurious wakeups make the woken condition unreliable — re-check it in a `while`/`loop` (or use `wait_while`)";
 pub const D10_MESSAGE: &str = "MutexGuard live across an unwind/callback/channel boundary: a panic or re-entrant call strands or deadlocks the lock — drop or scope the guard first";
 pub const D12_MESSAGE: &str = "metric drifted from DESIGN.md's `keebo.*` inventory — registration names, kinds, and inventory rows must agree";
 
@@ -100,8 +95,6 @@ pub struct FileFacts {
     pub structure: FileStructure,
     /// Functions in this file whose return type mentions `MutexGuard`.
     pub lock_wrappers: BTreeSet<String>,
-    /// Symbols declared with a `Condvar`-bearing type or initializer.
-    pub condvars: BTreeSet<String>,
     /// `keebo.*` metric-name literals (non-test positions only).
     pub metrics: Vec<MetricUse>,
 }
@@ -114,7 +107,6 @@ impl FileFacts {
         structure: FileStructure,
     ) -> FileFacts {
         let lock_wrappers = find_lock_wrappers(&tokens, &structure);
-        let condvars = find_condvars(&tokens);
         let metrics = find_metric_uses(&tokens);
         FileFacts {
             real_path: real_path.to_string(),
@@ -122,7 +114,6 @@ impl FileFacts {
             tokens,
             structure,
             lock_wrappers,
-            condvars,
             metrics,
         }
     }
@@ -149,64 +140,6 @@ fn find_lock_wrappers(tokens: &[Tok], structure: &FileStructure) -> BTreeSet<Str
         }
     }
     out
-}
-
-/// Symbols whose declaration mentions `Condvar`: struct fields and `let`
-/// bindings (`done: Condvar`, `cv: Arc<Condvar>`, `let cv = Condvar::new()`,
-/// `let cv = Arc::new(Condvar::new())`).
-fn find_condvars(tokens: &[Tok]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if t.in_test || !t.is_ident("Condvar") {
-            continue;
-        }
-        // Walk back over type/initializer scaffolding to the `:` or `=`
-        // that names the symbol.
-        let mut k = i;
-        let mut steps = 0;
-        while k > 0 && steps < 10 {
-            k -= 1;
-            steps += 1;
-            let p = &tokens[k];
-            if p.is_punct(':') {
-                if k > 0 && tokens[k - 1].is_punct(':') {
-                    k -= 1; // `::` path separator — keep walking
-                    continue;
-                }
-                if let Some(name) = binding_name_before(tokens, k) {
-                    out.insert(name);
-                }
-                break;
-            }
-            if p.is_punct('=') {
-                if let Some(name) = binding_name_before(tokens, k) {
-                    out.insert(name);
-                }
-                break;
-            }
-            let scaffolding =
-                p.kind == TokKind::Ident || p.is_punct('<') || p.is_punct('(') || p.is_punct('&');
-            if !scaffolding {
-                break;
-            }
-        }
-    }
-    out
-}
-
-/// The identifier naming a binding, just before the `:`/`=` at `at`
-/// (skipping a `mut`).
-fn binding_name_before(tokens: &[Tok], at: usize) -> Option<String> {
-    let mut k = at.checked_sub(1)?;
-    if tokens[k].is_ident("mut") {
-        k = k.checked_sub(1)?;
-    }
-    let t = &tokens[k];
-    if t.kind == TokKind::Ident && !t.is_ident("mut") && !t.is_ident("let") {
-        Some(t.text.clone())
-    } else {
-        None
-    }
 }
 
 /// `keebo.*` string literals, with the registration kind when the literal
@@ -245,7 +178,7 @@ fn find_metric_uses(tokens: &[Tok]) -> Vec<MetricUse> {
     out
 }
 
-// ---- guard tracking (D8 edges, D9, D10) ------------------------------------
+// ---- guard tracking (D8 edges, D10) ----------------------------------------
 
 /// Output of the concurrency walk over one file.
 #[derive(Debug, Default)]
@@ -266,12 +199,8 @@ struct Guard {
 }
 
 /// Walks every `fn`/closure body in `facts`, tracking live guards, and
-/// reports D9/D10 findings plus the lock-acquisition edges for D8.
-pub fn scan_concurrency(
-    facts: &FileFacts,
-    wrappers: &BTreeSet<String>,
-    condvars: &BTreeSet<String>,
-) -> ConcurrencyReport {
+/// reports D10 findings plus the lock-acquisition edges for D8.
+pub fn scan_concurrency(facts: &FileFacts, wrappers: &BTreeSet<String>) -> ConcurrencyReport {
     let mut report = ConcurrencyReport::default();
     let toks = &facts.tokens;
     let st = &facts.structure;
@@ -349,26 +278,6 @@ pub fn scan_concurrency(
                 }
                 j += 1;
                 continue;
-            }
-
-            // D9: Condvar wait outside a predicate loop.
-            if (t.is_ident("wait") || t.is_ident("wait_timeout"))
-                && j >= 2
-                && toks[j - 1].is_punct('.')
-                && toks.get(j + 1).is_some_and(|n| n.is_punct('('))
-                && toks[j - 2].kind == TokKind::Ident
-                && condvars.contains(&toks[j - 2].text)
-                && !st.in_loop_within_body(j)
-            {
-                report.findings.push(StructFinding {
-                    file: facts.real_path.clone(),
-                    line: t.line,
-                    col: t.col,
-                    rule: "D9",
-                    name: "condvar-wait-loop",
-                    snippet: format!("{}.{}(..)", toks[j - 2].text, t.text),
-                    message: D9_MESSAGE,
-                });
             }
 
             // D10: boundary crossings while a guard is live.
@@ -882,7 +791,7 @@ mod tests {
 
     fn scan(src: &str) -> ConcurrencyReport {
         let f = facts(src);
-        scan_concurrency(&f, &f.lock_wrappers, &f.condvars)
+        scan_concurrency(&f, &f.lock_wrappers)
     }
 
     const WRAPPER: &str =
@@ -895,17 +804,6 @@ mod tests {
         // A fn *taking* a guard is not a wrapper.
         let f = facts("fn takes(g: MutexGuard<'_, u32>) -> u32 { *g }");
         assert!(f.lock_wrappers.is_empty());
-    }
-
-    #[test]
-    fn condvar_symbols_are_indexed() {
-        let f = facts(
-            "struct S { work_ready: Condvar, done: Arc<Condvar> }\n\
-             fn f() { let cv = Condvar::new(); let dv = Arc::new(Condvar::new()); }",
-        );
-        for name in ["work_ready", "done", "cv", "dv"] {
-            assert!(f.condvars.contains(name), "{name}: {:?}", f.condvars);
-        }
     }
 
     #[test]
@@ -997,27 +895,6 @@ mod tests {
             "{}",
             cycles[0].snippet
         );
-    }
-
-    #[test]
-    fn condvar_wait_outside_loop_flags() {
-        let src = "struct S { cv: Condvar }\n\
-                   fn bad(s: &S, g: G) { s.cv.wait(g); }\n\
-                   fn good(s: &S, mut g: G) { while pred() { g = s.cv.wait(g); } }\n\
-                   fn also_good(s: &S, mut g: G) { loop { g = s.cv.wait(g); } }\n";
-        let rep = scan(src);
-        let d9: Vec<_> = rep.findings.iter().filter(|f| f.rule == "D9").collect();
-        assert_eq!(d9.len(), 1, "{:?}", rep.findings);
-        assert_eq!(d9[0].line, 2);
-    }
-
-    #[test]
-    fn wait_while_is_exempt_and_unknown_receivers_ignored() {
-        let src = "struct S { cv: Condvar }\n\
-                   fn f(s: &S, g: G) { s.cv.wait_while(g, |x| *x); }\n\
-                   fn g2(rx: &R, g: G) { rx.wait(g); }\n";
-        let rep = scan(src);
-        assert!(rep.findings.iter().all(|f| f.rule != "D9"));
     }
 
     #[test]

@@ -16,14 +16,15 @@
 //! | D6   | checked-casts      | billing precision (2^53 edge, sign)          |
 //! | D7   | durable-io         | fail-open persistence (io handled, not unwrapped) |
 //! | D8   | lock-order         | no acquisition-order cycles per crate        |
-//! | D9   | condvar-wait-loop  | spurious-wakeup safety (wait in a loop)      |
 //! | D10  | guard-across-boundary | no guard across unwind/callback/send      |
 //! | D11  | atomics-ordering   | Relaxed only on obs statistics counters      |
 //! | D12  | metrics-inventory  | keebo.* names match DESIGN.md's inventory    |
 //!
-//! D1–D7 and D11 are per-file token rules (`rules.rs`); D8–D10 walk the
+//! D1–D7 and D11 are per-file token rules (`rules.rs`); D8 and D10 walk the
 //! brace-tree structural layer (`parse.rs`) with a per-crate symbol index,
-//! and D12 audits the whole workspace against DESIGN.md (`index.rs`).
+//! and D12 audits the whole workspace against DESIGN.md (`index.rs`). D9
+//! (condvar-wait-loop) is retired — no `Condvar` is left — and its id stays
+//! unused.
 //!
 //! Findings are suppressed per site with `// lint: allow(Dn) — reason`
 //! (the justification is mandatory) or frozen in `lint-baseline.toml`,

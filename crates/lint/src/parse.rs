@@ -1,8 +1,8 @@
 //! Brace-tree structural layer over the token stream.
 //!
 //! The token matchers in `rules.rs` see one line at a time; the concurrency
-//! rules (D8–D10) need to know *where* a token sits: which `fn` body, inside
-//! which loop, behind which closure boundary. This pass builds that shape
+//! rules (D8, D10) need to know *where* a token sits: which `fn` body, which
+//! block, behind which closure boundary. This pass builds that shape
 //! without parsing Rust: a single forward walk pairs every `{` with its `}`
 //! and labels each block by the construct that introduced it (`fn`, `while`,
 //! `loop`, a closure header, `unsafe`, ...). The result is a tree of
@@ -14,8 +14,8 @@
 //!   blocks closed at end-of-file, stray `}` are ignored;
 //! * labels are a best-effort approximation (a struct literal brace inside
 //!   an `if` condition can steal the pending label), which is fine for the
-//!   rules built on top: they only ever *relax* on `While`/`Loop` ancestors
-//!   and *reset* on `Fn`/`Closure` boundaries.
+//!   rules built on top: they only ever *reset* on `Fn`/`Closure`
+//!   boundaries.
 
 use crate::lexer::Tok;
 
@@ -87,14 +87,6 @@ impl FileStructure {
         }
     }
 
-    /// Blocks containing token `tok`, innermost first.
-    pub fn ancestors_of(&self, tok: usize) -> AncestorIter<'_> {
-        AncestorIter {
-            structure: self,
-            next: self.block_at(tok),
-        }
-    }
-
     /// Indices of all `Fn` and `Closure` blocks, in source order.
     pub fn body_roots(&self) -> impl Iterator<Item = usize> + '_ {
         self.blocks
@@ -102,36 +94,6 @@ impl FileStructure {
             .enumerate()
             .filter(|(_, b)| b.is_body_root())
             .map(|(i, _)| i)
-    }
-
-    /// Walks outward from token `tok`: is there a `While`/`Loop` block
-    /// strictly inside the nearest `Fn`/`Closure` boundary? (The D9
-    /// predicate: a `Condvar::wait` must re-check its condition in a loop.)
-    pub fn in_loop_within_body(&self, tok: usize) -> bool {
-        for idx in self.ancestors_of(tok) {
-            let b = &self.blocks[idx];
-            match b.kind {
-                BlockKind::While | BlockKind::Loop => return true,
-                _ if b.is_body_root() => return false,
-                _ => {}
-            }
-        }
-        false
-    }
-}
-
-/// Iterator over enclosing blocks, innermost first.
-pub struct AncestorIter<'a> {
-    structure: &'a FileStructure,
-    next: Option<usize>,
-}
-
-impl Iterator for AncestorIter<'_> {
-    type Item = usize;
-    fn next(&mut self) -> Option<usize> {
-        let cur = self.next?;
-        self.next = self.structure.blocks[cur].parent;
-        Some(cur)
     }
 }
 
@@ -403,36 +365,6 @@ mod tests {
             .unwrap();
         let parent = &st.blocks[fn_block.parent.unwrap()];
         assert_eq!(parent.kind, BlockKind::Impl);
-    }
-
-    #[test]
-    fn in_loop_within_body_respects_fn_boundary() {
-        // wait() directly in the fn body: not in a loop.
-        let (toks, st) = structure("fn f() { cv.wait(g); }");
-        let (i, _) = toks
-            .iter()
-            .enumerate()
-            .find(|(_, t)| t.is_ident("wait"))
-            .unwrap();
-        assert!(!st.in_loop_within_body(i));
-
-        // wait() inside a while loop: ok.
-        let (toks, st) = structure("fn f() { while p { cv.wait(g); } }");
-        let (i, _) = toks
-            .iter()
-            .enumerate()
-            .find(|(_, t)| t.is_ident("wait"))
-            .unwrap();
-        assert!(st.in_loop_within_body(i));
-
-        // Loop outside, closure boundary between: NOT in a loop.
-        let (toks, st) = structure("fn f() { loop { run(move || { cv.wait(g); }); } }");
-        let (i, _) = toks
-            .iter()
-            .enumerate()
-            .find(|(_, t)| t.is_ident("wait"))
-            .unwrap();
-        assert!(!st.in_loop_within_body(i));
     }
 
     #[test]

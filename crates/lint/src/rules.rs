@@ -5,7 +5,7 @@
 //! invariants the dynamic test suite checks after the fact — fleet-digest
 //! bit-identity, billing-oracle agreement — as source-level bans, so a
 //! regression is rejected at lint time instead of being hunted down from a
-//! flaky digest mismatch later. The structural rules D8–D10 and the
+//! flaky digest mismatch later. The structural rules D8 and D10 and the
 //! cross-artifact audit D12 need whole-crate context and live in
 //! `index.rs`.
 
@@ -16,7 +16,7 @@ use crate::lexer::{Tok, TokKind};
 pub enum FileKind {
     /// Library code under some crate's `src/` (not `src/bin/`).
     Lib,
-    /// Binary / driver code (`src/bin/`, `benches/`).
+    /// Binary / driver code (`src/bin/`).
     Bin,
     /// Integration tests, examples, fixtures: exempt from every rule.
     TestLike,
@@ -55,9 +55,7 @@ impl FileInfo {
             .any(|d| matches!(*d, "tests" | "examples" | "fixtures"))
         {
             FileKind::TestLike
-        } else if crate_dirs.first() == Some(&"benches")
-            || (crate_dirs.first() == Some(&"src") && crate_dirs.get(1) == Some(&"bin"))
-        {
+        } else if crate_dirs.first() == Some(&"src") && crate_dirs.get(1) == Some(&"bin") {
             FileKind::Bin
         } else {
             FileKind::Lib
@@ -644,11 +642,7 @@ mod tests {
                 "lint",
             ),
             ("crates/core/examples/demo.rs", FileKind::TestLike, "core"),
-            (
-                "crates/bench/src/bin/store_faults.rs",
-                FileKind::Bin,
-                "bench",
-            ),
+            ("crates/bench/src/bin/fuzz.rs", FileKind::Bin, "bench"),
             // `src/bin` must be those exact segments, in order.
             ("crates/core/src/binary.rs", FileKind::Lib, "core"),
         ];
@@ -667,11 +661,7 @@ mod tests {
         );
         assert_eq!(FileInfo::classify("crates/core/src/fleet.rs").krate, "core");
         assert_eq!(
-            FileInfo::classify("crates/bench/src/bin/fleet_scale.rs").kind,
-            FileKind::Bin
-        );
-        assert_eq!(
-            FileInfo::classify("crates/bench/benches/agent.rs").kind,
+            FileInfo::classify("crates/bench/src/bin/fuzz.rs").kind,
             FileKind::Bin
         );
         assert_eq!(

@@ -126,7 +126,8 @@ pub struct FailureReport {
     pub shrunk_case: String,
 }
 
-/// Campaign summary; serialized to `BENCH_fuzz.json`.
+/// Campaign summary; the `fuzz` bin writes it to `BENCH_fuzz.json` (a CI
+/// artifact, not a tracked file).
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct CampaignReport {
     pub start_seed: u64,

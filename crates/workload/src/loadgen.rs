@@ -3,7 +3,7 @@
 //! The gateway (`keebo::gateway`) admits client requests between control
 //! ticks; this module produces those request streams without depending on
 //! the control plane itself. Events are *abstract* — tenant/warehouse
-//! names, a priority class, and an operation sketch — and the bench maps
+//! names, a priority class, and an operation sketch — and the caller maps
 //! them onto concrete gateway requests.
 //!
 //! Two classic shapes:
@@ -35,7 +35,7 @@ pub enum LoadPriority {
 }
 
 /// What the generated client asks for. Operation parameters are sketches;
-/// the bench fleshes them out into full gateway requests.
+/// the caller fleshes them out into full gateway requests.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LoadOp {
     /// Run a query of roughly this much work (ms on an X-Small).
@@ -105,7 +105,7 @@ fn draw_op(rng: &mut StdRng, priority: LoadPriority) -> LoadOp {
 /// seed-drawn number of requests with mean `mean_per_tick`,
 /// `interactive_fraction` of them interactive. Tenants are `(tenant,
 /// warehouses)` pairs; each event picks one warehouse. Events are ordered
-/// by (tick, tenant position, draw order) — the submission order the bench
+/// by (tick, tenant position, draw order) — the submission order the caller
 /// replays.
 pub fn open_loop_plan(
     seed: u64,

@@ -13,7 +13,7 @@ use keebo::{
     Rule, RuleEffect, ShedReason, SliderPosition, TenantSpec, TimeWindow, WarehouseSpec,
     WorkerPool,
 };
-use workload::loadgen::{LoadEvent, LoadOp, LoadPriority};
+use workload::loadgen::{ClosedLoopDriver, LoadEvent, LoadOp, LoadPriority};
 use workload::{generate_trace, open_loop_plan, BiWorkload, EtlWorkload};
 
 fn fast_setup() -> KwoSetup {
@@ -109,12 +109,15 @@ fn to_request(e: &LoadEvent) -> Request {
 }
 
 /// Replays `plan` through `ticks` control ticks: events with `tick == k`
-/// are submitted after `k` ticks have run, then the tick executes.
+/// are submitted after `k` ticks have run, followed by whatever the
+/// closed-loop `clients` issue in that window (each told its own outcome),
+/// then the tick executes.
 fn drive(
     gw: &mut Gateway,
     pool: &WorkerPool,
     parallelism: usize,
     plan: &[LoadEvent],
+    clients: &mut ClosedLoopDriver,
     ticks: u64,
 ) -> Vec<Admission> {
     let mut decisions = Vec::new();
@@ -123,6 +126,12 @@ fn drive(
         while next < plan.len() && plan[next].tick == tick {
             decisions.push(gw.submit(to_request(&plan[next])));
             next += 1;
+        }
+        for e in clients.requests_for_tick(tick) {
+            let decision = gw.submit(to_request(&e));
+            let client = e.client.expect("closed-loop events name their client");
+            clients.on_outcome(client, decision.is_admitted(), tick);
+            decisions.push(decision);
         }
         gw.tick(pool, parallelism);
     }
@@ -141,63 +150,77 @@ fn gateway_is_bit_identical_across_thread_counts() {
             )
         })
         .collect();
-    // Tight bucket so the plan exercises shedding, not just admission.
-    let config = GatewayConfig {
+    // Open loop against a tight bucket, so the plan exercises shedding, not
+    // just admission.
+    let tight_bucket = GatewayConfig {
         bucket_capacity: 2.0,
         refill_per_tick: 1.0,
         ..GatewayConfig::default()
     };
+    // Open loop plus 4 closed-loop clients per tenant, whose next request
+    // depends on the last verdict. Admission outpaces dispatch (~3 admits
+    // vs 2 slots per tick), so the bounded queues fill: queue waits and
+    // queue-full sheds, not just the token bucket.
+    let overloaded = GatewayConfig {
+        bucket_capacity: 6.0,
+        refill_per_tick: 3.0,
+        queue_capacity: 8,
+        batch_per_tenant: 2,
+        ..GatewayConfig::default()
+    };
+
     let plan = open_loop_plan(SEED, &tenant_names, TICKS, 3.0, 0.6);
     assert!(!plan.is_empty());
 
     let pool = WorkerPool::new(8);
-    let mut baseline: Option<(Vec<Admission>, u64, u64, u64, GatewayStats)> = None;
-    for parallelism in [1usize, 2, 4, 8] {
-        let tenants: Vec<TenantSpec> = (0..3).map(|t| tenant(SEED, t, 2, 2)).collect();
-        let mut gw = Gateway::new(SEED, config.clone(), tenants);
-        gw.start(&pool, parallelism, DAY_MS);
-        let decisions = drive(&mut gw, &pool, parallelism, &plan, TICKS);
-        let (report, stats) = gw.finish(&pool, parallelism);
-        match &baseline {
-            None => {
+    for (config, clients_per_tenant) in [(tight_bucket, 0), (overloaded, 4)] {
+        let mut baseline: Option<(Vec<Admission>, u64, GatewayStats)> = None;
+        for parallelism in [1usize, 2, 4, 8] {
+            let tenants: Vec<TenantSpec> = (0..3).map(|t| tenant(SEED, t, 2, 2)).collect();
+            let mut gw = Gateway::new(SEED, config.clone(), tenants);
+            gw.start(&pool, parallelism, DAY_MS);
+            let mut clients = ClosedLoopDriver::new(SEED, &tenant_names, clients_per_tenant, 1, 2);
+            let decisions = drive(&mut gw, &pool, parallelism, &plan, &mut clients, TICKS);
+            let (report, stats) = gw.finish(&pool, parallelism);
+            let Some((d0, fleet0, s0)) = &baseline else {
                 assert!(stats.admitted > 0, "plan admitted nothing");
                 assert!(stats.shed.total() > 0, "plan shed nothing");
-                baseline = Some((
-                    decisions,
-                    report.digest(),
-                    stats.decisions_digest,
-                    stats.responses_digest,
-                    stats,
-                ));
-            }
-            Some((d0, fleet0, dec0, resp0, s0)) => {
-                assert_eq!(
-                    &decisions, d0,
-                    "admission decisions diverged at {parallelism}"
-                );
-                assert_eq!(
-                    report.digest(),
-                    *fleet0,
-                    "fleet digest diverged at {parallelism}"
-                );
-                assert_eq!(
-                    stats.decisions_digest, *dec0,
-                    "decision digest diverged at {parallelism}"
-                );
-                assert_eq!(
-                    stats.responses_digest, *resp0,
-                    "response digest diverged at {parallelism}"
-                );
-                assert_eq!(stats.shed, s0.shed, "shed set diverged at {parallelism}");
-                assert_eq!(
-                    stats.wait_ticks_interactive, s0.wait_ticks_interactive,
-                    "interactive waits diverged at {parallelism}"
-                );
-                assert_eq!(
-                    stats.wait_ticks_batch, s0.wait_ticks_batch,
-                    "batch waits diverged at {parallelism}"
-                );
-            }
+                if clients_per_tenant > 0 {
+                    assert!(stats.shed.queue_full > 0, "queues never filled");
+                    assert!(
+                        stats.dispatched_interactive > 0 && stats.dispatched_batch > 0,
+                        "both priority classes must see traffic"
+                    );
+                }
+                baseline = Some((decisions, report.digest(), stats));
+                continue;
+            };
+            assert_eq!(
+                &decisions, d0,
+                "admission decisions diverged at {parallelism}"
+            );
+            assert_eq!(
+                report.digest(),
+                *fleet0,
+                "fleet digest diverged at {parallelism}"
+            );
+            assert_eq!(
+                stats.decisions_digest, s0.decisions_digest,
+                "decision digest diverged at {parallelism}"
+            );
+            assert_eq!(
+                stats.responses_digest, s0.responses_digest,
+                "response digest diverged at {parallelism}"
+            );
+            assert_eq!(stats.shed, s0.shed, "shed set diverged at {parallelism}");
+            assert_eq!(
+                stats.wait_ticks_interactive, s0.wait_ticks_interactive,
+                "interactive waits diverged at {parallelism}"
+            );
+            assert_eq!(
+                stats.wait_ticks_batch, s0.wait_ticks_batch,
+                "batch waits diverged at {parallelism}"
+            );
         }
     }
 }

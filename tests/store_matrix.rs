@@ -158,6 +158,10 @@ fn faulted_cells() -> Vec<DrillCell> {
 
 /// Runs every cell against a cached per-(scenario, seed) baseline and
 /// asserts bit-identity. Returns the number of cells drilled.
+///
+/// A failing file-backed cell is its own repro: the assert panics before the
+/// `remove_dir_all` below, so its WAL directory stays on disk, and the
+/// cell's `Debug` in the panic message prints the path.
 fn drill_cells(cells: &[DrillCell], label: &str) -> usize {
     let mut baselines: HashMap<(usize, u64), Fingerprint> = HashMap::new();
     for cell in cells {
