@@ -35,7 +35,7 @@ pub use action::{AgentAction, AUTO_SUSPEND_LADDER_MS};
 pub use constraints::{ConstraintSet, Rule, RuleEffect, TimeWindow};
 pub use dqn::{DqnAgent, DqnAgentState, DqnConfig, Transition};
 pub use heuristic::{AutoSuspendRuleOfThumb, DegradedFallback, Policy, StaticPolicy};
-pub use reward::{compute_reward, PerfSignals};
+pub use reward::{action_reward, compute_reward, PerfSignals};
 pub use slider::SliderPosition;
 pub use state::{AgentState, STATE_DIM};
 pub use trainer::{

@@ -7,6 +7,7 @@
 //! at "Lowest Cost" dominates the reward at "Best Performance" — which is
 //! how one scalar slider re-weights every optimization at once.
 
+use crate::action::AgentAction;
 use crate::slider::SliderPosition;
 use serde::{Deserialize, Serialize};
 
@@ -31,7 +32,7 @@ const LATENCY_PENALTY_SCALE: f64 = 2.0;
 const DROP_PENALTY: f64 = 5.0;
 /// Small friction on configuration churn: every non-NoOp action costs this
 /// much, discouraging thrash (each resize also drops the cache).
-pub const ACTION_CHURN_PENALTY: f64 = 0.05;
+const ACTION_CHURN_PENALTY: f64 = 0.05;
 
 /// Slider-weighted performance penalty (≥ 0). Queueing and latency
 /// regression scale with λ; dropped queries are catastrophic at *every*
@@ -49,6 +50,24 @@ pub fn compute_reward(credits_spent: f64, perf: &PerfSignals, slider: SliderPosi
     -credits_spent
         - slider.perf_penalty_weight() * perf_penalty(perf)
         - perf.dropped_queries as f64 * DROP_PENALTY
+}
+
+/// Reward attributed to the action at index `action` of
+/// [`AgentAction::ALL`] for the interval it governed: [`compute_reward`]
+/// minus the churn friction. Training episodes and live feedback both call
+/// this, so the policy is trained on the reward it is later scored by.
+pub fn action_reward(
+    action: usize,
+    credits_spent: f64,
+    perf: &PerfSignals,
+    slider: SliderPosition,
+) -> f64 {
+    let churn = if action == AgentAction::NoOp.index() {
+        0.0
+    } else {
+        ACTION_CHURN_PENALTY
+    };
+    compute_reward(credits_spent, perf, slider) - churn
 }
 
 #[cfg(test)]

@@ -13,10 +13,9 @@
 //!    `−credits − λ(slider)·perf_penalty`, pushed into the replay buffer
 //!    with a training step per decision.
 
-use crate::action::AgentAction;
 use crate::constraints::ConstraintSet;
 use crate::dqn::{DqnAgent, Transition};
-use crate::reward::{compute_reward, PerfSignals};
+use crate::reward::{action_reward, PerfSignals};
 use crate::slider::SliderPosition;
 use crate::state::AgentState;
 use cdw_sim::{
@@ -230,12 +229,7 @@ fn run_episode(
                 latency_ratio: p99 / episode_cfg.baseline_p99_ms.max(1.0),
                 dropped_queries: dropped_now - prev_dropped,
             };
-            let churn = if prev_action == AgentAction::NoOp.index() {
-                0.0
-            } else {
-                crate::reward::ACTION_CHURN_PENALTY
-            };
-            let reward = compute_reward(credits_now - prev_credits, &perf, slider) - churn;
+            let reward = action_reward(prev_action, credits_now - prev_credits, &perf, slider);
             reward_sum += reward;
             reward_count += 1;
             let terminal = t + interval > horizon;
@@ -260,9 +254,6 @@ fn run_episode(
                 // lint: allow(D5) — training harness fail-fast; silent actuation loss corrupts rewards
                 Err(e) => panic!("actuation failed during training: {e}"),
             }
-        }
-        if action == AgentAction::SuspendNow {
-            // Suspending may error if already suspended; handled above.
         }
         prev = Some((state_vec, action.index()));
         t += interval;

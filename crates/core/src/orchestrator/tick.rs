@@ -577,16 +577,12 @@ impl WarehouseOptimizer {
                 latency_ratio: rts.latency_ratio,
                 dropped_queries: dropped_now - self.ctl.prev_dropped,
             };
-            let churn = if action == AgentAction::NoOp.index() {
-                0.0
-            } else {
-                agent::reward::ACTION_CHURN_PENALTY
-            };
-            let reward = agent::compute_reward(
+            let reward = agent::action_reward(
+                action,
                 credits_now - self.ctl.prev_credits,
                 &perf,
                 self.setup.slider,
-            ) - churn;
+            );
             let transition = Transition {
                 state,
                 action,

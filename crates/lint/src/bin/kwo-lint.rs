@@ -1,47 +1,28 @@
 //! CLI driver for the kwo-lint engine.
 //!
 //! ```text
-//! kwo-lint [--root DIR] [--baseline FILE] [--format text|json|github]
-//!          [--json FILE] [--write-baseline] [--smoke] [--quiet]
+//! kwo-lint [--root DIR] [--json FILE] [--smoke] [--quiet]
 //! ```
 //!
 //! Modes:
-//! * default — lint the workspace; with `--baseline`, gate against the
-//!   ratcheted baseline (exit 1 on new violations or on entries the tree
-//!   has ratcheted past), otherwise exit 1 on any diagnostic;
-//! * `--write-baseline` — freeze today's diagnostics into the baseline file
-//!   (placeholder reasons; edit before committing);
+//! * default — lint the workspace; exit 1 on any diagnostic not covered by
+//!   an inline `// lint: allow(Dn) — reason`;
 //! * `--smoke` — run the engine over its own fixture corpus and verify every
 //!   `//~ Dn` expectation marker (engine self-check for CI).
 //!
-//! Output formats (`--format`, default `text`):
-//! * `text` — `file:line:col: Dn (name) \`snippet\` — message`, one per
-//!   line; the shape `.github/kwo-lint-problem-matcher.json` matches so CI
-//!   findings annotate PR diffs;
-//! * `json` — the machine-readable report on stdout;
-//! * `github` — GitHub Actions `::error` workflow commands (direct
-//!   annotations without a matcher).
-//!
-//! `--json FILE` additionally writes the machine-readable report to a file
-//! in every mode.
+//! Diagnostics print as `file:line:col: Dn (name) \`snippet\` — message`,
+//! one per line (suppressed by `--quiet`): the shape
+//! `.github/kwo-lint-problem-matcher.json` matches so CI findings annotate
+//! PR diffs. `--json FILE` additionally writes the machine-readable report
+//! to a file in either mode.
 
-use lint::{check_baseline, freeze, run_fixtures, to_json, Baseline, Diagnostic};
+use lint::{run_fixtures, to_json};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Github,
-}
-
 struct Args {
     root: PathBuf,
-    baseline: Option<PathBuf>,
     json: Option<PathBuf>,
-    format: Format,
-    write_baseline: bool,
     smoke: bool,
     quiet: bool,
 }
@@ -49,10 +30,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
-        baseline: None,
         json: None,
-        format: Format::Text,
-        write_baseline: false,
         smoke: false,
         quiet: false,
     };
@@ -60,28 +38,13 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--root" => args.root = next_value(&mut it, "--root")?.into(),
-            "--baseline" => args.baseline = Some(next_value(&mut it, "--baseline")?.into()),
             "--json" => args.json = Some(next_value(&mut it, "--json")?.into()),
-            "--format" => {
-                args.format = match next_value(&mut it, "--format")?.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    "github" => Format::Github,
-                    other => {
-                        return Err(format!(
-                            "unknown format `{other}` (expected text, json, or github)"
-                        ))
-                    }
-                }
-            }
-            "--write-baseline" => args.write_baseline = true,
             "--smoke" => args.smoke = true,
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
                 println!(
                     "kwo-lint: determinism, numeric-safety & concurrency lints (D1-D8, D10-D12)\n\
-                     usage: kwo-lint [--root DIR] [--baseline FILE] [--format text|json|github]\n\
-                     \x20      [--json FILE] [--write-baseline] [--smoke] [--quiet]"
+                     usage: kwo-lint [--root DIR] [--json FILE] [--smoke] [--quiet]"
                 );
                 std::process::exit(0);
             }
@@ -118,34 +81,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Prints diagnostics in the selected format (suppressed by `--quiet`,
-/// except `json` which exists to be piped).
-fn emit(diags: &[Diagnostic], args: &Args) {
-    match args.format {
-        Format::Json => println!("{}", to_json(diags)),
-        Format::Text if !args.quiet => {
-            for d in diags {
-                println!("{}", d.render());
-            }
-        }
-        Format::Github if !args.quiet => {
-            for d in diags {
-                // GitHub workflow commands treat %, CR, and LF as
-                // terminators; diagnostics are single-line, escape anyway.
-                let msg = format!("{} ({}) `{}` — {}", d.rule, d.name, d.snippet, d.message)
-                    .replace('%', "%25")
-                    .replace('\r', "%0D")
-                    .replace('\n', "%0A");
-                println!(
-                    "::error file={},line={},col={}::{}",
-                    d.file, d.line, d.col, msg
-                );
-            }
-        }
-        _ => {}
-    }
-}
-
 fn run(args: &Args) -> Result<bool, String> {
     if args.smoke {
         return run_smoke(args);
@@ -155,50 +90,19 @@ fn run(args: &Args) -> Result<bool, String> {
     if let Some(path) = &args.json {
         std::fs::write(path, to_json(&diags)).map_err(|e| format!("writing {path:?}: {e}"))?;
     }
-
-    if args.write_baseline {
-        let path = args
-            .baseline
-            .clone()
-            .unwrap_or_else(|| args.root.join("lint-baseline.toml"));
-        std::fs::write(&path, freeze(&diags).write())
-            .map_err(|e| format!("writing {path:?}: {e}"))?;
-        println!(
-            "kwo-lint: froze {} diagnostic(s) into {} — edit the TODO reasons before committing",
-            diags.len(),
-            path.display()
-        );
-        return Ok(true);
+    if !args.quiet {
+        for d in &diags {
+            println!("{}", d.render());
+        }
     }
-
-    let baseline = match &args.baseline {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("reading {}: {e}", path.display()))?;
-            Baseline::parse(&text).map_err(|e| e.to_string())?
-        }
-        None => Baseline::default(),
-    };
-    let gate = check_baseline(&diags, &baseline);
-
-    emit(&diags, args);
-    if gate.passed() {
-        if args.format != Format::Json {
-            println!(
-                "kwo-lint: OK — {} diagnostic(s), all within the {}-entry baseline",
-                diags.len(),
-                baseline.len()
-            );
-        }
+    if diags.is_empty() {
+        println!("kwo-lint: OK — 0 diagnostics");
         Ok(true)
     } else {
-        for f in &gate.failures {
-            eprintln!("kwo-lint: FAIL — {f}");
-        }
         eprintln!(
-            "kwo-lint: {} gate failure(s); fix the violation(s), justify with \
-             `// lint: allow(Dn) — reason`, or shrink the ratcheted baseline",
-            gate.failures.len()
+            "kwo-lint: FAIL — {} diagnostic(s); fix the violation(s) or justify each with \
+             `// lint: allow(Dn) — reason`",
+            diags.len()
         );
         Ok(false)
     }
@@ -212,14 +116,10 @@ fn run_smoke(args: &Args) -> Result<bool, String> {
             .map_err(|e| format!("writing {path:?}: {e}"))?;
     }
     if report.passed() {
-        if args.format == Format::Json {
-            println!("{}", to_json(&report.diags));
-        } else {
-            println!(
-                "kwo-lint --smoke: OK — {} diagnostic(s) over the fixture corpus, every marker matched",
-                report.diags.len()
-            );
-        }
+        println!(
+            "kwo-lint --smoke: OK — {} diagnostic(s) over the fixture corpus, every marker matched",
+            report.diags.len()
+        );
         Ok(true)
     } else {
         for miss in &report.missed {

@@ -1,9 +1,7 @@
 //! The lint driver: workspace walk, rule application (per-file token rules,
 //! then the crate-level structural rules and the workspace metrics audit),
-//! allow-directive filtering, baseline ratcheting, and the fixture
-//! self-check.
+//! allow-directive filtering, and the fixture self-check.
 
-use crate::baseline::Baseline;
 use crate::diag::Diagnostic;
 use crate::index::{
     check_metrics, lock_cycles, parse_design_inventory, scan_concurrency, FileFacts, InventoryRow,
@@ -22,7 +20,7 @@ use std::path::{Path, PathBuf};
 pub const DESIGN_DOC: &str = "DESIGN.md";
 
 /// Directories never linted.
-const SKIP_DIRS: [&str; 4] = ["target", ".git", ".devstubs", "fixtures"];
+const SKIP_DIRS: [&str; 3] = ["target", ".git", "fixtures"];
 
 /// Collects every workspace `.rs` file under `root`, repo-relative and
 /// sorted (deterministic diagnostic order). The fixture corpus is excluded:
@@ -306,79 +304,6 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Outcome of gating diagnostics against the baseline.
-#[derive(Debug, Default)]
-pub struct GateResult {
-    /// Gate failures: new violations, counts above baseline, or baseline
-    /// entries the tree has already ratcheted past (counts only go down,
-    /// and the entry must follow).
-    pub failures: Vec<String>,
-}
-
-impl GateResult {
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// Checks `diags` against `baseline`: every (rule, file) count must match
-/// its frozen entry exactly or be absent from both sides. Pairs without an
-/// entry fail (new violations); counts above the entry fail (regression);
-/// counts *below* the entry also fail — the ratchet direction is enforced,
-/// so a burned-down entry must be shrunk or deleted in the same change.
-pub fn check_baseline(diags: &[Diagnostic], baseline: &Baseline) -> GateResult {
-    let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
-    for d in diags {
-        *counts.entry((d.rule.clone(), d.file.clone())).or_insert(0) += 1;
-    }
-    let mut result = GateResult::default();
-    for ((rule, file), n) in &counts {
-        match baseline.get(rule, file) {
-            None => result.failures.push(format!(
-                "{file}: {n} new {rule} violation(s) (not in baseline)"
-            )),
-            Some(e) if *n > e.count => result.failures.push(format!(
-                "{file}: {rule} count {n} exceeds baseline {} — fix the new violation(s)",
-                e.count
-            )),
-            Some(e) if *n < e.count => result.failures.push(format!(
-                "{file}: {rule} baseline {} but only {n} remain — shrink this entry \
-                 (counts only go down)",
-                e.count
-            )),
-            Some(_) => {}
-        }
-    }
-    for e in baseline.entries() {
-        if !counts.contains_key(&(e.rule.clone(), e.file.clone())) {
-            result.failures.push(format!(
-                "{}: {} baseline {} but 0 remain — delete the entry (counts only go down)",
-                e.file, e.rule, e.count
-            ));
-        }
-    }
-    result
-}
-
-/// Builds a baseline freezing the given diagnostics (reasons are stamped
-/// with a placeholder the committer must edit).
-pub fn freeze(diags: &[Diagnostic]) -> Baseline {
-    let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
-    for d in diags {
-        *counts.entry((d.rule.clone(), d.file.clone())).or_insert(0) += 1;
-    }
-    let mut out = Baseline::default();
-    for ((rule, file), count) in counts {
-        out.insert(crate::baseline::BaselineEntry {
-            rule,
-            file,
-            count,
-            reason: "TODO: justify or burn down".to_string(),
-        });
-    }
-    out
-}
-
 /// Fixture self-check outcome.
 #[derive(Debug, Default)]
 pub struct FixtureReport {
@@ -441,19 +366,6 @@ pub fn run_fixtures(dir: &Path) -> io::Result<FixtureReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::BaselineEntry;
-
-    fn d(rule: &str, file: &str, line: u32) -> Diagnostic {
-        Diagnostic {
-            file: file.into(),
-            line,
-            col: 1,
-            rule: rule.into(),
-            name: String::new(),
-            snippet: String::new(),
-            message: String::new(),
-        }
-    }
 
     #[test]
     fn lint_source_applies_rules_by_pretend_path() {
@@ -502,50 +414,6 @@ mod tests {
         let r = lint_source("x.rs", src);
         assert_eq!(r.diags.len(), 1);
         assert_eq!(r.diags[0].name, "stale-allow");
-    }
-
-    #[test]
-    fn baseline_gate_fails_on_new_and_exceeded() {
-        let mut b = Baseline::default();
-        b.insert(BaselineEntry {
-            rule: "D5".into(),
-            file: "a.rs".into(),
-            count: 1,
-            reason: "r".into(),
-        });
-        // Exactly at baseline: pass.
-        assert!(check_baseline(&[d("D5", "a.rs", 1)], &b).passed());
-        // Above baseline: fail.
-        let over = check_baseline(&[d("D5", "a.rs", 1), d("D5", "a.rs", 9)], &b);
-        assert!(!over.passed());
-        assert!(over.failures[0].contains("exceeds baseline"));
-        // Not in baseline at all: fail.
-        let new = check_baseline(&[d("D2", "b.rs", 3)], &b);
-        assert!(!new.passed());
-        assert!(new.failures[0].contains("not in baseline"));
-    }
-
-    #[test]
-    fn baseline_gate_enforces_the_ratchet_direction() {
-        let mut b = Baseline::default();
-        b.insert(BaselineEntry {
-            rule: "D5".into(),
-            file: "a.rs".into(),
-            count: 3,
-            reason: "r".into(),
-        });
-        b.insert(BaselineEntry {
-            rule: "D3".into(),
-            file: "gone.rs".into(),
-            count: 2,
-            reason: "r".into(),
-        });
-        // Counts below baseline now FAIL: the entry must shrink with the fix.
-        let g = check_baseline(&[d("D5", "a.rs", 1)], &b);
-        assert!(!g.passed());
-        assert_eq!(g.failures.len(), 2, "{:?}", g.failures);
-        assert!(g.failures.iter().any(|s| s.contains("shrink this entry")));
-        assert!(g.failures.iter().any(|s| s.contains("delete the entry")));
     }
 
     #[test]
@@ -621,13 +489,5 @@ mod tests {
         ];
         let r2 = lint_sources(&files2, None);
         assert!(r2.diags.iter().all(|d| d.rule != "D8"), "{:?}", r2.diags);
-    }
-
-    #[test]
-    fn freeze_then_check_passes() {
-        let diags = vec![d("D5", "a.rs", 1), d("D5", "a.rs", 2), d("D1", "b.rs", 7)];
-        let b = freeze(&diags);
-        assert_eq!(b.len(), 2);
-        assert!(check_baseline(&diags, &b).passed());
     }
 }

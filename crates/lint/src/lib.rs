@@ -27,11 +27,9 @@
 //! unused.
 //!
 //! Findings are suppressed per site with `// lint: allow(Dn) — reason`
-//! (the justification is mandatory) or frozen in `lint-baseline.toml`,
-//! which only ratchets down — an entry above the observed count now fails
-//! the gate until it is shrunk. See the `kwo-lint` binary for the CLI.
+//! (the justification is mandatory); any other diagnostic fails the gate.
+//! See the `kwo-lint` binary for the CLI.
 
-pub mod baseline;
 pub mod diag;
 pub mod engine;
 pub mod index;
@@ -40,11 +38,9 @@ pub mod parse;
 pub mod rules;
 pub mod scope;
 
-pub use baseline::{Baseline, BaselineEntry};
 pub use diag::{to_json, Diagnostic};
 pub use engine::{
-    check_baseline, freeze, lint_source, lint_sources, lint_workspace, run_fixtures,
-    workspace_files, FixtureReport, GateResult,
+    lint_source, lint_sources, lint_workspace, run_fixtures, workspace_files, FixtureReport,
 };
 pub use index::{FileFacts, InventoryRow, LockEdge, MetricUse, StructFinding};
 pub use parse::{build_structure, Block, BlockKind, FileStructure};

@@ -68,7 +68,7 @@ impl FileInfo {
     }
 }
 
-/// A raw match before allow/baseline filtering.
+/// A raw match before allow filtering.
 #[derive(Debug, Clone)]
 pub struct RuleMatch {
     pub line: u32,

@@ -18,26 +18,20 @@
 //! 4. every persisted record/snapshot re-encodes byte-identically after a
 //!    decode round trip, and the decoders are total on arbitrary bytes.
 
-// Offline builds patch proptest with a no-op stub (.devstubs/), under which
-// the imports below count as unused; real proptest (CI) uses all of them.
-#![allow(unused_imports, dead_code)]
-
 use cdw_sim::{
-    Account, FaultPlan, QuerySpec, Simulator, WarehouseConfig, WarehouseId, WarehouseSize, DAY_MS,
-    HOUR_MS, MINUTE_MS,
+    Account, QuerySpec, Simulator, WarehouseConfig, WarehouseId, WarehouseSize, DAY_MS, HOUR_MS,
+    MINUTE_MS,
 };
 use keebo::drill::{
-    build_sim, fast_setup, fingerprint, run_cell, run_uninterrupted, DrillBackend, DrillCell,
-    END_MS, OBSERVE_MS, TICK_MS, WAREHOUSE,
+    build_sim, fast_setup, run_cell, run_uninterrupted, DrillBackend, DrillCell, END_MS,
+    OBSERVE_MS, TICK_MS, WAREHOUSE,
 };
 use keebo::persist::{decode_record, decode_snapshot, encode_record, encode_snapshot};
 use keebo::{
-    generate_trace, scan_frames, ActionLogEntry, CrashPlan, DetRng, FileStore, KwoSetup, MemStore,
-    Orchestrator, PersistRecord, RecoveryStats, RetrainRecord, Rule, RuleEffect, SliderPosition,
-    SnapshotPolicy, StateStore, TimeWindow,
+    scan_frames, DetRng, MemStore, Orchestrator, PersistRecord, RecoveryStats, RetrainRecord, Rule,
+    RuleEffect, SliderPosition, SnapshotPolicy, StateStore, TimeWindow,
 };
-use proptest::prelude::*;
-use workload::{BiWorkload, EtlWorkload};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 #[test]
 fn recovery_is_bit_identical_smoke() {
@@ -406,27 +400,26 @@ fn every_persisted_record_re_encodes_byte_identically() {
     assert_eq!(re, snap_bytes, "snapshot round trip must be byte-identical");
 }
 
-/// Deterministic byte soup for the no-proptest (offline stub) build.
-fn splatter(seed: u64, len: usize) -> Vec<u8> {
-    let mut state = seed ^ 0x5DEE_CE66_D001u64.wrapping_mul(3);
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        out.extend_from_slice(&state.to_le_bytes());
-    }
-    out.truncate(len);
-    out
-}
-
+/// The frame scanner and both persisted-state decoders are total:
+/// arbitrary input bytes yield a value or an error, never a panic.
 #[test]
-fn decoders_are_total_on_arbitrary_bytes_deterministic() {
+fn decoders_are_total_on_arbitrary_bytes() {
+    assert!(decode_record(&[]).is_err(), "empty input is no record");
+    assert!(decode_snapshot(&[]).is_err(), "empty input is no snapshot");
     // Raw byte soup of many lengths.
-    for seed in 0..64u64 {
-        let bytes = splatter(seed, (seed as usize * 7) % 300);
-        let _ = scan_frames(&bytes);
-        assert!(decode_record(&bytes).is_err() || !bytes.is_empty());
+    for case in 0..256u64 {
+        let mut rng = StdRng::seed_from_u64(case);
+        let bytes: Vec<u8> = (0..rng.gen_range(0..600))
+            .map(|_| rng.gen_range(0..=u8::MAX))
+            .collect();
+        let scan = scan_frames(&bytes);
+        assert!(
+            scan.valid_bytes <= bytes.len(),
+            "case {case}: {} valid bytes in a {}-byte input",
+            scan.valid_bytes,
+            bytes.len()
+        );
+        let _ = decode_record(&bytes);
         let _ = decode_snapshot(&bytes);
     }
     // Mutations of a valid encoding: every single-byte corruption must
@@ -441,78 +434,51 @@ fn decoders_are_total_on_arbitrary_bytes_deterministic() {
         mutated[i] ^= 0x5A;
         let _ = decode_record(&mutated);
         let _ = decode_snapshot(&mutated);
-        let _ = scan_frames(&mutated);
+        let scan = scan_frames(&mutated);
+        assert!(scan.valid_bytes <= mutated.len(), "byte {i} mutated");
     }
 }
 
+/// The small persisted types round trip through serde for any field values,
+/// and the deterministic RNG does so mid-stream: serialize after any number
+/// of draws, deserialize, and the streams stay identical.
 #[test]
-fn simple_persisted_types_round_trip_deterministic() {
-    for seed in [0u64, 1, 42, u64::MAX] {
-        let mut rng = DetRng::seed_from_u64(seed);
-        let json = serde_json::to_string(&rng).expect("encode DetRng");
-        let back: DetRng = serde_json::from_str(&json).expect("decode DetRng");
-        assert_eq!(rng, back);
+fn simple_persisted_types_round_trip() {
+    for case in 0..256u64 {
+        let mut rng = StdRng::seed_from_u64(case);
+
+        let mut det = DetRng::seed_from_u64(rng.gen());
+        let draws = rng.gen_range(0..64);
+        for _ in 0..draws {
+            det.gen::<u64>();
+        }
+        let json = serde_json::to_string(&det).expect("encode DetRng");
+        let mut back: DetRng = serde_json::from_str(&json).expect("decode DetRng");
+        assert_eq!(det, back, "case {case}: after {draws} draws");
+        assert_eq!(
+            det.gen::<u64>(),
+            back.gen::<u64>(),
+            "case {case}: streams diverge after {draws} draws"
+        );
 
         let retrain = RetrainRecord {
-            episodes: seed as usize % 17,
-            seed: if seed % 2 == 0 { Some(seed) } else { None },
+            episodes: rng.gen_range(0..10_000),
+            seed: rng.gen::<bool>().then(|| rng.gen()),
         };
         let json = serde_json::to_string(&retrain).expect("encode RetrainRecord");
         let back: RetrainRecord = serde_json::from_str(&json).expect("decode RetrainRecord");
-        assert_eq!(retrain, back);
+        assert_eq!(retrain, back, "case {case}");
 
+        let replayed: u64 = rng.gen();
         let stats = RecoveryStats {
-            replayed_records: seed,
-            wal_truncated_bytes: seed / 3,
-            snapshot_bytes: seed / 7,
-            recovery_wall_ms: seed as f64 * 0.25,
+            replayed_records: replayed,
+            wal_truncated_bytes: replayed / 3,
+            snapshot_bytes: replayed / 7,
+            recovery_wall_ms: replayed as f64 * 0.25,
         };
         let json = serde_json::to_string(&stats).expect("encode RecoveryStats");
         let back: RecoveryStats = serde_json::from_str(&json).expect("decode RecoveryStats");
-        assert_eq!(stats, back);
-
-        // The RNG keeps producing the same stream after a round trip.
-        use rand::Rng as _;
-        let mut again: DetRng =
-            serde_json::from_str(&serde_json::to_string(&rng).expect("enc")).expect("dec");
-        assert_eq!(rng.gen::<u64>(), again.gen::<u64>());
-    }
-}
-
-proptest! {
-    /// The frame scanner and both persisted-state decoders are total:
-    /// arbitrary input bytes yield a value or an error, never a panic.
-    #[test]
-    fn decoders_are_total_on_arbitrary_bytes(
-        bytes in proptest::collection::vec(any::<u8>(), 0..600),
-    ) {
-        let scan = scan_frames(&bytes);
-        prop_assert!(scan.valid_bytes <= bytes.len());
-        let _ = decode_record(&bytes);
-        let _ = decode_snapshot(&bytes);
-    }
-
-    /// Retrain records round trip through serde for any field values.
-    #[test]
-    fn retrain_record_round_trips(episodes in 0usize..10_000, seed in any::<Option<u64>>()) {
-        let r = RetrainRecord { episodes, seed };
-        let json = serde_json::to_string(&r).unwrap();
-        let back: RetrainRecord = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(r, back);
-    }
-
-    /// The deterministic RNG round trips mid-stream: serialize after any
-    /// number of draws, deserialize, and the streams stay identical.
-    #[test]
-    fn det_rng_round_trips_mid_stream(seed in any::<u64>(), draws in 0usize..64) {
-        use rand::Rng as _;
-        let mut rng = DetRng::seed_from_u64(seed);
-        for _ in 0..draws {
-            rng.gen::<u64>();
-        }
-        let json = serde_json::to_string(&rng).unwrap();
-        let mut back: DetRng = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(rng.gen::<u64>(), back.gen::<u64>());
+        assert_eq!(stats, back, "case {case}");
     }
 }
 

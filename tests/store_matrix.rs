@@ -20,24 +20,20 @@
 //! * the snapshot envelope stays forward-compatible: unknown header fields
 //!   are skipped, every truncation is an error.
 
-// Offline builds patch proptest with a no-op stub (.devstubs/), under which
-// the imports below count as unused; real proptest (CI) uses all of them.
-#![allow(unused_imports, dead_code)]
-
 use std::collections::HashMap;
 use std::path::PathBuf;
 
 use cdw_sim::{Account, Simulator, WarehouseConfig, WarehouseSize, DAY_MS, HOUR_MS, MINUTE_MS};
 use keebo::drill::{
     build_sim, fast_setup, fingerprint, run_cell, run_uninterrupted, DrillBackend, DrillCell,
-    Fingerprint, END_MS, OBSERVE_MS, SCENARIOS, TICK_MS, WAREHOUSE,
+    Fingerprint, END_MS, OBSERVE_MS, SCENARIOS, WAREHOUSE,
 };
 use keebo::persist::{decode_snapshot, encode_snapshot_with_extra_fields};
 use keebo::{
     generate_trace, FaultyStore, KwoSetup, MemStore, Orchestrator, SnapshotPolicy, StateStore,
     StoreFaultPlan,
 };
-use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use workload::EtlWorkload;
 
 /// A tight compaction policy exercised by half the matrix cells: snapshots
@@ -424,18 +420,8 @@ fn compaction_bounds_replay_over_a_10k_tick_run() {
 
 // ---- versioned-envelope and fault-plan decode properties ----
 
-/// Deterministic byte soup for the no-proptest (offline stub) build.
-fn splatter(seed: u64, len: usize) -> Vec<u8> {
-    let mut state = seed ^ 0x5DEE_CE66_D001u64.wrapping_mul(3);
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        out.extend_from_slice(&state.to_le_bytes());
-    }
-    out.truncate(len);
-    out
+fn random_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
+    (0..len).map(|_| rng.gen_range(0..=u8::MAX)).collect()
 }
 
 fn tiny_snapshot(seed: u64, at: u64) -> keebo::SnapshotState {
@@ -447,14 +433,19 @@ fn tiny_snapshot(seed: u64, at: u64) -> keebo::SnapshotState {
     }
 }
 
+/// The envelope decoder tolerates any unknown header fields and is total
+/// under truncation: v1 readers stay forward-compatible.
 #[test]
-fn envelope_with_unknown_fields_round_trips_deterministic() {
-    for seed in 0..32u64 {
-        let snap = tiny_snapshot(seed, seed * 3);
-        let extra = vec![
-            (0x4000u16, splatter(seed, (seed as usize * 5) % 40)),
-            (0x7fffu16, splatter(seed ^ 1, 3)),
-        ];
+fn envelope_round_trips_with_arbitrary_unknown_fields() {
+    for case in 0..256u64 {
+        let mut rng = StdRng::seed_from_u64(case);
+        let snap = tiny_snapshot(rng.gen(), rng.gen());
+        let extra: Vec<(u16, Vec<u8>)> = (0..rng.gen_range(0..4))
+            .map(|_| {
+                let len = rng.gen_range(0..48);
+                (rng.gen_range(3..u16::MAX), random_bytes(&mut rng, len))
+            })
+            .collect();
         let bytes = encode_snapshot_with_extra_fields(&snap, &extra).expect("encode with extras");
         let back = decode_snapshot(&bytes).expect("unknown fields are skipped");
         // SnapshotState carries no PartialEq; canonical re-encoding is the
@@ -462,64 +453,40 @@ fn envelope_with_unknown_fields_round_trips_deterministic() {
         assert_eq!(
             keebo::persist::encode_snapshot(&back).expect("re-encode"),
             keebo::persist::encode_snapshot(&snap).expect("encode"),
+            "case {case}: extras {extra:?}"
         );
         // Every truncation is an error, never a panic.
         for len in 0..bytes.len() {
-            assert!(decode_snapshot(&bytes[..len]).is_err());
+            assert!(
+                decode_snapshot(&bytes[..len]).is_err(),
+                "case {case}: {len} of {} bytes decoded",
+                bytes.len()
+            );
         }
     }
 }
 
+/// `StoreFaultPlan::from_genome` is total and deterministic on arbitrary
+/// bytes and its rate caps always hold.
 #[test]
-fn store_fault_plan_genome_decode_is_total_deterministic() {
-    for seed in 0..64u64 {
-        let genome = splatter(seed, (seed as usize * 3) % 40);
+fn store_fault_plan_genome_decode_is_total() {
+    for case in 0..256u64 {
+        let mut rng = StdRng::seed_from_u64(case);
+        let len = rng.gen_range(0..64);
+        let genome = random_bytes(&mut rng, len);
         let plan = StoreFaultPlan::from_genome(&genome);
-        assert!(plan.append_error_ppm <= 120_000);
-        assert!(plan.snapshot_error_ppm <= 500_000);
-        assert!(plan.read_timeout_ppm <= 200_000);
-        assert!(plan.latency_us <= 5_000);
-        // Deterministic: the same genome always yields the same plan.
-        assert_eq!(plan, StoreFaultPlan::from_genome(&genome));
-    }
-}
-
-proptest! {
-    /// The envelope decoder tolerates any unknown header fields and is
-    /// total under truncation: v1 readers stay forward-compatible.
-    #[test]
-    fn envelope_round_trips_with_arbitrary_unknown_fields(
-        seed in any::<u64>(),
-        at in any::<u64>(),
-        extras in proptest::collection::vec(
-            (3u16..u16::MAX, proptest::collection::vec(any::<u8>(), 0..48)),
-            0..4,
-        ),
-        cut in any::<proptest::sample::Index>(),
-    ) {
-        let snap = tiny_snapshot(seed, at);
-        let extra: Vec<(u16, Vec<u8>)> = extras;
-        let bytes = encode_snapshot_with_extra_fields(&snap, &extra).unwrap();
-        let back = decode_snapshot(&bytes).unwrap();
-        prop_assert_eq!(
-            keebo::persist::encode_snapshot(&back).unwrap(),
-            keebo::persist::encode_snapshot(&snap).unwrap(),
+        assert!(
+            plan.append_error_ppm <= 120_000
+                && plan.snapshot_error_ppm <= 500_000
+                && plan.read_timeout_ppm <= 200_000
+                && plan.latency_us <= 5_000,
+            "case {case}: genome {genome:?} decodes past a cap: {plan:?}"
         );
-        let len = cut.index(bytes.len());
-        prop_assert!(decode_snapshot(&bytes[..len]).is_err());
-    }
-
-    /// `StoreFaultPlan::from_genome` is total on arbitrary bytes and its
-    /// rate caps always hold.
-    #[test]
-    fn store_fault_plan_genome_decode_is_total(
-        genome in proptest::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let plan = StoreFaultPlan::from_genome(&genome);
-        prop_assert!(plan.append_error_ppm <= 120_000);
-        prop_assert!(plan.snapshot_error_ppm <= 500_000);
-        prop_assert!(plan.read_timeout_ppm <= 200_000);
-        prop_assert!(plan.latency_us <= 5_000);
+        assert_eq!(
+            plan,
+            StoreFaultPlan::from_genome(&genome),
+            "case {case}: genome {genome:?}"
+        );
     }
 }
 
