@@ -4,9 +4,10 @@
 
 use crate::action::AgentAction;
 use crate::state::STATE_DIM;
-use nn::{huber_loss_grad, Adam, Mlp, MlpConfig, ReplayBuffer};
+use nn::{huber_loss_grad_into, Adam, ForwardTrace, Mlp, MlpConfig, MlpGradients, ReplayBuffer};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Hyper-parameters of the DQN.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -107,8 +108,33 @@ impl DqnAgent {
         }
     }
 
-    /// Rebuilds an agent from exported state, validating the replay ring.
+    /// Rebuilds an agent from exported state. This is the door decoded
+    /// snapshots come through, so every shape the training step indexes by is
+    /// checked here, once: both networks, the optimizer's moments against
+    /// them, the replay ring and its transitions.
     pub fn from_state(state: DqnAgentState) -> Result<Self, String> {
+        let (online, target) = (&state.online, &state.target);
+        for (name, net) in [("online", online), ("target", target)] {
+            net.validate().map_err(|e| format!("{name} network: {e}"))?;
+        }
+        let sizes = online.layer_sizes();
+        if (online.input_dim(), online.output_dim()) != (STATE_DIM, AgentAction::COUNT)
+            || sizes != target.layer_sizes()
+        {
+            return Err(format!(
+                "online {sizes:?} and target {:?} networks are not one {STATE_DIM} -> {} architecture",
+                target.layer_sizes(),
+                AgentAction::COUNT
+            ));
+        }
+        state.optimizer.validate(&online.tensor_lens())?;
+        let malformed = |t: &Transition| {
+            (t.state.len(), t.next_state.len()) != (STATE_DIM, STATE_DIM)
+                || t.action >= AgentAction::COUNT
+        };
+        if let Some(i) = state.replay_items.iter().position(malformed) {
+            return Err(format!("replay transition {i} is malformed"));
+        }
         let replay = ReplayBuffer::from_parts(
             state.replay_capacity,
             state.replay_items,
@@ -125,6 +151,23 @@ impl DqnAgent {
             train_steps: state.train_steps,
         })
     }
+}
+
+/// Everything one `train_step` needs beyond the agent itself.
+#[derive(Default)]
+struct TrainScratch {
+    indices: Vec<usize>,
+    trace: ForwardTrace,
+    targets: Vec<f64>,
+    grads: MlpGradients,
+}
+
+thread_local! {
+    /// One scratch per worker thread, shaped to whichever agent trains next
+    /// (in a fleet they all share one shape, so after the first step nothing
+    /// is allocated). Per thread, not per agent: ~90 KB that every managed
+    /// warehouse would otherwise keep resident between its ticks.
+    static SCRATCH: RefCell<TrainScratch> = RefCell::default();
 }
 
 impl DqnAgent {
@@ -195,14 +238,12 @@ impl DqnAgent {
     ) -> AgentAction {
         self.selections += 1;
         if explore && rng.gen::<f64>() < self.epsilon() {
-            let allowed: Vec<AgentAction> = AgentAction::ALL
-                .iter()
-                .zip(mask)
-                .filter(|(_, &m)| m)
-                .map(|(a, _)| *a)
-                .collect();
-            assert!(!allowed.is_empty(), "action mask permits nothing");
-            allowed[rng.gen_range(0..allowed.len())]
+            let allowed = mask.iter().filter(|&&m| m).count();
+            assert!(allowed > 0, "action mask permits nothing");
+            let pick = rng.gen_range(0..allowed);
+            let permitted = AgentAction::ALL.iter().zip(mask).filter(|(_, &m)| m);
+            // lint: allow(D5) — `pick` is below the count of the same filter
+            *permitted.map(|(a, _)| a).nth(pick).expect("pick < allowed")
         } else {
             self.greedy_action(state, mask)
         }
@@ -218,52 +259,62 @@ impl DqnAgent {
 
     /// One mini-batch Q-learning update. Returns the batch's mean absolute
     /// TD error, or `None` when the buffer is smaller than a batch.
+    ///
+    /// The whole batch goes through `nn`'s minibatch kernel out of the
+    /// thread's [`SCRATCH`]; the replay indices are drawn first, so the RNG
+    /// stream is the one a per-sample implementation would consume.
     pub fn train_step(&mut self, rng: &mut impl Rng) -> Option<f64> {
-        if self.replay.len() < self.config.batch_size {
+        let batch = self.config.batch_size;
+        assert!(batch > 0, "batch_size must be positive");
+        if self.replay.len() < batch {
             return None;
         }
-        let batch: Vec<Transition> = self
-            .replay
-            .sample(self.config.batch_size, rng)
-            .into_iter()
-            .cloned()
-            .collect();
+        let td_sum = SCRATCH.with_borrow_mut(|scratch| {
+            let (indices, trace) = (&mut scratch.indices, &mut scratch.trace);
+            let (targets, grads) = (&mut scratch.targets, &mut scratch.grads);
+            self.replay.sample_indices(batch, rng, indices);
+            let q_values = |trace: &ForwardTrace, sample: usize| {
+                let mut q = [0.0; AgentAction::COUNT];
+                trace.output_into(sample, &mut q);
+                q
+            };
 
-        let mut accumulated: Option<nn::mlp::MlpGradients> = None;
-        let mut td_sum = 0.0;
-        for t in &batch {
             // Bootstrap with the target network over the *masked* next
             // actions: a non-compliant action can never back up value.
-            let bootstrap = if t.terminal {
-                0.0
-            } else {
-                let nq = self.target.forward(&t.next_state);
-                masked_max(&nq, &t.next_mask)
-            };
-            let target_q = t.reward + self.config.gamma * bootstrap;
+            let next_states = indices.iter().map(|&i| &self.replay[i].next_state[..]);
+            self.target.forward_batch(trace, next_states);
+            targets.clear();
+            targets.extend(indices.iter().enumerate().map(|(s, &i)| {
+                let t = &self.replay[i];
+                let bootstrap = if t.terminal {
+                    0.0
+                } else {
+                    masked_max(&q_values(trace, s), &t.next_mask)
+                };
+                t.reward + self.config.gamma * bootstrap
+            }));
 
-            let trace = self.online.forward_trace(&t.state);
-            let q = trace.output().to_vec();
-            let td = q[t.action] - target_q;
-            td_sum += td.abs();
+            let states = indices.iter().map(|&i| &self.replay[i].state[..]);
+            self.online.forward_batch(trace, states);
+            grads.reset(&self.online);
+            let mut td_sum = 0.0;
+            for (s, (&i, &target_q)) in indices.iter().zip(&*targets).enumerate() {
+                let action = self.replay[i].action;
+                let q = q_values(trace, s)[action];
+                td_sum += (q - target_q).abs();
 
-            // Gradient flows only through the taken action's output.
-            let mut pred = vec![0.0; AgentAction::COUNT];
-            let mut tgt = vec![0.0; AgentAction::COUNT];
-            pred[t.action] = q[t.action];
-            tgt[t.action] = target_q;
-            let grad_out = huber_loss_grad(&pred, &tgt, 1.0);
-            let g = self.online.backward(&trace, &grad_out);
-            match &mut accumulated {
-                Some(acc) => acc.accumulate(&g),
-                None => accumulated = Some(g),
+                // Gradient flows only through the taken action's output.
+                let (mut pred, mut tgt) = ([0.0; AgentAction::COUNT], [0.0; AgentAction::COUNT]);
+                (pred[action], tgt[action]) = (q, target_q);
+                let mut grad_out = [0.0; AgentAction::COUNT];
+                huber_loss_grad_into(&pred, &tgt, 1.0, &mut grad_out);
+                self.online.backward_into(trace, s, &grad_out, grads);
             }
-        }
-        // lint: allow(D5) — the replay-size guard above ensures at least one transition
-        let mut grads = accumulated.expect("non-empty batch");
-        grads.scale(1.0 / batch.len() as f64);
-        grads.clip_l2_norm(self.config.grad_clip);
-        self.online.apply_gradients(&grads, &mut self.optimizer);
+            grads.scale(1.0 / batch as f64);
+            grads.clip_l2_norm(self.config.grad_clip);
+            self.online.apply_gradients(grads, &mut self.optimizer);
+            td_sum
+        });
 
         self.train_steps += 1;
         if self
@@ -272,7 +323,7 @@ impl DqnAgent {
         {
             self.target.copy_parameters_from(&self.online);
         }
-        Some(td_sum / batch.len() as f64)
+        Some(td_sum / batch as f64)
     }
 }
 
@@ -523,5 +574,130 @@ mod tests {
             assert_eq!(a.train_step(&mut ra), b.train_step(&mut rb));
         }
         assert_eq!(a.q_values(&state), b.q_values(&state));
+    }
+    /// State of an agent that has trained, so the Adam moments are sized.
+    fn trained_state() -> DqnAgentState {
+        let mut a = agent(21);
+        let mut rng = StdRng::seed_from_u64(22);
+        for i in 0..12 {
+            a.observe(Transition {
+                state: vec![0.1 * i as f64; STATE_DIM],
+                action: i % AgentAction::COUNT,
+                reward: 0.5,
+                next_state: vec![0.3; STATE_DIM],
+                next_mask: full_mask(),
+                terminal: i % 2 == 0,
+            });
+        }
+        assert!(a.train_step(&mut rng).is_some());
+        a.export_state()
+    }
+
+    /// `net` as a hand-edited snapshot would decode it.
+    fn edited(net: &Mlp, from: &str, to: &str) -> Mlp {
+        let json = serde_json::to_string(net).unwrap();
+        assert!(json.contains(from), "{from} not in the encoding");
+        serde_json::from_str(&json.replacen(from, to, 1)).unwrap()
+    }
+
+    fn fresh_net(layers: &[usize]) -> Mlp {
+        Mlp::new(
+            MlpConfig::new(layers.to_vec()),
+            &mut StdRng::seed_from_u64(23),
+        )
+    }
+
+    #[track_caller]
+    fn assert_rejected(state: DqnAgentState, expect: &str) {
+        let err = DqnAgent::from_state(state)
+            .map(|_| ())
+            .expect_err("malformed state must not restore");
+        assert!(err.contains(expect), "{err:?} does not mention {expect:?}");
+    }
+
+    #[test]
+    fn from_state_accepts_what_it_exported() {
+        // Moments sized by training, and still unsized on a fresh agent.
+        assert!(DqnAgent::from_state(trained_state()).is_ok());
+        assert!(DqnAgent::from_state(agent(24).export_state()).is_ok());
+    }
+
+    #[test]
+    fn from_state_rejects_a_matrix_that_lies_about_its_size() {
+        let mut state = trained_state();
+        state.online = edited(
+            &state.online,
+            r#""rows":64,"cols":14"#,
+            r#""rows":65,"cols":14"#,
+        );
+        assert_rejected(
+            state,
+            "online network: layers (rows, cols, weights, biases) [(65, 14, Some(896), 64)",
+        );
+    }
+
+    #[test]
+    fn from_state_rejects_layers_that_do_not_chain() {
+        let mut state = trained_state();
+        // Same 2048 values, transposed shape: a valid matrix in the wrong place.
+        state.target = edited(
+            &state.target,
+            r#""rows":32,"cols":64"#,
+            r#""rows":64,"cols":32"#,
+        );
+        assert_rejected(state, "(64, 14, Some(896), 64), (64, 32, Some(2048), 32)");
+    }
+
+    #[test]
+    fn from_state_rejects_a_network_with_no_layers() {
+        let mut state = trained_state();
+        state.online = edited(&state.online, "[14,64,32,8]", "[14]");
+        assert_rejected(state, "do not fit layer sizes [14]");
+    }
+
+    #[test]
+    fn from_state_rejects_networks_of_the_wrong_dimensions() {
+        let mut state = trained_state();
+        state.online = fresh_net(&[STATE_DIM + 1, 8, AgentAction::COUNT]);
+        assert_rejected(state, "online [15, 8, 8] and target");
+        let mut state = trained_state();
+        state.target = fresh_net(&[STATE_DIM, 8, AgentAction::COUNT + 1]);
+        assert_rejected(state, "target [14, 8, 9] networks are not one 14 -> 8");
+    }
+
+    #[test]
+    fn from_state_rejects_online_and_target_of_different_shapes() {
+        let mut state = trained_state();
+        state.target = fresh_net(&[STATE_DIM, 16, AgentAction::COUNT]);
+        assert_rejected(state, "target [14, 16, 8] networks are not one");
+    }
+
+    #[test]
+    fn from_state_rejects_an_optimizer_with_the_wrong_slot_count() {
+        let mut state = trained_state();
+        state.optimizer = Adam::new(1e-3, 4);
+        assert_rejected(state, "moments [0, 0, 0, 0] / [0, 0, 0, 0] do not fit");
+    }
+
+    #[test]
+    fn from_state_rejects_moments_sized_for_another_network() {
+        let mut state = trained_state();
+        // Same six slots, different tensor lengths.
+        state.online = fresh_net(&[STATE_DIM, 32, 64, AgentAction::COUNT]);
+        state.target = state.online.clone();
+        assert_rejected(
+            state,
+            "do not fit parameter tensors [448, 32, 2048, 64, 512, 8]",
+        );
+    }
+
+    #[test]
+    fn from_state_rejects_malformed_transitions() {
+        let mut state = trained_state();
+        state.replay_items[5].next_state.pop();
+        assert_rejected(state, "replay transition 5 is malformed");
+        let mut state = trained_state();
+        state.replay_items[2].action = AgentAction::COUNT;
+        assert_rejected(state, "replay transition 2 is malformed");
     }
 }

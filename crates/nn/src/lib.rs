@@ -23,9 +23,9 @@ pub mod ols;
 pub mod optim;
 pub mod replay;
 
-pub use loss::{huber_loss, huber_loss_grad, mse_loss, mse_loss_grad};
+pub use loss::{huber_loss, huber_loss_grad, huber_loss_grad_into, mse_loss, mse_loss_grad};
 pub use matrix::Matrix;
-pub use mlp::{Activation, Mlp, MlpConfig};
+pub use mlp::{Activation, ForwardTrace, Mlp, MlpConfig, MlpGradients};
 pub use ols::{ols_fit, ridge_fit, LinearModel};
 pub use optim::Adam;
 pub use replay::ReplayBuffer;

@@ -59,24 +59,34 @@ pub fn huber_loss(pred: &[f64], target: &[f64], delta: f64) -> f64 {
 
 /// Gradient of [`huber_loss`] with respect to the predictions.
 pub fn huber_loss_grad(pred: &[f64], target: &[f64], delta: f64) -> Vec<f64> {
+    let mut grad = vec![0.0; pred.len()];
+    huber_loss_grad_into(pred, target, delta, &mut grad);
+    grad
+}
+
+/// [`huber_loss_grad`] written into a caller-owned buffer, for the
+/// allocation-free training step.
+pub fn huber_loss_grad_into(pred: &[f64], target: &[f64], delta: f64, grad: &mut [f64]) {
     assert_eq!(
         pred.len(),
         target.len(),
         "prediction/target length mismatch"
     );
+    assert_eq!(
+        pred.len(),
+        grad.len(),
+        "prediction/gradient length mismatch"
+    );
     assert!(delta > 0.0, "huber delta must be positive");
     let n = pred.len() as f64;
-    pred.iter()
-        .zip(target)
-        .map(|(p, t)| {
-            let e = p - t;
-            if e.abs() <= delta {
-                e / n
-            } else {
-                delta * e.signum() / n
-            }
-        })
-        .collect()
+    for ((g, p), t) in grad.iter_mut().zip(pred).zip(target) {
+        let e = p - t;
+        *g = if e.abs() <= delta {
+            e / n
+        } else {
+            delta * e.signum() / n
+        };
+    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! A small dense row-major matrix used by the MLP and the OLS solver.
 //!
-//! The models in this workspace are tiny (state vectors of ~16 features,
-//! hidden layers of 32–64 units), so a straightforward `Vec<f64>` backing
-//! store with cache-friendly row-major loops is more than fast enough and
-//! keeps the implementation auditable.
+//! `Vec<f64>` backing store, row-major, so a weight row is one contiguous
+//! slice: the MLP's minibatch kernel (`mlp.rs`) reads rows through
+//! [`Matrix::row`] / [`Matrix::as_slice`] and does its own loops; the product
+//! and solver here serve OLS, whose dimensions are tiny. `Deserialize` checks
+//! nothing: `Mlp::validate` is where a decoded matrix's shape is verified.
 
 use serde::{Deserialize, Serialize};
 
@@ -133,20 +134,6 @@ impl Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
     }
 
-    /// Matrix–vector product `self * v`.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != self.cols()`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(self.cols, v.len(), "matvec dimension mismatch");
-        let mut out = vec![0.0; self.rows];
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = self.row(i);
-            *o = row.iter().zip(v).map(|(a, b)| a * b).sum();
-        }
-        out
-    }
-
     /// Solves `self * x = b` by Gaussian elimination with partial pivoting.
     ///
     /// Returns `None` when the matrix is (numerically) singular. Used by the
@@ -202,15 +189,6 @@ impl Matrix {
         }
         Some(x)
     }
-
-    /// Element-wise in-place addition of `rhs * scale`.
-    pub fn add_scaled(&mut self, rhs: &Matrix, scale: f64) {
-        assert_eq!(self.rows, rhs.rows);
-        assert_eq!(self.cols, rhs.cols);
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += b * scale;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -248,13 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_matmul() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 0.0, -1.0, 2.0, 3.0, 4.0]);
-        let v = vec![1.0, 2.0, 3.0];
-        assert_eq!(a.matvec(&v), vec![-2.0, 20.0]);
-    }
-
-    #[test]
     fn solve_recovers_known_solution() {
         let a = Matrix::from_vec(3, 3, vec![2.0, 1.0, -1.0, -3.0, -1.0, 2.0, -2.0, 1.0, 2.0]);
         let b = vec![8.0, -11.0, -3.0];
@@ -278,14 +249,6 @@ mod tests {
         let x = a.solve(&[3.0, 5.0]).unwrap();
         assert!((x[0] - 5.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn add_scaled_accumulates() {
-        let mut a = Matrix::zeros(1, 2);
-        let g = Matrix::from_vec(1, 2, vec![2.0, -4.0]);
-        a.add_scaled(&g, 0.5);
-        assert_eq!(a.as_slice(), &[1.0, -2.0]);
     }
 
     #[test]

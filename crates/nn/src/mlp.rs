@@ -2,13 +2,35 @@
 //!
 //! This is the function approximator behind the deep reinforcement learning
 //! smart models (§6 of the paper) and the learned components of the warehouse
-//! cost model (§5.2). Networks here are tiny (a few thousand parameters), so
-//! the implementation favors clarity and determinism over raw throughput.
+//! cost model (§5.2). Every control tick of every warehouse takes one
+//! minibatch step through it, so there is one kernel and it is batched:
+//!
+//! * **Layout.** A [`ForwardTrace`] holds each layer's activations for the
+//!   whole batch in blocks of [`BLOCK`] samples, a unit's samples contiguous
+//!   within a block (`x[block][unit][lane]`); the `batch % BLOCK` samples left
+//!   over follow as blocks of one, i.e. plain vectors (`x[sample][unit]`).
+//! * **Forward** ([`Mlp::forward_batch`]) is one sweep per layer whose
+//!   innermost loop runs over a block's samples: the compiler vectorises
+//!   *across* samples while each sample's dot product keeps its own sum.
+//! * **Backward** ([`Mlp::backward_into`]) walks one sample at a time and
+//!   adds `delta * input` straight into a reused [`MlpGradients`].
+//!
+//! **Bit-identity rule.** Each output is what the scalar
+//! `w.iter().zip(x).map(|(w, x)| w * x).sum::<f64>() + bias` gives: same start
+//! value, same left-to-right order, no fused multiply-add, no reassociation.
+//! Two samples' sums never mix, so batch size and block width cannot move a
+//! float, and [`Mlp::forward`] / [`Mlp::forward_trace`] / [`Mlp::backward`] are
+//! batch-of-one calls into the same code. The pinned hashes in
+//! `crates/agent/tests/train_step_pinned.rs` hold any rewrite to this.
 
 use crate::matrix::Matrix;
 use crate::optim::Adam;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+
+/// Samples per block of the forward sweep: eight `f64` running sums are four
+/// SSE2 registers, leaving room for the broadcast weight and the loads.
+const BLOCK: usize = 8;
 
 /// Activation applied to hidden layers. The output layer is always linear,
 /// which suits both Q-value regression and scalar regression heads.
@@ -71,39 +93,92 @@ struct Layer {
     biases: Vec<f64>,
 }
 
-/// Gradients produced by one backward pass, shaped like the network.
-#[derive(Debug, Clone)]
+impl Layer {
+    /// The dense layer sweep over blocks of `N` samples: for every neuron `o`
+    /// and lane `s`, `out[o][s] = act(Σ_k w[o][k] * x[k][s] + b[o])` (`act`
+    /// the identity when `None`), one running sum per lane.
+    fn sweep<const N: usize>(&self, act: Option<Activation>, x: &[f64], out: &mut [f64]) {
+        let (rows, cols) = (self.weights.rows(), self.weights.cols());
+        debug_assert_eq!(x.len() * rows, out.len() * cols);
+        // Whatever `Iterator::sum` starts from (-0.0 on current toolchains).
+        let start: f64 = std::iter::empty::<f64>().sum();
+        let blocks = x.chunks_exact(cols * N).zip(out.chunks_exact_mut(rows * N));
+        for (xb, ob) in blocks {
+            let neurons = (self.weights.as_slice().chunks_exact(cols)).zip(&self.biases);
+            for ((w, &b), o) in neurons.zip(ob.chunks_exact_mut(N)) {
+                let mut sums = [start; N];
+                for (&wk, xk) in w.iter().zip(xb.chunks_exact(N)) {
+                    for (sum, &xv) in sums.iter_mut().zip(xk) {
+                        *sum += wk * xv;
+                    }
+                }
+                for (o, sum) in o.iter_mut().zip(sums) {
+                    *o = act.map_or(sum + b, |a| a.apply(sum + b));
+                }
+            }
+        }
+    }
+}
+
+/// Where sample `sample` sits in a blocked buffer of `width` units by `batch`
+/// samples: the index of its unit 0 and the stride between its units.
+fn locate(width: usize, batch: usize, sample: usize) -> (usize, usize) {
+    let lane = sample % BLOCK;
+    if sample - lane + BLOCK <= batch {
+        ((sample - lane) * width + lane, BLOCK)
+    } else {
+        (sample * width, 1)
+    }
+}
+
+/// Sample `sample`'s values in such a buffer as one slice: borrowed where
+/// they are contiguous (a left-over sample), gathered into `scratch` otherwise.
+fn column<'a>(
+    buf: &'a [f64],
+    (width, batch, sample): (usize, usize, usize),
+    scratch: &'a mut Vec<f64>,
+) -> &'a [f64] {
+    let (first, stride) = locate(width, batch, sample);
+    if stride == 1 {
+        return &buf[first..first + width];
+    }
+    scratch.clear();
+    scratch.extend(buf[first..].iter().step_by(stride).take(width));
+    scratch
+}
+
+/// Parameter gradients shaped like the network, plus the per-sample scratch
+/// backprop needs, so one reused value makes a training step allocation-free.
+#[derive(Debug, Clone, Default)]
 pub struct MlpGradients {
     weight_grads: Vec<Matrix>,
     bias_grads: Vec<Vec<f64>>,
+    /// dL/d(pre-activation) of the layer being walked, and of the one below.
+    delta: Vec<f64>,
+    delta_prev: Vec<f64>,
+    /// Where a blocked sample's activations are gathered contiguous.
+    gathered: Vec<f64>,
 }
 
 impl MlpGradients {
-    fn zeros_like(net: &Mlp) -> Self {
-        Self {
-            weight_grads: net
-                .layers
-                .iter()
-                .map(|l| Matrix::zeros(l.weights.rows(), l.weights.cols()))
-                .collect(),
-            bias_grads: net
-                .layers
-                .iter()
-                .map(|l| vec![0.0; l.biases.len()])
-                .collect(),
+    /// Zeroes every gradient, reshaping the buffer first if it was built for
+    /// another architecture (or not yet).
+    pub fn reset(&mut self, net: &Mlp) {
+        let shape = |m: &Matrix| (m.rows(), m.cols());
+        let shapes = net.layers.iter().map(|l| shape(&l.weights));
+        if self.weight_grads.iter().map(shape).eq(shapes.clone()) {
+            (self.weight_grads.iter_mut()).for_each(|g| g.as_mut_slice().fill(0.0));
+            self.bias_grads.iter_mut().for_each(|g| g.fill(0.0));
+            return;
         }
-    }
-
-    /// Accumulates another gradient in place (for mini-batch averaging).
-    pub fn accumulate(&mut self, other: &MlpGradients) {
-        for (a, b) in self.weight_grads.iter_mut().zip(&other.weight_grads) {
-            a.add_scaled(b, 1.0);
-        }
-        for (a, b) in self.bias_grads.iter_mut().zip(&other.bias_grads) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-        }
+        let widest = || Vec::with_capacity(net.config.layer_sizes.iter().fold(0, |a, &w| a.max(w)));
+        *self = Self {
+            weight_grads: shapes.map(|(r, c)| Matrix::zeros(r, c)).collect(),
+            bias_grads: (net.layers.iter().map(|l| vec![0.0; l.biases.len()])).collect(),
+            delta: widest(),
+            delta_prev: widest(),
+            gathered: widest(),
+        };
     }
 
     /// Scales all gradients in place (e.g. by `1/batch_size`).
@@ -141,20 +216,23 @@ impl MlpGradients {
     }
 }
 
-/// Intermediate activations kept from a forward pass for backprop.
-#[derive(Debug, Clone)]
+/// Every layer's activations for one batch, kept from a forward pass for
+/// backprop. Reusable: a pass over the same shape allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct ForwardTrace {
-    /// `activations[0]` is the input; `activations[i]` the output of layer i-1.
+    batch: usize,
+    /// `activations[0]` is the input; `activations[i]` the output of layer
+    /// i-1; each in the blocked layout of the module docs.
     activations: Vec<Vec<f64>>,
 }
 
 impl ForwardTrace {
-    /// The network output for this pass.
-    pub fn output(&self) -> &[f64] {
-        self.activations
-            .last()
-            // lint: allow(D5) — forward_trace always pushes the input row first
-            .expect("trace has at least the input")
+    /// Copies the network output for one sample of the batch into `out`.
+    pub fn output_into(&self, sample: usize, out: &mut [f64]) {
+        let (first, stride) = locate(out.len(), self.batch, sample);
+        let last = self.activations.last().map_or(&[][..], Vec::as_slice);
+        let units = last[first..].iter().step_by(stride);
+        out.iter_mut().zip(units).for_each(|(o, &v)| *o = v);
     }
 }
 
@@ -193,6 +271,34 @@ impl Mlp {
         Self { config, layers }
     }
 
+    /// Checks what deriving `Deserialize` cannot: at least two layer sizes,
+    /// none zero, and every weight matrix and bias vector shaped as they
+    /// dictate and holding `rows * cols` values — so the layers chain and
+    /// every index below is in range. Call it on any decoded network.
+    pub fn validate(&self) -> Result<(), String> {
+        let sizes = &self.config.layer_sizes;
+        let shape = |l: &Layer| {
+            let (rows, cols) = (l.weights.rows(), l.weights.cols());
+            (rows, cols, Some(l.weights.as_slice().len()), l.biases.len())
+        };
+        let fits = sizes.len() >= 2
+            && !sizes.contains(&0)
+            && (self.layers.iter().map(shape))
+                .eq((sizes.windows(2)).map(|w| (w[1], w[0], w[1].checked_mul(w[0]), w[1])));
+        if fits {
+            return Ok(());
+        }
+        let shapes: Vec<_> = self.layers.iter().map(shape).collect();
+        Err(format!(
+            "layers (rows, cols, weights, biases) {shapes:?} do not fit layer sizes {sizes:?}"
+        ))
+    }
+
+    /// Sizes of every layer, input first, output last.
+    pub fn layer_sizes(&self) -> &[usize] {
+        &self.config.layer_sizes
+    }
+
     /// Input dimension.
     pub fn input_dim(&self) -> usize {
         self.config.layer_sizes[0]
@@ -212,6 +318,13 @@ impl Mlp {
             .sum()
     }
 
+    /// Length of each parameter tensor in optimizer-slot order (weights,
+    /// then biases, per layer).
+    pub fn tensor_lens(&self) -> Vec<usize> {
+        let lens = |l: &Layer| [l.weights.as_slice().len(), l.biases.len()];
+        self.layers.iter().flat_map(lens).collect()
+    }
+
     /// Forward pass returning only the output.
     pub fn forward(&self, input: &[f64]) -> Vec<f64> {
         self.forward_trace(input)
@@ -220,7 +333,8 @@ impl Mlp {
             .unwrap_or_default()
     }
 
-    /// Forward pass that keeps every intermediate activation for backprop.
+    /// Forward pass of a batch of one that keeps every intermediate
+    /// activation for backprop.
     ///
     /// # Panics
     /// Panics if `input.len()` differs from the configured input dimension.
@@ -232,76 +346,119 @@ impl Mlp {
             input.len(),
             self.input_dim()
         );
-        let mut activations = Vec::with_capacity(self.layers.len() + 1);
-        activations.push(input.to_vec());
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let prev = activations.last().map(Vec::as_slice).unwrap_or(input);
-            let mut z = layer.weights.matvec(prev);
-            for (zv, b) in z.iter_mut().zip(&layer.biases) {
-                *zv += b;
-            }
-            if i != last {
-                for v in &mut z {
-                    *v = self.config.activation.apply(*v);
-                }
-            }
-            activations.push(z);
-        }
-        ForwardTrace { activations }
+        let mut trace = ForwardTrace::default();
+        self.forward_batch(&mut trace, std::iter::once(input));
+        trace
     }
 
-    /// Backpropagates `output_grad` (dL/d output) through the trace,
-    /// returning parameter gradients.
+    /// Runs a whole batch through the network, one sweep per layer, leaving
+    /// every activation in `trace` (reshaped to fit; reuse it across calls).
+    /// Each input must be [`Mlp::input_dim`] long.
+    pub fn forward_batch<'a>(
+        &self,
+        trace: &mut ForwardTrace,
+        inputs: impl ExactSizeIterator<Item = &'a [f64]>,
+    ) {
+        let batch = inputs.len();
+        trace.batch = batch;
+        trace
+            .activations
+            .resize_with(self.layers.len() + 1, Vec::new);
+        for (a, width) in trace.activations.iter_mut().zip(&self.config.layer_sizes) {
+            a.resize(width * batch, 0.0);
+        }
+        for (sample, input) in inputs.enumerate() {
+            debug_assert_eq!(input.len(), self.input_dim());
+            let (first, stride) = locate(input.len(), batch, sample);
+            let slots = trace.activations[0][first..].iter_mut().step_by(stride);
+            slots.zip(input).for_each(|(slot, &v)| *slot = v);
+        }
+        let blocked = batch - batch % BLOCK;
+        for (i, layer) in self.layers.iter().enumerate() {
+            let act = (i + 1 != self.layers.len()).then_some(self.config.activation);
+            let (below, above) = trace.activations.split_at_mut(i + 1);
+            let (x, x_tail) = below[i].split_at(blocked * layer.weights.cols());
+            let (out, out_tail) = above[0].split_at_mut(blocked * layer.weights.rows());
+            layer.sweep::<BLOCK>(act, x, out);
+            layer.sweep::<1>(act, x_tail, out_tail);
+        }
+    }
+
+    /// Backpropagates `output_grad` (dL/d output) through a batch-of-one
+    /// trace, returning parameter gradients.
     pub fn backward(&self, trace: &ForwardTrace, output_grad: &[f64]) -> MlpGradients {
         assert_eq!(
             output_grad.len(),
             self.output_dim(),
             "output gradient dimension mismatch"
         );
-        let mut grads = MlpGradients::zeros_like(self);
+        let mut grads = MlpGradients::default();
+        grads.reset(self);
+        self.backward_into(trace, 0, output_grad, &mut grads);
+        grads
+    }
+
+    /// Backpropagates `output_grad` (dL/d output) for one sample of `trace`,
+    /// *adding* its parameter gradients to `grads` — the same additions, in
+    /// the same order, as summing per-sample gradients one after another.
+    pub fn backward_into(
+        &self,
+        trace: &ForwardTrace,
+        sample: usize,
+        output_grad: &[f64],
+        grads: &mut MlpGradients,
+    ) {
+        debug_assert_eq!(output_grad.len(), self.output_dim());
+        let MlpGradients {
+            weight_grads,
+            bias_grads,
+            delta,
+            delta_prev,
+            gathered,
+        } = grads;
         // delta = dL/d(pre-activation) for the current layer, walking backwards.
-        let mut delta = output_grad.to_vec();
+        delta.clear();
+        delta.extend_from_slice(output_grad);
         for (i, layer) in self.layers.iter().enumerate().rev() {
-            let input = &trace.activations[i];
-            let output = &trace.activations[i + 1];
+            let (rows, cols) = (layer.weights.rows(), layer.weights.cols());
             // Output layer is linear; hidden layers need the activation derivative.
             if i != self.layers.len() - 1 {
+                let at = (rows, trace.batch, sample);
+                let output = column(&trace.activations[i + 1], at, gathered);
                 for (d, &y) in delta.iter_mut().zip(output) {
                     *d *= self.config.activation.derivative_from_output(y);
                 }
             }
+            let input = column(&trace.activations[i], (cols, trace.batch, sample), gathered);
             // dL/dW = delta (outer) input, dL/db = delta
-            let wg = &mut grads.weight_grads[i];
             for (r, &d) in delta.iter().enumerate() {
                 // lint: allow(D4) — exact-zero skip is a sparsity fast path, not a tolerance check
                 if d == 0.0 {
                     continue;
                 }
-                let row = wg.row_mut(r);
-                for (w, &x) in row.iter_mut().zip(input) {
+                for (w, &x) in weight_grads[i].row_mut(r).iter_mut().zip(input) {
                     *w += d * x;
                 }
             }
-            for (bg, &d) in grads.bias_grads[i].iter_mut().zip(&delta) {
+            for (bg, &d) in bias_grads[i].iter_mut().zip(&*delta) {
                 *bg += d;
             }
             // Propagate to the previous layer: delta_prev = W^T delta
             if i > 0 {
-                let mut prev = vec![0.0; layer.weights.cols()];
+                delta_prev.clear();
+                delta_prev.resize(cols, 0.0);
                 for (r, &d) in delta.iter().enumerate() {
                     // lint: allow(D4) — exact-zero skip is a sparsity fast path, not a tolerance check
                     if d == 0.0 {
                         continue;
                     }
-                    for (p, &w) in prev.iter_mut().zip(layer.weights.row(r)) {
+                    for (p, &w) in delta_prev.iter_mut().zip(layer.weights.row(r)) {
                         *p += w * d;
                     }
                 }
-                delta = prev;
+                std::mem::swap(delta, delta_prev);
             }
         }
-        grads
     }
 
     /// Applies gradients with the given optimizer.
@@ -324,7 +481,8 @@ impl Mlp {
         self.layers.len() * 2
     }
 
-    /// Copies the parameters of `source` into `self` (target-network sync).
+    /// Copies the parameters of `source` into `self` (target-network sync),
+    /// in place.
     ///
     /// # Panics
     /// Panics if the architectures differ.
@@ -333,7 +491,11 @@ impl Mlp {
             self.config.layer_sizes, source.config.layer_sizes,
             "cannot copy parameters between different architectures"
         );
-        self.layers = source.layers.clone();
+        for (dst, src) in self.layers.iter_mut().zip(&source.layers) {
+            let weights = dst.weights.as_mut_slice();
+            weights.copy_from_slice(src.weights.as_slice());
+            dst.biases.copy_from_slice(&src.biases);
+        }
     }
 }
 
@@ -343,7 +505,19 @@ mod tests {
     use crate::loss::{mse_loss, mse_loss_grad};
     use crate::optim::Adam;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The output of a batch-of-one pass.
+    fn output(trace: &ForwardTrace) -> Vec<f64> {
+        output_of(trace, 0)
+    }
+
+    fn output_of(trace: &ForwardTrace, sample: usize) -> Vec<f64> {
+        let width = trace.activations.last().unwrap().len() / trace.batch;
+        let mut out = vec![f64::NAN; width];
+        trace.output_into(sample, &mut out);
+        out
+    }
 
     fn tiny_net(seed: u64) -> Mlp {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -386,7 +560,7 @@ mod tests {
         let target = [0.5, -0.1];
 
         let trace = net.forward_trace(&input);
-        let grad_out = mse_loss_grad(trace.output(), &target);
+        let grad_out = mse_loss_grad(&output(&trace), &target);
         let grads = net.backward(&trace, &grad_out);
 
         // Check the finite-difference gradient of a handful of weights.
@@ -446,7 +620,7 @@ mod tests {
                 &mut rng,
             );
             let trace = net.forward_trace(&input);
-            let grads = net.backward(&trace, &loss_grad(trace.output()));
+            let grads = net.backward(&trace, &loss_grad(&output(&trace)));
             let eps = 1e-6;
             let mut checked = 0usize;
             for layer_idx in 0..net.layers.len() {
@@ -499,7 +673,7 @@ mod tests {
         let input = [0.8, -0.3];
         let target = [0.25];
         let trace = net.forward_trace(&input);
-        let grads = net.backward(&trace, &mse_loss_grad(trace.output(), &target));
+        let grads = net.backward(&trace, &mse_loss_grad(&output(&trace), &target));
         let eps = 1e-6;
         let analytic = grads.bias_grads[0][0];
         let orig = net.layers[0].biases[0];
@@ -525,20 +699,16 @@ mod tests {
                 ([x0, x1], x0 + 2.0 * x1)
             })
             .collect();
+        let (mut trace, mut grads) = (ForwardTrace::default(), MlpGradients::default());
         for _ in 0..400 {
-            let mut batch_grads: Option<MlpGradients> = None;
-            for (x, y) in &data {
-                let trace = net.forward_trace(x);
-                let g_out = mse_loss_grad(trace.output(), &[*y]);
-                let g = net.backward(&trace, &g_out);
-                match &mut batch_grads {
-                    Some(acc) => acc.accumulate(&g),
-                    None => batch_grads = Some(g),
-                }
+            net.forward_batch(&mut trace, data.iter().map(|(x, _)| &x[..]));
+            grads.reset(&net);
+            for (s, (_, y)) in data.iter().enumerate() {
+                let pred = output_of(&trace, s);
+                net.backward_into(&trace, s, &mse_loss_grad(&pred, &[*y]), &mut grads);
             }
-            let mut g = batch_grads.unwrap();
-            g.scale(1.0 / data.len() as f64);
-            net.apply_gradients(&g, &mut opt);
+            grads.scale(1.0 / data.len() as f64);
+            net.apply_gradients(&grads, &mut opt);
         }
         let mut total = 0.0;
         for (x, y) in &data {
@@ -556,6 +726,104 @@ mod tests {
         assert_ne!(a.forward(&[0.5, 0.5]), b.forward(&[0.5, 0.5]));
         a.copy_parameters_from(&b);
         assert_eq!(a.forward(&[0.5, 0.5]), b.forward(&[0.5, 0.5]));
+    }
+
+    fn grad_bits(g: &MlpGradients) -> Vec<u64> {
+        let weights = g.weight_grads.iter().flat_map(|m| m.as_slice());
+        let biases = g.bias_grads.iter().flatten();
+        weights.chain(biases).map(|v| v.to_bits()).collect()
+    }
+
+    /// The minibatch kernel against the single-sample entry points, bit for
+    /// bit: random shapes, both activations, batch sizes on every side of a
+    /// block boundary, inputs and output gradients with exact zeros (dead
+    /// ReLU units, the sparsity skips). One trace and one gradient buffer
+    /// serve every case, so reshaping over stale contents is covered too.
+    #[test]
+    fn batched_kernel_equals_per_sample_passes_bit_for_bit() {
+        let (mut trace, mut grads) = (ForwardTrace::default(), MlpGradients::default());
+        for case in 0..256u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let layer_sizes: Vec<usize> = (0..rng.gen_range(2..5))
+                .map(|_| rng.gen_range(1..12))
+                .collect();
+            let activation = [Activation::Relu, Activation::Tanh][rng.gen_range(0..2usize)];
+            let config = MlpConfig {
+                layer_sizes,
+                activation,
+            };
+            let mut net = Mlp::new(config, &mut rng);
+            for b in net.layers.iter_mut().flat_map(|l| &mut l.biases) {
+                *b = rng.gen_range(-0.5..0.5);
+            }
+            let batch = rng.gen_range(1..38);
+            let mut sparse = |n: usize| -> Vec<f64> {
+                (0..n)
+                    .map(|_| match rng.gen_range(0..4) {
+                        0 => 0.0,
+                        _ => rng.gen_range(-2.0..2.0),
+                    })
+                    .collect()
+            };
+            let inputs: Vec<Vec<f64>> = (0..batch).map(|_| sparse(net.input_dim())).collect();
+            let out_grads: Vec<Vec<f64>> = (0..batch).map(|_| sparse(net.output_dim())).collect();
+
+            net.forward_batch(&mut trace, inputs.iter().map(Vec::as_slice));
+            grads.reset(&net);
+            for (s, g) in out_grads.iter().enumerate() {
+                net.backward_into(&trace, s, g, &mut grads);
+            }
+
+            // Per-sample passes, their gradients summed in batch order.
+            let mut expected: Option<MlpGradients> = None;
+            for (s, (x, g)) in inputs.iter().zip(&out_grads).enumerate() {
+                let single = net.forward_trace(x);
+                let batched = output_of(&trace, s);
+                let alone = output(&single);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&batched),
+                    bits(&alone),
+                    "case {case}: output of sample {s}/{batch}"
+                );
+                let g = net.backward(&single, g);
+                match &mut expected {
+                    None => expected = Some(g),
+                    Some(sum) => {
+                        let sums = (sum.weight_grads.iter_mut())
+                            .flat_map(|m| m.as_mut_slice())
+                            .chain(sum.bias_grads.iter_mut().flatten());
+                        let terms = (g.weight_grads.iter())
+                            .flat_map(|m| m.as_slice())
+                            .chain(g.bias_grads.iter().flatten());
+                        sums.zip(terms).for_each(|(a, b)| *a += b);
+                    }
+                }
+            }
+            assert_eq!(
+                grad_bits(&grads),
+                grad_bits(&expected.unwrap()),
+                "case {case}: gradient of a batch of {batch}"
+            );
+        }
+    }
+
+    #[test]
+    fn validate_accepts_built_networks_and_rejects_misshapen_ones() {
+        let mut net = tiny_net(1);
+        assert_eq!(net.validate(), Ok(()));
+        net.layers[1].biases.push(0.0);
+        let err = net.validate().unwrap_err();
+        assert!(err.contains("(1, 8, Some(8), 2)] do not fit"), "{err}");
+        let mut net = tiny_net(1);
+        net.layers.pop();
+        assert!(net.validate().is_err(), "a layer is missing");
+        let mut net = tiny_net(1);
+        net.layers[0].weights = Matrix::zeros(8, 3);
+        assert!(net.validate().is_err(), "layers must chain");
+        let mut net = tiny_net(1);
+        net.config.layer_sizes = vec![2];
+        assert!(net.validate().is_err(), "one layer size is no network");
     }
 
     #[test]

@@ -35,6 +35,21 @@ impl Adam {
         }
     }
 
+    /// Checks decoded state against the lengths of the parameter tensors it
+    /// will update, in slot order: one slot per tensor, each slot's moments
+    /// either still unsized (they are sized on first use) or exactly as long.
+    pub fn validate(&self, tensor_lens: &[usize]) -> Result<(), String> {
+        let lens = |moments: &[Vec<f64>]| moments.iter().map(Vec::len).collect::<Vec<_>>();
+        let (m, v) = (lens(&self.m), lens(&self.v));
+        let sized = |(&have, &want): (&usize, &usize)| have == 0 || have == want;
+        if m == v && m.len() == tensor_lens.len() && m.iter().zip(tensor_lens).all(sized) {
+            return Ok(());
+        }
+        Err(format!(
+            "optimizer moments {m:?} / {v:?} do not fit parameter tensors {tensor_lens:?}"
+        ))
+    }
+
     /// Signals the start of a new update step. Called implicitly by slot 0;
     /// all slots updated between two slot-0 calls share one timestep.
     fn maybe_advance(&mut self, slot: usize) {

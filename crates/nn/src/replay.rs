@@ -63,15 +63,14 @@ impl<T: Clone> ReplayBuffer<T> {
         self.total_pushed
     }
 
-    /// Samples `n` transitions uniformly with replacement. Returns an empty
-    /// vector when the buffer is empty.
-    pub fn sample(&self, n: usize, rng: &mut impl Rng) -> Vec<&T> {
-        if self.items.is_empty() {
-            return Vec::new();
+    /// Draws `n` storage indices uniformly with replacement into `out`
+    /// (cleared first; left empty when the buffer is empty). Read the
+    /// transitions back by indexing: nothing is cloned.
+    pub fn sample_indices(&self, n: usize, rng: &mut impl Rng, out: &mut Vec<usize>) {
+        out.clear();
+        if !self.items.is_empty() {
+            out.extend((0..n).map(|_| rng.gen_range(0..self.items.len())));
         }
-        (0..n)
-            .map(|_| &self.items[rng.gen_range(0..self.items.len())])
-            .collect()
     }
 
     /// Iterates over the stored transitions (storage order, not insertion
@@ -129,11 +128,27 @@ impl<T: Clone> ReplayBuffer<T> {
     }
 }
 
+/// The transition at a storage index, as drawn by `sample_indices`.
+impl<T> std::ops::Index<usize> for ReplayBuffer<T> {
+    type Output = T;
+
+    fn index(&self, index: usize) -> &T {
+        &self.items[index]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `n` sampled items, by value, from a freshly seeded RNG.
+    fn draw<T: Clone>(buf: &ReplayBuffer<T>, n: usize, seed: u64) -> Vec<T> {
+        let mut indices = vec![usize::MAX; 3]; // stale content must be cleared
+        buf.sample_indices(n, &mut StdRng::seed_from_u64(seed), &mut indices);
+        indices.into_iter().map(|i| buf[i].clone()).collect()
+    }
 
     #[test]
     fn push_grows_until_capacity() {
@@ -164,15 +179,13 @@ mod tests {
         for i in 0..4 {
             buf.push(i);
         }
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(buf.sample(7, &mut rng).len(), 7);
+        assert_eq!(draw(&buf, 7, 0).len(), 7);
     }
 
     #[test]
     fn sample_from_empty_buffer_is_empty() {
         let buf: ReplayBuffer<u8> = ReplayBuffer::new(4);
-        let mut rng = StdRng::seed_from_u64(0);
-        assert!(buf.sample(3, &mut rng).is_empty());
+        assert!(draw(&buf, 3, 0).is_empty());
     }
 
     #[test]
@@ -181,9 +194,8 @@ mod tests {
         for i in 10..14 {
             buf.push(i);
         }
-        let mut rng = StdRng::seed_from_u64(1);
-        for s in buf.sample(100, &mut rng) {
-            assert!((10..14).contains(s));
+        for s in draw(&buf, 100, 1) {
+            assert!((10..14).contains(&s));
         }
     }
 
@@ -193,16 +205,7 @@ mod tests {
         for i in 0..8 {
             buf.push(i);
         }
-        let a: Vec<i32> = buf
-            .sample(5, &mut StdRng::seed_from_u64(9))
-            .into_iter()
-            .copied()
-            .collect();
-        let b: Vec<i32> = buf
-            .sample(5, &mut StdRng::seed_from_u64(9))
-            .into_iter()
-            .copied()
-            .collect();
+        let (a, b) = (draw(&buf, 5, 9), draw(&buf, 5, 9));
         assert_eq!(a, b);
     }
 

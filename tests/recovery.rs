@@ -318,6 +318,33 @@ fn snapshot_cursors_past_the_account_stream_are_corrupt() {
 }
 
 #[test]
+fn a_snapshot_whose_network_shapes_lie_is_corrupt_not_a_panic() {
+    // `Matrix` derives `Deserialize`, so `rows x cols != data.len()` decodes
+    // fine; unchecked, the first tick after the restore would index past the
+    // buffer. The agent's door (`DqnAgent::from_state`) has to refuse it.
+    let (sim, mut store) = two_warehouse_crash();
+    let contents = store.load().expect("mem store loads");
+    let mut snapshot = contents.snapshot.expect("the day-one snapshot landed");
+    let (honest, lie) = (&br#""rows":64,"cols":14"#[..], br#""rows":65,"cols":14"#);
+    let at = snapshot
+        .windows(honest.len())
+        .position(|w| w == honest)
+        .expect("the first layer's weight matrix is in the snapshot body");
+    snapshot[at..at + lie.len()].copy_from_slice(lie);
+    let mut edited = MemStore::new();
+    edited.write_snapshot(&snapshot).expect("mem store writes");
+    for record in &contents.records {
+        edited.append(record).expect("mem store appends");
+    }
+    match Orchestrator::restore(Box::new(edited), &sim) {
+        Err(keebo::persist::PersistError::Corrupt(msg)) => {
+            assert!(msg.contains("[(65, 14, Some(896), 64)"), "{msg}")
+        }
+        other => panic!("expected Corrupt, got {:?}", other.map(|(_, stats)| stats)),
+    }
+}
+
+#[test]
 fn every_persisted_record_re_encodes_byte_identically() {
     // A real run exercising every record variant, captured via MemStore.
     let seed = 31;
