@@ -4,13 +4,14 @@
 
 use crate::action::AgentAction;
 use crate::state::STATE_DIM;
+use nn::le::{self, Reader};
 use nn::{huber_loss_grad_into, Adam, ForwardTrace, Mlp, MlpConfig, MlpGradients, ReplayBuffer};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 /// Hyper-parameters of the DQN.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DqnConfig {
     /// Hidden layer widths.
     pub hidden: Vec<usize>,
@@ -74,10 +75,74 @@ pub struct DqnAgent {
     train_steps: u64,
 }
 
-/// Serializable mirror of [`DqnAgent`] for the durable control plane. The
+impl DqnConfig {
+    fn write_le(&self, out: &mut Vec<u8>) {
+        le::put_usizes(out, &self.hidden);
+        le::put_f64(out, self.gamma);
+        le::put_f64(out, self.learning_rate);
+        le::put_usize(out, self.batch_size);
+        le::put_usize(out, self.replay_capacity);
+        le::put_u64(out, self.target_sync_interval);
+        le::put_f64(out, self.epsilon_start);
+        le::put_f64(out, self.epsilon_end);
+        le::put_u64(out, self.epsilon_decay_steps);
+        le::put_f64(out, self.grad_clip);
+    }
+
+    fn read_le(r: &mut Reader<'_>) -> Result<Self, String> {
+        Ok(Self {
+            hidden: r.usizes()?,
+            gamma: r.f64()?,
+            learning_rate: r.f64()?,
+            batch_size: r.usize()?,
+            replay_capacity: r.usize()?,
+            target_sync_interval: r.u64()?,
+            epsilon_start: r.f64()?,
+            epsilon_end: r.f64()?,
+            epsilon_decay_steps: r.u64()?,
+            grad_clip: r.f64()?,
+        })
+    }
+}
+
+impl Transition {
+    /// Fewest bytes one encodes to: two empty state counts, the action, the
+    /// reward, the mask and the terminal flag.
+    const MIN_LE_BYTES: usize = 4 * 8 + AgentAction::COUNT + 1;
+
+    fn write_le(&self, out: &mut Vec<u8>) {
+        le::put_f64s(out, &self.state);
+        le::put_usize(out, self.action);
+        le::put_f64(out, self.reward);
+        le::put_f64s(out, &self.next_state);
+        for allowed in self.next_mask {
+            le::put_bool(out, allowed);
+        }
+        le::put_bool(out, self.terminal);
+    }
+
+    fn read_le(r: &mut Reader<'_>) -> Result<Self, String> {
+        Ok(Self {
+            state: r.f64s()?,
+            action: r.usize()?,
+            reward: r.f64()?,
+            next_state: r.f64s()?,
+            next_mask: {
+                let mut mask = [false; AgentAction::COUNT];
+                for allowed in &mut mask {
+                    *allowed = r.bool()?;
+                }
+                mask
+            },
+            terminal: r.bool()?,
+        })
+    }
+}
+
+/// Exported mirror of [`DqnAgent`] for the durable control plane. The
 /// replay ring is flattened to its parts because `ReplayBuffer` is generic
 /// over the transition type.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DqnAgentState {
     pub online: Mlp,
     pub target: Mlp,
@@ -89,6 +154,50 @@ pub struct DqnAgentState {
     pub config: DqnConfig,
     pub selections: u64,
     pub train_steps: u64,
+}
+
+impl DqnAgentState {
+    /// The binary encoding a snapshot carries (`nn::le`: fixed-width
+    /// little-endian fields in declaration order, every float as its bits).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.online.write_le(&mut out);
+        self.target.write_le(&mut out);
+        self.optimizer.write_le(&mut out);
+        le::put_usize(&mut out, self.replay_capacity);
+        le::put_usize(&mut out, self.replay_items.len());
+        for transition in &self.replay_items {
+            transition.write_le(&mut out);
+        }
+        le::put_usize(&mut out, self.replay_next);
+        le::put_u64(&mut out, self.replay_total_pushed);
+        self.config.write_le(&mut out);
+        le::put_u64(&mut out, self.selections);
+        le::put_u64(&mut out, self.train_steps);
+        out
+    }
+
+    /// The inverse of [`DqnAgentState::to_bytes`], total on arbitrary bytes:
+    /// `Err` for anything that is not exactly one encoded state. It checks
+    /// the encoding only — what the state *says* is checked where every
+    /// restored agent enters, [`DqnAgent::from_state`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
+        let mut r = Reader::new(bytes);
+        let state = Self {
+            online: Mlp::read_le(&mut r)?,
+            target: Mlp::read_le(&mut r)?,
+            optimizer: Adam::read_le(&mut r)?,
+            replay_capacity: r.usize()?,
+            replay_items: r.seq(Transition::MIN_LE_BYTES, Transition::read_le)?,
+            replay_next: r.usize()?,
+            replay_total_pushed: r.u64()?,
+            config: DqnConfig::read_le(&mut r)?,
+            selections: r.u64()?,
+            train_steps: r.u64()?,
+        };
+        r.finish()?;
+        Ok(state)
+    }
 }
 
 impl DqnAgent {
@@ -593,11 +702,23 @@ mod tests {
         a.export_state()
     }
 
-    /// `net` as a hand-edited snapshot would decode it.
-    fn edited(net: &Mlp, from: &str, to: &str) -> Mlp {
-        let json = serde_json::to_string(net).unwrap();
-        assert!(json.contains(from), "{from} not in the encoding");
-        serde_json::from_str(&json.replacen(from, to, 1)).unwrap()
+    /// `net` as a hand-edited snapshot would decode it: the first run of
+    /// the eight-byte words `from` in its encoding replaced by `to`.
+    fn edited(net: &Mlp, from: &[usize], to: &[usize]) -> Mlp {
+        let words = |ws: &[usize]| -> Vec<u8> {
+            let le_bytes = |w: &usize| (*w as u64).to_le_bytes();
+            ws.iter().flat_map(le_bytes).collect()
+        };
+        let (from, to) = (words(from), words(to));
+        let mut bytes = Vec::new();
+        net.write_le(&mut bytes);
+        let at = (bytes.windows(from.len()).position(|w| w == from))
+            .expect("the words to edit are in the encoding");
+        bytes.splice(at..at + from.len(), to);
+        let mut r = Reader::new(&bytes);
+        let net = Mlp::read_le(&mut r).unwrap();
+        r.finish().unwrap();
+        net
     }
 
     fn fresh_net(layers: &[usize]) -> Mlp {
@@ -616,6 +737,56 @@ mod tests {
     }
 
     #[test]
+    fn state_bytes_round_trip_and_every_cut_or_extra_byte_is_refused() {
+        let mut state = trained_state();
+        // Replay values a float printer would not be trusted with.
+        state.replay_items[0].reward = f64::from_bits(0x7FF8_0000_0000_0BAD);
+        state.replay_items[1].state[3] = -0.0;
+        state.replay_items[2].next_state[0] = f64::NEG_INFINITY;
+        let bytes = state.to_bytes();
+        let back = DqnAgentState::from_bytes(&bytes).unwrap();
+        assert_eq!(back.to_bytes(), bytes, "decode then encode reproduces it");
+        assert_eq!(back.replay_items[0].reward.to_bits(), 0x7FF8_0000_0000_0BAD);
+        assert_eq!(back.replay_items[3], state.replay_items[3]);
+        assert_eq!(
+            (back.replay_next, back.replay_total_pushed, back.train_steps),
+            (state.replay_next, state.replay_total_pushed, 1)
+        );
+        // Every cut inside the scalar-dense ends, a stride through the tensors.
+        for cut in (0..bytes.len()).filter(|c| *c < 256 || c % 61 == 0 || c + 256 > bytes.len()) {
+            assert!(
+                DqnAgentState::from_bytes(&bytes[..cut]).is_err(),
+                "a {cut}-byte prefix decoded"
+            );
+        }
+        let mut extended = bytes;
+        extended.push(0);
+        assert!(DqnAgentState::from_bytes(&extended)
+            .unwrap_err()
+            .contains("trailing"));
+    }
+
+    #[test]
+    fn a_count_of_2_pow_60_is_an_error_not_an_allocation() {
+        // The replay ring's item count (12) directly follows its capacity.
+        let state = trained_state();
+        let mut bytes = state.to_bytes();
+        let capacity_then_len: Vec<u8> = [state.replay_capacity as u64, 12]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
+        let at = (bytes.windows(16).position(|w| w == capacity_then_len))
+            .expect("capacity and item count are adjacent");
+        bytes[at + 8..at + 16].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        let err = DqnAgentState::from_bytes(&bytes).unwrap_err();
+        assert!(err.contains("cannot fit"), "{err}");
+        // And the very first count of the encoding, the layer sizes'.
+        let mut bytes = state.to_bytes();
+        bytes[..8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        assert!(DqnAgentState::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
     fn from_state_accepts_what_it_exported() {
         // Moments sized by training, and still unsized on a fresh agent.
         assert!(DqnAgent::from_state(trained_state()).is_ok());
@@ -625,11 +796,7 @@ mod tests {
     #[test]
     fn from_state_rejects_a_matrix_that_lies_about_its_size() {
         let mut state = trained_state();
-        state.online = edited(
-            &state.online,
-            r#""rows":64,"cols":14"#,
-            r#""rows":65,"cols":14"#,
-        );
+        state.online = edited(&state.online, &[64, 14], &[65, 14]);
         assert_rejected(
             state,
             "online network: layers (rows, cols, weights, biases) [(65, 14, Some(896), 64)",
@@ -640,18 +807,14 @@ mod tests {
     fn from_state_rejects_layers_that_do_not_chain() {
         let mut state = trained_state();
         // Same 2048 values, transposed shape: a valid matrix in the wrong place.
-        state.target = edited(
-            &state.target,
-            r#""rows":32,"cols":64"#,
-            r#""rows":64,"cols":32"#,
-        );
+        state.target = edited(&state.target, &[32, 64], &[64, 32]);
         assert_rejected(state, "(64, 14, Some(896), 64), (64, 32, Some(2048), 32)");
     }
 
     #[test]
     fn from_state_rejects_a_network_with_no_layers() {
         let mut state = trained_state();
-        state.online = edited(&state.online, "[14,64,32,8]", "[14]");
+        state.online = edited(&state.online, &[4, 14, 64, 32, 8], &[1, 14]);
         assert_rejected(state, "do not fit layer sizes [14]");
     }
 

@@ -20,11 +20,13 @@ pub(super) fn snapshot_state(
     optimizers: &[WarehouseOptimizer],
     at: SimTime,
 ) -> SnapshotState {
+    let (optimizers, agents) = optimizers.iter().map(|o| o.export_snapshot()).unzip();
     SnapshotState {
         version: persist::FORMAT_VERSION,
         seed,
         at,
-        optimizers: optimizers.iter().map(|o| o.export_snapshot()).collect(),
+        optimizers,
+        agents,
     }
 }
 

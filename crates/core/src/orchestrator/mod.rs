@@ -35,7 +35,7 @@ use crate::reconciler::Reconciler;
 use crate::store::StateStore;
 use agent::{
     baseline_p99, reconstruct_specs, train_on_workload, ConstraintSet, DegradedFallback, DqnAgent,
-    DqnConfig, EpisodeConfig, Rule, SliderPosition, Transition,
+    DqnAgentState, DqnConfig, EpisodeConfig, Rule, SliderPosition, Transition,
 };
 use cdw_sim::{
     QueryRecord, SimTime, Simulator, WarehouseConfig, WarehouseId, DAY_MS, HOUR_MS, MINUTE_MS,
@@ -430,31 +430,36 @@ impl WarehouseOptimizer {
     }
 
     /// Everything needed to rebuild this optimizer without replaying its
-    /// history (the decision trace is deliberately excluded, and telemetry
-    /// is re-derived from the surviving account by `ctl`'s fetcher cursors).
-    fn export_snapshot(&self) -> OptimizerSnapshot {
-        OptimizerSnapshot {
+    /// history — the agent apart, as the snapshot encodes it apart (the
+    /// decision trace is deliberately excluded, and telemetry is re-derived
+    /// from the surviving account by `ctl`'s fetcher cursors).
+    fn export_snapshot(&self) -> (OptimizerSnapshot, DqnAgentState) {
+        let snap = OptimizerSnapshot {
             name: self.name.clone(),
             original_config: self.original_config.clone(),
             setup: self.setup.clone(),
-            agent: self.agent.export_state(),
             cost_model: self.cost_model.clone(),
             actuator_log: self.actuator.log().to_vec(),
             ctl: self.ctl.clone(),
-        }
+        };
+        (snap, self.agent.export_state())
     }
 
     /// Rebuilds an optimizer from a snapshot against the surviving
     /// simulator (which still knows the warehouse by name and still holds
     /// the telemetry stream `replay_tick`'s delivery function reads).
-    fn from_snapshot(snap: OptimizerSnapshot, sim: &Simulator) -> Result<Self, PersistError> {
+    fn from_snapshot(
+        snap: OptimizerSnapshot,
+        agent: DqnAgentState,
+        sim: &Simulator,
+    ) -> Result<Self, PersistError> {
         let wh = sim.account().warehouse_id(&snap.name).ok_or_else(|| {
             PersistError::Corrupt(format!(
                 "snapshot references warehouse {} absent from the simulator",
                 snap.name
             ))
         })?;
-        let agent = DqnAgent::from_state(snap.agent).map_err(PersistError::Corrupt)?;
+        let agent = DqnAgent::from_state(agent).map_err(PersistError::Corrupt)?;
         let mut o = WarehouseOptimizer::new(wh, snap.name, snap.original_config, snap.setup, 0);
         if !snap.ctl.fetcher.covered_by(sim.account()) {
             return Err(PersistError::Corrupt(format!(

@@ -88,8 +88,9 @@ impl Orchestrator {
             Some(snapshot_bytes) => {
                 let snap = persist::decode_snapshot(snapshot_bytes)?;
                 let mut orch = Orchestrator::new(snap.seed);
-                for osnap in snap.optimizers {
-                    let o = WarehouseOptimizer::from_snapshot(osnap, sim)?;
+                // One agent per optimizer: `decode_snapshot` refuses less.
+                for (osnap, agent) in snap.optimizers.into_iter().zip(snap.agents) {
+                    let o = WarehouseOptimizer::from_snapshot(osnap, agent, sim)?;
                     orch.optimizers.push(o);
                 }
                 (orch, 0)

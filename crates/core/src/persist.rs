@@ -23,9 +23,17 @@
 //!   [`CtlState`] keeps the fetcher cursors and both restore paths (a
 //!   snapshot's `0..cursor`, a `Tick`'s range) re-deliver from the stream.
 //!
-//! All encoding is serde JSON: self-describing, append-friendly, and
-//! byte-exact for finite floats (the digest pins in the recovery tests
-//! depend on that).
+//! Two encodings, split by what a traced `fleet_durable` run measured. The
+//! agent's tensors — both networks, the Adam moments, the replay ring — are
+//! the bulk of a snapshot (96 % of its bytes two days in, 80 % five days in)
+//! and printing and parsing them was most of what a snapshot cost, so they
+//! travel binary: one `TAG_AGENT` header field per optimizer in the `KWSN`
+//! envelope, written by `DqnAgentState::to_bytes` (`nn::le`: fixed-width
+//! little-endian, every `f64` as its bits — exact for NaN payloads and
+//! `-0.0` too, by construction). Control state — the snapshot's JSON body
+//! and every WAL record — stays serde JSON: self-describing, byte-exact for
+//! finite floats, and spread over ~45 types that change with almost every
+//! PR; what grows in it is the action log (DESIGN.md, "Durability").
 
 use crate::drng::DetRng;
 use crate::health::HealthMonitor;
@@ -41,7 +49,7 @@ use telemetry::TelemetryFetcher;
 use crate::actuator::ActionLogEntry;
 
 /// Bumped on any incompatible change to the persisted schema.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Magic prefix of the snapshot envelope, the only snapshot format: bytes
 /// that do not start with it are not a snapshot.
@@ -56,6 +64,10 @@ pub const SNAPSHOT_ENVELOPE_VERSION: u16 = 1;
 const TAG_BODY_VERSION: u16 = 1;
 /// Header field: simulator time at snapshot (u64 LE), mirrors `SnapshotState::at`.
 const TAG_AT: u16 = 2;
+/// Header field, one per optimizer and in their order: `SnapshotState::agents[k]`
+/// as `DqnAgentState::to_bytes` wrote it. Not advisory — the body has no
+/// other copy.
+const TAG_AGENT: u16 = 3;
 
 /// Why persisted state could not be decoded or applied.
 #[derive(Debug)]
@@ -226,13 +238,13 @@ pub enum PersistRecord {
     },
 }
 
-/// Everything needed to rebuild one optimizer without replaying history.
+/// Everything but the agent needed to rebuild one optimizer without
+/// replaying history: the part of a snapshot that is JSON.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OptimizerSnapshot {
     pub name: String,
     pub original_config: WarehouseConfig,
     pub setup: KwoSetup,
-    pub agent: DqnAgentState,
     pub cost_model: WarehouseCostModel,
     pub actuator_log: Vec<ActionLogEntry>,
     pub ctl: CtlState,
@@ -246,6 +258,11 @@ pub struct SnapshotState {
     /// Simulator time when the snapshot was taken.
     pub at: SimTime,
     pub optimizers: Vec<OptimizerSnapshot>,
+    /// `agents[k]` is the learned state of `optimizers[k]`. Outside the JSON
+    /// body: each is a binary `TAG_AGENT` field of the envelope, and both
+    /// codec directions refuse a count that differs from `optimizers`'.
+    #[serde(skip)]
+    pub agents: Vec<DqnAgentState>,
 }
 
 pub fn encode_record(record: &PersistRecord) -> Result<Vec<u8>, PersistError> {
@@ -258,8 +275,8 @@ pub fn decode_record(bytes: &[u8]) -> Result<PersistRecord, PersistError> {
 }
 
 /// Encodes a snapshot in the enveloped format: `KWSN` magic,
-/// envelope version, a tag-length-value header, then the JSON body. The
-/// header exists for readers *newer* than this writer: every field is
+/// envelope version, a tag-length-value header — version, time, one binary
+/// agent section per optimizer — then the JSON body. Every field is
 /// self-delimiting, so a future writer can add fields and this decoder
 /// skips the ones it does not know.
 pub fn encode_snapshot(snapshot: &SnapshotState) -> Result<Vec<u8>, PersistError> {
@@ -268,22 +285,31 @@ pub fn encode_snapshot(snapshot: &SnapshotState) -> Result<Vec<u8>, PersistError
 
 /// As [`encode_snapshot`], with extra header fields appended — simulates a
 /// future writer for the forward-compatibility tests. Extra tags must not
-/// collide with the known tags (1, 2).
+/// collide with the known tags (1, 2, 3).
 pub fn encode_snapshot_with_extra_fields(
     snapshot: &SnapshotState,
     extra: &[(u16, Vec<u8>)],
 ) -> Result<Vec<u8>, PersistError> {
+    if snapshot.agents.len() != snapshot.optimizers.len() {
+        return Err(PersistError::Codec(format!(
+            "{} agents for {} optimizers",
+            snapshot.agents.len(),
+            snapshot.optimizers.len()
+        )));
+    }
     let body = serde_json::to_vec(snapshot).map_err(|e| PersistError::Codec(e.to_string()))?;
     let fields: Vec<(u16, Vec<u8>)> = [
         (TAG_BODY_VERSION, snapshot.version.to_le_bytes().to_vec()),
         (TAG_AT, snapshot.at.to_le_bytes().to_vec()),
     ]
     .into_iter()
+    .chain(snapshot.agents.iter().map(|a| (TAG_AGENT, a.to_bytes())))
     .chain(extra.iter().cloned())
     .collect();
     let field_count = u16::try_from(fields.len())
         .map_err(|_| PersistError::Codec("too many envelope header fields".into()))?;
-    let mut out = Vec::with_capacity(body.len() + 64);
+    let header_len: usize = fields.iter().map(|(_, value)| 6 + value.len()).sum();
+    let mut out = Vec::with_capacity(8 + header_len + body.len());
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_ENVELOPE_VERSION.to_le_bytes());
     out.extend_from_slice(&field_count.to_le_bytes());
@@ -298,10 +324,17 @@ pub fn encode_snapshot_with_extra_fields(
     Ok(out)
 }
 
-/// Parses the envelope header, returning the body slice and the body-version
-/// header field (if present). Total: truncated or malformed headers yield
+/// What the envelope header delimits: the body-version field (if present),
+/// the agent sections in header order, still encoded, and the body.
+struct Envelope<'a> {
+    body_version: Option<u32>,
+    agents: Vec<&'a [u8]>,
+    body: &'a [u8],
+}
+
+/// Parses the envelope header. Total: truncated or malformed headers yield
 /// `Err`, never a panic.
-fn decode_envelope(bytes: &[u8]) -> Result<(&[u8], Option<u32>), PersistError> {
+fn decode_envelope(bytes: &[u8]) -> Result<Envelope<'_>, PersistError> {
     let truncated = || PersistError::Codec("truncated snapshot envelope header".into());
     let rest = bytes.get(SNAPSHOT_MAGIC.len()..).ok_or_else(truncated)?;
     let version = u16::from_le_bytes([
@@ -321,6 +354,7 @@ fn decode_envelope(bytes: &[u8]) -> Result<(&[u8], Option<u32>), PersistError> {
     ]);
     let mut pos = 4usize;
     let mut body_version = None;
+    let mut agents = Vec::new();
     for _ in 0..field_count {
         let header = rest.get(pos..pos + 6).ok_or_else(truncated)?;
         let tag = u16::from_le_bytes([header[0], header[1]]);
@@ -331,11 +365,18 @@ fn decode_envelope(bytes: &[u8]) -> Result<(&[u8], Option<u32>), PersistError> {
         if tag == TAG_BODY_VERSION && value.len() == 4 {
             body_version = Some(u32::from_le_bytes([value[0], value[1], value[2], value[3]]));
         }
+        if tag == TAG_AGENT {
+            agents.push(value);
+        }
         // Every other tag (including TAG_AT and anything a future writer
         // adds) is advisory: self-delimiting, safe to skip.
         pos += 6 + len;
     }
-    Ok((&rest[pos..], body_version))
+    Ok(Envelope {
+        body_version,
+        agents,
+        body: &rest[pos..],
+    })
 }
 
 /// Total decoder: arbitrary bytes yield `Err`, never a panic (fuzzed).
@@ -345,22 +386,36 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotState, PersistError> {
             "snapshot does not start with the KWSN envelope magic".into(),
         ));
     }
-    let (body, header_version) = decode_envelope(bytes)?;
-    if let Some(hv) = header_version {
+    let envelope = decode_envelope(bytes)?;
+    if let Some(hv) = envelope.body_version {
         if hv != FORMAT_VERSION {
             return Err(PersistError::Corrupt(format!(
                 "snapshot body format v{hv} (this build reads v{FORMAT_VERSION})"
             )));
         }
     }
-    let snap: SnapshotState =
-        serde_json::from_slice(body).map_err(|e| PersistError::Codec(e.to_string()))?;
+    let mut agents = Vec::with_capacity(envelope.agents.len());
+    for (k, section) in envelope.agents.iter().enumerate() {
+        let agent = DqnAgentState::from_bytes(section)
+            .map_err(|e| PersistError::Codec(format!("agent section {k}: {e}")))?;
+        agents.push(agent);
+    }
+    let mut snap: SnapshotState =
+        serde_json::from_slice(envelope.body).map_err(|e| PersistError::Codec(e.to_string()))?;
     if snap.version != FORMAT_VERSION {
         return Err(PersistError::Corrupt(format!(
             "snapshot format v{} (this build reads v{FORMAT_VERSION})",
             snap.version
         )));
     }
+    if agents.len() != snap.optimizers.len() {
+        return Err(PersistError::Corrupt(format!(
+            "snapshot carries {} agent sections for {} optimizers",
+            agents.len(),
+            snap.optimizers.len()
+        )));
+    }
+    snap.agents = agents;
     Ok(snap)
 }
 
@@ -374,7 +429,22 @@ mod tests {
             seed: 0xD1CE,
             at: 86_400_000,
             optimizers: Vec::new(),
+            agents: Vec::new(),
         }
+    }
+
+    /// What a control plane managing one warehouse snapshots on attach: a
+    /// real optimizer, its agent section ~50 KB of fresh weights.
+    fn managed_snapshot() -> Vec<u8> {
+        use crate::store::{MemStore, StateStore};
+        let mut account = cdw_sim::Account::new();
+        account.create_warehouse("WH", WarehouseConfig::new(cdw_sim::WarehouseSize::Medium));
+        let sim = cdw_sim::Simulator::new(account);
+        let mut kwo = crate::Orchestrator::new(7);
+        kwo.manage(&sim, "WH", KwoSetup::default());
+        let mut store = MemStore::new();
+        kwo.attach_store(Box::new(store.clone()), sim.now());
+        store.load().unwrap().snapshot.unwrap()
     }
 
     #[test]
@@ -394,6 +464,58 @@ mod tests {
             decode_snapshot(&body),
             Err(PersistError::Codec(_))
         ));
+    }
+
+    #[test]
+    fn a_managed_snapshot_carries_its_agent_in_binary_and_round_trips() {
+        let bytes = managed_snapshot();
+        let snap = decode_snapshot(&bytes).unwrap();
+        assert_eq!((snap.optimizers.len(), snap.agents.len()), (1, 1));
+        assert_eq!(encode_snapshot(&snap).unwrap(), bytes);
+        // The section is in the header, the tensors nowhere in the body.
+        let section = snap.agents[0].to_bytes();
+        assert!(bytes.windows(section.len()).any(|w| w == section));
+        let body = &bytes[bytes.len() - serde_json::to_vec(&snap).unwrap().len()..];
+        let body = std::str::from_utf8(body).expect("the body is JSON");
+        assert!(body.contains("\"ctl\":") && !body.contains("\"online\":"));
+    }
+
+    #[test]
+    fn agent_sections_must_number_the_optimizers() {
+        let managed = decode_snapshot(&managed_snapshot()).unwrap();
+        let section = managed.agents[0].to_bytes();
+        // One section too many, by way of the "future writer" door.
+        for snap in [&managed, &empty_snapshot()] {
+            let extra = [(TAG_AGENT, section.clone())];
+            let bytes = encode_snapshot_with_extra_fields(snap, &extra).unwrap();
+            match decode_snapshot(&bytes) {
+                Err(PersistError::Corrupt(m)) => assert!(m.contains("agent sections for"), "{m}"),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+        // One too few cannot even be written.
+        let mut short = managed;
+        short.agents.clear();
+        assert!(matches!(
+            encode_snapshot(&short),
+            Err(PersistError::Codec(_))
+        ));
+    }
+
+    #[test]
+    fn a_lying_agent_section_is_a_decode_error_naming_it() {
+        // A count of 2^60 layer sizes in eight bytes of section.
+        let extra = [(TAG_AGENT, (1u64 << 60).to_le_bytes().to_vec())];
+        let bytes = encode_snapshot_with_extra_fields(&empty_snapshot(), &extra).unwrap();
+        match decode_snapshot(&bytes) {
+            Err(PersistError::Codec(m)) => {
+                assert!(
+                    m.contains("agent section 0") && m.contains("cannot fit"),
+                    "{m}"
+                )
+            }
+            other => panic!("expected Codec, got {other:?}"),
+        }
     }
 
     #[test]
@@ -455,14 +577,19 @@ mod tests {
 
     #[test]
     fn truncated_envelope_is_rejected_at_every_length() {
-        let bytes = encode_snapshot(&empty_snapshot()).unwrap();
         // Any cut inside the header or body must error, never panic. (Body
-        // cuts fail JSON parsing; header cuts fail envelope parsing.)
-        for len in 0..bytes.len() {
-            assert!(
-                decode_snapshot(&bytes[..len]).is_err(),
-                "prefix of {len} bytes decoded"
-            );
+        // cuts fail JSON parsing; header cuts — the agent section is a
+        // header field — fail envelope parsing.)
+        for bytes in [
+            encode_snapshot(&empty_snapshot()).unwrap(),
+            managed_snapshot(),
+        ] {
+            for len in 0..bytes.len() {
+                assert!(
+                    decode_snapshot(&bytes[..len]).is_err(),
+                    "prefix of {len} bytes decoded"
+                );
+            }
         }
     }
 
@@ -478,15 +605,21 @@ mod tests {
 
     #[test]
     fn mismatched_body_version_header_is_corrupt() {
-        // The next format and the previous one: no dual decode.
-        for version in [FORMAT_VERSION + 1, 1] {
+        // The next format and the previous ones: no dual decode. v2 was
+        // the all-JSON snapshot, agent included.
+        for version in [FORMAT_VERSION + 1, 2, 1] {
             let mut snap = empty_snapshot();
             snap.version = version;
             let bytes = encode_snapshot(&snap).unwrap();
-            assert!(matches!(
-                decode_snapshot(&bytes),
-                Err(PersistError::Corrupt(_))
-            ));
+            match decode_snapshot(&bytes) {
+                Err(PersistError::Corrupt(m)) => {
+                    assert!(
+                        m.ends_with(&format!("v{version} (this build reads v3)")),
+                        "{m}"
+                    )
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
         }
     }
 }

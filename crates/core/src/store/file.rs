@@ -4,7 +4,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use super::{encode_frame, scan_frames, StateStore, StoreContents, FRAME_HEADER_BYTES};
+use super::{frame_header, scan_frames, StateStore, StoreContents, FRAME_HEADER_BYTES};
 
 const WAL_FILE: &str = "wal.log";
 pub(crate) const SNAPSHOT_FILE: &str = "snapshot.bin";
@@ -41,6 +41,9 @@ pub struct FileStore {
     wal_bytes: u64,
     snapshot_bytes: u64,
     retention: u32,
+    /// The WAL frame being appended, reused across appends: header and
+    /// payload must reach the log in one write.
+    frame: Vec<u8>,
 }
 
 impl FileStore {
@@ -64,6 +67,7 @@ impl FileStore {
             wal_bytes,
             snapshot_bytes,
             retention: 0,
+            frame: Vec::new(),
         })
     }
 
@@ -140,20 +144,26 @@ impl FileStore {
 
 impl StateStore for FileStore {
     fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        let frame = encode_frame(payload);
-        self.wal.write_all(&frame)?;
+        let header = frame_header(payload)?;
+        self.frame.clear();
+        self.frame.extend_from_slice(&header);
+        self.frame.extend_from_slice(payload);
+        self.wal.write_all(&self.frame)?;
         self.wal.flush()?;
         self.wal_records += 1;
-        self.wal_bytes += frame.len() as u64;
+        self.wal_bytes += self.frame.len() as u64;
         Ok(())
     }
 
     fn write_snapshot(&mut self, snapshot: &[u8]) -> io::Result<()> {
+        let header = frame_header(snapshot)?;
         let tmp = self.dir.join(SNAPSHOT_TMP);
-        let frame = encode_frame(snapshot);
         {
+            // Nobody reads the staging file before the rename, so the frame
+            // need not land in one write: the payload goes out uncopied.
             let mut f = File::create(&tmp)?;
-            f.write_all(&frame)?;
+            f.write_all(&header)?;
+            f.write_all(snapshot)?;
             f.sync_all()?;
         }
         self.rotate_retained();

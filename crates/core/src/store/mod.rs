@@ -47,16 +47,62 @@ pub use faulty::{FaultyStore, StoreFaultPlan};
 pub use file::FileStore;
 pub use mem::MemStore;
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`. Hand-rolled bitwise loop —
-/// record frames are small and this avoids a table or a dependency.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// One step of the bitwise CRC-32 (IEEE 802.3, reflected polynomial): `crc`
+/// shifted through eight zero bits.
+const fn crc32_shift_byte(mut crc: u32) -> u32 {
+    let mut bit = 0;
+    while bit < 8 {
+        crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        bit += 1;
+    }
+    crc
+}
+
+/// Slicing-by-8 tables: `[0]` is the classic byte table, `[k][b]` is byte
+/// `b` followed by `k` zero bytes.
+static CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        tables[0][b] = crc32_shift_byte(b as u32);
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
         }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, reflected) over `bytes`, eight bytes per step: every
+/// snapshot and WAL record passes through here on its way in and out, so the
+/// bit-at-a-time loop (kept below as the test oracle) was most of what a
+/// store operation cost.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let byte = |word: u32, shift: u32| ((word >> shift) & 0xFF) as usize;
+    let mut crc: u32 = 0xFFFF_FFFF;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][byte(lo, 0)]
+            ^ t[6][byte(lo, 8)]
+            ^ t[5][byte(lo, 16)]
+            ^ t[4][byte(lo, 24)]
+            ^ t[3][byte(hi, 0)]
+            ^ t[2][byte(hi, 8)]
+            ^ t[1][byte(hi, 16)]
+            ^ t[0][byte(hi, 24)];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][byte(crc ^ u32::from(b), 0)];
     }
     !crc
 }
@@ -110,12 +156,24 @@ pub trait StateStore: Send {
 
 pub(crate) const FRAME_HEADER_BYTES: usize = 8; // u32 length + u32 crc32
 
-pub(crate) fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
+/// The eight bytes that precede `payload` in a frame. A payload the `u32`
+/// length cannot describe is refused: written anyway, its frame would lie
+/// about where it ends and everything after it would scan as garbage.
+pub(crate) fn frame_header(payload: &[u8]) -> io::Result<[u8; FRAME_HEADER_BYTES]> {
+    let len = frame_len(payload.len())?;
+    let mut header = [0u8; FRAME_HEADER_BYTES];
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(header)
+}
+
+fn frame_len(payload_len: usize) -> io::Result<u32> {
+    u32::try_from(payload_len).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("a {payload_len}-byte payload does not fit a frame's u32 length"),
+        )
+    })
 }
 
 /// Outcome of scanning a frame stream: complete payloads plus how many bytes
@@ -224,6 +282,76 @@ mod tests {
         );
     }
 
+    /// The loop the tables replaced, one bit at a time: the oracle.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_crc_equals_the_bitwise_loop_at_every_length_and_alignment() {
+        let mut sm = 0x5EED_C2C3_2021_u64;
+        // Lengths 0..=64 hit every tail after 0..=8 whole steps; the start
+        // offset walks the buffer's alignment. Then three snapshot-sized
+        // buffers with ragged ends.
+        let shapes = (0..256usize).map(|case| (case / 65, case % 65)).chain([
+            (1, 1 << 20),
+            (3, (3 << 19) + 5),
+            (0, (2 << 20) - 1),
+        ]);
+        for (offset, len) in shapes {
+            let buffer: Vec<u8> = (0..offset + len)
+                .map(|_| splitmix64(&mut sm).to_le_bytes()[0])
+                .collect();
+            let bytes = &buffer[offset..];
+            assert_eq!(
+                crc32(bytes),
+                crc32_bitwise(bytes),
+                "{len} bytes at offset {offset}"
+            );
+        }
+    }
+
+    /// A three-record `wal.log` written by the commit before the tables:
+    /// each frame's length and CRC in hex, then its payload (a 56-byte
+    /// record, an empty one, five bytes spanning 0x00..=0xFF).
+    const PARENT_WAL: &[u8] = b"\x38\x00\x00\x00\x41\x91\x19\x7b\
+        {\"SliderChanged\":{\"warehouse\":\"WH\",\"slider\":\"Balanced\"}}\
+        \x00\x00\x00\x00\x00\x00\x00\x00\
+        \x05\x00\x00\x00\xc3\xbf\xb2\x26\x00\xff\x80\x7f\x01";
+
+    #[test]
+    fn frames_written_before_the_tables_still_scan_and_re_frame_byte_for_byte() {
+        let wal = PARENT_WAL;
+        let scan = scan_frames(wal);
+        assert_eq!(scan.valid_bytes, wal.len());
+        let slider = br#"{"SliderChanged":{"warehouse":"WH","slider":"Balanced"}}"#;
+        let expected = [&slider[..], &[], &[0x00, 0xFF, 0x80, 0x7F, 0x01]];
+        assert_eq!(scan.payloads, expected);
+        let mut rewritten = Vec::new();
+        for payload in &scan.payloads {
+            rewritten.extend_from_slice(&frame_header(payload).unwrap());
+            rewritten.extend_from_slice(payload);
+        }
+        assert_eq!(rewritten, wal);
+    }
+
+    #[test]
+    fn a_payload_the_length_prefix_cannot_describe_is_refused() {
+        assert_eq!(frame_len(u32::MAX as usize).unwrap(), u32::MAX);
+        if let Some(too_long) = (u32::MAX as usize).checked_add(1) {
+            let err = frame_len(too_long).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
+    }
+
     #[test]
     fn scan_frames_is_total_on_arbitrary_bytes() {
         assert_eq!(scan_frames(&[]), FrameScan::default());
@@ -231,7 +359,8 @@ mod tests {
         let mut bogus = vec![0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0];
         assert_eq!(scan_frames(&bogus).payloads.len(), 0);
         // Valid frame followed by garbage: prefix decodes, garbage dropped.
-        let mut bytes = encode_frame(b"payload");
+        let mut bytes = frame_header(b"payload").unwrap().to_vec();
+        bytes.extend_from_slice(b"payload");
         let valid = bytes.len();
         bogus.truncate(3);
         bytes.extend_from_slice(&bogus);

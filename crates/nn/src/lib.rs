@@ -16,6 +16,7 @@
 //! seeded RNG, which the rest of the workspace depends on for reproducible
 //! experiments.
 
+pub mod le;
 pub mod loss;
 pub mod matrix;
 pub mod mlp;

@@ -3,13 +3,15 @@
 //! `Vec<f64>` backing store, row-major, so a weight row is one contiguous
 //! slice: the MLP's minibatch kernel (`mlp.rs`) reads rows through
 //! [`Matrix::row`] / [`Matrix::as_slice`] and does its own loops; the product
-//! and solver here serve OLS, whose dimensions are tiny. `Deserialize` checks
-//! nothing: `Mlp::validate` is where a decoded matrix's shape is verified.
+//! and solver here serve OLS, whose dimensions are tiny. [`Matrix::read_le`]
+//! checks nothing: `Mlp::validate` is where a decoded matrix's shape is
+//! verified.
 
-use serde::{Deserialize, Serialize};
+use crate::le;
+use serde::Serialize;
 
 /// Dense row-major `f64` matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -49,6 +51,24 @@ impl Matrix {
             }
         }
         Self { rows, cols, data }
+    }
+
+    /// Appends the binary encoding: shape, then the counted buffer.
+    pub fn write_le(&self, out: &mut Vec<u8>) {
+        le::put_usize(out, self.rows);
+        le::put_usize(out, self.cols);
+        le::put_f64s(out, &self.data);
+    }
+
+    /// The inverse of [`Matrix::write_le`]. The buffer carries its own
+    /// count, so a shape that lies about it decodes — and is refused where
+    /// every decoded shape is, `Mlp::validate`.
+    pub fn read_le(r: &mut le::Reader<'_>) -> Result<Self, String> {
+        Ok(Self {
+            rows: r.usize()?,
+            cols: r.usize()?,
+            data: r.f64s()?,
+        })
     }
 
     /// Identity matrix of dimension `n`.

@@ -23,10 +23,11 @@
 //! batch-of-one calls into the same code. The pinned hashes in
 //! `crates/agent/tests/train_step_pinned.rs` hold any rewrite to this.
 
+use crate::le;
 use crate::matrix::Matrix;
 use crate::optim::Adam;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Samples per block of the forward sweep: eight `f64` running sums are four
 /// SSE2 registers, leaving room for the broadcast weight and the loads.
@@ -34,7 +35,7 @@ const BLOCK: usize = 8;
 
 /// Activation applied to hidden layers. The output layer is always linear,
 /// which suits both Q-value regression and scalar regression heads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Activation {
     /// max(0, x)
     Relu,
@@ -68,7 +69,7 @@ impl Activation {
 }
 
 /// Network shape and hyper-parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MlpConfig {
     /// Sizes of every layer, input first, output last. Must have >= 2 entries.
     pub layer_sizes: Vec<usize>,
@@ -87,7 +88,7 @@ impl MlpConfig {
 }
 
 /// One dense layer: `y = act(W x + b)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct Layer {
     weights: Matrix, // out x in
     biases: Vec<f64>,
@@ -237,7 +238,7 @@ impl ForwardTrace {
 }
 
 /// Dense feed-forward network with linear output layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Mlp {
     config: MlpConfig,
     layers: Vec<Layer>,
@@ -271,10 +272,49 @@ impl Mlp {
         Self { config, layers }
     }
 
-    /// Checks what deriving `Deserialize` cannot: at least two layer sizes,
-    /// none zero, and every weight matrix and bias vector shaped as they
-    /// dictate and holding `rows * cols` values — so the layers chain and
-    /// every index below is in range. Call it on any decoded network.
+    /// Appends the binary encoding: the config, then the counted layers.
+    pub fn write_le(&self, out: &mut Vec<u8>) {
+        le::put_usizes(out, &self.config.layer_sizes);
+        out.push(match self.config.activation {
+            Activation::Relu => 0,
+            Activation::Tanh => 1,
+        });
+        le::put_usize(out, self.layers.len());
+        for layer in &self.layers {
+            layer.weights.write_le(out);
+            le::put_f64s(out, &layer.biases);
+        }
+    }
+
+    /// The inverse of [`Mlp::write_le`]. Total, and checks no shape:
+    /// [`Mlp::validate`] does, on whatever this returns.
+    pub fn read_le(r: &mut le::Reader<'_>) -> Result<Self, String> {
+        let layer_sizes = r.usizes()?;
+        let activation = match r.u8()? {
+            0 => Activation::Relu,
+            1 => Activation::Tanh,
+            b => return Err(format!("byte {b} names no activation")),
+        };
+        // A layer is at least its matrix's shape and two empty counts.
+        let layers = r.seq(32, |r| {
+            Ok(Layer {
+                weights: Matrix::read_le(r)?,
+                biases: r.f64s()?,
+            })
+        })?;
+        Ok(Self {
+            config: MlpConfig {
+                layer_sizes,
+                activation,
+            },
+            layers,
+        })
+    }
+
+    /// Checks what decoding does not: at least two layer sizes, none zero,
+    /// and every weight matrix and bias vector shaped as they dictate and
+    /// holding `rows * cols` values — so the layers chain and every index
+    /// below is in range. Call it on any decoded network.
     pub fn validate(&self) -> Result<(), String> {
         let sizes = &self.config.layer_sizes;
         let shape = |l: &Layer| {
@@ -824,6 +864,48 @@ mod tests {
         let mut net = tiny_net(1);
         net.config.layer_sizes = vec![2];
         assert!(net.validate().is_err(), "one layer size is no network");
+    }
+
+    #[test]
+    fn binary_codec_round_trips_every_bit_and_refuses_every_cut() {
+        // Weights no float printer is trusted with, and sized Adam moments.
+        let mut net = tiny_net(5);
+        net.config.activation = Activation::Tanh;
+        let odd = [
+            f64::from_bits(0x7FF8_0000_DEAD_BEEF),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+        ];
+        net.layers[0].weights.as_mut_slice()[..4].copy_from_slice(&odd);
+        net.layers[1].biases[0] = f64::from_bits(0xFFF0_0000_0000_0001);
+        let mut adam = Adam::new(1e-3, net.optimizer_slots());
+        let trace = net.forward_trace(&[0.5, -0.5]);
+        let grads = tiny_net(6).backward(&trace, &[1.0]);
+        net.apply_gradients(&grads, &mut adam);
+
+        let mut bytes = Vec::new();
+        net.write_le(&mut bytes);
+        adam.write_le(&mut bytes);
+        let mut r = le::Reader::new(&bytes);
+        let (net_back, adam_back) = (
+            Mlp::read_le(&mut r).unwrap(),
+            Adam::read_le(&mut r).unwrap(),
+        );
+        assert_eq!(r.finish(), Ok(()));
+        assert_eq!(net_back.config.activation, Activation::Tanh);
+        assert_eq!(net_back.validate(), Ok(()));
+        assert_eq!(adam_back.validate(&net_back.tensor_lens()), Ok(()));
+        let mut again = Vec::new();
+        net_back.write_le(&mut again);
+        adam_back.write_le(&mut again);
+        assert_eq!(again, bytes, "decode then encode reproduces the bytes");
+
+        for cut in 0..bytes.len() {
+            let mut r = le::Reader::new(&bytes[..cut]);
+            let both = Mlp::read_le(&mut r).and_then(|_| Adam::read_le(&mut r));
+            assert!(both.is_err(), "a {cut}-byte prefix decoded");
+        }
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! own the state (moments) for every parameter tensor of a network: the MLP
 //! uses two slots per layer (weights, biases).
 
-use serde::{Deserialize, Serialize};
+use crate::le;
+use serde::Serialize;
 
 /// Adam optimizer (Kingma & Ba) with bias correction, over flat parameter
 /// buffers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Adam {
     lr: f64,
     beta1: f64,
@@ -33,6 +34,34 @@ impl Adam {
             m: vec![Vec::new(); slots],
             v: vec![Vec::new(); slots],
         }
+    }
+
+    /// Appends the binary encoding: hyper-parameters, timestep, moments.
+    pub fn write_le(&self, out: &mut Vec<u8>) {
+        for v in [self.lr, self.beta1, self.beta2, self.eps] {
+            le::put_f64(out, v);
+        }
+        le::put_u64(out, self.t);
+        for moments in [&self.m, &self.v] {
+            le::put_usize(out, moments.len());
+            for slot in moments {
+                le::put_f64s(out, slot);
+            }
+        }
+    }
+
+    /// The inverse of [`Adam::write_le`]; [`Adam::validate`] checks what it
+    /// decoded against the network.
+    pub fn read_le(r: &mut le::Reader<'_>) -> Result<Self, String> {
+        Ok(Self {
+            lr: r.f64()?,
+            beta1: r.f64()?,
+            beta2: r.f64()?,
+            eps: r.f64()?,
+            t: r.u64()?,
+            m: r.seq(8, le::Reader::f64s)?,
+            v: r.seq(8, le::Reader::f64s)?,
+        })
     }
 
     /// Checks decoded state against the lengths of the parameter tensors it

@@ -6,9 +6,10 @@
 //! genome. The generator output for one seed is pinned byte-for-byte so
 //! silent drift in the PRNG or decoder fails loudly here.
 
+use verify::fuzz::probe_persist_decoders;
 use verify::{
-    decode, generate_bytes, run_campaign, run_case_catching, shrink_with, to_hex, FuzzConfig,
-    FuzzOp,
+    decode, from_hex, generate_bytes, run_campaign, run_case_catching, shrink_with, to_hex,
+    FuzzConfig, FuzzOp,
 };
 
 #[test]
@@ -108,4 +109,24 @@ fn smoke_campaign_runs_clean() {
     );
     assert!(report.ops_applied > 0);
     assert!(report.events_processed > 0);
+}
+
+/// A genome that gets past the `KWSN` envelope and the body-version check
+/// and into the binary agent-section decoder: header fields `version = 3`
+/// and one `TAG_AGENT` section whose first count claims 2^60 layer sizes in
+/// eight bytes. The decoder must answer with an error — no panic, and no
+/// attempt to reserve the claimed 8 EiB.
+const AGENT_SECTION_GENOME_HEX: &str =
+    "4b57534e01000200010004000000030000000300080000000000000000000010";
+
+#[test]
+fn agent_section_decoder_is_reached_and_refuses_a_lying_count() {
+    let genome = from_hex(AGENT_SECTION_GENOME_HEX).expect("well-formed hex");
+    probe_persist_decoders(&genome).expect("the decoders are total on this genome");
+    let err = keebo::persist::decode_snapshot(&genome).expect_err("not a snapshot");
+    let message = err.to_string();
+    assert!(
+        message.contains("agent section 0") && message.contains("cannot fit"),
+        "{message}"
+    );
 }

@@ -319,18 +319,21 @@ fn snapshot_cursors_past_the_account_stream_are_corrupt() {
 
 #[test]
 fn a_snapshot_whose_network_shapes_lie_is_corrupt_not_a_panic() {
-    // `Matrix` derives `Deserialize`, so `rows x cols != data.len()` decodes
-    // fine; unchecked, the first tick after the restore would index past the
-    // buffer. The agent's door (`DqnAgent::from_state`) has to refuse it.
+    // A matrix's buffer carries its own count in the agent section, so
+    // `rows x cols != data.len()` decodes fine; unchecked, the first tick
+    // after the restore would index past the buffer. The agent's door
+    // (`DqnAgent::from_state`) has to refuse it.
     let (sim, mut store) = two_warehouse_crash();
     let contents = store.load().expect("mem store loads");
     let mut snapshot = contents.snapshot.expect("the day-one snapshot landed");
-    let (honest, lie) = (&br#""rows":64,"cols":14"#[..], br#""rows":65,"cols":14"#);
+    // The first layer's shape, as two little-endian words: 64 rows, 14 cols.
+    let words = |rows: u64| [rows.to_le_bytes(), 14u64.to_le_bytes()].concat();
+    let (honest, lie) = (words(64), words(65));
     let at = snapshot
         .windows(honest.len())
         .position(|w| w == honest)
-        .expect("the first layer's weight matrix is in the snapshot body");
-    snapshot[at..at + lie.len()].copy_from_slice(lie);
+        .expect("the first layer's weight matrix is in the first agent section");
+    snapshot[at..at + lie.len()].copy_from_slice(&lie);
     let mut edited = MemStore::new();
     edited.write_snapshot(&snapshot).expect("mem store writes");
     for record in &contents.records {

@@ -430,6 +430,7 @@ fn tiny_snapshot(seed: u64, at: u64) -> keebo::SnapshotState {
         seed,
         at,
         optimizers: Vec::new(),
+        agents: Vec::new(),
     }
 }
 
@@ -443,7 +444,7 @@ fn envelope_round_trips_with_arbitrary_unknown_fields() {
         let extra: Vec<(u16, Vec<u8>)> = (0..rng.gen_range(0..4))
             .map(|_| {
                 let len = rng.gen_range(0..48);
-                (rng.gen_range(3..u16::MAX), random_bytes(&mut rng, len))
+                (rng.gen_range(4..u16::MAX), random_bytes(&mut rng, len))
             })
             .collect();
         let bytes = encode_snapshot_with_extra_fields(&snap, &extra).expect("encode with extras");
