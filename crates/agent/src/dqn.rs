@@ -70,6 +70,16 @@ pub struct DqnAgent {
     target: Mlp,
     optimizer: Adam,
     replay: ReplayBuffer<Transition>,
+    /// `bootstrap[slot]` caches `max_a' Q_target(s', a')` under the stored
+    /// mask for the transition in that replay slot; `NaN` = not computed.
+    /// It is a pure function of (target parameters, slot contents), so it is
+    /// forgotten at exactly three points: the slot alone when `observe`
+    /// writes it, everything when the target network syncs, and everything
+    /// on `new` / `from_state` — it is never persisted, a restored agent
+    /// recomputes the same bits. `NaN` is free to mean "unknown" because
+    /// [`masked_max`] cannot return it (`f64::max` drops a `NaN` operand);
+    /// were one ever stored, it would only be recomputed at every draw.
+    bootstrap: Vec<f64>,
     config: DqnConfig,
     selections: u64,
     train_steps: u64,
@@ -254,6 +264,7 @@ impl DqnAgent {
             online: state.online,
             target: state.target,
             optimizer: state.optimizer,
+            bootstrap: vec![f64::NAN; replay.len()],
             replay,
             config: state.config,
             selections: state.selections,
@@ -266,8 +277,12 @@ impl DqnAgent {
 #[derive(Default)]
 struct TrainScratch {
     indices: Vec<usize>,
+    /// Drawn slots whose bootstrap is not cached, each once.
+    misses: Vec<usize>,
     trace: ForwardTrace,
     targets: Vec<f64>,
+    /// dL/dQ of the whole batch, sample-major.
+    output_grads: Vec<f64>,
     grads: MlpGradients,
 }
 
@@ -295,6 +310,7 @@ impl DqnAgent {
             target,
             optimizer,
             replay,
+            bootstrap: Vec::new(),
             config,
             selections: 0,
             train_steps: 0,
@@ -363,7 +379,11 @@ impl DqnAgent {
         debug_assert_eq!(t.state.len(), STATE_DIM);
         debug_assert_eq!(t.next_state.len(), STATE_DIM);
         debug_assert!(t.action < AgentAction::COUNT);
-        self.replay.push(t);
+        let slot = self.replay.push(t);
+        match self.bootstrap.get_mut(slot) {
+            Some(cached) => *cached = f64::NAN,
+            None => self.bootstrap.push(f64::NAN),
+        }
     }
 
     /// One mini-batch Q-learning update. Returns the batch's mean absolute
@@ -371,16 +391,28 @@ impl DqnAgent {
     ///
     /// The whole batch goes through `nn`'s minibatch kernel out of the
     /// thread's [`SCRATCH`]; the replay indices are drawn first, so the RNG
-    /// stream is the one a per-sample implementation would consume.
+    /// stream is the one a per-sample implementation would consume. The
+    /// target network is forwarded only over the drawn slots whose bootstrap
+    /// is not cached: it is frozen between syncs, and a batch of any size
+    /// gives each sample the same bits.
     pub fn train_step(&mut self, rng: &mut impl Rng) -> Option<f64> {
         let batch = self.config.batch_size;
         assert!(batch > 0, "batch_size must be positive");
         if self.replay.len() < batch {
             return None;
         }
+        debug_assert_eq!(self.bootstrap.len(), self.replay.len());
         let td_sum = SCRATCH.with_borrow_mut(|scratch| {
-            let (indices, trace) = (&mut scratch.indices, &mut scratch.trace);
-            let (targets, grads) = (&mut scratch.targets, &mut scratch.grads);
+            let (indices, misses, trace) = (
+                &mut scratch.indices,
+                &mut scratch.misses,
+                &mut scratch.trace,
+            );
+            let (targets, output_grads, grads) = (
+                &mut scratch.targets,
+                &mut scratch.output_grads,
+                &mut scratch.grads,
+            );
             self.replay.sample_indices(batch, rng, indices);
             let q_values = |trace: &ForwardTrace, sample: usize| {
                 let mut q = [0.0; AgentAction::COUNT];
@@ -389,25 +421,43 @@ impl DqnAgent {
             };
 
             // Bootstrap with the target network over the *masked* next
-            // actions: a non-compliant action can never back up value.
-            let next_states = indices.iter().map(|&i| &self.replay[i].next_state[..]);
-            self.target.forward_batch(trace, next_states);
+            // actions: a non-compliant action can never back up value. A
+            // terminal transition bootstraps nothing and is not forwarded.
+            misses.clear();
+            misses.reserve(batch);
+            for &i in &*indices {
+                let unknown = !self.replay[i].terminal && self.bootstrap[i].is_nan();
+                if unknown && !misses.contains(&i) {
+                    misses.push(i);
+                }
+            }
+            if !misses.is_empty() {
+                let next_states = misses.iter().map(|&i| &self.replay[i].next_state[..]);
+                self.target.forward_batch(trace, next_states);
+                for (s, &i) in misses.iter().enumerate() {
+                    self.bootstrap[i] = masked_max(&q_values(trace, s), &self.replay[i].next_mask);
+                }
+            }
             targets.clear();
-            targets.extend(indices.iter().enumerate().map(|(s, &i)| {
+            targets.extend(indices.iter().map(|&i| {
                 let t = &self.replay[i];
-                let bootstrap = if t.terminal {
-                    0.0
-                } else {
-                    masked_max(&q_values(trace, s), &t.next_mask)
-                };
+                let bootstrap = if t.terminal { 0.0 } else { self.bootstrap[i] };
                 t.reward + self.config.gamma * bootstrap
             }));
+            #[cfg(test)]
+            assert_eq!(
+                targets.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+                self.recomputed_target_bits(indices),
+                "a cached bootstrap went stale"
+            );
 
             let states = indices.iter().map(|&i| &self.replay[i].state[..]);
             self.online.forward_batch(trace, states);
-            grads.reset(&self.online);
+            output_grads.resize(batch * AgentAction::COUNT, 0.0);
             let mut td_sum = 0.0;
-            for (s, (&i, &target_q)) in indices.iter().zip(&*targets).enumerate() {
+            let samples = indices.iter().zip(&*targets);
+            let grad_rows = output_grads.chunks_exact_mut(AgentAction::COUNT);
+            for (s, ((&i, &target_q), grad_out)) in samples.zip(grad_rows).enumerate() {
                 let action = self.replay[i].action;
                 let q = q_values(trace, s)[action];
                 td_sum += (q - target_q).abs();
@@ -415,10 +465,10 @@ impl DqnAgent {
                 // Gradient flows only through the taken action's output.
                 let (mut pred, mut tgt) = ([0.0; AgentAction::COUNT], [0.0; AgentAction::COUNT]);
                 (pred[action], tgt[action]) = (q, target_q);
-                let mut grad_out = [0.0; AgentAction::COUNT];
-                huber_loss_grad_into(&pred, &tgt, 1.0, &mut grad_out);
-                self.online.backward_into(trace, s, &grad_out, grads);
+                huber_loss_grad_into(&pred, &tgt, 1.0, grad_out);
             }
+            grads.reset(&self.online);
+            self.online.backward_batch(trace, output_grads, grads);
             grads.scale(1.0 / batch as f64);
             grads.clip_l2_norm(self.config.grad_clip);
             self.online.apply_gradients(grads, &mut self.optimizer);
@@ -431,8 +481,33 @@ impl DqnAgent {
             .is_multiple_of(self.config.target_sync_interval)
         {
             self.target.copy_parameters_from(&self.online);
+            self.bootstrap.fill(f64::NAN);
         }
         Some(td_sum / batch as f64)
+    }
+}
+
+#[cfg(test)]
+impl DqnAgent {
+    /// The oracle the bootstrap cache is held to, at every step any unit
+    /// test of this crate takes: the targets as they were computed before
+    /// there was a cache, the target network forwarded over the whole batch.
+    fn recomputed_target_bits(&self, indices: &[usize]) -> Vec<u64> {
+        let mut trace = ForwardTrace::default();
+        let next_states = indices.iter().map(|&i| &self.replay[i].next_state[..]);
+        self.target.forward_batch(&mut trace, next_states);
+        let targets = indices.iter().enumerate().map(|(s, &i)| {
+            let t = &self.replay[i];
+            let mut q = [0.0; AgentAction::COUNT];
+            trace.output_into(s, &mut q);
+            let bootstrap = if t.terminal {
+                0.0
+            } else {
+                masked_max(&q, &t.next_mask)
+            };
+            (t.reward + self.config.gamma * bootstrap).to_bits()
+        });
+        targets.collect()
     }
 }
 
@@ -684,6 +759,91 @@ mod tests {
         }
         assert_eq!(a.q_values(&state), b.q_values(&state));
     }
+
+    /// `NaN` marks an unknown slot of the bootstrap cache, which is sound
+    /// only while no real bootstrap is `NaN`.
+    #[test]
+    fn masked_max_never_returns_nan() {
+        let nan = [f64::NAN; AgentAction::COUNT];
+        assert_eq!(masked_max(&nan, &full_mask()), f64::MIN);
+        assert_eq!(masked_max(&nan, &[false; AgentAction::COUNT]), f64::MIN);
+        let mut q = nan;
+        q[2] = -3.0;
+        assert_eq!(masked_max(&q, &full_mask()), -3.0);
+    }
+
+    /// An agent reading bootstraps from the cache against one that forgets
+    /// them all before every step, over three target syncs on a ring of 64
+    /// that wraps (slots are overwritten in the middle of a sync period),
+    /// through a snapshot round trip in the middle of the second period, and
+    /// with next states the target network maps to `NaN` Q-values. Every
+    /// step of both also runs `recomputed_target_bits`.
+    #[test]
+    fn cached_bootstraps_equal_recomputing_them_every_step() {
+        fn transition(rng: &mut StdRng) -> Transition {
+            let state = |rng: &mut StdRng| -> Vec<f64> {
+                (0..STATE_DIM).map(|_| rng.gen_range(-1.0..2.0)).collect()
+            };
+            let mut t = Transition {
+                state: state(rng),
+                action: rng.gen_range(0..AgentAction::COUNT),
+                reward: rng.gen_range(-1.5..1.5),
+                next_state: state(rng),
+                next_mask: std::array::from_fn(|a| a == 0 || rng.gen_range(0..3) != 0),
+                terminal: rng.gen_range(0..4) == 0,
+            };
+            if rng.gen_range(0..16) == 0 {
+                t.next_state.fill(f64::NAN);
+            }
+            t
+        }
+        let config = DqnConfig {
+            replay_capacity: 64,
+            ..DqnConfig::default()
+        };
+        let mut cached = DqnAgent::new(config, &mut StdRng::seed_from_u64(31));
+        let mut feed = StdRng::seed_from_u64(32);
+        for _ in 0..cached.config.batch_size {
+            cached.observe(transition(&mut feed));
+        }
+        let mut reference = cached.clone();
+        let (mut rng_c, mut rng_r) = (StdRng::seed_from_u64(33), StdRng::seed_from_u64(33));
+        let mut known = 0;
+        for step in 0..600 {
+            let t = transition(&mut feed);
+            cached.observe(t.clone());
+            reference.observe(t);
+            if step == 300 {
+                let bytes = cached.export_state().to_bytes();
+                let state = DqnAgentState::from_bytes(&bytes).unwrap();
+                cached = DqnAgent::from_state(state).unwrap();
+                assert!(cached.bootstrap.iter().all(|b| b.is_nan()));
+            }
+            reference.bootstrap.fill(f64::NAN);
+            known += cached.bootstrap.iter().filter(|b| !b.is_nan()).count();
+            let (td_c, td_r) = (
+                cached.train_step(&mut rng_c),
+                reference.train_step(&mut rng_r),
+            );
+            assert!(td_c.is_some());
+            assert_eq!(
+                td_c.map(f64::to_bits),
+                td_r.map(f64::to_bits),
+                "step {step}"
+            );
+        }
+        assert_eq!(cached.train_steps(), 600);
+        assert!(
+            known > 0,
+            "the cached agent kept bootstraps from step to step"
+        );
+        // Both networks, the Adam moments, the ring and every counter.
+        assert_eq!(
+            cached.export_state().to_bytes(),
+            reference.export_state().to_bytes()
+        );
+    }
+
     /// State of an agent that has trained, so the Adam moments are sized.
     fn trained_state() -> DqnAgentState {
         let mut a = agent(21);

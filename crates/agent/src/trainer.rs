@@ -195,12 +195,11 @@ fn run_episode(
     while t <= horizon {
         sim.run_until(t);
         let desc = sim.account().describe(wh);
-        let window_records: Vec<&QueryRecord> = sim
-            .account()
-            .query_records()
-            .iter()
-            .filter(|r| r.end + interval > t) // completed in the last interval
-            .collect();
+        // Completed in the last interval: `query_records` is in completion
+        // order, so those are a suffix of it.
+        let completed = sim.account().query_records();
+        let earlier = completed.partition_point(|r| r.end + interval <= t);
+        let window_records: Vec<&QueryRecord> = completed[earlier..].iter().collect();
         let window = WindowFeatures::compute(&window_records, t - interval, interval);
 
         let state = AgentState {

@@ -18,14 +18,14 @@ use cdw_sim::billing::{exact_f64, span_ms};
 use cdw_sim::{QueryRecord, SimTime, MINUTE_MS};
 use nn::LinearModel;
 use serde::{Deserialize, Serialize};
-use telemetry::WindowFeatures;
+use telemetry::{WindowBuckets, WindowFeatures};
 
 /// Mini-window length used for training and prediction.
 pub const MINI_WINDOW_MS: SimTime = 5 * MINUTE_MS;
 
 /// Predicts the average concurrent cluster count a configuration would run
 /// for a given demand level.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ClusterPredictor {
     model: Option<LinearModel>,
     /// Windows used in training (diagnostics).
@@ -67,6 +67,13 @@ impl ClusterPredictor {
     /// length — matching exactly how the replay engine queries the model
     /// (a one-minute burst in a five-minute window is five concurrent
     /// queries, not one).
+    ///
+    /// A record counts in the windows its `[start, end)` overlaps
+    /// (`start < w_end && end > w_start`): a zero-duration record strictly
+    /// inside a window adds no busy time but still stretches that window's
+    /// active span, and a record ending exactly on a window's start is not
+    /// in it. Linear in `records`: each window scans its share of a
+    /// [`WindowBuckets`] only, which keeps the history's order.
     pub fn train(
         records: &[QueryRecord],
         start: SimTime,
@@ -74,20 +81,19 @@ impl ClusterPredictor {
         max_concurrency: u32,
         max_clusters: u32,
     ) -> Self {
-        let windows = WindowFeatures::series(records, start, end, MINI_WINDOW_MS);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
-        for w in &windows {
+        for (w_start, bucket) in WindowBuckets::new(records, start, end, MINI_WINDOW_MS).iter() {
+            let w = WindowFeatures::compute(bucket, w_start, MINI_WINDOW_MS);
             if w.mean_cluster_count <= 0.0 {
                 continue;
             }
             // Active span within this window.
-            let w_start = w.window_start;
-            let w_end = w.window_start + w.window_ms;
+            let w_end = w_start + MINI_WINDOW_MS;
             let mut span_lo = SimTime::MAX;
             let mut span_hi = 0;
             let mut busy_ms = 0.0;
-            for r in records {
+            for r in bucket {
                 if r.start < w_end && r.end > w_start {
                     let lo = r.start.max(w_start);
                     let hi = r.end.min(w_end);
@@ -229,6 +235,121 @@ mod tests {
         let high = p.predict(20.0, 240.0, 8, 3);
         assert!(low < 1.7, "low demand -> ~1 cluster, got {low}");
         assert!(high > 2.3, "high demand -> ~3 clusters, got {high}");
+    }
+
+    /// Zero-duration records strictly inside a window add no busy time but
+    /// are its active span; a record ending exactly on a window's start
+    /// completes in that window without overlapping it.
+    #[test]
+    fn zero_duration_records_stretch_the_span_and_an_end_on_the_edge_does_not_overlap() {
+        let trained = |recs: &[QueryRecord], from: SimTime| {
+            ClusterPredictor::train(recs, from, from + MINI_WINDOW_MS, 8, 4).trained_windows()
+        };
+        let instants = [rec(0, 100_000, 100_000, 1), rec(1, 200_000, 200_000, 1)];
+        assert_eq!(trained(&instants, 0), 1, "a span of 100 s, none of it busy");
+        assert_eq!(trained(&instants[..1], 0), 0, "one instant spans nothing");
+
+        let edge = MINI_WINDOW_MS;
+        let on_edge = [rec(0, edge - 10_000, edge, 2), rec(1, edge, edge, 2)];
+        assert_eq!(
+            trained(&on_edge, edge),
+            0,
+            "both complete in the window, neither runs in it"
+        );
+        assert_eq!(trained(&[rec(0, edge - 10_000, edge + 1, 2)], edge), 1);
+    }
+
+    /// [`ClusterPredictor::train`] as it was: every window scans the whole
+    /// history, for its features and again for its active span.
+    fn train_by_scanning(
+        records: &[QueryRecord],
+        start: SimTime,
+        end: SimTime,
+        max_concurrency: u32,
+        max_clusters: u32,
+    ) -> ClusterPredictor {
+        let refs: Vec<&QueryRecord> = records.iter().collect();
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        let mut w_start = start;
+        while w_start < end {
+            let w = WindowFeatures::compute(&refs, w_start, MINI_WINDOW_MS);
+            let w_end = w_start + MINI_WINDOW_MS;
+            let (mut span_lo, mut span_hi, mut busy_ms) = (SimTime::MAX, 0, 0.0);
+            for r in records {
+                if r.start < w_end && r.end > w_start {
+                    let (lo, hi) = (r.start.max(w_start), r.end.min(w_end));
+                    busy_ms += exact_f64(span_ms(lo, hi));
+                    span_lo = span_lo.min(lo);
+                    span_hi = span_hi.max(hi);
+                }
+            }
+            if w.mean_cluster_count > 0.0 && span_hi > span_lo {
+                xs.push(ClusterPredictor::features(
+                    busy_ms / exact_f64(span_hi - span_lo),
+                    w.arrival_rate_per_hour,
+                    max_concurrency,
+                    max_clusters,
+                ));
+                ys.push(w.mean_cluster_count);
+            }
+            w_start = w_end;
+        }
+        ClusterPredictor {
+            model: (xs.len() >= 8)
+                .then(|| nn::ridge_fit(&xs, &ys, 1e-3))
+                .flatten(),
+            trained_windows: xs.len(),
+        }
+    }
+
+    #[test]
+    fn bucketed_training_equals_scanning_every_window() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut learned = 0;
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let start = rng.gen_range(0..3u64) * MINI_WINDOW_MS + rng.gen_range(0..2u64) * 999;
+            // Not always a whole number of windows.
+            let end = start + rng.gen_range(0..120u64) * MINI_WINDOW_MS / 2;
+            let count = rng.gen_range(0..120u64);
+            // An instant in `lo..=hi`, one in four snapped down to a window edge.
+            let mut instant = |lo: SimTime, hi: SimTime| -> SimTime {
+                let t = rng.gen_range(lo..hi + 1);
+                match rng.gen_range(0..4) {
+                    0 => {
+                        (start + t.saturating_sub(start) / MINI_WINDOW_MS * MINI_WINDOW_MS).max(lo)
+                    }
+                    _ => t,
+                }
+            };
+            let mut recs = Vec::new();
+            for id in 0..count {
+                // From before the range to past its overhang, zero to three
+                // windows long, some of them queued before they start.
+                let from = start.saturating_sub(MINI_WINDOW_MS);
+                let arrival = instant(from, end + 2 * MINI_WINDOW_MS);
+                let begin = instant(arrival, arrival + (id % 3) * MINI_WINDOW_MS / 4);
+                let finish = instant(begin, begin + 3 * MINI_WINDOW_MS);
+                let clusters = 1 + (id % 4) as u32;
+                let mut r = rec(id, arrival, finish, clusters);
+                r.start = begin;
+                recs.push(r.clone());
+                if id % 7 == 0 {
+                    recs.push(r);
+                }
+            }
+            let p = ClusterPredictor::train(&recs, start, end, 8, 4);
+            assert_eq!(
+                p,
+                train_by_scanning(&recs, start, end, 8, 4),
+                "seed {seed}: [{start}, {end})"
+            );
+            learned += usize::from(p.is_learned());
+        }
+        assert!(
+            learned > 32,
+            "only {learned} of 64 histories trained a model"
+        );
     }
 
     #[test]

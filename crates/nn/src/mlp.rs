@@ -12,16 +12,28 @@
 //! * **Forward** ([`Mlp::forward_batch`]) is one sweep per layer whose
 //!   innermost loop runs over a block's samples: the compiler vectorises
 //!   *across* samples while each sample's dot product keeps its own sum.
-//! * **Backward** ([`Mlp::backward_into`]) walks one sample at a time and
-//!   adds `delta * input` straight into a reused [`MlpGradients`].
+//! * **Backward** ([`Mlp::backward_batch`]) walks layer by layer over the
+//!   whole batch: the layer's input activations are transposed to
+//!   sample-major once, then each row of the weight gradient stays resident
+//!   while every sample's `delta * input` is added to it, straight into a
+//!   reused [`MlpGradients`].
 //!
 //! **Bit-identity rule.** Each output is what the scalar
 //! `w.iter().zip(x).map(|(w, x)| w * x).sum::<f64>() + bias` gives: same start
 //! value, same left-to-right order, no fused multiply-add, no reassociation.
 //! Two samples' sums never mix, so batch size and block width cannot move a
 //! float, and [`Mlp::forward`] / [`Mlp::forward_trace`] / [`Mlp::backward`] are
-//! batch-of-one calls into the same code. The pinned hashes in
-//! `crates/agent/tests/train_step_pinned.rs` hold any rewrite to this.
+//! batch-of-one calls into the same code.
+//!
+//! **Backward's order contract.** The batch gradient is what backpropagating
+//! sample 0, then sample 1, ... one after another into one buffer gives.
+//! Every gradient element receives its samples' terms in sample order
+//! (a weight skips the samples whose delta is exactly zero, a bias skips
+//! none), and every `delta_prev[sample][k]` starts from `+0.0` and receives
+//! its rows' `w * delta` in row order, zero deltas skipped. Walking rows in
+//! the outer loop and samples inside reorders additions *between* elements,
+//! never the additions one element sees. The pinned hashes in
+//! `crates/agent/tests/train_step_pinned.rs` hold any rewrite to both rules.
 
 use crate::le;
 use crate::matrix::Matrix;
@@ -132,33 +144,36 @@ fn locate(width: usize, batch: usize, sample: usize) -> (usize, usize) {
     }
 }
 
-/// Sample `sample`'s values in such a buffer as one slice: borrowed where
-/// they are contiguous (a left-over sample), gathered into `scratch` otherwise.
-fn column<'a>(
-    buf: &'a [f64],
-    (width, batch, sample): (usize, usize, usize),
-    scratch: &'a mut Vec<f64>,
-) -> &'a [f64] {
-    let (first, stride) = locate(width, batch, sample);
-    if stride == 1 {
-        return &buf[first..first + width];
+/// Rewrites a blocked buffer of `width` units by `batch` samples as
+/// sample-major rows (`out[sample][unit]`).
+fn transpose_into(buf: &[f64], width: usize, batch: usize, out: &mut Vec<f64>) {
+    out.clear();
+    out.resize(width * batch, 0.0);
+    let blocked = (batch - batch % BLOCK) * width;
+    let blocks = buf[..blocked].chunks_exact(width * BLOCK);
+    for (block, rows) in blocks.zip(out.chunks_exact_mut(width * BLOCK)) {
+        for (unit, lanes) in block.chunks_exact(BLOCK).enumerate() {
+            for (lane, &v) in lanes.iter().enumerate() {
+                rows[lane * width + unit] = v;
+            }
+        }
     }
-    scratch.clear();
-    scratch.extend(buf[first..].iter().step_by(stride).take(width));
-    scratch
+    // The left-over samples already are plain vectors.
+    out[blocked..].copy_from_slice(&buf[blocked..]);
 }
 
-/// Parameter gradients shaped like the network, plus the per-sample scratch
+/// Parameter gradients shaped like the network, plus the per-batch scratch
 /// backprop needs, so one reused value makes a training step allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct MlpGradients {
     weight_grads: Vec<Matrix>,
     bias_grads: Vec<Vec<f64>>,
-    /// dL/d(pre-activation) of the layer being walked, and of the one below.
+    /// dL/d(pre-activation) of the layer being walked, and of the one below,
+    /// sample-major (`delta[sample][unit]`).
     delta: Vec<f64>,
     delta_prev: Vec<f64>,
-    /// Where a blocked sample's activations are gathered contiguous.
-    gathered: Vec<f64>,
+    /// The walked layer's input activations, sample-major.
+    input: Vec<f64>,
 }
 
 impl MlpGradients {
@@ -172,13 +187,10 @@ impl MlpGradients {
             self.bias_grads.iter_mut().for_each(|g| g.fill(0.0));
             return;
         }
-        let widest = || Vec::with_capacity(net.config.layer_sizes.iter().fold(0, |a, &w| a.max(w)));
         *self = Self {
             weight_grads: shapes.map(|(r, c)| Matrix::zeros(r, c)).collect(),
             bias_grads: (net.layers.iter().map(|l| vec![0.0; l.biases.len()])).collect(),
-            delta: widest(),
-            delta_prev: widest(),
-            gathered: widest(),
+            ..Self::default()
         };
     }
 
@@ -434,66 +446,87 @@ impl Mlp {
         );
         let mut grads = MlpGradients::default();
         grads.reset(self);
-        self.backward_into(trace, 0, output_grad, &mut grads);
+        self.backward_batch(trace, output_grad, &mut grads);
         grads
     }
 
-    /// Backpropagates `output_grad` (dL/d output) for one sample of `trace`,
-    /// *adding* its parameter gradients to `grads` — the same additions, in
-    /// the same order, as summing per-sample gradients one after another.
-    pub fn backward_into(
+    /// Backpropagates the whole batch of `trace`, *adding* its parameter
+    /// gradients to `grads` under the order contract of the module docs.
+    /// `output_grads` holds dL/d output sample-major
+    /// (`output_grads[sample][unit]`).
+    ///
+    /// # Panics
+    /// Panics if `output_grads` is not [`Mlp::output_dim`] values per sample
+    /// of the trace.
+    pub fn backward_batch(
         &self,
         trace: &ForwardTrace,
-        sample: usize,
-        output_grad: &[f64],
+        output_grads: &[f64],
         grads: &mut MlpGradients,
     ) {
-        debug_assert_eq!(output_grad.len(), self.output_dim());
+        let batch = trace.batch;
+        assert_eq!(
+            output_grads.len(),
+            self.output_dim() * batch,
+            "output gradients do not fit a batch of {batch}"
+        );
+        if batch == 0 {
+            return;
+        }
         let MlpGradients {
             weight_grads,
             bias_grads,
             delta,
             delta_prev,
-            gathered,
+            input,
         } = grads;
-        // delta = dL/d(pre-activation) for the current layer, walking backwards.
-        delta.clear();
-        delta.extend_from_slice(output_grad);
+        // Room for the widest layer, so no later resize reallocates.
+        let widest = self.config.layer_sizes.iter().fold(0, |a, &w| a.max(w));
+        for buf in [&mut *delta, &mut *delta_prev, &mut *input] {
+            buf.clear();
+            buf.reserve(widest * batch);
+        }
+        // delta = dL/d(pre-activation) for the current layer, walking
+        // backwards; the output layer is linear.
+        delta.extend_from_slice(output_grads);
         for (i, layer) in self.layers.iter().enumerate().rev() {
             let (rows, cols) = (layer.weights.rows(), layer.weights.cols());
-            // Output layer is linear; hidden layers need the activation derivative.
-            if i != self.layers.len() - 1 {
-                let at = (rows, trace.batch, sample);
-                let output = column(&trace.activations[i + 1], at, gathered);
-                for (d, &y) in delta.iter_mut().zip(output) {
-                    *d *= self.config.activation.derivative_from_output(y);
-                }
-            }
-            let input = column(&trace.activations[i], (cols, trace.batch, sample), gathered);
-            // dL/dW = delta (outer) input, dL/db = delta
-            for (r, &d) in delta.iter().enumerate() {
-                // lint: allow(D4) — exact-zero skip is a sparsity fast path, not a tolerance check
-                if d == 0.0 {
-                    continue;
-                }
-                for (w, &x) in weight_grads[i].row_mut(r).iter_mut().zip(input) {
-                    *w += d * x;
-                }
-            }
-            for (bg, &d) in bias_grads[i].iter_mut().zip(&*delta) {
-                *bg += d;
-            }
-            // Propagate to the previous layer: delta_prev = W^T delta
-            if i > 0 {
-                delta_prev.clear();
-                delta_prev.resize(cols, 0.0);
-                for (r, &d) in delta.iter().enumerate() {
+            transpose_into(&trace.activations[i], cols, batch, input);
+            // dL/dW = delta (outer) input, dL/db = delta: one gradient row at
+            // a time, every sample's term added to it while it is hot.
+            let grad_rows = weight_grads[i].as_mut_slice().chunks_exact_mut(cols);
+            for (r, (w_row, bg)) in grad_rows.zip(&mut bias_grads[i]).enumerate() {
+                let deltas = delta[r..].iter().step_by(rows);
+                for (&d, x) in deltas.zip(input.chunks_exact(cols)) {
+                    *bg += d;
                     // lint: allow(D4) — exact-zero skip is a sparsity fast path, not a tolerance check
                     if d == 0.0 {
                         continue;
                     }
-                    for (p, &w) in delta_prev.iter_mut().zip(layer.weights.row(r)) {
-                        *p += w * d;
+                    for (w, &x) in w_row.iter_mut().zip(x) {
+                        *w += d * x;
+                    }
+                }
+            }
+            // Propagate to the previous (hidden) layer: W^T delta, times the
+            // activation derivative at that layer's output — this one's input.
+            if i > 0 {
+                delta_prev.clear();
+                delta_prev.resize(cols * batch, 0.0);
+                let samples = delta.chunks_exact(rows).zip(input.chunks_exact(cols));
+                for ((d_row, x), p_row) in samples.zip(delta_prev.chunks_exact_mut(cols)) {
+                    let weight_rows = layer.weights.as_slice().chunks_exact(cols);
+                    for (&d, w_row) in d_row.iter().zip(weight_rows) {
+                        // lint: allow(D4) — exact-zero skip is a sparsity fast path, not a tolerance check
+                        if d == 0.0 {
+                            continue;
+                        }
+                        for (p, &w) in p_row.iter_mut().zip(w_row) {
+                            *p += w * d;
+                        }
+                    }
+                    for (p, &y) in p_row.iter_mut().zip(x) {
+                        *p *= self.config.activation.derivative_from_output(y);
                     }
                 }
                 std::mem::swap(delta, delta_prev);
@@ -562,6 +595,62 @@ mod tests {
     fn tiny_net(seed: u64) -> Mlp {
         let mut rng = StdRng::seed_from_u64(seed);
         Mlp::new(MlpConfig::new(vec![2, 8, 1]), &mut rng)
+    }
+
+    /// Sample `sample`'s values in a blocked buffer of `width` units by
+    /// `batch` samples, gathered contiguous.
+    fn column(buf: &[f64], width: usize, batch: usize, sample: usize) -> Vec<f64> {
+        let (first, stride) = locate(width, batch, sample);
+        (buf[first..].iter().step_by(stride).take(width))
+            .copied()
+            .collect()
+    }
+
+    /// The oracle [`Mlp::backward_batch`] is held to: the kernel as it was
+    /// before it was batched, one sample at a time, *adding* that sample's
+    /// parameter gradients to `grads`.
+    fn backward_into(
+        net: &Mlp,
+        trace: &ForwardTrace,
+        sample: usize,
+        output_grad: &[f64],
+        grads: &mut MlpGradients,
+    ) {
+        assert_eq!(output_grad.len(), net.output_dim());
+        let mut delta = output_grad.to_vec();
+        for (i, layer) in net.layers.iter().enumerate().rev() {
+            let (rows, cols) = (layer.weights.rows(), layer.weights.cols());
+            if i != net.layers.len() - 1 {
+                let output = column(&trace.activations[i + 1], rows, trace.batch, sample);
+                for (d, &y) in delta.iter_mut().zip(&output) {
+                    *d *= net.config.activation.derivative_from_output(y);
+                }
+            }
+            let input = column(&trace.activations[i], cols, trace.batch, sample);
+            for (r, &d) in delta.iter().enumerate() {
+                if d == 0.0 {
+                    continue;
+                }
+                for (w, &x) in grads.weight_grads[i].row_mut(r).iter_mut().zip(&input) {
+                    *w += d * x;
+                }
+            }
+            for (bg, &d) in grads.bias_grads[i].iter_mut().zip(&delta) {
+                *bg += d;
+            }
+            if i > 0 {
+                let mut delta_prev = vec![0.0; cols];
+                for (r, &d) in delta.iter().enumerate() {
+                    if d == 0.0 {
+                        continue;
+                    }
+                    for (p, &w) in delta_prev.iter_mut().zip(layer.weights.row(r)) {
+                        *p += w * d;
+                    }
+                }
+                delta = delta_prev;
+            }
+        }
     }
 
     #[test]
@@ -743,10 +832,12 @@ mod tests {
         for _ in 0..400 {
             net.forward_batch(&mut trace, data.iter().map(|(x, _)| &x[..]));
             grads.reset(&net);
-            for (s, (_, y)) in data.iter().enumerate() {
-                let pred = output_of(&trace, s);
-                net.backward_into(&trace, s, &mse_loss_grad(&pred, &[*y]), &mut grads);
-            }
+            let preds = data
+                .iter()
+                .enumerate()
+                .map(|(s, (_, y))| (output_of(&trace, s), y));
+            let out_grads: Vec<f64> = preds.flat_map(|(p, y)| mse_loss_grad(&p, &[*y])).collect();
+            net.backward_batch(&trace, &out_grads, &mut grads);
             grads.scale(1.0 / data.len() as f64);
             net.apply_gradients(&grads, &mut opt);
         }
@@ -774,11 +865,13 @@ mod tests {
         weights.chain(biases).map(|v| v.to_bits()).collect()
     }
 
-    /// The minibatch kernel against the single-sample entry points, bit for
-    /// bit: random shapes, both activations, batch sizes on every side of a
-    /// block boundary, inputs and output gradients with exact zeros (dead
-    /// ReLU units, the sparsity skips). One trace and one gradient buffer
-    /// serve every case, so reshaping over stale contents is covered too.
+    /// The minibatch kernel, bit for bit, against the single-sample entry
+    /// points and against the per-sample backward it replaced: random shapes,
+    /// both activations, batch sizes on every side of a block boundary,
+    /// inputs and output gradients with exact zeros (dead ReLU units, the
+    /// sparsity skips, a sample whose whole gradient row is zero) and without
+    /// any (a `Tanh` net then has no zero delta). One trace and one gradient
+    /// buffer serve every case, so reshaping over stale contents is covered.
     #[test]
     fn batched_kernel_equals_per_sample_passes_bit_for_bit() {
         let (mut trace, mut grads) = (ForwardTrace::default(), MlpGradients::default());
@@ -796,25 +889,46 @@ mod tests {
             for b in net.layers.iter_mut().flat_map(|l| &mut l.biases) {
                 *b = rng.gen_range(-0.5..0.5);
             }
-            let batch = rng.gen_range(1..38);
-            let mut sparse = |n: usize| -> Vec<f64> {
+            let batch = match case % 8 {
+                0 => 1,
+                1 => 8,
+                2 => 13,
+                3 => 32,
+                _ => rng.gen_range(1..38),
+            };
+            let dense = case % 3 == 0;
+            let mut values = |n: usize| -> Vec<f64> {
                 (0..n)
                     .map(|_| match rng.gen_range(0..4) {
-                        0 => 0.0,
+                        0 if !dense => 0.0,
                         _ => rng.gen_range(-2.0..2.0),
                     })
                     .collect()
             };
-            let inputs: Vec<Vec<f64>> = (0..batch).map(|_| sparse(net.input_dim())).collect();
-            let out_grads: Vec<Vec<f64>> = (0..batch).map(|_| sparse(net.output_dim())).collect();
+            let inputs: Vec<Vec<f64>> = (0..batch).map(|_| values(net.input_dim())).collect();
+            let mut out_grads: Vec<Vec<f64>> =
+                (0..batch).map(|_| values(net.output_dim())).collect();
+            if case % 5 == 0 {
+                out_grads[case as usize % batch].fill(0.0);
+            }
 
             net.forward_batch(&mut trace, inputs.iter().map(Vec::as_slice));
             grads.reset(&net);
-            for (s, g) in out_grads.iter().enumerate() {
-                net.backward_into(&trace, s, g, &mut grads);
-            }
+            net.backward_batch(&trace, &out_grads.concat(), &mut grads);
 
-            // Per-sample passes, their gradients summed in batch order.
+            // The per-sample walk over the same trace, in batch order.
+            let mut walked = MlpGradients::default();
+            walked.reset(&net);
+            for (s, g) in out_grads.iter().enumerate() {
+                backward_into(&net, &trace, s, g, &mut walked);
+            }
+            assert_eq!(
+                grad_bits(&grads),
+                grad_bits(&walked),
+                "case {case}: batch of {batch} against the per-sample walk"
+            );
+
+            // Batch-of-one passes, their gradients summed in batch order.
             let mut expected: Option<MlpGradients> = None;
             for (s, (x, g)) in inputs.iter().zip(&out_grads).enumerate() {
                 let single = net.forward_trace(x);
@@ -846,6 +960,16 @@ mod tests {
                 "case {case}: gradient of a batch of {batch}"
             );
         }
+    }
+
+    #[test]
+    fn a_batch_of_zero_adds_nothing() {
+        let net = tiny_net(1);
+        let (mut trace, mut grads) = (ForwardTrace::default(), MlpGradients::default());
+        net.forward_batch(&mut trace, std::iter::empty());
+        grads.reset(&net);
+        net.backward_batch(&trace, &[], &mut grads);
+        assert_eq!(grads.l2_norm(), 0.0);
     }
 
     #[test]

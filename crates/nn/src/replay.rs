@@ -32,15 +32,19 @@ impl<T: Clone> ReplayBuffer<T> {
         }
     }
 
-    /// Adds a transition, evicting the oldest once at capacity.
-    pub fn push(&mut self, item: T) {
-        if self.items.len() < self.capacity {
+    /// Adds a transition, evicting the oldest once at capacity. Returns the
+    /// storage index it was written to.
+    pub fn push(&mut self, item: T) -> usize {
+        let slot = if self.items.len() < self.capacity {
             self.items.push(item);
+            self.items.len() - 1
         } else {
             self.items[self.next] = item;
-        }
+            self.next
+        };
         self.next = (self.next + 1) % self.capacity;
         self.total_pushed += 1;
+        slot
     }
 
     /// Number of transitions currently stored.
@@ -164,7 +168,8 @@ mod tests {
     fn push_beyond_capacity_evicts_oldest() {
         let mut buf = ReplayBuffer::new(3);
         for i in 0..5 {
-            buf.push(i);
+            let slot = buf.push(i);
+            assert_eq!((slot, buf[slot]), (i as usize % 3, i));
         }
         assert_eq!(buf.len(), 3);
         let mut contents: Vec<i32> = buf.iter().copied().collect();

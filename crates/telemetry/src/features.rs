@@ -97,22 +97,94 @@ impl WindowFeatures {
     }
 
     /// Splits `[start, end)` into consecutive windows and computes features
-    /// for each.
+    /// for each. When `window_ms` does not divide `end - start` the last
+    /// window runs past `end`, and arrivals and completions in that overhang
+    /// count towards it.
+    ///
+    /// Linear in `records`: [`WindowFeatures::compute`] sees only its
+    /// window's share of a [`WindowBuckets`], from which it picks what a scan
+    /// of the whole history would, in the same order.
     pub fn series(
         records: &[QueryRecord],
         start: SimTime,
         end: SimTime,
         window_ms: SimTime,
     ) -> Vec<WindowFeatures> {
+        (WindowBuckets::new(records, start, end, window_ms).iter())
+            .map(|(t, bucket)| Self::compute(bucket, t, window_ms))
+            .collect()
+    }
+}
+
+/// `[start, end)` tiled with the windows of [`WindowFeatures::series`], each
+/// holding the records that can matter to it: those whose life, from arrival
+/// (or start, if earlier) to completion, touches the window, in input order.
+/// Whatever a per-window statistic filters out of the whole history — by
+/// arrival, start or end inside the window, or by execution overlapping it —
+/// it finds in that window's bucket, having visited each record once.
+#[derive(Debug)]
+pub struct WindowBuckets<'a> {
+    start: SimTime,
+    window_ms: SimTime,
+    /// Window `w` holds `records[offsets[w]..offsets[w + 1]]`.
+    offsets: Vec<usize>,
+    records: Vec<&'a QueryRecord>,
+}
+
+impl<'a> WindowBuckets<'a> {
+    /// Buckets `records` (two passes: count, then place).
+    pub fn new(
+        records: &'a [QueryRecord],
+        start: SimTime,
+        end: SimTime,
+        window_ms: SimTime,
+    ) -> Self {
         assert!(window_ms > 0 && end >= start);
-        let refs: Vec<&QueryRecord> = records.iter().collect();
-        let mut out = Vec::new();
-        let mut t = start;
-        while t < end {
-            out.push(Self::compute(&refs, t, window_ms));
-            t += window_ms;
+        let windows = (end - start).div_ceil(window_ms);
+        let tiled_end = start + windows * window_ms;
+        // Indices of the windows `r` touches. One below `windows`, which the
+        // `offsets` vector outnumbers, loses nothing to the cast.
+        let touched = |r: &QueryRecord| {
+            let (first, last) = (r.arrival.min(r.start), r.end.max(r.arrival));
+            if windows == 0 || last < start || first >= tiled_end {
+                return 0..0;
+            }
+            let window_of = |t: SimTime| ((t - start) / window_ms) as usize;
+            window_of(first.max(start))..window_of(last.min(tiled_end - 1)) + 1
+        };
+        let mut offsets: Vec<usize> = (0..=windows).map(|_| 0).collect();
+        for r in records {
+            for w in touched(r) {
+                offsets[w + 1] += 1;
+            }
         }
-        out
+        for w in 1..offsets.len() {
+            offsets[w] += offsets[w - 1];
+        }
+        let mut placed = Vec::new();
+        if let (Some(any), Some(&total)) = (records.first(), offsets.last()) {
+            placed.resize(total, any);
+            let mut next = offsets.clone();
+            for r in records {
+                for w in touched(r) {
+                    placed[next[w]] = r;
+                    next[w] += 1;
+                }
+            }
+        }
+        Self {
+            start,
+            window_ms,
+            offsets,
+            records: placed,
+        }
+    }
+
+    /// Each window's start and bucket, in time order.
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &[&'a QueryRecord])> {
+        let starts = (0..).map(|w| self.start + w * self.window_ms);
+        let buckets = self.offsets.windows(2).map(|o| &self.records[o[0]..o[1]]);
+        starts.zip(buckets)
     }
 }
 
@@ -247,6 +319,97 @@ mod tests {
         let series = WindowFeatures::series(&recs, 0, 600_000, 60_000);
         assert_eq!(series.len(), 10);
         assert!(series.iter().all(|w| w.arrivals == 1));
+    }
+
+    /// The last window of a range `window_ms` does not divide runs past
+    /// `end`, and what arrives or completes in the overhang counts.
+    #[test]
+    fn series_last_window_counts_the_overhang_past_end() {
+        let recs = [
+            rec(1, 130_000, 130_000, 140_000),
+            rec(2, 170_000, 171_000, 175_000),
+        ];
+        let series = WindowFeatures::series(&recs, 0, 150_000, 60_000);
+        assert_eq!(series.len(), 3);
+        let last = &series[2];
+        assert_eq!((last.window_start, last.window_ms), (120_000, 60_000));
+        assert_eq!(last.arrivals, 2, "the arrival at 170 s is past `end`");
+        assert_eq!(last.mean_latency_ms, 7_500.0);
+        assert_eq!(last.mean_concurrency, 14_000.0 / 60_000.0);
+        // An empty range has no window, whatever runs across it.
+        assert!(WindowFeatures::series(&recs, 135_000, 135_000, 60_000).is_empty());
+        // Past the overhang is past the series.
+        let later = [rec(3, 180_000, 180_000, 181_000)];
+        let series = WindowFeatures::series(&later, 0, 150_000, 60_000);
+        assert!(series
+            .iter()
+            .all(|w| *w == WindowFeatures::empty(w.window_start, 60_000)));
+    }
+
+    /// The scan [`WindowFeatures::series`] replaced: every window filters the
+    /// whole history.
+    fn series_by_scanning(
+        records: &[QueryRecord],
+        start: SimTime,
+        end: SimTime,
+        window_ms: SimTime,
+    ) -> Vec<WindowFeatures> {
+        let refs: Vec<&QueryRecord> = records.iter().collect();
+        let mut out = Vec::new();
+        let mut t = start;
+        while t < end {
+            out.push(WindowFeatures::compute(&refs, t, window_ms));
+            t += window_ms;
+        }
+        out
+    }
+
+    #[test]
+    fn bucketed_series_equals_scanning_every_window() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let (mut busy_windows, mut empty_windows) = (0, 0);
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let window_ms: SimTime = [1_000, 60_000, 300_000][rng.gen_range(0..3usize)];
+            let start = rng.gen_range(0..4u64) * window_ms + rng.gen_range(0..2u64) * 17;
+            // Not always a whole number of windows, sometimes none at all.
+            let end = start + rng.gen_range(0..90u64) * window_ms / 3;
+            // Few enough records that windows stay empty.
+            let count = rng.gen_range(0..20u64);
+            // An instant in `lo..=hi`, one in four snapped down to a window edge.
+            let mut instant = |lo: SimTime, hi: SimTime| -> SimTime {
+                let t = rng.gen_range(lo..hi + 1);
+                match rng.gen_range(0..4) {
+                    0 => (start + t.saturating_sub(start) / window_ms * window_ms).max(lo),
+                    _ => t,
+                }
+            };
+            let mut recs = Vec::new();
+            for id in 0..count {
+                // From before the range to past its overhang, zero to three windows long.
+                let arrival = instant(start.saturating_sub(window_ms), end + 2 * window_ms);
+                let begin = instant(arrival, arrival + window_ms / 2);
+                let finish = instant(begin, begin + 3 * window_ms);
+                recs.push(rec(id, arrival, begin, finish));
+                if id % 7 == 0 {
+                    recs.push(rec(100 + id, arrival, begin, finish));
+                }
+            }
+            let series = WindowFeatures::series(&recs, start, end, window_ms);
+            assert_eq!(
+                series,
+                series_by_scanning(&recs, start, end, window_ms),
+                "seed {seed}: [{start}, {end}) by {window_ms}"
+            );
+            let empty =
+                |w: &&WindowFeatures| **w == WindowFeatures::empty(w.window_start, window_ms);
+            empty_windows += series.iter().filter(empty).count();
+            busy_windows += series.len() - series.iter().filter(empty).count();
+        }
+        assert!(
+            busy_windows > 100 && empty_windows > 100,
+            "{busy_windows} / {empty_windows}"
+        );
     }
 
     #[test]

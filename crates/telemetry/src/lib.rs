@@ -21,7 +21,7 @@ pub mod fetcher;
 pub mod hashing;
 pub mod store;
 
-pub use features::{percentile, WindowFeatures};
+pub use features::{percentile, WindowBuckets, WindowFeatures};
 pub use fetcher::{FetchError, FetchStats, TelemetryFetcher};
 pub use hashing::{hash_query_template, hash_query_text, strip_literals};
 pub use store::TelemetryStore;
