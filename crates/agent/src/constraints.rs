@@ -168,6 +168,19 @@ impl ConstraintSet {
         mask
     }
 
+    /// Positions in [`ConstraintSet::rules`] of the rules the action would
+    /// violate at `t`. Rules are only ever appended, so a position names the
+    /// same rule for as long as the set lives.
+    pub fn violation_indices<'a>(
+        &'a self,
+        action: AgentAction,
+        current: &'a WarehouseConfig,
+        t: SimTime,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let rules = self.rules.iter().enumerate();
+        rules.filter_map(move |(i, r)| (!r.allows(action, current, t)).then_some(i))
+    }
+
     /// Names of rules the action would violate at `t` (for action logs).
     pub fn violations(
         &self,
@@ -175,10 +188,8 @@ impl ConstraintSet {
         current: &WarehouseConfig,
         t: SimTime,
     ) -> Vec<&str> {
-        self.rules
-            .iter()
-            .filter(|r| !r.allows(action, current, t))
-            .map(|r| r.name.as_str())
+        self.violation_indices(action, current, t)
+            .map(|i| self.rules[i].name.as_str())
             .collect()
     }
 }

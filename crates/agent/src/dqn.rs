@@ -349,7 +349,16 @@ impl DqnAgent {
     /// Panics if the mask permits nothing (the constraint layer always
     /// permits NoOp, so an all-false mask is a programming error).
     pub fn greedy_action(&self, state: &[f64], mask: &[bool; AgentAction::COUNT]) -> AgentAction {
-        let q = self.q_values(state);
+        assert_eq!(state.len(), self.online.input_dim(), "state dimension");
+        // A batch of one through the thread's scratch trace: the floats of
+        // `q_values`, none of its allocations.
+        let q = SCRATCH.with_borrow_mut(|scratch| {
+            let mut q = [0.0; AgentAction::COUNT];
+            self.online
+                .forward_batch(&mut scratch.trace, std::iter::once(state));
+            scratch.trace.output_into(0, &mut q);
+            q
+        });
         masked_argmax(&q, mask)
     }
 
@@ -603,6 +612,8 @@ mod tests {
             .max_by(|x, y| x.1.partial_cmp(y.1).unwrap())
             .unwrap()
             .0;
+        // The scratch-trace forward ranks the actions as `q_values` does.
+        assert_eq!(a.greedy_action(&state, &full_mask()).index(), best);
         let mut mask = full_mask();
         mask[best] = false;
         let chosen = a.greedy_action(&state, &mask);

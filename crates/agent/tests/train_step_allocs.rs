@@ -98,4 +98,13 @@ fn a_warm_training_step_allocates_nothing() {
         }
     });
     assert_eq!(in_explore, 0, "100 exploring selections");
+
+    // A greedy selection forwards through the thread's scratch trace.
+    let in_exploit = allocations_in(|| {
+        for _ in 0..100 {
+            let action = agent.greedy_action(&[0.5; STATE_DIM], &mask);
+            assert_ne!(action.index(), 3);
+        }
+    });
+    assert_eq!(in_exploit, 0, "100 greedy selections");
 }

@@ -419,10 +419,7 @@ fn apply_batch(shard: &mut FleetShard, batch: Vec<Ticket>, target: SimTime) -> u
                 shard.kwo.add_constraint(&warehouse, rule);
             }
             RequestKind::TraceQuery { warehouse } => {
-                let events = shard
-                    .kwo
-                    .optimizer(&warehouse)
-                    .map_or(0, |o| o.trace().len());
+                let events = shard.kwo.optimizer(&warehouse).map_or(0, |o| o.trace_len());
                 h.eat(events as u64);
             }
         }

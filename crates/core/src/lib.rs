@@ -119,7 +119,7 @@ pub use costmodel::SavingsReport;
 
 // The observability layer: metrics registry, decision trace, exporters.
 // `keebo::obs::global()` is the process-wide registry every crate in the
-// decision path records into; `WarehouseOptimizer::trace()` holds the
+// decision path records into; `WarehouseOptimizer::trace()` renders the
 // per-tick decision log.
 pub use keebo_obs as obs;
 pub use keebo_obs::{DecisionEvent, DecisionTrace, MaskEntry, MetricsSnapshot, TraceFeatures};

@@ -25,6 +25,7 @@
 
 mod journal;
 mod restore;
+mod ring;
 mod tick;
 
 use crate::actuator::Actuator;
@@ -44,6 +45,7 @@ use costmodel::{estimate_savings, ReplayConfig, SavingsReport, WarehouseCostMode
 use journal::Journal;
 use keebo_obs::{DecisionTrace, Histogram};
 use rand::Rng;
+use ring::{DecisionRing, MaskCause};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 use telemetry::{TelemetryFetcher, TelemetryStore};
@@ -216,11 +218,14 @@ pub struct WarehouseOptimizer {
     store: TelemetryStore,
     actuator: Actuator,
     fallback: DegradedFallback,
-    /// Per-tick decision log (ring buffer). Write-only from the control
-    /// loop. Deliberately *not* persisted: it is observability, recreated
-    /// empty after recovery so the trace never perturbs (or bloats)
-    /// durability.
-    trace: DecisionTrace,
+    /// Per-tick decision log (ring buffer of plain data). Write-only from
+    /// the control loop. Deliberately *not* persisted: it is observability,
+    /// recreated empty after recovery so the trace never perturbs (or
+    /// bloats) durability.
+    ring: DecisionRing,
+    /// The last mask's cause list, handed to the next tick's mask so that
+    /// masking allocates nothing.
+    cause_buffer: Vec<MaskCause>,
     /// Replay-relevant effects of the current tick (see [`TickEffects`]).
     effects: TickEffects,
 }
@@ -246,7 +251,8 @@ impl WarehouseOptimizer {
             cost_model: WarehouseCostModel::default(),
             actuator: Actuator::new(),
             fallback: DegradedFallback::default(),
-            trace: DecisionTrace::new(TRACE_CAPACITY),
+            ring: DecisionRing::new(TRACE_CAPACITY),
+            cause_buffer: Vec::new(),
             effects: TickEffects::default(),
         }
     }
@@ -291,9 +297,16 @@ impl WarehouseOptimizer {
         &self.ctl.fetcher
     }
 
-    /// The per-tick decision trace.
-    pub fn trace(&self) -> &DecisionTrace {
-        &self.trace
+    /// The per-tick decision trace, rendered for export now: the tick path
+    /// keeps plain data, and rule names are the rule set's as of this call.
+    pub fn trace(&self) -> DecisionTrace {
+        self.ring.render(&self.name, self.setup.constraints.rules())
+    }
+
+    /// Events [`WarehouseOptimizer::trace`] would hold, without rendering
+    /// them.
+    pub fn trace_len(&self) -> usize {
+        self.ring.len()
     }
 
     /// Whether optimization is currently paused due to an external change.
@@ -332,6 +345,7 @@ impl WarehouseOptimizer {
         self.sense(sim);
         self.retrain(sim.now(), self.setup.onboarding_episodes, None);
         self.ctl.onboarded = true;
+        self.forget_read_events();
     }
 
     /// Trains the cost model and smart model from accumulated telemetry.
@@ -472,6 +486,7 @@ impl WarehouseOptimizer {
         TelemetryFetcher::new().redeliver(sim.account(), &mut o.store, &snap.ctl.fetcher);
         o.actuator.extend_log(snap.actuator_log);
         o.ctl = snap.ctl;
+        o.forget_read_events();
         Ok(o)
     }
 
@@ -1094,7 +1109,7 @@ mod tests {
         kwo.run_until(&mut sim, DAY_MS + 6 * HOUR_MS);
         // One trace event per post-onboarding tick: six hours hold eighteen
         // 20-minute ticks and twelve 30-minute ticks.
-        let ticks = |name: &str| kwo.optimizer(name).unwrap().trace().len();
+        let ticks = |name: &str| kwo.optimizer(name).unwrap().trace_len();
         assert_eq!(ticks("WH_A"), 18);
         assert_eq!(ticks("WH_B"), 12);
     }

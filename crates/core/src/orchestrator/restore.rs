@@ -42,6 +42,7 @@ impl WarehouseOptimizer {
         }
         self.actuator.extend_log(log_delta);
         self.ctl = ctl;
+        self.forget_read_events();
     }
 }
 

@@ -7,11 +7,13 @@
 //!
 //! Each stage is a private method called in order by `run_stages`. The
 //! lifecycle and health flags are folded into one [`Gate`] computed once per
-//! tick, and the tick ends in a single trace record fed by what the stages
-//! produced. `retrain` and `learn` are also what WAL replay re-executes
-//! (`restore.rs`); `journal` is the orchestrator's `Journal::journal_tick`
-//! around the whole tick, outside the `keebo.tick.wall_us` span.
+//! tick, and the tick ends in a single plain-data record in the decision ring
+//! (`ring.rs`), fed by what the stages produced. `retrain` and `learn` are
+//! also what WAL replay re-executes (`restore.rs`); `journal` is the
+//! orchestrator's `Journal::journal_tick` around the whole tick, outside the
+//! `keebo.tick.wall_us` span.
 
+use super::ring::{Cause, Chosen, Guard, MaskCause, Record};
 use super::{tick_wall_histogram, TickEffects, WarehouseOptimizer};
 use crate::actuator::LogEntryKind;
 use crate::health::{DegradeReason, HealthSignals, HealthState};
@@ -24,7 +26,7 @@ use cdw_sim::{
     QueryRecord, SimTime, Simulator, WarehouseCommand, WarehouseConfig, WarehouseEventRecord,
     HOUR_MS,
 };
-use keebo_obs::{DecisionEvent, MaskEntry, TraceFeatures};
+use keebo_obs::TraceFeatures;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -104,59 +106,58 @@ pub(super) struct TickCtx {
 }
 
 /// An action mask under construction, remembering *why* each masked action
-/// was masked: the constraint rule names (C1–C4 style business rules), the
-/// analytic slider floor, the performance guardrail, health gates. This is
-/// what lets the decision trace answer "why did WH_A downsize at hour 412 —
-/// and why was nothing else on the table?".
+/// was masked: the customer's rules (C1–C4 style business rules, by
+/// position), the analytic slider floor, the performance guardrail, health
+/// gates. This is what lets the decision trace answer "why did WH_A downsize
+/// at hour 412 — and why was nothing else on the table?".
 pub(super) struct MaskTrace {
     pub(super) mask: [bool; AgentAction::COUNT],
-    reasons: [Vec<String>; AgentAction::COUNT],
+    /// In the order they were found; an action may have several.
+    causes: Vec<MaskCause>,
 }
 
 impl MaskTrace {
     /// Starts from the constraint mask, attributing each constraint-masked
-    /// action to the offending rule names (or inapplicability).
-    fn new(constraints: &ConstraintSet, config: &WarehouseConfig, now: SimTime) -> Self {
+    /// action to the offending rules (or inapplicability). `causes` is the
+    /// previous tick's list, reused for its allocation.
+    fn new(
+        constraints: &ConstraintSet,
+        config: &WarehouseConfig,
+        now: SimTime,
+        mut causes: Vec<MaskCause>,
+    ) -> Self {
         let mask = constraints.action_mask(config, now);
-        let mut reasons: [Vec<String>; AgentAction::COUNT] = Default::default();
-        for a in AgentAction::ALL {
-            if mask[a.index()] {
+        causes.clear();
+        for action in AgentAction::ALL {
+            if mask[action.index()] {
                 continue;
             }
-            if !a.is_applicable(config) {
-                reasons[a.index()].push("inapplicable".to_string());
+            if !action.is_applicable(config) {
+                let cause = Cause::Inapplicable;
+                causes.push(MaskCause { action, cause });
             }
-            for rule in constraints.violations(a, config, now) {
-                reasons[a.index()].push(format!("constraint:{rule}"));
+            for rule in constraints.violation_indices(action, config, now) {
+                // lint: allow(D5) — 2^32 rules are hundreds of GB of `Rule`s, never resident
+                let cause = Cause::Rule(u32::try_from(rule).expect("rule position fits u32"));
+                causes.push(MaskCause { action, cause });
             }
         }
-        Self { mask, reasons }
+        Self { mask, causes }
     }
 
-    /// Masks `action`, recording `reason` if this call is what masked it
+    /// Masks `action`, recording `guard` if this call is what masked it
     /// (already-masked actions keep their original causes).
-    fn disallow(&mut self, action: AgentAction, reason: &str) {
+    fn disallow(&mut self, action: AgentAction, guard: Guard) {
         let i = action.index();
         if self.mask[i] {
             self.mask[i] = false;
-            self.reasons[i].push(reason.to_string());
+            let cause = Cause::Guard(guard);
+            self.causes.push(MaskCause { action, cause });
         }
     }
 
     fn allows(&self, action: AgentAction) -> bool {
         self.mask[action.index()]
-    }
-
-    /// The full mask as trace entries, aligned with [`AgentAction::ALL`].
-    pub(super) fn entries(&self) -> Vec<MaskEntry> {
-        AgentAction::ALL
-            .iter()
-            .map(|a| MaskEntry {
-                action: format!("{a:?}"),
-                allowed: self.mask[a.index()],
-                reasons: self.reasons[a.index()].clone(),
-            })
-            .collect()
     }
 }
 
@@ -198,8 +199,9 @@ enum Move<'a> {
 
 /// What the tick's single trace record says was chosen, and why.
 struct Decision {
-    mask: Vec<MaskEntry>,
-    chosen: String,
+    /// `None` on a gated tick: nothing was on the table.
+    mask: Option<MaskTrace>,
+    chosen: Chosen,
     reason: &'static str,
     reward: Option<f64>,
 }
@@ -208,8 +210,8 @@ impl Decision {
     /// A gated tick: nothing on the table, `chosen` is all that happened.
     fn held(gate: Gate, chosen: AgentAction) -> Self {
         Self {
-            mask: vec![],
-            chosen: format!("{chosen:?}"),
+            mask: None,
+            chosen: Chosen::Action(chosen),
             reason: gate.as_str(),
             reward: None,
         }
@@ -244,6 +246,7 @@ impl WarehouseOptimizer {
         let t0 = Instant::now();
         self.effects = TickEffects::default();
         self.run_stages(sim);
+        self.forget_read_events();
         tick_wall_histogram().observe(t0.elapsed().as_secs_f64() * 1e6);
     }
 
@@ -314,6 +317,16 @@ impl WarehouseOptimizer {
             }
         };
         self.record_decision(&ctx, decision);
+    }
+
+    /// Drops the warehouse events behind the monitoring cursor: `watch` is
+    /// their only reader and never looks back past it. Runs after every
+    /// live and replayed tick and after a snapshot's redelivery, so the
+    /// store is always the delivered stream from the journaled cursor on —
+    /// the same in a restored optimizer as in the one that crashed.
+    pub(super) fn forget_read_events(&mut self) {
+        self.store
+            .prune_events_before(&self.name, self.ctl.events_cursor);
     }
 
     /// Stage 1 — sense: one telemetry pull; returns whether the metadata
@@ -456,12 +469,13 @@ impl WarehouseOptimizer {
             suspended: desc.is_suspended,
             slider: self.setup.slider,
         };
-        let mut mask = MaskTrace::new(&self.setup.constraints, &desc.config, ctx.now);
+        let buffer = std::mem::take(&mut self.cause_buffer);
+        let mut mask = MaskTrace::new(&self.setup.constraints, &desc.config, ctx.now, buffer);
 
         // Auto-suspend is owned by the analytic optimizer; the policy keeps
         // size and parallelism (and SuspendNow for mid-interval idleness).
-        mask.disallow(AgentAction::AutoSuspendUp, "owner:auto-suspend-optimizer");
-        mask.disallow(AgentAction::AutoSuspendDown, "owner:auto-suspend-optimizer");
+        mask.disallow(AgentAction::AutoSuspendUp, Guard::OwnerAutoSuspend);
+        mask.disallow(AgentAction::AutoSuspendDown, Guard::OwnerAutoSuspend);
 
         let mut fallback = None;
         if gate == Gate::StaleFallback {
@@ -474,7 +488,7 @@ impl WarehouseOptimizer {
                 AgentAction::ClustersDown,
                 AgentAction::SuspendNow,
             ] {
-                mask.disallow(a, "health:stale-telemetry");
+                mask.disallow(a, Guard::StaleTelemetry);
             }
             fallback = Some(self.fallback.decide(&state, &mask.mask, &mut self.ctl.rng));
         } else {
@@ -517,7 +531,7 @@ impl WarehouseOptimizer {
                 AgentAction::AutoSuspendDown,
                 AgentAction::SuspendNow,
             ] {
-                mask.disallow(a, "C4:perf-unhealthy");
+                mask.disallow(a, Guard::PerfUnhealthy);
             }
             return;
         }
@@ -531,7 +545,7 @@ impl WarehouseOptimizer {
         if (!has_load_evidence || desc.is_suspended) && !above_original {
             // Stepping back down toward the customer's own size is
             // always safe; going *below* it needs evidence.
-            mask.disallow(AgentAction::SizeDown, "no-load-evidence");
+            mask.disallow(AgentAction::SizeDown, Guard::NoLoadEvidence);
         }
         // Analytic size floor from the learned latency scaler (§5.2):
         // each size step down multiplies latency by 2^(-slope); the
@@ -546,7 +560,7 @@ impl WarehouseOptimizer {
             .index()
             .saturating_sub(steps_below);
         if desc.config.size.index() <= floor_idx {
-            mask.disallow(AgentAction::SizeDown, "slider-floor");
+            mask.disallow(AgentAction::SizeDown, Guard::SliderFloor);
         }
         // Cost guardrail (the flip side of C4): while performance is
         // fine, never provision beyond the customer's own original
@@ -554,13 +568,13 @@ impl WarehouseOptimizer {
         // reserved for actual pressure.
         let orig = &self.original_config;
         if desc.config.size >= orig.size {
-            mask.disallow(AgentAction::SizeUp, "cost-guardrail");
+            mask.disallow(AgentAction::SizeUp, Guard::CostGuardrail);
         }
         if desc.config.max_clusters >= orig.max_clusters {
-            mask.disallow(AgentAction::ClustersUp, "cost-guardrail");
+            mask.disallow(AgentAction::ClustersUp, Guard::CostGuardrail);
         }
         if desc.config.auto_suspend_ms >= orig.auto_suspend_ms {
-            mask.disallow(AgentAction::AutoSuspendUp, "cost-guardrail");
+            mask.disallow(AgentAction::AutoSuspendUp, Guard::CostGuardrail);
         }
     }
 
@@ -624,14 +638,14 @@ impl WarehouseOptimizer {
             if action != AgentAction::NoOp {
                 self.act(sim, current, Move::Action(action), reason);
             }
-            (format!("{action:?}"), reason)
+            (Chosen::Action(action), reason)
         } else if ctx.rts.should_back_off {
             self.back_off(sim, ctx, &plan.mask)
         } else {
             self.follow_policy(sim, current, plan.state_vec, &plan.mask)
         };
         Decision {
-            mask: plan.mask.entries(),
+            mask: Some(plan.mask),
             chosen,
             reason,
             reward,
@@ -647,7 +661,7 @@ impl WarehouseOptimizer {
         sim: &mut Simulator,
         ctx: &TickCtx,
         mask: &MaskTrace,
-    ) -> (String, &'static str) {
+    ) -> (Chosen, &'static str) {
         let (current, rts) = (&ctx.desc.config, &ctx.rts);
         let has_more_capacity =
             |c: &WarehouseConfig| c.size > current.size || c.max_clusters > current.max_clusters;
@@ -689,13 +703,13 @@ impl WarehouseOptimizer {
                 let reason = Override::BackoffRollback.as_str();
                 let mv = Move::Commands(&cmds, LogEntryKind::Rollback);
                 self.act(sim, current, mv, reason);
-                (format!("Rollback(to {:?})", good.size), reason)
+                (Chosen::Rollback(good.size), reason)
             }
             None => {
                 let action = backoff_action(rts, &mask.mask, self.ctl.last_action);
                 let reason = Override::Backoff.as_str();
                 self.act(sim, current, Move::Action(action), reason);
-                (format!("{action:?}"), reason)
+                (Chosen::Action(action), reason)
             }
         };
         // Back-off is a monitoring override, not a policy choice; no
@@ -716,7 +730,7 @@ impl WarehouseOptimizer {
         current: &WarehouseConfig,
         state_vec: Vec<f64>,
         mask: &MaskTrace,
-    ) -> (String, &'static str) {
+    ) -> (Chosen, &'static str) {
         let streak_needed = (HOUR_MS / self.setup.realtime_interval_ms.max(1)).max(1) as u32;
         let decay = self.ctl.healthy_streak >= streak_needed;
         let (orig, policy) = (&self.original_config, Gate::Optimize.as_str());
@@ -737,7 +751,7 @@ impl WarehouseOptimizer {
             self.ctl.last_action = Some(action);
         }
         self.ctl.prev_state = Some((state_vec, action.index()));
-        (format!("{action:?}"), reason)
+        (Chosen::Action(action), reason)
     }
 
     /// The one actuation path: apply the move from `current`, record the
@@ -760,17 +774,14 @@ impl WarehouseOptimizer {
         self.ctl.expected_config = sim.account().describe(self.wh).config;
     }
 
-    /// Appends the tick's decision event. Pure bookkeeping: reads values
-    /// the stages already computed and never feeds back. Features are
-    /// sanitized so the JSONL export never carries NaN/Inf.
+    /// Appends the tick's decision record. Pure bookkeeping: copies values
+    /// the stages already computed and never feeds back.
     fn record_decision(&mut self, ctx: &TickCtx, decision: Decision) {
         let (config, rts) = (&ctx.desc.config, &ctx.rts);
-        self.trace.record(DecisionEvent {
+        let record = Record {
             t_ms: ctx.now,
-            hour: ctx.now / HOUR_MS,
-            warehouse: self.name.clone(),
-            health: ctx.health.to_string(),
-            size: format!("{:?}", config.size),
+            health: ctx.health,
+            size: config.size,
             min_clusters: config.min_clusters,
             max_clusters: config.max_clusters,
             auto_suspend_ms: config.auto_suspend_ms,
@@ -783,13 +794,19 @@ impl WarehouseOptimizer {
                 queue_depth: rts.queue_depth,
                 load_zscore: rts.load_zscore,
                 latency_ratio: rts.latency_ratio,
-            }
-            .sanitized(),
-            mask: decision.mask,
+            },
+            mask: decision.mask.as_ref().map(|m| m.mask),
             chosen: decision.chosen,
-            reason: decision.reason.to_string(),
+            reason: decision.reason,
             reward: decision.reward,
-        });
+        };
+        match decision.mask {
+            Some(mask) => {
+                self.ring.push(record, &mask.causes);
+                self.cause_buffer = mask.causes;
+            }
+            None => self.ring.push(record, &[]),
+        }
     }
 }
 
@@ -836,6 +853,7 @@ fn is_capacity_increasing(a: AgentAction) -> bool {
 mod tests {
     use super::*;
     use crate::orchestrator::KwoSetup;
+    use agent::{Rule, RuleEffect, TimeWindow};
     use cdw_sim::{Account, WarehouseSize, MINUTE_MS};
     use telemetry::WindowFeatures;
 
@@ -928,10 +946,10 @@ mod tests {
         (o, ctx)
     }
 
-    fn reasons(plan: &Plan, action: AgentAction) -> Vec<String> {
-        let entry = &plan.mask.entries()[action.index()];
-        assert!(!entry.allowed, "{action:?} should be masked");
-        entry.reasons.clone()
+    fn causes(plan: &Plan, action: AgentAction) -> Vec<Cause> {
+        assert!(!plan.mask.allows(action), "{action:?} should be masked");
+        let own = plan.mask.causes.iter().filter(|c| c.action == action);
+        own.map(|c| c.cause).collect()
     }
 
     #[test]
@@ -942,14 +960,16 @@ mod tests {
         let (mut o, ctx) = optimizer_and_ctx();
         let plan = o.decide(&ctx, Gate::Optimize);
         for a in [AutoSuspendUp, AutoSuspendDown] {
-            assert_eq!(reasons(&plan, a), ["owner:auto-suspend-optimizer"]);
+            assert_eq!(causes(&plan, a), [Cause::Guard(Guard::OwnerAutoSuspend)]);
         }
         for a in [SizeUp, ClustersUp] {
-            assert_eq!(reasons(&plan, a), ["cost-guardrail"]);
+            assert_eq!(causes(&plan, a), [Cause::Guard(Guard::CostGuardrail)]);
         }
         // The untrained latency model tolerates no step below the original.
-        assert_eq!(reasons(&plan, SizeDown), ["slider-floor"]);
+        assert_eq!(causes(&plan, SizeDown), [Cause::Guard(Guard::SliderFloor)]);
         assert!(plan.mask.allows(ClustersDown) && plan.fallback.is_none());
+        // Allowed actions have no cause; every cause belongs to a masked one.
+        assert_eq!(plan.mask.causes.len(), 5);
         assert_eq!(o.ctl.last_good_config.as_ref(), Some(&ctx.desc.config));
         assert_eq!(o.ctl.healthy_streak, 1);
 
@@ -957,8 +977,8 @@ mod tests {
         let (mut o, mut idle) = optimizer_and_ctx();
         idle.rts.window.arrivals = 0;
         assert_eq!(
-            reasons(&o.decide(&idle, Gate::Optimize), SizeDown),
-            ["no-load-evidence"]
+            causes(&o.decide(&idle, Gate::Optimize), SizeDown),
+            [Cause::Guard(Guard::NoLoadEvidence)]
         );
 
         // Behind on performance: nothing that removes capacity (C4).
@@ -966,7 +986,7 @@ mod tests {
         slow.rts.latency_ratio = 9.0;
         let plan = o.decide(&slow, Gate::Optimize);
         for a in [SizeDown, ClustersDown, SuspendNow] {
-            assert_eq!(reasons(&plan, a), ["C4:perf-unhealthy"]);
+            assert_eq!(causes(&plan, a), [Cause::Guard(Guard::PerfUnhealthy)]);
         }
         assert!(plan.mask.allows(SizeUp), "capacity may still be added");
         assert_eq!(o.ctl.last_good_config, None);
@@ -978,8 +998,70 @@ mod tests {
         stale.health = HealthState::Degraded(DegradeReason::StaleTelemetry);
         let plan = o.decide(&stale, Gate::StaleFallback);
         for a in [SizeDown, ClustersDown, SuspendNow] {
-            assert_eq!(reasons(&plan, a), ["health:stale-telemetry"]);
+            assert_eq!(causes(&plan, a), [Cause::Guard(Guard::StaleTelemetry)]);
         }
         assert!(plan.fallback.is_some());
+
+        // The customer's rules and inapplicability come first: an action
+        // they mask keeps those causes, all of them, and gains no guard's.
+        let (mut o, mut ruled) = optimizer_and_ctx();
+        for (name, effect) in [
+            ("no-naps", RuleEffect::NoSuspend),
+            ("keep-big", RuleEffect::NoDownsize),
+            ("floor", RuleEffect::MinSize(WarehouseSize::Large)),
+        ] {
+            o.add_constraint(Rule::new(name, TimeWindow::always(), effect));
+        }
+        let plan = o.decide(&ruled, Gate::Optimize);
+        assert_eq!(causes(&plan, SizeDown), [Cause::Rule(1), Cause::Rule(2)]);
+        for a in [AutoSuspendDown, SuspendNow] {
+            assert_eq!(causes(&plan, a), [Cause::Rule(0)]);
+        }
+        ruled.desc.config.size = WarehouseSize::XSmall;
+        let plan = o.decide(&ruled, Gate::Optimize);
+        assert_eq!(
+            causes(&plan, SizeDown),
+            [Cause::Inapplicable, Cause::Rule(2)]
+        );
+    }
+
+    #[test]
+    fn a_later_rule_renames_no_recorded_cause() {
+        use AgentAction::SizeDown;
+        let rule = |name: &str| Rule::new(name, TimeWindow::always(), RuleEffect::NoDownsize);
+        let (mut o, mut ctx) = optimizer_and_ctx();
+        let tick = |o: &mut WarehouseOptimizer, ctx: &TickCtx| {
+            let plan = o.decide(ctx, Gate::Optimize);
+            let decision = Decision {
+                mask: Some(plan.mask),
+                chosen: Chosen::Action(AgentAction::NoOp),
+                reason: Gate::Optimize.as_str(),
+                reward: None,
+            };
+            o.record_decision(ctx, decision);
+        };
+        o.add_constraint(rule("keep-big"));
+        tick(&mut o, &ctx);
+        let before = o.trace();
+        o.add_constraint(rule("month-end"));
+        ctx.now += HOUR_MS;
+        tick(&mut o, &ctx);
+
+        let after = o.trace();
+        assert_eq!((o.trace_len(), after.len(), after.dropped()), (2, 2, 0));
+        let events: Vec<_> = after.events().collect();
+        assert_eq!(
+            Some(events[0]),
+            before.events().next(),
+            "the first event reads as it did"
+        );
+        let size_down = |e: &keebo_obs::DecisionEvent| e.mask[SizeDown.index()].reasons.clone();
+        assert_eq!(size_down(events[0]), ["constraint:keep-big"]);
+        assert_eq!(
+            size_down(events[1]),
+            ["constraint:keep-big", "constraint:month-end"]
+        );
+        assert_eq!((events[0].hour, events[1].hour), (30, 31));
+        assert!(events.iter().all(|e| e.warehouse == "WH"));
     }
 }

@@ -9,10 +9,11 @@
 //!   threads concurrently. A process-global registry ([`global`]) lets deep
 //!   call sites (billing, replay, actuation) record without plumbing a
 //!   handle through every constructor.
-//! - [`DecisionTrace`]: a bounded ring buffer of per-control-tick
+//! - [`DecisionTrace`]: the export schema of an optimizer's per-control-tick
 //!   [`DecisionEvent`]s — observed state features, the full action mask with
 //!   per-action masking reasons, the chosen action, and the reward — enough
-//!   to answer "why did WH_A downsize at hour 412?".
+//!   to answer "why did WH_A downsize at hour 412?". The optimizer keeps the
+//!   bounded ring itself, as plain data, and renders one of these on read.
 //! - Exporters: [`prometheus_text`] renders a registry snapshot in the
 //!   Prometheus text exposition format; [`DecisionTrace::to_jsonl`] emits
 //!   one JSON object per event.

@@ -1,17 +1,17 @@
-//! Decision trace: a bounded ring buffer of per-control-tick events.
+//! Decision trace: the export schema of per-control-tick events.
 //!
-//! Every orchestrator tick appends one [`DecisionEvent`] capturing what the
-//! controller saw (state features), what it was allowed to do (the action
-//! mask with per-action masking reasons), what it chose, and the reward it
-//! received for its previous action. The buffer is bounded so a fleet-scale
-//! run cannot grow without bound; once full, the oldest events are dropped
-//! (and counted).
+//! Every orchestrator tick leaves one record of what the controller saw
+//! (state features), what it was allowed to do (the action mask with
+//! per-action masking reasons), what it chose, and the reward it received
+//! for its previous action. On the tick path that record is plain data in a
+//! bounded ring owned by the optimizer; a [`DecisionTrace`] is what a reader
+//! gets when it asks — the ring's events rendered as [`DecisionEvent`]s,
+//! with the count of older ones the ring has already evicted.
 
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Observed state features snapshot for one tick.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceFeatures {
     pub arrival_rate_per_hour: f64,
     pub mean_latency_ms: f64,
@@ -84,26 +84,18 @@ pub struct DecisionEvent {
     pub reward: Option<f64>,
 }
 
-/// Bounded ring buffer of [`DecisionEvent`]s. A capacity of 0 disables
-/// recording entirely.
+/// A rendered read of one optimizer's decision ring, oldest event first.
 #[derive(Debug, Clone, Default)]
 pub struct DecisionTrace {
-    capacity: usize,
-    events: VecDeque<DecisionEvent>,
+    events: Vec<DecisionEvent>,
     dropped: u64,
 }
 
 impl DecisionTrace {
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            events: VecDeque::with_capacity(capacity.min(4096)),
-            dropped: 0,
-        }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// `events` oldest first; `dropped` older ones were evicted before the
+    /// read.
+    pub fn new(events: Vec<DecisionEvent>, dropped: u64) -> Self {
+        Self { events, dropped }
     }
 
     pub fn len(&self) -> usize {
@@ -117,19 +109,6 @@ impl DecisionTrace {
     /// Events evicted to stay within capacity.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Appends an event, evicting the oldest when full. No-op when
-    /// capacity is 0.
-    pub fn record(&mut self, event: DecisionEvent) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event);
     }
 
     /// Oldest-to-newest iteration.
@@ -205,31 +184,8 @@ mod tests {
     }
 
     #[test]
-    fn ring_buffer_evicts_oldest() {
-        let mut tr = DecisionTrace::new(2);
-        tr.record(event(0, "NoOp"));
-        tr.record(event(1, "SizeUp"));
-        tr.record(event(2, "SizeDown"));
-        assert_eq!(tr.len(), 2);
-        assert_eq!(tr.dropped(), 1);
-        let ts: Vec<u64> = tr.events().map(|e| e.t_ms).collect();
-        assert_eq!(ts, vec![1, 2]);
-    }
-
-    #[test]
-    fn zero_capacity_records_nothing() {
-        let mut tr = DecisionTrace::new(0);
-        tr.record(event(0, "NoOp"));
-        assert!(tr.is_empty());
-        assert_eq!(tr.dropped(), 0);
-        assert_eq!(tr.to_jsonl(), "");
-    }
-
-    #[test]
     fn jsonl_round_trips() {
-        let mut tr = DecisionTrace::new(8);
-        tr.record(event(0, "NoOp"));
-        tr.record(event(3_600_000, "SizeDown"));
+        let tr = DecisionTrace::new(vec![event(0, "NoOp"), event(3_600_000, "SizeDown")], 0);
         let text = tr.to_jsonl();
         assert_eq!(text.lines().count(), 2);
         let parsed = DecisionTrace::parse_jsonl(&text).expect("parses back");
@@ -239,10 +195,12 @@ mod tests {
 
     #[test]
     fn events_at_hour_filters() {
-        let mut tr = DecisionTrace::new(8);
-        tr.record(event(0, "NoOp"));
-        tr.record(event(3_600_000, "SizeDown"));
-        tr.record(event(3_600_001, "NoOp"));
+        let events = vec![
+            event(0, "NoOp"),
+            event(3_600_000, "SizeDown"),
+            event(3_600_001, "NoOp"),
+        ];
+        let tr = DecisionTrace::new(events, 0);
         assert_eq!(tr.events_at_hour(1).len(), 2);
         assert_eq!(tr.events_at_hour(0).len(), 1);
         assert!(tr.events_at_hour(412).is_empty());

@@ -123,6 +123,16 @@ impl TelemetryStore {
             .unwrap_or_default()
     }
 
+    /// Forgets `warehouse`'s events before `cursor` (an event at `cursor`
+    /// stays). For a reader that only ever asks [`TelemetryStore::events_in`]
+    /// from a cursor onward, so that a long-running process does not keep
+    /// every event it has ever seen.
+    pub fn prune_events_before(&mut self, warehouse: &str, cursor: SimTime) {
+        if let Some(v) = self.events.get_mut(warehouse) {
+            v.drain(..v.partition_point(|e| e.at < cursor));
+        }
+    }
+
     /// Total stored query records (diagnostics).
     pub fn total_queries(&self) -> usize {
         self.queries.values().map(Vec::len).sum()
@@ -187,11 +197,10 @@ mod tests {
         assert_eq!(b.total_queries(), 2);
     }
 
-    #[test]
-    fn out_of_order_event_ingest_is_resorted() {
+    fn ev(warehouse: &str, at: SimTime) -> WarehouseEventRecord {
         use cdw_sim::{ActionSource, WarehouseEventKind};
-        let ev = |at: SimTime| WarehouseEventRecord {
-            warehouse: "A".into(),
+        WarehouseEventRecord {
+            warehouse: warehouse.into(),
             at,
             kind: WarehouseEventKind::Resumed,
             source: ActionSource::External,
@@ -201,7 +210,49 @@ mod tests {
             min_clusters: 1,
             max_clusters: 1,
             scaling_policy: Default::default(),
+        }
+    }
+
+    #[test]
+    fn pruning_keeps_the_cursor_and_everything_after_it() {
+        let ats = |s: &TelemetryStore, wh: &str| -> Vec<SimTime> {
+            s.events_in(wh, 0, SimTime::MAX)
+                .iter()
+                .map(|e| e.at)
+                .collect()
         };
+        let mut s = TelemetryStore::new();
+        s.ingest_events(&[
+            ev("A", 100),
+            ev("A", 200),
+            ev("A", 200),
+            ev("B", 50),
+            ev("A", 300),
+        ]);
+        s.prune_events_before("A", 200);
+        assert_eq!(
+            ats(&s, "A"),
+            [200, 200, 300],
+            "an event on the cursor is kept"
+        );
+        assert_eq!(ats(&s, "B"), [50], "other warehouses are not touched");
+        // A batch delivered late (a partial fetch's remainder) sorts in
+        // behind what is kept, and the next prune takes what is stale of it.
+        s.ingest_events(&[ev("A", 250), ev("A", 150), ev("A", 350)]);
+        assert_eq!(ats(&s, "A"), [150, 200, 200, 250, 300, 350]);
+        s.prune_events_before("A", 250);
+        assert_eq!(ats(&s, "A"), [250, 300, 350]);
+        // Idempotent, total, and a no-op for a warehouse never seen.
+        s.prune_events_before("A", 250);
+        s.prune_events_before("C", 1_000);
+        assert_eq!(ats(&s, "A"), [250, 300, 350]);
+        s.prune_events_before("A", SimTime::MAX);
+        assert!(ats(&s, "A").is_empty());
+    }
+
+    #[test]
+    fn out_of_order_event_ingest_is_resorted() {
+        let ev = |at: SimTime| ev("A", at);
         let mut s = TelemetryStore::new();
         s.ingest_events(&[ev(300), ev(100), ev(200)]);
         s.ingest_events(&[ev(150)]);

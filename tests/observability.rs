@@ -2,12 +2,22 @@
 //! run must yield a complete, explainable, JSONL-round-trippable decision
 //! trace, and the metrics registry must capture the decision path end to end.
 
-use cdw_sim::{Account, Simulator, WarehouseConfig, WarehouseSize, DAY_MS, MINUTE_MS};
-use keebo::{generate_trace, DecisionTrace, KwoSetup, Orchestrator};
+use cdw_sim::{
+    Account, ActionSource, FaultPlan, Simulator, WarehouseCommand, WarehouseConfig, WarehouseSize,
+    DAY_MS, HOUR_MS, MINUTE_MS,
+};
+use keebo::{
+    generate_trace, ConstraintSet, DecisionTrace, KwoSetup, Orchestrator, Rule, RuleEffect,
+    TimeWindow,
+};
 use workload::BiWorkload;
 
 /// Runs the standard scenario: observe week one, onboard, optimize week two
-/// at a 30-minute control cadence.
+/// at a 30-minute control cadence. Week two is eventful on purpose, so the
+/// trace holds every shape a line can take: two overlapping evening rules
+/// (one action masked by both), a telemetry outage (stale-telemetry
+/// fallback), an `ALTER` outage (mid-repair, then frozen) and an admin's
+/// resize behind KWO's back (revert, pause).
 fn optimized_two_weeks() -> (Orchestrator, Simulator) {
     let mut account = Account::new();
     let wh = account.create_warehouse(
@@ -16,7 +26,10 @@ fn optimized_two_weeks() -> (Orchestrator, Simulator) {
             .with_auto_suspend_secs(1800)
             .with_clusters(1, 2),
     );
-    let mut sim = Simulator::new(account);
+    let faults = FaultPlan::none()
+        .with_telemetry_outage(9 * DAY_MS, 9 * DAY_MS + 5 * HOUR_MS)
+        .with_alter_burst(11 * DAY_MS + 9 * HOUR_MS, 11 * DAY_MS + 17 * HOUR_MS, 1.0);
+    let mut sim = Simulator::with_faults(account, faults, 42);
     for q in generate_trace(&BiWorkload::default(), 0, 14 * DAY_MS, 42) {
         sim.submit_query(wh, q);
     }
@@ -28,13 +41,67 @@ fn optimized_two_weeks() -> (Orchestrator, Simulator) {
             realtime_interval_ms: 30 * MINUTE_MS,
             onboarding_episodes: 2,
             refresh_episodes: 0,
+            constraints: ConstraintSet::new()
+                .with_rule(Rule::new(
+                    "evening-reports",
+                    TimeWindow::daily(17.0, 23.0),
+                    RuleEffect::NoSuspend,
+                ))
+                .with_rule(Rule::new(
+                    "late-suspend-floor",
+                    TimeWindow::daily(20.0, 23.0),
+                    RuleEffect::MinAutoSuspendMs(30 * MINUTE_MS),
+                )),
             ..KwoSetup::default()
         },
     );
     kwo.observe_until(&mut sim, 7 * DAY_MS);
     kwo.onboard(&mut sim);
+    kwo.run_until(&mut sim, 13 * DAY_MS);
+    sim.alter_warehouse(
+        wh,
+        WarehouseCommand::SetSize(WarehouseSize::XLarge),
+        ActionSource::External,
+    )
+    .expect("no fault window covers day 13");
     kwo.run_until(&mut sim, 14 * DAY_MS);
     (kwo, sim)
+}
+
+#[test]
+fn exported_trace_is_pinned_byte_for_byte() {
+    let (kwo, _sim) = optimized_two_weeks();
+    let jsonl = kwo.optimizer("BI_WH").expect("managed").trace().to_jsonl();
+    // The pin is only worth its scenario: every kind of line is in it.
+    for needle in [
+        r#""reason":"policy""#,
+        r#""reason":"backoff""#,
+        r#""reason":"backoff-rollback""#,
+        r#""reason":"capacity-decay""#,
+        r#""reason":"degraded-fallback""#,
+        r#""reason":"degraded:mid-repair""#,
+        r#""reason":"frozen""#,
+        r#""reason":"paused:external-change""#,
+        r#""reason":"paused""#,
+        r#""chosen":"Rollback(to Large)""#,
+        r#""health":"degraded (stale telemetry)""#,
+        r#""health":"degraded (actuation failures)""#,
+        r#""health":"frozen""#,
+        r#""mask":[]"#,
+        r#""reasons":["inapplicable"]"#,
+        r#""reasons":["health:stale-telemetry"]"#,
+        r#""reasons":["constraint:evening-reports"]"#,
+        r#""reasons":["constraint:evening-reports","constraint:late-suspend-floor"]"#,
+        r#""reasons":["inapplicable","constraint:late-suspend-floor"]"#,
+    ] {
+        assert!(jsonl.contains(needle), "no line with {needle}");
+    }
+    // Written by the commit before the trace became plain data: the hash
+    // is of strings that commit formatted on the tick path.
+    assert_eq!(jsonl.lines().count(), 336);
+    // FNV-1a of the text: a hash pins it without committing 300 KB of JSONL.
+    let hash = telemetry::hash_query_text(&jsonl);
+    assert_eq!(hash, 0xc828_e10c_41ef_93d5, "the export moved");
 }
 
 #[test]
@@ -106,8 +173,8 @@ fn two_week_run_traces_every_decision_and_round_trips() {
             );
         }
 
-        // Features were sanitized at record time: everything is finite, so
-        // the JSONL export cannot contain nulls.
+        // Features are sanitized when the trace is rendered: everything is
+        // finite, so the JSONL export cannot contain nulls.
         for v in [
             e.features.arrival_rate_per_hour,
             e.features.mean_latency_ms,
