@@ -101,17 +101,20 @@ pub fn reconstruct_specs(records: &[QueryRecord], scaler: &LatencyScaler) -> Vec
 /// configuration with no agent actions (the performance baseline the reward
 /// compares against).
 pub fn baseline_p99(specs: &[QuerySpec], config: &WarehouseConfig) -> f64 {
-    let (records, _) = rollout_static(specs, config);
-    let lats: Vec<f64> = records
+    let (sim, _) = rollout_static(specs, config);
+    let lats: Vec<f64> = sim
+        .account()
+        .query_records()
         .iter()
         .map(|r| r.total_latency_ms() as f64)
         .collect();
     percentile(&lats, 99.0)
 }
 
-/// Runs the workload under a fixed configuration, returning (records,
-/// total credits).
-fn rollout_static(specs: &[QuerySpec], config: &WarehouseConfig) -> (Vec<QueryRecord>, f64) {
+/// Runs the workload under a fixed configuration, returning the finished
+/// simulator (whose account holds the query records, read in place) and the
+/// total credits.
+fn rollout_static(specs: &[QuerySpec], config: &WarehouseConfig) -> (Simulator, f64) {
     let mut account = Account::new();
     let wh = account.create_warehouse("TRAIN", config.clone());
     let mut sim = Simulator::new(account);
@@ -123,7 +126,7 @@ fn rollout_static(specs: &[QuerySpec], config: &WarehouseConfig) -> (Vec<QueryRe
     // Accrued (not just ledgered) credits: a warehouse that never suspends
     // has an open billing session whose cost must still count.
     let credits = sim.account().accrued_credits(wh, horizon);
-    (sim.account().query_records().to_vec(), credits)
+    (sim, credits)
 }
 
 /// Trains `agent` by rolling out `episodes` passes over the workload.
@@ -323,8 +326,8 @@ mod tests {
     #[test]
     fn rollout_static_executes_every_query() {
         let specs = sparse_specs();
-        let (records, credits) = rollout_static(&specs, &big_idle_config());
-        assert_eq!(records.len(), specs.len());
+        let (sim, credits) = rollout_static(&specs, &big_idle_config());
+        assert_eq!(sim.account().query_records().len(), specs.len());
         assert!(credits > 0.0);
     }
 

@@ -8,7 +8,7 @@
 //! during the training period (with a global fallback), which is exactly
 //! the "identical or at least similar queries" lookup of §5.2.
 
-use cdw_sim::{QueryRecord, QuerySpec, SimTime, WarehouseConfig, WarehouseSize};
+use cdw_sim::{QueryRecord, QuerySpec, SimTime, WarehouseConfig, WarehouseName, WarehouseSize};
 use costmodel::LatencyScaler;
 use std::collections::BTreeMap;
 
@@ -78,6 +78,7 @@ impl TemplateExecEstimator {
         scaler: &LatencyScaler,
         warehouse: &str,
     ) -> Vec<QueryRecord> {
+        let warehouse = WarehouseName::from(warehouse);
         specs
             .iter()
             .map(|s| {
@@ -87,7 +88,7 @@ impl TemplateExecEstimator {
                     .max(1.0) as SimTime;
                 QueryRecord {
                     query_id: s.id,
-                    warehouse: warehouse.to_string(),
+                    warehouse: warehouse.clone(),
                     size: config.size,
                     cluster_count: 1,
                     text_hash: s.text_hash,

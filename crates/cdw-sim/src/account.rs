@@ -4,7 +4,9 @@
 use crate::api::{AlterError, WarehouseCommand};
 use crate::billing::BillingLedger;
 use crate::config::WarehouseConfig;
-use crate::records::{ActionSource, QueryRecord, WarehouseEventKind, WarehouseEventRecord};
+use crate::records::{
+    ActionSource, QueryRecord, WarehouseEventKind, WarehouseEventRecord, WarehouseName,
+};
 use crate::time::SimTime;
 use crate::warehouse::{Warehouse, WhContext, WhEvent};
 use std::collections::BTreeMap;
@@ -25,7 +27,7 @@ impl WarehouseId {
 /// as a monitoring component would read it via `SHOW WAREHOUSES`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarehouseDescription {
-    pub name: String,
+    pub name: WarehouseName,
     pub config: WarehouseConfig,
     pub is_suspended: bool,
     pub running_clusters: u32,
@@ -37,7 +39,7 @@ pub struct WarehouseDescription {
 #[derive(Debug, Default)]
 pub struct Account {
     warehouses: Vec<Warehouse>,
-    by_name: BTreeMap<String, WarehouseId>,
+    by_name: BTreeMap<WarehouseName, WarehouseId>,
     ledger: BillingLedger,
     query_records: Vec<QueryRecord>,
     event_records: Vec<WarehouseEventRecord>,
@@ -78,11 +80,13 @@ impl Account {
             "warehouse {name} already exists"
         );
         let id = WarehouseId(self.warehouses.len());
-        let wh = Warehouse::new(name, config);
+        // The warehouse's one name allocation: every record shares it.
+        let name = WarehouseName::from(name);
+        let wh = Warehouse::new(name.clone(), config);
         self.warehouses.push(wh);
-        self.by_name.insert(name.to_string(), id);
+        self.by_name.insert(name.clone(), id);
         self.event_records.push(WarehouseEventRecord {
-            warehouse: name.to_string(),
+            warehouse: name,
             at: 0,
             kind: WarehouseEventKind::Created,
             source: ActionSource::External,
@@ -155,7 +159,7 @@ impl Account {
     pub fn describe(&self, id: WarehouseId) -> WarehouseDescription {
         let wh = &self.warehouses[id.0];
         WarehouseDescription {
-            name: wh.name().to_string(),
+            name: wh.name().clone(),
             config: wh.config().clone(),
             is_suspended: matches!(wh.state(), crate::warehouse::WarehouseState::Suspended),
             running_clusters: wh.running_clusters(),

@@ -221,6 +221,16 @@ pub struct SessionRecord {
     pub end: SimTime,
 }
 
+/// Applies `f` to `map[key]`, inserting `V::default()` first on a miss: the
+/// key is copied into the map only then, where `entry(key.to_string())`
+/// copies it on every call.
+fn with_slot<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(v) => f(v),
+        None => f(map.entry(key.to_string()).or_default()),
+    }
+}
+
 /// Account-wide billing ledger: one [`HourlyCredits`] per warehouse name,
 /// plus a separate overhead category for metadata/actuation queries (this
 /// separation is what Fig. 6 of the paper plots).
@@ -244,14 +254,12 @@ impl BillingLedger {
         start: SimTime,
         end: SimTime,
     ) {
-        self.per_warehouse
-            .entry(warehouse.to_string())
-            .or_default()
-            .add_session(size, start, end);
-        self.sessions
-            .entry(warehouse.to_string())
-            .or_default()
-            .push(SessionRecord { size, start, end });
+        with_slot(&mut self.per_warehouse, warehouse, |h| {
+            h.add_session(size, start, end)
+        });
+        with_slot(&mut self.sessions, warehouse, |s| {
+            s.push(SessionRecord { size, start, end })
+        });
     }
 
     /// Records overhead credits (telemetry fetch, actuator commands).

@@ -69,7 +69,9 @@ pub use config::WarehouseConfig;
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultStats, FaultWindow, TelemetryFault};
 pub use policy::ScalingPolicy;
 pub use query::{QuerySpec, QuerySpecBuilder};
-pub use records::{ActionSource, QueryRecord, WarehouseEventKind, WarehouseEventRecord};
+pub use records::{
+    ActionSource, QueryRecord, WarehouseEventKind, WarehouseEventRecord, WarehouseName,
+};
 pub use sim::{PostEventHook, Simulator};
 pub use size::WarehouseSize;
 pub use time::{SimTime, DAY_MS, HOUR_MS, MINUTE_MS, SECOND_MS};

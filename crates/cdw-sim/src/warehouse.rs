@@ -15,7 +15,9 @@ use crate::config::WarehouseConfig;
 use crate::exec::execution_ms;
 use crate::policy::ScalingPolicy;
 use crate::query::QuerySpec;
-use crate::records::{ActionSource, QueryRecord, WarehouseEventKind, WarehouseEventRecord};
+use crate::records::{
+    ActionSource, QueryRecord, WarehouseEventKind, WarehouseEventRecord, WarehouseName,
+};
 use crate::size::WarehouseSize;
 use crate::time::SimTime;
 use keebo_obs::Histogram;
@@ -100,7 +102,7 @@ struct QueuedQuery {
 /// A virtual warehouse.
 #[derive(Debug)]
 pub struct Warehouse {
-    name: String,
+    name: WarehouseName,
     config: WarehouseConfig,
     state: WarehouseState,
     clusters: Vec<Cluster>,
@@ -130,7 +132,7 @@ impl Warehouse {
     ///
     /// # Panics
     /// Panics if the configuration is invalid.
-    pub fn new(name: impl Into<String>, config: WarehouseConfig) -> Self {
+    pub fn new(name: impl Into<WarehouseName>, config: WarehouseConfig) -> Self {
         config
             .validate()
             // lint: allow(D5) — documented panicking constructor; validate() is the fallible path
@@ -155,7 +157,8 @@ impl Warehouse {
 
     // ---- accessors -------------------------------------------------------
 
-    pub fn name(&self) -> &str {
+    /// The name, as the handle every record of this warehouse shares.
+    pub fn name(&self) -> &WarehouseName {
         &self.name
     }
 

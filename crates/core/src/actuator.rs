@@ -12,6 +12,7 @@
 use agent::AgentAction;
 use cdw_sim::{
     ActionSource, AlterError, SimTime, Simulator, WarehouseCommand, WarehouseConfig, WarehouseId,
+    WarehouseName,
 };
 use serde::{Deserialize, Serialize};
 
@@ -61,13 +62,17 @@ pub enum LogEntryKind {
 
 /// One entry in the action log — this is what the web portal's "real-time
 /// actions taken on each warehouse" view renders (§4.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Each SQL statement is stored once, in its [`CommandOutcome`];
+/// [`ActionLogEntry::sql`] lists them. The JSON form still carries the
+/// `"sql"` array after `action` (see the `Serialize` impl), and reading one
+/// back ignores it.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct ActionLogEntry {
     pub at: SimTime,
-    pub warehouse: String,
+    /// The warehouse's shared name handle (see [`WarehouseName`]).
+    pub warehouse: WarehouseName,
     pub action: AgentAction,
-    /// The SQL the action translated to.
-    pub sql: Vec<String>,
     pub outcome: ActionOutcome,
     /// Why the action was chosen ("policy", "backoff", "external-revert").
     pub reason: String,
@@ -75,6 +80,43 @@ pub struct ActionLogEntry {
     pub kind: LogEntryKind,
     /// Outcome of each individual command, in execution order.
     pub commands: Vec<CommandOutcome>,
+}
+
+impl ActionLogEntry {
+    /// The SQL the action translated to, in execution order.
+    pub fn sql(&self) -> impl Iterator<Item = &str> {
+        self.commands.iter().map(|c| c.sql.as_str())
+    }
+}
+
+/// Field by field, in the order the entry has always been written, with the
+/// `"sql"` array derived from `commands` in its old place: persisted and
+/// exported bytes are those of an entry that stored each statement twice.
+impl Serialize for ActionLogEntry {
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"at\":");
+        self.at.write_json(out);
+        out.push_str(",\"warehouse\":");
+        self.warehouse.write_json(out);
+        out.push_str(",\"action\":");
+        self.action.write_json(out);
+        out.push_str(",\"sql\":[");
+        for (i, sql) in self.sql().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            sql.write_json(out);
+        }
+        out.push_str("],\"outcome\":");
+        self.outcome.write_json(out);
+        out.push_str(",\"reason\":");
+        self.reason.write_json(out);
+        out.push_str(",\"kind\":");
+        self.kind.write_json(out);
+        out.push_str(",\"commands\":");
+        self.commands.write_json(out);
+        out.push('}');
+    }
 }
 
 /// Small credit cost per executed command (ALTER statements are metadata
@@ -179,25 +221,24 @@ impl Actuator {
         (outcome, results)
     }
 
-    /// Runs `commands` and logs them as one entry under `action` and `kind`.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs `commands` and logs them as one entry under `action` and `kind`,
+    /// naming the warehouse by the account's own handle.
     fn execute(
         &mut self,
         sim: &mut Simulator,
         wh: WarehouseId,
-        warehouse_name: &str,
         commands: &[WarehouseCommand],
         action: AgentAction,
         kind: LogEntryKind,
         reason: &str,
     ) -> ActionOutcome {
         let at = sim.now();
-        let (outcome, commands) = Self::run_commands(sim, wh, warehouse_name, commands);
+        let warehouse = sim.account().warehouse(wh).name().clone();
+        let (outcome, commands) = Self::run_commands(sim, wh, &warehouse, commands);
         self.log.push(ActionLogEntry {
             at,
-            warehouse: warehouse_name.to_string(),
+            warehouse,
             action,
-            sql: commands.iter().map(|c| c.sql.clone()).collect(),
             outcome: outcome.clone(),
             reason: reason.to_string(),
             kind,
@@ -213,21 +254,12 @@ impl Actuator {
         &mut self,
         sim: &mut Simulator,
         wh: WarehouseId,
-        warehouse_name: &str,
         current: &WarehouseConfig,
         action: AgentAction,
         reason: &str,
     ) -> ActionOutcome {
         let commands = action.to_commands(current);
-        self.execute(
-            sim,
-            wh,
-            warehouse_name,
-            &commands,
-            action,
-            LogEntryKind::Action,
-            reason,
-        )
+        self.execute(sim, wh, &commands, action, LogEntryKind::Action, reason)
     }
 
     /// Applies raw commands under an explicit entry kind (rollbacks, §4.3
@@ -237,20 +269,11 @@ impl Actuator {
         &mut self,
         sim: &mut Simulator,
         wh: WarehouseId,
-        warehouse_name: &str,
         commands: &[WarehouseCommand],
         kind: LogEntryKind,
         reason: &str,
     ) -> ActionOutcome {
-        self.execute(
-            sim,
-            wh,
-            warehouse_name,
-            commands,
-            AgentAction::NoOp,
-            kind,
-            reason,
-        )
+        self.execute(sim, wh, commands, AgentAction::NoOp, kind, reason)
     }
 
     /// Full action history.
@@ -302,8 +325,19 @@ impl Actuator {
 
     /// Appends previously recorded entries (WAL replay during crash
     /// recovery — the commands already ran, only the record is restored).
-    pub(crate) fn extend_log(&mut self, entries: impl IntoIterator<Item = ActionLogEntry>) {
-        self.log.extend(entries);
+    /// An entry naming `name`'s warehouse shares that handle instead of the
+    /// copy its decoding allocated.
+    pub(crate) fn extend_log(
+        &mut self,
+        name: &WarehouseName,
+        entries: impl IntoIterator<Item = ActionLogEntry>,
+    ) {
+        self.log.extend(entries.into_iter().map(|mut e| {
+            if e.warehouse == *name {
+                e.warehouse = name.clone();
+            }
+            e
+        }));
     }
 }
 
@@ -330,12 +364,12 @@ mod tests {
     fn size_down_applies_and_logs_sql() {
         let (mut sim, wh, cfg) = setup();
         let mut act = Actuator::new();
-        let out = act.apply(&mut sim, wh, "WH", &cfg, AgentAction::SizeDown, "policy");
+        let out = act.apply(&mut sim, wh, &cfg, AgentAction::SizeDown, "policy");
         assert_eq!(out, ActionOutcome::Applied);
         assert_eq!(act.log().len(), 1);
         assert_eq!(
-            act.log()[0].sql,
-            vec!["ALTER WAREHOUSE WH SET WAREHOUSE_SIZE=SMALL".to_string()]
+            act.log()[0].sql().collect::<Vec<_>>(),
+            ["ALTER WAREHOUSE WH SET WAREHOUSE_SIZE=SMALL"]
         );
         assert_eq!(sim.account().describe(wh).config.size, WarehouseSize::Small);
         assert_eq!(act.applied_count(), 1);
@@ -349,7 +383,7 @@ mod tests {
     fn noop_logs_no_change_and_no_overhead() {
         let (mut sim, wh, cfg) = setup();
         let mut act = Actuator::new();
-        let out = act.apply(&mut sim, wh, "WH", &cfg, AgentAction::NoOp, "policy");
+        let out = act.apply(&mut sim, wh, &cfg, AgentAction::NoOp, "policy");
         assert_eq!(out, ActionOutcome::NoChange);
         assert_eq!(sim.account().ledger().overhead().total(), 0.0);
     }
@@ -358,7 +392,7 @@ mod tests {
     fn commands_charge_overhead() {
         let (mut sim, wh, cfg) = setup();
         let mut act = Actuator::new();
-        act.apply(&mut sim, wh, "WH", &cfg, AgentAction::SizeUp, "policy");
+        act.apply(&mut sim, wh, &cfg, AgentAction::SizeUp, "policy");
         let overhead = sim.account().ledger().overhead().total();
         assert!((overhead - COST_PER_COMMAND).abs() < 1e-12);
     }
@@ -368,7 +402,7 @@ mod tests {
         let (mut sim, wh, cfg) = setup();
         let mut act = Actuator::new();
         assert_eq!(
-            act.apply(&mut sim, wh, "WH", &cfg, AgentAction::SuspendNow, "policy"),
+            act.apply(&mut sim, wh, &cfg, AgentAction::SuspendNow, "policy"),
             ActionOutcome::NoChange,
             "warehouse starts suspended: AlreadySuspended is benign"
         );
@@ -381,7 +415,7 @@ mod tests {
         let (mut sim, wh, cfg) = setup();
         sim.run_until(12_345);
         let mut act = Actuator::new();
-        act.apply(&mut sim, wh, "WH", &cfg, AgentAction::ClustersUp, "backoff");
+        act.apply(&mut sim, wh, &cfg, AgentAction::ClustersUp, "backoff");
         let e = &act.log()[0];
         assert_eq!(e.at, 12_345);
         assert_eq!(e.reason, "backoff");
@@ -394,7 +428,7 @@ mod tests {
         let plan = FaultPlan::none().with_alter_burst(0, HOUR_MS, 1.0);
         let (mut sim, wh, cfg) = setup_faulted(plan);
         let mut act = Actuator::new();
-        let out = act.apply(&mut sim, wh, "WH", &cfg, AgentAction::SizeDown, "policy");
+        let out = act.apply(&mut sim, wh, &cfg, AgentAction::SizeDown, "policy");
         assert!(matches!(out, ActionOutcome::Failed(_)));
         let e = &act.log()[0];
         assert_eq!(e.commands[0].attempts, 1 + MAX_TRANSIENT_RETRIES);
@@ -425,7 +459,7 @@ mod tests {
             } else {
                 AgentAction::SizeUp
             };
-            act.apply(&mut sim, wh, "WH", &cur, action, "policy");
+            act.apply(&mut sim, wh, &cur, action, "policy");
         }
         let retried_ok = act.log().iter().any(|e| {
             e.commands
@@ -447,7 +481,6 @@ mod tests {
         let out = act.apply_commands(
             &mut sim,
             wh,
-            "WH",
             &cmds,
             LogEntryKind::Rollback,
             "backoff-rollback",
@@ -472,14 +505,7 @@ mod tests {
         let (mut sim, wh, _cfg) = setup();
         let mut act = Actuator::new();
         let cmds = [cdw_sim::WarehouseCommand::SetClusterRange { min: 0, max: 2 }];
-        let out = act.apply_commands(
-            &mut sim,
-            wh,
-            "WH",
-            &cmds,
-            LogEntryKind::Reconcile,
-            "reconcile",
-        );
+        let out = act.apply_commands(&mut sim, wh, &cmds, LogEntryKind::Reconcile, "reconcile");
         assert!(matches!(out, ActionOutcome::Failed(_)));
         assert_eq!(
             act.log()[0].commands[0].attempts,
@@ -488,5 +514,44 @@ mod tests {
         );
         assert_eq!(act.transient_retries(), 0);
         assert_eq!(act.reconcile_count(), 1);
+    }
+
+    #[test]
+    fn log_entry_json_is_pinned_and_round_trips() {
+        // Captured while the entry still stored its `sql` beside `commands`
+        // and its name as a `String`.
+        const PINNED: &str = concat!(
+            r#"{"at":12345,"warehouse":"WH","action":"NoOp","sql":["#,
+            r#""ALTER WAREHOUSE WH SET AUTO_SUSPEND=60","#,
+            r#""ALTER WAREHOUSE WH SET MIN_CLUSTER_COUNT=3 MAX_CLUSTER_COUNT=2"],"#,
+            r#""outcome":{"Failed":"invalid configuration: MIN_CLUSTER_COUNT (3) exceeds MAX_CLUSTER_COUNT (2)"},"#,
+            r#""reason":"backoff-rollback","kind":"Rollback","commands":["#,
+            r#"{"sql":"ALTER WAREHOUSE WH SET AUTO_SUSPEND=60","status":"Applied","attempts":1},"#,
+            r#"{"sql":"ALTER WAREHOUSE WH SET MIN_CLUSTER_COUNT=3 MAX_CLUSTER_COUNT=2","#,
+            r#""status":{"Failed":"invalid configuration: MIN_CLUSTER_COUNT (3) exceeds MAX_CLUSTER_COUNT (2)"},"attempts":1}]}"#,
+        );
+        let (mut sim, wh, _cfg) = setup();
+        sim.run_until(12_345);
+        let mut act = Actuator::new();
+        let cmds = [
+            cdw_sim::WarehouseCommand::SetAutoSuspend { ms: 60_000 },
+            cdw_sim::WarehouseCommand::SetClusterRange { min: 3, max: 2 },
+        ];
+        act.apply_commands(
+            &mut sim,
+            wh,
+            &cmds,
+            LogEntryKind::Rollback,
+            "backoff-rollback",
+        );
+        let entry = &act.log()[0];
+        let json = serde_json::to_string(entry).unwrap();
+        assert_eq!(json, PINNED);
+        let back: ActionLogEntry = serde_json::from_str(&json).unwrap();
+        assert_eq!(&back, entry);
+        assert!(
+            WarehouseName::ptr_eq(&entry.warehouse, sim.account().warehouse(wh).name()),
+            "the entry shares the account's name"
+        );
     }
 }

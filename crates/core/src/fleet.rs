@@ -550,6 +550,54 @@ mod tests {
     }
 
     #[test]
+    fn every_record_of_a_warehouse_shares_its_one_name() {
+        use cdw_sim::WarehouseName;
+        let fleet = small_fleet(11, 2);
+        let mut shard = build_shard(fleet.seed, &fleet.tenants[0]);
+        shard.kwo.observe_until(&mut shard.sim, DAY_MS);
+        shard.kwo.onboard(&mut shard.sim);
+        shard.kwo.run_until(&mut shard.sim, 2 * DAY_MS);
+        let account = shard.sim.account();
+        for o in shard.kwo.optimizers() {
+            let wh = account.warehouse_id(o.name()).unwrap();
+            let name = account.warehouse(wh).name();
+            let shared = |n: &WarehouseName| WarehouseName::ptr_eq(n, name);
+            assert_eq!(o.name().as_ptr(), name.as_ptr(), "the optimizer's own name");
+            let queries: Vec<_> = account
+                .query_records()
+                .iter()
+                .filter(|r| r.warehouse == *name)
+                .collect();
+            let events: Vec<_> = account
+                .event_records()
+                .iter()
+                .filter(|e| e.warehouse == *name)
+                .collect();
+            let stored = o.store().queries(name);
+            let log = o.actuator().log();
+            assert!(!queries.is_empty() && !events.is_empty());
+            assert!(!stored.is_empty() && !log.is_empty());
+            assert!(
+                queries.iter().all(|r| shared(&r.warehouse)),
+                "account queries"
+            );
+            assert!(
+                events.iter().all(|e| shared(&e.warehouse)),
+                "account events"
+            );
+            assert!(stored.iter().all(|r| shared(&r.warehouse)), "store queries");
+            assert!(
+                o.store()
+                    .events_in(name, 0, SimTime::MAX)
+                    .iter()
+                    .all(|e| shared(&e.warehouse)),
+                "store events"
+            );
+            assert!(log.iter().all(|e| shared(&e.warehouse)), "action log");
+        }
+    }
+
+    #[test]
     fn fleet_is_bit_identical_across_thread_counts() {
         let fleet = small_fleet(7, 2);
         let one = run(&fleet, DAY_MS, 2 * DAY_MS, 1);

@@ -39,7 +39,8 @@ use agent::{
     DqnAgentState, DqnConfig, EpisodeConfig, Rule, SliderPosition, Transition,
 };
 use cdw_sim::{
-    QueryRecord, SimTime, Simulator, WarehouseConfig, WarehouseId, DAY_MS, HOUR_MS, MINUTE_MS,
+    QueryRecord, SimTime, Simulator, WarehouseConfig, WarehouseId, WarehouseName, DAY_MS, HOUR_MS,
+    MINUTE_MS,
 };
 use costmodel::{estimate_savings, ReplayConfig, SavingsReport, WarehouseCostModel};
 use journal::Journal;
@@ -206,7 +207,9 @@ struct TickEffects {
 /// model, cost model, telemetry, actuator log).
 pub struct WarehouseOptimizer {
     wh: WarehouseId,
-    name: String,
+    /// The account's handle for the warehouse's name, shared with every
+    /// record of it.
+    name: WarehouseName,
     /// The customer's configuration at onboarding — the without-Keebo
     /// state every replay compares against.
     original_config: WarehouseConfig,
@@ -233,7 +236,7 @@ pub struct WarehouseOptimizer {
 impl WarehouseOptimizer {
     fn new(
         wh: WarehouseId,
-        name: String,
+        name: WarehouseName,
         original_config: WarehouseConfig,
         setup: KwoSetup,
         seed: u64,
@@ -242,7 +245,7 @@ impl WarehouseOptimizer {
         let agent = DqnAgent::new(DqnConfig::default(), &mut rng);
         Self {
             wh,
-            store: TelemetryStore::for_warehouse(&name),
+            store: TelemetryStore::for_warehouse(name.clone()),
             name,
             ctl: CtlState::new(original_config.clone(), rng, seed ^ 0xD6E8_FEB8_6659_FD93),
             original_config,
@@ -449,7 +452,7 @@ impl WarehouseOptimizer {
     /// from the surviving account by `ctl`'s fetcher cursors).
     fn export_snapshot(&self) -> (OptimizerSnapshot, DqnAgentState) {
         let snap = OptimizerSnapshot {
-            name: self.name.clone(),
+            name: self.name.to_string(),
             original_config: self.original_config.clone(),
             setup: self.setup.clone(),
             cost_model: self.cost_model.clone(),
@@ -474,7 +477,8 @@ impl WarehouseOptimizer {
             ))
         })?;
         let agent = DqnAgent::from_state(agent).map_err(PersistError::Corrupt)?;
-        let mut o = WarehouseOptimizer::new(wh, snap.name, snap.original_config, snap.setup, 0);
+        let name = sim.account().warehouse(wh).name().clone();
+        let mut o = WarehouseOptimizer::new(wh, name, snap.original_config, snap.setup, 0);
         if !snap.ctl.fetcher.covered_by(sim.account()) {
             return Err(PersistError::Corrupt(format!(
                 "snapshot telemetry cursors of {} reach past the simulator's account stream",
@@ -484,7 +488,7 @@ impl WarehouseOptimizer {
         o.agent = agent;
         o.cost_model = snap.cost_model;
         TelemetryFetcher::new().redeliver(sim.account(), &mut o.store, &snap.ctl.fetcher);
-        o.actuator.extend_log(snap.actuator_log);
+        o.actuator.extend_log(&o.name, snap.actuator_log);
         o.ctl = snap.ctl;
         o.forget_read_events();
         Ok(o)
@@ -495,7 +499,7 @@ impl WarehouseOptimizer {
     fn tick_record(&self, now: SimTime, log_from: usize) -> PersistRecord {
         let (transition, train_step_seed) = self.effects.learned.clone().unzip();
         PersistRecord::Tick {
-            warehouse: self.name.clone(),
+            warehouse: self.name.to_string(),
             now,
             fetched: self.effects.fetched,
             retrain: self.effects.retrain,
@@ -624,7 +628,7 @@ impl Orchestrator {
         let seed = derive_stream_seed(self.seed, warehouse);
         self.optimizers.push(WarehouseOptimizer::new(
             wh,
-            warehouse.to_string(),
+            sim.account().warehouse(wh).name().clone(),
             original,
             setup,
             seed,

@@ -287,7 +287,7 @@ impl WarehouseOptimizer {
         if gate.degraded() || gate == Gate::Optimize {
             self.ctl
                 .reconciler
-                .reconcile(sim, &mut self.actuator, self.wh, &self.name);
+                .reconcile(sim, &mut self.actuator, self.wh);
         }
         if gate != Gate::Optimize {
             // No transition is attributed across a tick the policy sat out.
@@ -760,13 +760,12 @@ impl WarehouseOptimizer {
     fn act(&mut self, sim: &mut Simulator, current: &WarehouseConfig, mv: Move, reason: &str) {
         let intent = match mv {
             Move::Action(action) => {
-                self.actuator
-                    .apply(sim, self.wh, &self.name, current, action, reason);
+                self.actuator.apply(sim, self.wh, current, action, reason);
                 intended_config(current.clone(), &action.to_commands(current))
             }
             Move::Commands(cmds, kind) => {
                 self.actuator
-                    .apply_commands(sim, self.wh, &self.name, cmds, kind, reason);
+                    .apply_commands(sim, self.wh, cmds, kind, reason);
                 intended_config(current.clone(), cmds)
             }
         };
@@ -916,13 +915,13 @@ mod tests {
             .with_clusters(1, 3);
         let wh = Account::new().create_warehouse("WH", original.clone());
         let setup = KwoSetup::default();
-        let o = WarehouseOptimizer::new(wh, "WH".to_string(), original.clone(), setup, 7);
+        let o = WarehouseOptimizer::new(wh, "WH".into(), original.clone(), setup, 7);
         let now = 30 * HOUR_MS;
         let ctx = TickCtx {
             now,
             health: HealthState::Healthy,
             desc: WarehouseDescription {
-                name: "WH".to_string(),
+                name: "WH".into(),
                 config: original,
                 is_suspended: false,
                 running_clusters: 1,

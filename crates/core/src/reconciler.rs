@@ -145,7 +145,6 @@ impl Reconciler {
         sim: &mut Simulator,
         actuator: &mut Actuator,
         wh: WarehouseId,
-        warehouse_name: &str,
     ) -> ReconcileOutcome {
         let now = sim.now();
         let Some(desired) = self.desired.clone() else {
@@ -163,14 +162,7 @@ impl Reconciler {
                 until: self.next_attempt_at,
             };
         }
-        match actuator.apply_commands(
-            sim,
-            wh,
-            warehouse_name,
-            &cmds,
-            LogEntryKind::Reconcile,
-            "reconcile-drift",
-        ) {
+        match actuator.apply_commands(sim, wh, &cmds, LogEntryKind::Reconcile, "reconcile-drift") {
             ActionOutcome::Failed(_) => {
                 self.schedule_backoff(now);
                 keebo_obs::global()
@@ -224,12 +216,12 @@ mod tests {
         let mut rec = Reconciler::new(1);
         let mut act = Actuator::new();
         assert_eq!(
-            rec.reconcile(&mut sim, &mut act, wh, "WH"),
+            rec.reconcile(&mut sim, &mut act, wh),
             ReconcileOutcome::Idle
         );
         rec.set_desired(cfg);
         assert_eq!(
-            rec.reconcile(&mut sim, &mut act, wh, "WH"),
+            rec.reconcile(&mut sim, &mut act, wh),
             ReconcileOutcome::InSync
         );
         assert!(act.log().is_empty(), "no commands issued when in sync");
@@ -245,14 +237,14 @@ mod tests {
         want.auto_suspend_ms = 60_000;
         rec.set_desired(want.clone());
         assert_eq!(
-            rec.reconcile(&mut sim, &mut act, wh, "WH"),
+            rec.reconcile(&mut sim, &mut act, wh),
             ReconcileOutcome::Repaired
         );
         assert_eq!(sim.account().describe(wh).config, want);
         assert_eq!(act.reconcile_count(), 1);
         // And the next pass sees it in sync.
         assert_eq!(
-            rec.reconcile(&mut sim, &mut act, wh, "WH"),
+            rec.reconcile(&mut sim, &mut act, wh),
             ReconcileOutcome::InSync
         );
     }
@@ -268,7 +260,7 @@ mod tests {
         rec.set_desired(want.clone());
 
         assert_eq!(
-            rec.reconcile(&mut sim, &mut act, wh, "WH"),
+            rec.reconcile(&mut sim, &mut act, wh),
             ReconcileOutcome::Failed
         );
         assert_eq!(rec.consecutive_failures(), 1);
@@ -277,7 +269,7 @@ mod tests {
 
         // Until the backoff elapses the reconciler stays quiet.
         assert!(matches!(
-            rec.reconcile(&mut sim, &mut act, wh, "WH"),
+            rec.reconcile(&mut sim, &mut act, wh),
             ReconcileOutcome::Backoff { .. }
         ));
 
@@ -287,7 +279,7 @@ mod tests {
             let at = rec.next_attempt_at();
             sim.run_until(at);
             assert_eq!(
-                rec.reconcile(&mut sim, &mut act, wh, "WH"),
+                rec.reconcile(&mut sim, &mut act, wh),
                 ReconcileOutcome::Failed
             );
             gaps.push(rec.next_attempt_at() - at);
@@ -298,7 +290,7 @@ mod tests {
         let at = rec.next_attempt_at().max(12 * HOUR_MS);
         sim.run_until(at);
         assert_eq!(
-            rec.reconcile(&mut sim, &mut act, wh, "WH"),
+            rec.reconcile(&mut sim, &mut act, wh),
             ReconcileOutcome::Repaired
         );
         assert_eq!(rec.consecutive_failures(), 0);
@@ -317,7 +309,7 @@ mod tests {
             rec.set_desired(want);
             let mut times = Vec::new();
             for _ in 0..4 {
-                rec.reconcile(&mut sim, &mut act, wh, "WH");
+                rec.reconcile(&mut sim, &mut act, wh);
                 times.push(rec.next_attempt_at());
                 sim.run_until(rec.next_attempt_at());
             }
@@ -340,7 +332,7 @@ mod tests {
         want.size = WarehouseSize::Small;
         rec.set_desired(want);
         assert_eq!(
-            rec.reconcile(&mut sim, &mut act, wh, "WH"),
+            rec.reconcile(&mut sim, &mut act, wh),
             ReconcileOutcome::Failed
         );
         assert!(rec.next_attempt_at() > 0);

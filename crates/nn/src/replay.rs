@@ -18,7 +18,9 @@ pub struct ReplayBuffer<T> {
 }
 
 impl<T: Clone> ReplayBuffer<T> {
-    /// Creates a buffer holding at most `capacity` transitions.
+    /// Creates a buffer holding at most `capacity` transitions. Nothing is
+    /// reserved up front: the ring grows as transitions arrive, so a buffer
+    /// that never fills holds only what it was given.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
@@ -26,7 +28,7 @@ impl<T: Clone> ReplayBuffer<T> {
         assert!(capacity > 0, "replay buffer capacity must be positive");
         Self {
             capacity,
-            items: Vec::with_capacity(capacity.min(4096)),
+            items: Vec::new(),
             next: 0,
             total_pushed: 0,
         }
@@ -162,6 +164,13 @@ mod tests {
             buf.push(i);
         }
         assert_eq!(buf.len(), 3);
+    }
+
+    #[test]
+    fn a_new_buffer_reserves_nothing() {
+        let buf: ReplayBuffer<u64> = ReplayBuffer::new(50_000);
+        assert_eq!(buf.items.capacity(), 0);
+        assert_eq!(buf.capacity(), 50_000, "the bound is kept, not reserved");
     }
 
     #[test]

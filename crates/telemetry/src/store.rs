@@ -2,20 +2,22 @@
 //! data-learning platform trains on (§6.1). A derived view of the account
 //! stream up to the fetcher's cursors, which is why it is never persisted.
 
-use cdw_sim::{QueryRecord, SimTime, WarehouseEventRecord};
+use cdw_sim::{QueryRecord, SimTime, WarehouseEventRecord, WarehouseName};
 use std::collections::BTreeMap;
 
 /// Accumulated telemetry of an account ([`TelemetryStore::new`]) or of one
 /// warehouse ([`TelemetryStore::for_warehouse`]), indexed for the access
 /// patterns the learning stack needs: per-warehouse, time-windowed scans.
+/// Keys and records hold the account's shared name handles, so ingest
+/// copies no name text.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryStore {
     /// When set, records of every other warehouse are dropped at ingest.
-    only: Option<String>,
+    only: Option<WarehouseName>,
     /// Query history per warehouse, kept sorted by completion time.
-    queries: BTreeMap<String, Vec<QueryRecord>>,
+    queries: BTreeMap<WarehouseName, Vec<QueryRecord>>,
     /// Warehouse lifecycle events per warehouse, sorted by time.
-    events: BTreeMap<String, Vec<WarehouseEventRecord>>,
+    events: BTreeMap<WarehouseName, Vec<WarehouseEventRecord>>,
 }
 
 impl TelemetryStore {
@@ -24,15 +26,15 @@ impl TelemetryStore {
     }
 
     /// A store that keeps `warehouse`'s partition only (what one optimizer reads).
-    pub fn for_warehouse(warehouse: &str) -> Self {
+    pub fn for_warehouse(warehouse: WarehouseName) -> Self {
         Self {
-            only: Some(warehouse.to_string()),
+            only: Some(warehouse),
             ..Self::default()
         }
     }
 
-    fn keeps(&self, warehouse: &str) -> bool {
-        self.only.as_deref().is_none_or(|w| w == warehouse)
+    fn keeps(&self, warehouse: &WarehouseName) -> bool {
+        self.only.as_ref().is_none_or(|w| w == warehouse)
     }
 
     /// Ingests query records (idempotence is the fetcher's responsibility;
@@ -48,11 +50,11 @@ impl TelemetryStore {
             if !self.keeps(&r.warehouse) {
                 continue;
             }
-            if let Some(v) = self.queries.get_mut(&r.warehouse) {
+            if let Some(v) = self.queries.get_mut(&*r.warehouse) {
                 let breaks_order = v
                     .last()
                     .is_some_and(|last| (last.end, last.query_id) > (r.end, r.query_id));
-                if breaks_order && !dirty.contains(&r.warehouse.as_str()) {
+                if breaks_order && !dirty.contains(&&*r.warehouse) {
                     dirty.push(&r.warehouse);
                 }
                 v.push(r.clone());
@@ -76,10 +78,8 @@ impl TelemetryStore {
             if !self.keeps(&r.warehouse) {
                 continue;
             }
-            if let Some(v) = self.events.get_mut(&r.warehouse) {
-                if v.last().is_some_and(|last| last.at > r.at)
-                    && !dirty.contains(&r.warehouse.as_str())
-                {
+            if let Some(v) = self.events.get_mut(&*r.warehouse) {
+                if v.last().is_some_and(|last| last.at > r.at) && !dirty.contains(&&*r.warehouse) {
                     dirty.push(&r.warehouse);
                 }
                 v.push(r.clone());
@@ -189,7 +189,7 @@ mod tests {
         assert_eq!(s.total_queries(), 2);
         // A one-warehouse store drops foreign records and keeps its own in
         // completion order.
-        let mut b = TelemetryStore::for_warehouse("B");
+        let mut b = TelemetryStore::for_warehouse("B".into());
         b.ingest_queries(&[rec(3, "B", 0, 30), rec(1, "A", 0, 10), rec(2, "B", 0, 20)]);
         let ids: Vec<u64> = b.queries("B").iter().map(|r| r.query_id).collect();
         assert_eq!(ids, vec![2, 3]);

@@ -77,14 +77,14 @@ fn main() {
         .actuator()
         .log()
         .iter()
-        .filter(|e| !e.sql.is_empty())
+        .filter(|e| e.sql().next().is_some())
         .take(5)
     {
         println!(
             "  day {:.1} [{}] {}",
             entry.at as f64 / DAY_MS as f64,
             entry.reason,
-            entry.sql.join("; ")
+            entry.sql().collect::<Vec<_>>().join("; ")
         );
     }
 }
