@@ -3,11 +3,13 @@
 //! performance feedback using deep reinforcement learning" (§6).
 
 use crate::action::AgentAction;
+use crate::replay::ReplayRing;
 use crate::state::STATE_DIM;
 use nn::le::{self, Reader};
-use nn::{huber_loss_grad_into, Adam, ForwardTrace, Mlp, MlpConfig, MlpGradients, ReplayBuffer};
+use nn::{huber_loss_grad_into, Adam, ForwardTrace, Mlp, MlpConfig, MlpGradients};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::cell::RefCell;
 
 /// Hyper-parameters of the DQN.
@@ -69,7 +71,7 @@ pub struct DqnAgent {
     online: Mlp,
     target: Mlp,
     optimizer: Adam,
-    replay: ReplayBuffer<Transition>,
+    replay: ReplayRing,
     /// `bootstrap[slot]` caches `max_a' Q_target(s', a')` under the stored
     /// mask for the transition in that replay slot; `NaN` = not computed.
     /// It is a pure function of (target parameters, slot contents), so it is
@@ -150,8 +152,8 @@ impl Transition {
 }
 
 /// Exported mirror of [`DqnAgent`] for the durable control plane. The
-/// replay ring is flattened to its parts because `ReplayBuffer` is generic
-/// over the transition type.
+/// replay ring is flattened to its parts: its transitions materialized in
+/// storage order, its cursor and its push count.
 #[derive(Debug, Clone)]
 pub struct DqnAgentState {
     pub online: Mlp,
@@ -218,7 +220,7 @@ impl DqnAgent {
             target: self.target.clone(),
             optimizer: self.optimizer.clone(),
             replay_capacity: self.replay.capacity(),
-            replay_items: self.replay.iter().cloned().collect(),
+            replay_items: self.replay.transitions().collect(),
             replay_next: self.replay.next_index(),
             replay_total_pushed: self.replay.total_pushed(),
             config: self.config.clone(),
@@ -247,16 +249,9 @@ impl DqnAgent {
             ));
         }
         state.optimizer.validate(&online.tensor_lens())?;
-        let malformed = |t: &Transition| {
-            (t.state.len(), t.next_state.len()) != (STATE_DIM, STATE_DIM)
-                || t.action >= AgentAction::COUNT
-        };
-        if let Some(i) = state.replay_items.iter().position(malformed) {
-            return Err(format!("replay transition {i} is malformed"));
-        }
-        let replay = ReplayBuffer::from_parts(
+        let replay = ReplayRing::from_parts(
             state.replay_capacity,
-            state.replay_items,
+            &state.replay_items,
             state.replay_next,
             state.replay_total_pushed,
         )?;
@@ -304,7 +299,7 @@ impl DqnAgent {
         let mut target = Mlp::new(MlpConfig::new(layers), rng);
         target.copy_parameters_from(&online);
         let optimizer = Adam::new(config.learning_rate, online.optimizer_slots());
-        let replay = ReplayBuffer::new(config.replay_capacity);
+        let replay = ReplayRing::new(config.replay_capacity);
         Self {
             online,
             target,
@@ -383,12 +378,14 @@ impl DqnAgent {
         }
     }
 
-    /// Stores a transition.
-    pub fn observe(&mut self, t: Transition) {
-        debug_assert_eq!(t.state.len(), STATE_DIM);
-        debug_assert_eq!(t.next_state.len(), STATE_DIM);
-        debug_assert!(t.action < AgentAction::COUNT);
-        let slot = self.replay.push(t);
+    /// Stores a transition, by reference or by value: its rows are copied
+    /// into the replay ring either way.
+    ///
+    /// # Panics
+    /// Panics if a state is not `STATE_DIM` long or the action is out of
+    /// range.
+    pub fn observe(&mut self, t: impl Borrow<Transition>) {
+        let slot = self.replay.push(t.borrow());
         match self.bootstrap.get_mut(slot) {
             Some(cached) => *cached = f64::NAN,
             None => self.bootstrap.push(f64::NAN),
@@ -435,21 +432,22 @@ impl DqnAgent {
             misses.clear();
             misses.reserve(batch);
             for &i in &*indices {
-                let unknown = !self.replay[i].terminal && self.bootstrap[i].is_nan();
+                let unknown = !self.replay.slot(i).terminal && self.bootstrap[i].is_nan();
                 if unknown && !misses.contains(&i) {
                     misses.push(i);
                 }
             }
             if !misses.is_empty() {
-                let next_states = misses.iter().map(|&i| &self.replay[i].next_state[..]);
+                let next_states = misses.iter().map(|&i| &self.replay.next_state(i)[..]);
                 self.target.forward_batch(trace, next_states);
                 for (s, &i) in misses.iter().enumerate() {
-                    self.bootstrap[i] = masked_max(&q_values(trace, s), &self.replay[i].next_mask);
+                    let mask = self.replay.slot(i).next_mask();
+                    self.bootstrap[i] = masked_max(&q_values(trace, s), &mask);
                 }
             }
             targets.clear();
             targets.extend(indices.iter().map(|&i| {
-                let t = &self.replay[i];
+                let t = self.replay.slot(i);
                 let bootstrap = if t.terminal { 0.0 } else { self.bootstrap[i] };
                 t.reward + self.config.gamma * bootstrap
             }));
@@ -460,14 +458,14 @@ impl DqnAgent {
                 "a cached bootstrap went stale"
             );
 
-            let states = indices.iter().map(|&i| &self.replay[i].state[..]);
+            let states = indices.iter().map(|&i| &self.replay.state(i)[..]);
             self.online.forward_batch(trace, states);
             output_grads.resize(batch * AgentAction::COUNT, 0.0);
             let mut td_sum = 0.0;
             let samples = indices.iter().zip(&*targets);
             let grad_rows = output_grads.chunks_exact_mut(AgentAction::COUNT);
             for (s, ((&i, &target_q), grad_out)) in samples.zip(grad_rows).enumerate() {
-                let action = self.replay[i].action;
+                let action = self.replay.slot(i).action();
                 let q = q_values(trace, s)[action];
                 td_sum += (q - target_q).abs();
 
@@ -503,20 +501,25 @@ impl DqnAgent {
     /// there was a cache, the target network forwarded over the whole batch.
     fn recomputed_target_bits(&self, indices: &[usize]) -> Vec<u64> {
         let mut trace = ForwardTrace::default();
-        let next_states = indices.iter().map(|&i| &self.replay[i].next_state[..]);
+        let next_states = indices.iter().map(|&i| &self.replay.next_state(i)[..]);
         self.target.forward_batch(&mut trace, next_states);
         let targets = indices.iter().enumerate().map(|(s, &i)| {
-            let t = &self.replay[i];
+            let t = self.replay.slot(i);
             let mut q = [0.0; AgentAction::COUNT];
             trace.output_into(s, &mut q);
             let bootstrap = if t.terminal {
                 0.0
             } else {
-                masked_max(&q, &t.next_mask)
+                masked_max(&q, &t.next_mask())
             };
             (t.reward + self.config.gamma * bootstrap).to_bits()
         });
         targets.collect()
+    }
+
+    /// Rows the replay ring has stored, over every transition ever pushed.
+    pub(crate) fn replay_rows_pushed(&self) -> u64 {
+        self.replay.rows_pushed()
     }
 }
 
@@ -1033,5 +1036,137 @@ mod tests {
         let mut state = trained_state();
         state.replay_items[2].action = AgentAction::COUNT;
         assert_rejected(state, "replay transition 2 is malformed");
+    }
+
+    /// Until a ring is full it writes at its item count; eviction releases
+    /// rows in insertion order, which a cursor anywhere else would break.
+    #[test]
+    fn from_state_rejects_a_ring_whose_cursor_is_not_its_item_count() {
+        let mut state = trained_state();
+        state.replay_next = 5;
+        assert_rejected(
+            state,
+            "replay cursor 5 of a ring that is not full is not its item count 12",
+        );
+    }
+
+    /// The replay ring against the plain `Vec` ring it replaced, whose
+    /// semantics live on here as the oracle: random capacities (and one of
+    /// 300, whose slots span two chunks, restored full and wrapped);
+    /// chained, unchained, sign-flipped
+    /// (`-0.0`) and `NaN` states; wraps; and a snapshot round trip in the
+    /// middle of each sequence. Every push returns the oracle's index, and
+    /// after it both hold and draw the same transitions, bit for bit.
+    #[test]
+    fn replay_ring_behaves_as_a_vec_of_transitions() {
+        struct Oracle {
+            capacity: usize,
+            items: Vec<Transition>,
+            next: usize,
+        }
+        impl Oracle {
+            fn push(&mut self, t: Transition) -> usize {
+                let slot = if self.items.len() < self.capacity {
+                    self.items.push(t);
+                    self.items.len() - 1
+                } else {
+                    self.items[self.next] = t;
+                    self.next
+                };
+                self.next = (self.next + 1) % self.capacity;
+                slot
+            }
+        }
+        /// A transition as its snapshot encoding writes it: every float's bits.
+        fn bits(t: &Transition) -> Vec<u8> {
+            let mut out = Vec::new();
+            t.write_le(&mut out);
+            out
+        }
+        fn row(rng: &mut StdRng) -> Vec<f64> {
+            let value = |rng: &mut StdRng| match rng.gen_range(0..6) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::NAN,
+                _ => rng.gen_range(-1.0..2.0),
+            };
+            (0..STATE_DIM).map(|_| value(rng)).collect()
+        }
+
+        let mut rng = StdRng::seed_from_u64(41);
+        for case in 0..32 {
+            let (capacity, steps, restore_at) = if case == 0 {
+                // Restored full and wrapped, its cursor at 100.
+                (300, 1_000, 700)
+            } else {
+                let capacity: usize = rng.gen_range(1..=64);
+                let steps = rng.gen_range(0..4 * capacity + 8);
+                (capacity, steps, rng.gen_range(0..steps.max(1)))
+            };
+            let config = DqnConfig {
+                hidden: vec![4],
+                replay_capacity: capacity,
+                ..DqnConfig::default()
+            };
+            let mut agent = DqnAgent::new(config, &mut rng);
+            let mut oracle = Oracle {
+                capacity,
+                items: Vec::new(),
+                next: 0,
+            };
+            let mut last = row(&mut rng);
+            for step in 0..steps {
+                if step == restore_at {
+                    let bytes = agent.export_state().to_bytes();
+                    let state = DqnAgentState::from_bytes(&bytes).unwrap();
+                    agent = DqnAgent::from_state(state).unwrap();
+                }
+                let state = match rng.gen_range(0..4) {
+                    0 => row(&mut rng),
+                    1 | 2 => last.clone(),
+                    _ => {
+                        // Flips one sign bit: 0.0 <-> -0.0, NaN <-> -NaN.
+                        let mut flipped = last.clone();
+                        let k = rng.gen_range(0..STATE_DIM);
+                        flipped[k] = -flipped[k];
+                        flipped
+                    }
+                };
+                let t = Transition {
+                    state,
+                    action: rng.gen_range(0..AgentAction::COUNT),
+                    reward: rng.gen_range(-1.0..1.0),
+                    next_state: row(&mut rng),
+                    next_mask: std::array::from_fn(|_| rng.gen_range(0..2) == 0),
+                    terminal: rng.gen_range(0..4) == 0,
+                };
+                last = t.next_state.clone();
+                let at = format!("case {case} (capacity {capacity}) step {step}");
+                assert_eq!(agent.replay.push(&t), oracle.push(t), "{at}");
+
+                let stored: Vec<Transition> = agent.replay.transitions().collect();
+                let expected: Vec<Vec<u8>> = oracle.items.iter().map(bits).collect();
+                assert_eq!(
+                    stored.iter().map(bits).collect::<Vec<_>>(),
+                    expected,
+                    "{at}"
+                );
+                let mut drawn = Vec::new();
+                let seed = (case * 1000 + step) as u64;
+                agent
+                    .replay
+                    .sample_indices(5, &mut StdRng::seed_from_u64(seed), &mut drawn);
+                let mut oracle_rng = StdRng::seed_from_u64(seed);
+                let oracle_drawn = (0..5).map(|_| oracle_rng.gen_range(0..oracle.items.len()));
+                assert_eq!(
+                    drawn.iter().map(|&i| bits(&stored[i])).collect::<Vec<_>>(),
+                    oracle_drawn
+                        .map(|i| expected[i].clone())
+                        .collect::<Vec<_>>(),
+                    "{at}"
+                );
+            }
+            assert_eq!(agent.replay.total_pushed(), steps as u64, "case {case}");
+        }
     }
 }

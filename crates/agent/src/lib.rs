@@ -17,7 +17,7 @@
 //!
 //! Training ([`trainer`]) is offline and replay-driven: historical telemetry
 //! is reconstructed into a workload, episodes are rolled out on the
-//! simulator, and transitions feed a replay buffer for Q-learning — matching
+//! simulator, and transitions feed a replay ring for Q-learning — matching
 //! the paper's observation that access to "large historical telemetry data
 //! ... enables [the model] to learn from a diverse range of past experiences
 //! without the need for constant updates" (§8).
@@ -26,6 +26,7 @@ pub mod action;
 pub mod constraints;
 pub mod dqn;
 pub mod heuristic;
+mod replay;
 pub mod reward;
 pub mod slider;
 pub mod state;

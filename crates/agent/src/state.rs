@@ -9,7 +9,7 @@ use crate::slider::SliderPosition;
 use cdw_sim::{SimTime, WarehouseConfig};
 use telemetry::WindowFeatures;
 
-/// Dimension of [`AgentState::to_vec`].
+/// Dimension of [`AgentState::features`].
 pub const STATE_DIM: usize = 14;
 
 /// Snapshot of everything the policy conditions on at one decision point.
@@ -31,14 +31,18 @@ pub struct AgentState {
 }
 
 impl AgentState {
-    /// Encodes the state as a fixed-length feature vector. Scales are chosen
-    /// so typical values land in roughly [-1, 2]; the DQN additionally
-    /// standardizes inputs with statistics from its replay buffer.
+    /// [`AgentState::features`] as a vector.
     pub fn to_vec(&self) -> Vec<f64> {
+        self.features().to_vec()
+    }
+
+    /// Encodes the state as a fixed-length feature vector. Scales are chosen
+    /// so typical values land in roughly [-1, 2].
+    pub fn features(&self) -> [f64; STATE_DIM] {
         let two_pi = std::f64::consts::TAU;
         let day_frac = cdw_sim::time::time_of_day_fraction(self.now);
         let week_frac = (cdw_sim::time::day_index(self.now) % 7) as f64 / 7.0 + day_frac / 7.0;
-        let v = vec![
+        [
             (two_pi * day_frac).sin(),
             (two_pi * day_frac).cos(),
             (two_pi * week_frac).sin(),
@@ -53,9 +57,7 @@ impl AgentState {
             self.config.max_clusters as f64 / 10.0,
             (self.config.auto_suspend_ms as f64 / 600_000.0).min(6.0),
             self.slider.as_feature(),
-        ];
-        debug_assert_eq!(v.len(), STATE_DIM);
-        v
+        ]
     }
 }
 

@@ -13,11 +13,12 @@
 //!    `−credits − λ(slider)·perf_penalty`, pushed into the replay buffer
 //!    with a training step per decision.
 
+use crate::action::AgentAction;
 use crate::constraints::ConstraintSet;
 use crate::dqn::{DqnAgent, Transition};
 use crate::reward::{action_reward, PerfSignals};
 use crate::slider::SliderPosition;
-use crate::state::AgentState;
+use crate::state::{AgentState, STATE_DIM};
 use cdw_sim::{
     Account, ActionSource, AlterError, QueryRecord, QuerySpec, SimTime, Simulator, WarehouseConfig,
     HOUR_MS, MINUTE_MS,
@@ -188,7 +189,19 @@ fn run_episode(
     }
 
     let interval = episode_cfg.decision_interval_ms;
-    let mut prev: Option<(Vec<f64>, usize)> = None;
+    // One transition for the whole episode, its rows overwritten in place:
+    // `next_state` takes each decision point's features, and after the
+    // decision the two rows swap, so they become the next one's `state`.
+    let mut transition = Transition {
+        state: vec![0.0; STATE_DIM],
+        action: 0,
+        reward: 0.0,
+        next_state: vec![0.0; STATE_DIM],
+        next_mask: [true; AgentAction::COUNT],
+        terminal: false,
+    };
+    // The action taken at the previous decision point, awaiting its reward.
+    let mut pending: Option<usize> = None;
     let mut prev_credits = 0.0;
     let mut prev_dropped = 0;
     let mut reward_sum = 0.0;
@@ -214,13 +227,14 @@ fn run_episode(
             suspended: desc.is_suspended,
             slider,
         };
-        let state_vec = state.to_vec();
+        let features = state.features();
+        transition.next_state.copy_from_slice(&features);
         let mask = constraints.action_mask(&desc.config, t);
 
         // Reward for the action taken at the previous decision point.
         let credits_now = sim.account().accrued_credits(wh, t);
         let dropped_now = sim.account().warehouse(wh).dropped_queries();
-        if let Some((prev_state, prev_action)) = prev.take() {
+        if let Some(prev_action) = pending.take() {
             let p99 = if window.p99_latency_ms > 0.0 {
                 window.p99_latency_ms
             } else {
@@ -234,22 +248,18 @@ fn run_episode(
             let reward = action_reward(prev_action, credits_now - prev_credits, &perf, slider);
             reward_sum += reward;
             reward_count += 1;
-            let terminal = t + interval > horizon;
-            agent.observe(Transition {
-                state: prev_state,
-                action: prev_action,
-                reward,
-                next_state: state_vec.clone(),
-                next_mask: mask,
-                terminal,
-            });
+            transition.action = prev_action;
+            transition.reward = reward;
+            transition.next_mask = mask;
+            transition.terminal = t + interval > horizon;
+            agent.observe(&transition);
             *transitions += 1;
             agent.train_step(rng);
         }
         prev_credits = credits_now;
         prev_dropped = dropped_now;
 
-        let action = agent.select_action(&state_vec, &mask, rng, true);
+        let action = agent.select_action(&features, &mask, rng, true);
         for cmd in action.to_commands(&desc.config) {
             match sim.alter_warehouse(wh, cmd, ActionSource::Keebo) {
                 Ok(()) | Err(AlterError::AlreadySuspended) | Err(AlterError::AlreadyRunning) => {}
@@ -257,7 +267,8 @@ fn run_episode(
                 Err(e) => panic!("actuation failed during training: {e}"),
             }
         }
-        prev = Some((state_vec, action.index()));
+        std::mem::swap(&mut transition.state, &mut transition.next_state);
+        pending = Some(action.index());
         t += interval;
     }
 
@@ -363,6 +374,43 @@ mod tests {
         assert!(stats.transitions > 50, "transitions {}", stats.transitions);
         assert!(agent.replay_len() > 0);
         assert!(stats.final_epsilon < 1.0);
+    }
+
+    /// An episode is a chain — each transition starts in the state the one
+    /// before it ended in — so its replay ring holds about one state row per
+    /// transition, not two.
+    #[test]
+    fn an_episode_stores_each_state_once() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let config = DqnConfig {
+            batch_size: 8,
+            ..DqnConfig::default()
+        };
+        let mut agent = DqnAgent::new(config, &mut rng);
+        let specs = sparse_specs();
+        // 433 ten-minute decision points: three days of transitions.
+        let last_arrival = specs.iter().map(|s| s.arrival).max().unwrap();
+        let ep_cfg = EpisodeConfig {
+            decision_interval_ms: 10 * MINUTE_MS,
+            baseline_p99_ms: 10_000.0,
+            tail_ms: 433 * 10 * MINUTE_MS - last_arrival,
+        };
+        let stats = train_on_workload(
+            &mut agent,
+            &specs,
+            &big_idle_config(),
+            SliderPosition::Balanced,
+            &ConstraintSet::new(),
+            &ep_cfg,
+            1,
+            5,
+        );
+        assert_eq!(stats.transitions, 432);
+        let rows = agent.replay_rows_pushed();
+        assert!(
+            rows as f64 <= 1.01 * 432.0,
+            "{rows} rows for 432 transitions"
+        );
     }
 
     #[test]

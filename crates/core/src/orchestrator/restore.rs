@@ -38,7 +38,7 @@ impl WarehouseOptimizer {
             self.retrain(now, rt.episodes, rt.seed);
         }
         if let Some((transition, seed)) = effects.learned {
-            self.learn(transition, seed);
+            self.learn(&transition, seed);
         }
         self.actuator.extend_log(&self.name, log_delta);
         self.ctl = ctl;

@@ -606,8 +606,8 @@ impl WarehouseOptimizer {
                 terminal: false,
             };
             let seed: u64 = self.ctl.rng.gen();
-            self.effects.learned = Some((transition.clone(), seed));
-            self.learn(transition, seed);
+            self.learn(&transition, seed);
+            self.effects.learned = Some((transition, seed));
             reward
         });
         self.ctl.prev_credits = credits_now;
@@ -617,7 +617,7 @@ impl WarehouseOptimizer {
 
     /// Stage 6 — learn (live and replay): observe one transition and take
     /// the train step paired with it, under the recorded seed.
-    pub(super) fn learn(&mut self, transition: Transition, seed: u64) {
+    pub(super) fn learn(&mut self, transition: &Transition, seed: u64) {
         self.agent.observe(transition);
         let mut train_rng = StdRng::seed_from_u64(seed);
         self.agent.train_step(&mut train_rng);

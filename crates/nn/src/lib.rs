@@ -11,10 +11,10 @@
 //!
 //! No suitable offline ML crates exist in this environment, so this crate
 //! implements the required pieces from scratch: a dense [`Mlp`] with
-//! backpropagation, [`optim`] (Adam), an experience [`replay`] buffer, and
-//! ordinary least squares ([`ols`]). Everything is deterministic given a
-//! seeded RNG, which the rest of the workspace depends on for reproducible
-//! experiments.
+//! backpropagation, [`optim`] (Adam) and ordinary least squares ([`ols`]).
+//! Everything is deterministic given a seeded RNG, which the rest of the
+//! workspace depends on for reproducible experiments. (The DQN's replay ring
+//! lives with its one user, in the `agent` crate.)
 
 pub mod le;
 pub mod loss;
@@ -22,11 +22,9 @@ pub mod matrix;
 pub mod mlp;
 pub mod ols;
 pub mod optim;
-pub mod replay;
 
 pub use loss::{huber_loss, huber_loss_grad, huber_loss_grad_into, mse_loss, mse_loss_grad};
 pub use matrix::Matrix;
 pub use mlp::{Activation, ForwardTrace, Mlp, MlpConfig, MlpGradients};
 pub use ols::{ols_fit, ridge_fit, LinearModel};
 pub use optim::Adam;
-pub use replay::ReplayBuffer;
