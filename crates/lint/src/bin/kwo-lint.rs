@@ -1,7 +1,7 @@
 //! CLI driver for the kwo-lint engine.
 //!
 //! ```text
-//! kwo-lint [--root DIR] [--json FILE] [--smoke] [--quiet]
+//! kwo-lint [--root DIR] [--json FILE] [--smoke]
 //! ```
 //!
 //! Modes:
@@ -11,7 +11,7 @@
 //!   `//~ Dn` expectation marker (engine self-check for CI).
 //!
 //! Diagnostics print as `file:line:col: Dn (name) \`snippet\` — message`,
-//! one per line (suppressed by `--quiet`): the shape
+//! one per line: the shape
 //! `.github/kwo-lint-problem-matcher.json` matches so CI findings annotate
 //! PR diffs. `--json FILE` additionally writes the machine-readable report
 //! to a file in either mode.
@@ -24,7 +24,6 @@ struct Args {
     root: PathBuf,
     json: Option<PathBuf>,
     smoke: bool,
-    quiet: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -32,7 +31,6 @@ fn parse_args() -> Result<Args, String> {
         root: PathBuf::from("."),
         json: None,
         smoke: false,
-        quiet: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -40,11 +38,10 @@ fn parse_args() -> Result<Args, String> {
             "--root" => args.root = next_value(&mut it, "--root")?.into(),
             "--json" => args.json = Some(next_value(&mut it, "--json")?.into()),
             "--smoke" => args.smoke = true,
-            "--quiet" => args.quiet = true,
             "--help" | "-h" => {
                 println!(
-                    "kwo-lint: determinism, numeric-safety & concurrency lints (D1-D8, D10-D12)\n\
-                     usage: kwo-lint [--root DIR] [--json FILE] [--smoke] [--quiet]"
+                    "kwo-lint: determinism, numeric-safety & concurrency lints (D1-D7, D11-D12)\n\
+                     usage: kwo-lint [--root DIR] [--json FILE] [--smoke]"
                 );
                 std::process::exit(0);
             }
@@ -90,10 +87,8 @@ fn run(args: &Args) -> Result<bool, String> {
     if let Some(path) = &args.json {
         std::fs::write(path, to_json(&diags)).map_err(|e| format!("writing {path:?}: {e}"))?;
     }
-    if !args.quiet {
-        for d in &diags {
-            println!("{}", d.render());
-        }
+    for d in &diags {
+        println!("{}", d.render());
     }
     if diags.is_empty() {
         println!("kwo-lint: OK — 0 diagnostics");

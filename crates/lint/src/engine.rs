@@ -1,17 +1,15 @@
 //! The lint driver: workspace walk, rule application (per-file token rules,
-//! then the crate-level structural rules and the workspace metrics audit),
-//! allow-directive filtering, and the fixture self-check.
+//! then the workspace metrics audit), allow-directive filtering, and the
+//! fixture self-check.
 
 use crate::diag::Diagnostic;
 use crate::index::{
-    check_metrics, lock_cycles, parse_design_inventory, scan_concurrency, FileFacts, InventoryRow,
-    LockEdge, MetricUse, StructFinding,
+    check_metrics, find_metric_uses, parse_design_inventory, InventoryRow, MetricUse,
 };
 use crate::lexer::{lex, AllowDirective, Marker};
-use crate::parse::build_structure;
 use crate::rules::{all_rules, FileInfo, FileKind};
 use crate::scope::annotate_test_scope;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -64,33 +62,34 @@ pub struct FileResult {
 }
 
 /// Lints one file's source as a single-file workspace: the per-file token
-/// rules plus the structural rules over the file's own symbol index, with
-/// `// lint-inventory:` directives standing in for DESIGN.md. `rel_path` is
-/// the repo-relative path used both for diagnostics and rule scoping;
-/// fixture files override the latter via a `// lint-fixture: <pretend-path>`
-/// header (the diagnostics still carry the real path).
+/// rules plus the metrics audit, with `// lint-inventory:` directives
+/// standing in for DESIGN.md. `rel_path` is the repo-relative path used
+/// both for diagnostics and rule scoping; fixture files override the latter
+/// via a `// lint-fixture: <pretend-path>` header (the diagnostics still
+/// carry the real path).
 pub fn lint_source(rel_path: &str, src: &str) -> FileResult {
     lint_sources(&[(rel_path.to_string(), src.to_string())], None)
 }
 
 /// One analyzed (non-test-like) file, mid-pipeline.
 struct Analyzed {
-    facts: FileFacts,
+    /// Real repo-relative path (diagnostics anchor).
+    path: String,
     allows: Vec<AllowDirective>,
     diags: Vec<Diagnostic>,
 }
 
 /// Lints a set of sources as one workspace: per-file token rules first,
-/// then the crate-level concurrency rules (D8, D10) over per-crate symbol
-/// sets, then the workspace metrics audit (D12) against `design` (path +
-/// content of DESIGN.md) or, when absent, against any `// lint-inventory:`
+/// then the workspace metrics audit (D12) against `design` (path + content
+/// of DESIGN.md) or, when absent, against any `// lint-inventory:`
 /// directives in the sources. Allow directives are applied last so they
-/// suppress structural findings too. `files` must be in deterministic
+/// suppress workspace findings too. `files` must be in deterministic
 /// (path-sorted) order.
 pub fn lint_sources(files: &[(String, String)], design: Option<(&str, &str)>) -> FileResult {
     let mut result = FileResult::default();
     let mut analyzed: Vec<Analyzed> = Vec::new();
     let mut directive_rows: Vec<InventoryRow> = Vec::new();
+    let mut uses: Vec<(String, MetricUse)> = Vec::new();
 
     for (rel_path, src) in files {
         let pretend = src.lines().next().and_then(|l| {
@@ -105,32 +104,14 @@ pub fn lint_sources(files: &[(String, String)], design: Option<(&str, &str)>) ->
             continue;
         }
         annotate_test_scope(&mut lexed.tokens);
-        let structure = build_structure(&lexed.tokens);
-        let facts = FileFacts::collect(rel_path, info, lexed.tokens, structure);
-        for d in lexed.inventory {
-            directive_rows.push(InventoryRow {
-                name: d.name,
-                kind: d.kind,
-                file: rel_path.clone(),
-                line: d.line,
-            });
-        }
-        analyzed.push(Analyzed {
-            facts,
-            allows: lexed.allows,
-            diags: Vec::new(),
-        });
-    }
-
-    // Phase 1: per-file token rules (D1–D7, D11).
-    for a in &mut analyzed {
+        let mut diags = Vec::new();
         for rule in all_rules() {
-            if !(rule.applies)(&a.facts.info) {
+            if !(rule.applies)(&info) {
                 continue;
             }
-            for hit in (rule.scan)(&a.facts.tokens) {
-                a.diags.push(Diagnostic {
-                    file: a.facts.real_path.clone(),
+            for hit in (rule.scan)(&lexed.tokens) {
+                diags.push(Diagnostic {
+                    file: rel_path.clone(),
                     line: hit.line,
                     col: hit.col,
                     rule: rule.id.to_string(),
@@ -140,77 +121,46 @@ pub fn lint_sources(files: &[(String, String)], design: Option<(&str, &str)>) ->
                 });
             }
         }
+        for m in find_metric_uses(&lexed.tokens) {
+            uses.push((rel_path.clone(), m));
+        }
+        for d in lexed.inventory {
+            directive_rows.push(InventoryRow {
+                name: d.name,
+                kind: d.kind,
+                file: rel_path.clone(),
+                line: d.line,
+            });
+        }
+        analyzed.push(Analyzed {
+            path: rel_path.clone(),
+            allows: lexed.allows,
+            diags,
+        });
     }
 
-    // Phase 2: crate-level symbol sets, then the structural rules.
-    let mut wrappers: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
-    for a in &analyzed {
-        let k = a.facts.info.krate.as_str();
-        wrappers
-            .entry(k)
-            .or_default()
-            .extend(a.facts.lock_wrappers.iter().cloned());
-    }
-    let by_path: BTreeMap<String, usize> = analyzed
-        .iter()
-        .enumerate()
-        .map(|(i, a)| (a.facts.real_path.clone(), i))
-        .collect();
-    let mut edges: BTreeMap<&str, Vec<LockEdge>> = BTreeMap::new();
-    let mut structural: Vec<StructFinding> = Vec::new();
-    for a in &analyzed {
-        let k = a.facts.info.krate.as_str();
-        let mut rep = scan_concurrency(&a.facts, &wrappers[k]);
-        edges.entry(k).or_default().append(&mut rep.edges);
-        structural.append(&mut rep.findings);
-    }
-    for crate_edges in edges.values_mut() {
-        crate_edges.sort();
-        structural.extend(lock_cycles(crate_edges));
-    }
-
-    // Phase 3: the cross-artifact metrics audit (D12). The inventory comes
-    // from DESIGN.md in workspace mode, from directives in fixture mode;
-    // with neither present the rule stays silent.
+    // The cross-artifact metrics audit (D12). The inventory comes from
+    // DESIGN.md in workspace mode, from directives in fixture mode; with
+    // neither present the rule stays silent.
     let rows = match design {
         Some((path, text)) => parse_design_inventory(path, text),
         None => directive_rows,
     };
-    if design.is_some() || !rows.is_empty() {
-        let uses: Vec<(String, MetricUse)> = analyzed
-            .iter()
-            .flat_map(|a| {
-                a.facts
-                    .metrics
-                    .iter()
-                    .map(|m| (a.facts.real_path.clone(), m.clone()))
-            })
-            .collect();
-        structural.extend(check_metrics(&uses, &rows));
-    }
-
-    // Allow directives apply to structural findings too; findings anchored
+    // Allow directives apply to audit findings too; findings anchored
     // outside the analyzed sources (DESIGN.md stale rows) pass through.
     let mut pass_through: Vec<Diagnostic> = Vec::new();
-    for f in structural {
-        let d = Diagnostic {
-            file: f.file,
-            line: f.line,
-            col: f.col,
-            rule: f.rule.to_string(),
-            name: f.name.to_string(),
-            snippet: f.snippet,
-            message: f.message.to_string(),
-        };
-        match by_path.get(&d.file) {
-            Some(&i) => analyzed[i].diags.push(d),
-            None => pass_through.push(d),
+    if design.is_some() || !rows.is_empty() {
+        for d in check_metrics(&uses, &rows) {
+            match analyzed.iter_mut().find(|a| a.path == d.file) {
+                Some(a) => a.diags.push(d),
+                None => pass_through.push(d),
+            }
         }
     }
     for a in analyzed {
         result
             .diags
-            .extend(apply_allows(a.diags, &a.allows, &a.facts.real_path));
+            .extend(apply_allows(a.diags, &a.allows, &a.path));
     }
     result.diags.extend(pass_through);
     result.diags.sort();
@@ -273,8 +223,7 @@ fn apply_allows(
 
 /// Lints the whole workspace rooted at `root`, including the D12 audit
 /// against `DESIGN.md`'s metrics inventory (skipped if the document is
-/// missing). Diagnostics are sorted by (file, line, col, rule) and per-rule
-/// totals are published to keebo-obs (`kwo_lint.diag.<rule>`).
+/// missing). Diagnostics are sorted by (file, line, col, rule).
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
     let mut files = Vec::new();
     for path in workspace_files(root)? {
@@ -284,17 +233,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
     }
     let design_text = fs::read_to_string(root.join(DESIGN_DOC)).ok();
     let design = design_text.as_deref().map(|t| (DESIGN_DOC, t));
-    let diags = lint_sources(&files, design).diags;
-    let mut per_rule: BTreeMap<String, u64> = BTreeMap::new();
-    for d in &diags {
-        *per_rule.entry(d.rule.to_lowercase()).or_insert(0) += 1;
-    }
-    for (rule, n) in per_rule {
-        keebo_obs::global()
-            .counter(&format!("kwo_lint.diag.{rule}"))
-            .add(n);
-    }
-    Ok(diags)
+    Ok(lint_sources(&files, design).diags)
 }
 
 fn rel_path(root: &Path, path: &Path) -> String {
@@ -410,31 +349,35 @@ mod tests {
     fn stale_allow_is_a_diagnostic() {
         let src = "// lint-fixture: crates/core/src/x.rs\n\
                    // lint: allow(D2) — nothing here uses rng anymore\n\
-                   fn f() {}\n";
+                   fn f() {}\n\
+                   // lint: allow(D10) — retired rule ids are reported too\n\
+                   fn g() {}\n";
         let r = lint_source("x.rs", src);
-        assert_eq!(r.diags.len(), 1);
-        assert_eq!(r.diags[0].name, "stale-allow");
+        assert_eq!(r.diags.len(), 2, "{:?}", r.diags);
+        assert!(r.diags.iter().all(|d| d.name == "stale-allow"));
+        assert_eq!(r.diags[1].rule, "D10");
     }
 
     #[test]
     fn structural_rules_run_through_lint_source() {
-        // D10 via a single-file workspace: the guard and the boundary it
-        // crosses live in the same source.
-        let src = "// lint-fixture: crates/core/src/sync.rs\n\
-                   fn f(m: &Mutex<u32>) { let g = m.lock().unwrap_or_else(p); \
-                   catch_unwind(job); }\n";
+        // D12 via a single-file workspace: the directive stands in for
+        // DESIGN.md, so the audit runs over this one source.
+        let src = "// lint-fixture: crates/core/src/m.rs\n\
+                   // lint-inventory: keebo.a.total:counter\n\
+                   fn f(r: &R) { r.gauge(\"keebo.a.total\").set(1.0); }\n";
         let r = lint_source("x.rs", src);
         assert_eq!(r.diags.len(), 1, "{:?}", r.diags);
-        assert_eq!(r.diags[0].rule, "D10");
+        assert_eq!(r.diags[0].rule, "D12");
+        assert_eq!(r.diags[0].name, "metric-kind-conflict");
         assert_eq!(r.diags[0].file, "x.rs");
     }
 
     #[test]
     fn allow_directive_suppresses_structural_findings() {
-        let src = "// lint-fixture: crates/core/src/sync.rs\n\
-                   fn f(m: &Mutex<u32>) { let g = m.lock().unwrap_or_else(p);\n\
-                   // lint: allow(D10) — the job cannot panic\n\
-                   catch_unwind(job); }\n";
+        let src = "// lint-fixture: crates/core/src/m.rs\n\
+                   // lint-inventory: keebo.a.total:counter\n\
+                   // lint: allow(D12) — a gauge view of the same total\n\
+                   fn f(r: &R) { r.gauge(\"keebo.a.total\").set(1.0); }\n";
         let r = lint_source("x.rs", src);
         assert!(r.diags.is_empty(), "{:?}", r.diags);
     }
@@ -463,31 +406,5 @@ mod tests {
         assert!(d12
             .iter()
             .any(|d| d.name == "metric-stale-row" && d.file == "DESIGN.md" && d.line == 2));
-    }
-
-    #[test]
-    fn d8_sees_lock_orders_across_files_of_one_crate() {
-        let wrapper =
-            "fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> { m.lock().unwrap_or_else(p) }\n";
-        let files = vec![
-            (
-                "crates/core/src/a.rs".to_string(),
-                format!("{wrapper}fn a(s: &S) {{ let g = lock(&s.m1); lock(&s.m2).touch(); }}"),
-            ),
-            (
-                "crates/core/src/b.rs".to_string(),
-                "fn b(s: &S) { let g = lock(&s.m2); lock(&s.m1).touch(); }".to_string(),
-            ),
-        ];
-        let r = lint_sources(&files, None);
-        let d8: Vec<_> = r.diags.iter().filter(|d| d.rule == "D8").collect();
-        assert_eq!(d8.len(), 1, "{:?}", r.diags);
-        // Different crates do not share an acquisition graph.
-        let files2 = vec![
-            (files[0].0.clone(), files[0].1.clone()),
-            ("crates/other/src/b.rs".to_string(), files[1].1.clone()),
-        ];
-        let r2 = lint_sources(&files2, None);
-        assert!(r2.diags.iter().all(|d| d.rule != "D8"), "{:?}", r2.diags);
     }
 }

@@ -15,16 +15,13 @@
 //! | D5   | no-panic-paths     | fleet runs never abort mid-flight            |
 //! | D6   | checked-casts      | billing precision (2^53 edge, sign)          |
 //! | D7   | durable-io         | fail-open persistence (io handled, not unwrapped) |
-//! | D8   | lock-order         | no acquisition-order cycles per crate        |
-//! | D10  | guard-across-boundary | no guard across unwind/callback/send      |
 //! | D11  | atomics-ordering   | Relaxed only on obs statistics counters      |
 //! | D12  | metrics-inventory  | keebo.* names match DESIGN.md's inventory    |
 //!
-//! D1–D7 and D11 are per-file token rules (`rules.rs`); D8 and D10 walk the
-//! brace-tree structural layer (`parse.rs`) with a per-crate symbol index,
-//! and D12 audits the whole workspace against DESIGN.md (`index.rs`). D9
-//! (condvar-wait-loop) is retired — no `Condvar` is left — and its id stays
-//! unused.
+//! D1–D7 and D11 are per-file token rules (`rules.rs`); D12 audits the
+//! whole workspace against DESIGN.md (`index.rs`). D8–D10 (lock-order,
+//! condvar-wait-loop, guard-across-boundary) are retired — the control
+//! plane's few locks are leaves, never nested — and their ids stay unused.
 //!
 //! Findings are suppressed per site with `// lint: allow(Dn) — reason`
 //! (the justification is mandatory); any other diagnostic fails the gate.
@@ -34,7 +31,6 @@ pub mod diag;
 pub mod engine;
 pub mod index;
 pub mod lexer;
-pub mod parse;
 pub mod rules;
 pub mod scope;
 
@@ -42,6 +38,5 @@ pub use diag::{to_json, Diagnostic};
 pub use engine::{
     lint_source, lint_sources, lint_workspace, run_fixtures, workspace_files, FixtureReport,
 };
-pub use index::{FileFacts, InventoryRow, LockEdge, MetricUse, StructFinding};
-pub use parse::{build_structure, Block, BlockKind, FileStructure};
+pub use index::{InventoryRow, MetricUse};
 pub use rules::{all_rules, rule_by_id, FileInfo, FileKind};

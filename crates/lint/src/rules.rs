@@ -5,9 +5,8 @@
 //! invariants the dynamic test suite checks after the fact — fleet-digest
 //! bit-identity, billing-oracle agreement — as source-level bans, so a
 //! regression is rejected at lint time instead of being hunted down from a
-//! flaky digest mismatch later. The structural rules D8 and D10 and the
-//! cross-artifact audit D12 need whole-crate context and live in
-//! `index.rs`.
+//! flaky digest mismatch later. The cross-artifact audit D12 needs the
+//! whole workspace and DESIGN.md, and lives in `index.rs`.
 
 use crate::lexer::{Tok, TokKind};
 
