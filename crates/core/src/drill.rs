@@ -8,23 +8,30 @@
 //! an uninterrupted run.
 //! This module is that experiment, factored once so both store media —
 //! [`MemStore`] and [`FileStore`], each behind a [`FaultyStore`] running the
-//! cell's fault plan — go through one table-driven path.
+//! cell's fault plan — go through one table-driven path. A file cell can
+//! instead be killed inside compaction ([`DrillCell::kill_in_snapshot`]),
+//! between a snapshot's rename and the WAL truncation behind it.
 //!
 //! Like [`CrashPlan`], this is library code rather than test-only code on
 //! purpose: two integration-test files drive the same cells, so a failure
 //! in either points at the same drill.
 
+use std::fs;
+use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use crate::actuator::ActionLogEntry;
-use crate::orchestrator::{KwoSetup, Orchestrator, SnapshotPolicy};
+use crate::orchestrator::{KwoSetup, Orchestrator};
 use crate::persist::{PersistError, RecoveryStats};
 use crate::store::{
-    CrashPlan, FaultyStore, FileStore, MemStore, StateStore, StoreFaultPlan, FRAME_HEADER_BYTES,
+    CrashPlan, FaultyStore, FileStore, MemStore, StateStore, StoreContents, StoreFaultPlan,
+    FRAME_HEADER_BYTES, WAL_FILE,
 };
 use cdw_sim::{
-    Account, FaultPlan, Simulator, WarehouseConfig, WarehouseId, WarehouseSize, DAY_MS, HOUR_MS,
-    MINUTE_MS,
+    Account, FaultPlan, SimTime, Simulator, WarehouseConfig, WarehouseId, WarehouseSize, DAY_MS,
+    HOUR_MS, MINUTE_MS,
 };
 use workload::{generate_trace, BiWorkload, EtlWorkload};
 
@@ -153,17 +160,23 @@ pub struct DrillCell {
     /// Fault plan the store runs behind ([`StoreFaultPlan::none`] for a
     /// healthy one).
     pub faults: StoreFaultPlan,
-    /// Compaction-policy override; `None` runs the setup default
+    /// Compaction interval override, in ticks; `None` runs the default
     /// (48-tick cadence).
-    pub policy: Option<SnapshotPolicy>,
+    pub snapshot_interval: Option<u64>,
     /// Also tear the WAL tail after the kill: the final record is lost (cut
     /// mid-frame on a file store), so bit-identity against the baseline is
     /// not expected.
     pub torn: bool,
+    /// File cells only: kill inside the `k`-th snapshot write instead of at
+    /// the crash tick — the snapshot lands, the WAL it should have
+    /// truncated is put back, and every later operation is dropped. The
+    /// first snapshot is `attach_store`'s, so `k ≥ 2` kills inside a
+    /// compaction, `k = 2` at the first one after `manage`.
+    pub kill_in_snapshot: Option<u32>,
 }
 
 impl DrillCell {
-    /// A clean-kill cell on a healthy `backend` with the default policy.
+    /// A clean-kill cell on a healthy `backend` at the default cadence.
     pub fn clean(scenario: usize, seed: u64, crash_seed: u64, backend: DrillBackend) -> Self {
         Self {
             scenario,
@@ -171,8 +184,9 @@ impl DrillCell {
             crash_seed,
             backend,
             faults: StoreFaultPlan::none(),
-            policy: None,
+            snapshot_interval: None,
             torn: false,
+            kill_in_snapshot: None,
         }
     }
 
@@ -189,8 +203,8 @@ pub struct DrillOutcome {
     pub fingerprint: Fingerprint,
     /// Recovery statistics from the restore.
     pub stats: RecoveryStats,
-    /// Tick the control plane was killed at.
-    pub crash_tick: u64,
+    /// Simulated time the control plane was killed at.
+    pub crash_at: SimTime,
     /// WAL bytes destroyed by the torn-tail injection (0 for clean kills).
     pub dropped_bytes: u64,
     /// Whether the recovered optimizer was still onboarded at the end.
@@ -204,18 +218,69 @@ enum Survivor {
     File(PathBuf),
 }
 
+/// A [`FileStore`] whose process dies inside its `k`-th snapshot write,
+/// after the rename and before the WAL truncation: the snapshot lands, the
+/// WAL it holds is put back, and nothing the dead process does afterwards
+/// reaches the disk.
+struct CompactionKill {
+    store: FileStore,
+    snapshots_left: u32,
+    killed: Arc<AtomicBool>,
+}
+
+impl StateStore for CompactionKill {
+    fn append(&mut self, payload: &[u8]) -> io::Result<()> {
+        if self.killed.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        self.store.append(payload)
+    }
+
+    fn write_snapshot(&mut self, snapshot: &[u8]) -> io::Result<()> {
+        if self.killed.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        self.snapshots_left = self.snapshots_left.saturating_sub(1);
+        if self.snapshots_left > 0 {
+            return self.store.write_snapshot(snapshot);
+        }
+        let wal = self.store.dir().join(WAL_FILE);
+        let untruncated = fs::read(&wal)?;
+        self.store.write_snapshot(snapshot)?;
+        fs::write(&wal, untruncated)?;
+        self.killed.store(true, Ordering::SeqCst);
+        Ok(())
+    }
+
+    fn load(&mut self) -> io::Result<StoreContents> {
+        self.store.load()
+    }
+
+    fn wal_records(&self) -> u64 {
+        self.store.wal_records()
+    }
+
+    fn wal_bytes(&self) -> u64 {
+        self.store.wal_bytes()
+    }
+
+    fn snapshot_bytes(&self) -> u64 {
+        self.store.snapshot_bytes()
+    }
+}
+
 /// Runs one drill cell end to end: journal, kill, (optionally) tear,
 /// restore, finish. Errors surface store/recovery failures — a cell whose
 /// fault plan defeats the orchestrator's retries reports it here rather
 /// than panicking.
 pub fn run_cell(cell: &DrillCell) -> Result<DrillOutcome, PersistError> {
     let plan = CrashPlan::from_seed(cell.crash_seed, OPTIMIZE_TICKS);
-    let crash_t = OBSERVE_MS + plan.crash_tick * TICK_MS;
     let (mut sim, wh) = build_sim(cell.scenario, cell.seed);
     let mut kwo = Orchestrator::new(cell.seed);
-    if let Some(p) = cell.policy {
-        kwo.set_snapshot_policy(p);
+    if let Some(ticks) = cell.snapshot_interval {
+        kwo.set_snapshot_interval(ticks);
     }
+    let killed = Arc::new(AtomicBool::new(false));
     let survivor = match &cell.backend {
         DrillBackend::Mem => {
             let s = FaultyStore::new(MemStore::new(), cell.faults);
@@ -223,15 +288,41 @@ pub fn run_cell(cell: &DrillCell) -> Result<DrillOutcome, PersistError> {
             Survivor::Mem(s)
         }
         DrillBackend::File(dir) => {
-            let s = FaultyStore::new(FileStore::open(dir)?, cell.faults);
-            kwo.attach_store(Box::new(s), sim.now());
+            let file = FileStore::open(dir)?;
+            let store: Box<dyn StateStore> = match cell.kill_in_snapshot {
+                Some(k) => {
+                    let kill = CompactionKill {
+                        store: file,
+                        snapshots_left: k,
+                        killed: Arc::clone(&killed),
+                    };
+                    Box::new(FaultyStore::new(kill, cell.faults))
+                }
+                None => Box::new(FaultyStore::new(file, cell.faults)),
+            };
+            kwo.attach_store(store, sim.now());
             Survivor::File(dir.clone())
         }
     };
     kwo.manage(&sim, WAREHOUSE, fast_setup());
-    kwo.observe_until(&mut sim, OBSERVE_MS);
-    kwo.onboard(&mut sim);
-    kwo.run_until(&mut sim, crash_t);
+    // Observe, onboard, optimize — one tick at a time, so a kill inside
+    // compaction stops the run in the tick it fired in.
+    let crash_tick_at = OBSERVE_MS + plan.crash_tick * TICK_MS;
+    let dies_at = |t: SimTime| match cell.kill_in_snapshot {
+        Some(_) => killed.load(Ordering::SeqCst),
+        None => t == crash_tick_at,
+    };
+    let mut crash_at = sim.now();
+    while crash_at < END_MS {
+        crash_at += TICK_MS;
+        kwo.run_until(&mut sim, crash_at);
+        if dies_at(crash_at) {
+            break;
+        }
+        if crash_at == OBSERVE_MS {
+            kwo.onboard(&mut sim);
+        }
+    }
     // The control plane dies; the warehouse and the store survive.
     drop(kwo);
 
@@ -261,11 +352,15 @@ pub fn run_cell(cell: &DrillCell) -> Result<DrillOutcome, PersistError> {
     };
 
     let (mut kwo, stats) = Orchestrator::restore(store, &sim)?;
+    if crash_at <= OBSERVE_MS {
+        kwo.observe_until(&mut sim, OBSERVE_MS);
+        kwo.onboard(&mut sim);
+    }
     kwo.run_until(&mut sim, END_MS);
     Ok(DrillOutcome {
         fingerprint: fingerprint(&kwo, &sim, wh),
         stats,
-        crash_tick: plan.crash_tick,
+        crash_at,
         dropped_bytes,
         onboarded: kwo.optimizer(WAREHOUSE).is_some_and(|o| o.onboarded()),
     })

@@ -98,7 +98,8 @@ pub use gateway::{
 pub use health::{DegradeReason, HealthMonitor, HealthSignals, HealthState, HealthTransition};
 pub use monitoring::{is_external_config_change, Monitor, RealTimeState};
 pub use orchestrator::{
-    derive_stream_seed, KwoSetup, ManageError, Orchestrator, SnapshotPolicy, WarehouseOptimizer,
+    derive_stream_seed, KwoSetup, ManageError, Orchestrator, WarehouseOptimizer,
+    DEFAULT_SNAPSHOT_INTERVAL_TICKS,
 };
 pub use persist::{
     CtlState, OptimizerSnapshot, PersistError, PersistRecord, RecoveryStats, RetrainRecord,

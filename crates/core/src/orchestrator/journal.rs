@@ -1,9 +1,9 @@
 //! The orchestrator's persistence state behind one value: the attached
-//! store, the compaction policy and its two tick clocks, and the fail-open
+//! store, the compaction interval and its tick clock, and the fail-open
 //! append/snapshot paths with their retry budgets. Keeping it apart from the
 //! optimizers lets a tick borrow one optimizer and the journal disjointly.
 
-use super::{SnapshotPolicy, WarehouseOptimizer};
+use super::{WarehouseOptimizer, DEFAULT_SNAPSHOT_INTERVAL_TICKS};
 use crate::persist::{self, PersistRecord, SnapshotState};
 use crate::store::StateStore;
 use cdw_sim::SimTime;
@@ -30,24 +30,30 @@ pub(super) fn snapshot_state(
     }
 }
 
-#[derive(Default)]
 pub(super) struct Journal {
     /// Durable state store; `None` runs in-memory only (the default).
     store: Option<Box<dyn StateStore>>,
-    /// When to compact the WAL, and how many snapshots to retain.
-    pub(super) policy: SnapshotPolicy,
-    /// Trigger clock: ticks since the last snapshot *attempt window* was
-    /// satisfied. Not reset by failed writes, so the next tick re-triggers.
+    /// Control ticks between two compactions; 0 never compacts.
+    pub(super) interval_ticks: u64,
+    /// Ticks since a snapshot last landed. Failed writes do not reset it,
+    /// so the next tick retries.
     ticks_since_snapshot: u64,
-    /// Age gauge clock: ticks since a snapshot actually landed.
-    ticks_since_good_snapshot: u64,
+}
+
+impl Default for Journal {
+    fn default() -> Self {
+        Self {
+            store: None,
+            interval_ticks: DEFAULT_SNAPSHOT_INTERVAL_TICKS,
+            ticks_since_snapshot: 0,
+        }
+    }
 }
 
 impl Journal {
     pub(super) fn attach(&mut self, store: Box<dyn StateStore>) {
         self.store = Some(store);
         self.ticks_since_snapshot = 0;
-        self.ticks_since_good_snapshot = 0;
     }
 
     /// Appends one record to the WAL, fail-open; a no-op with no store
@@ -93,15 +99,10 @@ impl Journal {
     /// Writes a full snapshot and truncates the WAL, fail-open. A snapshot
     /// write that keeps failing is *not* fatal: the WAL already holds every
     /// record, so the store stays attached and compaction retries at the
-    /// next trigger. Returns whether a snapshot landed.
-    pub(super) fn snapshot(
-        &mut self,
-        seed: u64,
-        optimizers: &[WarehouseOptimizer],
-        at: SimTime,
-    ) -> bool {
+    /// next tick.
+    pub(super) fn snapshot(&mut self, seed: u64, optimizers: &[WarehouseOptimizer], at: SimTime) {
         let Some(store) = self.store.as_mut() else {
-            return false;
+            return;
         };
         let obs = keebo_obs::global();
         let Ok(bytes) = persist::encode_snapshot(&snapshot_state(seed, optimizers, at)) else {
@@ -110,39 +111,29 @@ impl Journal {
             obs.counter("keebo.store.snapshot_errors").inc();
             obs.counter("keebo.store.detached").inc();
             self.store = None;
-            return false;
+            return;
         };
-        store.set_snapshot_retention(self.policy.retain_snapshots);
         for _ in 0..STORE_SNAPSHOT_ATTEMPTS {
             if store.write_snapshot(&bytes).is_ok() {
                 self.ticks_since_snapshot = 0;
-                self.ticks_since_good_snapshot = 0;
                 obs.gauge("keebo.store.snapshot_age_ticks").set(0.0);
-                return true;
+                return;
             }
             obs.counter("keebo.store.snapshot_errors").inc();
         }
-        false
     }
 
-    /// Per-global-tick snapshot bookkeeping: advances the age clocks and
-    /// fires compaction when any [`SnapshotPolicy`] trigger is met.
+    /// Per-global-tick snapshot bookkeeping: advances the age clock and
+    /// compacts once it reaches the interval.
     pub(super) fn note_tick(&mut self, seed: u64, optimizers: &[WarehouseOptimizer], at: SimTime) {
-        let Some(store) = self.store.as_ref() else {
+        if self.store.is_none() {
             return;
-        };
+        }
         self.ticks_since_snapshot += 1;
-        self.ticks_since_good_snapshot += 1;
         keebo_obs::global()
             .gauge("keebo.store.snapshot_age_ticks")
-            .set(self.ticks_since_good_snapshot as f64);
-        let policy = self.policy;
-        let age_due =
-            policy.interval_ticks > 0 && self.ticks_since_snapshot >= policy.interval_ticks;
-        let bytes_due = policy.max_wal_bytes > 0 && store.wal_bytes() >= policy.max_wal_bytes;
-        let records_due =
-            policy.max_wal_records > 0 && store.wal_records() >= policy.max_wal_records;
-        if age_due || bytes_due || records_due {
+            .set(self.ticks_since_snapshot as f64);
+        if self.interval_ticks > 0 && self.ticks_since_snapshot >= self.interval_ticks {
             self.snapshot(seed, optimizers, at);
         }
     }

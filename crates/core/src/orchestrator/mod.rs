@@ -102,38 +102,6 @@ impl Default for KwoSetup {
     }
 }
 
-/// When to compact the WAL into a snapshot, and how many superseded
-/// snapshots to keep. Age- and size-based triggers compose: the first one
-/// to fire wins. A `0` disables that trigger; all triggers disabled means
-/// the WAL grows until [`Orchestrator::restore`] compacts it.
-///
-/// Compaction timing never feeds back into decisions, so any policy leaves
-/// the optimization trajectory bit-identical — the crash-drill matrix pins
-/// this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SnapshotPolicy {
-    /// Age trigger: snapshot after this many control ticks.
-    pub interval_ticks: u64,
-    /// Size trigger: snapshot once the WAL reaches this many bytes.
-    pub max_wal_bytes: u64,
-    /// Size trigger: snapshot once the WAL holds this many records.
-    pub max_wal_records: u64,
-    /// Superseded snapshot generations to retain after each compaction
-    /// (0 = current snapshot only).
-    pub retain_snapshots: u32,
-}
-
-impl Default for SnapshotPolicy {
-    fn default() -> Self {
-        Self {
-            interval_ticks: DEFAULT_SNAPSHOT_INTERVAL_TICKS,
-            max_wal_bytes: 0,
-            max_wal_records: 0,
-            retain_snapshots: 0,
-        }
-    }
-}
-
 /// Derives an independent deterministic RNG seed for a named stream (a
 /// managed warehouse, a fleet shard) from a root seed.
 ///
@@ -538,8 +506,8 @@ impl Orchestrator {
     /// genesis record makes the store recoverable even if every snapshot
     /// write fails (injected or real): [`Self::restore`] can rebuild from
     /// `Orchestrator::new(seed)` plus the full WAL. From here on every
-    /// control event is appended to the WAL and compaction follows the
-    /// [`SnapshotPolicy`] (see [`Self::set_snapshot_policy`]).
+    /// control event is appended to the WAL and compacted into a snapshot
+    /// every [`Self::set_snapshot_interval`] ticks.
     ///
     /// Persistence is fail-open and failures are graded by what they cost:
     /// transient append/snapshot errors are retried in line and counted
@@ -558,10 +526,13 @@ impl Orchestrator {
         self.journal.snapshot(self.seed, &self.optimizers, at);
     }
 
-    /// Sets the store's compaction policy (the default snapshots every
-    /// [`DEFAULT_SNAPSHOT_INTERVAL_TICKS`] ticks and retains nothing).
-    pub fn set_snapshot_policy(&mut self, policy: SnapshotPolicy) {
-        self.journal.policy = policy;
+    /// Compacts the WAL into a snapshot every `ticks` control ticks (default
+    /// [`DEFAULT_SNAPSHOT_INTERVAL_TICKS`]; 0 leaves it to
+    /// [`Self::restore`]). Compaction timing never feeds back into
+    /// decisions, so any interval leaves the optimization trajectory
+    /// bit-identical — the crash-drill matrix pins this.
+    pub fn set_snapshot_interval(&mut self, ticks: u64) {
+        self.journal.interval_ticks = ticks;
     }
 
     /// Starts managing a warehouse. Its *current* configuration becomes the
@@ -1154,10 +1125,7 @@ mod tests {
             let store = MemStore::new();
             let mut kwo = Orchestrator::new(21);
             kwo.attach_store(Box::new(store.clone()), sim.now());
-            kwo.set_snapshot_policy(SnapshotPolicy {
-                interval_ticks: 0,
-                ..SnapshotPolicy::default()
-            });
+            kwo.set_snapshot_interval(0);
 
             kwo.manage(&sim, "WH", fast_setup());
             assert_replay_matches(&kwo, &store, &sim);

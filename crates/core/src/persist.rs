@@ -27,8 +27,8 @@
 //! agent's tensors — both networks, the Adam moments, the replay ring — are
 //! the bulk of a snapshot (96 % of its bytes two days in, 80 % five days in)
 //! and printing and parsing them was most of what a snapshot cost, so they
-//! travel binary: one `TAG_AGENT` header field per optimizer in the `KWSN`
-//! envelope, written by `DqnAgentState::to_bytes` (`nn::le`: fixed-width
+//! travel binary: one length-prefixed agent section per optimizer in the
+//! `KWSN` envelope, written by `DqnAgentState::to_bytes` (`nn::le`: fixed-width
 //! little-endian, every `f64` as its bits — exact for NaN payloads and
 //! `-0.0` too, by construction). Control state — the snapshot's JSON body
 //! and every WAL record — stays serde JSON: self-describing, byte-exact for
@@ -48,26 +48,14 @@ use telemetry::TelemetryFetcher;
 
 use crate::actuator::ActionLogEntry;
 
-/// Bumped on any incompatible change to the persisted schema.
-pub const FORMAT_VERSION: u32 = 3;
+/// Bumped on any incompatible change to the persisted schema. Decode
+/// refuses every other version: no store outlives its process here, so
+/// there is no dual decode.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Magic prefix of the snapshot envelope, the only snapshot format: bytes
 /// that do not start with it are not a snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"KWSN";
-
-/// Version of the envelope *framing* (magic + header field encoding), bumped
-/// only if the header layout itself changes incompatibly. Orthogonal to
-/// [`FORMAT_VERSION`], which versions the body payload.
-pub const SNAPSHOT_ENVELOPE_VERSION: u16 = 1;
-
-/// Header field: body format version (u32 LE), mirrors `SnapshotState::version`.
-const TAG_BODY_VERSION: u16 = 1;
-/// Header field: simulator time at snapshot (u64 LE), mirrors `SnapshotState::at`.
-const TAG_AT: u16 = 2;
-/// Header field, one per optimizer and in their order: `SnapshotState::agents[k]`
-/// as `DqnAgentState::to_bytes` wrote it. Not advisory — the body has no
-/// other copy.
-const TAG_AGENT: u16 = 3;
 
 /// Why persisted state could not be decoded or applied.
 #[derive(Debug)]
@@ -259,7 +247,7 @@ pub struct SnapshotState {
     pub at: SimTime,
     pub optimizers: Vec<OptimizerSnapshot>,
     /// `agents[k]` is the learned state of `optimizers[k]`. Outside the JSON
-    /// body: each is a binary `TAG_AGENT` field of the envelope, and both
+    /// body: each is a binary agent section of the envelope, and both
     /// codec directions refuse a count that differs from `optimizers`'.
     #[serde(skip)]
     pub agents: Vec<DqnAgentState>,
@@ -274,22 +262,11 @@ pub fn decode_record(bytes: &[u8]) -> Result<PersistRecord, PersistError> {
     serde_json::from_slice(bytes).map_err(|e| PersistError::Codec(e.to_string()))
 }
 
-/// Encodes a snapshot in the enveloped format: `KWSN` magic,
-/// envelope version, a tag-length-value header — version, time, one binary
-/// agent section per optimizer — then the JSON body. Every field is
-/// self-delimiting, so a future writer can add fields and this decoder
-/// skips the ones it does not know.
+/// Encodes a snapshot in the enveloped format: `KWSN` magic, the number of
+/// agent sections (`u32` LE), each section as its `u32` LE length and
+/// `DqnAgentState::to_bytes`, then the JSON body, which carries the format
+/// version.
 pub fn encode_snapshot(snapshot: &SnapshotState) -> Result<Vec<u8>, PersistError> {
-    encode_snapshot_with_extra_fields(snapshot, &[])
-}
-
-/// As [`encode_snapshot`], with extra header fields appended — simulates a
-/// future writer for the forward-compatibility tests. Extra tags must not
-/// collide with the known tags (1, 2, 3).
-pub fn encode_snapshot_with_extra_fields(
-    snapshot: &SnapshotState,
-    extra: &[(u16, Vec<u8>)],
-) -> Result<Vec<u8>, PersistError> {
     if snapshot.agents.len() != snapshot.optimizers.len() {
         return Err(PersistError::Codec(format!(
             "{} agents for {} optimizers",
@@ -298,115 +275,63 @@ pub fn encode_snapshot_with_extra_fields(
         )));
     }
     let body = serde_json::to_vec(snapshot).map_err(|e| PersistError::Codec(e.to_string()))?;
-    let fields: Vec<(u16, Vec<u8>)> = [
-        (TAG_BODY_VERSION, snapshot.version.to_le_bytes().to_vec()),
-        (TAG_AT, snapshot.at.to_le_bytes().to_vec()),
-    ]
-    .into_iter()
-    .chain(snapshot.agents.iter().map(|a| (TAG_AGENT, a.to_bytes())))
-    .chain(extra.iter().cloned())
-    .collect();
-    let field_count = u16::try_from(fields.len())
-        .map_err(|_| PersistError::Codec("too many envelope header fields".into()))?;
-    let header_len: usize = fields.iter().map(|(_, value)| 6 + value.len()).sum();
+    let sections: Vec<Vec<u8>> = snapshot.agents.iter().map(|a| a.to_bytes()).collect();
+    envelope(&sections, &body)
+}
+
+/// Frames `sections` and `body` as [`encode_snapshot`] describes.
+fn envelope(sections: &[Vec<u8>], body: &[u8]) -> Result<Vec<u8>, PersistError> {
+    let too_large = |what: &str| PersistError::Codec(format!("{what} too large for the envelope"));
+    let count = u32::try_from(sections.len()).map_err(|_| too_large("agent section count"))?;
+    let header_len: usize = sections.iter().map(|s| 4 + s.len()).sum();
     let mut out = Vec::with_capacity(8 + header_len + body.len());
     out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_ENVELOPE_VERSION.to_le_bytes());
-    out.extend_from_slice(&field_count.to_le_bytes());
-    for (tag, value) in &fields {
-        let len = u32::try_from(value.len())
-            .map_err(|_| PersistError::Codec(format!("envelope field {tag} too large")))?;
-        out.extend_from_slice(&tag.to_le_bytes());
+    out.extend_from_slice(&count.to_le_bytes());
+    for section in sections {
+        let len = u32::try_from(section.len()).map_err(|_| too_large("agent section"))?;
         out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(value);
+        out.extend_from_slice(section);
     }
-    out.extend_from_slice(&body);
+    out.extend_from_slice(body);
     Ok(out)
 }
 
-/// What the envelope header delimits: the body-version field (if present),
-/// the agent sections in header order, still encoded, and the body.
-struct Envelope<'a> {
-    body_version: Option<u32>,
-    agents: Vec<&'a [u8]>,
-    body: &'a [u8],
-}
-
-/// Parses the envelope header. Total: truncated or malformed headers yield
-/// `Err`, never a panic.
-fn decode_envelope(bytes: &[u8]) -> Result<Envelope<'_>, PersistError> {
-    let truncated = || PersistError::Codec("truncated snapshot envelope header".into());
-    let rest = bytes.get(SNAPSHOT_MAGIC.len()..).ok_or_else(truncated)?;
-    let version = u16::from_le_bytes([
-        *rest.first().ok_or_else(truncated)?,
-        *rest.get(1).ok_or_else(truncated)?,
-    ]);
-    if version > SNAPSHOT_ENVELOPE_VERSION {
-        // Unlike unknown *fields*, an unknown envelope version may change
-        // the framing itself — refuse rather than misread.
-        return Err(PersistError::Codec(format!(
-            "snapshot envelope v{version} (this build reads up to v{SNAPSHOT_ENVELOPE_VERSION})"
-        )));
-    }
-    let field_count = u16::from_le_bytes([
-        *rest.get(2).ok_or_else(truncated)?,
-        *rest.get(3).ok_or_else(truncated)?,
-    ]);
-    let mut pos = 4usize;
-    let mut body_version = None;
-    let mut agents = Vec::new();
-    for _ in 0..field_count {
-        let header = rest.get(pos..pos + 6).ok_or_else(truncated)?;
-        let tag = u16::from_le_bytes([header[0], header[1]]);
-        let len = u32::from_le_bytes([header[2], header[3], header[4], header[5]]) as usize;
-        let value = rest
-            .get(pos + 6..(pos + 6).checked_add(len).ok_or_else(truncated)?)
-            .ok_or_else(truncated)?;
-        if tag == TAG_BODY_VERSION && value.len() == 4 {
-            body_version = Some(u32::from_le_bytes([value[0], value[1], value[2], value[3]]));
-        }
-        if tag == TAG_AGENT {
-            agents.push(value);
-        }
-        // Every other tag (including TAG_AT and anything a future writer
-        // adds) is advisory: self-delimiting, safe to skip.
-        pos += 6 + len;
-    }
-    Ok(Envelope {
-        body_version,
-        agents,
-        body: &rest[pos..],
-    })
+/// Splits `bytes` into the next `u32` LE and the rest.
+fn take_u32(bytes: &[u8]) -> Option<(u32, &[u8])> {
+    let (word, rest) = bytes.split_first_chunk::<4>()?;
+    Some((u32::from_le_bytes(*word), rest))
 }
 
 /// Total decoder: arbitrary bytes yield `Err`, never a panic (fuzzed).
 pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotState, PersistError> {
-    if !bytes.starts_with(&SNAPSHOT_MAGIC) {
+    let Some(rest) = bytes.strip_prefix(&SNAPSHOT_MAGIC) else {
         return Err(PersistError::Codec(
             "snapshot does not start with the KWSN envelope magic".into(),
         ));
-    }
-    let envelope = decode_envelope(bytes)?;
-    if let Some(hv) = envelope.body_version {
-        if hv != FORMAT_VERSION {
-            return Err(PersistError::Corrupt(format!(
-                "snapshot body format v{hv} (this build reads v{FORMAT_VERSION})"
-            )));
-        }
-    }
-    let mut agents = Vec::with_capacity(envelope.agents.len());
-    for (k, section) in envelope.agents.iter().enumerate() {
-        let agent = DqnAgentState::from_bytes(section)
-            .map_err(|e| PersistError::Codec(format!("agent section {k}: {e}")))?;
-        agents.push(agent);
+    };
+    let truncated = || PersistError::Codec("truncated snapshot envelope header".into());
+    let (count, mut rest) = take_u32(rest).ok_or_else(truncated)?;
+    // Reserve by sections read, never by the claimed count.
+    let mut sections = Vec::new();
+    for _ in 0..count {
+        let (len, tail) = take_u32(rest).ok_or_else(truncated)?;
+        let (section, tail) = tail.split_at_checked(len as usize).ok_or_else(truncated)?;
+        sections.push(section);
+        rest = tail;
     }
     let mut snap: SnapshotState =
-        serde_json::from_slice(envelope.body).map_err(|e| PersistError::Codec(e.to_string()))?;
+        serde_json::from_slice(rest).map_err(|e| PersistError::Codec(e.to_string()))?;
     if snap.version != FORMAT_VERSION {
         return Err(PersistError::Corrupt(format!(
             "snapshot format v{} (this build reads v{FORMAT_VERSION})",
             snap.version
         )));
+    }
+    let mut agents = Vec::with_capacity(sections.len());
+    for (k, section) in sections.iter().enumerate() {
+        let agent = DqnAgentState::from_bytes(section)
+            .map_err(|e| PersistError::Codec(format!("agent section {k}: {e}")))?;
+        agents.push(agent);
     }
     if agents.len() != snap.optimizers.len() {
         return Err(PersistError::Corrupt(format!(
@@ -455,8 +380,8 @@ mod tests {
         let back = decode_snapshot(&bytes).unwrap();
         assert_eq!(back.seed, snap.seed);
         assert_eq!(back.at, snap.at);
-        // Re-encoding is byte-identical: the header derives purely from the
-        // body, so digest pins survive a decode/encode cycle.
+        // Re-encoding is byte-identical: the header is the agent sections
+        // and nothing else, so digest pins survive a decode/encode cycle.
         assert_eq!(encode_snapshot(&back).unwrap(), bytes);
         // The envelope is the only format: its bare JSON body is refused.
         let body = serde_json::to_vec(&snap).unwrap();
@@ -484,10 +409,11 @@ mod tests {
     fn agent_sections_must_number_the_optimizers() {
         let managed = decode_snapshot(&managed_snapshot()).unwrap();
         let section = managed.agents[0].to_bytes();
-        // One section too many, by way of the "future writer" door.
+        // One section too many.
         for snap in [&managed, &empty_snapshot()] {
-            let extra = [(TAG_AGENT, section.clone())];
-            let bytes = encode_snapshot_with_extra_fields(snap, &extra).unwrap();
+            let mut sections: Vec<Vec<u8>> = snap.agents.iter().map(|a| a.to_bytes()).collect();
+            sections.push(section.clone());
+            let bytes = envelope(&sections, &serde_json::to_vec(snap).unwrap()).unwrap();
             match decode_snapshot(&bytes) {
                 Err(PersistError::Corrupt(m)) => assert!(m.contains("agent sections for"), "{m}"),
                 other => panic!("expected Corrupt, got {other:?}"),
@@ -505,8 +431,9 @@ mod tests {
     #[test]
     fn a_lying_agent_section_is_a_decode_error_naming_it() {
         // A count of 2^60 layer sizes in eight bytes of section.
-        let extra = [(TAG_AGENT, (1u64 << 60).to_le_bytes().to_vec())];
-        let bytes = encode_snapshot_with_extra_fields(&empty_snapshot(), &extra).unwrap();
+        let sections = [(1u64 << 60).to_le_bytes().to_vec()];
+        let body = serde_json::to_vec(&empty_snapshot()).unwrap();
+        let bytes = envelope(&sections, &body).unwrap();
         match decode_snapshot(&bytes) {
             Err(PersistError::Codec(m)) => {
                 assert!(
@@ -563,23 +490,10 @@ mod tests {
     }
 
     #[test]
-    fn unknown_header_fields_are_skipped() {
-        let snap = empty_snapshot();
-        // A "future writer" adding fields this build has never heard of.
-        let bytes = encode_snapshot_with_extra_fields(
-            &snap,
-            &[(0x7777, b"from the future".to_vec()), (0x7778, Vec::new())],
-        )
-        .unwrap();
-        let back = decode_snapshot(&bytes).unwrap();
-        assert_eq!(back.seed, snap.seed);
-    }
-
-    #[test]
     fn truncated_envelope_is_rejected_at_every_length() {
         // Any cut inside the header or body must error, never panic. (Body
-        // cuts fail JSON parsing; header cuts — the agent section is a
-        // header field — fail envelope parsing.)
+        // cuts fail JSON parsing; header cuts — the agent sections are the
+        // header — fail envelope parsing.)
         for bytes in [
             encode_snapshot(&empty_snapshot()).unwrap(),
             managed_snapshot(),
@@ -593,34 +507,49 @@ mod tests {
         }
     }
 
+    /// A snapshot whose body claims `version` is `Corrupt`, naming it.
+    fn assert_version_refused(version: u32) {
+        let mut snap = empty_snapshot();
+        snap.version = version;
+        match decode_snapshot(&encode_snapshot(&snap).unwrap()) {
+            Err(PersistError::Corrupt(m)) => {
+                assert!(
+                    m.ends_with(&format!("v{version} (this build reads v4)")),
+                    "{m}"
+                )
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
     #[test]
     fn future_envelope_version_is_refused() {
-        let mut bytes = encode_snapshot(&empty_snapshot()).unwrap();
-        bytes[4..6].copy_from_slice(&(SNAPSHOT_ENVELOPE_VERSION + 1).to_le_bytes());
-        assert!(matches!(
-            decode_snapshot(&bytes),
-            Err(PersistError::Codec(_))
-        ));
+        // The envelope has no version of its own: the body's refuses the
+        // next format, however it frames its sections.
+        assert_version_refused(FORMAT_VERSION + 1);
     }
 
     #[test]
     fn mismatched_body_version_header_is_corrupt() {
-        // The next format and the previous ones: no dual decode. v2 was
-        // the all-JSON snapshot, agent included.
-        for version in [FORMAT_VERSION + 1, 2, 1] {
-            let mut snap = empty_snapshot();
-            snap.version = version;
-            let bytes = encode_snapshot(&snap).unwrap();
-            match decode_snapshot(&bytes) {
-                Err(PersistError::Corrupt(m)) => {
-                    assert!(
-                        m.ends_with(&format!("v{version} (this build reads v3)")),
-                        "{m}"
-                    )
-                }
-                other => panic!("expected Corrupt, got {other:?}"),
-            }
+        // The previous formats: no dual decode. v3 had a tagged header that
+        // copied the body's version, v2 was the all-JSON snapshot.
+        for version in [3, 2, 1] {
+            assert_version_refused(version);
         }
+        // A v3 snapshot as v3 wrote it: magic, envelope version 1, two
+        // tagged fields (tag, u32 length, value: body version, time), body.
+        let mut v3 = empty_snapshot();
+        v3.version = 3;
+        let mut bytes = [
+            &SNAPSHOT_MAGIC[..],
+            &[1, 0, 2, 0],
+            &[1, 0, 4, 0, 0, 0, 3, 0, 0, 0],
+        ]
+        .concat();
+        bytes.extend_from_slice(&[2, 0, 8, 0, 0, 0]);
+        bytes.extend_from_slice(&v3.at.to_le_bytes());
+        bytes.extend_from_slice(&serde_json::to_vec(&v3).unwrap());
+        assert!(decode_snapshot(&bytes).is_err());
     }
 }
 

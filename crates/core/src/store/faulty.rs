@@ -2,18 +2,14 @@
 //!
 //! Real deployments of the control plane would keep durable state in a
 //! remote service (the memory/redis/dynamodb spread of typical state
-//! crates), which brings two failure modes a local medium does not have:
-//! per-operation service latency and transient request failures.
-//! [`FaultyStore`] simulates both deterministically in front of a
-//! [`super::MemStore`] or a [`super::FileStore`]: a [`StoreFaultPlan`]
-//! derives every fault and latency sample from `(plan seed, operation kind,
-//! operation sequence number)` via splitmix64, so a crash drill that hits
-//! an injected append failure hits exactly the same failure on every run.
-//! Everything else — storage, retention, counters — is the medium's.
-//!
-//! Simulated time only: operation latency is *recorded* (histogram
-//! `keebo.store.remote_op_us`) but never slept — wall-clock sleeps would
-//! violate the repo's determinism rules and slow the drill matrix.
+//! crates), which brings a failure mode a local medium does not have:
+//! transient request failures. [`FaultyStore`] simulates them
+//! deterministically in front of a [`super::MemStore`] or a
+//! [`super::FileStore`]: a [`StoreFaultPlan`] derives every fault from
+//! `(plan seed, operation kind, operation sequence number)` via splitmix64,
+//! so a crash drill that hits an injected append failure hits exactly the
+//! same failure on every run. Everything else — storage and its counters —
+//! is the medium's.
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,16 +26,12 @@ const KIND_LOAD: u64 = 0x4C;
 
 const PPM_SCALE: u64 = 1_000_000;
 
-/// Latency histogram bounds, microseconds.
-const REMOTE_OP_US_BOUNDS: [f64; 7] = [50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0];
-
 /// Seeded fault-injection plan for a [`FaultyStore`]: per-operation
-/// failure rates in parts-per-million plus a nominal service latency.
-/// Everything derives from `seed`, so a plan is a complete, reproducible
-/// description of the store's behavior.
+/// failure rates in parts-per-million. Everything derives from `seed`, so a
+/// plan is a complete, reproducible description of the store's behavior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreFaultPlan {
-    /// Stream seed for fault and latency sampling.
+    /// Stream seed for fault sampling.
     pub seed: u64,
     /// Probability an `append` fails (ppm). The record is NOT stored.
     pub append_error_ppm: u32,
@@ -47,19 +39,16 @@ pub struct StoreFaultPlan {
     pub snapshot_error_ppm: u32,
     /// Probability a `load` times out (ppm) — `io::ErrorKind::TimedOut`.
     pub read_timeout_ppm: u32,
-    /// Nominal per-op service latency, microseconds (jittered ±50%).
-    pub latency_us: u64,
 }
 
 impl StoreFaultPlan {
-    /// A healthy remote: no faults, no recorded latency.
+    /// A healthy remote: no faults.
     pub fn none() -> Self {
         Self {
             seed: 0,
             append_error_ppm: 0,
             snapshot_error_ppm: 0,
             read_timeout_ppm: 0,
-            latency_us: 0,
         }
     }
 
@@ -68,7 +57,7 @@ impl StoreFaultPlan {
     /// fuzzer drives this directly. Rates are capped so fuzzed stores stay
     /// mostly operational: appends ≤12%, snapshots ≤50%, reads ≤20%.
     pub fn from_genome(bytes: &[u8]) -> Self {
-        let mut padded = [0u8; 24];
+        let mut padded = [0u8; 20];
         for (dst, src) in padded.iter_mut().zip(bytes) {
             *dst = *src;
         }
@@ -83,7 +72,6 @@ impl StoreFaultPlan {
             append_error_ppm: le_u32(8) % 120_001,
             snapshot_error_ppm: le_u32(12) % 500_001,
             read_timeout_ppm: le_u32(16) % 200_001,
-            latency_us: u64::from(le_u32(20)) % 5_001,
         }
     }
 
@@ -98,15 +86,6 @@ impl StoreFaultPlan {
 
     fn hits(&self, ppm: u32, kind: u64, op_seq: u64) -> bool {
         ppm > 0 && self.roll(kind, op_seq) % PPM_SCALE < u64::from(ppm)
-    }
-
-    /// Simulated service latency for this op: nominal ±50% jitter.
-    fn latency_sample_us(&self, kind: u64, op_seq: u64) -> u64 {
-        if self.latency_us == 0 {
-            return 0;
-        }
-        let jitter_span = self.latency_us.max(1);
-        self.latency_us / 2 + self.roll(kind ^ 0x77, op_seq) % (jitter_span + 1)
     }
 }
 
@@ -139,16 +118,9 @@ impl<S: StateStore> FaultyStore<S> {
         &self.inner
     }
 
-    /// Records one op's simulated service latency and returns whether the
-    /// plan injects a fault for it.
+    /// Counts one op and returns whether the plan injects a fault for it.
     fn begin_op(&self, kind: u64, ppm: u32) -> bool {
         let op = self.ops.fetch_add(1, Ordering::SeqCst);
-        let us = self.plan.latency_sample_us(kind, op);
-        if us > 0 {
-            keebo_obs::global()
-                .histogram("keebo.store.remote_op_us", &REMOTE_OP_US_BOUNDS)
-                .observe(us as f64);
-        }
         self.plan.hits(ppm, kind, op)
     }
 }
@@ -189,14 +161,6 @@ impl<S: StateStore> StateStore for FaultyStore<S> {
     fn snapshot_bytes(&self) -> u64 {
         self.inner.snapshot_bytes()
     }
-
-    fn set_snapshot_retention(&mut self, generations: u32) {
-        self.inner.set_snapshot_retention(generations);
-    }
-
-    fn snapshot_generations(&self) -> u64 {
-        self.inner.snapshot_generations()
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +175,6 @@ mod tests {
             append_error_ppm: 300_000,
             snapshot_error_ppm: 0,
             read_timeout_ppm: 0,
-            latency_us: 0,
         };
         let drive = || {
             let mut s = FaultyStore::new(MemStore::new(), plan);
@@ -245,7 +208,6 @@ mod tests {
                 append_error_ppm: 1_000_000,
                 snapshot_error_ppm: 0,
                 read_timeout_ppm: 0,
-                latency_us: 0,
             },
         );
         assert!(s.append(b"doomed").is_err());
@@ -259,7 +221,6 @@ mod tests {
                 append_error_ppm: 0,
                 snapshot_error_ppm: 1_000_000,
                 read_timeout_ppm: 0,
-                latency_us: 0,
             },
         );
         assert!(s.append(b"fine").is_ok());
@@ -276,7 +237,6 @@ mod tests {
                 append_error_ppm: 0,
                 snapshot_error_ppm: 0,
                 read_timeout_ppm: 1_000_000,
-                latency_us: 0,
             },
         );
         let err = s.load().unwrap_err();
@@ -290,7 +250,6 @@ mod tests {
             append_error_ppm: 500_000,
             snapshot_error_ppm: 0,
             read_timeout_ppm: 0,
-            latency_us: 0,
         };
         let mut s = FaultyStore::new(MemStore::new(), plan);
         let mut stored = Vec::new();
@@ -312,7 +271,6 @@ mod tests {
                 append_error_ppm: 0,
                 snapshot_error_ppm: 0,
                 read_timeout_ppm: 0,
-                latency_us: 0
             }
         );
         let genome: Vec<u8> = (0..64u8).collect();
@@ -324,27 +282,6 @@ mod tests {
             assert!(p.append_error_ppm <= 120_000);
             assert!(p.snapshot_error_ppm <= 500_000);
             assert!(p.read_timeout_ppm <= 200_000);
-            assert!(p.latency_us <= 5_000);
-        }
-    }
-
-    #[test]
-    fn latency_is_recorded_not_slept() {
-        let plan = StoreFaultPlan {
-            seed: 9,
-            append_error_ppm: 0,
-            snapshot_error_ppm: 0,
-            read_timeout_ppm: 0,
-            latency_us: 400,
-        };
-        let mut s = FaultyStore::new(MemStore::new(), plan);
-        for i in 0..16 {
-            s.append(format!("r{i}").as_bytes()).unwrap();
-        }
-        // Sampled latency stays within the nominal ±50% jitter band.
-        for op in 0..16u64 {
-            let us = plan.latency_sample_us(KIND_APPEND, op);
-            assert!((200..=800).contains(&us), "latency {us}µs out of band");
         }
     }
 }

@@ -1,4 +1,12 @@
-//! File-backed store backend: framed WAL + atomic snapshot writes.
+//! File-backed store backend: framed WAL + atomic snapshot writes, tied
+//! together by a generation number.
+//!
+//! `snapshot.bin` is two frames, the snapshot's generation (`u64` LE) and
+//! its payload; `wal.log` opens with one frame holding the generation of
+//! the snapshot its records extend. Compaction is two steps — rename the
+//! new snapshot into place, then reset the log — and a kill between them
+//! leaves a log one generation behind a snapshot that already holds every
+//! record in it: load discards that log instead of replaying it twice.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -6,9 +14,14 @@ use std::path::{Path, PathBuf};
 
 use super::{frame_header, scan_frames, StateStore, StoreContents, FRAME_HEADER_BYTES};
 
-const WAL_FILE: &str = "wal.log";
-pub(crate) const SNAPSHOT_FILE: &str = "snapshot.bin";
+pub(crate) const WAL_FILE: &str = "wal.log";
+const SNAPSHOT_FILE: &str = "snapshot.bin";
 const SNAPSHOT_TMP: &str = "snapshot.tmp";
+
+/// A frame holding one generation number.
+const GENERATION_FRAME_BYTES: usize = FRAME_HEADER_BYTES + 8;
+/// What `snapshot.bin` holds besides the snapshot payload.
+const SNAPSHOT_OVERHEAD: u64 = (GENERATION_FRAME_BYTES + FRAME_HEADER_BYTES) as u64;
 
 /// Flushes directory metadata so a just-renamed entry in `dir` survives
 /// power loss. `rename` is atomic with respect to concurrent readers, but
@@ -27,20 +40,48 @@ pub(crate) fn sync_dir(dir: &Path) {
     }
 }
 
-/// File-backed [`StateStore`]: `wal.log` holds framed records, `snapshot.bin`
-/// holds one framed snapshot, `snapshot.tmp` is the atomic-write staging
-/// file. Appends are flushed per record so a kill between ticks loses
-/// nothing; a kill mid-write loses only the torn tail. With snapshot
-/// retention enabled, superseded snapshots rotate to
-/// `snapshot.old.1.bin` (newest) … `snapshot.old.N.bin` (oldest).
+/// A generation number as the frame that opens `snapshot.bin` and `wal.log`.
+fn generation_frame(generation: u64) -> io::Result<Vec<u8>> {
+    let payload = generation.to_le_bytes();
+    Ok([&frame_header(&payload)?[..], &payload].concat())
+}
+
+/// The generation a frame stream opens with, if its first frame is one.
+fn leading_generation(frames: &[Vec<u8>]) -> Option<u64> {
+    let first: [u8; 8] = frames.first()?.as_slice().try_into().ok()?;
+    Some(u64::from_le_bytes(first))
+}
+
+/// The generation `file` opens with, read from its first frame alone.
+fn read_generation(file: &mut File) -> io::Result<Option<u64>> {
+    let mut head = Vec::with_capacity(GENERATION_FRAME_BYTES);
+    file.seek(SeekFrom::Start(0))?;
+    file.take(GENERATION_FRAME_BYTES as u64)
+        .read_to_end(&mut head)?;
+    Ok(leading_generation(&scan_frames(&head).payloads))
+}
+
+/// File-backed [`StateStore`]: `wal.log` holds framed records after its
+/// generation frame, `snapshot.bin` holds the generation and the snapshot,
+/// `snapshot.tmp` is the atomic-write staging file. Appends are flushed per
+/// record so a kill between ticks loses nothing; a kill mid-write loses
+/// only the torn tail.
 #[derive(Debug)]
 pub struct FileStore {
     dir: PathBuf,
     wal: File,
+    /// Generation of the snapshot on disk; 0 before the first one.
+    generation: u64,
+    /// Whether `wal.log` extends that snapshot. False from a snapshot's
+    /// rename until the log reset behind it lands, and for a stale log
+    /// found at open until `load` resets it: an append never lands in a log
+    /// that recovery would discard.
+    wal_current: bool,
     wal_records: u64,
+    /// Record bytes in the log, framing included; its generation frame is
+    /// not counted.
     wal_bytes: u64,
     snapshot_bytes: u64,
-    retention: u32,
     /// The WAL frame being appended, reused across appends: header and
     /// payload must reach the log in one write.
     frame: Vec<u8>,
@@ -56,19 +97,31 @@ impl FileStore {
             .append(true)
             .read(true)
             .open(dir.join(WAL_FILE))?;
-        let wal_bytes = wal.metadata()?.len();
-        let snapshot_bytes = fs::metadata(dir.join(SNAPSHOT_FILE))
-            .map(|m| m.len().saturating_sub(FRAME_HEADER_BYTES as u64))
-            .unwrap_or(0);
-        Ok(Self {
+        let (generation, snapshot_bytes) = match File::open(dir.join(SNAPSHOT_FILE)) {
+            Ok(mut snapshot) => (
+                read_generation(&mut snapshot)?.unwrap_or(0),
+                snapshot.metadata()?.len().saturating_sub(SNAPSHOT_OVERHEAD),
+            ),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => (0, 0),
+            Err(e) => return Err(e),
+        };
+        let wal_len = wal.metadata()?.len();
+        let mut store = Self {
             dir,
             wal,
+            generation,
+            wal_current: false,
             wal_records: 0, // unknown until load(); counts appends otherwise
-            wal_bytes,
+            wal_bytes: wal_len.saturating_sub(GENERATION_FRAME_BYTES as u64),
             snapshot_bytes,
-            retention: 0,
             frame: Vec::new(),
-        })
+        };
+        if wal_len == 0 {
+            store.reset_wal()?;
+        } else {
+            store.wal_current = read_generation(&mut store.wal)? == Some(generation);
+        }
+        Ok(store)
     }
 
     /// Directory this store lives in.
@@ -76,74 +129,38 @@ impl FileStore {
         &self.dir
     }
 
-    /// Truncates the WAL file to `len` bytes — the torn-write injector for
-    /// the crash harness.
+    /// Truncates the WAL's records to their first `len` bytes — the
+    /// torn-write injector for the crash harness.
     pub fn truncate_wal_to(&mut self, len: u64) -> io::Result<()> {
         let keep = len.min(self.wal_bytes);
-        self.wal.set_len(keep)?;
+        self.wal.set_len(GENERATION_FRAME_BYTES as u64 + keep)?;
         self.wal.seek(SeekFrom::End(0))?;
         self.wal_bytes = keep;
         Ok(())
     }
 
-    fn old_snapshot_path(&self, generation: u32) -> PathBuf {
-        self.dir.join(format!("snapshot.old.{generation}.bin"))
-    }
-
-    /// Retains the current snapshot as generation 1 of the retained chain
-    /// and prunes generations beyond the retention limit. The current slot
-    /// is linked (or copied), never renamed away: `snapshot.bin` must only
-    /// ever be replaced by the atomic tmp rename in `write_snapshot`, or a
-    /// kill between the two would leave a store with every byte on disk and
-    /// no snapshot to restore from. Best-effort: retention is operator
-    /// convenience, never correctness, so any failure is counted
-    /// (`keebo.store.retention_errors`) and the snapshot write proceeds.
-    fn rotate_retained(&self) {
-        let mut failed = false;
-        // Prune anything at or beyond the retention horizon (also clears
-        // leftovers after retention was tightened).
-        let mut gen = self.retention.max(1);
-        loop {
-            match fs::remove_file(self.old_snapshot_path(gen)) {
-                Ok(()) => gen += 1,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => break,
-                Err(_) => {
-                    failed = true;
-                    break;
-                }
-            }
-        }
-        if self.retention > 0 {
-            // Shift old.N-1 → old.N … old.1 → old.2, then retain current
-            // as old.1 (a second name for the same file where the
-            // filesystem links, a copy where it does not).
-            for g in (1..self.retention).rev() {
-                let from = self.old_snapshot_path(g);
-                if let Err(e) = fs::rename(&from, self.old_snapshot_path(g + 1)) {
-                    if e.kind() != io::ErrorKind::NotFound {
-                        failed = true;
-                    }
-                }
-            }
-            let current = self.dir.join(SNAPSHOT_FILE);
-            let retained = self.old_snapshot_path(1);
-            if current.exists()
-                && fs::hard_link(&current, &retained).is_err()
-                && fs::copy(&current, &retained).is_err()
-            {
-                failed = true;
-            }
-        }
-        if failed {
-            keebo_obs::global()
-                .counter("keebo.store.retention_errors")
-                .inc();
-        }
+    /// Empties the log down to the generation frame of the snapshot on
+    /// disk.
+    fn reset_wal(&mut self) -> io::Result<()> {
+        self.wal_current = false;
+        self.wal.set_len(0)?;
+        self.wal.write_all(&generation_frame(self.generation)?)?;
+        self.wal.flush()?;
+        self.wal_current = true;
+        self.wal_records = 0;
+        self.wal_bytes = 0;
+        Ok(())
     }
 }
 
 impl StateStore for FileStore {
     fn append(&mut self, payload: &[u8]) -> io::Result<()> {
+        if !self.wal_current {
+            return Err(io::Error::other(format!(
+                "{WAL_FILE} is behind snapshot generation {}: its reset did not land",
+                self.generation
+            )));
+        }
         let header = frame_header(payload)?;
         self.frame.clear();
         self.frame.extend_from_slice(&header);
@@ -156,66 +173,96 @@ impl StateStore for FileStore {
     }
 
     fn write_snapshot(&mut self, snapshot: &[u8]) -> io::Result<()> {
+        let generation = self.generation + 1;
         let header = frame_header(snapshot)?;
         let tmp = self.dir.join(SNAPSHOT_TMP);
         {
-            // Nobody reads the staging file before the rename, so the frame
+            // Nobody reads the staging file before the rename, so the frames
             // need not land in one write: the payload goes out uncopied.
             let mut f = File::create(&tmp)?;
+            f.write_all(&generation_frame(generation)?)?;
             f.write_all(&header)?;
             f.write_all(snapshot)?;
             f.sync_all()?;
         }
-        self.rotate_retained();
         fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
         // Make the rename itself durable: without a directory sync, a crash
         // after the rename can lose the new directory entry and resurrect
         // the pre-snapshot state even though the payload was fsynced.
         sync_dir(&self.dir);
-        // Snapshot is durable; the log it subsumes can go.
-        self.wal.set_len(0)?;
-        self.wal.seek(SeekFrom::End(0))?;
-        self.wal_records = 0;
-        self.wal_bytes = 0;
+        self.generation = generation;
         self.snapshot_bytes = snapshot.len() as u64;
-        Ok(())
+        // The snapshot holds every record the log does. Until the reset
+        // lands the log is a generation behind: load discards it, and
+        // appends refuse it.
+        self.reset_wal()
     }
 
     fn load(&mut self) -> io::Result<StoreContents> {
         let snap_path = self.dir.join(SNAPSHOT_FILE);
-        let snapshot = match fs::read(&snap_path) {
+        let (generation, snapshot) = match fs::read(&snap_path) {
             Ok(bytes) => {
                 let scan = scan_frames(&bytes);
-                if scan.payloads.len() != 1 || scan.valid_bytes != bytes.len() {
+                let generation = leading_generation(&scan.payloads);
+                match (generation, <[_; 2]>::try_from(scan.payloads)) {
+                    (Some(g), Ok([_, snapshot])) if scan.valid_bytes == bytes.len() => {
+                        (g, Some(snapshot))
+                    }
                     // Snapshot writes are atomic (tmp + rename), so a bad
                     // snapshot is real corruption, not a torn write.
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("corrupt snapshot at {}", snap_path.display()),
-                    ));
+                    _ => {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!("corrupt snapshot at {}", snap_path.display()),
+                        ))
+                    }
                 }
-                scan.payloads.into_iter().next()
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => (0, None),
             Err(e) => return Err(e),
         };
+        self.generation = generation;
         self.snapshot_bytes = snapshot.as_ref().map_or(0, |s| s.len() as u64);
 
         let mut wal_bytes = Vec::new();
         self.wal.seek(SeekFrom::Start(0))?;
         self.wal.read_to_end(&mut wal_bytes)?;
         let scan = scan_frames(&wal_bytes);
+        let mut records = scan.payloads;
+        match leading_generation(&records) {
+            Some(g) if g > generation => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{WAL_FILE} extends snapshot generation {g}, the snapshot is {generation}"
+                    ),
+                ))
+            }
+            Some(g) if g == generation => {}
+            _ => {
+                // Behind the snapshot (a kill between its rename and the log
+                // reset) or headless (a kill inside the reset): every record
+                // the log holds is already in the snapshot.
+                self.reset_wal()?;
+                return Ok(StoreContents {
+                    snapshot,
+                    ..StoreContents::default()
+                });
+            }
+        }
         let truncated = (wal_bytes.len() - scan.valid_bytes) as u64;
         if truncated > 0 {
             // Drop the torn tail so future appends extend a valid log.
             self.wal.set_len(scan.valid_bytes as u64)?;
         }
         self.wal.seek(SeekFrom::End(0))?;
-        self.wal_records = scan.payloads.len() as u64;
-        self.wal_bytes = scan.valid_bytes as u64;
+        records.remove(0);
+        self.wal_current = true;
+        self.wal_records = records.len() as u64;
+        self.wal_bytes = (scan.valid_bytes - GENERATION_FRAME_BYTES) as u64;
         Ok(StoreContents {
             snapshot,
-            records: scan.payloads,
+            records,
             truncated_bytes: truncated,
         })
     }
@@ -230,20 +277,6 @@ impl StateStore for FileStore {
 
     fn snapshot_bytes(&self) -> u64 {
         self.snapshot_bytes
-    }
-
-    fn set_snapshot_retention(&mut self, generations: u32) {
-        self.retention = generations;
-    }
-
-    fn snapshot_generations(&self) -> u64 {
-        let mut count = u64::from(self.dir.join(SNAPSHOT_FILE).exists());
-        let mut gen = 1u32;
-        while self.old_snapshot_path(gen).exists() {
-            count += 1;
-            gen += 1;
-        }
-        count
     }
 }
 
@@ -350,65 +383,77 @@ mod tests {
     }
 
     #[test]
-    fn file_store_rotates_retained_snapshot_generations() {
-        let dir = scratch_dir("retain");
+    fn file_store_keeps_one_snapshot_generation() {
+        let dir = scratch_dir("one-generation");
         let mut s = FileStore::open(&dir).unwrap();
-        s.set_snapshot_retention(2);
-        for g in 0..5u8 {
-            s.write_snapshot(format!("gen-{g}").as_bytes()).unwrap();
+        for g in 1..=5u8 {
+            s.append(&[g]).unwrap();
+            s.write_snapshot(&[g; 3]).unwrap();
         }
-        // Current (gen-4) + retained gen-3 and gen-2.
-        assert_eq!(s.snapshot_generations(), 3);
-        let read = |p: PathBuf| scan_frames(&fs::read(p).unwrap()).payloads.remove(0);
-        assert_eq!(read(dir.join(SNAPSHOT_FILE)), b"gen-4".to_vec());
-        assert_eq!(read(s.old_snapshot_path(1)), b"gen-3".to_vec());
-        assert_eq!(read(s.old_snapshot_path(2)), b"gen-2".to_vec());
-        assert!(!s.old_snapshot_path(3).exists());
-
-        // Tightened retention prunes the extra generation at the next write.
-        s.set_snapshot_retention(1);
-        s.write_snapshot(b"gen-5").unwrap();
-        assert_eq!(s.snapshot_generations(), 2);
-        assert_eq!(read(s.old_snapshot_path(1)), b"gen-4".to_vec());
+        // Restore reads only the latest snapshot, so that is all there is:
+        // the fifth generation, and a log stamped with it.
+        assert_eq!(s.snapshot_generations(), 1);
+        assert_eq!(
+            fs::read_dir(&dir).unwrap().count(),
+            2,
+            "one snapshot, one log"
+        );
+        for file in [SNAPSHOT_FILE, WAL_FILE] {
+            let mut f = File::open(dir.join(file)).unwrap();
+            assert_eq!(read_generation(&mut f).unwrap(), Some(5), "{file}");
+        }
+        let c = s.load().unwrap();
+        assert_eq!((c.snapshot, c.records.len()), (Some(vec![5; 3]), 0));
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn rotation_never_removes_the_current_snapshot() {
-        // A kill between rotation and the tmp rename must find the store
-        // as it was: the WAL only holds records since this snapshot.
-        let dir = scratch_dir("retain-kill");
+    fn a_kill_inside_compaction_never_replays_what_the_snapshot_holds() {
+        let dir = scratch_dir("compaction-kill");
+        let wal_path = dir.join(WAL_FILE);
         let mut s = FileStore::open(&dir).unwrap();
         s.write_snapshot(b"snapshot A").unwrap();
-        s.set_snapshot_retention(1);
-        s.rotate_retained();
-        let c = s.load().unwrap();
-        assert_eq!(c.snapshot.as_deref(), Some(&b"snapshot A"[..]));
-        let retained = fs::read(s.old_snapshot_path(1)).unwrap();
-        assert_eq!(
-            scan_frames(&retained).payloads,
-            vec![b"snapshot A".to_vec()]
+        s.append(b"rec-a").unwrap();
+        // Killed after the rename, before the log reset: the log still
+        // holds what the new snapshot already does.
+        let before = fs::read(&wal_path).unwrap();
+        s.write_snapshot(b"snapshot B").unwrap();
+        drop(s);
+        fs::write(&wal_path, &before).unwrap();
+
+        let mut s = FileStore::open(&dir).unwrap();
+        assert!(
+            s.append(b"lost").is_err(),
+            "an append must not land in a log recovery discards"
         );
+        let c = s.load().unwrap();
+        assert_eq!(c.snapshot.as_deref(), Some(&b"snapshot B"[..]));
+        assert!(c.records.is_empty(), "replayed {:?}", c.records);
+        assert_eq!(c.truncated_bytes, 0);
+        // The load reset the log: appends extend snapshot B again.
+        s.append(b"rec-b").unwrap();
+        assert_eq!(s.load().unwrap().records, vec![b"rec-b".to_vec()]);
+
+        // Killed inside the reset, the log emptied and not yet stamped.
+        s.write_snapshot(b"snapshot C").unwrap();
+        drop(s);
+        fs::write(&wal_path, b"").unwrap();
+        let c = FileStore::open(&dir).unwrap().load().unwrap();
+        assert_eq!(c.snapshot.as_deref(), Some(&b"snapshot C"[..]));
+        assert!(c.records.is_empty());
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn retention_rotation_failure_is_counted_not_fatal() {
-        let dir = scratch_dir("retain-fail");
+    fn a_log_ahead_of_its_snapshot_is_corrupt() {
+        let dir = scratch_dir("log-ahead");
         let mut s = FileStore::open(&dir).unwrap();
-        s.set_snapshot_retention(1);
-        s.write_snapshot(b"first").unwrap();
-        // Block the rotation target with a non-empty directory: renaming a
-        // file over it must fail, which retention absorbs fail-open.
-        let blocker = s.old_snapshot_path(1);
-        fs::create_dir_all(blocker.join("occupied")).unwrap();
-        let errors = keebo_obs::global().counter("keebo.store.retention_errors");
-        let before = errors.get();
-        s.write_snapshot(b"second").unwrap();
-        assert_eq!(errors.get(), before + 1);
-        // The snapshot write itself still landed.
-        let c = s.load().unwrap();
-        assert_eq!(c.snapshot.as_deref(), Some(&b"second"[..]));
+        s.write_snapshot(b"snapshot").unwrap();
+        drop(s);
+        // The snapshot's directory entry was lost after its log reset.
+        fs::remove_file(dir.join(SNAPSHOT_FILE)).unwrap();
+        let err = FileStore::open(&dir).unwrap().load().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,20 +10,21 @@
 //!
 //! * [`StateStore`] — point-in-time snapshot plus an append-only record log
 //!   (write-ahead log, WAL). Snapshots bound replay time; the WAL captures
-//!   every tick since the last snapshot. Stores optionally retain the last
-//!   N superseded snapshot generations for operator rollback.
+//!   every tick since the last snapshot. A store keeps one snapshot: restore
+//!   reads nothing older.
 //! * [`MemStore`] — in-memory store for tests and fleet runs. Cloning shares
 //!   the backing storage, so a harness can keep a handle across an
 //!   orchestrator "crash" (drop).
 //! * [`FileStore`] — file-backed store with length+CRC32-framed records,
-//!   atomic (tmp file + rename) snapshot writes, and torn-tail truncation on
-//!   open: a record half-written at kill time is dropped, never replayed.
+//!   atomic (tmp file + rename) snapshot writes, a generation number that
+//!   ties the WAL to the snapshot it extends, and torn-tail truncation on
+//!   load: a record half-written at kill time is dropped, never replayed.
 //! * [`FaultyStore`] — a decorator over either medium that simulates a
-//!   remote service (the memory/redis/dynamodb spread of a real deployment):
-//!   per-operation service latency and seeded fault injection via
-//!   [`StoreFaultPlan`] — append errors, snapshot write failures, and read
-//!   timeouts, all deterministic so the crash-drill matrix is reproducible.
-//!   It owns the plan and the op counter and forwards everything else.
+//!   remote service (the memory/redis/dynamodb spread of a real deployment)
+//!   by seeded fault injection via [`StoreFaultPlan`] — append errors,
+//!   snapshot write failures, and read timeouts, all deterministic so the
+//!   crash-drill matrix is reproducible. It owns the plan and the op
+//!   counter and forwards everything else.
 //! * [`CrashPlan`] — deterministic crash-injection schedule for the recovery
 //!   harness (kill tick and torn-write byte offset from a seed).
 //!
@@ -45,6 +46,7 @@ mod mem;
 
 pub use faulty::{FaultyStore, StoreFaultPlan};
 pub use file::FileStore;
+pub(crate) use file::WAL_FILE;
 pub use mem::MemStore;
 
 /// One step of the bitwise CRC-32 (IEEE 802.3, reflected polynomial): `crc`
@@ -141,14 +143,14 @@ pub trait StateStore: Send {
     /// Size of the last snapshot payload written or loaded.
     fn snapshot_bytes(&self) -> u64;
 
-    /// Sets how many *superseded* snapshot generations to keep after each
-    /// compaction (0 = only the current snapshot, the default). Retention
-    /// is best-effort housekeeping: it never fails a snapshot write.
+    /// Asks the store to keep `generations` superseded snapshots. No store
+    /// here does: restore reads only the latest, so this is a no-op kept for
+    /// decorators that forward it.
     fn set_snapshot_retention(&mut self, generations: u32) {
         let _ = generations;
     }
 
-    /// Snapshot payloads currently held (current + retained generations).
+    /// Snapshot payloads currently held: one once a snapshot has landed.
     fn snapshot_generations(&self) -> u64 {
         u64::from(self.snapshot_bytes() > 0)
     }

@@ -415,7 +415,6 @@ pub fn probe_store_fault_plan(bytes: &[u8]) -> Result<(), CaseFailure> {
         assert!(plan.append_error_ppm <= 120_000, "append cap violated");
         assert!(plan.snapshot_error_ppm <= 500_000, "snapshot cap violated");
         assert!(plan.read_timeout_ppm <= 200_000, "read cap violated");
-        assert!(plan.latency_us <= 5_000, "latency cap violated");
         assert_eq!(
             plan,
             StoreFaultPlan::from_genome(bytes),

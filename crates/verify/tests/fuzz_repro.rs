@@ -112,12 +112,14 @@ fn smoke_campaign_runs_clean() {
 }
 
 /// A genome that gets past the `KWSN` envelope and the body-version check
-/// and into the binary agent-section decoder: header fields `version = 3`
-/// and one `TAG_AGENT` section whose first count claims 2^60 layer sizes in
-/// eight bytes. The decoder must answer with an error — no panic, and no
+/// and into the binary agent-section decoder: one agent section whose first
+/// count claims 2^60 layer sizes in eight bytes, then a v4 body with no
+/// optimizers. The decoder must answer with an error — no panic, and no
 /// attempt to reserve the claimed 8 EiB.
-const AGENT_SECTION_GENOME_HEX: &str =
-    "4b57534e01000200010004000000030000000300080000000000000000000010";
+const AGENT_SECTION_GENOME_HEX: &str = concat!(
+    "4b57534e01000000080000000000000000000010",
+    "7b2276657273696f6e223a342c2273656564223a302c226174223a302c226f7074696d697a657273223a5b5d7d"
+);
 
 #[test]
 fn agent_section_decoder_is_reached_and_refuses_a_lying_count() {

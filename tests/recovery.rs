@@ -29,7 +29,7 @@ use keebo::drill::{
 use keebo::persist::{decode_record, decode_snapshot, encode_record, encode_snapshot};
 use keebo::{
     scan_frames, DetRng, MemStore, Orchestrator, PersistRecord, RecoveryStats, RetrainRecord, Rule,
-    RuleEffect, SliderPosition, SnapshotPolicy, StateStore, TimeWindow,
+    RuleEffect, SliderPosition, StateStore, TimeWindow,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -48,13 +48,13 @@ fn recovery_is_bit_identical_smoke() {
         let out = run_cell(&cell).expect("recovery from a clean kill");
         assert_eq!(
             out.fingerprint.0, base_log,
-            "scenario {scenario}: decision log diverged after crash at tick {}",
-            out.crash_tick
+            "scenario {scenario}: decision log diverged after crash at {} ms",
+            out.crash_at
         );
         assert_eq!(
             out.fingerprint.1, base_credits,
-            "scenario {scenario}: billing diverged after crash at tick {}",
-            out.crash_tick
+            "scenario {scenario}: billing diverged after crash at {} ms",
+            out.crash_at
         );
         assert!(
             out.stats.snapshot_bytes > 0,
@@ -68,10 +68,7 @@ fn recovery_is_bit_identical_smoke() {
 /// kill time.
 fn torn_cell(scenario: usize, seed: u64, crash_seed: u64, backend: DrillBackend) -> DrillCell {
     DrillCell {
-        policy: Some(SnapshotPolicy {
-            interval_ticks: 1_000,
-            ..SnapshotPolicy::default()
-        }),
+        snapshot_interval: Some(1_000),
         torn: true,
         ..DrillCell::clean(scenario, seed, crash_seed, backend)
     }
@@ -109,10 +106,7 @@ fn file_store_clean_recovery_is_bit_identical() {
     // survives. Mid-cycle snapshot cadence: recovery mixes snapshot + live
     // WAL.
     let cell = DrillCell {
-        policy: Some(SnapshotPolicy {
-            interval_ticks: 13,
-            ..SnapshotPolicy::default()
-        }),
+        snapshot_interval: Some(13),
         ..DrillCell::clean(scenario, seed, 17, DrillBackend::File(dir.clone()))
     };
     let out = run_cell(&cell).expect("recovery");
@@ -251,7 +245,7 @@ fn two_warehouse_run(kwo: &mut Orchestrator) -> Simulator {
 }
 
 /// [`two_warehouse_run`] journaled to a store, control plane killed at the
-/// end: the day-one snapshot (default policy, 48 ticks) has landed and the
+/// end: the day-one snapshot (default cadence, 48 ticks) has landed and the
 /// onboarding plus ten ticks per warehouse sit in the WAL on top of it.
 fn two_warehouse_crash() -> (Simulator, MemStore) {
     let store = MemStore::new();
@@ -355,10 +349,7 @@ fn every_persisted_record_re_encodes_byte_identically() {
     let store = MemStore::new();
     let mut kwo = Orchestrator::new(seed);
     kwo.attach_store(Box::new(store.clone()), sim.now());
-    kwo.set_snapshot_policy(SnapshotPolicy {
-        interval_ticks: 1_000,
-        ..SnapshotPolicy::default()
-    });
+    kwo.set_snapshot_interval(1_000);
     kwo.manage(&sim, WAREHOUSE, fast_setup());
     kwo.observe_until(&mut sim, OBSERVE_MS);
     kwo.onboard(&mut sim);

@@ -6,19 +6,20 @@
 //! plans — a control plane killed at any seeded tick boundary recovers
 //! *bit-identically*: the recovered run's decision log and billing match an
 //! uninterrupted run of the same scenario exactly. The matrix covers ≥100
-//! seeded (medium, fault plan, scenario, seed, crash tick, policy) cells; half the
-//! cells run a tight size-triggered [`SnapshotPolicy`] instead of the
-//! default 48-tick cadence, so compaction itself is proven invisible.
+//! seeded (medium, fault plan, scenario, seed, crash tick, cadence) cells;
+//! half the cells compact every 7 ticks instead of the default 48, so
+//! compaction itself is proven invisible.
 //!
 //! Also pinned here:
+//! * a kill inside compaction — after a `FileStore` snapshot's rename,
+//!   before its WAL truncation — recovers bit-identically at both cadences,
+//!   from the first compaction after `manage` on;
 //! * negative paths: each injected `FaultyStore` fault increments its
 //!   matching fail-open `keebo.store.*` counter while the optimization
 //!   digest stays identical to a store-less run;
-//! * compaction bounds replay: a 10k-tick run under a size+age policy keeps
-//!   the WAL (and therefore recovery replay) bounded and retains exactly
-//!   the configured number of snapshot generations;
-//! * the snapshot envelope stays forward-compatible: unknown header fields
-//!   are skipped, every truncation is an error.
+//! * compaction bounds replay: a 10k-tick run keeps the WAL (and therefore
+//!   recovery replay) within one interval and holds one snapshot;
+//! * the snapshot envelope round-trips and every truncation is an error.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -26,50 +27,39 @@ use std::path::PathBuf;
 use cdw_sim::{Account, Simulator, WarehouseConfig, WarehouseSize, DAY_MS, HOUR_MS, MINUTE_MS};
 use keebo::drill::{
     build_sim, fast_setup, fingerprint, run_cell, run_uninterrupted, DrillBackend, DrillCell,
-    Fingerprint, END_MS, OBSERVE_MS, SCENARIOS, WAREHOUSE,
+    DrillOutcome, Fingerprint, END_MS, OBSERVE_MS, SCENARIOS, TICK_MS, WAREHOUSE,
 };
-use keebo::persist::{decode_snapshot, encode_snapshot_with_extra_fields};
+use keebo::persist::{decode_snapshot, encode_snapshot};
 use keebo::{
-    generate_trace, FaultyStore, KwoSetup, MemStore, Orchestrator, SnapshotPolicy, StateStore,
-    StoreFaultPlan,
+    generate_trace, FaultyStore, KwoSetup, MemStore, Orchestrator, StateStore, StoreFaultPlan,
+    DEFAULT_SNAPSHOT_INTERVAL_TICKS,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use workload::EtlWorkload;
 
-/// A tight compaction policy exercised by half the matrix cells: snapshots
-/// every 7 ticks or 12 WAL records (whichever first), keep 2 generations.
-fn tight_policy() -> SnapshotPolicy {
-    SnapshotPolicy {
-        interval_ticks: 7,
-        max_wal_bytes: 0,
-        max_wal_records: 12,
-        retain_snapshots: 2,
-    }
-}
+/// The tight cadence half the matrix cells compact at, in ticks.
+const TIGHT_INTERVAL: u64 = 7;
 
 /// Fault plans the faulted cells run under. Append rates stay well under the
 /// orchestrator's 4-attempt retry budget so no plan ever detaches the store
 /// (a detach would — correctly — fail the bit-identity assertion).
 fn fault_plans() -> [StoreFaultPlan; 4] {
     [
-        // Healthy remote, latency only.
+        // Healthy remote: the decorator alone.
         StoreFaultPlan {
             seed: 0xA0,
-            latency_us: 400,
             ..StoreFaultPlan::none()
         },
         // Flaky appends (4%).
         StoreFaultPlan {
             seed: 0xA1,
             append_error_ppm: 40_000,
-            latency_us: 250,
             ..StoreFaultPlan::none()
         },
         // Failing snapshot writes (30%) — compaction limps, WAL covers.
         StoreFaultPlan {
             seed: 0xB2,
             snapshot_error_ppm: 300_000,
-            latency_us: 900,
             ..StoreFaultPlan::none()
         },
         // Everything at once: flaky appends, snapshots, and load timeouts.
@@ -78,16 +68,15 @@ fn fault_plans() -> [StoreFaultPlan; 4] {
             append_error_ppm: 30_000,
             snapshot_error_ppm: 200_000,
             read_timeout_ppm: 80_000,
-            latency_us: 1500,
         },
     ]
 }
 
-/// Applies the matrix's policy split: odd crash seeds run the tight
-/// size-triggered policy, even ones the default cadence.
-fn with_policy_split(mut cell: DrillCell) -> DrillCell {
+/// Applies the matrix's cadence split: odd crash seeds compact every
+/// [`TIGHT_INTERVAL`] ticks, even ones at the default cadence.
+fn with_cadence_split(mut cell: DrillCell) -> DrillCell {
     if cell.crash_seed % 2 == 1 {
-        cell.policy = Some(tight_policy());
+        cell.snapshot_interval = Some(TIGHT_INTERVAL);
     }
     cell
 }
@@ -98,7 +87,7 @@ fn mem_cells() -> Vec<DrillCell> {
         for seed in [11u64, 12] {
             for k in 0..4u64 {
                 let crash_seed = scenario as u64 * 1_000 + seed * 10 + k;
-                cells.push(with_policy_split(DrillCell::clean(
+                cells.push(with_cadence_split(DrillCell::clean(
                     scenario,
                     seed,
                     crash_seed,
@@ -117,7 +106,7 @@ fn file_cells() -> Vec<DrillCell> {
             for k in 0..4u64 {
                 let crash_seed = scenario as u64 * 1_000 + seed * 10 + k;
                 let dir = scratch_dir(&format!("cell-{scenario}-{seed}-{k}"));
-                cells.push(with_policy_split(DrillCell::clean(
+                cells.push(with_cadence_split(DrillCell::clean(
                     scenario,
                     seed,
                     crash_seed,
@@ -131,7 +120,7 @@ fn file_cells() -> Vec<DrillCell> {
 
 /// Every fault plan over both media: the first two crash seeds of each
 /// (plan, scenario) wrap a `MemStore`, the last two a `FileStore`, so each
-/// medium meets each plan under both compaction policies.
+/// medium meets each plan at both cadences.
 fn faulted_cells() -> Vec<DrillCell> {
     let mut cells = Vec::new();
     for (p, plan) in fault_plans().into_iter().enumerate() {
@@ -145,7 +134,34 @@ fn faulted_cells() -> Vec<DrillCell> {
                 };
                 let mut cell = DrillCell::clean(scenario, 31, crash_seed, backend);
                 cell.faults = plan;
-                cells.push(with_policy_split(cell));
+                cells.push(with_cadence_split(cell));
+            }
+        }
+    }
+    cells
+}
+
+/// Kills inside compaction on the file cells' scenarios and seeds, at both
+/// cadences: the snapshot after `manage` (`k = 2`, the first is attach's)
+/// and a later one — at the default cadence the last observed tick and the
+/// run's end, at the tight one an observed tick and an optimized one.
+fn compaction_kill_cells() -> Vec<DrillCell> {
+    let mut cells = Vec::new();
+    for scenario in [1usize, 4] {
+        for seed in [21u64, 22] {
+            let later = if seed == 21 { 8 } else { 13 };
+            for (interval, k) in [
+                (DEFAULT_SNAPSHOT_INTERVAL_TICKS, 2),
+                (DEFAULT_SNAPSHOT_INTERVAL_TICKS, 3),
+                (TIGHT_INTERVAL, 2),
+                (TIGHT_INTERVAL, later),
+            ] {
+                let dir = scratch_dir(&format!("kill-{scenario}-{seed}-{interval}-{k}"));
+                cells.push(DrillCell {
+                    snapshot_interval: Some(interval),
+                    kill_in_snapshot: Some(k),
+                    ..DrillCell::clean(scenario, seed, 0, DrillBackend::File(dir))
+                });
             }
         }
     }
@@ -153,13 +169,14 @@ fn faulted_cells() -> Vec<DrillCell> {
 }
 
 /// Runs every cell against a cached per-(scenario, seed) baseline and
-/// asserts bit-identity. Returns the number of cells drilled.
+/// asserts bit-identity. Returns each cell's outcome.
 ///
 /// A failing file-backed cell is its own repro: the assert panics before the
 /// `remove_dir_all` below, so its WAL directory stays on disk, and the
 /// cell's `Debug` in the panic message prints the path.
-fn drill_cells(cells: &[DrillCell], label: &str) -> usize {
+fn drill_cells(cells: &[DrillCell], label: &str) -> Vec<DrillOutcome> {
     let mut baselines: HashMap<(usize, u64), Fingerprint> = HashMap::new();
+    let mut outcomes = Vec::new();
     for cell in cells {
         let base = baselines
             .entry((cell.scenario, cell.seed))
@@ -174,13 +191,13 @@ fn drill_cells(cells: &[DrillCell], label: &str) -> usize {
             .unwrap_or_else(|e| panic!("{label}: cell {cell:?} failed to recover: {e}"));
         assert_eq!(
             out.fingerprint.0, base.0,
-            "{label}: decision log diverged, cell {cell:?} (crash tick {})",
-            out.crash_tick
+            "{label}: decision log diverged, cell {cell:?} (crash at {} ms)",
+            out.crash_at
         );
         assert_eq!(
             out.fingerprint.1, base.1,
-            "{label}: billing diverged, cell {cell:?} (crash tick {})",
-            out.crash_tick
+            "{label}: billing diverged, cell {cell:?} (crash at {} ms)",
+            out.crash_at
         );
         assert_eq!(
             out.stats.wal_truncated_bytes, 0,
@@ -189,8 +206,9 @@ fn drill_cells(cells: &[DrillCell], label: &str) -> usize {
         if let DrillBackend::File(dir) = &cell.backend {
             std::fs::remove_dir_all(dir).ok();
         }
+        outcomes.push(out);
     }
-    cells.len()
+    outcomes
 }
 
 #[test]
@@ -201,20 +219,36 @@ fn matrix_covers_at_least_100_cells() {
 
 #[test]
 fn mem_store_matrix_recovers_bit_identically() {
-    let n = drill_cells(&mem_cells(), "mem");
-    assert_eq!(n, 40);
+    assert_eq!(drill_cells(&mem_cells(), "mem").len(), 40);
 }
 
 #[test]
 fn file_store_matrix_recovers_bit_identically() {
-    let n = drill_cells(&file_cells(), "file");
-    assert_eq!(n, 16);
+    assert_eq!(drill_cells(&file_cells(), "file").len(), 16);
 }
 
 #[test]
 fn faulted_store_matrix_recovers_bit_identically() {
-    let n = drill_cells(&faulted_cells(), "faulted");
-    assert_eq!(n, 48);
+    assert_eq!(drill_cells(&faulted_cells(), "faulted").len(), 48);
+}
+
+#[test]
+fn a_kill_inside_compaction_recovers_bit_identically() {
+    let cells = compaction_kill_cells();
+    let outcomes = drill_cells(&cells, "compaction kill");
+    assert_eq!(outcomes.len(), 16);
+    for (cell, out) in cells.iter().zip(&outcomes) {
+        // The k-th snapshot is the (k-1)-th compaction: the kill landed
+        // there, and restore started from that snapshot alone.
+        let (interval, k) = (
+            cell.snapshot_interval.unwrap(),
+            cell.kill_in_snapshot.unwrap(),
+        );
+        let compactions = u64::from(k - 1);
+        assert_eq!(out.crash_at, compactions * interval * TICK_MS, "{cell:?}");
+        assert!(out.stats.snapshot_bytes > 0, "{cell:?}");
+        assert_eq!(out.stats.replayed_records, 0, "{cell:?}");
+    }
 }
 
 // ---- negative paths: every injected fault counts, digests never change ----
@@ -342,16 +376,9 @@ fn compaction_bounds_replay_over_a_10k_tick_run() {
     const TICK: u64 = 5 * MINUTE_MS;
     const TICKS: u64 = 10_000;
     const OBSERVE: u64 = 6 * HOUR_MS;
-    let policy = SnapshotPolicy {
-        interval_ticks: 500,
-        max_wal_bytes: 0,
-        max_wal_records: 64,
-        retain_snapshots: 3,
-    };
-    // Per-tick journaling appends at least one record, so between two
-    // trigger checks the WAL can overshoot the threshold by a handful of
-    // records — never by more than one tick's worth.
-    const SLACK: u64 = 16;
+    // One warehouse journals one record a tick, so the WAL never holds
+    // more than an interval's worth.
+    const INTERVAL: u64 = 64;
 
     let mut account = Account::new();
     let wh = account.create_warehouse(
@@ -379,7 +406,7 @@ fn compaction_bounds_replay_over_a_10k_tick_run() {
     let probe = store.clone();
     let mut kwo = Orchestrator::new(99);
     kwo.attach_store(Box::new(store), sim.now());
-    kwo.set_snapshot_policy(policy);
+    kwo.set_snapshot_interval(INTERVAL);
     kwo.manage(
         &sim,
         WAREHOUSE,
@@ -397,20 +424,16 @@ fn compaction_bounds_replay_over_a_10k_tick_run() {
     drop(kwo);
 
     assert!(
-        probe.wal_records() <= policy.max_wal_records + SLACK,
+        probe.wal_records() <= INTERVAL,
         "WAL grew unbounded over 10k ticks: {} records",
         probe.wal_records()
     );
-    assert_eq!(
-        probe.snapshot_generations(),
-        u64::from(policy.retain_snapshots) + 1,
-        "retention keeps current + retain_snapshots generations"
-    );
+    assert_eq!(probe.snapshot_generations(), 1, "only the latest snapshot");
 
     let (kwo, stats) = Orchestrator::restore(Box::new(probe), &sim)
         .expect("bounded recovery after a 10k-tick run");
     assert!(
-        stats.replayed_records <= policy.max_wal_records + SLACK,
+        stats.replayed_records <= INTERVAL,
         "replay not bounded: {} records",
         stats.replayed_records
     );
@@ -418,7 +441,7 @@ fn compaction_bounds_replay_over_a_10k_tick_run() {
     assert!(kwo.optimizer(WAREHOUSE).is_some());
 }
 
-// ---- versioned-envelope and fault-plan decode properties ----
+// ---- envelope and fault-plan decode properties ----
 
 fn random_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
     (0..len).map(|_| rng.gen_range(0..=u8::MAX)).collect()
@@ -434,27 +457,21 @@ fn tiny_snapshot(seed: u64, at: u64) -> keebo::SnapshotState {
     }
 }
 
-/// The envelope decoder tolerates any unknown header fields and is total
-/// under truncation: v1 readers stay forward-compatible.
+/// The envelope round-trips byte-identically and is total under
+/// truncation.
 #[test]
-fn envelope_round_trips_with_arbitrary_unknown_fields() {
+fn envelope_round_trips_and_refuses_every_truncation() {
     for case in 0..256u64 {
         let mut rng = StdRng::seed_from_u64(case);
         let snap = tiny_snapshot(rng.gen(), rng.gen());
-        let extra: Vec<(u16, Vec<u8>)> = (0..rng.gen_range(0..4))
-            .map(|_| {
-                let len = rng.gen_range(0..48);
-                (rng.gen_range(4..u16::MAX), random_bytes(&mut rng, len))
-            })
-            .collect();
-        let bytes = encode_snapshot_with_extra_fields(&snap, &extra).expect("encode with extras");
-        let back = decode_snapshot(&bytes).expect("unknown fields are skipped");
+        let bytes = encode_snapshot(&snap).expect("encode");
+        let back = decode_snapshot(&bytes).expect("decode");
         // SnapshotState carries no PartialEq; canonical re-encoding is the
         // equality the store cares about anyway.
         assert_eq!(
-            keebo::persist::encode_snapshot(&back).expect("re-encode"),
-            keebo::persist::encode_snapshot(&snap).expect("encode"),
-            "case {case}: extras {extra:?}"
+            encode_snapshot(&back).expect("re-encode"),
+            bytes,
+            "case {case}"
         );
         // Every truncation is an error, never a panic.
         for len in 0..bytes.len() {
@@ -479,8 +496,7 @@ fn store_fault_plan_genome_decode_is_total() {
         assert!(
             plan.append_error_ppm <= 120_000
                 && plan.snapshot_error_ppm <= 500_000
-                && plan.read_timeout_ppm <= 200_000
-                && plan.latency_us <= 5_000,
+                && plan.read_timeout_ppm <= 200_000,
             "case {case}: genome {genome:?} decodes past a cap: {plan:?}"
         );
         assert_eq!(
