@@ -77,7 +77,7 @@ pub struct DqnAgent {
     /// It is a pure function of (target parameters, slot contents), so it is
     /// forgotten at exactly three points: the slot alone when `observe`
     /// writes it, everything when the target network syncs, and everything
-    /// on `new` / `from_state` — it is never persisted, a restored agent
+    /// on `new` / `from_bytes` — it is never persisted, a restored agent
     /// recomputes the same bits. `NaN` is free to mean "unknown" because
     /// [`masked_max`] cannot return it (`f64::max` drops a `NaN` operand);
     /// were one ever stored, it would only be recomputed at every draw.
@@ -122,17 +122,15 @@ impl Transition {
     /// reward, the mask and the terminal flag.
     const MIN_LE_BYTES: usize = 4 * 8 + AgentAction::COUNT + 1;
 
-    fn write_le(&self, out: &mut Vec<u8>) {
-        le::put_f64s(out, &self.state);
-        le::put_usize(out, self.action);
-        le::put_f64(out, self.reward);
-        le::put_f64s(out, &self.next_state);
-        for allowed in self.next_mask {
-            le::put_bool(out, allowed);
-        }
-        le::put_bool(out, self.terminal);
+    /// Whether [`DqnAgent::observe`] can store it: both states `STATE_DIM`
+    /// long and the action in range. Every transition restored from
+    /// persisted state, a snapshot's or a WAL record's, is held to this.
+    pub fn is_well_formed(&self) -> bool {
+        (self.state.len(), self.next_state.len()) == (STATE_DIM, STATE_DIM)
+            && self.action < AgentAction::COUNT
     }
 
+    /// The inverse of [`write_replay_slot`].
     fn read_le(r: &mut Reader<'_>) -> Result<Self, String> {
         Ok(Self {
             state: r.f64s()?,
@@ -151,91 +149,65 @@ impl Transition {
     }
 }
 
-/// Exported mirror of [`DqnAgent`] for the durable control plane. The
-/// replay ring is flattened to its parts: its transitions materialized in
-/// storage order, its cursor and its push count.
-#[derive(Debug, Clone)]
-pub struct DqnAgentState {
-    pub online: Mlp,
-    pub target: Mlp,
-    pub optimizer: Adam,
-    pub replay_capacity: usize,
-    pub replay_items: Vec<Transition>,
-    pub replay_next: usize,
-    pub replay_total_pushed: u64,
-    pub config: DqnConfig,
-    pub selections: u64,
-    pub train_steps: u64,
+/// Writes the transition at storage index `i` of `ring` as a [`Transition`]
+/// encodes: its state, action, reward, next state, mask and terminal flag.
+fn write_replay_slot(out: &mut Vec<u8>, ring: &ReplayRing, i: usize) {
+    let slot = ring.slot(i);
+    le::put_f64s(out, ring.state(i));
+    le::put_usize(out, slot.action());
+    le::put_f64(out, slot.reward);
+    le::put_f64s(out, ring.next_state(i));
+    for allowed in slot.next_mask() {
+        le::put_bool(out, allowed);
+    }
+    le::put_bool(out, slot.terminal);
 }
 
-impl DqnAgentState {
-    /// The binary encoding a snapshot carries (`nn::le`: fixed-width
-    /// little-endian fields in declaration order, every float as its bits).
+impl DqnAgent {
+    /// The agent section a snapshot carries (`nn::le`: fixed-width
+    /// little-endian fields, every float as its bits): both networks, the
+    /// Adam moments, the replay ring — its capacity, its transitions in
+    /// storage order, its cursor and its push count — the config and the
+    /// two counters.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.online.write_le(&mut out);
         self.target.write_le(&mut out);
         self.optimizer.write_le(&mut out);
-        le::put_usize(&mut out, self.replay_capacity);
-        le::put_usize(&mut out, self.replay_items.len());
-        for transition in &self.replay_items {
-            transition.write_le(&mut out);
+        let ring = &self.replay;
+        le::put_usize(&mut out, ring.capacity());
+        le::put_usize(&mut out, ring.len());
+        for i in 0..ring.len() {
+            write_replay_slot(&mut out, ring, i);
         }
-        le::put_usize(&mut out, self.replay_next);
-        le::put_u64(&mut out, self.replay_total_pushed);
+        le::put_usize(&mut out, ring.next_index());
+        le::put_u64(&mut out, ring.total_pushed());
         self.config.write_le(&mut out);
         le::put_u64(&mut out, self.selections);
         le::put_u64(&mut out, self.train_steps);
         out
     }
 
-    /// The inverse of [`DqnAgentState::to_bytes`], total on arbitrary bytes:
-    /// `Err` for anything that is not exactly one encoded state. It checks
-    /// the encoding only — what the state *says* is checked where every
-    /// restored agent enters, [`DqnAgent::from_state`].
+    /// The inverse of [`DqnAgent::to_bytes`], total on arbitrary bytes:
+    /// `Err` for anything that is not exactly one encoded agent. This is the
+    /// door every restored agent comes through, so every shape the training
+    /// step indexes by is checked here, once: both networks, the optimizer's
+    /// moments against them, the replay ring and its transitions.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let mut r = Reader::new(bytes);
-        let state = Self {
-            online: Mlp::read_le(&mut r)?,
-            target: Mlp::read_le(&mut r)?,
-            optimizer: Adam::read_le(&mut r)?,
-            replay_capacity: r.usize()?,
-            replay_items: r.seq(Transition::MIN_LE_BYTES, Transition::read_le)?,
-            replay_next: r.usize()?,
-            replay_total_pushed: r.u64()?,
-            config: DqnConfig::read_le(&mut r)?,
-            selections: r.u64()?,
-            train_steps: r.u64()?,
-        };
+        let online = Mlp::read_le(&mut r)?;
+        let target = Mlp::read_le(&mut r)?;
+        let optimizer = Adam::read_le(&mut r)?;
+        let replay_capacity = r.usize()?;
+        let replay_items = r.seq(Transition::MIN_LE_BYTES, Transition::read_le)?;
+        let replay_next = r.usize()?;
+        let replay_total_pushed = r.u64()?;
+        let config = DqnConfig::read_le(&mut r)?;
+        let selections = r.u64()?;
+        let train_steps = r.u64()?;
         r.finish()?;
-        Ok(state)
-    }
-}
 
-impl DqnAgent {
-    /// Exports every weight, moment, and replay transition for persistence.
-    pub fn export_state(&self) -> DqnAgentState {
-        DqnAgentState {
-            online: self.online.clone(),
-            target: self.target.clone(),
-            optimizer: self.optimizer.clone(),
-            replay_capacity: self.replay.capacity(),
-            replay_items: self.replay.transitions().collect(),
-            replay_next: self.replay.next_index(),
-            replay_total_pushed: self.replay.total_pushed(),
-            config: self.config.clone(),
-            selections: self.selections,
-            train_steps: self.train_steps,
-        }
-    }
-
-    /// Rebuilds an agent from exported state. This is the door decoded
-    /// snapshots come through, so every shape the training step indexes by is
-    /// checked here, once: both networks, the optimizer's moments against
-    /// them, the replay ring and its transitions.
-    pub fn from_state(state: DqnAgentState) -> Result<Self, String> {
-        let (online, target) = (&state.online, &state.target);
-        for (name, net) in [("online", online), ("target", target)] {
+        for (name, net) in [("online", &online), ("target", &target)] {
             net.validate().map_err(|e| format!("{name} network: {e}"))?;
         }
         let sizes = online.layer_sizes();
@@ -248,22 +220,22 @@ impl DqnAgent {
                 AgentAction::COUNT
             ));
         }
-        state.optimizer.validate(&online.tensor_lens())?;
+        optimizer.validate(&online.tensor_lens())?;
         let replay = ReplayRing::from_parts(
-            state.replay_capacity,
-            &state.replay_items,
-            state.replay_next,
-            state.replay_total_pushed,
+            replay_capacity,
+            &replay_items,
+            replay_next,
+            replay_total_pushed,
         )?;
         Ok(Self {
-            online: state.online,
-            target: state.target,
-            optimizer: state.optimizer,
+            online,
+            target,
+            optimizer,
             bootstrap: vec![f64::NAN; replay.len()],
             replay,
-            config: state.config,
-            selections: state.selections,
-            train_steps: state.train_steps,
+            config,
+            selections,
+            train_steps,
         })
     }
 }
@@ -761,7 +733,7 @@ mod tests {
             });
             a.train_step(&mut rng);
         }
-        let mut b = DqnAgent::from_state(a.export_state()).unwrap();
+        let mut b = DqnAgent::from_bytes(&a.to_bytes()).unwrap();
         assert_eq!(a.q_values(&state), b.q_values(&state));
         assert_eq!(a.replay_len(), b.replay_len());
         assert_eq!(a.train_steps(), b.train_steps());
@@ -828,9 +800,7 @@ mod tests {
             cached.observe(t.clone());
             reference.observe(t);
             if step == 300 {
-                let bytes = cached.export_state().to_bytes();
-                let state = DqnAgentState::from_bytes(&bytes).unwrap();
-                cached = DqnAgent::from_state(state).unwrap();
+                cached = DqnAgent::from_bytes(&cached.to_bytes()).unwrap();
                 assert!(cached.bootstrap.iter().all(|b| b.is_nan()));
             }
             reference.bootstrap.fill(f64::NAN);
@@ -852,14 +822,11 @@ mod tests {
             "the cached agent kept bootstraps from step to step"
         );
         // Both networks, the Adam moments, the ring and every counter.
-        assert_eq!(
-            cached.export_state().to_bytes(),
-            reference.export_state().to_bytes()
-        );
+        assert_eq!(cached.to_bytes(), reference.to_bytes());
     }
 
-    /// State of an agent that has trained, so the Adam moments are sized.
-    fn trained_state() -> DqnAgentState {
+    /// An agent that has trained, so the Adam moments are sized.
+    fn trained() -> DqnAgent {
         let mut a = agent(21);
         let mut rng = StdRng::seed_from_u64(22);
         for i in 0..12 {
@@ -873,7 +840,27 @@ mod tests {
             });
         }
         assert!(a.train_step(&mut rng).is_some());
-        a.export_state()
+        a
+    }
+
+    /// Encoded bytes of one transition in a ring: two `STATE_DIM`-value
+    /// states with their counts, the action, the reward, the mask and the
+    /// terminal flag.
+    const ITEM_BYTES: usize = 2 * (8 + 8 * STATE_DIM) + 8 + 8 + AgentAction::COUNT + 1;
+
+    /// Where replay transition `i` starts in `a.to_bytes()`: after both
+    /// networks, the optimizer, the ring's capacity and item count. At
+    /// `i == replay_len()` that is the ring's cursor.
+    fn item_at(a: &DqnAgent, i: usize) -> usize {
+        let mut head = Vec::new();
+        a.online.write_le(&mut head);
+        a.target.write_le(&mut head);
+        a.optimizer.write_le(&mut head);
+        head.len() + 16 + i * ITEM_BYTES
+    }
+
+    fn put_word(bytes: &mut [u8], at: usize, word: u64) {
+        bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
     }
 
     /// `net` as a hand-edited snapshot would decode it: the first run of
@@ -903,8 +890,8 @@ mod tests {
     }
 
     #[track_caller]
-    fn assert_rejected(state: DqnAgentState, expect: &str) {
-        let err = DqnAgent::from_state(state)
+    fn assert_rejected(bytes: Vec<u8>, expect: &str) {
+        let err = DqnAgent::from_bytes(&bytes)
             .map(|_| ())
             .expect_err("malformed state must not restore");
         assert!(err.contains(expect), "{err:?} does not mention {expect:?}");
@@ -912,30 +899,46 @@ mod tests {
 
     #[test]
     fn state_bytes_round_trip_and_every_cut_or_extra_byte_is_refused() {
-        let mut state = trained_state();
-        // Replay values a float printer would not be trusted with.
-        state.replay_items[0].reward = f64::from_bits(0x7FF8_0000_0000_0BAD);
-        state.replay_items[1].state[3] = -0.0;
-        state.replay_items[2].next_state[0] = f64::NEG_INFINITY;
-        let bytes = state.to_bytes();
-        let back = DqnAgentState::from_bytes(&bytes).unwrap();
+        let a = trained();
+        let mut bytes = a.to_bytes();
+        // Replay values a float printer would not be trusted with: a NaN
+        // payload as transition 0's reward, `-0.0` in transition 1's state,
+        // `-inf` in transition 2's next state.
+        // Offsets in one transition: its first state value, its reward, its
+        // first next-state value.
+        let (state, reward, next_state) = (8, 16 + 8 * STATE_DIM, 32 + 8 * STATE_DIM);
+        put_word(&mut bytes, item_at(&a, 0) + reward, 0x7FF8_0000_0000_0BAD);
+        put_word(&mut bytes, item_at(&a, 1) + state + 24, (-0.0f64).to_bits());
+        let inf = f64::NEG_INFINITY.to_bits();
+        put_word(&mut bytes, item_at(&a, 2) + next_state, inf);
+        let back = DqnAgent::from_bytes(&bytes).unwrap();
         assert_eq!(back.to_bytes(), bytes, "decode then encode reproduces it");
-        assert_eq!(back.replay_items[0].reward.to_bits(), 0x7FF8_0000_0000_0BAD);
-        assert_eq!(back.replay_items[3], state.replay_items[3]);
+        assert_eq!(back.replay.slot(0).reward.to_bits(), 0x7FF8_0000_0000_0BAD);
+        assert_eq!(back.replay.state(1)[3].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(back.replay.next_state(2)[0], f64::NEG_INFINITY);
         assert_eq!(
-            (back.replay_next, back.replay_total_pushed, back.train_steps),
-            (state.replay_next, state.replay_total_pushed, 1)
+            back.replay.transitions().nth(3),
+            a.replay.transitions().nth(3)
+        );
+        assert_eq!(
+            (
+                back.replay.next_index(),
+                back.replay.total_pushed(),
+                back.train_steps
+            ),
+            (a.replay.next_index(), a.replay.total_pushed(), 1)
         );
         // Every cut inside the scalar-dense ends, a stride through the tensors.
         for cut in (0..bytes.len()).filter(|c| *c < 256 || c % 61 == 0 || c + 256 > bytes.len()) {
             assert!(
-                DqnAgentState::from_bytes(&bytes[..cut]).is_err(),
+                DqnAgent::from_bytes(&bytes[..cut]).is_err(),
                 "a {cut}-byte prefix decoded"
             );
         }
         let mut extended = bytes;
         extended.push(0);
-        assert!(DqnAgentState::from_bytes(&extended)
+        assert!(DqnAgent::from_bytes(&extended)
+            .map(|_| ())
             .unwrap_err()
             .contains("trailing"));
     }
@@ -943,109 +946,125 @@ mod tests {
     #[test]
     fn a_count_of_2_pow_60_is_an_error_not_an_allocation() {
         // The replay ring's item count (12) directly follows its capacity.
-        let state = trained_state();
-        let mut bytes = state.to_bytes();
-        let capacity_then_len: Vec<u8> = [state.replay_capacity as u64, 12]
+        let a = trained();
+        let mut bytes = a.to_bytes();
+        let capacity_then_len: Vec<u8> = [a.replay.capacity() as u64, 12]
             .iter()
             .flat_map(|w| w.to_le_bytes())
             .collect();
         let at = (bytes.windows(16).position(|w| w == capacity_then_len))
             .expect("capacity and item count are adjacent");
         bytes[at + 8..at + 16].copy_from_slice(&(1u64 << 60).to_le_bytes());
-        let err = DqnAgentState::from_bytes(&bytes).unwrap_err();
+        let err = DqnAgent::from_bytes(&bytes).map(|_| ()).unwrap_err();
         assert!(err.contains("cannot fit"), "{err}");
         // And the very first count of the encoding, the layer sizes'.
-        let mut bytes = state.to_bytes();
+        let mut bytes = a.to_bytes();
         bytes[..8].copy_from_slice(&(1u64 << 60).to_le_bytes());
-        assert!(DqnAgentState::from_bytes(&bytes).is_err());
+        assert!(DqnAgent::from_bytes(&bytes).is_err());
     }
 
     #[test]
     fn from_state_accepts_what_it_exported() {
         // Moments sized by training, and still unsized on a fresh agent.
-        assert!(DqnAgent::from_state(trained_state()).is_ok());
-        assert!(DqnAgent::from_state(agent(24).export_state()).is_ok());
+        assert!(DqnAgent::from_bytes(&trained().to_bytes()).is_ok());
+        assert!(DqnAgent::from_bytes(&agent(24).to_bytes()).is_ok());
     }
 
     #[test]
     fn from_state_rejects_a_matrix_that_lies_about_its_size() {
-        let mut state = trained_state();
-        state.online = edited(&state.online, &[64, 14], &[65, 14]);
+        let mut a = trained();
+        a.online = edited(&a.online, &[64, 14], &[65, 14]);
         assert_rejected(
-            state,
+            a.to_bytes(),
             "online network: layers (rows, cols, weights, biases) [(65, 14, Some(896), 64)",
         );
     }
 
     #[test]
     fn from_state_rejects_layers_that_do_not_chain() {
-        let mut state = trained_state();
+        let mut a = trained();
         // Same 2048 values, transposed shape: a valid matrix in the wrong place.
-        state.target = edited(&state.target, &[32, 64], &[64, 32]);
-        assert_rejected(state, "(64, 14, Some(896), 64), (64, 32, Some(2048), 32)");
+        a.target = edited(&a.target, &[32, 64], &[64, 32]);
+        assert_rejected(
+            a.to_bytes(),
+            "(64, 14, Some(896), 64), (64, 32, Some(2048), 32)",
+        );
     }
 
     #[test]
     fn from_state_rejects_a_network_with_no_layers() {
-        let mut state = trained_state();
-        state.online = edited(&state.online, &[4, 14, 64, 32, 8], &[1, 14]);
-        assert_rejected(state, "do not fit layer sizes [14]");
+        let mut a = trained();
+        a.online = edited(&a.online, &[4, 14, 64, 32, 8], &[1, 14]);
+        assert_rejected(a.to_bytes(), "do not fit layer sizes [14]");
     }
 
     #[test]
     fn from_state_rejects_networks_of_the_wrong_dimensions() {
-        let mut state = trained_state();
-        state.online = fresh_net(&[STATE_DIM + 1, 8, AgentAction::COUNT]);
-        assert_rejected(state, "online [15, 8, 8] and target");
-        let mut state = trained_state();
-        state.target = fresh_net(&[STATE_DIM, 8, AgentAction::COUNT + 1]);
-        assert_rejected(state, "target [14, 8, 9] networks are not one 14 -> 8");
+        let mut a = trained();
+        a.online = fresh_net(&[STATE_DIM + 1, 8, AgentAction::COUNT]);
+        assert_rejected(a.to_bytes(), "online [15, 8, 8] and target");
+        let mut a = trained();
+        a.target = fresh_net(&[STATE_DIM, 8, AgentAction::COUNT + 1]);
+        assert_rejected(
+            a.to_bytes(),
+            "target [14, 8, 9] networks are not one 14 -> 8",
+        );
     }
 
     #[test]
     fn from_state_rejects_online_and_target_of_different_shapes() {
-        let mut state = trained_state();
-        state.target = fresh_net(&[STATE_DIM, 16, AgentAction::COUNT]);
-        assert_rejected(state, "target [14, 16, 8] networks are not one");
+        let mut a = trained();
+        a.target = fresh_net(&[STATE_DIM, 16, AgentAction::COUNT]);
+        assert_rejected(a.to_bytes(), "target [14, 16, 8] networks are not one");
     }
 
     #[test]
     fn from_state_rejects_an_optimizer_with_the_wrong_slot_count() {
-        let mut state = trained_state();
-        state.optimizer = Adam::new(1e-3, 4);
-        assert_rejected(state, "moments [0, 0, 0, 0] / [0, 0, 0, 0] do not fit");
+        let mut a = trained();
+        a.optimizer = Adam::new(1e-3, 4);
+        assert_rejected(
+            a.to_bytes(),
+            "moments [0, 0, 0, 0] / [0, 0, 0, 0] do not fit",
+        );
     }
 
     #[test]
     fn from_state_rejects_moments_sized_for_another_network() {
-        let mut state = trained_state();
+        let mut a = trained();
         // Same six slots, different tensor lengths.
-        state.online = fresh_net(&[STATE_DIM, 32, 64, AgentAction::COUNT]);
-        state.target = state.online.clone();
+        a.online = fresh_net(&[STATE_DIM, 32, 64, AgentAction::COUNT]);
+        a.target = a.online.clone();
         assert_rejected(
-            state,
+            a.to_bytes(),
             "do not fit parameter tensors [448, 32, 2048, 64, 512, 8]",
         );
     }
 
     #[test]
     fn from_state_rejects_malformed_transitions() {
-        let mut state = trained_state();
-        state.replay_items[5].next_state.pop();
-        assert_rejected(state, "replay transition 5 is malformed");
-        let mut state = trained_state();
-        state.replay_items[2].action = AgentAction::COUNT;
-        assert_rejected(state, "replay transition 2 is malformed");
+        let a = trained();
+        // Transition 5's next state one value short: its count says 13, and
+        // its last value is gone.
+        let mut bytes = a.to_bytes();
+        let count = item_at(&a, 5) + 8 + 8 * STATE_DIM + 16;
+        put_word(&mut bytes, count, STATE_DIM as u64 - 1);
+        bytes.drain(count + 8 * STATE_DIM..count + 8 * STATE_DIM + 8);
+        assert_rejected(bytes, "replay transition 5 is malformed");
+        let mut bytes = a.to_bytes();
+        let action = item_at(&a, 2) + 8 + 8 * STATE_DIM;
+        put_word(&mut bytes, action, AgentAction::COUNT as u64);
+        assert_rejected(bytes, "replay transition 2 is malformed");
     }
 
     /// Until a ring is full it writes at its item count; eviction releases
     /// rows in insertion order, which a cursor anywhere else would break.
     #[test]
     fn from_state_rejects_a_ring_whose_cursor_is_not_its_item_count() {
-        let mut state = trained_state();
-        state.replay_next = 5;
+        let a = trained();
+        let mut bytes = a.to_bytes();
+        put_word(&mut bytes, item_at(&a, a.replay_len()), 5);
         assert_rejected(
-            state,
+            bytes,
             "replay cursor 5 of a ring that is not full is not its item count 12",
         );
     }
@@ -1077,10 +1096,18 @@ mod tests {
                 slot
             }
         }
-        /// A transition as its snapshot encoding writes it: every float's bits.
+        /// A transition as the snapshot encoding has always written it,
+        /// every float's bits: the layout `write_replay_slot` must keep.
         fn bits(t: &Transition) -> Vec<u8> {
             let mut out = Vec::new();
-            t.write_le(&mut out);
+            le::put_f64s(&mut out, &t.state);
+            le::put_usize(&mut out, t.action);
+            le::put_f64(&mut out, t.reward);
+            le::put_f64s(&mut out, &t.next_state);
+            for allowed in t.next_mask {
+                le::put_bool(&mut out, allowed);
+            }
+            le::put_bool(&mut out, t.terminal);
             out
         }
         fn row(rng: &mut StdRng) -> Vec<f64> {
@@ -1117,9 +1144,7 @@ mod tests {
             let mut last = row(&mut rng);
             for step in 0..steps {
                 if step == restore_at {
-                    let bytes = agent.export_state().to_bytes();
-                    let state = DqnAgentState::from_bytes(&bytes).unwrap();
-                    agent = DqnAgent::from_state(state).unwrap();
+                    agent = DqnAgent::from_bytes(&agent.to_bytes()).unwrap();
                 }
                 let state = match rng.gen_range(0..4) {
                     0 => row(&mut rng),
@@ -1144,13 +1169,15 @@ mod tests {
                 let at = format!("case {case} (capacity {capacity}) step {step}");
                 assert_eq!(agent.replay.push(&t), oracle.push(t), "{at}");
 
-                let stored: Vec<Transition> = agent.replay.transitions().collect();
+                let stored: Vec<Vec<u8>> = (0..agent.replay.len())
+                    .map(|i| {
+                        let mut out = Vec::new();
+                        write_replay_slot(&mut out, &agent.replay, i);
+                        out
+                    })
+                    .collect();
                 let expected: Vec<Vec<u8>> = oracle.items.iter().map(bits).collect();
-                assert_eq!(
-                    stored.iter().map(bits).collect::<Vec<_>>(),
-                    expected,
-                    "{at}"
-                );
+                assert_eq!(stored, expected, "{at}");
                 let mut drawn = Vec::new();
                 let seed = (case * 1000 + step) as u64;
                 agent
@@ -1159,7 +1186,7 @@ mod tests {
                 let mut oracle_rng = StdRng::seed_from_u64(seed);
                 let oracle_drawn = (0..5).map(|_| oracle_rng.gen_range(0..oracle.items.len()));
                 assert_eq!(
-                    drawn.iter().map(|&i| bits(&stored[i])).collect::<Vec<_>>(),
+                    drawn.iter().map(|&i| stored[i].clone()).collect::<Vec<_>>(),
                     oracle_drawn
                         .map(|i| expected[i].clone())
                         .collect::<Vec<_>>(),

@@ -34,7 +34,7 @@ pub mod trainer;
 
 pub use action::{AgentAction, AUTO_SUSPEND_LADDER_MS};
 pub use constraints::{ConstraintSet, Rule, RuleEffect, TimeWindow};
-pub use dqn::{DqnAgent, DqnAgentState, DqnConfig, Transition};
+pub use dqn::{DqnAgent, DqnConfig, Transition};
 pub use heuristic::{AutoSuspendRuleOfThumb, DegradedFallback, Policy, StaticPolicy};
 pub use reward::{action_reward, compute_reward, PerfSignals};
 pub use slider::SliderPosition;

@@ -28,8 +28,9 @@
 //!
 //! The ring's observable behaviour — which storage index a push writes,
 //! what each index holds, which indices a seeded draw returns — is that of a
-//! plain `Vec` of transitions with a cursor, and its exported parts are the
-//! same as that `Vec`'s, so the persisted bytes do not depend on the layout.
+//! plain `Vec` of transitions with a cursor, and `DqnAgent::to_bytes` writes
+//! each slot as that `Vec`'s transition would encode, so the persisted bytes
+//! do not depend on the layout.
 
 use crate::action::AgentAction;
 use crate::dqn::Transition;
@@ -253,6 +254,7 @@ impl ReplayRing {
 
     /// The stored transitions, materialized, in storage order (not insertion
     /// order once the ring has wrapped).
+    #[cfg(test)]
     pub fn transitions(&self) -> impl Iterator<Item = Transition> + '_ {
         (0..self.len()).map(|i| {
             let slot = self.slot(i);
@@ -267,22 +269,19 @@ impl ReplayRing {
         })
     }
 
-    /// Rebuilds a ring from exported parts — the inverse of reading
-    /// `capacity()` / `transitions()` / `next_index()` / `total_pushed()` —
-    /// validating every transition and the ring invariants. The transitions
-    /// are pushed again in insertion order (`next..`, then `..next`) and the
-    /// slots rotated back to their storage indices.
+    /// Rebuilds a ring from its persisted parts — `capacity()`, the
+    /// transitions in storage order, `next_index()` and `total_pushed()`, as
+    /// `DqnAgent::to_bytes` writes them — validating every transition and
+    /// the ring invariants. The transitions are pushed again in insertion
+    /// order (`next..`, then `..next`) and the slots rotated back to their
+    /// storage indices.
     pub fn from_parts(
         capacity: usize,
         items: &[Transition],
         next: usize,
         total_pushed: u64,
     ) -> Result<Self, String> {
-        let malformed = |t: &Transition| {
-            (t.state.len(), t.next_state.len()) != (STATE_DIM, STATE_DIM)
-                || t.action >= AgentAction::COUNT
-        };
-        if let Some(i) = items.iter().position(malformed) {
+        if let Some(i) = items.iter().position(|t| !t.is_well_formed()) {
             return Err(format!("replay transition {i} is malformed"));
         }
         if capacity == 0 {

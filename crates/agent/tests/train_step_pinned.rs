@@ -8,6 +8,8 @@
 //! first, in seconds, not as a moved `perf` digest.
 
 use agent::{AgentAction, DqnAgent, DqnConfig, Transition, STATE_DIM};
+use nn::le::Reader;
+use nn::{Adam, Mlp};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt::Write as _;
 use telemetry::hash_query_text;
@@ -58,9 +60,13 @@ fn training_hash(batch_size: usize) -> u64 {
         write!(folded, "{:016x}", td.to_bits()).unwrap();
     }
     assert_eq!(agent.train_steps(), 250);
-    let state = agent.export_state();
-    folded
-        .push_str(&serde_json::to_string(&(state.online, state.target, state.optimizer)).unwrap());
+    // The agent's own bytes open with both networks and the Adam moments.
+    let bytes = agent.to_bytes();
+    let mut r = Reader::new(&bytes);
+    let online = Mlp::read_le(&mut r).unwrap();
+    let target = Mlp::read_le(&mut r).unwrap();
+    let optimizer = Adam::read_le(&mut r).unwrap();
+    folded.push_str(&serde_json::to_string(&(online, target, optimizer)).unwrap());
     hash_query_text(&folded)
 }
 

@@ -103,7 +103,7 @@ pub use orchestrator::{
 };
 pub use persist::{
     CtlState, OptimizerSnapshot, PersistError, PersistRecord, RecoveryStats, RetrainRecord,
-    SnapshotState, FORMAT_VERSION,
+    SnapshotState, TickEffects, FORMAT_VERSION,
 };
 pub use pool::WorkerPool;
 pub use pricing::{Invoice, ValueBasedPricing};

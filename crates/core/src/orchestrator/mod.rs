@@ -31,12 +31,12 @@ mod tick;
 use crate::actuator::Actuator;
 use crate::drng::DetRng;
 use crate::health::HealthMonitor;
-use crate::persist::{CtlState, OptimizerSnapshot, PersistError, PersistRecord, RetrainRecord};
+use crate::persist::{CtlState, OptimizerSnapshot, PersistError, PersistRecord, TickEffects};
 use crate::reconciler::Reconciler;
 use crate::store::StateStore;
 use agent::{
     baseline_p99, reconstruct_specs, train_on_workload, ConstraintSet, DegradedFallback, DqnAgent,
-    DqnAgentState, DqnConfig, EpisodeConfig, Rule, SliderPosition, Transition,
+    DqnConfig, EpisodeConfig, Rule, SliderPosition,
 };
 use cdw_sim::{
     QueryRecord, SimTime, Simulator, WarehouseConfig, WarehouseId, WarehouseName, DAY_MS, HOUR_MS,
@@ -155,19 +155,6 @@ impl std::fmt::Display for ManageError {
 }
 
 impl std::error::Error for ManageError {}
-
-/// What one tick did that replay cannot re-derive from the simulator: the
-/// nondeterministic inputs (training seeds, the observed transition) and
-/// whether telemetry was ingested. Captured unconditionally per tick, read
-/// by [`WarehouseOptimizer::tick_record`] when a state store is attached.
-#[derive(Debug, Clone, Default)]
-struct TickEffects {
-    fetched: bool,
-    retrain: Option<RetrainRecord>,
-    /// The transition observed this tick and the seed of the train step
-    /// paired with it.
-    learned: Option<(Transition, u64)>,
-}
 
 /// One warehouse's optimizer, in three parts: what the admin set
 /// ([`KwoSetup`], the original configuration), what the loop journals every
@@ -418,7 +405,7 @@ impl WarehouseOptimizer {
     /// history — the agent apart, as the snapshot encodes it apart (the
     /// decision trace is deliberately excluded, and telemetry is re-derived
     /// from the surviving account by `ctl`'s fetcher cursors).
-    fn export_snapshot(&self) -> (OptimizerSnapshot, DqnAgentState) {
+    fn export_snapshot(&self) -> (OptimizerSnapshot, Vec<u8>) {
         let snap = OptimizerSnapshot {
             name: self.name.to_string(),
             original_config: self.original_config.clone(),
@@ -427,7 +414,7 @@ impl WarehouseOptimizer {
             actuator_log: self.actuator.log().to_vec(),
             ctl: self.ctl.clone(),
         };
-        (snap, self.agent.export_state())
+        (snap, self.agent.to_bytes())
     }
 
     /// Rebuilds an optimizer from a snapshot against the surviving
@@ -435,7 +422,7 @@ impl WarehouseOptimizer {
     /// the telemetry stream `replay_tick`'s delivery function reads).
     fn from_snapshot(
         snap: OptimizerSnapshot,
-        agent: DqnAgentState,
+        agent: &[u8],
         sim: &Simulator,
     ) -> Result<Self, PersistError> {
         let wh = sim.account().warehouse_id(&snap.name).ok_or_else(|| {
@@ -444,7 +431,8 @@ impl WarehouseOptimizer {
                 snap.name
             ))
         })?;
-        let agent = DqnAgent::from_state(agent).map_err(PersistError::Corrupt)?;
+        let agent = DqnAgent::from_bytes(agent)
+            .map_err(|e| PersistError::Corrupt(format!("agent section of {}: {e}", snap.name)))?;
         let name = sim.account().warehouse(wh).name().clone();
         let mut o = WarehouseOptimizer::new(wh, name, snap.original_config, snap.setup, 0);
         if !snap.ctl.fetcher.covered_by(sim.account()) {
@@ -465,14 +453,10 @@ impl WarehouseOptimizer {
     /// Builds the WAL record for the tick that just ran. `log_from` is the
     /// actuator-log length captured before the tick.
     fn tick_record(&self, now: SimTime, log_from: usize) -> PersistRecord {
-        let (transition, train_step_seed) = self.effects.learned.clone().unzip();
         PersistRecord::Tick {
             warehouse: self.name.to_string(),
             now,
-            fetched: self.effects.fetched,
-            retrain: self.effects.retrain,
-            transition,
-            train_step_seed,
+            effects: self.effects.clone(),
             log_delta: self.actuator.log()[log_from..].to_vec(),
             ctl: self.ctl.clone(),
         }

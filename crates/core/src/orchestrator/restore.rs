@@ -4,9 +4,9 @@
 //! optimizer's admin setters, and the tick's `retrain`/`learn` stages — so
 //! there is no second copy of any event's effect to keep in step.
 
-use super::{Orchestrator, TickEffects, WarehouseOptimizer};
+use super::{Orchestrator, WarehouseOptimizer};
 use crate::actuator::ActionLogEntry;
-use crate::persist::{self, CtlState, PersistError, PersistRecord, RecoveryStats};
+use crate::persist::{self, CtlState, PersistError, PersistRecord, RecoveryStats, TickEffects};
 use crate::store::StateStore;
 use cdw_sim::{SimTime, Simulator};
 use std::time::Instant;
@@ -90,7 +90,14 @@ impl Orchestrator {
                 let snap = persist::decode_snapshot(snapshot_bytes)?;
                 let mut orch = Orchestrator::new(snap.seed);
                 // One agent per optimizer: `decode_snapshot` refuses less.
-                for (osnap, agent) in snap.optimizers.into_iter().zip(snap.agents) {
+                for (osnap, agent) in snap.optimizers.into_iter().zip(&snap.agents) {
+                    // One optimizer per warehouse, as `adopt` insists.
+                    if orch.optimizer(&osnap.name).is_some() {
+                        return Err(PersistError::Corrupt(format!(
+                            "snapshot names warehouse {} twice",
+                            osnap.name
+                        )));
+                    }
                     let o = WarehouseOptimizer::from_snapshot(osnap, agent, sim)?;
                     orch.optimizers.push(o);
                 }
@@ -177,18 +184,19 @@ impl Orchestrator {
             PersistRecord::Tick {
                 warehouse,
                 now,
-                fetched,
-                retrain,
-                transition,
-                train_step_seed,
+                effects,
                 log_delta,
                 ctl,
             } => {
-                let effects = TickEffects {
-                    fetched,
-                    retrain,
-                    learned: transition.zip(train_step_seed),
-                };
+                // The live tick built it, so `observe` could store it; a
+                // record that says otherwise is corrupt, not a panic.
+                if let Some((transition, _)) = &effects.learned {
+                    if !transition.is_well_formed() {
+                        return Err(PersistError::Corrupt(format!(
+                            "tick record of {warehouse} at {now} carries a malformed transition"
+                        )));
+                    }
+                }
                 self.replay_target("tick", &warehouse)?
                     .replay_tick(sim, now, effects, log_delta, ctl);
             }

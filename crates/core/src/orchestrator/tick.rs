@@ -14,11 +14,11 @@
 //! `keebo.tick.wall_us` span.
 
 use super::ring::{Cause, Chosen, Guard, MaskCause, Record};
-use super::{tick_wall_histogram, TickEffects, WarehouseOptimizer};
+use super::{tick_wall_histogram, WarehouseOptimizer};
 use crate::actuator::LogEntryKind;
 use crate::health::{DegradeReason, HealthSignals, HealthState};
 use crate::monitoring::RealTimeState;
-use crate::persist::RetrainRecord;
+use crate::persist::{RetrainRecord, TickEffects};
 use crate::reconciler::Reconciler;
 use agent::{AgentAction, AgentState, ConstraintSet, PerfSignals, Policy, Transition};
 use cdw_sim::account::WarehouseDescription;

@@ -28,9 +28,10 @@
 //! the bulk of a snapshot (96 % of its bytes two days in, 80 % five days in)
 //! and printing and parsing them was most of what a snapshot cost, so they
 //! travel binary: one length-prefixed agent section per optimizer in the
-//! `KWSN` envelope, written by `DqnAgentState::to_bytes` (`nn::le`: fixed-width
-//! little-endian, every `f64` as its bits — exact for NaN payloads and
-//! `-0.0` too, by construction). Control state — the snapshot's JSON body
+//! `KWSN` envelope. The `agent` crate writes and reads its own section
+//! (`nn::le`: fixed-width little-endian, every `f64` as its bits — exact for
+//! NaN payloads and `-0.0` too, by construction); this module frames the
+//! sections and never looks inside them. Control state — the snapshot's JSON body
 //! and every WAL record — stays serde JSON: self-describing, byte-exact for
 //! finite floats, and spread over ~45 types that change with almost every
 //! PR; what grows in it is the action log (DESIGN.md, "Durability").
@@ -40,7 +41,7 @@ use crate::health::HealthMonitor;
 use crate::monitoring::Monitor;
 use crate::orchestrator::KwoSetup;
 use crate::reconciler::Reconciler;
-use agent::{AgentAction, DqnAgentState, Rule, SliderPosition, Transition};
+use agent::{AgentAction, Rule, SliderPosition, Transition};
 use cdw_sim::{SimTime, WarehouseConfig};
 use costmodel::WarehouseCostModel;
 use serde::{Deserialize, Serialize};
@@ -51,7 +52,7 @@ use crate::actuator::ActionLogEntry;
 /// Bumped on any incompatible change to the persisted schema. Decode
 /// refuses every other version: no store outlives its process here, so
 /// there is no dual decode.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Magic prefix of the snapshot envelope, the only snapshot format: bytes
 /// that do not start with it are not a snapshot.
@@ -169,6 +170,22 @@ pub struct RetrainRecord {
     pub seed: Option<u64>,
 }
 
+/// What one tick did that replay cannot re-derive from the simulator: the
+/// nondeterministic inputs (training seeds, the observed transition) and
+/// whether telemetry was ingested. The tick captures it unconditionally and
+/// its `Tick` record carries it as is.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct TickEffects {
+    /// Whether the telemetry fetch succeeded (replay re-ingests the cursor
+    /// ranges without re-charging overhead).
+    pub fetched: bool,
+    /// A (re)training pass ran this tick.
+    pub retrain: Option<RetrainRecord>,
+    /// The transition observed this tick and the seed of the train step
+    /// paired with it.
+    pub learned: Option<(Transition, u64)>,
+}
+
 /// One WAL record. Every control-plane event that mutates optimizer state
 /// maps to exactly one record, appended after the event completes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -194,15 +211,7 @@ pub enum PersistRecord {
     Tick {
         warehouse: String,
         now: SimTime,
-        /// Whether the telemetry fetch succeeded (replay re-ingests the
-        /// cursor ranges without re-charging overhead).
-        fetched: bool,
-        /// A (re)training pass ran this tick.
-        retrain: Option<RetrainRecord>,
-        /// The transition observed this tick, if any.
-        transition: Option<Transition>,
-        /// Seed for the train step paired with that transition.
-        train_step_seed: Option<u64>,
+        effects: TickEffects,
         /// Action-log entries appended this tick (the ALTERs already ran
         /// against the surviving warehouse; only the record is restored).
         log_delta: Vec<ActionLogEntry>,
@@ -246,11 +255,12 @@ pub struct SnapshotState {
     /// Simulator time when the snapshot was taken.
     pub at: SimTime,
     pub optimizers: Vec<OptimizerSnapshot>,
-    /// `agents[k]` is the learned state of `optimizers[k]`. Outside the JSON
-    /// body: each is a binary agent section of the envelope, and both
-    /// codec directions refuse a count that differs from `optimizers`'.
+    /// `agents[k]` is the agent section of `optimizers[k]`: bytes the
+    /// `agent` crate wrote and only it reads (at restore). Outside the JSON
+    /// body: each is a binary section of the envelope, and
+    /// both codec directions refuse a count that differs from `optimizers`'.
     #[serde(skip)]
-    pub agents: Vec<DqnAgentState>,
+    pub agents: Vec<Vec<u8>>,
 }
 
 pub fn encode_record(record: &PersistRecord) -> Result<Vec<u8>, PersistError> {
@@ -263,9 +273,8 @@ pub fn decode_record(bytes: &[u8]) -> Result<PersistRecord, PersistError> {
 }
 
 /// Encodes a snapshot in the enveloped format: `KWSN` magic, the number of
-/// agent sections (`u32` LE), each section as its `u32` LE length and
-/// `DqnAgentState::to_bytes`, then the JSON body, which carries the format
-/// version.
+/// agent sections (`u32` LE), each section as its `u32` LE length and its
+/// bytes, then the JSON body, which carries the format version.
 pub fn encode_snapshot(snapshot: &SnapshotState) -> Result<Vec<u8>, PersistError> {
     if snapshot.agents.len() != snapshot.optimizers.len() {
         return Err(PersistError::Codec(format!(
@@ -275,8 +284,7 @@ pub fn encode_snapshot(snapshot: &SnapshotState) -> Result<Vec<u8>, PersistError
         )));
     }
     let body = serde_json::to_vec(snapshot).map_err(|e| PersistError::Codec(e.to_string()))?;
-    let sections: Vec<Vec<u8>> = snapshot.agents.iter().map(|a| a.to_bytes()).collect();
-    envelope(&sections, &body)
+    envelope(&snapshot.agents, &body)
 }
 
 /// Frames `sections` and `body` as [`encode_snapshot`] describes.
@@ -316,7 +324,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotState, PersistError> {
     for _ in 0..count {
         let (len, tail) = take_u32(rest).ok_or_else(truncated)?;
         let (section, tail) = tail.split_at_checked(len as usize).ok_or_else(truncated)?;
-        sections.push(section);
+        sections.push(section.to_vec());
         rest = tail;
     }
     let mut snap: SnapshotState =
@@ -327,20 +335,14 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotState, PersistError> {
             snap.version
         )));
     }
-    let mut agents = Vec::with_capacity(sections.len());
-    for (k, section) in sections.iter().enumerate() {
-        let agent = DqnAgentState::from_bytes(section)
-            .map_err(|e| PersistError::Codec(format!("agent section {k}: {e}")))?;
-        agents.push(agent);
-    }
-    if agents.len() != snap.optimizers.len() {
+    if sections.len() != snap.optimizers.len() {
         return Err(PersistError::Corrupt(format!(
             "snapshot carries {} agent sections for {} optimizers",
-            agents.len(),
+            sections.len(),
             snap.optimizers.len()
         )));
     }
-    snap.agents = agents;
+    snap.agents = sections;
     Ok(snap)
 }
 
@@ -358,9 +360,10 @@ mod tests {
         }
     }
 
-    /// What a control plane managing one warehouse snapshots on attach: a
-    /// real optimizer, its agent section ~50 KB of fresh weights.
-    fn managed_snapshot() -> Vec<u8> {
+    /// What a control plane managing one warehouse snapshots on attach, and
+    /// the simulator it manages: a real optimizer, its agent section ~50 KB
+    /// of fresh weights.
+    fn managed() -> (cdw_sim::Simulator, Vec<u8>) {
         use crate::store::{MemStore, StateStore};
         let mut account = cdw_sim::Account::new();
         account.create_warehouse("WH", WarehouseConfig::new(cdw_sim::WarehouseSize::Medium));
@@ -369,7 +372,11 @@ mod tests {
         kwo.manage(&sim, "WH", KwoSetup::default());
         let mut store = MemStore::new();
         kwo.attach_store(Box::new(store.clone()), sim.now());
-        store.load().unwrap().snapshot.unwrap()
+        (sim, store.load().unwrap().snapshot.unwrap())
+    }
+
+    fn managed_snapshot() -> Vec<u8> {
+        managed().1
     }
 
     #[test]
@@ -398,7 +405,7 @@ mod tests {
         assert_eq!((snap.optimizers.len(), snap.agents.len()), (1, 1));
         assert_eq!(encode_snapshot(&snap).unwrap(), bytes);
         // The section is in the header, the tensors nowhere in the body.
-        let section = snap.agents[0].to_bytes();
+        let section = &snap.agents[0];
         assert!(bytes.windows(section.len()).any(|w| w == section));
         let body = &bytes[bytes.len() - serde_json::to_vec(&snap).unwrap().len()..];
         let body = std::str::from_utf8(body).expect("the body is JSON");
@@ -408,11 +415,10 @@ mod tests {
     #[test]
     fn agent_sections_must_number_the_optimizers() {
         let managed = decode_snapshot(&managed_snapshot()).unwrap();
-        let section = managed.agents[0].to_bytes();
         // One section too many.
         for snap in [&managed, &empty_snapshot()] {
-            let mut sections: Vec<Vec<u8>> = snap.agents.iter().map(|a| a.to_bytes()).collect();
-            sections.push(section.clone());
+            let mut sections = snap.agents.clone();
+            sections.push(managed.agents[0].clone());
             let bytes = envelope(&sections, &serde_json::to_vec(snap).unwrap()).unwrap();
             match decode_snapshot(&bytes) {
                 Err(PersistError::Corrupt(m)) => assert!(m.contains("agent sections for"), "{m}"),
@@ -430,18 +436,25 @@ mod tests {
 
     #[test]
     fn a_lying_agent_section_is_a_decode_error_naming_it() {
-        // A count of 2^60 layer sizes in eight bytes of section.
-        let sections = [(1u64 << 60).to_le_bytes().to_vec()];
-        let body = serde_json::to_vec(&empty_snapshot()).unwrap();
-        let bytes = envelope(&sections, &body).unwrap();
-        match decode_snapshot(&bytes) {
-            Err(PersistError::Codec(m)) => {
+        // A count of 2^60 layer sizes in eight bytes of section. The
+        // envelope carries it opaque; restore is where it fails to decode,
+        // as corruption of the warehouse it belongs to.
+        use crate::store::{MemStore, StateStore};
+        let (sim, bytes) = managed();
+        let mut snap = decode_snapshot(&bytes).unwrap();
+        snap.agents[0] = (1u64 << 60).to_le_bytes().to_vec();
+        let bytes = encode_snapshot(&snap).unwrap();
+        assert_eq!(decode_snapshot(&bytes).unwrap().agents, snap.agents);
+        let mut store = MemStore::new();
+        store.write_snapshot(&bytes).unwrap();
+        match crate::Orchestrator::restore(Box::new(store), &sim) {
+            Err(PersistError::Corrupt(m)) => {
                 assert!(
-                    m.contains("agent section 0") && m.contains("cannot fit"),
+                    m.contains("agent section of WH") && m.contains("cannot fit"),
                     "{m}"
                 )
             }
-            other => panic!("expected Codec, got {other:?}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|(_, s)| s)),
         }
     }
 
@@ -465,10 +478,10 @@ mod tests {
             let record = PersistRecord::Tick {
                 warehouse: "WH".to_string(),
                 now: 0,
-                fetched: true,
-                retrain: None,
-                transition: None,
-                train_step_seed: None,
+                effects: TickEffects {
+                    fetched: true,
+                    ..TickEffects::default()
+                },
                 log_delta: Vec::new(),
                 ctl,
             };
@@ -514,7 +527,7 @@ mod tests {
         match decode_snapshot(&encode_snapshot(&snap).unwrap()) {
             Err(PersistError::Corrupt(m)) => {
                 assert!(
-                    m.ends_with(&format!("v{version} (this build reads v4)")),
+                    m.ends_with(&format!("v{version} (this build reads v5)")),
                     "{m}"
                 )
             }
@@ -531,9 +544,10 @@ mod tests {
 
     #[test]
     fn mismatched_body_version_header_is_corrupt() {
-        // The previous formats: no dual decode. v3 had a tagged header that
+        // The previous formats: no dual decode. v4 journaled a tick's
+        // transition and its seed as two fields, v3 had a tagged header that
         // copied the body's version, v2 was the all-JSON snapshot.
-        for version in [3, 2, 1] {
+        for version in [4, 3, 2, 1] {
             assert_version_refused(version);
         }
         // A v3 snapshot as v3 wrote it: magic, envelope version 1, two

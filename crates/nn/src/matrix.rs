@@ -2,8 +2,8 @@
 //!
 //! `Vec<f64>` backing store, row-major, so a weight row is one contiguous
 //! slice: the MLP's minibatch kernel (`mlp.rs`) reads rows through
-//! [`Matrix::row`] / [`Matrix::as_slice`] and does its own loops; the product
-//! and solver here serve OLS, whose dimensions are tiny. [`Matrix::read_le`]
+//! [`Matrix::row`] / [`Matrix::as_slice`] and does its own loops; the solver
+//! here serves OLS, whose dimensions are tiny. [`Matrix::read_le`]
 //! checks nothing: `Mlp::validate` is where a decoded matrix's shape is
 //! verified.
 
@@ -71,11 +71,6 @@ impl Matrix {
         })
     }
 
-    /// Identity matrix of dimension `n`.
-    pub fn identity(n: usize) -> Self {
-        Self::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
-    }
-
     pub fn rows(&self) -> usize {
         self.rows
     }
@@ -118,40 +113,6 @@ impl Matrix {
     #[inline]
     pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Matrix product `self * rhs`.
-    ///
-    /// # Panics
-    /// Panics if the inner dimensions disagree.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul dimension mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        // i-k-j loop order keeps the inner loop streaming over contiguous rows.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                // lint: allow(D4) — exact-zero skip is a sparsity fast path, not a tolerance check
-                if a == 0.0 {
-                    continue;
-                }
-                let rhs_row = rhs.row(k);
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
     }
 
     /// Solves `self * x = b` by Gaussian elimination with partial pivoting.
@@ -224,28 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_hand_computation() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = a.matmul(&b);
-        assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn identity_is_matmul_neutral() {
-        let a = Matrix::from_vec(2, 2, vec![1.5, -2.0, 0.25, 4.0]);
-        let i = Matrix::identity(2);
-        assert_eq!(a.matmul(&i), a);
-        assert_eq!(i.matmul(&a), a);
-    }
-
-    #[test]
-    fn transpose_round_trips() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
     fn solve_recovers_known_solution() {
         let a = Matrix::from_vec(3, 3, vec![2.0, 1.0, -1.0, -3.0, -1.0, 2.0, -2.0, 1.0, 2.0]);
         let b = vec![8.0, -11.0, -3.0];
@@ -269,13 +208,5 @@ mod tests {
         let x = a.solve(&[3.0, 5.0]).unwrap();
         assert!((x[0] - 5.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "matmul dimension mismatch")]
-    fn matmul_panics_on_shape_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
     }
 }

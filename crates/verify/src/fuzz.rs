@@ -369,8 +369,10 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseStats, CaseFailure> {
 /// genome bytes. The decoders advertise totality — arbitrary input yields a
 /// value or an error, never a panic — and this probe holds them to it on
 /// every fuzz case: the frame scanner over the whole genome, the
-/// record/snapshot decoders over the genome itself, and the record decoder
-/// again over each checksum-valid payload the scanner recovered.
+/// record/snapshot decoders and the agent-section decoder
+/// ([`agent::DqnAgent::from_bytes`], which the snapshot decoder leaves to
+/// restore) over the genome itself, and the record decoder again over each
+/// checksum-valid payload the scanner recovered.
 pub fn probe_persist_decoders(bytes: &[u8]) -> Result<(), CaseFailure> {
     catch_unwind(AssertUnwindSafe(|| {
         let scan = keebo::scan_frames(bytes);
@@ -383,6 +385,10 @@ pub fn probe_persist_decoders(bytes: &[u8]) -> Result<(), CaseFailure> {
         }
         let _ = keebo::persist::decode_record(bytes);
         let _ = keebo::persist::decode_snapshot(bytes);
+        assert!(
+            agent::DqnAgent::from_bytes(bytes).is_err(),
+            "genome bytes decoded as an agent section"
+        );
     }))
     .map_err(|payload| {
         let message = payload

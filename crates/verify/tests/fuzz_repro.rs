@@ -111,24 +111,17 @@ fn smoke_campaign_runs_clean() {
     assert!(report.events_processed > 0);
 }
 
-/// A genome that gets past the `KWSN` envelope and the body-version check
-/// and into the binary agent-section decoder: one agent section whose first
-/// count claims 2^60 layer sizes in eight bytes, then a v4 body with no
-/// optimizers. The decoder must answer with an error — no panic, and no
-/// attempt to reserve the claimed 8 EiB.
-const AGENT_SECTION_GENOME_HEX: &str = concat!(
-    "4b57534e01000000080000000000000000000010",
-    "7b2276657273696f6e223a342c2273656564223a302c226174223a302c226f7074696d697a657273223a5b5d7d"
-);
+/// A genome the binary agent-section decoder reads as a count of 2^60
+/// layer sizes in eight bytes. The decoder must answer with an error — no
+/// panic, and no attempt to reserve the claimed 8 EiB.
+const AGENT_SECTION_GENOME_HEX: &str = "0000000000000010";
 
 #[test]
 fn agent_section_decoder_is_reached_and_refuses_a_lying_count() {
     let genome = from_hex(AGENT_SECTION_GENOME_HEX).expect("well-formed hex");
     probe_persist_decoders(&genome).expect("the decoders are total on this genome");
-    let err = keebo::persist::decode_snapshot(&genome).expect_err("not a snapshot");
-    let message = err.to_string();
-    assert!(
-        message.contains("agent section 0") && message.contains("cannot fit"),
-        "{message}"
-    );
+    let err = agent::DqnAgent::from_bytes(&genome)
+        .map(|_| ())
+        .expect_err("not an agent section");
+    assert!(err.contains("cannot fit"), "{err}");
 }

@@ -18,6 +18,7 @@
 //! 4. every persisted record/snapshot re-encodes byte-identically after a
 //!    decode round trip, and the decoders are total on arbitrary bytes.
 
+use agent::{AgentAction, Transition};
 use cdw_sim::{
     Account, QuerySpec, Simulator, WarehouseConfig, WarehouseId, WarehouseSize, DAY_MS, HOUR_MS,
     MINUTE_MS,
@@ -28,8 +29,8 @@ use keebo::drill::{
 };
 use keebo::persist::{decode_record, decode_snapshot, encode_record, encode_snapshot};
 use keebo::{
-    scan_frames, DetRng, MemStore, Orchestrator, PersistRecord, RecoveryStats, RetrainRecord, Rule,
-    RuleEffect, SliderPosition, StateStore, TimeWindow,
+    scan_frames, DetRng, MemStore, Orchestrator, PersistError, PersistRecord, RecoveryStats,
+    RetrainRecord, Rule, RuleEffect, SliderPosition, StateStore, TickEffects, TimeWindow,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -304,7 +305,7 @@ fn snapshot_cursors_past_the_account_stream_are_corrupt() {
         Simulator::new(account)
     };
     match Orchestrator::restore(Box::new(store), &fresh_sim) {
-        Err(keebo::persist::PersistError::Corrupt(msg)) => {
+        Err(PersistError::Corrupt(msg)) => {
             assert!(msg.contains("account stream"), "{msg}")
         }
         other => panic!("expected Corrupt, got {:?}", other.map(|(_, stats)| stats)),
@@ -316,7 +317,7 @@ fn a_snapshot_whose_network_shapes_lie_is_corrupt_not_a_panic() {
     // A matrix's buffer carries its own count in the agent section, so
     // `rows x cols != data.len()` decodes fine; unchecked, the first tick
     // after the restore would index past the buffer. The agent's door
-    // (`DqnAgent::from_state`) has to refuse it.
+    // (`DqnAgent::from_bytes`) has to refuse it.
     let (sim, mut store) = two_warehouse_crash();
     let contents = store.load().expect("mem store loads");
     let mut snapshot = contents.snapshot.expect("the day-one snapshot landed");
@@ -328,14 +329,85 @@ fn a_snapshot_whose_network_shapes_lie_is_corrupt_not_a_panic() {
         .position(|w| w == honest)
         .expect("the first layer's weight matrix is in the first agent section");
     snapshot[at..at + lie.len()].copy_from_slice(&lie);
-    let mut edited = MemStore::new();
-    edited.write_snapshot(&snapshot).expect("mem store writes");
-    for record in &contents.records {
-        edited.append(record).expect("mem store appends");
-    }
-    match Orchestrator::restore(Box::new(edited), &sim) {
-        Err(keebo::persist::PersistError::Corrupt(msg)) => {
+    match Orchestrator::restore(Box::new(store_of(&snapshot, &contents.records)), &sim) {
+        Err(PersistError::Corrupt(msg)) => {
             assert!(msg.contains("[(65, 14, Some(896), 64)"), "{msg}")
+        }
+        other => panic!("expected Corrupt, got {:?}", other.map(|(_, stats)| stats)),
+    }
+}
+
+/// A store holding `snapshot` and then `records` in its WAL.
+fn store_of(snapshot: &[u8], records: &[Vec<u8>]) -> MemStore {
+    let mut store = MemStore::new();
+    store.write_snapshot(snapshot).expect("mem store writes");
+    for record in records {
+        store.append(record).expect("mem store appends");
+    }
+    store
+}
+
+#[test]
+fn a_wal_transition_of_the_wrong_shape_is_corrupt_not_a_panic() {
+    // Replay hands a tick's transition to the replay ring, which copies
+    // `STATE_DIM` values per state and keeps the action in a byte. A record
+    // whose state is one value short, or whose action is past the last,
+    // is refused before it gets there, naming the warehouse and the tick.
+    let (sim, mut store) = two_warehouse_crash();
+    let contents = store.load().expect("mem store loads");
+    let snapshot = contents.snapshot.expect("the day-one snapshot landed");
+    let learned = |bytes: &Vec<u8>| match decode_record(bytes) {
+        Ok(PersistRecord::Tick { effects, .. }) => effects.learned.is_some(),
+        _ => false,
+    };
+    let at = (contents.records.iter().position(learned)).expect("a journaled tick learned");
+    let edits: [fn(&mut Transition); 2] = [
+        |t| {
+            t.state.pop();
+        },
+        |t| t.action = AgentAction::COUNT,
+    ];
+    for edit in edits {
+        let mut record = decode_record(&contents.records[at]).expect("decodes");
+        let PersistRecord::Tick {
+            warehouse,
+            now,
+            effects:
+                TickEffects {
+                    learned: Some((transition, _)),
+                    ..
+                },
+            ..
+        } = &mut record
+        else {
+            unreachable!("record {at} is a tick that learned");
+        };
+        edit(transition);
+        let expect = format!("tick record of {warehouse} at {now} carries a malformed transition");
+        let mut records = contents.records.clone();
+        records[at] = encode_record(&record).expect("encodes");
+        match Orchestrator::restore(Box::new(store_of(&snapshot, &records)), &sim) {
+            Err(PersistError::Corrupt(msg)) => assert_eq!(msg, expect),
+            other => panic!("expected Corrupt, got {:?}", other.map(|(_, stats)| stats)),
+        }
+    }
+}
+
+#[test]
+fn a_snapshot_that_names_a_warehouse_twice_is_corrupt() {
+    // One optimizer per warehouse: a second copy of WH_A would restore as
+    // a second control loop driving the same warehouse.
+    let (sim, mut store) = two_warehouse_crash();
+    let contents = store.load().expect("mem store loads");
+    let snapshot = contents.snapshot.expect("the day-one snapshot landed");
+    let mut snap = decode_snapshot(&snapshot).expect("decodes");
+    assert_eq!(snap.optimizers[0].name, "WH_A");
+    snap.optimizers.push(snap.optimizers[0].clone());
+    snap.agents.push(snap.agents[0].clone());
+    let twice = encode_snapshot(&snap).expect("encodes");
+    match Orchestrator::restore(Box::new(store_of(&twice, &contents.records)), &sim) {
+        Err(PersistError::Corrupt(msg)) => {
+            assert_eq!(msg, "snapshot names warehouse WH_A twice")
         }
         other => panic!("expected Corrupt, got {:?}", other.map(|(_, stats)| stats)),
     }
