@@ -25,7 +25,6 @@
 pub mod action;
 pub mod constraints;
 pub mod dqn;
-pub mod heuristic;
 mod replay;
 pub mod reward;
 pub mod slider;
@@ -35,7 +34,6 @@ pub mod trainer;
 pub use action::{AgentAction, AUTO_SUSPEND_LADDER_MS};
 pub use constraints::{ConstraintSet, Rule, RuleEffect, TimeWindow};
 pub use dqn::{DqnAgent, DqnConfig, Transition};
-pub use heuristic::{AutoSuspendRuleOfThumb, DegradedFallback, Policy, StaticPolicy};
 pub use reward::{action_reward, compute_reward, PerfSignals};
 pub use slider::SliderPosition;
 pub use state::{AgentState, STATE_DIM};

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A configuration command against one warehouse.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WarehouseCommand {
     /// `ALTER WAREHOUSE .. SET WAREHOUSE_SIZE = ..`
     SetSize(WarehouseSize),

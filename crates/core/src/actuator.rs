@@ -8,6 +8,9 @@
 //! which fail fast. Every entry records *per-command* outcomes: a
 //! multi-command action that dies halfway shows exactly which statements
 //! landed, which failed, and which were never attempted.
+//!
+//! An entry stores facts only — the commands, how each ended, and a typed
+//! [`Reason`]. Its SQL, overall outcome and kind are derived when read.
 
 use agent::AgentAction;
 use cdw_sim::{
@@ -15,16 +18,110 @@ use cdw_sim::{
     WarehouseName,
 };
 use serde::{Deserialize, Serialize};
+use std::fmt;
+
+/// Why the controller did what it did: the reason of an action-log entry,
+/// and of a control tick in the decision trace. Both serialize it as its
+/// [`Reason::as_str`] text, so the log and the JSONL export spell each
+/// reason one way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reason {
+    /// Still learning the workload; nothing is acted on.
+    Observing,
+    /// An external configuration change paused optimization (§4.4).
+    PausedExternalChange,
+    /// An external-change pause is in force.
+    Paused,
+    /// Repeated actuation failures: no new optimization at all.
+    Frozen,
+    /// The reconciler is repairing actuation failures or config drift.
+    MidRepair,
+    /// Stale telemetry: the live-signal fallback decided.
+    DegradedFallback,
+    /// The smart model's choice.
+    Policy,
+    /// Back-off (§4.3): roll back to a configuration that performed well.
+    BackoffRollback,
+    /// Back-off with no better-provisioned configuration to return to.
+    Backoff,
+    /// Sustained health: spike headroom drifts back toward the original.
+    CapacityDecay,
+    /// The inverse of the optimizer's own last action, after an external
+    /// change.
+    ExternalRevert,
+    /// The analytically chosen auto-suspend.
+    AutoSuspendOptimizer,
+    /// The reconciler re-driving the warehouse toward its desired config.
+    ReconcileDrift,
+}
+
+impl Reason {
+    pub const ALL: [Reason; 13] = [
+        Reason::Observing,
+        Reason::PausedExternalChange,
+        Reason::Paused,
+        Reason::Frozen,
+        Reason::MidRepair,
+        Reason::DegradedFallback,
+        Reason::Policy,
+        Reason::BackoffRollback,
+        Reason::Backoff,
+        Reason::CapacityDecay,
+        Reason::ExternalRevert,
+        Reason::AutoSuspendOptimizer,
+        Reason::ReconcileDrift,
+    ];
+
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Reason::Observing => "observing",
+            Reason::PausedExternalChange => "paused:external-change",
+            Reason::Paused => "paused",
+            Reason::Frozen => "frozen",
+            Reason::MidRepair => "degraded:mid-repair",
+            Reason::DegradedFallback => "degraded-fallback",
+            Reason::Policy => "policy",
+            Reason::BackoffRollback => "backoff-rollback",
+            Reason::Backoff => "backoff",
+            Reason::CapacityDecay => "capacity-decay",
+            Reason::ExternalRevert => "external-revert",
+            Reason::AutoSuspendOptimizer => "auto-suspend-optimizer",
+            Reason::ReconcileDrift => "reconcile-drift",
+        }
+    }
+}
+
+impl fmt::Display for Reason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl Serialize for Reason {
+    fn write_json(&self, out: &mut String) {
+        serde::write_str(self.as_str(), out);
+    }
+}
+
+impl Deserialize for Reason {
+    fn from_value(v: serde::Value) -> Result<Self, serde::Error> {
+        let text = String::from_value(v)?;
+        Reason::ALL
+            .into_iter()
+            .find(|r| r.as_str() == text)
+            .ok_or_else(|| serde::Error(format!("unknown reason `{text}`")))
+    }
+}
 
 /// How one action application ended.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ActionOutcome {
-    /// All commands applied.
+    /// At least one command applied and none failed.
     Applied,
-    /// Nothing needed doing (NoOp or saturated move).
+    /// Nothing needed doing (NoOp, saturated move, benign state race).
     NoChange,
-    /// The CDW rejected a command; carries the rendered error.
-    Failed(String),
+    /// The CDW rejected a command; carries its error.
+    Failed(AlterError),
 }
 
 /// How a single command within an action ended.
@@ -35,7 +132,7 @@ pub enum CommandStatus {
     /// Benign state race (already suspended / already running).
     NoChange,
     /// The command failed after exhausting retries; carries the error.
-    Failed(String),
+    Failed(AlterError),
     /// Never attempted: an earlier command in the same action failed.
     Skipped,
 }
@@ -43,18 +140,21 @@ pub enum CommandStatus {
 /// Per-command record inside one log entry.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CommandOutcome {
-    pub sql: String,
+    pub command: WarehouseCommand,
     pub status: CommandStatus,
     /// Attempts made (1 for a clean apply; >1 means transient retries).
     pub attempts: u32,
 }
 
-/// What kind of control-plane activity a log entry records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// What kind of control-plane activity a log entry records, derived from
+/// its [`Reason`] by [`ActionLogEntry::kind`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogEntryKind {
-    /// A policy (or heuristic) action chosen by the optimizer.
+    /// Anything the optimizer chose: a policy or fallback action, a
+    /// back-off step, capacity decay, the analytic auto-suspend, and the
+    /// revert of its own last action after an external change.
     Action,
-    /// A rollback to a previous configuration (back-off, external revert).
+    /// A back-off rollback to a configuration that performed well.
     Rollback,
     /// The reconciler re-driving the warehouse toward its desired config.
     Reconcile,
@@ -62,60 +162,50 @@ pub enum LogEntryKind {
 
 /// One entry in the action log — this is what the web portal's "real-time
 /// actions taken on each warehouse" view renders (§4.1).
-///
-/// Each SQL statement is stored once, in its [`CommandOutcome`];
-/// [`ActionLogEntry::sql`] lists them. The JSON form still carries the
-/// `"sql"` array after `action` (see the `Serialize` impl), and reading one
-/// back ignores it.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ActionLogEntry {
     pub at: SimTime,
     /// The warehouse's shared name handle (see [`WarehouseName`]).
     pub warehouse: WarehouseName,
+    /// The agent action the commands came from; `NoOp` for raw command
+    /// moves (rollbacks, the analytic auto-suspend, reconciles).
     pub action: AgentAction,
-    pub outcome: ActionOutcome,
-    /// Why the action was chosen ("policy", "backoff", "external-revert").
-    pub reason: String,
-    /// What produced this entry (policy action, rollback, reconcile).
-    pub kind: LogEntryKind,
-    /// Outcome of each individual command, in execution order.
+    pub reason: Reason,
+    /// Each command and how it ended, in execution order.
     pub commands: Vec<CommandOutcome>,
 }
 
 impl ActionLogEntry {
     /// The SQL the action translated to, in execution order.
-    pub fn sql(&self) -> impl Iterator<Item = &str> {
-        self.commands.iter().map(|c| c.sql.as_str())
+    pub fn sql(&self) -> impl Iterator<Item = String> + '_ {
+        self.commands
+            .iter()
+            .map(|c| c.command.to_sql(&self.warehouse))
     }
-}
 
-/// Field by field, in the order the entry has always been written, with the
-/// `"sql"` array derived from `commands` in its old place: persisted and
-/// exported bytes are those of an entry that stored each statement twice.
-impl Serialize for ActionLogEntry {
-    fn write_json(&self, out: &mut String) {
-        out.push_str("{\"at\":");
-        self.at.write_json(out);
-        out.push_str(",\"warehouse\":");
-        self.warehouse.write_json(out);
-        out.push_str(",\"action\":");
-        self.action.write_json(out);
-        out.push_str(",\"sql\":[");
-        for (i, sql) in self.sql().enumerate() {
-            if i > 0 {
-                out.push(',');
+    /// The first failed command's error; else `Applied` if any command
+    /// applied; else `NoChange`.
+    pub fn outcome(&self) -> ActionOutcome {
+        let mut outcome = ActionOutcome::NoChange;
+        for c in &self.commands {
+            match &c.status {
+                CommandStatus::Failed(e) => return ActionOutcome::Failed(e.clone()),
+                CommandStatus::Applied => outcome = ActionOutcome::Applied,
+                CommandStatus::NoChange | CommandStatus::Skipped => {}
             }
-            sql.write_json(out);
         }
-        out.push_str("],\"outcome\":");
-        self.outcome.write_json(out);
-        out.push_str(",\"reason\":");
-        self.reason.write_json(out);
-        out.push_str(",\"kind\":");
-        self.kind.write_json(out);
-        out.push_str(",\"commands\":");
-        self.commands.write_json(out);
-        out.push('}');
+        outcome
+    }
+
+    /// `Rollback` for a back-off rollback, `Reconcile` for a reconciler
+    /// re-drive, `Action` for everything else — an external revert
+    /// included.
+    pub fn kind(&self) -> LogEntryKind {
+        match self.reason {
+            Reason::BackoffRollback => LogEntryKind::Rollback,
+            Reason::ReconcileDrift => LogEntryKind::Reconcile,
+            _ => LogEntryKind::Action,
+        }
     }
 }
 
@@ -169,81 +259,62 @@ impl Actuator {
     fn run_commands(
         sim: &mut Simulator,
         wh: WarehouseId,
-        warehouse_name: &str,
         commands: &[WarehouseCommand],
-    ) -> (ActionOutcome, Vec<CommandOutcome>) {
+    ) -> Vec<CommandOutcome> {
         let now = sim.now();
-        let mut results = Vec::with_capacity(commands.len());
-        let mut failed: Option<String> = None;
-        let mut any_applied = false;
-        for cmd in commands {
-            let sql = cmd.to_sql(warehouse_name);
-            if failed.is_some() {
-                results.push(CommandOutcome {
-                    sql,
-                    status: CommandStatus::Skipped,
-                    attempts: 0,
-                });
-                continue;
-            }
-            let (res, attempts) = Self::run_command(sim, wh, *cmd, now);
-            let status = match res {
-                Ok(()) => {
-                    any_applied = true;
-                    CommandStatus::Applied
-                }
-                Err(AlterError::AlreadySuspended) | Err(AlterError::AlreadyRunning) => {
-                    CommandStatus::NoChange
-                }
-                Err(e) => {
-                    let msg = e.to_string();
-                    failed = Some(msg.clone());
-                    CommandStatus::Failed(msg)
-                }
+        let mut outcomes = Vec::with_capacity(commands.len());
+        let mut failed = false;
+        for &command in commands {
+            let (status, attempts) = if failed {
+                (CommandStatus::Skipped, 0)
+            } else {
+                let (res, attempts) = Self::run_command(sim, wh, command, now);
+                let status = match res {
+                    Ok(()) => CommandStatus::Applied,
+                    Err(AlterError::AlreadySuspended) | Err(AlterError::AlreadyRunning) => {
+                        CommandStatus::NoChange
+                    }
+                    Err(e) => {
+                        failed = true;
+                        CommandStatus::Failed(e)
+                    }
+                };
+                (status, attempts)
             };
-            results.push(CommandOutcome {
-                sql,
+            outcomes.push(CommandOutcome {
+                command,
                 status,
                 attempts,
             });
         }
-        let outcome = match failed {
-            Some(msg) => ActionOutcome::Failed(msg),
-            None if any_applied => ActionOutcome::Applied,
-            None => ActionOutcome::NoChange,
-        };
-        let outcome_metric = match &outcome {
-            ActionOutcome::Applied => "keebo.actuator.applied",
-            ActionOutcome::NoChange => "keebo.actuator.no_change",
-            ActionOutcome::Failed(_) => "keebo.actuator.failed",
-        };
-        keebo_obs::global().counter(outcome_metric).inc();
-        (outcome, results)
+        outcomes
     }
 
-    /// Runs `commands` and logs them as one entry under `action` and `kind`,
-    /// naming the warehouse by the account's own handle.
+    /// Runs `commands` and logs them as one entry under `action` and
+    /// `reason`, naming the warehouse by the account's own handle.
     fn execute(
         &mut self,
         sim: &mut Simulator,
         wh: WarehouseId,
         commands: &[WarehouseCommand],
         action: AgentAction,
-        kind: LogEntryKind,
-        reason: &str,
+        reason: Reason,
     ) -> ActionOutcome {
-        let at = sim.now();
-        let warehouse = sim.account().warehouse(wh).name().clone();
-        let (outcome, commands) = Self::run_commands(sim, wh, &warehouse, commands);
-        self.log.push(ActionLogEntry {
-            at,
-            warehouse,
+        let entry = ActionLogEntry {
+            at: sim.now(),
+            warehouse: sim.account().warehouse(wh).name().clone(),
             action,
-            outcome: outcome.clone(),
-            reason: reason.to_string(),
-            kind,
-            commands,
-        });
+            reason,
+            commands: Self::run_commands(sim, wh, commands),
+        };
+        let outcome = entry.outcome();
+        let outcome_metric = match &outcome {
+            ActionOutcome::Applied => "keebo.actuator.applied",
+            ActionOutcome::NoChange => "keebo.actuator.no_change",
+            ActionOutcome::Failed(_) => "keebo.actuator.failed",
+        };
+        keebo_obs::global().counter(outcome_metric).inc();
+        self.log.push(entry);
         outcome
     }
 
@@ -256,24 +327,24 @@ impl Actuator {
         wh: WarehouseId,
         current: &WarehouseConfig,
         action: AgentAction,
-        reason: &str,
+        reason: Reason,
     ) -> ActionOutcome {
         let commands = action.to_commands(current);
-        self.execute(sim, wh, &commands, action, LogEntryKind::Action, reason)
+        self.execute(sim, wh, &commands, action, reason)
     }
 
-    /// Applies raw commands under an explicit entry kind (rollbacks, §4.3
-    /// restores, reconciler re-drives — multi-knob moves that aren't a
-    /// single agent action). Logged as one entry under `action = NoOp`.
+    /// Applies raw commands (rollbacks, the analytic auto-suspend,
+    /// reconciler re-drives — moves that aren't a single agent action).
+    /// Logged as one entry under `action = NoOp`; its kind follows from
+    /// `reason`.
     pub fn apply_commands(
         &mut self,
         sim: &mut Simulator,
         wh: WarehouseId,
         commands: &[WarehouseCommand],
-        kind: LogEntryKind,
-        reason: &str,
+        reason: Reason,
     ) -> ActionOutcome {
-        self.execute(sim, wh, commands, AgentAction::NoOp, kind, reason)
+        self.execute(sim, wh, commands, AgentAction::NoOp, reason)
     }
 
     /// Full action history.
@@ -285,7 +356,7 @@ impl Actuator {
     pub fn applied_count(&self) -> usize {
         self.log
             .iter()
-            .filter(|e| e.outcome == ActionOutcome::Applied)
+            .filter(|e| e.outcome() == ActionOutcome::Applied)
             .count()
     }
 
@@ -293,7 +364,7 @@ impl Actuator {
     pub fn failure_count(&self) -> usize {
         self.log
             .iter()
-            .filter(|e| matches!(e.outcome, ActionOutcome::Failed(_)))
+            .filter(|e| matches!(e.outcome(), ActionOutcome::Failed(_)))
             .count()
     }
 
@@ -301,7 +372,7 @@ impl Actuator {
     pub fn rollback_count(&self) -> usize {
         self.log
             .iter()
-            .filter(|e| e.kind == LogEntryKind::Rollback)
+            .filter(|e| e.kind() == LogEntryKind::Rollback)
             .count()
     }
 
@@ -309,7 +380,7 @@ impl Actuator {
     pub fn reconcile_count(&self) -> usize {
         self.log
             .iter()
-            .filter(|e| e.kind == LogEntryKind::Reconcile)
+            .filter(|e| e.kind() == LogEntryKind::Reconcile)
             .count()
     }
 
@@ -364,7 +435,7 @@ mod tests {
     fn size_down_applies_and_logs_sql() {
         let (mut sim, wh, cfg) = setup();
         let mut act = Actuator::new();
-        let out = act.apply(&mut sim, wh, &cfg, AgentAction::SizeDown, "policy");
+        let out = act.apply(&mut sim, wh, &cfg, AgentAction::SizeDown, Reason::Policy);
         assert_eq!(out, ActionOutcome::Applied);
         assert_eq!(act.log().len(), 1);
         assert_eq!(
@@ -373,7 +444,7 @@ mod tests {
         );
         assert_eq!(sim.account().describe(wh).config.size, WarehouseSize::Small);
         assert_eq!(act.applied_count(), 1);
-        assert_eq!(act.log()[0].kind, LogEntryKind::Action);
+        assert_eq!(act.log()[0].kind(), LogEntryKind::Action);
         assert_eq!(act.log()[0].commands.len(), 1);
         assert_eq!(act.log()[0].commands[0].status, CommandStatus::Applied);
         assert_eq!(act.log()[0].commands[0].attempts, 1);
@@ -383,7 +454,7 @@ mod tests {
     fn noop_logs_no_change_and_no_overhead() {
         let (mut sim, wh, cfg) = setup();
         let mut act = Actuator::new();
-        let out = act.apply(&mut sim, wh, &cfg, AgentAction::NoOp, "policy");
+        let out = act.apply(&mut sim, wh, &cfg, AgentAction::NoOp, Reason::Policy);
         assert_eq!(out, ActionOutcome::NoChange);
         assert_eq!(sim.account().ledger().overhead().total(), 0.0);
     }
@@ -392,7 +463,7 @@ mod tests {
     fn commands_charge_overhead() {
         let (mut sim, wh, cfg) = setup();
         let mut act = Actuator::new();
-        act.apply(&mut sim, wh, &cfg, AgentAction::SizeUp, "policy");
+        act.apply(&mut sim, wh, &cfg, AgentAction::SizeUp, Reason::Policy);
         let overhead = sim.account().ledger().overhead().total();
         assert!((overhead - COST_PER_COMMAND).abs() < 1e-12);
     }
@@ -402,7 +473,7 @@ mod tests {
         let (mut sim, wh, cfg) = setup();
         let mut act = Actuator::new();
         assert_eq!(
-            act.apply(&mut sim, wh, &cfg, AgentAction::SuspendNow, "policy"),
+            act.apply(&mut sim, wh, &cfg, AgentAction::SuspendNow, Reason::Policy),
             ActionOutcome::NoChange,
             "warehouse starts suspended: AlreadySuspended is benign"
         );
@@ -415,10 +486,10 @@ mod tests {
         let (mut sim, wh, cfg) = setup();
         sim.run_until(12_345);
         let mut act = Actuator::new();
-        act.apply(&mut sim, wh, &cfg, AgentAction::ClustersUp, "backoff");
+        act.apply(&mut sim, wh, &cfg, AgentAction::ClustersUp, Reason::Backoff);
         let e = &act.log()[0];
         assert_eq!(e.at, 12_345);
-        assert_eq!(e.reason, "backoff");
+        assert_eq!(e.reason, Reason::Backoff);
         assert_eq!(e.action, AgentAction::ClustersUp);
     }
 
@@ -428,7 +499,7 @@ mod tests {
         let plan = FaultPlan::none().with_alter_burst(0, HOUR_MS, 1.0);
         let (mut sim, wh, cfg) = setup_faulted(plan);
         let mut act = Actuator::new();
-        let out = act.apply(&mut sim, wh, &cfg, AgentAction::SizeDown, "policy");
+        let out = act.apply(&mut sim, wh, &cfg, AgentAction::SizeDown, Reason::Policy);
         assert!(matches!(out, ActionOutcome::Failed(_)));
         let e = &act.log()[0];
         assert_eq!(e.commands[0].attempts, 1 + MAX_TRANSIENT_RETRIES);
@@ -459,7 +530,7 @@ mod tests {
             } else {
                 AgentAction::SizeUp
             };
-            act.apply(&mut sim, wh, &cur, action, "policy");
+            act.apply(&mut sim, wh, &cur, action, Reason::Policy);
         }
         let retried_ok = act.log().iter().any(|e| {
             e.commands
@@ -478,16 +549,13 @@ mod tests {
             cdw_sim::WarehouseCommand::SetClusterRange { min: 3, max: 2 }, // invalid
             cdw_sim::WarehouseCommand::SetSize(WarehouseSize::Small),
         ];
-        let out = act.apply_commands(
-            &mut sim,
-            wh,
-            &cmds,
-            LogEntryKind::Rollback,
-            "backoff-rollback",
-        );
-        assert!(matches!(out, ActionOutcome::Failed(_)));
+        let out = act.apply_commands(&mut sim, wh, &cmds, Reason::BackoffRollback);
+        assert!(matches!(
+            out,
+            ActionOutcome::Failed(AlterError::InvalidConfig(_))
+        ));
         let e = &act.log()[0];
-        assert_eq!(e.kind, LogEntryKind::Rollback);
+        assert_eq!((e.outcome(), e.kind()), (out, LogEntryKind::Rollback));
         assert_eq!(e.commands[0].status, CommandStatus::Applied);
         assert!(matches!(e.commands[1].status, CommandStatus::Failed(_)));
         assert_eq!(e.commands[2].status, CommandStatus::Skipped);
@@ -505,7 +573,7 @@ mod tests {
         let (mut sim, wh, _cfg) = setup();
         let mut act = Actuator::new();
         let cmds = [cdw_sim::WarehouseCommand::SetClusterRange { min: 0, max: 2 }];
-        let out = act.apply_commands(&mut sim, wh, &cmds, LogEntryKind::Reconcile, "reconcile");
+        let out = act.apply_commands(&mut sim, wh, &cmds, Reason::ReconcileDrift);
         assert!(matches!(out, ActionOutcome::Failed(_)));
         assert_eq!(
             act.log()[0].commands[0].attempts,
@@ -517,18 +585,40 @@ mod tests {
     }
 
     #[test]
+    fn every_reason_round_trips_as_its_text() {
+        let texts = [
+            "observing",
+            "paused:external-change",
+            "paused",
+            "frozen",
+            "degraded:mid-repair",
+            "degraded-fallback",
+            "policy",
+            "backoff-rollback",
+            "backoff",
+            "capacity-decay",
+            "external-revert",
+            "auto-suspend-optimizer",
+            "reconcile-drift",
+        ];
+        assert_eq!(Reason::ALL.map(Reason::as_str), texts);
+        for reason in Reason::ALL {
+            let json = serde_json::to_string(&reason).unwrap();
+            assert_eq!(json, format!("\"{reason}\""));
+            assert_eq!(serde_json::from_str::<Reason>(&json).unwrap(), reason);
+        }
+        assert!(serde_json::from_str::<Reason>(r#""reconcile""#).is_err());
+    }
+
+    #[test]
     fn log_entry_json_is_pinned_and_round_trips() {
-        // Captured while the entry still stored its `sql` beside `commands`
-        // and its name as a `String`.
+        // Re-pinned when the entry stopped storing its SQL, outcome and
+        // kind: it holds each command as data and its reason as its text.
         const PINNED: &str = concat!(
-            r#"{"at":12345,"warehouse":"WH","action":"NoOp","sql":["#,
-            r#""ALTER WAREHOUSE WH SET AUTO_SUSPEND=60","#,
-            r#""ALTER WAREHOUSE WH SET MIN_CLUSTER_COUNT=3 MAX_CLUSTER_COUNT=2"],"#,
-            r#""outcome":{"Failed":"invalid configuration: MIN_CLUSTER_COUNT (3) exceeds MAX_CLUSTER_COUNT (2)"},"#,
-            r#""reason":"backoff-rollback","kind":"Rollback","commands":["#,
-            r#"{"sql":"ALTER WAREHOUSE WH SET AUTO_SUSPEND=60","status":"Applied","attempts":1},"#,
-            r#"{"sql":"ALTER WAREHOUSE WH SET MIN_CLUSTER_COUNT=3 MAX_CLUSTER_COUNT=2","#,
-            r#""status":{"Failed":"invalid configuration: MIN_CLUSTER_COUNT (3) exceeds MAX_CLUSTER_COUNT (2)"},"attempts":1}]}"#,
+            r#"{"at":12345,"warehouse":"WH","action":"NoOp","reason":"backoff-rollback","commands":["#,
+            r#"{"command":{"SetAutoSuspend":{"ms":60000}},"status":"Applied","attempts":1},"#,
+            r#"{"command":{"SetClusterRange":{"min":3,"max":2}},"#,
+            r#""status":{"Failed":{"InvalidConfig":"MIN_CLUSTER_COUNT (3) exceeds MAX_CLUSTER_COUNT (2)"}},"attempts":1}]}"#,
         );
         let (mut sim, wh, _cfg) = setup();
         sim.run_until(12_345);
@@ -537,18 +627,28 @@ mod tests {
             cdw_sim::WarehouseCommand::SetAutoSuspend { ms: 60_000 },
             cdw_sim::WarehouseCommand::SetClusterRange { min: 3, max: 2 },
         ];
-        act.apply_commands(
-            &mut sim,
-            wh,
-            &cmds,
-            LogEntryKind::Rollback,
-            "backoff-rollback",
-        );
+        act.apply_commands(&mut sim, wh, &cmds, Reason::BackoffRollback);
         let entry = &act.log()[0];
         let json = serde_json::to_string(entry).unwrap();
         assert_eq!(json, PINNED);
         let back: ActionLogEntry = serde_json::from_str(&json).unwrap();
         assert_eq!(&back, entry);
+        // What the old pin stored, derived.
+        assert_eq!(
+            entry.sql().collect::<Vec<_>>(),
+            [
+                "ALTER WAREHOUSE WH SET AUTO_SUSPEND=60",
+                "ALTER WAREHOUSE WH SET MIN_CLUSTER_COUNT=3 MAX_CLUSTER_COUNT=2"
+            ]
+        );
+        let ActionOutcome::Failed(error) = entry.outcome() else {
+            panic!("{:?}", entry.outcome());
+        };
+        assert_eq!(
+            error.to_string(),
+            "invalid configuration: MIN_CLUSTER_COUNT (3) exceeds MAX_CLUSTER_COUNT (2)"
+        );
+        assert_eq!(entry.kind(), LogEntryKind::Rollback);
         assert!(
             WarehouseName::ptr_eq(&entry.warehouse, sim.account().warehouse(wh).name()),
             "the entry shares the account's name"

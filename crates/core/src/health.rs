@@ -81,9 +81,6 @@ impl fmt::Display for HealthState {
 pub(crate) const STALE_TELEMETRY_AFTER_MS: SimTime = 2 * 60 * 60 * 1000;
 /// Consecutive actuation failures at which optimization freezes.
 const FREEZE_AFTER_FAILURES: u32 = 4;
-/// State changes kept in [`HealthMonitor::transitions`] (the most recent
-/// ones): the history rides inside every journaled tick, so it is bounded.
-const MAX_TRANSITIONS: usize = 64;
 
 /// The live signals the state machine is evaluated from each tick.
 #[derive(Debug, Clone, Copy, Default)]
@@ -96,21 +93,12 @@ pub struct HealthSignals {
     pub config_drift: bool,
 }
 
-/// One recorded state change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HealthTransition {
-    pub at: SimTime,
-    pub from: HealthState,
-    pub to: HealthState,
-}
-
-/// Evaluates [`HealthSignals`] into a [`HealthState`] and keeps history.
-/// Serializable so degradation history and tick counters survive a
+/// Evaluates [`HealthSignals`] into a [`HealthState`] and counts the ticks
+/// spent in each. Serializable so the state and tick counters survive a
 /// control-plane crash (the chaos KPIs are computed from them).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct HealthMonitor {
     state: HealthState,
-    transitions: Vec<HealthTransition>,
     healthy_ticks: u64,
     degraded_ticks: u64,
     frozen_ticks: u64,
@@ -121,12 +109,12 @@ impl HealthMonitor {
         Self::default()
     }
 
-    /// Re-evaluates the state from live signals at `now`. The evaluation is
+    /// Re-evaluates the state from this tick's live signals. The evaluation is
     /// memoryless — recovery needs no explicit reset, the state simply
     /// follows the signals — and severity is ordered: frozen beats stale
     /// telemetry beats actuation trouble beats drift.
-    pub fn evaluate(&mut self, now: SimTime, signals: HealthSignals) -> HealthState {
-        let next = if signals.consecutive_actuation_failures >= FREEZE_AFTER_FAILURES {
+    pub fn evaluate(&mut self, signals: HealthSignals) -> HealthState {
+        self.state = if signals.consecutive_actuation_failures >= FREEZE_AFTER_FAILURES {
             HealthState::Frozen
         } else if signals.telemetry_staleness_ms > STALE_TELEMETRY_AFTER_MS {
             HealthState::Degraded(DegradeReason::StaleTelemetry)
@@ -137,17 +125,6 @@ impl HealthMonitor {
         } else {
             HealthState::Healthy
         };
-        if next != self.state {
-            if self.transitions.len() == MAX_TRANSITIONS {
-                self.transitions.remove(0);
-            }
-            self.transitions.push(HealthTransition {
-                at: now,
-                from: self.state,
-                to: next,
-            });
-            self.state = next;
-        }
         match self.state {
             HealthState::Healthy => self.healthy_ticks += 1,
             HealthState::Degraded(_) => self.degraded_ticks += 1,
@@ -166,11 +143,6 @@ impl HealthMonitor {
             self.state,
             HealthState::Degraded(DegradeReason::StaleTelemetry) | HealthState::Frozen
         )
-    }
-
-    /// The most recent state changes (at most 64), oldest first.
-    pub fn transitions(&self) -> &[HealthTransition] {
-        &self.transitions
     }
 
     pub fn healthy_ticks(&self) -> u64 {
@@ -197,12 +169,8 @@ mod tests {
     #[test]
     fn starts_healthy_and_stays_healthy_on_clean_signals() {
         let mut m = fresh();
-        assert_eq!(
-            m.evaluate(0, HealthSignals::default()),
-            HealthState::Healthy
-        );
+        assert_eq!(m.evaluate(HealthSignals::default()), HealthState::Healthy);
         assert!(m.can_train());
-        assert!(m.transitions().is_empty());
         assert_eq!(m.healthy_ticks(), 1);
     }
 
@@ -214,7 +182,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(
-            m.evaluate(100, s),
+            m.evaluate(s),
             HealthState::Degraded(DegradeReason::StaleTelemetry)
         );
         assert!(!m.can_train(), "stale data must not retrain models");
@@ -223,48 +191,27 @@ mod tests {
     #[test]
     fn repeated_failures_freeze_then_recover() {
         let mut m = fresh();
-        let mut t = 0;
-        for fails in 1..4 {
-            t += 1;
-            assert_eq!(
-                m.evaluate(
-                    t,
-                    HealthSignals {
-                        consecutive_actuation_failures: fails,
-                        ..Default::default()
-                    }
-                ),
-                HealthState::Degraded(DegradeReason::ActuationFailures)
-            );
-        }
-        t += 1;
+        let failing = |fails| HealthSignals {
+            consecutive_actuation_failures: fails,
+            ..Default::default()
+        };
+        // Healthy→Degraded→Frozen→Healthy, as `evaluate` returns it: a
+        // successful probe zeroes the failure count once the control plane
+        // heals, and the machine recovers by itself.
+        let signals = [1, 2, 3, 4, 0].map(failing);
+        let states = signals.map(|s| {
+            let state = m.evaluate(s);
+            (state, m.can_train())
+        });
+        let degraded = HealthState::Degraded(DegradeReason::ActuationFailures);
         assert_eq!(
-            m.evaluate(
-                t,
-                HealthSignals {
-                    consecutive_actuation_failures: 4,
-                    ..Default::default()
-                }
-            ),
-            HealthState::Frozen
-        );
-        assert!(!m.can_train());
-        // Control plane heals → a successful probe zeroes the failure count
-        // and the machine recovers by itself.
-        t += 1;
-        assert_eq!(
-            m.evaluate(t, HealthSignals::default()),
-            HealthState::Healthy
-        );
-        assert!(m.can_train());
-        // Transitions: Healthy→Degraded→Frozen→Healthy.
-        let tos: Vec<HealthState> = m.transitions().iter().map(|tr| tr.to).collect();
-        assert_eq!(
-            tos,
-            vec![
-                HealthState::Degraded(DegradeReason::ActuationFailures),
-                HealthState::Frozen,
-                HealthState::Healthy
+            states,
+            [
+                (degraded, true),
+                (degraded, true),
+                (degraded, true),
+                (HealthState::Frozen, false),
+                (HealthState::Healthy, true),
             ]
         );
         assert_eq!(m.frozen_ticks(), 1);
@@ -274,26 +221,20 @@ mod tests {
     fn drift_is_the_mildest_degradation() {
         let mut m = fresh();
         assert_eq!(
-            m.evaluate(
-                0,
-                HealthSignals {
-                    config_drift: true,
-                    ..Default::default()
-                }
-            ),
+            m.evaluate(HealthSignals {
+                config_drift: true,
+                ..Default::default()
+            }),
             HealthState::Degraded(DegradeReason::ConfigDrift)
         );
         assert!(m.can_train(), "drift alone doesn't invalidate telemetry");
         // Stale telemetry takes precedence over drift.
         assert_eq!(
-            m.evaluate(
-                1,
-                HealthSignals {
-                    config_drift: true,
-                    telemetry_staleness_ms: 9 * 60 * 60 * 1000,
-                    ..Default::default()
-                }
-            ),
+            m.evaluate(HealthSignals {
+                config_drift: true,
+                telemetry_staleness_ms: 9 * 60 * 60 * 1000,
+                ..Default::default()
+            }),
             HealthState::Degraded(DegradeReason::StaleTelemetry)
         );
     }

@@ -82,7 +82,7 @@ pub mod reconciler;
 pub mod store;
 
 pub use actuator::{
-    ActionLogEntry, ActionOutcome, Actuator, CommandOutcome, CommandStatus, LogEntryKind,
+    ActionLogEntry, ActionOutcome, Actuator, CommandOutcome, CommandStatus, LogEntryKind, Reason,
 };
 pub use consolidation::{evaluate_consolidation, ConsolidationInput, ConsolidationReport};
 pub use dashboard::{DailyKpis, Dashboard, OpsKpis};
@@ -95,7 +95,7 @@ pub use gateway::{
     Admission, Gateway, GatewayConfig, GatewayStats, Priority, Request, RequestKind, ShedCounts,
     ShedReason, TokenBucket,
 };
-pub use health::{DegradeReason, HealthMonitor, HealthSignals, HealthState, HealthTransition};
+pub use health::{DegradeReason, HealthMonitor, HealthSignals, HealthState};
 pub use monitoring::{is_external_config_change, Monitor, RealTimeState};
 pub use orchestrator::{
     derive_stream_seed, KwoSetup, ManageError, Orchestrator, WarehouseOptimizer,

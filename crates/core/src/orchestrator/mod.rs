@@ -35,8 +35,8 @@ use crate::persist::{CtlState, OptimizerSnapshot, PersistError, PersistRecord, T
 use crate::reconciler::Reconciler;
 use crate::store::StateStore;
 use agent::{
-    baseline_p99, reconstruct_specs, train_on_workload, ConstraintSet, DegradedFallback, DqnAgent,
-    DqnConfig, EpisodeConfig, Rule, SliderPosition,
+    baseline_p99, reconstruct_specs, train_on_workload, ConstraintSet, DqnAgent, DqnConfig,
+    EpisodeConfig, Rule, SliderPosition,
 };
 use cdw_sim::{
     QueryRecord, SimTime, Simulator, WarehouseConfig, WarehouseId, WarehouseName, DAY_MS, HOUR_MS,
@@ -175,7 +175,6 @@ pub struct WarehouseOptimizer {
     cost_model: WarehouseCostModel,
     store: TelemetryStore,
     actuator: Actuator,
-    fallback: DegradedFallback,
     /// Per-tick decision log (ring buffer of plain data). Write-only from
     /// the control loop. Deliberately *not* persisted: it is observability,
     /// recreated empty after recovery so the trace never perturbs (or
@@ -208,7 +207,6 @@ impl WarehouseOptimizer {
             agent,
             cost_model: WarehouseCostModel::default(),
             actuator: Actuator::new(),
-            fallback: DegradedFallback::default(),
             ring: DecisionRing::new(TRACE_CAPACITY),
             cause_buffer: Vec::new(),
             effects: TickEffects::default(),
@@ -827,6 +825,45 @@ mod tests {
         );
         kwo.admin_resume(&sim, "WH");
         assert!(!kwo.optimizer("WH").unwrap().is_paused(sim.now()));
+    }
+
+    #[test]
+    fn an_external_revert_is_an_action_entry_not_a_rollback() {
+        use crate::actuator::{ActionOutcome, LogEntryKind, Reason};
+        use crate::OpsKpis;
+        use agent::AgentAction;
+        let (mut sim, wh) = idle_heavy_sim();
+        let mut kwo = Orchestrator::new(3);
+        kwo.manage(&sim, "WH", fast_setup());
+        kwo.observe_until(&mut sim, DAY_MS);
+        kwo.onboard(&mut sim);
+        kwo.run_until(&mut sim, DAY_MS + 2 * HOUR_MS);
+        let kpis = |kwo: &Orchestrator, now| OpsKpis::collect(kwo.optimizer("WH").unwrap(), now);
+        let before = kpis(&kwo, sim.now());
+        // The optimizer's own last move was a downsize, so its inverse
+        // applies from any size but the largest; then an admin changes
+        // auto-suspend behind Keebo's back.
+        kwo.optimizers[0].ctl.last_action = Some(AgentAction::SizeDown);
+        let size = sim.account().describe(wh).config.size;
+        let cmd = cdw_sim::WarehouseCommand::SetAutoSuspend { ms: 120_000 };
+        sim.alter_warehouse(wh, cmd, cdw_sim::ActionSource::External)
+            .unwrap();
+        kwo.run_until(&mut sim, DAY_MS + 3 * HOUR_MS);
+
+        let o = kwo.optimizer("WH").unwrap();
+        assert!(o.is_paused(sim.now()));
+        let reverts: Vec<_> = (o.actuator().log().iter())
+            .filter(|e| e.reason == Reason::ExternalRevert)
+            .collect();
+        assert_eq!(reverts.len(), 1, "{:?}", o.actuator().log());
+        let revert = reverts[0];
+        assert_eq!(revert.action, AgentAction::SizeUp);
+        assert_eq!(revert.kind(), LogEntryKind::Action);
+        assert_eq!(revert.outcome(), ActionOutcome::Applied);
+        assert!(sim.account().describe(wh).config.size > size);
+        let after = kpis(&kwo, sim.now());
+        assert_eq!(after.rollbacks, before.rollbacks, "a revert is no rollback");
+        assert_eq!(after.actions_applied, before.actions_applied + 1);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! asks. The ring is bounded: once full, the oldest record leaves with
 //! exactly the causes it brought (and is counted).
 
+use crate::actuator::Reason;
 use crate::health::HealthState;
 use agent::{AgentAction, Rule};
 use cdw_sim::{SimTime, WarehouseSize, HOUR_MS};
@@ -86,7 +87,7 @@ pub(super) struct Record {
     /// mid-repair, external change).
     pub(super) mask: Option<[bool; AgentAction::COUNT]>,
     pub(super) chosen: Chosen,
-    pub(super) reason: &'static str,
+    pub(super) reason: Reason,
     pub(super) reward: Option<f64>,
 }
 
@@ -182,7 +183,7 @@ fn render<'a>(
             Chosen::Action(action) => format!("{action:?}"),
             Chosen::Rollback(size) => format!("Rollback(to {size:?})"),
         },
-        reason: record.reason.to_string(),
+        reason: record.reason.as_str().to_string(),
         reward: record.reward,
     }
 }
@@ -207,7 +208,7 @@ mod tests {
             },
             mask: Some([true; AgentAction::COUNT]),
             chosen: Chosen::Action(AgentAction::NoOp),
-            reason: "policy",
+            reason: Reason::Policy,
             reward: Some(0.42),
         }
     }
@@ -306,7 +307,7 @@ mod tests {
             health: HealthState::Frozen,
             mask: None,
             chosen: Chosen::Rollback(WarehouseSize::Large),
-            reason: "frozen",
+            reason: Reason::Frozen,
             reward: None,
             ..record(6 * HOUR_MS)
         };

@@ -15,12 +15,12 @@
 
 use super::ring::{Cause, Chosen, Guard, MaskCause, Record};
 use super::{tick_wall_histogram, WarehouseOptimizer};
-use crate::actuator::LogEntryKind;
+use crate::actuator::Reason;
 use crate::health::{DegradeReason, HealthSignals, HealthState};
 use crate::monitoring::RealTimeState;
 use crate::persist::{RetrainRecord, TickEffects};
 use crate::reconciler::Reconciler;
-use agent::{AgentAction, AgentState, ConstraintSet, PerfSignals, Policy, Transition};
+use agent::{AgentAction, AgentState, ConstraintSet, PerfSignals, Transition};
 use cdw_sim::account::WarehouseDescription;
 use cdw_sim::{
     QueryRecord, SimTime, Simulator, WarehouseCommand, WarehouseConfig, WarehouseEventRecord,
@@ -74,16 +74,16 @@ impl Gate {
     }
 
     /// The trace reason of a tick that ends at this gate. `Optimize` names
-    /// the default; a monitoring [`Override`] substitutes its own.
-    pub(super) fn as_str(self) -> &'static str {
+    /// the default; back-off and capacity decay substitute their own.
+    pub(super) fn reason(self) -> Reason {
         match self {
-            Gate::Observing => "observing",
-            Gate::ExternalChange => "paused:external-change",
-            Gate::Paused => "paused",
-            Gate::Frozen => "frozen",
-            Gate::MidRepair => "degraded:mid-repair",
-            Gate::StaleFallback => "degraded-fallback",
-            Gate::Optimize => "policy",
+            Gate::Observing => Reason::Observing,
+            Gate::ExternalChange => Reason::PausedExternalChange,
+            Gate::Paused => Reason::Paused,
+            Gate::Frozen => Reason::Frozen,
+            Gate::MidRepair => Reason::MidRepair,
+            Gate::StaleFallback => Reason::DegradedFallback,
+            Gate::Optimize => Reason::Policy,
         }
     }
 
@@ -161,27 +161,6 @@ impl MaskTrace {
     }
 }
 
-/// A monitoring override of the policy's pick; names its own trace reason.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Override {
-    /// Back-off (§4.3): roll back to a configuration that performed well.
-    BackoffRollback,
-    /// Back-off with no better-provisioned configuration to return to.
-    Backoff,
-    /// Sustained health: spike headroom drifts back toward the original.
-    CapacityDecay,
-}
-
-impl Override {
-    fn as_str(self) -> &'static str {
-        match self {
-            Override::BackoffRollback => "backoff-rollback",
-            Override::Backoff => "backoff",
-            Override::CapacityDecay => "capacity-decay",
-        }
-    }
-}
-
 /// Output of `decide`: the encoded state and what is on the table.
 pub(super) struct Plan {
     state_vec: Vec<f64>,
@@ -190,11 +169,11 @@ pub(super) struct Plan {
     pub(super) fallback: Option<AgentAction>,
 }
 
-/// One actuation: a single agent action, or raw commands under an explicit
-/// log-entry kind (multi-knob moves that are not one agent action).
+/// One actuation: a single agent action, or raw commands (multi-knob moves
+/// that are not one agent action).
 enum Move<'a> {
     Action(AgentAction),
-    Commands(&'a [WarehouseCommand], LogEntryKind),
+    Commands(&'a [WarehouseCommand]),
 }
 
 /// What the tick's single trace record says was chosen, and why.
@@ -202,7 +181,7 @@ struct Decision {
     /// `None` on a gated tick: nothing was on the table.
     mask: Option<MaskTrace>,
     chosen: Chosen,
-    reason: &'static str,
+    reason: Reason,
     reward: Option<f64>,
 }
 
@@ -212,7 +191,7 @@ impl Decision {
         Self {
             mask: None,
             chosen: Chosen::Action(chosen),
-            reason: gate.as_str(),
+            reason: gate.reason(),
             reward: None,
         }
     }
@@ -349,14 +328,11 @@ impl WarehouseOptimizer {
         let config_drift = self.ctl.reconciler.desired().is_some_and(|want| {
             !Reconciler::drift_commands(want, &sim.account().describe(self.wh).config).is_empty()
         });
-        self.ctl.health.evaluate(
-            now,
-            HealthSignals {
-                telemetry_staleness_ms: self.ctl.fetcher.staleness_ms(now),
-                consecutive_actuation_failures: self.ctl.reconciler.consecutive_failures(),
-                config_drift,
-            },
-        )
+        self.ctl.health.evaluate(HealthSignals {
+            telemetry_staleness_ms: self.ctl.fetcher.staleness_ms(now),
+            consecutive_actuation_failures: self.ctl.reconciler.consecutive_failures(),
+            config_drift,
+        })
     }
 
     /// Stage 3 — retrain (live and replay): one training pass over the
@@ -416,7 +392,12 @@ impl WarehouseOptimizer {
                 .and_then(AgentAction::inverse)
                 .filter(|inv| inv.is_applicable(&ctx.desc.config));
             if let Some(inv) = revert {
-                self.act(sim, &ctx.desc.config, Move::Action(inv), "external-revert");
+                self.act(
+                    sim,
+                    &ctx.desc.config,
+                    Move::Action(inv),
+                    Reason::ExternalRevert,
+                );
                 chosen = inv;
             }
         }
@@ -446,12 +427,8 @@ impl WarehouseOptimizer {
         };
         if self.setup.constraints.allows(probe, current, ctx.now) {
             let cmds = [WarehouseCommand::SetAutoSuspend { ms: target }];
-            self.act(
-                sim,
-                current,
-                Move::Commands(&cmds, LogEntryKind::Action),
-                "auto-suspend-optimizer",
-            );
+            let reason = Reason::AutoSuspendOptimizer;
+            self.act(sim, current, Move::Commands(&cmds), reason);
         }
     }
 
@@ -490,7 +467,7 @@ impl WarehouseOptimizer {
             ] {
                 mask.disallow(a, Guard::StaleTelemetry);
             }
-            fallback = Some(self.fallback.decide(&state, &mask.mask, &mut self.ctl.rng));
+            fallback = Some(stale_fallback_action(desc.queued_queries, &mask.mask));
         } else {
             self.guard_performance(ctx, &mut mask);
         }
@@ -634,7 +611,7 @@ impl WarehouseOptimizer {
     ) -> Decision {
         let current = &ctx.desc.config;
         let (chosen, reason) = if let Some(action) = plan.fallback {
-            let reason = Gate::StaleFallback.as_str();
+            let reason = Gate::StaleFallback.reason();
             if action != AgentAction::NoOp {
                 self.act(sim, current, Move::Action(action), reason);
             }
@@ -661,7 +638,7 @@ impl WarehouseOptimizer {
         sim: &mut Simulator,
         ctx: &TickCtx,
         mask: &MaskTrace,
-    ) -> (Chosen, &'static str) {
+    ) -> (Chosen, Reason) {
         let (current, rts) = (&ctx.desc.config, &ctx.rts);
         let has_more_capacity =
             |c: &WarehouseConfig| c.size > current.size || c.max_clusters > current.max_clusters;
@@ -700,14 +677,13 @@ impl WarehouseOptimizer {
                 // Auto-suspend is deliberately not rolled back: it is
                 // not capacity, and the cold-cache cost it implies is a
                 // one-shot the policy re-weighs on its own.
-                let reason = Override::BackoffRollback.as_str();
-                let mv = Move::Commands(&cmds, LogEntryKind::Rollback);
-                self.act(sim, current, mv, reason);
+                let reason = Reason::BackoffRollback;
+                self.act(sim, current, Move::Commands(&cmds), reason);
                 (Chosen::Rollback(good.size), reason)
             }
             None => {
                 let action = backoff_action(rts, &mask.mask, self.ctl.last_action);
-                let reason = Override::Backoff.as_str();
+                let reason = Reason::Backoff;
                 self.act(sim, current, Move::Action(action), reason);
                 (Chosen::Action(action), reason)
             }
@@ -730,18 +706,18 @@ impl WarehouseOptimizer {
         current: &WarehouseConfig,
         state_vec: Vec<f64>,
         mask: &MaskTrace,
-    ) -> (Chosen, &'static str) {
+    ) -> (Chosen, Reason) {
         let streak_needed = (HOUR_MS / self.setup.realtime_interval_ms.max(1)).max(1) as u32;
         let decay = self.ctl.healthy_streak >= streak_needed;
-        let (orig, policy) = (&self.original_config, Gate::Optimize.as_str());
+        let (orig, policy) = (&self.original_config, Gate::Optimize.reason());
         let (action, reason) =
             if decay && current.size > orig.size && mask.allows(AgentAction::SizeDown) {
-                (AgentAction::SizeDown, Override::CapacityDecay.as_str())
+                (AgentAction::SizeDown, Reason::CapacityDecay)
             } else if decay
                 && current.max_clusters > orig.max_clusters
                 && mask.allows(AgentAction::ClustersDown)
             {
-                (AgentAction::ClustersDown, Override::CapacityDecay.as_str())
+                (AgentAction::ClustersDown, Reason::CapacityDecay)
             } else {
                 (self.agent.greedy_action(&state_vec, &mask.mask), policy)
             };
@@ -757,15 +733,14 @@ impl WarehouseOptimizer {
     /// The one actuation path: apply the move from `current`, record the
     /// intent with the reconciler (so a dropped or delayed ALTER is
     /// re-driven), and re-read what the control plane now reports.
-    fn act(&mut self, sim: &mut Simulator, current: &WarehouseConfig, mv: Move, reason: &str) {
+    fn act(&mut self, sim: &mut Simulator, current: &WarehouseConfig, mv: Move, reason: Reason) {
         let intent = match mv {
             Move::Action(action) => {
                 self.actuator.apply(sim, self.wh, current, action, reason);
                 intended_config(current.clone(), &action.to_commands(current))
             }
-            Move::Commands(cmds, kind) => {
-                self.actuator
-                    .apply_commands(sim, self.wh, cmds, kind, reason);
+            Move::Commands(cmds) => {
+                self.actuator.apply_commands(sim, self.wh, cmds, reason);
                 intended_config(current.clone(), cmds)
             }
         };
@@ -807,6 +782,24 @@ impl WarehouseOptimizer {
             None => self.ring.push(record, &[]),
         }
     }
+}
+
+/// Queue depth at which the stale-telemetry fallback adds capacity.
+const STALE_FALLBACK_QUEUE_DEPTH: usize = 4;
+
+/// The stale-telemetry fallback. Windowed features describe the past while
+/// the feed is down, so it reads only the live queue depth from `DESCRIBE`
+/// (fresh during a metadata outage): under queue pressure it adds capacity,
+/// clusters first, and otherwise holds. It never removes capacity — cost
+/// optimization waits until the optimizer can see again.
+fn stale_fallback_action(queue_depth: usize, mask: &[bool; AgentAction::COUNT]) -> AgentAction {
+    if queue_depth < STALE_FALLBACK_QUEUE_DEPTH {
+        return AgentAction::NoOp;
+    }
+    [AgentAction::ClustersUp, AgentAction::SizeUp]
+        .into_iter()
+        .find(|a| mask[a.index()])
+        .unwrap_or(AgentAction::NoOp)
 }
 
 /// The conservative action monitoring substitutes when backing off: undo the
@@ -899,11 +892,28 @@ mod tests {
             (Optimize, "policy"),
         ];
         for (gate, reason) in reasons {
-            assert_eq!(gate.as_str(), reason);
+            assert_eq!(gate.reason().as_str(), reason);
         }
-        assert_eq!(Override::BackoffRollback.as_str(), "backoff-rollback");
-        assert_eq!(Override::Backoff.as_str(), "backoff");
-        assert_eq!(Override::CapacityDecay.as_str(), "capacity-decay");
+    }
+
+    #[test]
+    fn stale_fallback_noops_without_queue_pressure() {
+        let action = stale_fallback_action(0, &[true; AgentAction::COUNT]);
+        assert_eq!(action, AgentAction::NoOp);
+    }
+
+    #[test]
+    fn stale_fallback_adds_capacity_under_pressure() {
+        let mask = [true; AgentAction::COUNT];
+        assert_eq!(stale_fallback_action(6, &mask), AgentAction::ClustersUp);
+        // Clusters saturated → escalate to a resize.
+        let mut no_clusters = mask;
+        no_clusters[AgentAction::ClustersUp.index()] = false;
+        assert_eq!(stale_fallback_action(6, &no_clusters), AgentAction::SizeUp);
+        // Nothing allowed → hold.
+        let mut neither = no_clusters;
+        neither[AgentAction::SizeUp.index()] = false;
+        assert_eq!(stale_fallback_action(6, &neither), AgentAction::NoOp);
     }
 
     /// An optimizer for a Large 1–3-cluster warehouse and a hand-built
@@ -1034,7 +1044,7 @@ mod tests {
             let decision = Decision {
                 mask: Some(plan.mask),
                 chosen: Chosen::Action(AgentAction::NoOp),
-                reason: Gate::Optimize.as_str(),
+                reason: Gate::Optimize.reason(),
                 reward: None,
             };
             o.record_decision(ctx, decision);

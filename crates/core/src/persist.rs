@@ -52,7 +52,7 @@ use crate::actuator::ActionLogEntry;
 /// Bumped on any incompatible change to the persisted schema. Decode
 /// refuses every other version: no store outlives its process here, so
 /// there is no dual decode.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Magic prefix of the snapshot envelope, the only snapshot format: bytes
 /// that do not start with it are not a snapshot.
@@ -470,7 +470,7 @@ mod tests {
                     config_drift: t % 2 == 0,
                     ..Default::default()
                 };
-                ctl.health.evaluate(t, signals);
+                ctl.health.evaluate(signals);
             }
             ctl
         };
@@ -487,11 +487,9 @@ mod tests {
             };
             encode_record(&record).unwrap().len()
         };
-        // Every evaluation flipped the state; the history keeps the newest
-        // 64 transitions and the tick counters still saw all thousand.
+        // Every evaluation flipped the state; the tick counters saw all
+        // thousand.
         let ctl = flapped(1_000);
-        let kept: Vec<SimTime> = ctl.health.transitions().iter().map(|t| t.at).collect();
-        assert_eq!(kept, (936..1_000).collect::<Vec<SimTime>>());
         assert_eq!(
             ctl.health.healthy_ticks() + ctl.health.degraded_ticks(),
             1_000
@@ -527,7 +525,7 @@ mod tests {
         match decode_snapshot(&encode_snapshot(&snap).unwrap()) {
             Err(PersistError::Corrupt(m)) => {
                 assert!(
-                    m.ends_with(&format!("v{version} (this build reads v5)")),
+                    m.ends_with(&format!("v{version} (this build reads v{FORMAT_VERSION})")),
                     "{m}"
                 )
             }
@@ -544,10 +542,12 @@ mod tests {
 
     #[test]
     fn mismatched_body_version_header_is_corrupt() {
-        // The previous formats: no dual decode. v4 journaled a tick's
-        // transition and its seed as two fields, v3 had a tagged header that
-        // copied the body's version, v2 was the all-JSON snapshot.
-        for version in [4, 3, 2, 1] {
+        // The previous formats: no dual decode. v5 stored each log entry's
+        // SQL, outcome and kind and the health history, v4 journaled a
+        // tick's transition and its seed as two fields, v3 had a tagged
+        // header that copied the body's version, v2 was the all-JSON
+        // snapshot.
+        for version in [5, 4, 3, 2, 1] {
             assert_version_refused(version);
         }
         // A v3 snapshot as v3 wrote it: magic, envelope version 1, two

@@ -14,7 +14,7 @@
 //! drawn from the reconciler's own seeded RNG, so a run is reproducible
 //! and simultaneous reconcilers don't retry in lockstep.
 
-use crate::actuator::{ActionOutcome, Actuator, LogEntryKind};
+use crate::actuator::{ActionOutcome, Actuator, Reason};
 use crate::drng::DetRng;
 use cdw_sim::{SimTime, Simulator, WarehouseCommand, WarehouseConfig, WarehouseId, MINUTE_MS};
 use rand::Rng;
@@ -139,7 +139,8 @@ impl Reconciler {
 
     /// One reconciliation pass at `now`: diff observed vs desired and, if
     /// the backoff window allows, re-drive the difference through the
-    /// actuator (logged with [`LogEntryKind::Reconcile`]).
+    /// actuator (logged under [`Reason::ReconcileDrift`], a `Reconcile`
+    /// entry).
     pub fn reconcile(
         &mut self,
         sim: &mut Simulator,
@@ -162,7 +163,7 @@ impl Reconciler {
                 until: self.next_attempt_at,
             };
         }
-        match actuator.apply_commands(sim, wh, &cmds, LogEntryKind::Reconcile, "reconcile-drift") {
+        match actuator.apply_commands(sim, wh, &cmds, Reason::ReconcileDrift) {
             ActionOutcome::Failed(_) => {
                 self.schedule_backoff(now);
                 keebo_obs::global()

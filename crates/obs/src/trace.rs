@@ -76,8 +76,10 @@ pub struct DecisionEvent {
     pub mask: Vec<MaskEntry>,
     /// The action taken this tick (an `AgentAction` debug name, or `NoOp`).
     pub chosen: String,
-    /// Why: `policy`, `degraded-fallback`, `backoff-rollback`, `backoff`,
-    /// `capacity-decay`, `paused:external-change`, `frozen`, ...
+    /// Why: the text of one `keebo::Reason` (`Reason::as_str`) — `policy`,
+    /// `degraded-fallback`, `backoff-rollback`, `backoff`, `capacity-decay`,
+    /// `paused:external-change`, `frozen`, ... The action log spells its
+    /// entries' reasons the same way.
     pub reason: String,
     /// Reward credited this tick for the *previous* action (None while
     /// onboarding or when no transition was observed).

@@ -81,14 +81,6 @@ fn main() {
         "fetch outages/partials:  {:>6}/{}",
         kpis.fetch_outages, kpis.fetch_partials
     );
-    for t in o.health().transitions() {
-        println!(
-            "  day {:>5.2}: {:?} -> {:?}",
-            t.at as f64 / DAY_MS as f64,
-            t.from,
-            t.to
-        );
-    }
 
     // 6. Savings survive the chaos.
     let report = kwo.savings_report(&sim, "BI_WH", 5 * DAY_MS, 14 * DAY_MS);

@@ -13,13 +13,19 @@
 //!    a valid warehouse config, and positive — if reduced — savings;
 //! 4. the `OpsKpis` reliability counters (degraded ticks, fetch outages,
 //!    transient retries, ...) survive a mid-scenario orchestrator rebuild
-//!    from the durable store — a crash must not zero the ops history.
+//!    from the durable store — a crash must not zero the ops history;
+//! 5. the 14-day run's action log, rendered one line an entry, hashes to
+//!    the value it had while entries stored their SQL, outcome and kind.
 
 use cdw_sim::{
     Account, FaultPlan, Simulator, WarehouseConfig, WarehouseId, WarehouseSize, DAY_MS, HOUR_MS,
     MINUTE_MS,
 };
-use keebo::{generate_trace, HealthState, KwoSetup, MemStore, OpsKpis, Orchestrator};
+use keebo::{
+    generate_trace, ActionLogEntry, ActionOutcome, CommandStatus, HealthState, KwoSetup, MemStore,
+    OpsKpis, Orchestrator,
+};
+use std::fmt::Write as _;
 use workload::BiWorkload;
 
 const WAREHOUSE: &str = "BI_WH";
@@ -75,6 +81,30 @@ fn fingerprint(run: &Run) -> String {
         run.sim.account().describe(run.wh).config,
         run.sim.fault_stats(),
     )
+}
+
+/// The log as the portal reads it, one line an entry:
+/// `at|action|reason|kind|outcome|` and then `sql|status|attempts|` for
+/// each command, a failure as `Failed: {error}`.
+fn render_log(log: &[ActionLogEntry]) -> String {
+    let mut out = String::new();
+    for e in log {
+        let outcome = match e.outcome() {
+            ActionOutcome::Failed(error) => format!("Failed: {error}"),
+            other => format!("{other:?}"),
+        };
+        let (at, action, reason, kind) = (e.at, e.action, e.reason, e.kind());
+        write!(out, "{at}|{action:?}|{reason}|{kind:?}|{outcome}|").unwrap();
+        for (sql, c) in e.sql().zip(&e.commands) {
+            let status = match &c.status {
+                CommandStatus::Failed(error) => format!("Failed: {error}"),
+                other => format!("{other:?}"),
+            };
+            write!(out, "{sql}|{status}|{}|", c.attempts).unwrap();
+        }
+        out.push('\n');
+    }
+    out
 }
 
 #[test]
@@ -236,6 +266,18 @@ fn fourteen_day_chaos_run_converges_and_still_saves() {
         "did not recover: {kpis:?}"
     );
     assert_eq!(o.reconciler().consecutive_failures(), 0);
+
+    // The log reads as it did when each entry stored its SQL, outcome and
+    // kind: 404 entries, with failed ALTERs, in-line retries, back-off
+    // steps, rollbacks and reconciles among them (no command was skipped in
+    // this run). FNV-1a of the rendering, computed on the commit before the
+    // change.
+    assert!(kpis.actions_failed > 0 && kpis.transient_retries > 0);
+    assert!(kpis.rollbacks > 0 && kpis.reconciliations > 0);
+    let rendered = render_log(o.actuator().log());
+    assert_eq!(rendered.lines().count(), 404);
+    let hash = telemetry::hash_query_text(&rendered);
+    assert_eq!(hash, 0xbe6e_62b0_de5d_95a0, "the rendered log moved");
 
     // No constraint violations: the warehouse ends in a valid configuration.
     let final_config = faulted.sim.account().describe(faulted.wh).config;
