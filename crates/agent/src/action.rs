@@ -55,7 +55,10 @@ impl AgentAction {
 
     /// Index in [`AgentAction::ALL`].
     pub fn index(self) -> usize {
-        // lint: allow(D5) — ALL enumerates every variant by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "ALL enumerates every variant by construction"
+        )]
         Self::ALL.iter().position(|a| *a == self).expect("in ALL")
     }
 

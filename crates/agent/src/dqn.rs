@@ -343,7 +343,10 @@ impl DqnAgent {
             assert!(allowed > 0, "action mask permits nothing");
             let pick = rng.gen_range(0..allowed);
             let permitted = AgentAction::ALL.iter().zip(mask).filter(|(_, &m)| m);
-            // lint: allow(D5) — `pick` is below the count of the same filter
+            #[expect(
+                clippy::expect_used,
+                reason = "`pick` is below the count of the same filter"
+            )]
             *permitted.map(|(a, _)| a).nth(pick).expect("pick < allowed")
         } else {
             self.greedy_action(state, mask)
@@ -506,7 +509,10 @@ fn masked_argmax(q: &[f64], mask: &[bool; AgentAction::COUNT]) -> AgentAction {
             best = Some((i, qi));
         }
     }
-    // lint: allow(D5) — NoOp is always mask-permitted, so `best` is always set
+    #[expect(
+        clippy::expect_used,
+        reason = "NoOp is always mask-permitted, so `best` is always set"
+    )]
     let (idx, _) = best.expect("action mask permits nothing");
     AgentAction::ALL[idx]
 }

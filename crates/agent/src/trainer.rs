@@ -263,7 +263,10 @@ fn run_episode(
         for cmd in action.to_commands(&desc.config) {
             match sim.alter_warehouse(wh, cmd, ActionSource::Keebo) {
                 Ok(()) | Err(AlterError::AlreadySuspended) | Err(AlterError::AlreadyRunning) => {}
-                // lint: allow(D5) — training harness fail-fast; silent actuation loss corrupts rewards
+                #[expect(
+                    clippy::panic,
+                    reason = "training harness fail-fast; silent actuation loss corrupts rewards"
+                )]
                 Err(e) => panic!("actuation failed during training: {e}"),
             }
         }

@@ -7,6 +7,8 @@
 //! reordered sum, a fused multiply-add or a different RNG draw shows up here
 //! first, in seconds, not as a moved `perf` digest.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use agent::{AgentAction, DqnAgent, DqnConfig, Transition, STATE_DIM};
 use nn::le::Reader;
 use nn::{Adam, Mlp};

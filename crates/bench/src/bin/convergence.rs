@@ -42,7 +42,7 @@ fn main() {
         OBSERVE_HOURS + OPTIMIZE_DAYS * 24,
         seed,
     );
-    let o = run.kwo.optimizer(&run.warehouse).unwrap();
+    let o = run.optimizer();
 
     let total_buckets = OPTIMIZE_DAYS * 24 / BUCKET_HOURS;
     let mut rows = vec![vec![

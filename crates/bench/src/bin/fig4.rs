@@ -108,7 +108,7 @@ fn report(
             pct((p99_before - p99_after) / p99_before.max(1e-9)),
         ],
     ]);
-    let o = run.kwo.optimizer(&run.warehouse).unwrap();
+    let o = run.optimizer();
     println!(
         "actions applied: {}   (failures: {})",
         o.actuator().applied_count(),

@@ -33,7 +33,7 @@ fn main() {
         seed,
     );
 
-    let o = run.kwo.optimizer(&run.warehouse).unwrap();
+    let o = run.optimizer();
     let report = o.savings_report(&run.sim, OBSERVE_DAYS * DAY_MS, TOTAL_DAYS * DAY_MS);
     let actual_hourly = run.sim.account().ledger().warehouse(&run.warehouse);
     let overhead_hourly = run.sim.account().ledger().overhead();

@@ -54,6 +54,10 @@ fn main() {
         if smoke { " [smoke]" } else { "" }
     ));
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "campaign wall time is only reported, never decided on"
+    )]
     let start = Instant::now();
     let report: CampaignReport = run_campaign(start_seed, cases, &cfg);
     let wall = start.elapsed().as_secs_f64();

@@ -9,7 +9,7 @@
 use cdw_sim::{
     Account, QueryRecord, SimTime, Simulator, WarehouseConfig, WarehouseId, DAY_MS, HOUR_MS,
 };
-use keebo::{KwoSetup, Orchestrator};
+use keebo::{KwoSetup, Orchestrator, WarehouseOptimizer};
 use workload::{generate_trace, WorkloadGenerator};
 
 pub mod args;
@@ -25,6 +25,20 @@ pub struct KwoRun {
     pub wh: WarehouseId,
     /// When KWO was onboarded (actions start after this).
     pub onboard_at: SimTime,
+}
+
+impl KwoRun {
+    /// The run's one optimizer. A figure bin exits with an error instead of
+    /// panicking if the warehouse was never managed.
+    pub fn optimizer(&self) -> &WarehouseOptimizer {
+        match self.kwo.optimizer(&self.warehouse) {
+            Some(o) => o,
+            None => {
+                eprintln!("{} is not managed by the run", self.warehouse);
+                std::process::exit(1);
+            }
+        }
+    }
 }
 
 /// Runs `workload` on a fresh warehouse with `original` config: days

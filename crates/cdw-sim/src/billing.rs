@@ -6,6 +6,8 @@
 //! exactly this arithmetic during query replay, so the simulator and the cost
 //! model share the billing semantics defined here.
 
+#![warn(clippy::as_conversions)]
+
 use crate::size::WarehouseSize;
 use crate::time::{hour_index, ms_to_billing_seconds, SimTime, SECOND_MS};
 use keebo_obs::Counter;
@@ -33,23 +35,42 @@ fn lossy_cast_counter() -> &'static Counter {
 /// Exact for every value up to [`F64_EXACT_MAX`]; beyond that the
 /// conversion rounds, which is counted in `cdw_sim.billing.lossy_cast`
 /// (and trips a `debug_assert!`) instead of silently corrupting credit
-/// arithmetic. This is the funnel the D6 lint points bare `as f64` casts
-/// at on billing/costmodel paths.
+/// arithmetic. This is the funnel for `u64 → f64` on billing/costmodel
+/// paths, where `clippy::as_conversions` (rule D6) rejects bare casts.
 #[inline]
+#[expect(clippy::as_conversions, reason = "this is the checked funnel itself")]
 pub fn exact_f64(n: u64) -> f64 {
     if n > F64_EXACT_MAX {
         lossy_cast_counter().inc();
         debug_assert!(false, "u64→f64 conversion of {n} exceeds the exact range");
     }
-    // lint: allow(D6) — this is the checked funnel itself
     n as f64
 }
 
 /// [`exact_f64`] for `usize` counts (observation/window tallies).
 #[inline]
 pub fn count_f64(n: usize) -> f64 {
-    // lint: allow(D6) — usize→u64 is lossless on every supported target
+    #[expect(
+        clippy::as_conversions,
+        reason = "usize→u64 is lossless on every supported target"
+    )]
     exact_f64(n as u64)
+}
+
+/// Checked `f64 → SimTime` for rounded durations: exactly `x as SimTime`,
+/// but NaN, negatives and values from 2^64 up (which `as` saturates) mean
+/// an upstream arithmetic bug, so they are counted in
+/// `cdw_sim.billing.lossy_cast` (and trip a `debug_assert!`).
+#[inline]
+#[expect(clippy::as_conversions, reason = "this is the checked funnel itself")]
+pub fn sim_time_from_f64(x: f64) -> SimTime {
+    // 2^64, the first f64 above every SimTime.
+    const LIMIT: f64 = 18_446_744_073_709_551_616.0;
+    if !(0.0..LIMIT).contains(&x) {
+        lossy_cast_counter().inc();
+        debug_assert!(false, "f64 {x} is outside SimTime's range");
+    }
+    x as SimTime
 }
 
 /// Credits for `secs` billed seconds at `credits_per_second`.
@@ -309,6 +330,7 @@ impl BillingLedger {
 }
 
 #[cfg(test)]
+#[allow(clippy::as_conversions)]
 mod tests {
     use super::*;
     use crate::time::HOUR_MS;
@@ -339,6 +361,35 @@ mod tests {
         // 2^53 + 1 is the first unrepresentable integer: it rounds to 2^53.
         assert_eq!(exact_f64(F64_EXACT_MAX + 1), 9_007_199_254_740_992.0);
         assert_eq!(counter.get(), before + 1);
+    }
+
+    #[test]
+    fn sim_time_from_f64_is_exact_below_2_to_64() {
+        assert_eq!(sim_time_from_f64(1.0), 1);
+        assert_eq!(sim_time_from_f64(9_007_199_254_740_992.0), F64_EXACT_MAX);
+        // The largest f64 below 2^64 is 2^64 - 2^11.
+        let below = 18_446_744_073_709_549_568.0;
+        assert_eq!(sim_time_from_f64(below), u64::MAX - 2_047);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "outside SimTime's range")]
+    fn sim_time_from_f64_at_2_to_64_trips_debug_assert() {
+        sim_time_from_f64(u64::MAX as f64);
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn sim_time_from_f64_out_of_range_saturates_and_is_counted() {
+        let counter = keebo_obs::global().counter("cdw_sim.billing.lossy_cast");
+        let before = counter.get();
+        // `u64::MAX as f64` rounds up to 2^64: one past the range.
+        assert_eq!(sim_time_from_f64(u64::MAX as f64), u64::MAX);
+        assert_eq!(sim_time_from_f64(1e300), u64::MAX);
+        assert_eq!(sim_time_from_f64(-1.0), 0);
+        // Other tests bump the same global counter concurrently.
+        assert!(counter.get() >= before + 3);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! paper's Fig. 7 reports average latencies around 1.4 s) while keeping all
 //! arithmetic exact and deterministic.
 
+#![warn(clippy::as_conversions)]
+
 /// Milliseconds since simulation start.
 pub type SimTime = u64;
 
@@ -43,6 +45,7 @@ pub fn hour_of_day(t: SimTime) -> f64 {
 
 /// Day of week in [0, 7), with day 0 of the simulation being weekday 0.
 #[inline]
+#[expect(clippy::as_conversions, reason = "a remainder mod 7 always fits in u8")]
 pub fn day_of_week(t: SimTime) -> u8 {
     (day_index(t) % 7) as u8
 }

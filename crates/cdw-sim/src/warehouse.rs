@@ -133,9 +133,12 @@ impl Warehouse {
     /// # Panics
     /// Panics if the configuration is invalid.
     pub fn new(name: impl Into<WarehouseName>, config: WarehouseConfig) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented panicking constructor; validate() is the fallible path"
+        )]
         config
             .validate()
-            // lint: allow(D5) — documented panicking constructor; validate() is the fallible path
             .unwrap_or_else(|e| panic!("invalid warehouse config: {e}"));
         Self {
             name: name.into(),

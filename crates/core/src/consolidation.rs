@@ -54,9 +54,12 @@ pub fn evaluate_consolidation(
     window_end: SimTime,
 ) -> ConsolidationReport {
     assert!(!inputs.is_empty(), "nothing to consolidate");
+    #[expect(
+        clippy::panic,
+        reason = "documented precondition: callers pass a validated target config"
+    )]
     target
         .validate()
-        // lint: allow(D5) — documented precondition: callers pass a validated target config
         .unwrap_or_else(|e| panic!("invalid target config: {e}"));
 
     let mut separate = 0.0;

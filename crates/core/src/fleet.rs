@@ -426,11 +426,17 @@ fn run_shard(
     observe_until: SimTime,
     until: SimTime,
 ) -> (TenantReport, Duration, Duration) {
-    // lint: allow(D1) — wall time only feeds the build/drive histograms, never a decision
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall time only feeds the build/drive histograms, never a decision"
+    )]
     let t0 = std::time::Instant::now();
     let mut shard = build_shard(seed, tenant);
     let build = t0.elapsed();
-    // lint: allow(D1) — wall time only feeds the build/drive histograms, never a decision
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall time only feeds the build/drive histograms, never a decision"
+    )]
     let t1 = std::time::Instant::now();
     shard.kwo.observe_until(&mut shard.sim, observe_until);
     shard.kwo.onboard(&mut shard.sim);

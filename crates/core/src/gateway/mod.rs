@@ -232,7 +232,10 @@ impl Gateway {
     /// Panics if called before [`Gateway::start`].
     pub fn submit(&mut self, request: Request) -> Admission {
         assert!(self.started, "submit before start");
-        // lint: allow(D1) — wall time only feeds the admission-latency histogram, never a decision
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall time only feeds the admission-latency histogram, never a decision"
+        )]
         let t0 = std::time::Instant::now();
         let decision = self.admit(request);
         let reg = keebo_obs::global();

@@ -77,18 +77,18 @@ impl AdmissionQueue {
         };
         let interactive_take = self.interactive.len().min(slots - reserved);
         for _ in 0..interactive_take {
-            // lint: allow(D5) — bounded by len() above
+            #[expect(clippy::expect_used, reason = "bounded by len() above")]
             out.push(self.interactive.pop_front().expect("len-checked"));
         }
         let batch_take = self.batch.len().min(slots - out.len());
         for _ in 0..batch_take {
-            // lint: allow(D5) — bounded by len() above
+            #[expect(clippy::expect_used, reason = "bounded by len() above")]
             out.push(self.batch.pop_front().expect("len-checked"));
         }
         // Reserved slots the batch class didn't fill go back to interactive.
         let backfill = self.interactive.len().min(slots - out.len());
         for _ in 0..backfill {
-            // lint: allow(D5) — bounded by len() above
+            #[expect(clippy::expect_used, reason = "bounded by len() above")]
             out.push(self.interactive.pop_front().expect("len-checked"));
         }
         out

@@ -523,9 +523,12 @@ impl Orchestrator {
     /// # Panics
     /// Panics if the warehouse does not exist or is already managed; use
     /// [`Orchestrator::try_manage`] for a non-panicking variant.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking wrapper; try_manage is the fallible path"
+    )]
     pub fn manage(&mut self, sim: &Simulator, warehouse: &str, setup: KwoSetup) {
         if let Err(e) = self.try_manage(sim, warehouse, setup) {
-            // lint: allow(D5) — documented panicking wrapper; try_manage is the fallible path
             panic!("{e}");
         }
     }
@@ -698,8 +701,11 @@ impl Orchestrator {
         start: SimTime,
         end: SimTime,
     ) -> SavingsReport {
+        #[expect(
+            clippy::panic,
+            reason = "reporting on an unmanaged warehouse is a caller bug worth aborting"
+        )]
         self.optimizer(warehouse)
-            // lint: allow(D5) — reporting on an unmanaged warehouse is a caller bug worth aborting
             .unwrap_or_else(|| panic!("unknown warehouse {warehouse}"))
             .savings_report(sim, start, end)
     }

@@ -63,7 +63,10 @@ impl Orchestrator {
         mut store: Box<dyn StateStore>,
         sim: &Simulator,
     ) -> Result<(Self, RecoveryStats), PersistError> {
-        // lint: allow(D1) — recovery wall time is reported, never decided on
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "recovery wall time is reported, never decided on"
+        )]
         let t0 = Instant::now();
         let obs = keebo_obs::global();
         // A remote store can time out transiently; retry the load a bounded

@@ -137,7 +137,10 @@ impl MaskTrace {
                 causes.push(MaskCause { action, cause });
             }
             for rule in constraints.violation_indices(action, config, now) {
-                // lint: allow(D5) — 2^32 rules are hundreds of GB of `Rule`s, never resident
+                #[expect(
+                    clippy::expect_used,
+                    reason = "2^32 rules are hundreds of GB of `Rule`s, never resident"
+                )]
                 let cause = Cause::Rule(u32::try_from(rule).expect("rule position fits u32"));
                 causes.push(MaskCause { action, cause });
             }
@@ -221,7 +224,10 @@ impl WarehouseOptimizer {
     /// One real-time step of Algorithm 1 (lines 17–23), gated by health.
     /// Wall time per tick lands in the `keebo.tick.wall_us` histogram.
     pub(super) fn tick(&mut self, sim: &mut Simulator) {
-        // lint: allow(D1) — wall time only feeds the tick-duration histogram, never a decision
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall time only feeds the tick-duration histogram, never a decision"
+        )]
         let t0 = Instant::now();
         self.effects = TickEffects::default();
         self.run_stages(sim);

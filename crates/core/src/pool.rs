@@ -149,7 +149,10 @@ impl WorkerPool {
             .into_iter()
             .map(|slot| {
                 let (_, out) = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-                // lint: allow(D5) — run_indexed returned, so every ticket ran to completion
+                #[expect(
+                    clippy::expect_used,
+                    reason = "run_indexed returned, so every ticket ran to completion"
+                )]
                 out.expect("every item maps to a result")
             })
             .collect()

@@ -4,6 +4,8 @@
 //! direct result of KWO's actions ... there is no lock-in or upfront cost
 //! ... customers only pay for the value already delivered."
 
+#![warn(clippy::as_conversions)]
+
 use costmodel::SavingsReport;
 use serde::{Deserialize, Serialize};
 

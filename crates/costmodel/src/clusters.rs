@@ -163,6 +163,7 @@ impl ClusterPredictor {
 }
 
 #[cfg(test)]
+#[allow(clippy::as_conversions)]
 mod tests {
     use super::*;
     use cdw_sim::WarehouseSize;

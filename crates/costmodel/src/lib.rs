@@ -24,6 +24,8 @@
 //! of value-based pricing (§4.7) and of the reward signal for the smart
 //! models (§6).
 
+#![warn(clippy::as_conversions)]
+
 pub mod auto_suspend;
 pub mod clusters;
 pub mod gaps;

@@ -20,7 +20,7 @@
 use crate::clusters::{ClusterPredictor, MINI_WINDOW_MS};
 use crate::gaps::GapModel;
 use crate::latency::LatencyScaler;
-use cdw_sim::billing::{exact_f64, span_ms};
+use cdw_sim::billing::{exact_f64, sim_time_from_f64, span_ms};
 use cdw_sim::{HourlyCredits, QueryRecord, SimTime, WarehouseConfig};
 use keebo_obs::Histogram;
 use serde::{Deserialize, Serialize};
@@ -114,16 +114,17 @@ impl WarehouseCostModel {
         let mut observed_max_end: Option<SimTime> = None;
         let mut replayed_max_end: Option<SimTime> = None;
         for r in &selected {
-            let exec = self
-                .latency
-                .scale_execution_ms(
-                    r.template_hash,
-                    exact_f64(r.execution_ms().max(1)),
-                    r.size,
-                    original.size,
-                )
-                .round()
-                .max(1.0) as SimTime;
+            let exec = sim_time_from_f64(
+                self.latency
+                    .scale_execution_ms(
+                        r.template_hash,
+                        exact_f64(r.execution_ms().max(1)),
+                        r.size,
+                        original.size,
+                    )
+                    .round()
+                    .max(1.0),
+            );
             rescale_delta_histogram()
                 .observe((exact_f64(exec) - exact_f64(r.execution_ms())).abs());
             let arrival = match (observed_max_end, replayed_max_end) {
@@ -143,7 +144,8 @@ impl WarehouseCostModel {
         items.sort_unstable();
 
         // 3: greedy slot scheduling at the original capacity.
-        let capacity = (original.max_clusters as usize * original.max_concurrency as usize).max(1);
+        let capacity =
+            (u64::from(original.max_clusters) * u64::from(original.max_concurrency)).max(1);
         let mut slots: BinaryHeap<Reverse<SimTime>> = (0..capacity).map(|_| Reverse(0)).collect();
         let mut intervals: Vec<(SimTime, SimTime)> = Vec::with_capacity(items.len());
         for (arrival, exec) in items {
@@ -172,13 +174,20 @@ impl WarehouseCostModel {
         // window origin (gap model quirks); guard the subtraction so release
         // builds clamp to window 0 instead of wrapping SimTime.
         let window_origin = first.min(cfg.window_start);
-        let window_of = move |t: SimTime| {
+        let window_index = move |t: SimTime| {
             debug_assert!(
                 t >= window_origin,
                 "replay time {t} precedes window origin {window_origin}"
             );
-            (t.saturating_sub(window_origin) / MINI_WINDOW_MS) as usize
+            t.saturating_sub(window_origin) / MINI_WINDOW_MS
         };
+        #[expect(
+            clippy::as_conversions,
+            reason = "u64→usize is lossless on every supported target"
+        )]
+        let window_of = move |t: SimTime| window_index(t) as usize;
+        // End of the mini-window holding `t`.
+        let window_end = move |t: SimTime| window_origin + (window_index(t) + 1) * MINI_WINDOW_MS;
         let n_windows = window_of(horizon) + 1;
         let mut busy_ms = vec![0f64; n_windows];
         let mut arrivals = vec![0f64; n_windows];
@@ -186,13 +195,12 @@ impl WarehouseCostModel {
         // *while active*, so a one-minute burst inside a five-minute window
         // must not be diluted by the idle four minutes.
         let mut span: Vec<(SimTime, SimTime)> = vec![(SimTime::MAX, 0); n_windows];
-        let origin = window_origin;
         for &(s, e) in &intervals {
             arrivals[window_of(s)] += 1.0;
             let mut t = s;
             while t < e {
                 let w = window_of(t);
-                let w_end = origin + (w as SimTime + 1) * MINI_WINDOW_MS;
+                let w_end = window_end(t);
                 let slice_end = e.min(w_end);
                 busy_ms[w] += exact_f64(span_ms(t, slice_end));
                 span[w].0 = span[w].0.min(t);
@@ -261,7 +269,7 @@ impl WarehouseCostModel {
             total_active += e - s;
             let mut t = s;
             while t < e {
-                let w_end = origin + (window_of(t) as SimTime + 1) * MINI_WINDOW_MS;
+                let w_end = window_end(t);
                 let slice_end = e.min(w_end);
                 let credits = exact_f64(span_ms(t, slice_end)) * rate_per_ms * clusters_at(t);
                 hourly.add(t, credits);
@@ -286,6 +294,7 @@ impl WarehouseCostModel {
 }
 
 #[cfg(test)]
+#[allow(clippy::as_conversions)]
 mod tests {
     use super::*;
     use cdw_sim::{WarehouseSize, HOUR_MS, MINUTE_MS, SECOND_MS};

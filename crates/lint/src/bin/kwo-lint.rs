@@ -40,7 +40,7 @@ fn parse_args() -> Result<Args, String> {
             "--smoke" => args.smoke = true,
             "--help" | "-h" => {
                 println!(
-                    "kwo-lint: determinism, numeric-safety & concurrency lints (D1-D7, D11-D12)\n\
+                    "kwo-lint: determinism, numeric-safety & concurrency lints (D4, D11, D12)\n\
                      usage: kwo-lint [--root DIR] [--json FILE] [--smoke]"
                 );
                 std::process::exit(0);

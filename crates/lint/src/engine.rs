@@ -308,54 +308,60 @@ mod tests {
 
     #[test]
     fn lint_source_applies_rules_by_pretend_path() {
-        // Same source, different pretend locations: D6 fires only on the
-        // billing path.
-        let src =
-            "// lint-fixture: crates/cdw-sim/src/billing.rs\nfn f(s: u64) -> f64 { s as f64 }\n";
+        // Same source, different pretend locations: D11 fires outside the
+        // obs registry only.
+        let src = "// lint-fixture: crates/core/src/pool.rs\n\
+                   fn f(n: &AtomicU64) -> u64 { n.load(Ordering::Relaxed) }\n";
         let r = lint_source("fix.rs", src);
         assert_eq!(r.diags.len(), 1);
-        assert_eq!(r.diags[0].rule, "D6");
+        assert_eq!(r.diags[0].rule, "D11");
         assert_eq!(
             r.diags[0].file, "fix.rs",
             "diagnostic carries the real path"
         );
 
-        let src2 = "// lint-fixture: crates/agent/src/dqn.rs\nfn f(s: u64) -> f64 { s as f64 }\n";
+        let src2 = "// lint-fixture: crates/obs/src/registry.rs\n\
+                    fn f(n: &AtomicU64) -> u64 { n.load(Ordering::Relaxed) }\n";
         assert!(lint_source("fix.rs", src2).diags.is_empty());
     }
 
     #[test]
     fn allow_directive_suppresses_same_and_next_line() {
         let src = "// lint-fixture: crates/core/src/x.rs\n\
-                   // lint: allow(D5) — documented invariant\n\
-                   fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\
-                   fn g(x: Option<u32>) -> u32 { x.unwrap() }\n";
+                   // lint: allow(D4) — exact-zero sentinel\n\
+                   fn f(x: f64) -> bool { x == 0.0 }\n\
+                   fn g(x: f64) -> bool { x == 0.0 }\n";
         let r = lint_source("x.rs", src);
         assert_eq!(r.diags.len(), 1, "{:?}", r.diags);
-        assert_eq!(r.diags[0].line, 4, "only the un-annotated unwrap remains");
+        assert_eq!(r.diags[0].line, 4, "only the un-annotated one remains");
     }
 
     #[test]
     fn reasonless_allow_is_a_diagnostic_and_does_not_suppress() {
         let src = "// lint-fixture: crates/core/src/x.rs\n\
-                   fn f(x: Option<u32>) -> u32 { x.unwrap() } // lint: allow(D5)\n";
+                   fn f(x: f64) -> bool { x == 0.0 } // lint: allow(D4)\n";
         let r = lint_source("x.rs", src);
         assert_eq!(r.diags.len(), 2, "{:?}", r.diags);
         assert!(r.diags.iter().any(|d| d.name == "allow-without-reason"));
-        assert!(r.diags.iter().any(|d| d.name == "no-panic-paths"));
+        assert!(r.diags.iter().any(|d| d.name == "no-float-eq"));
     }
 
     #[test]
     fn stale_allow_is_a_diagnostic() {
+        // Ids of rules that moved to clippy (D5) or retired (D10) suppress
+        // nothing, so a leftover directive is reported, not ignored.
         let src = "// lint-fixture: crates/core/src/x.rs\n\
-                   // lint: allow(D2) — nothing here uses rng anymore\n\
+                   // lint: allow(D11) — nothing here uses atomics anymore\n\
                    fn f() {}\n\
+                   // lint: allow(D5) — moved to clippy::unwrap_used\n\
+                   fn g(x: Option<u32>) -> u32 { x.unwrap() }\n\
                    // lint: allow(D10) — retired rule ids are reported too\n\
-                   fn g() {}\n";
+                   fn h() {}\n";
         let r = lint_source("x.rs", src);
-        assert_eq!(r.diags.len(), 2, "{:?}", r.diags);
+        assert_eq!(r.diags.len(), 3, "{:?}", r.diags);
         assert!(r.diags.iter().all(|d| d.name == "stale-allow"));
-        assert_eq!(r.diags[1].rule, "D10");
+        assert_eq!(r.diags[1].rule, "D5");
+        assert_eq!(r.diags[2].rule, "D10");
     }
 
     #[test]

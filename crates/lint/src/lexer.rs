@@ -1,11 +1,11 @@
 //! A comment/string/attribute-aware lexer for Rust source.
 //!
 //! The engine deliberately does **not** parse Rust (no syn, no rustc): the
-//! domain rules (D1–D6) are all recognizable from short token sequences, and
+//! token rules (D4, D11) are recognizable from short token sequences, and
 //! a full parse would couple the lint to a compiler version. What a token
 //! matcher *must* get right to avoid false positives is the lexical layer:
-//! a `thread_rng` inside a string literal, a doc comment, or a `//` comment
-//! is not a call. This lexer produces a token stream with those regions
+//! an `Ordering::Relaxed` inside a string literal, a doc comment, or a `//`
+//! comment is not code. This lexer produces a token stream with those regions
 //! removed, while capturing two kinds of structured comments on the side:
 //!
 //! * allow directives — `// lint: allow(D5) — reason` — which suppress a

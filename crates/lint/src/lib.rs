@@ -3,30 +3,31 @@
 //! The KWO control loop is trusted because its decisions replay bit-for-bit
 //! and its billing arithmetic is exact. The dynamic suite (fleet-digest
 //! identity, the billing oracle, the fuzzer) *detects* violations of those
-//! invariants; this crate *prevents* them from entering the tree, as a
-//! self-contained static pass with no syn/rustc dependency:
+//! invariants; static rules *prevent* them from entering the tree. Rules a
+//! type checker states exactly are clippy's, set in the root `clippy.toml`
+//! and `[workspace.lints.clippy]`; this crate keeps D4, D11 and D12, as a
+//! self-contained pass with no syn/rustc dependency:
 //!
-//! | rule | name               | invariant protected                         |
-//! |------|--------------------|---------------------------------------------|
-//! | D1   | no-wall-clock      | replayable decisions (sim time only)         |
-//! | D2   | no-ambient-rng     | name-keyed seed streams                      |
-//! | D3   | ordered-iteration  | bit-identical digests/reports                |
-//! | D4   | no-float-eq        | exact credit arithmetic                      |
-//! | D5   | no-panic-paths     | fleet runs never abort mid-flight            |
-//! | D6   | checked-casts      | billing precision (2^53 edge, sign)          |
-//! | D7   | durable-io         | fail-open persistence (io handled, not unwrapped) |
-//! | D11  | atomics-ordering   | Relaxed only on obs statistics counters      |
-//! | D12  | metrics-inventory  | keebo.* names match DESIGN.md's inventory    |
+//! | rule | enforced by | config line | invariant protected |
+//! |------|-------------|-------------|---------------------|
+//! | D1 no-wall-clock | clippy | `disallowed-methods`: `Instant::now`, `SystemTime::now` | replayable decisions |
+//! | D2 no-ambient-rng | clippy | `disallowed-methods`: `thread_rng`, `random`, `from_entropy` | name-keyed seed streams |
+//! | D3 ordered-iteration | clippy | `disallowed-types`: `HashMap`, `HashSet` | bit-identical digests |
+//! | D4 no-float-eq | kwo-lint | `rules.rs` | exact credit arithmetic |
+//! | D5 no-panic-paths | clippy | `unwrap_used`, `expect_used`, `panic` | runs never abort mid-flight |
+//! | D6 checked-casts | clippy | `#![warn(clippy::as_conversions)]` in the billing files | billing precision |
+//! | D7 durable-io | clippy + rustc | D5's lints, `unused_must_use` | io handled, not unwrapped |
+//! | D11 atomics-ordering | kwo-lint | `rules.rs` | Relaxed only on obs counters |
+//! | D12 metrics-inventory | kwo-lint | `index.rs` | keebo.* names match DESIGN.md |
 //!
-//! D1–D7 and D11 are per-file token rules (`rules.rs`); D12 audits the
-//! whole workspace against DESIGN.md (`index.rs`). D8–D10 (lock-order,
-//! condvar-wait-loop, guard-across-boundary) are retired — the control
-//! plane's few locks are leaves, never nested — and their ids stay unused.
-//!
-//! Findings are suppressed per site with `// lint: allow(Dn) — reason`
-//! (the justification is mandatory); any other diagnostic fails the gate.
-//! See the `kwo-lint` binary for the CLI.
+//! D4 and D11 are per-file token rules (`rules.rs`); D12 audits the whole
+//! workspace against DESIGN.md (`index.rs`). D8–D10 are retired. Findings
+//! are suppressed per site with `// lint: allow(Dn) — reason` (the
+//! justification is mandatory); any other diagnostic fails the gate. See
+//! the `kwo-lint` binary for the CLI, and `canary.rs` for the clippy rules.
 
+#[cfg(clippy)]
+mod canary;
 pub mod diag;
 pub mod engine;
 pub mod index;
@@ -39,4 +40,4 @@ pub use engine::{
     lint_source, lint_sources, lint_workspace, run_fixtures, workspace_files, FixtureReport,
 };
 pub use index::{InventoryRow, MetricUse};
-pub use rules::{all_rules, rule_by_id, FileInfo, FileKind};
+pub use rules::{all_rules, FileInfo, FileKind};

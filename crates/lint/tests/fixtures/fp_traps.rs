@@ -4,20 +4,18 @@
 //! or in test-only scope. This file must produce ZERO diagnostics — any
 //! diagnostic here is reported by `--smoke` as unexpected.
 
-// Trap: line comment — Instant::now(), thread_rng(), HashMap, x.unwrap(),
-// credits == 0.0, secs as f64.
+// Trap: line comment — credits == 0.0, x != 1e-9, n.load(Ordering::Relaxed).
 
-/* Trap: block comment — SystemTime::now(), from_entropy(), HashSet,
-   x.expect("m"), panic!("boom"), /* nested: rand::random() */ still inside. */
+/* Trap: block comment — 0.5 == y, x == f64::INFINITY,
+   /* nested: hits.fetch_add(1, Ordering::Relaxed) */ still inside. */
 
-/// Trap: doc comment — `Instant::now()`, `thread_rng()`, `HashMap::new()`,
-/// `x.unwrap()`, `credits == 0.0`, `ms as u64`.
+/// Trap: doc comment — `credits == 0.0`, `x.store(1, Ordering::Relaxed)`.
 pub fn traps_in_docs() {}
 
 pub fn traps_in_strings() -> String {
-    let a = "Instant::now() thread_rng() HashMap x.unwrap() panic!(no)";
-    let b = r#"SystemTime::now() from_entropy() HashSet y.expect("m")"#;
-    let c = "credits == 0.0 || x != 1e-9";
+    let a = "credits == 0.0 || x != 1e-9";
+    let b = r#"say "x == -1.0" then next.fetch_add(1, Ordering::Relaxed)"#;
+    let c = "Ordering::Relaxed";
     format!("{a}{b}{c}")
 }
 
@@ -29,25 +27,23 @@ pub fn traps_in_char_literals() -> [char; 2] {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
-    use std::time::Instant;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn traps_in_test_mod() {
-        let t = Instant::now();
-        let mut m: HashMap<u32, f64> = HashMap::new();
-        m.insert(1, 0.5);
-        assert!(m.get(&1).copied().unwrap() == 0.5);
-        let _ = t.elapsed();
+        let n = AtomicU64::new(1);
+        assert!(n.load(Ordering::Relaxed) == 1);
+        let x = 0.5f64;
+        assert!(x == 0.5);
     }
 }
 
 #[cfg(test)]
-fn trap_cfg_test_fn(x: Option<u32>) -> u32 {
-    x.unwrap()
+fn trap_cfg_test_fn(x: f64) -> bool {
+    x == 0.0
 }
 
 #[cfg(all(test, feature = "slow-tests"))]
-fn trap_cfg_all_test(x: Option<u32>) -> u32 {
-    x.expect("gated to test builds")
+fn trap_cfg_all_test(n: &std::sync::atomic::AtomicU64) -> u64 {
+    n.load(std::sync::atomic::Ordering::Relaxed)
 }

@@ -1,24 +1,18 @@
 // lint-fixture: crates/bench/src/bin/driver.rs
 //! Rule scoping by file kind: the pretend path is a *binary* driver, where
-//! D1 (wall clock) and D5 (panic paths) are tolerated — a CLI may read the
-//! clock and abort — but determinism rules D2/D3/D4 still apply.
+//! D11 (atomics ordering) is tolerated — a CLI's progress counter may be
+//! Relaxed — but D4 (float equality) still applies.
 
-pub fn ok_bin_may_read_clock() -> std::time::Instant {
-    std::time::Instant::now()
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
-pub fn ok_bin_may_unwrap(x: Option<u32>) -> u32 {
-    x.unwrap()
-}
-
-pub fn bad_bin_ambient_rng() {
-    let _rng = rand::thread_rng(); //~ D2
-}
-
-pub fn bad_bin_unordered() -> std::collections::HashMap<u32, u32> { //~ D3
-    std::collections::HashMap::new() //~ D3
+pub fn ok_bin_may_use_relaxed(done: &AtomicU64) -> u64 {
+    done.load(Ordering::Relaxed)
 }
 
 pub fn bad_bin_float_eq(x: f64) -> bool {
     x == 0.25 //~ D4
+}
+
+pub fn bad_bin_float_constant(x: f64) -> bool {
+    f64::NAN != x //~ D4
 }

@@ -358,7 +358,10 @@ impl Mlp {
 
     /// Output dimension.
     pub fn output_dim(&self) -> usize {
-        // lint: allow(D5) — the constructor asserts layer_sizes.len() >= 2
+        #[expect(
+            clippy::unwrap_used,
+            reason = "the constructor asserts layer_sizes.len() >= 2"
+        )]
         *self.config.layer_sizes.last().unwrap()
     }
 

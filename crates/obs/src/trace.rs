@@ -127,7 +127,10 @@ impl DecisionTrace {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            // lint: allow(D5) — serializing a plain in-memory struct cannot fail
+            #[expect(
+                clippy::expect_used,
+                reason = "serializing a plain in-memory struct cannot fail"
+            )]
             out.push_str(&serde_json::to_string(e).expect("trace event serializes"));
             out.push('\n');
         }

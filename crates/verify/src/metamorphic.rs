@@ -67,9 +67,12 @@ pub fn run_scenario(
             sink.fetch_max(running, Ordering::Relaxed);
         }
     });
+    #[expect(
+        clippy::expect_used,
+        reason = "verification harness must abort loudly on a broken premise"
+    )]
     if resume_at_start {
         sim.alter_warehouse(wh, WarehouseCommand::Resume, ActionSource::External)
-            // lint: allow(D5) — verification harness must abort loudly on a broken premise
             .expect("resume from suspended");
     }
     for q in queries {

@@ -98,6 +98,7 @@ pub fn fleet_mix(tenants: usize, warehouses_per_tenant: usize, light: bool) -> V
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
     use crate::generate_trace;

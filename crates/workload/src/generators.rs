@@ -342,6 +342,7 @@ pub fn generate_trace(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
 

@@ -65,6 +65,7 @@ impl WorkloadGenerator for MixedWorkload {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
     use crate::generators::{generate_trace, BiWorkload, EtlWorkload};

@@ -139,6 +139,7 @@ mod rand_distr_free {
 pub use rand_distr_free::sample_standard_normal;
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --release --example chaos_drill`
 
+#![allow(clippy::expect_used)]
+
 use cdw_sim::{
     Account, FaultPlan, Simulator, WarehouseConfig, WarehouseSize, DAY_MS, HOUR_MS, MINUTE_MS,
 };

@@ -10,6 +10,8 @@
 //!
 //! Run with: `cargo run --release --example constraints`
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use cdw_sim::{
     Account, ActionSource, Simulator, WarehouseCommand, WarehouseConfig, WarehouseSize, DAY_MS,
     HOUR_MS,

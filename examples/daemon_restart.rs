@@ -18,6 +18,8 @@
 //!
 //! Run with: `cargo run --release --example daemon_restart`
 
+#![allow(clippy::expect_used)]
+
 use cdw_sim::{Account, Simulator, WarehouseConfig, WarehouseSize, DAY_MS, MINUTE_MS};
 use keebo::{generate_trace, FileStore, KwoSetup, Orchestrator};
 use workload::BiWorkload;

@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --release --example etl_pipeline`
 
+#![allow(clippy::unwrap_used)]
+
 use cdw_sim::{Account, Simulator, WarehouseConfig, WarehouseSize, DAY_MS};
 use keebo::{
     generate_trace, ConstraintSet, KwoSetup, Orchestrator, Rule, RuleEffect, SliderPosition,

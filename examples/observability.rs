@@ -14,6 +14,8 @@
 //!
 //! Run with: `cargo run --release --example observability`
 
+#![allow(clippy::expect_used)]
+
 use cdw_sim::{Account, Simulator, WarehouseConfig, WarehouseSize, DAY_MS, MINUTE_MS};
 use keebo::{generate_trace, DecisionTrace, KwoSetup, Orchestrator};
 use workload::BiWorkload;

@@ -6,6 +6,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+#![allow(clippy::expect_used)]
+
 use cdw_sim::{Account, Simulator, WarehouseConfig, WarehouseSize, DAY_MS};
 use keebo::{generate_trace, KwoSetup, Orchestrator, ValueBasedPricing};
 use workload::BiWorkload;

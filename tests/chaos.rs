@@ -17,6 +17,8 @@
 //! 5. the 14-day run's action log, rendered one line an entry, hashes to
 //!    the value it had while entries stored their SQL, outcome and kind.
 
+#![allow(clippy::unwrap_used)]
+
 use cdw_sim::{
     Account, FaultPlan, Simulator, WarehouseConfig, WarehouseId, WarehouseSize, DAY_MS, HOUR_MS,
     MINUTE_MS,

@@ -6,6 +6,8 @@
 //! request sequence must produce the same admission decisions, the same
 //! shed set, and the same fleet digest whether shards run on 1 worker or 8.
 
+#![allow(clippy::expect_used)]
+
 use cdw_sim::{QuerySpec, WarehouseConfig, WarehouseSize, DAY_MS, HOUR_MS, MINUTE_MS};
 use keebo::orchestrator::derive_stream_seed;
 use keebo::{

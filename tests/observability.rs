@@ -2,6 +2,8 @@
 //! run must yield a complete, explainable, JSONL-round-trippable decision
 //! trace, and the metrics registry must capture the decision path end to end.
 
+#![allow(clippy::expect_used)]
+
 use cdw_sim::{
     Account, ActionSource, FaultPlan, Simulator, WarehouseCommand, WarehouseConfig, WarehouseSize,
     DAY_MS, HOUR_MS, MINUTE_MS,

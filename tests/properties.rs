@@ -2,6 +2,8 @@
 //! simulator conservation laws, cost-model monotonicity, cache bounds, and
 //! constraint-mask safety.
 
+#![allow(clippy::unwrap_used, clippy::disallowed_types)]
+
 use cdw_sim::{
     billing::{session_credits, HourlyCredits},
     Account, CacheState, QuerySpec, Simulator, WarehouseConfig, WarehouseSize, HOUR_MS, MINUTE_MS,

@@ -18,6 +18,8 @@
 //! 4. every persisted record/snapshot re-encodes byte-identically after a
 //!    decode round trip, and the decoders are total on arbitrary bytes.
 
+#![allow(clippy::expect_used)]
+
 use agent::{AgentAction, Transition};
 use cdw_sim::{
     Account, QuerySpec, Simulator, WarehouseConfig, WarehouseId, WarehouseSize, DAY_MS, HOUR_MS,

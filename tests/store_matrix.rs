@@ -21,6 +21,8 @@
 //!   recovery replay) within one interval and holds one snapshot;
 //! * the snapshot envelope round-trips and every truncation is an error.
 
+#![allow(clippy::panic, clippy::disallowed_types)]
+
 use std::collections::HashMap;
 use std::path::PathBuf;
 
