@@ -276,6 +276,12 @@ impl WarehouseOptimizer {
         self.ctl.onboarded
     }
 
+    /// DQN training steps taken so far. Only retraining's offline episodes
+    /// train; a live tick observes its transition into the replay ring.
+    pub fn train_steps(&self) -> u64 {
+        self.agent.train_steps()
+    }
+
     /// Moves the slider (no retraining needed; the model re-calibrates its
     /// decisions because the slider is part of its state — §4.3).
     fn set_slider(&mut self, slider: SliderPosition) {
@@ -870,6 +876,34 @@ mod tests {
         let after = kpis(&kwo, sim.now());
         assert_eq!(after.rollbacks, before.rollbacks, "a revert is no rollback");
         assert_eq!(after.actions_applied, before.actions_applied + 1);
+    }
+
+    #[test]
+    fn a_healthy_tick_between_retrains_observes_and_takes_no_train_step() {
+        // The 2-day train interval puts eight 30-minute ticks after
+        // onboarding well before the next retrain.
+        let (mut sim, _) = idle_heavy_sim();
+        let mut kwo = Orchestrator::new(7);
+        kwo.manage(&sim, "WH", fast_setup());
+        kwo.observe_until(&mut sim, DAY_MS);
+        kwo.onboard(&mut sim);
+        let trained = kwo.optimizers[0].train_steps();
+        assert!(trained > 0, "onboarding's episodes train");
+        let mut observed = 0;
+        for k in 1..=8 {
+            let before = kwo.optimizers[0].agent.replay_len();
+            kwo.run_until(&mut sim, DAY_MS + k * 30 * MINUTE_MS);
+            let o = &kwo.optimizers[0];
+            assert_eq!(o.health().state(), crate::HealthState::Healthy, "tick {k}");
+            assert_eq!(o.ctl.last_train, DAY_MS, "tick {k} retrained");
+            if o.effects.learned.is_some() {
+                assert_eq!(o.agent.replay_len(), before + 1, "tick {k}");
+                observed += 1;
+            }
+            assert_eq!(o.train_steps(), trained, "tick {k} took a train step");
+        }
+        // Every tick but the first has a previous action to reward.
+        assert_eq!(observed, 7);
     }
 
     #[test]

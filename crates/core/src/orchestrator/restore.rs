@@ -15,12 +15,12 @@ const STORE_LOAD_ATTEMPTS: u32 = 6;
 
 impl WarehouseOptimizer {
     /// Replays one logged tick. Re-delivers the telemetry the live `sense`
-    /// stage delivered (same fetcher function, by cursor range) and re-runs
-    /// training with the recorded seeds, but never touches the
-    /// account (fetch overhead and ALTERs already happened before the
-    /// crash) and never advances the live RNG — assigning the journaled
-    /// [`CtlState`] last puts every control scalar, RNG included, in its
-    /// post-tick state.
+    /// stage delivered (same fetcher function, by cursor range), re-runs a
+    /// retrain under its recorded seed and re-observes the tick's
+    /// transition, but never touches the account (fetch overhead and ALTERs
+    /// already happened before the crash) and never advances the live RNG —
+    /// assigning the journaled [`CtlState`] last puts every control scalar,
+    /// RNG included, in its post-tick state.
     fn replay_tick(
         &mut self,
         sim: &Simulator,
@@ -37,8 +37,8 @@ impl WarehouseOptimizer {
         if let Some(rt) = effects.retrain {
             self.retrain(now, rt.episodes, rt.seed);
         }
-        if let Some((transition, seed)) = effects.learned {
-            self.learn(&transition, seed);
+        if let Some(transition) = effects.learned {
+            self.learn(&transition);
         }
         self.actuator.extend_log(&self.name, log_delta);
         self.ctl = ctl;
@@ -193,7 +193,7 @@ impl Orchestrator {
             } => {
                 // The live tick built it, so `observe` could store it; a
                 // record that says otherwise is corrupt, not a panic.
-                if let Some((transition, _)) = &effects.learned {
+                if let Some(transition) = &effects.learned {
                     if !transition.is_well_formed() {
                         return Err(PersistError::Corrupt(format!(
                             "tick record of {warehouse} at {now} carries a malformed transition"

@@ -27,8 +27,6 @@ use cdw_sim::{
     HOUR_MS,
 };
 use keebo_obs::TraceFeatures;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 /// Optimization pause after an external change (§4.4); the admin can also
@@ -562,8 +560,9 @@ impl WarehouseOptimizer {
     }
 
     /// Stage 6 — learn (live side): rewards the previous action with what
-    /// the interval actually cost and how it performed, then trains on it.
-    /// Returns the reward, if a previous policy action was pending one.
+    /// the interval actually cost and how it performed, and stores the
+    /// transition for the next retrain to train on. Returns the reward, if a
+    /// previous policy action was pending one.
     fn learn_from_feedback(&mut self, sim: &Simulator, ctx: &TickCtx, plan: &Plan) -> Option<f64> {
         let rts = &ctx.rts;
         let credits_now = sim.account().accrued_credits(self.wh, ctx.now);
@@ -588,9 +587,8 @@ impl WarehouseOptimizer {
                 next_mask: plan.mask.mask,
                 terminal: false,
             };
-            let seed: u64 = self.ctl.rng.gen();
-            self.learn(&transition, seed);
-            self.effects.learned = Some((transition, seed));
+            self.learn(&transition);
+            self.effects.learned = Some(transition);
             reward
         });
         self.ctl.prev_credits = credits_now;
@@ -598,12 +596,12 @@ impl WarehouseOptimizer {
         reward
     }
 
-    /// Stage 6 — learn (live and replay): observe one transition and take
-    /// the train step paired with it, under the recorded seed.
-    pub(super) fn learn(&mut self, transition: &Transition, seed: u64) {
+    /// Stage 6 — learn (live and replay): observe one transition into the
+    /// replay ring. The tick takes no train step: the DQN trains only in the
+    /// offline episodes of `retrain`, whose minibatches draw from the same
+    /// ring, live transitions included (DESIGN.md, decision 10).
+    pub(super) fn learn(&mut self, transition: &Transition) {
         self.agent.observe(transition);
-        let mut train_rng = StdRng::seed_from_u64(seed);
-        self.agent.train_step(&mut train_rng);
     }
 
     /// Stage 7 — act (lines 18–20): picks the action — the stale-telemetry

@@ -52,7 +52,7 @@ use crate::actuator::ActionLogEntry;
 /// Bumped on any incompatible change to the persisted schema. Decode
 /// refuses every other version: no store outlives its process here, so
 /// there is no dual decode.
-pub const FORMAT_VERSION: u32 = 6;
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Magic prefix of the snapshot envelope, the only snapshot format: bytes
 /// that do not start with it are not a snapshot.
@@ -171,9 +171,10 @@ pub struct RetrainRecord {
 }
 
 /// What one tick did that replay cannot re-derive from the simulator: the
-/// nondeterministic inputs (training seeds, the observed transition) and
-/// whether telemetry was ingested. The tick captures it unconditionally and
-/// its `Tick` record carries it as is.
+/// retrain's seed, the transition the tick observed into the replay ring and
+/// whether telemetry was ingested. A live tick takes no train step, so there
+/// is no train seed to record. The tick captures it unconditionally and its
+/// `Tick` record carries it as is.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TickEffects {
     /// Whether the telemetry fetch succeeded (replay re-ingests the cursor
@@ -181,9 +182,8 @@ pub struct TickEffects {
     pub fetched: bool,
     /// A (re)training pass ran this tick.
     pub retrain: Option<RetrainRecord>,
-    /// The transition observed this tick and the seed of the train step
-    /// paired with it.
-    pub learned: Option<(Transition, u64)>,
+    /// The transition observed this tick (replay observes it again).
+    pub learned: Option<Transition>,
 }
 
 /// One WAL record. Every control-plane event that mutates optimizer state
@@ -541,13 +541,53 @@ mod tests {
     }
 
     #[test]
+    fn a_v6_tick_record_with_a_train_seed_is_refused() {
+        // v6 journaled `learned` as `[transition, seed]`; v7 journals the
+        // transition alone and decodes nothing else in its place.
+        let transition = Transition {
+            state: vec![0.5; agent::STATE_DIM],
+            action: AgentAction::NoOp.index(),
+            reward: -1.0,
+            next_state: vec![0.25; agent::STATE_DIM],
+            next_mask: [true; AgentAction::COUNT],
+            terminal: false,
+        };
+        let record = PersistRecord::Tick {
+            warehouse: "WH".to_string(),
+            now: 0,
+            effects: TickEffects {
+                learned: Some(transition),
+                ..TickEffects::default()
+            },
+            log_delta: Vec::new(),
+            ctl: CtlState::new(
+                WarehouseConfig::new(cdw_sim::WarehouseSize::Medium),
+                DetRng::seed_from_u64(1),
+                2,
+            ),
+        };
+        let v7 = String::from_utf8(encode_record(&record).unwrap()).unwrap();
+        assert!(decode_record(v7.as_bytes()).is_ok());
+        // `learned` is the last field of `effects`, which closes right
+        // before `log_delta`.
+        let (key, end) = ("\"learned\":", "},\"log_delta\"");
+        let (from, to) = (v7.find(key).unwrap() + key.len(), v7.find(end).unwrap());
+        let v6 = format!("{}[{},7]{}", &v7[..from], &v7[from..to], &v7[to..]);
+        assert!(matches!(
+            decode_record(v6.as_bytes()),
+            Err(PersistError::Codec(_))
+        ));
+    }
+
+    #[test]
     fn mismatched_body_version_header_is_corrupt() {
-        // The previous formats: no dual decode. v5 stored each log entry's
-        // SQL, outcome and kind and the health history, v4 journaled a
-        // tick's transition and its seed as two fields, v3 had a tagged
+        // The previous formats: no dual decode. v6 journaled a tick's
+        // transition with the seed of its train step, v5 stored each log
+        // entry's SQL, outcome and kind and the health history, v4 journaled
+        // a tick's transition and its seed as two fields, v3 had a tagged
         // header that copied the body's version, v2 was the all-JSON
         // snapshot.
-        for version in [5, 4, 3, 2, 1] {
+        for version in [6, 5, 4, 3, 2, 1] {
             assert_version_refused(version);
         }
         // A v3 snapshot as v3 wrote it: magic, envelope version 1, two

@@ -269,17 +269,18 @@ fn fourteen_day_chaos_run_converges_and_still_saves() {
     );
     assert_eq!(o.reconciler().consecutive_failures(), 0);
 
-    // The log reads as it did when each entry stored its SQL, outcome and
-    // kind: 404 entries, with failed ALTERs, in-line retries, back-off
-    // steps, rollbacks and reconciles among them (no command was skipped in
-    // this run). FNV-1a of the rendering, computed on the commit before the
-    // change.
+    // 404 entries, with failed ALTERs, in-line retries, back-off steps,
+    // rollbacks and reconciles among them (no command was skipped in this
+    // run). FNV-1a of the rendering, re-pinned once when live ticks stopped
+    // taking a DQN train step (EXPERIMENTS.md, "Re-pin ledger"); the
+    // rendering itself is the one every entry had when it stored its SQL,
+    // outcome and kind.
     assert!(kpis.actions_failed > 0 && kpis.transient_retries > 0);
     assert!(kpis.rollbacks > 0 && kpis.reconciliations > 0);
     let rendered = render_log(o.actuator().log());
     assert_eq!(rendered.lines().count(), 404);
     let hash = telemetry::hash_query_text(&rendered);
-    assert_eq!(hash, 0xbe6e_62b0_de5d_95a0, "the rendered log moved");
+    assert_eq!(hash, 0x2454_db12_c23a_ca80, "the rendered log moved");
 
     // No constraint violations: the warehouse ends in a valid configuration.
     let final_config = faulted.sim.account().describe(faulted.wh).config;

@@ -295,6 +295,27 @@ fn restore_rebuilds_each_warehouses_telemetry_from_the_account() {
 }
 
 #[test]
+fn a_restored_optimizer_has_taken_the_uninterrupted_runs_train_steps() {
+    // Onboarding sits in the WAL: replay re-runs its episodes under the
+    // recorded seed, and its ten ticks only re-observe their transitions.
+    let (mut sim, store) = two_warehouse_crash();
+    let (mut restored, _) = Orchestrator::restore(Box::new(store), &sim).expect("recovery");
+    let mut twin = Orchestrator::new(5);
+    let mut twin_sim = two_warehouse_run(&mut twin);
+    let steps =
+        |kwo: &Orchestrator, name: &str| kwo.optimizer(name).expect("managed").train_steps();
+    for name in ["WH_A", "WH_B"] {
+        assert!(steps(&twin, name) > 0, "{name}: onboarding trained");
+        assert_eq!(steps(&restored, name), steps(&twin, name), "{name}");
+    }
+    restored.run_until(&mut sim, END_MS);
+    twin.run_until(&mut twin_sim, END_MS);
+    for name in ["WH_A", "WH_B"] {
+        assert_eq!(steps(&restored, name), steps(&twin, name), "{name}");
+    }
+}
+
+#[test]
 fn snapshot_cursors_past_the_account_stream_are_corrupt() {
     // The snapshot's fetcher cursors index the account stream it was taken
     // against; a simulator whose stream is shorter is not that account.
@@ -376,7 +397,7 @@ fn a_wal_transition_of_the_wrong_shape_is_corrupt_not_a_panic() {
             now,
             effects:
                 TickEffects {
-                    learned: Some((transition, _)),
+                    learned: Some(transition),
                     ..
                 },
             ..
