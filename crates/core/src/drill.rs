@@ -352,6 +352,9 @@ pub fn run_cell(cell: &DrillCell) -> Result<DrillOutcome, PersistError> {
     };
 
     let (mut kwo, stats) = Orchestrator::restore(store, &sim)?;
+    if let Some(ticks) = cell.snapshot_interval {
+        kwo.set_snapshot_interval(ticks);
+    }
     if crash_at <= OBSERVE_MS {
         kwo.observe_until(&mut sim, OBSERVE_MS);
         kwo.onboard(&mut sim);

@@ -10,6 +10,7 @@
 use agent::SliderPosition;
 use cdw_sim::{QueryRecord, SimTime, WarehouseEventKind, WarehouseEventRecord};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use telemetry::WindowFeatures;
 
 /// Whether a telemetry event records a *configuration* change made by
@@ -51,22 +52,19 @@ const MAX_HISTORY: usize = 288;
 /// Load z-score beyond which a spike is declared.
 const SPIKE_ZSCORE: f64 = 3.0;
 
-/// Sliding-statistics monitor for one warehouse. Serializable so the spike
-/// detector's trailing history survives a control-plane crash.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The spike detector of one warehouse: its trailing per-interval arrival
+/// counts, oldest first, at most [`MAX_HISTORY`] of them. It lives beside
+/// the control state, not in it: a tick journals only the count it appended
+/// (`TickEffects::arrivals`), so a tick record stays the same size however
+/// old the warehouse is, and the snapshot carries the whole window.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Monitor {
-    /// Trailing per-interval arrival counts for the spike z-score.
-    history: Vec<f64>,
-    /// Baseline p99 (ms) from training, for the latency ratio.
-    pub baseline_p99_ms: f64,
+    history: VecDeque<u32>,
 }
 
 impl Monitor {
-    pub fn new(baseline_p99_ms: f64) -> Self {
-        Self {
-            history: Vec::new(),
-            baseline_p99_ms: baseline_p99_ms.max(1.0),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Arrival-rate z-score of `value` against the trailing history.
@@ -75,18 +73,34 @@ impl Monitor {
             return 0.0; // too little history to call anything a spike
         }
         let n = self.history.len() as f64;
-        let mean = self.history.iter().sum::<f64>() / n;
+        let mean = self.history.iter().map(|&c| f64::from(c)).sum::<f64>() / n;
         let var = self
             .history
             .iter()
-            .map(|v| (v - mean) * (v - mean))
+            .map(|&c| (f64::from(c) - mean) * (f64::from(c) - mean))
             .sum::<f64>()
             / n;
         let std = var.sqrt().max(1e-6);
         (value - mean) / std
     }
 
-    /// Assesses the interval `[now - interval, now)`.
+    /// Appends one interval's arrival count, dropping the oldest once the
+    /// window holds [`MAX_HISTORY`] — what `assess` does live and WAL
+    /// replay does with a journaled count.
+    pub fn push(&mut self, arrivals: u32) {
+        if self.history.len() == MAX_HISTORY {
+            self.history.pop_front();
+        }
+        self.history.push_back(arrivals);
+    }
+
+    /// The count appended last, if any.
+    pub fn newest(&self) -> Option<u32> {
+        self.history.back().copied()
+    }
+
+    /// Assesses the interval `[now - interval, now)` and appends its arrival
+    /// count to the window.
     ///
     /// `records` are completed queries overlapping the interval; `events`
     /// are the warehouse lifecycle events fetched for the same span —
@@ -94,13 +108,15 @@ impl Monitor {
     /// External-source configuration event, not on a config diff. (A diff
     /// can't tell an admin's change from Keebo's own command applied late
     /// or half-applied; those are the reconciler's business, not a pause.)
-    /// `queue_depth` and `longest_running_ms` are live readings (a query
-    /// slowed 8x by an undersizing does not *complete* for a long time —
-    /// its elapsed in-flight time is the early warning); `slider` sets
-    /// the back-off thresholds.
+    /// `baseline_p99_ms` is the serving baseline from training, for the
+    /// latency ratio. `queue_depth` and `longest_running_ms` are live
+    /// readings (a query slowed 8x by an undersizing does not *complete*
+    /// for a long time — its elapsed in-flight time is the early warning);
+    /// `slider` sets the back-off thresholds.
     #[allow(clippy::too_many_arguments)]
     pub fn assess(
         &mut self,
+        baseline_p99_ms: f64,
         records: &[&QueryRecord],
         events: &[&WarehouseEventRecord],
         now: SimTime,
@@ -111,19 +127,16 @@ impl Monitor {
     ) -> RealTimeState {
         let window = WindowFeatures::compute(records, now.saturating_sub(interval_ms), interval_ms);
         let load_zscore = self.zscore(window.arrivals as f64);
-        self.history.push(window.arrivals as f64);
-        if self.history.len() > MAX_HISTORY {
-            self.history.remove(0);
-        }
+        self.push(u32::try_from(window.arrivals).unwrap_or(u32::MAX));
 
         let completed_ratio = if window.p99_latency_ms > 0.0 {
-            window.p99_latency_ms / self.baseline_p99_ms
+            window.p99_latency_ms / baseline_p99_ms
         } else {
             1.0
         };
         // An in-flight query that has already outlived the baseline p99 is
         // at least that much slower than normal.
-        let inflight_ratio = longest_running_ms as f64 / self.baseline_p99_ms;
+        let inflight_ratio = longest_running_ms as f64 / baseline_p99_ms;
         let latency_ratio = completed_ratio.max(inflight_ratio);
         let external_change = events.iter().any(|e| is_external_config_change(e));
         let queue_pressure_s = window.mean_queue_ms / 1000.0;
@@ -182,11 +195,13 @@ mod tests {
 
     fn assess_simple(
         m: &mut Monitor,
+        baseline_p99_ms: f64,
         records: &[&QueryRecord],
         now: SimTime,
         queue: usize,
     ) -> RealTimeState {
         m.assess(
+            baseline_p99_ms,
             records,
             &[],
             now,
@@ -199,8 +214,8 @@ mod tests {
 
     #[test]
     fn quiet_interval_raises_nothing() {
-        let mut m = Monitor::new(10_000.0);
-        let s = assess_simple(&mut m, &[], 10 * MINUTE_MS, 0);
+        let mut m = Monitor::new();
+        let s = assess_simple(&mut m, 10_000.0, &[], 10 * MINUTE_MS, 0);
         assert!(!s.should_back_off);
         assert!(!s.external_change);
         assert_eq!(s.load_zscore, 0.0);
@@ -208,7 +223,7 @@ mod tests {
 
     #[test]
     fn external_change_detected_from_external_events() {
-        let mut m = Monitor::new(10_000.0);
+        let mut m = Monitor::new();
         // Someone resized the warehouse by hand mid-interval.
         let ev = event(
             5 * MINUTE_MS,
@@ -216,6 +231,7 @@ mod tests {
             ActionSource::External,
         );
         let s = m.assess(
+            10_000.0,
             &[],
             &[&ev],
             10 * MINUTE_MS,
@@ -233,7 +249,7 @@ mod tests {
 
     #[test]
     fn keebo_and_system_events_are_not_external_changes() {
-        let mut m = Monitor::new(10_000.0);
+        let mut m = Monitor::new();
         let keebo = event(MINUTE_MS, WarehouseEventKind::Resized, ActionSource::Keebo);
         let system = event(
             2 * MINUTE_MS,
@@ -242,6 +258,7 @@ mod tests {
         );
         let created = event(0, WarehouseEventKind::Created, ActionSource::External);
         let s = m.assess(
+            10_000.0,
             &[],
             &[&keebo, &system, &created],
             10 * MINUTE_MS,
@@ -291,7 +308,7 @@ mod tests {
 
     #[test]
     fn heavy_queueing_triggers_backoff() {
-        let mut m = Monitor::new(10_000.0);
+        let mut m = Monitor::new();
         // Queries queued ~60 s each (Balanced threshold is 15 s).
         let now = 10 * MINUTE_MS;
         let recs: Vec<QueryRecord> = (0..5)
@@ -305,17 +322,18 @@ mod tests {
             })
             .collect();
         let refs: Vec<&QueryRecord> = recs.iter().collect();
-        let s = assess_simple(&mut m, &refs, now, 3);
+        let s = assess_simple(&mut m, 10_000.0, &refs, now, 3);
         assert!(s.window.mean_queue_ms >= 60_000.0);
         assert!(s.should_back_off);
     }
 
     #[test]
     fn long_inflight_query_triggers_backoff_before_completion() {
-        let mut m = Monitor::new(10_000.0); // baseline p99 = 10 s
-                                            // No completions at all, but one query has been running for 60 s —
-                                            // six times the baseline, well past Balanced's 1.6x threshold.
+        let mut m = Monitor::new();
+        // No completions at all, but one query has been running for 60 s —
+        // six times the baseline, well past Balanced's 1.6x threshold.
         let s = m.assess(
+            10_000.0, // baseline p99 = 10 s
             &[],
             &[],
             10 * MINUTE_MS,
@@ -330,14 +348,14 @@ mod tests {
 
     #[test]
     fn latency_regression_triggers_backoff() {
-        let mut m = Monitor::new(1_000.0); // baseline p99 = 1 s
+        let mut m = Monitor::new();
         let now = 10 * MINUTE_MS;
         // Queries now take 10 s end-to-end: ratio 10 > 1.6.
         let recs: Vec<QueryRecord> = (0..5)
             .map(|i| rec(i, now - 60_000 + i, now - 60_000 + i, now - 50_000 + i))
             .collect();
         let refs: Vec<&QueryRecord> = recs.iter().collect();
-        let s = assess_simple(&mut m, &refs, now, 0);
+        let s = assess_simple(&mut m, 1_000.0, &refs, now, 0); // baseline p99 = 1 s
         assert!(s.latency_ratio > 5.0);
         assert!(s.should_back_off);
     }
@@ -351,8 +369,9 @@ mod tests {
             .map(|i| rec(i, now - 100_000, now - 70_000, now - 60_000 + i))
             .collect();
         let refs: Vec<&QueryRecord> = recs.iter().collect();
-        let mut m1 = Monitor::new(1_000_000.0);
+        let mut m1 = Monitor::new();
         let balanced = m1.assess(
+            1_000_000.0,
             &refs,
             &[],
             now,
@@ -361,8 +380,9 @@ mod tests {
             0,
             SliderPosition::Balanced,
         );
-        let mut m2 = Monitor::new(1_000_000.0);
+        let mut m2 = Monitor::new();
         let cheap = m2.assess(
+            1_000_000.0,
             &refs,
             &[],
             now,
@@ -376,8 +396,35 @@ mod tests {
     }
 
     #[test]
+    fn the_window_keeps_the_newest_counts_and_scores_them_as_floats_did() {
+        // The `Vec<f64>` window this ring replaced, as its reference.
+        let mut floats: Vec<f64> = Vec::new();
+        let mut m = Monitor::new();
+        for i in 0..(MAX_HISTORY as u32 + 40) {
+            let count = (i * 7_919) % 97;
+            m.push(count);
+            floats.push(f64::from(count));
+            if floats.len() > MAX_HISTORY {
+                floats.remove(0);
+            }
+            let n = floats.len() as f64;
+            let mean = floats.iter().sum::<f64>() / n;
+            let var = floats.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+            let want = if floats.len() < 6 {
+                0.0
+            } else {
+                (50.0 - mean) / var.sqrt().max(1e-6)
+            };
+            assert_eq!(m.zscore(50.0).to_bits(), want.to_bits(), "after {i}");
+            assert_eq!(m.newest(), Some(count));
+        }
+        assert_eq!(m.history.len(), MAX_HISTORY);
+        assert!(m.history.iter().map(|&c| f64::from(c)).eq(floats));
+    }
+
+    #[test]
     fn spike_detection_needs_history_and_queueing() {
-        let mut m = Monitor::new(1_000_000.0);
+        let mut m = Monitor::new();
         let now0 = 10 * MINUTE_MS;
         // Build 10 intervals of ~2 arrivals each.
         for i in 0..10u64 {
@@ -386,7 +433,7 @@ mod tests {
                 .map(|j| rec(i * 10 + j, t - 60_000 + j, t - 60_000 + j, t - 50_000 + j))
                 .collect();
             let refs: Vec<&QueryRecord> = recs.iter().collect();
-            let s = assess_simple(&mut m, &refs, t, 0);
+            let s = assess_simple(&mut m, 1_000_000.0, &refs, t, 0);
             assert!(!s.should_back_off, "steady load is not a spike");
         }
         // Now a 50-arrival interval with queueing.
@@ -395,7 +442,7 @@ mod tests {
             .map(|j| rec(1000 + j, t - 60_000 + j, t - 60_000 + j, t - 50_000 + j))
             .collect();
         let refs: Vec<&QueryRecord> = recs.iter().collect();
-        let s = assess_simple(&mut m, &refs, t, 5);
+        let s = assess_simple(&mut m, 1_000_000.0, &refs, t, 5);
         assert!(s.load_zscore > 3.0, "zscore {}", s.load_zscore);
         assert!(s.should_back_off);
     }

@@ -37,7 +37,7 @@ pub(super) struct Journal {
     pub(super) interval_ticks: u64,
     /// Ticks since a snapshot last landed. Failed writes do not reset it,
     /// so the next tick retries.
-    ticks_since_snapshot: u64,
+    pub(super) ticks_since_snapshot: u64,
 }
 
 impl Default for Journal {
@@ -51,9 +51,15 @@ impl Default for Journal {
 }
 
 impl Journal {
-    pub(super) fn attach(&mut self, store: Box<dyn StateStore>) {
+    /// Attaches `store`, whose snapshot is `age` ticks old: 0 for a fresh
+    /// store, the ticks its WAL spans for a restored one, so compaction keeps
+    /// the schedule of the run that wrote it.
+    pub(super) fn attach(&mut self, store: Box<dyn StateStore>, age: u64) {
         self.store = Some(store);
-        self.ticks_since_snapshot = 0;
+        self.ticks_since_snapshot = age;
+        keebo_obs::global()
+            .gauge("keebo.store.snapshot_age_ticks")
+            .set(age as f64);
     }
 
     /// Appends one record to the WAL, fail-open; a no-op with no store

@@ -31,6 +31,7 @@ mod tick;
 use crate::actuator::Actuator;
 use crate::drng::DetRng;
 use crate::health::HealthMonitor;
+use crate::monitoring::Monitor;
 use crate::persist::{CtlState, OptimizerSnapshot, PersistError, PersistRecord, TickEffects};
 use crate::reconciler::Reconciler;
 use crate::store::StateStore;
@@ -159,7 +160,7 @@ impl std::error::Error for ManageError {}
 /// One warehouse's optimizer, in three parts: what the admin set
 /// ([`KwoSetup`], the original configuration), what the loop journals every
 /// tick ([`CtlState`]), and what replay rebuilds from the journal (smart
-/// model, cost model, telemetry, actuator log).
+/// model, cost model, telemetry, actuator log, spike window).
 pub struct WarehouseOptimizer {
     wh: WarehouseId,
     /// The account's handle for the warehouse's name, shared with every
@@ -171,6 +172,8 @@ pub struct WarehouseOptimizer {
     setup: KwoSetup,
     /// Algorithm 1's loop state, mutated in place by the tick.
     ctl: CtlState,
+    /// The spike detector's window of arrival counts.
+    monitor: Monitor,
     agent: DqnAgent,
     cost_model: WarehouseCostModel,
     store: TelemetryStore,
@@ -204,6 +207,7 @@ impl WarehouseOptimizer {
             ctl: CtlState::new(original_config.clone(), rng, seed ^ 0xD6E8_FEB8_6659_FD93),
             original_config,
             setup,
+            monitor: Monitor::new(),
             agent,
             cost_model: WarehouseCostModel::default(),
             actuator: Actuator::new(),
@@ -349,7 +353,7 @@ impl WarehouseOptimizer {
             .map(|r| r.total_latency_ms() as f64)
             .collect();
         if !observed.is_empty() {
-            self.ctl.monitor.baseline_p99_ms = telemetry::percentile(&observed, 99.0).max(1.0);
+            self.ctl.baseline_p99_ms = telemetry::percentile(&observed, 99.0).max(1.0);
         }
         // Auto-suspend: analytic optimum over the observed gap distribution
         // (idle cost at the current rate vs measured cold-restart cost).
@@ -416,6 +420,7 @@ impl WarehouseOptimizer {
             setup: self.setup.clone(),
             cost_model: self.cost_model.clone(),
             actuator_log: self.actuator.log().to_vec(),
+            monitor: self.monitor.clone(),
             ctl: self.ctl.clone(),
         };
         (snap, self.agent.to_bytes())
@@ -449,6 +454,7 @@ impl WarehouseOptimizer {
         o.cost_model = snap.cost_model;
         TelemetryFetcher::new().redeliver(sim.account(), &mut o.store, &snap.ctl.fetcher);
         o.actuator.extend_log(&o.name, snap.actuator_log);
+        o.monitor = snap.monitor;
         o.ctl = snap.ctl;
         o.forget_read_events();
         Ok(o)
@@ -495,7 +501,9 @@ impl Orchestrator {
     /// write fails (injected or real): [`Self::restore`] can rebuild from
     /// `Orchestrator::new(seed)` plus the full WAL. From here on every
     /// control event is appended to the WAL and compacted into a snapshot
-    /// every [`Self::set_snapshot_interval`] ticks.
+    /// every [`Self::set_snapshot_interval`] ticks. [`Self::restore`]
+    /// re-attaches a store and writes neither a genesis record nor a
+    /// snapshot: its snapshot and WAL already hold what it rebuilds.
     ///
     /// Persistence is fail-open and failures are graded by what they cost:
     /// transient append/snapshot errors are retried in line and counted
@@ -506,7 +514,7 @@ impl Orchestrator {
     /// store (`keebo.store.detached`) because a hole in the WAL would
     /// poison replay.
     pub fn attach_store(&mut self, store: Box<dyn StateStore>, at: SimTime) {
-        self.journal.attach(store);
+        self.journal.attach(store, 0);
         self.journal.append(&PersistRecord::Genesis {
             seed: self.seed,
             at,
@@ -515,12 +523,20 @@ impl Orchestrator {
     }
 
     /// Compacts the WAL into a snapshot every `ticks` control ticks (default
-    /// [`DEFAULT_SNAPSHOT_INTERVAL_TICKS`]; 0 leaves it to
-    /// [`Self::restore`]). Compaction timing never feeds back into
-    /// decisions, so any interval leaves the optimization trajectory
-    /// bit-identical — the crash-drill matrix pins this.
+    /// [`DEFAULT_SNAPSHOT_INTERVAL_TICKS`]; 0 never compacts). Compaction
+    /// timing never feeds back into decisions, so any interval leaves the
+    /// optimization trajectory bit-identical — the crash-drill matrix pins
+    /// this. The interval is configuration, not state: a restored
+    /// orchestrator starts at the default until this is called again.
     pub fn set_snapshot_interval(&mut self, ticks: u64) {
         self.journal.interval_ticks = ticks;
+    }
+
+    /// Control ticks since the last snapshot landed, as the
+    /// `keebo.store.snapshot_age_ticks` gauge publishes it: a restored
+    /// orchestrator resumes the age its store's WAL spans.
+    pub fn snapshot_age_ticks(&self) -> u64 {
+        self.journal.ticks_since_snapshot
     }
 
     /// Starts managing a warehouse. Its *current* configuration becomes the
@@ -778,7 +794,7 @@ mod tests {
         let o = kwo.optimizer("WH").unwrap();
         assert!(o.onboarded());
         assert!(o.cost_model().gaps.dependent_fraction >= 0.0);
-        assert!(o.ctl.monitor.baseline_p99_ms > 1.0);
+        assert!(o.ctl.baseline_p99_ms > 1.0);
     }
 
     #[test]
@@ -1221,6 +1237,29 @@ mod tests {
             assert_eq!(fetches.failed_fetches > 0, expect_faults);
             assert_eq!(fetches.partial_fetches > 0, expect_faults);
         }
+    }
+
+    #[test]
+    fn a_tick_record_does_not_grow_with_warehouse_age() {
+        // Two days of 10-minute ticks fill the spike window to its 288
+        // counts; a tick record carries the one count its tick appended,
+        // and the snapshot the whole window.
+        let (sim, _) = idle_heavy_sim();
+        let after = |appends: u32| {
+            let mut kwo = Orchestrator::new(3);
+            kwo.manage(&sim, "WH", fast_setup());
+            let o = &mut kwo.optimizers[0];
+            for count in 0..appends {
+                o.monitor.push(1_000 + count);
+            }
+            o.effects.arrivals = o.monitor.newest();
+            let record = crate::persist::encode_record(&o.tick_record(0, 0)).unwrap();
+            (record.len(), o.export_snapshot().0.monitor)
+        };
+        let ((young, _), (old, window)) = (after(10), after(288));
+        assert!(old <= young + 64, "{old} B at 288 appends, {young} B at 10");
+        let json = serde_json::to_string(&window).unwrap();
+        assert_eq!(json.matches(',').count(), 287, "{json}");
     }
 
     #[test]

@@ -16,9 +16,10 @@ const STORE_LOAD_ATTEMPTS: u32 = 6;
 impl WarehouseOptimizer {
     /// Replays one logged tick. Re-delivers the telemetry the live `sense`
     /// stage delivered (same fetcher function, by cursor range), re-runs a
-    /// retrain under its recorded seed and re-observes the tick's
-    /// transition, but never touches the account (fetch overhead and ALTERs
-    /// already happened before the crash) and never advances the live RNG —
+    /// retrain under its recorded seed, re-observes the tick's transition and
+    /// re-appends its arrival count to the spike window, but never touches
+    /// the account (fetch overhead and ALTERs already happened before the
+    /// crash) and never advances the live RNG —
     /// assigning the journaled [`CtlState`] last puts every control scalar,
     /// RNG included, in its post-tick state.
     fn replay_tick(
@@ -40,6 +41,9 @@ impl WarehouseOptimizer {
         if let Some(transition) = effects.learned {
             self.learn(&transition);
         }
+        if let Some(count) = effects.arrivals {
+            self.monitor.push(count);
+        }
         self.actuator.extend_log(&self.name, log_delta);
         self.ctl = ctl;
         self.forget_read_events();
@@ -48,8 +52,15 @@ impl WarehouseOptimizer {
 
 impl Orchestrator {
     /// Rebuilds a warm orchestrator from a durable store: loads the latest
-    /// snapshot, replays every WAL record on top, re-attaches the store, and
-    /// compacts (the recovered state becomes the new snapshot baseline).
+    /// snapshot, replays every WAL record on top and re-attaches the store.
+    /// Restore only reads: it writes no snapshot, because the snapshot and
+    /// the WAL behind it (its torn tail already truncated by the load) hold
+    /// exactly the state just rebuilt. The journal resumes the snapshot's
+    /// age — the distinct tick times the replayed WAL spans past the
+    /// snapshot's — so the next compaction lands on the tick an
+    /// uninterrupted run would use, and replay stays bounded by one
+    /// interval. The compaction interval is configuration: set it again on
+    /// the restored orchestrator if it is not the default.
     ///
     /// The simulator is the *surviving* warehouse side of the crash — only
     /// the control plane died — so replay resolves warehouses by name
@@ -88,7 +99,9 @@ impl Orchestrator {
             }
         };
         let snapshot_len = contents.snapshot.as_ref().map_or(0, |s| s.len() as u64);
-        let (mut orch, replay_from) = match &contents.snapshot {
+        // `since` is when the replayed WAL's base was taken: its ticks are
+        // the ones after it.
+        let (mut orch, replay_from, since) = match &contents.snapshot {
             Some(snapshot_bytes) => {
                 let snap = persist::decode_snapshot(snapshot_bytes)?;
                 let mut orch = Orchestrator::new(snap.seed);
@@ -104,7 +117,7 @@ impl Orchestrator {
                     let o = WarehouseOptimizer::from_snapshot(osnap, agent, sim)?;
                     orch.optimizers.push(o);
                 }
-                (orch, 0)
+                (orch, 0, snap.at)
             }
             None => {
                 // No snapshot ever landed (every write failed, fail-open).
@@ -118,7 +131,7 @@ impl Orchestrator {
                     )
                 })?;
                 match persist::decode_record(first)? {
-                    PersistRecord::Genesis { seed, .. } => (Orchestrator::new(seed), 1),
+                    PersistRecord::Genesis { seed, at } => (Orchestrator::new(seed), 1, at),
                     _ => {
                         return Err(PersistError::Corrupt(
                             "state store has no snapshot and its WAL does not start with a \
@@ -130,16 +143,24 @@ impl Orchestrator {
             }
         };
         let mut replayed_records = replay_from as u64;
+        // Ticks since the base: records are in time order and every
+        // optimizer due at a tick journals one, so each new time is one tick
+        // of the live clock. Onboarding journals a record but is no tick; at
+        // the base's time or at the tick just taken it adds no new time (off
+        // the tick grid it would count one, and compaction would land a tick
+        // early).
+        let (mut age, mut last_tick) = (0, since);
         for bytes in &contents.records[replay_from..] {
             let record = persist::decode_record(bytes)?;
+            if let PersistRecord::Tick { now, .. } = record {
+                if now > last_tick {
+                    (age, last_tick) = (age + 1, now);
+                }
+            }
             orch.apply_record(record, sim)?;
             replayed_records += 1;
         }
-        orch.journal.attach(store);
-        // Compact: recovered state becomes the new snapshot baseline, so a
-        // second crash never replays this WAL again.
-        orch.journal
-            .snapshot(orch.seed, &orch.optimizers, sim.now());
+        orch.journal.attach(store, age);
         obs.counter("keebo.store.recoveries_total").inc();
         obs.counter("keebo.store.wal_truncated_bytes")
             .add(contents.truncated_bytes);

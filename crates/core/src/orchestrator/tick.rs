@@ -365,7 +365,8 @@ impl WarehouseOptimizer {
             self.store
                 .events_in(&self.name, self.ctl.events_cursor, now);
         let warehouse = sim.account().warehouse(self.wh);
-        let rts = self.ctl.monitor.assess(
+        let rts = self.monitor.assess(
+            self.ctl.baseline_p99_ms,
             &window_records,
             &window_events,
             now,
@@ -374,6 +375,7 @@ impl WarehouseOptimizer {
             warehouse.longest_running_ms(now),
             self.setup.slider,
         );
+        self.effects.arrivals = self.monitor.newest();
         TickCtx {
             now,
             health,

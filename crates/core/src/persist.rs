@@ -3,7 +3,9 @@
 //! The orchestrator appends one [`PersistRecord`] per control event to its
 //! [`crate::store::StateStore`] and periodically writes a full
 //! [`SnapshotState`]. Recovery (`Orchestrator::restore`) loads the snapshot
-//! and replays the log:
+//! and replays the log, and writes nothing: the journal resumes the
+//! snapshot's age (the ticks the WAL spans), so compaction keeps the
+//! schedule of the run that crashed:
 //!
 //! * every `Tick` record carries the *post*-tick control state — a clone of
 //!   the [`CtlState`] the optimizer holds — assigned back after replaying
@@ -11,6 +13,11 @@
 //!   land exactly where they were. It is state only: what the admin set
 //!   ([`KwoSetup`]) is journaled once by `Manage` and then by
 //!   `SliderChanged` / `ConstraintAdded`, never per tick;
+//! * what grows with a warehouse's age stays out of that clone (format v8):
+//!   the spike detector's window of up to 288 arrival counts is the
+//!   optimizer's [`Monitor`], a tick journals the one count it appended
+//!   ([`TickEffects::arrivals`]) and the snapshot the whole window, so a
+//!   tick record is the same size on day 1 and day 300;
 //! * nondeterministic inputs that recovery cannot re-derive are logged
 //!   explicitly: the training seed drawn from the learning RNG, the episode
 //!   count in force at the time (onboarding vs refresh), the transition the
@@ -52,7 +59,7 @@ use crate::actuator::ActionLogEntry;
 /// Bumped on any incompatible change to the persisted schema. Decode
 /// refuses every other version: no store outlives its process here, so
 /// there is no dual decode.
-pub const FORMAT_VERSION: u32 = 7;
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Magic prefix of the snapshot envelope, the only snapshot format: bytes
 /// that do not start with it are not a snapshot.
@@ -125,7 +132,10 @@ pub struct CtlState {
     pub healthy_streak: u32,
     /// The learning RNG.
     pub rng: DetRng,
-    pub monitor: Monitor,
+    /// Serving p99 (ms) from the last training, monitoring's latency
+    /// baseline. The spike detector's window is not here: it is the
+    /// optimizer's [`Monitor`], journaled one count a tick.
+    pub baseline_p99_ms: f64,
     pub fetcher: TelemetryFetcher,
     pub reconciler: Reconciler,
     pub health: HealthMonitor,
@@ -151,7 +161,7 @@ impl CtlState {
             pending_auto_suspend: None,
             healthy_streak: 0,
             rng,
-            monitor: Monitor::new(10_000.0),
+            baseline_p99_ms: 10_000.0,
             fetcher: TelemetryFetcher::new(),
             reconciler: Reconciler::new(reconciler_seed),
             health: HealthMonitor::new(),
@@ -171,8 +181,9 @@ pub struct RetrainRecord {
 }
 
 /// What one tick did that replay cannot re-derive from the simulator: the
-/// retrain's seed, the transition the tick observed into the replay ring and
-/// whether telemetry was ingested. A live tick takes no train step, so there
+/// retrain's seed, the transition the tick observed into the replay ring, the
+/// arrival count it appended to the spike window and whether telemetry was
+/// ingested. A live tick takes no train step, so there
 /// is no train seed to record. The tick captures it unconditionally and its
 /// `Tick` record carries it as is.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -184,6 +195,9 @@ pub struct TickEffects {
     pub retrain: Option<RetrainRecord>,
     /// The transition observed this tick (replay observes it again).
     pub learned: Option<Transition>,
+    /// The arrival count the spike detector appended this tick (replay
+    /// appends it again).
+    pub arrivals: Option<u32>,
 }
 
 /// One WAL record. Every control-plane event that mutates optimizer state
@@ -244,6 +258,9 @@ pub struct OptimizerSnapshot {
     pub setup: KwoSetup,
     pub cost_model: WarehouseCostModel,
     pub actuator_log: Vec<ActionLogEntry>,
+    /// The spike detector's whole window, which tick records carry one
+    /// count at a time.
+    pub monitor: Monitor,
     pub ctl: CtlState,
 }
 
@@ -580,14 +597,53 @@ mod tests {
     }
 
     #[test]
+    fn a_v7_tick_record_with_a_spike_history_is_refused() {
+        // v7 carried the spike detector's whole window in every tick's
+        // `ctl.monitor`, the serving baseline beside it; v8 journals the one
+        // count a tick appended and keeps the baseline as a `ctl` scalar,
+        // which a v7 record lacks.
+        let record = PersistRecord::Tick {
+            warehouse: "WH".to_string(),
+            now: 0,
+            effects: TickEffects {
+                arrivals: Some(3),
+                ..TickEffects::default()
+            },
+            log_delta: Vec::new(),
+            ctl: CtlState::new(
+                WarehouseConfig::new(cdw_sim::WarehouseSize::Medium),
+                DetRng::seed_from_u64(1),
+                2,
+            ),
+        };
+        let v8 = String::from_utf8(encode_record(&record).unwrap()).unwrap();
+        assert!(decode_record(v8.as_bytes()).is_ok());
+        let key = "\"baseline_p99_ms\":";
+        let from = v8.find(key).unwrap();
+        let to = from + v8[from..].find(',').unwrap();
+        let v7 = format!(
+            "{}\"monitor\":{{\"history\":[2.0,3.0],{}}}{}",
+            &v8[..from],
+            &v8[from..to],
+            &v8[to..]
+        )
+        .replace(",\"arrivals\":3", "");
+        match decode_record(v7.as_bytes()) {
+            Err(PersistError::Codec(m)) => assert!(m.contains("baseline_p99_ms"), "{m}"),
+            other => panic!("expected Codec, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn mismatched_body_version_header_is_corrupt() {
-        // The previous formats: no dual decode. v6 journaled a tick's
+        // The previous formats: no dual decode. v7 carried the spike
+        // window in every tick record, v6 journaled a tick's
         // transition with the seed of its train step, v5 stored each log
         // entry's SQL, outcome and kind and the health history, v4 journaled
         // a tick's transition and its seed as two fields, v3 had a tagged
         // header that copied the body's version, v2 was the all-JSON
         // snapshot.
-        for version in [6, 5, 4, 3, 2, 1] {
+        for version in [7, 6, 5, 4, 3, 2, 1] {
             assert_version_refused(version);
         }
         // A v3 snapshot as v3 wrote it: magic, envelope version 1, two

@@ -19,6 +19,9 @@
 //!   digest stays identical to a store-less run;
 //! * compaction bounds replay: a 10k-tick run keeps the WAL (and therefore
 //!   recovery replay) within one interval and holds one snapshot;
+//! * a restart keeps the compaction schedule: restore writes nothing and
+//!   resumes its snapshot's age, so a run killed twice mid-interval ends
+//!   with the uninterrupted run's store, byte for byte, on both media;
 //! * the snapshot envelope round-trips and every truncation is an error.
 
 #![allow(clippy::panic, clippy::disallowed_types)]
@@ -33,8 +36,8 @@ use keebo::drill::{
 };
 use keebo::persist::{decode_snapshot, encode_snapshot};
 use keebo::{
-    generate_trace, FaultyStore, KwoSetup, MemStore, Orchestrator, StateStore, StoreFaultPlan,
-    DEFAULT_SNAPSHOT_INTERVAL_TICKS,
+    generate_trace, FaultyStore, FileStore, KwoSetup, MemStore, Orchestrator, StateStore,
+    StoreFaultPlan, DEFAULT_SNAPSHOT_INTERVAL_TICKS,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use workload::EtlWorkload;
@@ -441,6 +444,118 @@ fn compaction_bounds_replay_over_a_10k_tick_run() {
     );
     assert!(stats.snapshot_bytes > 0, "recovery started from a snapshot");
     assert!(kwo.optimizer(WAREHOUSE).is_some());
+}
+
+// ---- a restart keeps the compaction schedule ----
+
+/// Where [`a_crash_does_not_move_the_compaction_schedule`] journals: a
+/// shared `MemStore`, or a `FileStore` directory each process reopens.
+enum Medium {
+    Mem(MemStore),
+    File(PathBuf),
+}
+
+impl Medium {
+    /// A fresh handle on the medium, as a restarted process gets one.
+    fn open(&self) -> Box<dyn StateStore> {
+        match self {
+            Medium::Mem(store) => Box::new(store.clone()),
+            Medium::File(dir) => {
+                Box::new(FileStore::open(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())))
+            }
+        }
+    }
+
+    /// What the medium holds: its snapshot generations, WAL records and
+    /// snapshot size, and a hash of the snapshot and records themselves.
+    fn held(&self) -> (u64, u64, u64, u64) {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let mut store = self.open();
+        let contents = store.load().unwrap_or_else(|e| panic!("load: {e}"));
+        let mut bytes = DefaultHasher::new();
+        (contents.snapshot, contents.records).hash(&mut bytes);
+        (
+            store.snapshot_generations(),
+            store.wal_records(),
+            store.snapshot_bytes(),
+            bytes.finish(),
+        )
+    }
+}
+
+/// Ticks `kwo` to `until` one tick at a time, onboarding at `OBSERVE_MS`.
+fn drive(kwo: &mut Orchestrator, sim: &mut Simulator, until: u64) {
+    while sim.now() < until {
+        let t = sim.now() + TICK_MS;
+        kwo.run_until(sim, t);
+        if t == OBSERVE_MS {
+            kwo.onboard(sim);
+        }
+    }
+}
+
+#[test]
+fn a_crash_does_not_move_the_compaction_schedule() {
+    let (scenario, seed) = (1, 21);
+    // Compactions land every 7 ticks from attach at 0: the first kill is 2
+    // ticks past one, the second 5, both before the next.
+    let kills = [OBSERVE_MS + 10 * TICK_MS, OBSERVE_MS + 13 * TICK_MS];
+    let start = |medium: &Medium, sim: &Simulator| {
+        let mut kwo = Orchestrator::new(seed);
+        kwo.set_snapshot_interval(TIGHT_INTERVAL);
+        kwo.attach_store(medium.open(), sim.now());
+        kwo.manage(sim, WAREHOUSE, fast_setup());
+        kwo
+    };
+    for (label, media) in [
+        (
+            "mem",
+            [Medium::Mem(MemStore::new()), Medium::Mem(MemStore::new())],
+        ),
+        (
+            "file",
+            [
+                Medium::File(scratch_dir("schedule-whole")),
+                Medium::File(scratch_dir("schedule-killed")),
+            ],
+        ),
+    ] {
+        let [whole, killed] = &media;
+        let (mut sim, wh) = build_sim(scenario, seed);
+        let mut kwo = start(whole, &sim);
+        drive(&mut kwo, &mut sim, END_MS);
+        let (age, uninterrupted) = (kwo.snapshot_age_ticks(), fingerprint(&kwo, &sim, wh));
+        drop(kwo);
+        assert_eq!(uninterrupted, run_uninterrupted(scenario, seed), "{label}");
+
+        let (mut sim, wh) = build_sim(scenario, seed);
+        let mut kwo = start(killed, &sim);
+        for kill in kills {
+            drive(&mut kwo, &mut sim, kill);
+            let (before_age, before) = (kwo.snapshot_age_ticks(), killed.held());
+            drop(kwo);
+            kwo = Orchestrator::restore(killed.open(), &sim)
+                .unwrap_or_else(|e| panic!("{label}: restore at {kill}: {e}"))
+                .0;
+            kwo.set_snapshot_interval(TIGHT_INTERVAL);
+            // Restore only reads, and resumes the age the dead process had.
+            assert_eq!(killed.held(), before, "{label}: restore at {kill}");
+            assert_eq!(kwo.snapshot_age_ticks(), before_age, "{label}");
+            assert!((1..TIGHT_INTERVAL).contains(&before_age), "{label}");
+        }
+        drive(&mut kwo, &mut sim, END_MS);
+        assert_eq!(fingerprint(&kwo, &sim, wh), uninterrupted, "{label}");
+        assert_eq!(kwo.snapshot_age_ticks(), age, "{label}");
+        drop(kwo);
+        // Same generations, same WAL, byte for byte: every compaction
+        // landed on the uninterrupted run's tick, holding its state.
+        assert_eq!(killed.held(), whole.held(), "{label}");
+        for medium in &media {
+            if let Medium::File(dir) = medium {
+                std::fs::remove_dir_all(dir).ok();
+            }
+        }
+    }
 }
 
 // ---- envelope and fault-plan decode properties ----
