@@ -101,6 +101,32 @@ impl Rule {
         }
     }
 
+    /// Why the rule cannot bind as its window reads, if it cannot: an hour
+    /// outside `[0, 24]` (NaN included, which [`TimeWindow::contains`] would
+    /// take for a midnight wrap), a weekday above 6, or an empty day list.
+    /// Rules come from outside the program, so the orchestrator refuses
+    /// these rather than apply them.
+    pub fn validate(&self) -> Result<(), String> {
+        let TimeWindow {
+            days,
+            start_hour,
+            end_hour,
+        } = &self.window;
+        let problem = if ![start_hour, end_hour]
+            .iter()
+            .all(|h| (0.0..=24.0).contains(*h))
+        {
+            format!("hours {start_hour}..{end_hour} are not within [0, 24]")
+        } else if days.as_ref().is_some_and(Vec::is_empty) {
+            "its day list is empty".to_string()
+        } else if let Some(day) = days.iter().flatten().find(|&&d| d > 6) {
+            format!("weekday {day} is above 6")
+        } else {
+            return Ok(());
+        };
+        Err(format!("rule `{}`: {problem}", self.name))
+    }
+
     /// Does the configuration this action would produce comply with the
     /// rule at time `t`?
     fn allows(&self, action: AgentAction, current: &WarehouseConfig, t: SimTime) -> bool {
@@ -220,6 +246,28 @@ mod tests {
         assert!(w.contains(23 * HOUR_MS));
         assert!(w.contains(HOUR_MS));
         assert!(!w.contains(12 * HOUR_MS));
+    }
+
+    #[test]
+    fn rules_that_cannot_bind_as_written_are_invalid() {
+        let rule = |window| Rule::new("r", window, RuleEffect::NoSuspend);
+        for bad in [
+            TimeWindow::daily(f64::NAN, 6.0),
+            TimeWindow::daily(22.0, f64::NAN),
+            TimeWindow::daily(9.0, 25.0),
+            TimeWindow::daily(-1.0, 6.0),
+            TimeWindow::always().on_days(vec![7]),
+            TimeWindow::always().on_days(vec![]),
+        ] {
+            assert!(rule(bad.clone()).validate().is_err(), "{bad:?}");
+        }
+        for good in [
+            TimeWindow::daily(22.0, 6.0),
+            TimeWindow::always(),
+            TimeWindow::daily(0.0, 24.0).on_days(vec![0, 6]),
+        ] {
+            assert_eq!(rule(good.clone()).validate(), Ok(()), "{good:?}");
+        }
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! ... enables [the model] to learn from a diverse range of past experiences
 //! without the need for constant updates" (§8).
 
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::float_cmp_const))]
+
 pub mod action;
 pub mod constraints;
 pub mod dqn;

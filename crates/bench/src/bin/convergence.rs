@@ -12,6 +12,8 @@
 //!
 //! Usage: `cargo run --release -p bench --bin convergence -- [--seed N]`
 
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::float_cmp_const))]
+
 use bench::report::{header, pct, table};
 use cdw_sim::{WarehouseConfig, WarehouseSize, HOUR_MS};
 use keebo::{KwoSetup, SliderPosition};

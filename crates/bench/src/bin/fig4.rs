@@ -9,6 +9,8 @@
 //!
 //! Usage: `cargo run --release -p bench --bin fig4 -- [--variant a|b] [--seed N]`
 
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::float_cmp_const))]
+
 use bench::report::{bar_row, header, pct, table};
 use bench::{daily_credits, daily_p99_latency, mean, run_with_kwo};
 use cdw_sim::{WarehouseConfig, WarehouseSize};

@@ -11,6 +11,8 @@
 //!
 //! Usage: `cargo run --release -p bench --bin fig5 -- [--seed N]`
 
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::float_cmp_const))]
+
 use bench::estimator::TemplateExecEstimator;
 use bench::report::{header, pct, table};
 use cdw_sim::{Account, Simulator, WarehouseConfig, WarehouseSize, DAY_MS};

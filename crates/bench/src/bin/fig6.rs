@@ -10,6 +10,8 @@
 //!
 //! Usage: `cargo run --release -p bench --bin fig6 -- [--seed N]`
 
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::float_cmp_const))]
+
 use bench::report::{header, table};
 use bench::run_with_kwo;
 use cdw_sim::{WarehouseConfig, WarehouseSize, DAY_MS, HOUR_MS};

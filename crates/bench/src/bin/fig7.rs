@@ -8,6 +8,8 @@
 //!
 //! Usage: `cargo run --release -p bench --bin fig7 -- [--seed N]`
 
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::float_cmp_const))]
+
 use bench::report::{bar_row, header, table};
 use bench::{mean, run_with_kwo};
 use cdw_sim::{WarehouseConfig, WarehouseSize, DAY_MS};

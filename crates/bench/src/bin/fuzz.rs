@@ -12,6 +12,8 @@
 //! sequentially so any failure is reproducible from its reported seed
 //! alone.
 
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::float_cmp_const))]
+
 use bench::report::header;
 use serde::Serialize;
 use std::time::Instant;

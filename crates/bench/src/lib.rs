@@ -6,6 +6,8 @@
 //! helpers here keep those binaries small and make the setups reusable from
 //! integration tests.
 
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::float_cmp_const))]
+
 use cdw_sim::{
     Account, QueryRecord, SimTime, Simulator, WarehouseConfig, WarehouseId, DAY_MS, HOUR_MS,
 };

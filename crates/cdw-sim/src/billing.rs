@@ -140,7 +140,7 @@ impl HourlyCredits {
     /// (and trip a `debug_assert!` in debug builds) rather than aborting a
     /// fleet run mid-flight.
     pub fn add(&mut self, at: SimTime, credits: f64) {
-        // lint: allow(D4) — exact-zero is a sentinel for "nothing billed", not a tolerance
+        // Exact zero is the sentinel for "nothing billed", not a tolerance.
         if credits == 0.0 {
             return;
         }

@@ -44,6 +44,8 @@
 //! assert!(credits > 0.0);
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::float_cmp_const))]
+
 pub mod account;
 pub mod api;
 pub mod billing;

@@ -419,7 +419,11 @@ fn apply_batch(shard: &mut FleetShard, batch: Vec<Ticket>, target: SimTime) -> u
             }
             RequestKind::EditConstraint { warehouse, rule } => {
                 h.eat_str(&rule.name);
-                shard.kwo.add_constraint(&warehouse, rule);
+                // Only a refused rule folds a mark, so accepted edits keep
+                // the fingerprint they always had.
+                if shard.kwo.add_constraint(&warehouse, rule).is_err() {
+                    h.eat(u64::MAX);
+                }
             }
             RequestKind::TraceQuery { warehouse } => {
                 let events = shard.kwo.optimizer(&warehouse).map_or(0, |o| o.trace_len());

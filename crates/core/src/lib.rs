@@ -65,6 +65,8 @@
 //! println!("estimated savings: {:.1} credits", report.estimated_savings);
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::float_cmp_const))]
+
 pub mod actuator;
 pub mod consolidation;
 pub mod dashboard;

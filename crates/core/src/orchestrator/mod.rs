@@ -599,6 +599,9 @@ impl Orchestrator {
                 "realtime_interval_ms must be > 0".to_string(),
             ));
         }
+        for rule in setup.constraints.rules() {
+            rule.validate().map_err(ManageError::InvalidSetup)?;
+        }
         let original = original_config.unwrap_or_else(|| sim.account().describe(wh).config);
         // The learning seed derives from the warehouse *name*, not the
         // manage order: managing A then B gives each warehouse the same
@@ -643,16 +646,21 @@ impl Orchestrator {
     /// Adds a constraint rule to a warehouse's rule set ("users can specify
     /// conditions/constraints that must be always met", §4.3). The rule
     /// applies from the next decision's action mask; like
-    /// [`Orchestrator::set_slider`] it journals when a store is attached.
-    pub fn add_constraint(&mut self, warehouse: &str, rule: Rule) {
+    /// [`Orchestrator::set_slider`] it journals when a store is attached,
+    /// and an unknown warehouse is a no-op. A rule that cannot bind as
+    /// written ([`Rule::validate`]) is refused with
+    /// [`ManageError::InvalidSetup`], neither applied nor journaled.
+    pub fn add_constraint(&mut self, warehouse: &str, rule: Rule) -> Result<(), ManageError> {
+        rule.validate().map_err(ManageError::InvalidSetup)?;
         let Some(o) = self.optimizer_mut(warehouse) else {
-            return;
+            return Ok(());
         };
         o.add_constraint(rule.clone());
         self.journal.append(&PersistRecord::ConstraintAdded {
             warehouse: warehouse.to_string(),
             rule,
         });
+        Ok(())
     }
 
     /// Clears an external-change pause ("the admin explicitly asks the
@@ -1065,6 +1073,44 @@ mod tests {
     }
 
     #[test]
+    fn rules_that_cannot_bind_are_refused_at_manage_and_at_edit() {
+        let (sim, _) = idle_heavy_sim();
+        let rule = |window| Rule::new("r", window, agent::RuleEffect::NoSuspend);
+        let bad = [
+            agent::TimeWindow::daily(f64::NAN, 6.0),
+            agent::TimeWindow::daily(9.0, 25.0),
+            agent::TimeWindow::always().on_days(vec![7]),
+            agent::TimeWindow::always().on_days(vec![]),
+        ];
+        let store = crate::store::MemStore::new();
+        let mut kwo = Orchestrator::new(3);
+        kwo.attach_store(Box::new(store.clone()), sim.now());
+        for window in &bad {
+            let setup = KwoSetup {
+                constraints: ConstraintSet::new().with_rule(rule(window.clone())),
+                ..KwoSetup::default()
+            };
+            let refused = kwo.try_manage(&sim, "WH", setup);
+            assert!(
+                matches!(refused, Err(ManageError::InvalidSetup(_))),
+                "{window:?}"
+            );
+        }
+        assert!(kwo.optimizers().is_empty());
+        assert_eq!(kwo.try_manage(&sim, "WH", KwoSetup::default()), Ok(()));
+        let journaled = store.wal_records();
+        for window in bad {
+            let refused = kwo.add_constraint("WH", rule(window));
+            assert!(matches!(refused, Err(ManageError::InvalidSetup(_))));
+        }
+        let rules = |kwo: &Orchestrator| kwo.optimizers()[0].setup.constraints.rules().len();
+        assert_eq!((rules(&kwo), store.wal_records()), (0, journaled));
+        let overnight = rule(agent::TimeWindow::daily(22.0, 6.0));
+        assert_eq!(kwo.add_constraint("WH", overnight), Ok(()));
+        assert_eq!((rules(&kwo), store.wal_records()), (1, journaled + 1));
+    }
+
+    #[test]
     fn stream_seed_depends_on_name_not_order() {
         assert_eq!(
             derive_stream_seed(42, "WH_A"),
@@ -1218,7 +1264,7 @@ mod tests {
                 agent::TimeWindow::daily(20.0, 23.0),
                 agent::RuleEffect::NoSuspend,
             );
-            kwo.add_constraint("WH", rule);
+            assert_eq!(kwo.add_constraint("WH", rule), Ok(()));
             assert_replay_matches(&kwo, &store, &sim);
 
             sim.alter_warehouse(

@@ -1,4 +1,4 @@
-//! In-memory store backend — the test and fleet default.
+//! In-memory store backend for tests and crash drills.
 
 use std::io;
 use std::sync::{Arc, Mutex, PoisonError};

@@ -12,8 +12,8 @@
 //!   (write-ahead log, WAL). Snapshots bound replay time; the WAL captures
 //!   every tick since the last snapshot. A store keeps one snapshot: restore
 //!   reads nothing older.
-//! * [`MemStore`] — in-memory store for tests and fleet runs. Cloning shares
-//!   the backing storage, so a harness can keep a handle across an
+//! * [`MemStore`] — in-memory store for tests and crash drills. Cloning
+//!   shares the backing storage, so a harness can keep a handle across an
 //!   orchestrator "crash" (drop).
 //! * [`FileStore`] — file-backed store with length+CRC32-framed records,
 //!   atomic (tmp file + rename) snapshot writes, a generation number that

@@ -24,6 +24,7 @@
 //! of value-based pricing (§4.7) and of the reward signal for the smart
 //! models (§6).
 
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::float_cmp_const))]
 #![warn(clippy::as_conversions)]
 
 pub mod auto_suspend;

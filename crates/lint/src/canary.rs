@@ -4,7 +4,9 @@
 //! enables its own lint, so `tests/clippy_config.rs` pins the lint levels.
 
 #[allow(dead_code)]
-fn plants(path: &str, file: &mut std::fs::File, n: u64) {
+fn plants(path: &str, file: &mut std::fs::File, n: u64, x: f64) {
+    #[expect(clippy::float_cmp, reason = "canary: D4 must keep firing")]
+    let _ = x == 1.5;
     #[expect(clippy::disallowed_methods, reason = "canary: D1 must keep firing")]
     let _ = std::time::Instant::now();
     #[expect(clippy::disallowed_methods, reason = "canary: D1 must keep firing")]

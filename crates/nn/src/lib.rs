@@ -16,6 +16,8 @@
 //! workspace depends on for reproducible experiments. (The DQN's replay ring
 //! lives with its one user, in the `agent` crate.)
 
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::float_cmp_const))]
+
 pub mod le;
 pub mod loss;
 pub mod matrix;

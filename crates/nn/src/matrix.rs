@@ -148,7 +148,7 @@ impl Matrix {
             let diag = a.get(col, col);
             for r in (col + 1)..n {
                 let factor = a.get(r, col) / diag;
-                // lint: allow(D4) — exact-zero skip is a sparsity fast path, not a tolerance check
+                // Exact-zero skip: a sparsity fast path, not a tolerance check.
                 if factor == 0.0 {
                     continue;
                 }

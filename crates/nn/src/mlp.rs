@@ -502,7 +502,7 @@ impl Mlp {
                 let deltas = delta[r..].iter().step_by(rows);
                 for (&d, x) in deltas.zip(input.chunks_exact(cols)) {
                     *bg += d;
-                    // lint: allow(D4) — exact-zero skip is a sparsity fast path, not a tolerance check
+                    // Exact-zero skip: a sparsity fast path, not a tolerance check.
                     if d == 0.0 {
                         continue;
                     }
@@ -520,7 +520,7 @@ impl Mlp {
                 for ((d_row, x), p_row) in samples.zip(delta_prev.chunks_exact_mut(cols)) {
                     let weight_rows = layer.weights.as_slice().chunks_exact(cols);
                     for (&d, w_row) in d_row.iter().zip(weight_rows) {
-                        // lint: allow(D4) — exact-zero skip is a sparsity fast path, not a tolerance check
+                        // Exact-zero skip: a sparsity fast path, not a tolerance check.
                         if d == 0.0 {
                             continue;
                         }

@@ -26,6 +26,8 @@
 //! [`set_enabled`]`(false)` therefore yields bit-identical simulation
 //! results (pinned by `keebo::fleet` digest tests).
 
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::float_cmp_const))]
+
 mod export;
 mod registry;
 mod trace;

@@ -16,6 +16,8 @@
 //! * [`features`] — windowed aggregate features consumed by the smart
 //!   models and the cost model's parameter estimators.
 
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::float_cmp_const))]
+
 pub mod features;
 pub mod fetcher;
 pub mod hashing;

@@ -18,6 +18,8 @@
 //!    byte-level shrinking on failure. The bench crate exposes it as the
 //!    `fuzz` bin (`--smoke` in CI).
 
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::float_cmp_const))]
+
 pub mod fuzz;
 pub mod invariants;
 pub mod metamorphic;

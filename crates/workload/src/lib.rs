@@ -16,6 +16,8 @@
 //! distinguish warehouses — predictability, cache sensitivity, and load
 //! level — and is fully deterministic given a seed.
 
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::float_cmp_const))]
+
 pub mod arrival;
 pub mod fleet;
 pub mod generators;

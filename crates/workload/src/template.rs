@@ -120,7 +120,7 @@ mod rand_distr_free {
     use rand::Rng;
 
     pub fn sample_lognormal(rng: &mut impl Rng, median: f64, sigma: f64) -> f64 {
-        // lint: allow(D4) — exact-zero sigma is the degenerate-distribution sentinel
+        // Exact-zero sigma is the degenerate-distribution sentinel.
         if sigma == 0.0 {
             return median;
         }

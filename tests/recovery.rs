@@ -450,14 +450,12 @@ fn every_persisted_record_re_encodes_byte_identically() {
     kwo.onboard(&mut sim);
     kwo.run_until(&mut sim, OBSERVE_MS + 6 * TICK_MS);
     kwo.set_slider(WAREHOUSE, SliderPosition::LowestCost);
-    kwo.add_constraint(
-        WAREHOUSE,
-        Rule::new(
-            "nights",
-            TimeWindow::daily(20.0, 23.0),
-            RuleEffect::NoSuspend,
-        ),
+    let nights = Rule::new(
+        "nights",
+        TimeWindow::daily(20.0, 23.0),
+        RuleEffect::NoSuspend,
     );
+    assert_eq!(kwo.add_constraint(WAREHOUSE, nights), Ok(()));
     kwo.admin_resume(&sim, WAREHOUSE);
     kwo.run_until(&mut sim, OBSERVE_MS + 8 * TICK_MS);
     drop(kwo);
