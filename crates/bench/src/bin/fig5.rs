@@ -6,134 +6,28 @@
 //! engine), then actually run the window and compare against the billed
 //! credits. The paper reports relative errors of 0.67%, 4.09%, 20.9%, and
 //! 3.12%, with the outlier being a low-spend, rarely-used warehouse where
-//! tiny absolute deviations dominate the ratio — the same pattern this
-//! harness reproduces.
+//! tiny absolute deviations dominate the ratio.
 //!
 //! Usage: `cargo run --release -p bench --bin fig5 -- [--seed N]`
 
 #![cfg_attr(not(test), warn(clippy::float_cmp, clippy::float_cmp_const))]
 
-use bench::estimator::TemplateExecEstimator;
-use bench::report::{header, pct, table};
-use cdw_sim::{Account, Simulator, WarehouseConfig, WarehouseSize, DAY_MS};
-use costmodel::{ReplayConfig, WarehouseCostModel};
-use workload::{
-    generate_trace, AdhocWorkload, BiWorkload, EtlWorkload, MixedWorkload, ReportingWorkload,
-    WorkloadGenerator,
-};
-
-const TRAIN_DAYS: u64 = 5;
-const EVAL_DAYS: u64 = 2;
+use bench::report::{header, pct, row, table};
+use bench::{fig5, FIG5_SEED};
 
 fn main() {
-    let seed: u64 = bench::args::value("--seed").unwrap_or(7);
+    let seed = bench::args::value("--seed").unwrap_or(FIG5_SEED);
 
     header("Figure 5 — estimated vs actual warehouse cost");
-    let cases: Vec<(String, Box<dyn WorkloadGenerator>, WarehouseConfig)> = vec![
-        (
-            "Warehouse1".into(),
-            Box::new(EtlWorkload::default()),
-            WarehouseConfig::new(WarehouseSize::Medium).with_auto_suspend_secs(600),
-        ),
-        (
-            "Warehouse2".into(),
-            Box::new(BiWorkload::default()),
-            WarehouseConfig::new(WarehouseSize::Small)
-                .with_auto_suspend_secs(300)
-                .with_clusters(1, 3),
-        ),
-        (
-            // The low-spend, rarely-used warehouse: provisioned but mostly
-            // idle, so relative error is structurally large.
-            "Warehouse3".into(),
-            Box::new(AdhocWorkload {
-                mean_rate_per_hour: 0.15,
-                daily_swing_sigma: 1.0,
-                ..AdhocWorkload::default()
-            }),
-            WarehouseConfig::new(WarehouseSize::XSmall).with_auto_suspend_secs(300),
-        ),
-        (
-            "Warehouse4".into(),
-            Box::new(
-                MixedWorkload::new("mixed")
-                    .with(EtlWorkload {
-                        pipelines: 2,
-                        ..EtlWorkload::default()
-                    })
-                    .with(ReportingWorkload::default()),
-            ),
-            WarehouseConfig::new(WarehouseSize::Small).with_auto_suspend_secs(600),
-        ),
-    ];
-
-    let mut rows = vec![vec![
-        "warehouse".into(),
-        "actual".into(),
-        "estimated".into(),
-        "rel. error".into(),
-    ]];
-    for (name, workload, config) in cases {
-        let (actual, estimated) = evaluate(workload.as_ref(), &config, seed);
-        let err = (estimated - actual).abs() / actual.max(1e-9);
+    let mut rows = vec![row(&["warehouse", "actual", "estimated", "rel. error"])];
+    for w in fig5(seed) {
         rows.push(vec![
-            name,
-            format!("{actual:.2}"),
-            format!("{estimated:.2}"),
-            pct(err),
+            w.warehouse.into(),
+            format!("{:.2}", w.actual),
+            format!("{:.2}", w.estimated),
+            pct(w.relative_error()),
         ]);
     }
     table(&rows);
     println!("\n(paper: 0.67%, 4.09%, 20.9%, 3.12% — the low-spend warehouse is the outlier)");
-}
-
-/// Returns (actual credits, estimated credits) for the evaluation window.
-fn evaluate(workload: &dyn WorkloadGenerator, config: &WarehouseConfig, seed: u64) -> (f64, f64) {
-    let total_days = TRAIN_DAYS + EVAL_DAYS;
-    let trace = generate_trace(workload, 0, total_days * DAY_MS, seed);
-
-    // Ground truth: actually run everything.
-    let mut account = Account::new();
-    let wh = account.create_warehouse("WH", config.clone());
-    let mut sim = Simulator::new(account);
-    for q in &trace {
-        sim.submit_query(wh, q.clone());
-    }
-    sim.run_until(total_days * DAY_MS);
-    let billing = sim.account().ledger().warehouse("WH");
-    let actual = billing.range_total(TRAIN_DAYS * 24, total_days * 24)
-        + sim.account().warehouse(wh).open_session_credits(sim.now());
-
-    // Estimate: train on the first five days, predict the last two without
-    // executing them.
-    let history: Vec<_> = sim
-        .account()
-        .query_records()
-        .iter()
-        .filter(|r| r.arrival < TRAIN_DAYS * DAY_MS)
-        .cloned()
-        .collect();
-    let model = WarehouseCostModel::train(
-        &history,
-        0,
-        TRAIN_DAYS * DAY_MS,
-        config.max_concurrency,
-        config.max_clusters,
-    );
-    let exec_est = TemplateExecEstimator::train(&history, &model.latency, config.size);
-    let eval_specs: Vec<_> = trace
-        .iter()
-        .filter(|q| q.arrival >= TRAIN_DAYS * DAY_MS)
-        .cloned()
-        .collect();
-    let predicted = exec_est.predict_records(&eval_specs, config, &model.latency, "WH");
-    let outcome = model.replay(
-        &predicted,
-        &ReplayConfig {
-            original: config.clone(),
-            window_start: TRAIN_DAYS * DAY_MS,
-            window_end: total_days * DAY_MS,
-        },
-    );
-    (actual, outcome.estimated_credits)
 }

@@ -59,6 +59,11 @@ pub fn table(rows: &[Vec<String>]) {
     }
 }
 
+/// A table row of literal cells, such as a header.
+pub fn row(cells: &[&str]) -> Vec<String> {
+    cells.iter().map(|c| c.to_string()).collect()
+}
+
 /// Formats a fraction as a percentage string.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
