@@ -8,7 +8,6 @@ use crate::state::STATE_DIM;
 use nn::le::{self, Reader};
 use nn::{huber_loss_grad_into, Adam, ForwardTrace, Mlp, MlpConfig, MlpGradients};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::cell::RefCell;
 
@@ -55,7 +54,7 @@ impl Default for DqnConfig {
 
 /// One (s, a, r, s') transition with the *next* state's action mask so the
 /// bootstrap max never selects a non-compliant action.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Transition {
     pub state: Vec<f64>,
     pub action: usize,
@@ -71,16 +70,19 @@ pub struct DqnAgent {
     online: Mlp,
     target: Mlp,
     optimizer: Adam,
+    /// The transitions the next `train_step` draws from. Its lifetime is one
+    /// `train_on_workload` call, which starts it empty and empties it again
+    /// on return (`clear_replay`); it is never persisted.
     replay: ReplayRing,
     /// `bootstrap[slot]` caches `max_a' Q_target(s', a')` under the stored
     /// mask for the transition in that replay slot; `NaN` = not computed.
     /// It is a pure function of (target parameters, slot contents), so it is
     /// forgotten at exactly three points: the slot alone when `observe`
     /// writes it, everything when the target network syncs, and everything
-    /// on `new` / `from_bytes` — it is never persisted, a restored agent
-    /// recomputes the same bits. `NaN` is free to mean "unknown" because
-    /// [`masked_max`] cannot return it (`f64::max` drops a `NaN` operand);
-    /// were one ever stored, it would only be recomputed at every draw.
+    /// with the ring itself (`new`, `from_bytes`, `clear_replay`). `NaN` is
+    /// free to mean "unknown" because [`masked_max`] cannot return it
+    /// (`f64::max` drops a `NaN` operand); were one ever stored, it would only
+    /// be recomputed at every draw.
     bootstrap: Vec<f64>,
     config: DqnConfig,
     selections: u64,
@@ -117,71 +119,17 @@ impl DqnConfig {
     }
 }
 
-impl Transition {
-    /// Fewest bytes one encodes to: two empty state counts, the action, the
-    /// reward, the mask and the terminal flag.
-    const MIN_LE_BYTES: usize = 4 * 8 + AgentAction::COUNT + 1;
-
-    /// Whether [`DqnAgent::observe`] can store it: both states `STATE_DIM`
-    /// long and the action in range. Every transition restored from
-    /// persisted state, a snapshot's or a WAL record's, is held to this.
-    pub fn is_well_formed(&self) -> bool {
-        (self.state.len(), self.next_state.len()) == (STATE_DIM, STATE_DIM)
-            && self.action < AgentAction::COUNT
-    }
-
-    /// The inverse of [`write_replay_slot`].
-    fn read_le(r: &mut Reader<'_>) -> Result<Self, String> {
-        Ok(Self {
-            state: r.f64s()?,
-            action: r.usize()?,
-            reward: r.f64()?,
-            next_state: r.f64s()?,
-            next_mask: {
-                let mut mask = [false; AgentAction::COUNT];
-                for allowed in &mut mask {
-                    *allowed = r.bool()?;
-                }
-                mask
-            },
-            terminal: r.bool()?,
-        })
-    }
-}
-
-/// Writes the transition at storage index `i` of `ring` as a [`Transition`]
-/// encodes: its state, action, reward, next state, mask and terminal flag.
-fn write_replay_slot(out: &mut Vec<u8>, ring: &ReplayRing, i: usize) {
-    let slot = ring.slot(i);
-    le::put_f64s(out, ring.state(i));
-    le::put_usize(out, slot.action());
-    le::put_f64(out, slot.reward);
-    le::put_f64s(out, ring.next_state(i));
-    for allowed in slot.next_mask() {
-        le::put_bool(out, allowed);
-    }
-    le::put_bool(out, slot.terminal);
-}
-
 impl DqnAgent {
     /// The agent section a snapshot carries (`nn::le`: fixed-width
     /// little-endian fields, every float as its bits): both networks, the
-    /// Adam moments, the replay ring — its capacity, its transitions in
-    /// storage order, its cursor and its push count — the config and the
-    /// two counters.
+    /// Adam moments, the config and the two counters. The replay ring is not
+    /// in it: it lives for one `train_on_workload` call and is empty between
+    /// retrains, when snapshots are taken.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.online.write_le(&mut out);
         self.target.write_le(&mut out);
         self.optimizer.write_le(&mut out);
-        let ring = &self.replay;
-        le::put_usize(&mut out, ring.capacity());
-        le::put_usize(&mut out, ring.len());
-        for i in 0..ring.len() {
-            write_replay_slot(&mut out, ring, i);
-        }
-        le::put_usize(&mut out, ring.next_index());
-        le::put_u64(&mut out, ring.total_pushed());
         self.config.write_le(&mut out);
         le::put_u64(&mut out, self.selections);
         le::put_u64(&mut out, self.train_steps);
@@ -192,16 +140,14 @@ impl DqnAgent {
     /// `Err` for anything that is not exactly one encoded agent. This is the
     /// door every restored agent comes through, so every shape the training
     /// step indexes by is checked here, once: both networks, the optimizer's
-    /// moments against them, the replay ring and its transitions.
+    /// moments against them, and the batch size and ring capacity the next
+    /// retrain builds its ring and draws its minibatches with. The agent
+    /// comes back with an empty ring.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let mut r = Reader::new(bytes);
         let online = Mlp::read_le(&mut r)?;
         let target = Mlp::read_le(&mut r)?;
         let optimizer = Adam::read_le(&mut r)?;
-        let replay_capacity = r.usize()?;
-        let replay_items = r.seq(Transition::MIN_LE_BYTES, Transition::read_le)?;
-        let replay_next = r.usize()?;
-        let replay_total_pushed = r.u64()?;
         let config = DqnConfig::read_le(&mut r)?;
         let selections = r.u64()?;
         let train_steps = r.u64()?;
@@ -221,18 +167,18 @@ impl DqnAgent {
             ));
         }
         optimizer.validate(&online.tensor_lens())?;
-        let replay = ReplayRing::from_parts(
-            replay_capacity,
-            &replay_items,
-            replay_next,
-            replay_total_pushed,
-        )?;
+        if config.batch_size == 0 {
+            return Err("batch_size must be positive".into());
+        }
+        if config.replay_capacity == 0 {
+            return Err("replay buffer capacity must be positive".into());
+        }
         Ok(Self {
             online,
             target,
             optimizer,
-            bootstrap: vec![f64::NAN; replay.len()],
-            replay,
+            replay: ReplayRing::new(config.replay_capacity),
+            bootstrap: Vec::new(),
             config,
             selections,
             train_steps,
@@ -303,6 +249,13 @@ impl DqnAgent {
     /// Transitions stored so far.
     pub fn replay_len(&self) -> usize {
         self.replay.len()
+    }
+
+    /// Drops the replay ring and its bootstrap cache for fresh, empty ones,
+    /// which reserve nothing.
+    pub(crate) fn clear_replay(&mut self) {
+        self.replay = ReplayRing::new(self.config.replay_capacity);
+        self.bootstrap = Vec::new();
     }
 
     /// Training steps taken.
@@ -721,35 +674,36 @@ mod tests {
         assert_eq!(a.q_values(&s), b.q_values(&s));
     }
 
-    /// Export/import must be lossless: the restored agent takes the exact
-    /// same training trajectory as the original.
+    /// Export/import must be lossless: between two training runs, when the
+    /// ring is empty, the restored agent takes the exact same training
+    /// trajectory as the original.
     #[test]
     fn exported_state_round_trips_bit_identically() {
-        let mut a = agent(13);
-        let mut rng = StdRng::seed_from_u64(14);
         let state = vec![0.4; STATE_DIM];
-        for i in 0..40 {
-            a.observe(Transition {
-                state: state.clone(),
-                action: i % AgentAction::COUNT,
-                reward: (i as f64) * 0.01,
-                next_state: state.clone(),
-                next_mask: full_mask(),
-                terminal: i % 3 == 0,
-            });
-            a.train_step(&mut rng);
-        }
+        let feed = |a: &mut DqnAgent, rng: &mut StdRng, steps: usize| {
+            for i in 0..steps {
+                a.observe(Transition {
+                    state: state.clone(),
+                    action: i % AgentAction::COUNT,
+                    reward: (i as f64) * 0.01,
+                    next_state: state.clone(),
+                    next_mask: full_mask(),
+                    terminal: i % 3 == 0,
+                });
+                a.train_step(rng);
+            }
+        };
+        let mut a = agent(13);
+        feed(&mut a, &mut StdRng::seed_from_u64(14), 40);
+        a.clear_replay();
         let mut b = DqnAgent::from_bytes(&a.to_bytes()).unwrap();
         assert_eq!(a.q_values(&state), b.q_values(&state));
-        assert_eq!(a.replay_len(), b.replay_len());
-        assert_eq!(a.train_steps(), b.train_steps());
+        assert_eq!((b.replay_len(), b.train_steps()), (0, a.train_steps()));
         // Continued training diverges only if hidden state differs.
-        let mut ra = StdRng::seed_from_u64(99);
-        let mut rb = StdRng::seed_from_u64(99);
-        for _ in 0..10 {
-            assert_eq!(a.train_step(&mut ra), b.train_step(&mut rb));
-        }
+        feed(&mut a, &mut StdRng::seed_from_u64(99), 30);
+        feed(&mut b, &mut StdRng::seed_from_u64(99), 30);
         assert_eq!(a.q_values(&state), b.q_values(&state));
+        assert_eq!(a.to_bytes(), b.to_bytes());
     }
 
     /// `NaN` marks an unknown slot of the bootstrap cache, which is sound
@@ -766,8 +720,7 @@ mod tests {
 
     /// An agent reading bootstraps from the cache against one that forgets
     /// them all before every step, over three target syncs on a ring of 64
-    /// that wraps (slots are overwritten in the middle of a sync period),
-    /// through a snapshot round trip in the middle of the second period, and
+    /// that wraps (slots are overwritten in the middle of a sync period), and
     /// with next states the target network maps to `NaN` Q-values. Every
     /// step of both also runs `recomputed_target_bits`.
     #[test]
@@ -805,10 +758,6 @@ mod tests {
             let t = transition(&mut feed);
             cached.observe(t.clone());
             reference.observe(t);
-            if step == 300 {
-                cached = DqnAgent::from_bytes(&cached.to_bytes()).unwrap();
-                assert!(cached.bootstrap.iter().all(|b| b.is_nan()));
-            }
             reference.bootstrap.fill(f64::NAN);
             known += cached.bootstrap.iter().filter(|b| !b.is_nan()).count();
             let (td_c, td_r) = (
@@ -827,7 +776,7 @@ mod tests {
             known > 0,
             "the cached agent kept bootstraps from step to step"
         );
-        // Both networks, the Adam moments, the ring and every counter.
+        // Both networks, the Adam moments and every counter.
         assert_eq!(cached.to_bytes(), reference.to_bytes());
     }
 
@@ -849,24 +798,14 @@ mod tests {
         a
     }
 
-    /// Encoded bytes of one transition in a ring: two `STATE_DIM`-value
-    /// states with their counts, the action, the reward, the mask and the
-    /// terminal flag.
-    const ITEM_BYTES: usize = 2 * (8 + 8 * STATE_DIM) + 8 + 8 + AgentAction::COUNT + 1;
-
-    /// Where replay transition `i` starts in `a.to_bytes()`: after both
-    /// networks, the optimizer, the ring's capacity and item count. At
-    /// `i == replay_len()` that is the ring's cursor.
-    fn item_at(a: &DqnAgent, i: usize) -> usize {
+    /// Where the config starts in `a.to_bytes()`: after both networks and
+    /// the optimizer. Its first word is the hidden layers' count.
+    fn config_at(a: &DqnAgent) -> usize {
         let mut head = Vec::new();
         a.online.write_le(&mut head);
         a.target.write_le(&mut head);
         a.optimizer.write_le(&mut head);
-        head.len() + 16 + i * ITEM_BYTES
-    }
-
-    fn put_word(bytes: &mut [u8], at: usize, word: u64) {
-        bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        head.len()
     }
 
     /// `net` as a hand-edited snapshot would decode it: the first run of
@@ -905,35 +844,21 @@ mod tests {
 
     #[test]
     fn state_bytes_round_trip_and_every_cut_or_extra_byte_is_refused() {
-        let a = trained();
-        let mut bytes = a.to_bytes();
-        // Replay values a float printer would not be trusted with: a NaN
-        // payload as transition 0's reward, `-0.0` in transition 1's state,
-        // `-inf` in transition 2's next state.
-        // Offsets in one transition: its first state value, its reward, its
-        // first next-state value.
-        let (state, reward, next_state) = (8, 16 + 8 * STATE_DIM, 32 + 8 * STATE_DIM);
-        put_word(&mut bytes, item_at(&a, 0) + reward, 0x7FF8_0000_0000_0BAD);
-        put_word(&mut bytes, item_at(&a, 1) + state + 24, (-0.0f64).to_bits());
-        let inf = f64::NEG_INFINITY.to_bits();
-        put_word(&mut bytes, item_at(&a, 2) + next_state, inf);
+        let mut a = trained();
+        // Config values a float printer would not be trusted with: a NaN
+        // payload, `-0.0` and `-inf`.
+        a.config.gamma = f64::from_bits(0x7FF8_0000_0000_0BAD);
+        a.config.epsilon_end = -0.0;
+        a.config.grad_clip = f64::NEG_INFINITY;
+        let bytes = a.to_bytes();
         let back = DqnAgent::from_bytes(&bytes).unwrap();
         assert_eq!(back.to_bytes(), bytes, "decode then encode reproduces it");
-        assert_eq!(back.replay.slot(0).reward.to_bits(), 0x7FF8_0000_0000_0BAD);
-        assert_eq!(back.replay.state(1)[3].to_bits(), (-0.0f64).to_bits());
-        assert_eq!(back.replay.next_state(2)[0], f64::NEG_INFINITY);
-        assert_eq!(
-            back.replay.transitions().nth(3),
-            a.replay.transitions().nth(3)
-        );
-        assert_eq!(
-            (
-                back.replay.next_index(),
-                back.replay.total_pushed(),
-                back.train_steps
-            ),
-            (a.replay.next_index(), a.replay.total_pushed(), 1)
-        );
+        let c = &back.config;
+        assert_eq!(c.gamma.to_bits(), 0x7FF8_0000_0000_0BAD);
+        assert_eq!(c.epsilon_end.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(c.grad_clip, f64::NEG_INFINITY);
+        assert_eq!((back.selections, back.train_steps), (0, 1));
+        assert_eq!(back.replay_len(), 0, "the ring is not persisted");
         // Every cut inside the scalar-dense ends, a stride through the tensors.
         for cut in (0..bytes.len()).filter(|c| *c < 256 || c % 61 == 0 || c + 256 > bytes.len()) {
             assert!(
@@ -951,16 +876,12 @@ mod tests {
 
     #[test]
     fn a_count_of_2_pow_60_is_an_error_not_an_allocation() {
-        // The replay ring's item count (12) directly follows its capacity.
+        // The config's hidden-layer count (2).
         let a = trained();
         let mut bytes = a.to_bytes();
-        let capacity_then_len: Vec<u8> = [a.replay.capacity() as u64, 12]
-            .iter()
-            .flat_map(|w| w.to_le_bytes())
-            .collect();
-        let at = (bytes.windows(16).position(|w| w == capacity_then_len))
-            .expect("capacity and item count are adjacent");
-        bytes[at + 8..at + 16].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        let at = config_at(&a);
+        assert_eq!(bytes[at..at + 8], 2u64.to_le_bytes());
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
         let err = DqnAgent::from_bytes(&bytes).map(|_| ()).unwrap_err();
         assert!(err.contains("cannot fit"), "{err}");
         // And the very first count of the encoding, the layer sizes'.
@@ -1046,42 +967,24 @@ mod tests {
         );
     }
 
+    /// A zero batch would panic in the first retrain's `train_step`, a zero
+    /// capacity in the ring that retrain builds.
     #[test]
-    fn from_state_rejects_malformed_transitions() {
-        let a = trained();
-        // Transition 5's next state one value short: its count says 13, and
-        // its last value is gone.
-        let mut bytes = a.to_bytes();
-        let count = item_at(&a, 5) + 8 + 8 * STATE_DIM + 16;
-        put_word(&mut bytes, count, STATE_DIM as u64 - 1);
-        bytes.drain(count + 8 * STATE_DIM..count + 8 * STATE_DIM + 8);
-        assert_rejected(bytes, "replay transition 5 is malformed");
-        let mut bytes = a.to_bytes();
-        let action = item_at(&a, 2) + 8 + 8 * STATE_DIM;
-        put_word(&mut bytes, action, AgentAction::COUNT as u64);
-        assert_rejected(bytes, "replay transition 2 is malformed");
-    }
-
-    /// Until a ring is full it writes at its item count; eviction releases
-    /// rows in insertion order, which a cursor anywhere else would break.
-    #[test]
-    fn from_state_rejects_a_ring_whose_cursor_is_not_its_item_count() {
-        let a = trained();
-        let mut bytes = a.to_bytes();
-        put_word(&mut bytes, item_at(&a, a.replay_len()), 5);
-        assert_rejected(
-            bytes,
-            "replay cursor 5 of a ring that is not full is not its item count 12",
-        );
+    fn from_state_rejects_a_config_with_a_zero_batch_or_capacity() {
+        let mut a = trained();
+        a.config.batch_size = 0;
+        assert_rejected(a.to_bytes(), "batch_size must be positive");
+        let mut a = trained();
+        a.config.replay_capacity = 0;
+        assert_rejected(a.to_bytes(), "replay buffer capacity must be positive");
     }
 
     /// The replay ring against the plain `Vec` ring it replaced, whose
     /// semantics live on here as the oracle: random capacities (and one of
-    /// 300, whose slots span two chunks, restored full and wrapped);
-    /// chained, unchained, sign-flipped
-    /// (`-0.0`) and `NaN` states; wraps; and a snapshot round trip in the
-    /// middle of each sequence. Every push returns the oracle's index, and
-    /// after it both hold and draw the same transitions, bit for bit.
+    /// 300, whose slots span two chunks, full and wrapped); chained,
+    /// unchained, sign-flipped (`-0.0`) and `NaN` states; and wraps. Every
+    /// push returns the oracle's index, and after it both hold and draw the
+    /// same transitions, bit for bit.
     #[test]
     fn replay_ring_behaves_as_a_vec_of_transitions() {
         struct Oracle {
@@ -1102,18 +1005,15 @@ mod tests {
                 slot
             }
         }
-        /// A transition as the snapshot encoding has always written it,
-        /// every float's bits: the layout `write_replay_slot` must keep.
+        /// A transition's fields, every float as its bits.
         fn bits(t: &Transition) -> Vec<u8> {
             let mut out = Vec::new();
             le::put_f64s(&mut out, &t.state);
             le::put_usize(&mut out, t.action);
             le::put_f64(&mut out, t.reward);
             le::put_f64s(&mut out, &t.next_state);
-            for allowed in t.next_mask {
-                le::put_bool(&mut out, allowed);
-            }
-            le::put_bool(&mut out, t.terminal);
+            out.extend(t.next_mask.map(u8::from));
+            out.push(u8::from(t.terminal));
             out
         }
         fn row(rng: &mut StdRng) -> Vec<f64> {
@@ -1128,20 +1028,14 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(41);
         for case in 0..32 {
-            let (capacity, steps, restore_at) = if case == 0 {
-                // Restored full and wrapped, its cursor at 100.
-                (300, 1_000, 700)
+            let (capacity, steps) = if case == 0 {
+                // Full and wrapped, its cursor at 100.
+                (300, 1_000)
             } else {
                 let capacity: usize = rng.gen_range(1..=64);
-                let steps = rng.gen_range(0..4 * capacity + 8);
-                (capacity, steps, rng.gen_range(0..steps.max(1)))
+                (capacity, rng.gen_range(0..4 * capacity + 8))
             };
-            let config = DqnConfig {
-                hidden: vec![4],
-                replay_capacity: capacity,
-                ..DqnConfig::default()
-            };
-            let mut agent = DqnAgent::new(config, &mut rng);
+            let mut ring = ReplayRing::new(capacity);
             let mut oracle = Oracle {
                 capacity,
                 items: Vec::new(),
@@ -1149,9 +1043,6 @@ mod tests {
             };
             let mut last = row(&mut rng);
             for step in 0..steps {
-                if step == restore_at {
-                    agent = DqnAgent::from_bytes(&agent.to_bytes()).unwrap();
-                }
                 let state = match rng.gen_range(0..4) {
                     0 => row(&mut rng),
                     1 | 2 => last.clone(),
@@ -1173,22 +1064,14 @@ mod tests {
                 };
                 last = t.next_state.clone();
                 let at = format!("case {case} (capacity {capacity}) step {step}");
-                assert_eq!(agent.replay.push(&t), oracle.push(t), "{at}");
+                assert_eq!(ring.push(&t), oracle.push(t), "{at}");
 
-                let stored: Vec<Vec<u8>> = (0..agent.replay.len())
-                    .map(|i| {
-                        let mut out = Vec::new();
-                        write_replay_slot(&mut out, &agent.replay, i);
-                        out
-                    })
-                    .collect();
+                let stored: Vec<Vec<u8>> = ring.transitions().map(|t| bits(&t)).collect();
                 let expected: Vec<Vec<u8>> = oracle.items.iter().map(bits).collect();
                 assert_eq!(stored, expected, "{at}");
                 let mut drawn = Vec::new();
                 let seed = (case * 1000 + step) as u64;
-                agent
-                    .replay
-                    .sample_indices(5, &mut StdRng::seed_from_u64(seed), &mut drawn);
+                ring.sample_indices(5, &mut StdRng::seed_from_u64(seed), &mut drawn);
                 let mut oracle_rng = StdRng::seed_from_u64(seed);
                 let oracle_drawn = (0..5).map(|_| oracle_rng.gen_range(0..oracle.items.len()));
                 assert_eq!(
@@ -1199,7 +1082,7 @@ mod tests {
                     "{at}"
                 );
             }
-            assert_eq!(agent.replay.total_pushed(), steps as u64, "case {case}");
+            assert_eq!(ring.len(), steps.min(capacity), "case {case}");
         }
     }
 }

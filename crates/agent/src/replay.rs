@@ -28,9 +28,8 @@
 //!
 //! The ring's observable behaviour — which storage index a push writes,
 //! what each index holds, which indices a seeded draw returns — is that of a
-//! plain `Vec` of transitions with a cursor, and `DqnAgent::to_bytes` writes
-//! each slot as that `Vec`'s transition would encode, so the persisted bytes
-//! do not depend on the layout.
+//! plain `Vec` of transitions with a cursor. A ring lives for one
+//! `train_on_workload` call and is never persisted.
 
 use crate::action::AgentAction;
 use crate::dqn::Transition;
@@ -128,7 +127,6 @@ pub(crate) struct ReplayRing {
     /// Storage index the next push writes once the ring is full. Before
     /// that it equals `len`, which FIFO release relies on.
     next: usize,
-    total_pushed: u64,
     rows: RowArena,
 }
 
@@ -145,7 +143,6 @@ impl ReplayRing {
             slots: Vec::new(),
             len: 0,
             next: 0,
-            total_pushed: 0,
             rows: RowArena::default(),
         }
     }
@@ -191,7 +188,6 @@ impl ReplayRing {
         };
         *self.slot_mut(index) = slot;
         self.next = (self.next + 1) % self.capacity;
-        self.total_pushed += 1;
         // Once full, the slot under the cursor is the oldest live one.
         if let Some(&oldest) = self.get(self.next) {
             self.rows.release_before(oldest.state);
@@ -202,21 +198,6 @@ impl ReplayRing {
     /// Number of transitions currently stored.
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total number of transitions ever pushed (including evicted ones).
-    pub fn total_pushed(&self) -> u64 {
-        self.total_pushed
-    }
-
-    /// Index the next push writes to once the ring is full (the cursor).
-    pub fn next_index(&self) -> usize {
-        self.next
     }
 
     /// Draws `n` storage indices uniformly with replacement into `out`
@@ -267,61 +248,6 @@ impl ReplayRing {
                 terminal: slot.terminal,
             }
         })
-    }
-
-    /// Rebuilds a ring from its persisted parts — `capacity()`, the
-    /// transitions in storage order, `next_index()` and `total_pushed()`, as
-    /// `DqnAgent::to_bytes` writes them — validating every transition and
-    /// the ring invariants. The transitions are pushed again in insertion
-    /// order (`next..`, then `..next`) and the slots rotated back to their
-    /// storage indices.
-    pub fn from_parts(
-        capacity: usize,
-        items: &[Transition],
-        next: usize,
-        total_pushed: u64,
-    ) -> Result<Self, String> {
-        if let Some(i) = items.iter().position(|t| !t.is_well_formed()) {
-            return Err(format!("replay transition {i} is malformed"));
-        }
-        if capacity == 0 {
-            return Err("replay buffer capacity must be positive".into());
-        }
-        if items.len() > capacity {
-            return Err(format!(
-                "replay buffer holds {} items but capacity is {capacity}",
-                items.len()
-            ));
-        }
-        if next >= capacity {
-            return Err(format!(
-                "replay cursor {next} out of range for capacity {capacity}"
-            ));
-        }
-        if items.len() < capacity && next != items.len() {
-            return Err(format!(
-                "replay cursor {next} of a ring that is not full is not its item count {}",
-                items.len()
-            ));
-        }
-        if total_pushed < items.len() as u64 {
-            return Err(format!(
-                "total_pushed {total_pushed} is less than stored item count {}",
-                items.len()
-            ));
-        }
-        let mut ring = Self::new(capacity);
-        for t in items[next..].iter().chain(&items[..next]) {
-            ring.push(t);
-        }
-        let mut pushed: Vec<Slot> = (0..ring.len).map(|i| *ring.slot(i)).collect();
-        pushed.rotate_right(next);
-        for (i, slot) in pushed.into_iter().enumerate() {
-            *ring.slot_mut(i) = slot;
-        }
-        ring.next = next;
-        ring.total_pushed = total_pushed;
-        Ok(ring)
     }
 }
 
@@ -385,7 +311,7 @@ mod tests {
         let ring = ReplayRing::new(50_000);
         assert!(ring.slots.is_empty());
         assert!(ring.rows.chunks.is_empty() && ring.rows.spare.is_none());
-        assert_eq!(ring.capacity(), 50_000, "the bound is kept, not reserved");
+        assert_eq!(ring.capacity, 50_000, "the bound is kept, not reserved");
     }
 
     #[test]
@@ -397,7 +323,6 @@ mod tests {
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(rewards(&ring), vec![3.0, 4.0, 2.0]);
-        assert_eq!(ring.total_pushed(), 5);
     }
 
     #[test]
@@ -448,39 +373,6 @@ mod tests {
             action: 257,
             ..t(0.0)
         });
-    }
-
-    #[test]
-    fn from_parts_round_trips_a_wrapped_ring() {
-        let mut ring = ReplayRing::new(3);
-        for i in 0..5 {
-            ring.push(&t(i as f64));
-        }
-        let items: Vec<Transition> = ring.transitions().collect();
-        let mut rebuilt =
-            ReplayRing::from_parts(3, &items, ring.next_index(), ring.total_pushed()).unwrap();
-        assert_eq!(rebuilt.next_index(), 2);
-        assert_eq!(rebuilt.total_pushed(), 5);
-        assert_eq!(rebuilt.transitions().collect::<Vec<_>>(), items);
-        // It evicts what the original would: transition 2, at index 2.
-        assert_eq!((rebuilt.push(&t(5.0)), ring.push(&t(5.0))), (2, 2));
-        assert_eq!(rewards(&rebuilt), vec![3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn from_parts_rejects_invalid_shapes() {
-        let items = |n: usize| (0..n).map(|i| t(i as f64)).collect::<Vec<_>>();
-        assert!(ReplayRing::from_parts(0, &[], 0, 0).is_err());
-        assert!(ReplayRing::from_parts(2, &items(3), 0, 3).is_err());
-        assert!(ReplayRing::from_parts(2, &items(1), 2, 1).is_err());
-        assert!(ReplayRing::from_parts(4, &items(2), 2, 1).is_err());
-        // A ring that is not full writes at its item count, nowhere else.
-        let err = ReplayRing::from_parts(4, &items(2), 0, 2).unwrap_err();
-        assert!(err.contains("cursor 0 of a ring that is not full"), "{err}");
-        let mut short = items(2);
-        short[1].state.pop();
-        let err = ReplayRing::from_parts(4, &short, 2, 2).unwrap_err();
-        assert_eq!(err, "replay transition 1 is malformed");
     }
 
     #[test]
@@ -542,6 +434,6 @@ mod tests {
             ring.rows.base, 1_792,
             "rows below the oldest state, whole chunks"
         );
-        assert_eq!(ring.state(ring.next_index())[0], 900.0);
+        assert_eq!(ring.state(ring.next)[0], 900.0);
     }
 }

@@ -10,8 +10,10 @@
 //!    agent acts ε-greedily at a fixed decision cadence (Algorithm 1's
 //!    `T_realtime`), accumulating credits and performance signals;
 //! 3. **Q-learning** — every interval yields a transition whose reward is
-//!    `−credits − λ(slider)·perf_penalty`, pushed into the replay buffer
-//!    with a training step per decision.
+//!    `−credits − λ(slider)·perf_penalty`, pushed into the replay ring
+//!    with a training step per decision. The ring holds this training run's
+//!    transitions and no others: it is created when [`train_on_workload`]
+//!    starts and dropped when it returns.
 
 use crate::action::AgentAction;
 use crate::constraints::ConstraintSet;
@@ -131,7 +133,9 @@ fn rollout_static(specs: &[QuerySpec], config: &WarehouseConfig) -> (Simulator, 
 }
 
 /// Trains `agent` by rolling out `episodes` passes over the workload.
-/// Returns training statistics; the agent is mutated in place.
+/// Returns training statistics; the agent is mutated in place. Its replay
+/// ring lives for this call: it starts empty, and the transitions the
+/// episodes stored are dropped on return.
 #[allow(clippy::too_many_arguments)]
 pub fn train_on_workload(
     agent: &mut DqnAgent,
@@ -143,6 +147,7 @@ pub fn train_on_workload(
     episodes: usize,
     seed: u64,
 ) -> TrainingStats {
+    agent.clear_replay();
     let mut stats = TrainingStats::default();
     let mut rng = StdRng::seed_from_u64(seed);
     let horizon = specs.iter().map(|s| s.arrival).max().unwrap_or(0) + episode_cfg.tail_ms;
@@ -166,6 +171,7 @@ pub fn train_on_workload(
         stats.episodes += 1;
     }
     stats.final_epsilon = agent.epsilon();
+    agent.clear_replay();
     stats
 }
 
@@ -375,13 +381,15 @@ mod tests {
         );
         assert_eq!(stats.episodes, 3);
         assert!(stats.transitions > 50, "transitions {}", stats.transitions);
-        assert!(agent.replay_len() > 0);
+        assert!(agent.train_steps() > 0);
+        assert_eq!(agent.replay_len(), 0, "the ring lives for one run");
         assert!(stats.final_epsilon < 1.0);
     }
 
     /// An episode is a chain — each transition starts in the state the one
     /// before it ended in — so its replay ring holds about one state row per
-    /// transition, not two.
+    /// transition, not two. The episode runs outside `train_on_workload`,
+    /// which would drop the ring on return.
     #[test]
     fn an_episode_stores_each_state_once() {
         let mut rng = StdRng::seed_from_u64(3);
@@ -391,24 +399,23 @@ mod tests {
         };
         let mut agent = DqnAgent::new(config, &mut rng);
         let specs = sparse_specs();
-        // 433 ten-minute decision points: three days of transitions.
-        let last_arrival = specs.iter().map(|s| s.arrival).max().unwrap();
-        let ep_cfg = EpisodeConfig {
-            decision_interval_ms: 10 * MINUTE_MS,
-            baseline_p99_ms: 10_000.0,
-            tail_ms: 433 * 10 * MINUTE_MS - last_arrival,
-        };
-        let stats = train_on_workload(
+        // 433 decision points at the default ten-minute cadence: three days
+        // of transitions.
+        let ep_cfg = EpisodeConfig::default();
+        let horizon = 433 * ep_cfg.decision_interval_ms;
+        let mut transitions = 0;
+        run_episode(
             &mut agent,
             &specs,
             &big_idle_config(),
             SliderPosition::Balanced,
             &ConstraintSet::new(),
             &ep_cfg,
-            1,
-            5,
+            horizon,
+            &mut StdRng::seed_from_u64(5),
+            &mut transitions,
         );
-        assert_eq!(stats.transitions, 432);
+        assert_eq!((transitions, agent.replay_len()), (432, 432));
         let rows = agent.replay_rows_pushed();
         assert!(
             rows as f64 <= 1.01 * 432.0,

@@ -281,7 +281,7 @@ impl WarehouseOptimizer {
     }
 
     /// DQN training steps taken so far. Only retraining's offline episodes
-    /// train; a live tick observes its transition into the replay ring.
+    /// train; a live tick leaves the agent as it was.
     pub fn train_steps(&self) -> u64 {
         self.agent.train_steps()
     }
@@ -903,7 +903,7 @@ mod tests {
     }
 
     #[test]
-    fn a_healthy_tick_between_retrains_observes_and_takes_no_train_step() {
+    fn a_healthy_tick_between_retrains_leaves_the_agent_as_it_was() {
         // The 2-day train interval puts eight 30-minute ticks after
         // onboarding well before the next retrain.
         let (mut sim, _) = idle_heavy_sim();
@@ -911,23 +911,26 @@ mod tests {
         kwo.manage(&sim, "WH", fast_setup());
         kwo.observe_until(&mut sim, DAY_MS);
         kwo.onboard(&mut sim);
-        let trained = kwo.optimizers[0].train_steps();
-        assert!(trained > 0, "onboarding's episodes train");
-        let mut observed = 0;
+        let trained = kwo.optimizers[0].agent.to_bytes();
+        assert!(
+            kwo.optimizers[0].train_steps() > 0,
+            "onboarding's episodes train"
+        );
         for k in 1..=8 {
-            let before = kwo.optimizers[0].agent.replay_len();
             kwo.run_until(&mut sim, DAY_MS + k * 30 * MINUTE_MS);
             let o = &kwo.optimizers[0];
             assert_eq!(o.health().state(), crate::HealthState::Healthy, "tick {k}");
             assert_eq!(o.ctl.last_train, DAY_MS, "tick {k} retrained");
-            if o.effects.learned.is_some() {
-                assert_eq!(o.agent.replay_len(), before + 1, "tick {k}");
-                observed += 1;
-            }
-            assert_eq!(o.train_steps(), trained, "tick {k} took a train step");
+            assert!(o.agent.to_bytes() == trained, "tick {k} moved the agent");
+            assert_eq!(o.agent.replay_len(), 0, "tick {k} observed a transition");
+            let record = crate::persist::encode_record(&o.tick_record(sim.now(), 0)).unwrap();
+            let json = String::from_utf8(record).unwrap();
+            assert!(!json.contains("next_state"), "tick {k} journaled {json}");
         }
-        // Every tick but the first has a previous action to reward.
-        assert_eq!(observed, 7);
+        // Every tick but the first rewards the previous action, in the trace.
+        let trace = kwo.optimizers[0].trace();
+        let rewarded = trace.events().filter(|e| e.reward.is_some()).count();
+        assert_eq!((trace.len(), rewarded), (8, 7));
     }
 
     #[test]
@@ -1306,6 +1309,30 @@ mod tests {
         assert!(old <= young + 64, "{old} B at 288 appends, {young} B at 10");
         let json = serde_json::to_string(&window).unwrap();
         assert_eq!(json.matches(',').count(), 287, "{json}");
+
+        // The agent section holds no replay data: an agent after onboarding's
+        // episodes encodes to as many bytes as one that took a single step.
+        let (mut sim, _) = idle_heavy_sim();
+        let mut kwo = Orchestrator::new(3);
+        kwo.manage(&sim, "WH", fast_setup());
+        kwo.observe_until(&mut sim, DAY_MS);
+        kwo.onboard(&mut sim);
+        let onboarded = kwo.optimizers[0].export_snapshot().1;
+        let config = DqnConfig::default();
+        let mut one_step = DqnAgent::new(config.clone(), &mut DetRng::seed_from_u64(1));
+        for action in (0..config.batch_size).map(|i| i % agent::AgentAction::COUNT) {
+            one_step.observe(agent::Transition {
+                state: vec![0.5; agent::STATE_DIM],
+                action,
+                reward: -1.0,
+                next_state: vec![0.25; agent::STATE_DIM],
+                next_mask: [true; agent::AgentAction::COUNT],
+                terminal: false,
+            });
+        }
+        assert!(one_step.train_step(&mut DetRng::seed_from_u64(2)).is_some());
+        assert!(kwo.optimizers[0].train_steps() > one_step.train_steps());
+        assert_eq!(onboarded.len(), one_step.to_bytes().len());
     }
 
     #[test]

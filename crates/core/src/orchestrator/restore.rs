@@ -1,8 +1,8 @@
 //! Warm restart: rebuild an orchestrator from a durable store by loading the
 //! latest snapshot and replaying the WAL on top. Replay goes through the
 //! same functions the live path calls — [`Orchestrator::adopt`], the
-//! optimizer's admin setters, and the tick's `retrain`/`learn` stages — so
-//! there is no second copy of any event's effect to keep in step.
+//! optimizer's admin setters, and the tick's `retrain` stage — so there is
+//! no second copy of any event's effect to keep in step.
 
 use super::{Orchestrator, WarehouseOptimizer};
 use crate::actuator::ActionLogEntry;
@@ -16,12 +16,11 @@ const STORE_LOAD_ATTEMPTS: u32 = 6;
 impl WarehouseOptimizer {
     /// Replays one logged tick. Re-delivers the telemetry the live `sense`
     /// stage delivered (same fetcher function, by cursor range), re-runs a
-    /// retrain under its recorded seed, re-observes the tick's transition and
-    /// re-appends its arrival count to the spike window, but never touches
-    /// the account (fetch overhead and ALTERs already happened before the
-    /// crash) and never advances the live RNG —
-    /// assigning the journaled [`CtlState`] last puts every control scalar,
-    /// RNG included, in its post-tick state.
+    /// retrain under its recorded seed and re-appends its arrival count to
+    /// the spike window, but never touches the account (fetch overhead and
+    /// ALTERs already happened before the crash) and never advances the live
+    /// RNG — assigning the journaled [`CtlState`] last puts every control
+    /// scalar, RNG included, in its post-tick state.
     fn replay_tick(
         &mut self,
         sim: &Simulator,
@@ -37,9 +36,6 @@ impl WarehouseOptimizer {
         }
         if let Some(rt) = effects.retrain {
             self.retrain(now, rt.episodes, rt.seed);
-        }
-        if let Some(transition) = effects.learned {
-            self.learn(&transition);
         }
         if let Some(count) = effects.arrivals {
             self.monitor.push(count);
@@ -212,15 +208,6 @@ impl Orchestrator {
                 log_delta,
                 ctl,
             } => {
-                // The live tick built it, so `observe` could store it; a
-                // record that says otherwise is corrupt, not a panic.
-                if let Some(transition) = &effects.learned {
-                    if !transition.is_well_formed() {
-                        return Err(PersistError::Corrupt(format!(
-                            "tick record of {warehouse} at {now} carries a malformed transition"
-                        )));
-                    }
-                }
                 self.replay_target("tick", &warehouse)?
                     .replay_tick(sim, now, effects, log_delta, ctl);
             }

@@ -2,16 +2,16 @@
 //! fixed sequence of stages over one per-tick context —
 //!
 //! ```text
-//! sense → assess → (retrain) → gate → decide → learn → act → journal
+//! sense → assess → (retrain) → gate → decide → reward → act → journal
 //! ```
 //!
 //! Each stage is a private method called in order by `run_stages`. The
 //! lifecycle and health flags are folded into one [`Gate`] computed once per
 //! tick, and the tick ends in a single plain-data record in the decision ring
-//! (`ring.rs`), fed by what the stages produced. `retrain` and `learn` are
-//! also what WAL replay re-executes (`restore.rs`); `journal` is the
-//! orchestrator's `Journal::journal_tick` around the whole tick, outside the
-//! `keebo.tick.wall_us` span.
+//! (`ring.rs`), fed by what the stages produced. `retrain` is the only stage
+//! that trains, and it is also what WAL replay re-executes (`restore.rs`);
+//! `journal` is the orchestrator's `Journal::journal_tick` around the whole
+//! tick, outside the `keebo.tick.wall_us` span.
 
 use super::ring::{Cause, Chosen, Guard, MaskCause, Record};
 use super::{tick_wall_histogram, WarehouseOptimizer};
@@ -20,7 +20,7 @@ use crate::health::{DegradeReason, HealthSignals, HealthState};
 use crate::monitoring::RealTimeState;
 use crate::persist::{RetrainRecord, TickEffects};
 use crate::reconciler::Reconciler;
-use agent::{AgentAction, AgentState, ConstraintSet, PerfSignals, Transition};
+use agent::{AgentAction, AgentState, ConstraintSet, PerfSignals};
 use cdw_sim::account::WarehouseDescription;
 use cdw_sim::{
     QueryRecord, SimTime, Simulator, WarehouseCommand, WarehouseConfig, WarehouseEventRecord,
@@ -273,8 +273,8 @@ impl WarehouseOptimizer {
                 .reconcile(sim, &mut self.actuator, self.wh);
         }
         if gate != Gate::Optimize {
-            // No transition is attributed across a tick the policy sat out.
-            self.ctl.prev_state = None;
+            // No reward is attributed across a tick the policy sat out.
+            self.ctl.reward_basis.action = None;
         }
         if gate.degraded() {
             self.ctl.healthy_streak = 0;
@@ -293,8 +293,8 @@ impl WarehouseOptimizer {
                 ctx.cache_warm = sim.account().warehouse(self.wh).cache_warm_fraction();
                 let plan = self.decide(&ctx, gate);
                 let reward = match gate {
-                    Gate::Optimize => self.learn_from_feedback(sim, &ctx, &plan),
-                    _ => None, // stale telemetry: no training, no new transitions
+                    Gate::Optimize => self.reward(sim, &ctx),
+                    _ => None, // stale telemetry: no reward
                 };
                 self.enact(sim, &ctx, plan, reward)
             }
@@ -463,8 +463,8 @@ impl WarehouseOptimizer {
         let mut fallback = None;
         if gate == Gate::StaleFallback {
             // Stale telemetry: windowed features describe the past, not the
-            // present. Hold the last-known-good policy (no training, no new
-            // transitions) and decide from live control-plane signals only —
+            // present. Hold the last-known-good policy (no retrain, no
+            // reward) and decide from live control-plane signals only —
             // capacity may be added to protect performance, never removed.
             for a in [
                 AgentAction::SizeDown,
@@ -561,49 +561,27 @@ impl WarehouseOptimizer {
         }
     }
 
-    /// Stage 6 — learn (live side): rewards the previous action with what
-    /// the interval actually cost and how it performed, and stores the
-    /// transition for the next retrain to train on. Returns the reward, if a
-    /// previous policy action was pending one.
-    fn learn_from_feedback(&mut self, sim: &Simulator, ctx: &TickCtx, plan: &Plan) -> Option<f64> {
-        let rts = &ctx.rts;
+    /// Stage 6 — reward: what the previous policy action earned, from what
+    /// the interval cost and how it performed. The decision trace records
+    /// it, and nothing learns from it: the DQN trains only in `retrain`'s
+    /// offline episodes, on the transitions they simulate (DESIGN.md,
+    /// decision 10). Returns the reward, if a policy action was pending one.
+    fn reward(&mut self, sim: &Simulator, ctx: &TickCtx) -> Option<f64> {
+        let (rts, slider) = (&ctx.rts, self.setup.slider);
         let credits_now = sim.account().accrued_credits(self.wh, ctx.now);
         let dropped_now = sim.account().warehouse(self.wh).dropped_queries();
-        let reward = self.ctl.prev_state.take().map(|(state, action)| {
+        let basis = &mut self.ctl.reward_basis;
+        let reward = basis.action.take().map(|action| {
             let perf = PerfSignals {
                 mean_queue_s: rts.window.mean_queue_ms / 1000.0,
                 latency_ratio: rts.latency_ratio,
-                dropped_queries: dropped_now - self.ctl.prev_dropped,
+                dropped_queries: dropped_now - basis.dropped,
             };
-            let reward = agent::action_reward(
-                action,
-                credits_now - self.ctl.prev_credits,
-                &perf,
-                self.setup.slider,
-            );
-            let transition = Transition {
-                state,
-                action,
-                reward,
-                next_state: plan.state_vec.clone(),
-                next_mask: plan.mask.mask,
-                terminal: false,
-            };
-            self.learn(&transition);
-            self.effects.learned = Some(transition);
-            reward
+            agent::action_reward(action.index(), credits_now - basis.credits, &perf, slider)
         });
-        self.ctl.prev_credits = credits_now;
-        self.ctl.prev_dropped = dropped_now;
+        basis.credits = credits_now;
+        basis.dropped = dropped_now;
         reward
-    }
-
-    /// Stage 6 — learn (live and replay): observe one transition into the
-    /// replay ring. The tick takes no train step: the DQN trains only in the
-    /// offline episodes of `retrain`, whose minibatches draw from the same
-    /// ring, live transitions included (DESIGN.md, decision 10).
-    pub(super) fn learn(&mut self, transition: &Transition) {
-        self.agent.observe(transition);
     }
 
     /// Stage 7 — act (lines 18–20): picks the action — the stale-telemetry
@@ -625,7 +603,7 @@ impl WarehouseOptimizer {
         } else if ctx.rts.should_back_off {
             self.back_off(sim, ctx, &plan.mask)
         } else {
-            self.follow_policy(sim, current, plan.state_vec, &plan.mask)
+            self.follow_policy(sim, current, &plan.state_vec, &plan.mask)
         };
         Decision {
             mask: Some(plan.mask),
@@ -695,10 +673,10 @@ impl WarehouseOptimizer {
             }
         };
         // Back-off is a monitoring override, not a policy choice; no
-        // transition is attributed to the model for it.
+        // reward is attributed to the model for it.
         self.ctl.last_action = None;
-        self.ctl.prev_state = None;
-        self.ctl.prev_credits = sim.account().accrued_credits(self.wh, ctx.now);
+        self.ctl.reward_basis.action = None;
+        self.ctl.reward_basis.credits = sim.account().accrued_credits(self.wh, ctx.now);
         (chosen, reason)
     }
 
@@ -710,7 +688,7 @@ impl WarehouseOptimizer {
         &mut self,
         sim: &mut Simulator,
         current: &WarehouseConfig,
-        state_vec: Vec<f64>,
+        state_vec: &[f64],
         mask: &MaskTrace,
     ) -> (Chosen, Reason) {
         let streak_needed = (HOUR_MS / self.setup.realtime_interval_ms.max(1)).max(1) as u32;
@@ -725,14 +703,14 @@ impl WarehouseOptimizer {
             {
                 (AgentAction::ClustersDown, Reason::CapacityDecay)
             } else {
-                (self.agent.greedy_action(&state_vec, &mask.mask), policy)
+                (self.agent.greedy_action(state_vec, &mask.mask), policy)
             };
         // The action log files decay under the policy it pre-empts.
         self.act(sim, current, Move::Action(action), policy);
         if action != AgentAction::NoOp {
             self.ctl.last_action = Some(action);
         }
-        self.ctl.prev_state = Some((state_vec, action.index()));
+        self.ctl.reward_basis.action = Some(action);
         (Chosen::Action(action), reason)
     }
 

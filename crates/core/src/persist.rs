@@ -20,8 +20,11 @@
 //!   tick record is the same size on day 1 and day 300;
 //! * nondeterministic inputs that recovery cannot re-derive are logged
 //!   explicitly: the training seed drawn from the learning RNG, the episode
-//!   count in force at the time (onboarding vs refresh), the transition the
-//!   agent observed, and the admin's expected config at resume time;
+//!   count in force at the time (onboarding vs refresh), and the admin's
+//!   expected config at resume time. A live tick trains nothing and observes
+//!   nothing into the agent (format v9): the DQN learns only in a retrain's
+//!   episodes, from a replay ring that lives for that retrain, so neither a
+//!   tick record nor the agent section carries a transition;
 //! * side effects already applied to the surviving simulator/warehouse
 //!   (fetch overhead charges, ALTER statements) are *not* re-run — replay
 //!   re-ingests telemetry by cursor range and re-trains models, but never
@@ -31,24 +34,24 @@
 //!   snapshot's `0..cursor`, a `Tick`'s range) re-deliver from the stream.
 //!
 //! Two encodings, split by what a traced `fleet_durable` run measured. The
-//! agent's tensors — both networks, the Adam moments, the replay ring — are
-//! the bulk of a snapshot (96 % of its bytes two days in, 80 % five days in)
-//! and printing and parsing them was most of what a snapshot cost, so they
-//! travel binary: one length-prefixed agent section per optimizer in the
-//! `KWSN` envelope. The `agent` crate writes and reads its own section
-//! (`nn::le`: fixed-width little-endian, every `f64` as its bits — exact for
-//! NaN payloads and `-0.0` too, by construction); this module frames the
-//! sections and never looks inside them. Control state — the snapshot's JSON body
-//! and every WAL record — stays serde JSON: self-describing, byte-exact for
-//! finite floats, and spread over ~45 types that change with almost every
-//! PR; what grows in it is the action log (DESIGN.md, "Durability").
+//! agent's tensors — both networks and the Adam moments — are the bulk of a
+//! snapshot, and printing and parsing them was most of what a snapshot
+//! cost, so they travel binary: one length-prefixed agent section per
+//! optimizer in the `KWSN` envelope. The `agent` crate writes and reads its
+//! own section (`nn::le`: fixed-width little-endian, every `f64` as its bits
+//! — exact for NaN payloads and `-0.0` too, by construction); this module
+//! frames the sections and never looks inside them. Control state — the
+//! snapshot's JSON body and every WAL record — stays serde JSON:
+//! self-describing, byte-exact for finite floats, and spread over ~45 types
+//! that change with almost every PR; what grows in it is the action log
+//! (DESIGN.md, "Durability").
 
 use crate::drng::DetRng;
 use crate::health::HealthMonitor;
 use crate::monitoring::Monitor;
 use crate::orchestrator::KwoSetup;
 use crate::reconciler::Reconciler;
-use agent::{AgentAction, Rule, SliderPosition, Transition};
+use agent::{AgentAction, Rule, SliderPosition};
 use cdw_sim::{SimTime, WarehouseConfig};
 use costmodel::WarehouseCostModel;
 use serde::{Deserialize, Serialize};
@@ -59,7 +62,7 @@ use crate::actuator::ActionLogEntry;
 /// Bumped on any incompatible change to the persisted schema. Decode
 /// refuses every other version: no store outlives its process here, so
 /// there is no dual decode.
-pub const FORMAT_VERSION: u32 = 8;
+pub const FORMAT_VERSION: u32 = 9;
 
 /// Magic prefix of the snapshot envelope, the only snapshot format: bytes
 /// that do not start with it are not a snapshot.
@@ -110,10 +113,8 @@ pub struct CtlState {
     pub onboarded: bool,
     pub last_train: SimTime,
     pub last_action: Option<AgentAction>,
-    /// The state and action awaiting their reward at the next tick.
-    pub prev_state: Option<(Vec<f64>, usize)>,
-    pub prev_credits: f64,
-    pub prev_dropped: u64,
+    /// What the next policy tick's reward reads.
+    pub reward_basis: RewardBasis,
     /// External-change pause (§4.4), until this time or an admin resume.
     pub paused_until: Option<SimTime>,
     /// Warehouse events before this time have already been scanned for
@@ -152,9 +153,7 @@ impl CtlState {
             onboarded: false,
             last_train: 0,
             last_action: None,
-            prev_state: None,
-            prev_credits: 0.0,
-            prev_dropped: 0,
+            reward_basis: RewardBasis::default(),
             paused_until: None,
             events_cursor: 0,
             last_good_config: None,
@@ -169,6 +168,19 @@ impl CtlState {
     }
 }
 
+/// What the decision trace's `reward` for the previous policy action is
+/// computed from, at the next healthy tick: the action, and the warehouse's
+/// accrued credits and dropped queries when the interval began. The reward
+/// is a traced figure only: the DQN learns in retrain's episodes.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct RewardBasis {
+    /// The policy action awaiting its reward; `None` across a tick the
+    /// policy sat out or overrode.
+    pub action: Option<AgentAction>,
+    pub credits: f64,
+    pub dropped: u64,
+}
+
 /// A logged retraining pass: the episode count in force (onboarding and
 /// refresh differ) and the seed drawn from the learning RNG. The seed is
 /// `None` when training took an early path that never reached the episode
@@ -181,11 +193,10 @@ pub struct RetrainRecord {
 }
 
 /// What one tick did that replay cannot re-derive from the simulator: the
-/// retrain's seed, the transition the tick observed into the replay ring, the
-/// arrival count it appended to the spike window and whether telemetry was
-/// ingested. A live tick takes no train step, so there
-/// is no train seed to record. The tick captures it unconditionally and its
-/// `Tick` record carries it as is.
+/// retrain's seed, the arrival count it appended to the spike window and
+/// whether telemetry was ingested. A live tick neither trains nor observes a
+/// transition, so there is neither to record. The tick captures these
+/// unconditionally and its `Tick` record carries them as is.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TickEffects {
     /// Whether the telemetry fetch succeeded (replay re-ingests the cursor
@@ -193,8 +204,6 @@ pub struct TickEffects {
     pub fetched: bool,
     /// A (re)training pass ran this tick.
     pub retrain: Option<RetrainRecord>,
-    /// The transition observed this tick (replay observes it again).
-    pub learned: Option<Transition>,
     /// The arrival count the spike detector appended this tick (replay
     /// appends it again).
     pub arrivals: Option<u32>,
@@ -453,25 +462,34 @@ mod tests {
 
     #[test]
     fn a_lying_agent_section_is_a_decode_error_naming_it() {
-        // A count of 2^60 layer sizes in eight bytes of section. The
-        // envelope carries it opaque; restore is where it fails to decode,
-        // as corruption of the warehouse it belongs to.
+        // A count of 2^60 layer sizes in eight bytes of section, and an
+        // agent whose zero batch size would panic its first retrain. The
+        // envelope carries each opaque; restore is where it is refused, as
+        // corruption of the warehouse it belongs to.
         use crate::store::{MemStore, StateStore};
+        use agent::{DqnAgent, DqnConfig};
+        let zero_batch = DqnConfig {
+            batch_size: 0,
+            ..DqnConfig::default()
+        };
+        let zero_batch = DqnAgent::new(zero_batch, &mut DetRng::seed_from_u64(1)).to_bytes();
         let (sim, bytes) = managed();
-        let mut snap = decode_snapshot(&bytes).unwrap();
-        snap.agents[0] = (1u64 << 60).to_le_bytes().to_vec();
-        let bytes = encode_snapshot(&snap).unwrap();
-        assert_eq!(decode_snapshot(&bytes).unwrap().agents, snap.agents);
-        let mut store = MemStore::new();
-        store.write_snapshot(&bytes).unwrap();
-        match crate::Orchestrator::restore(Box::new(store), &sim) {
-            Err(PersistError::Corrupt(m)) => {
-                assert!(
-                    m.contains("agent section of WH") && m.contains("cannot fit"),
-                    "{m}"
-                )
+        for (section, why) in [
+            ((1u64 << 60).to_le_bytes().to_vec(), "cannot fit"),
+            (zero_batch, "batch_size must be positive"),
+        ] {
+            let mut snap = decode_snapshot(&bytes).unwrap();
+            snap.agents[0] = section;
+            let bytes = encode_snapshot(&snap).unwrap();
+            assert_eq!(decode_snapshot(&bytes).unwrap().agents, snap.agents);
+            let mut store = MemStore::new();
+            store.write_snapshot(&bytes).unwrap();
+            match crate::Orchestrator::restore(Box::new(store), &sim) {
+                Err(PersistError::Corrupt(m)) => {
+                    assert!(m.contains("agent section of WH") && m.contains(why), "{m}")
+                }
+                other => panic!("expected Corrupt, got {:?}", other.map(|(_, s)| s)),
             }
-            other => panic!("expected Corrupt, got {:?}", other.map(|(_, s)| s)),
         }
     }
 
@@ -557,25 +575,19 @@ mod tests {
         assert_version_refused(FORMAT_VERSION + 1);
     }
 
-    #[test]
-    fn a_v6_tick_record_with_a_train_seed_is_refused() {
-        // v6 journaled `learned` as `[transition, seed]`; v7 journals the
-        // transition alone and decodes nothing else in its place.
-        let transition = Transition {
-            state: vec![0.5; agent::STATE_DIM],
-            action: AgentAction::NoOp.index(),
-            reward: -1.0,
-            next_state: vec![0.25; agent::STATE_DIM],
-            next_mask: [true; AgentAction::COUNT],
-            terminal: false,
-        };
+    /// A JSON array of `STATE_DIM` copies of `v`: a state as v8 wrote it.
+    fn state_json(v: &str) -> String {
+        format!("[{}]", [v; agent::STATE_DIM].join(","))
+    }
+
+    /// A tick record as v8 would have journaled it: a v9 record's JSON with
+    /// `learned` (in the shape the caller gives) in its effects, and the
+    /// pending state vector where v9 keeps its reward basis.
+    fn tick_json_v8(learned: &str) -> String {
         let record = PersistRecord::Tick {
             warehouse: "WH".to_string(),
             now: 0,
-            effects: TickEffects {
-                learned: Some(transition),
-                ..TickEffects::default()
-            },
+            effects: TickEffects::default(),
             log_delta: Vec::new(),
             ctl: CtlState::new(
                 WarehouseConfig::new(cdw_sim::WarehouseSize::Medium),
@@ -583,25 +595,65 @@ mod tests {
                 2,
             ),
         };
-        let v7 = String::from_utf8(encode_record(&record).unwrap()).unwrap();
-        assert!(decode_record(v7.as_bytes()).is_ok());
-        // `learned` is the last field of `effects`, which closes right
-        // before `log_delta`.
-        let (key, end) = ("\"learned\":", "},\"log_delta\"");
-        let (from, to) = (v7.find(key).unwrap() + key.len(), v7.find(end).unwrap());
-        let v6 = format!("{}[{},7]{}", &v7[..from], &v7[from..to], &v7[to..]);
-        assert!(matches!(
-            decode_record(v6.as_bytes()),
-            Err(PersistError::Codec(_))
-        ));
+        let v9 = String::from_utf8(encode_record(&record).unwrap()).unwrap();
+        assert!(decode_record(v9.as_bytes()).is_ok());
+        let basis = "\"reward_basis\":{\"action\":null,\"credits\":0.0,\"dropped\":0}";
+        let state = state_json("0.5");
+        let v8 = v9
+            .replace(
+                basis,
+                &format!("\"prev_state\":[{state},0],\"prev_credits\":0.0,\"prev_dropped\":0"),
+            )
+            .replace(
+                "\"arrivals\":null",
+                &format!("\"learned\":{learned},\"arrivals\":null"),
+            );
+        assert!(v8.contains("prev_state") && v8.contains("learned"), "{v8}");
+        v8
+    }
+
+    /// One journaled transition, as v6 to v8 wrote it.
+    fn transition_json() -> String {
+        let mask = ["true"; AgentAction::COUNT].join(",");
+        format!(
+            "{{\"state\":{},\"action\":0,\"reward\":-1.0,\"next_state\":{},\"next_mask\":[{mask}],\"terminal\":false}}",
+            state_json("0.5"),
+            state_json("0.25")
+        )
+    }
+
+    #[track_caller]
+    fn assert_lacks_reward_basis(json: &str) {
+        match decode_record(json.as_bytes()) {
+            Err(PersistError::Codec(m)) => assert!(m.contains("reward_basis"), "{m}"),
+            other => panic!("expected Codec, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_v6_tick_record_with_a_train_seed_is_refused() {
+        // v6 journaled `learned` as `[transition, seed]`. v9 journals no
+        // transition, and a record from before it lacks the reward basis.
+        let v6 = tick_json_v8(&format!("[{},7]", transition_json()));
+        assert_lacks_reward_basis(&v6);
+    }
+
+    #[test]
+    fn a_v8_tick_record_with_a_transition_is_refused() {
+        // v8 journaled the transition a tick observed into the replay ring,
+        // and the state it left pending. v9's ring lives for one retrain, so
+        // a tick observes nothing; an unknown key alone would decode, but the
+        // record lacks v9's reward basis.
+        let v8 = tick_json_v8(&transition_json());
+        assert_lacks_reward_basis(&v8);
     }
 
     #[test]
     fn a_v7_tick_record_with_a_spike_history_is_refused() {
         // v7 carried the spike detector's whole window in every tick's
-        // `ctl.monitor`, the serving baseline beside it; v8 journals the one
-        // count a tick appended and keeps the baseline as a `ctl` scalar,
-        // which a v7 record lacks.
+        // `ctl.monitor`, the serving baseline beside it; since v8 a tick
+        // journals the one count it appended and keeps the baseline as a
+        // `ctl` scalar, which a v7 record lacks.
         let record = PersistRecord::Tick {
             warehouse: "WH".to_string(),
             now: 0,
@@ -616,16 +668,16 @@ mod tests {
                 2,
             ),
         };
-        let v8 = String::from_utf8(encode_record(&record).unwrap()).unwrap();
-        assert!(decode_record(v8.as_bytes()).is_ok());
+        let current = String::from_utf8(encode_record(&record).unwrap()).unwrap();
+        assert!(decode_record(current.as_bytes()).is_ok());
         let key = "\"baseline_p99_ms\":";
-        let from = v8.find(key).unwrap();
-        let to = from + v8[from..].find(',').unwrap();
+        let from = current.find(key).unwrap();
+        let to = from + current[from..].find(',').unwrap();
         let v7 = format!(
             "{}\"monitor\":{{\"history\":[2.0,3.0],{}}}{}",
-            &v8[..from],
-            &v8[from..to],
-            &v8[to..]
+            &current[..from],
+            &current[from..to],
+            &current[to..]
         )
         .replace(",\"arrivals\":3", "");
         match decode_record(v7.as_bytes()) {
@@ -636,14 +688,15 @@ mod tests {
 
     #[test]
     fn mismatched_body_version_header_is_corrupt() {
-        // The previous formats: no dual decode. v7 carried the spike
-        // window in every tick record, v6 journaled a tick's
+        // The previous formats: no dual decode. v8 journaled a tick's
+        // transition and persisted the replay ring in the agent section, v7
+        // carried the spike window in every tick record, v6 journaled a tick's
         // transition with the seed of its train step, v5 stored each log
         // entry's SQL, outcome and kind and the health history, v4 journaled
         // a tick's transition and its seed as two fields, v3 had a tagged
         // header that copied the body's version, v2 was the all-JSON
         // snapshot.
-        for version in [7, 6, 5, 4, 3, 2, 1] {
+        for version in [8, 7, 6, 5, 4, 3, 2, 1] {
             assert_version_refused(version);
         }
         // A v3 snapshot as v3 wrote it: magic, envelope version 1, two

@@ -3,12 +3,12 @@
 //!
 //! Fixed-width fields in declaration order, no tags, no padding: `u64` and
 //! `usize` as eight bytes, `f64` as its `to_bits()` (so NaN payloads and
-//! `-0.0` survive by construction), `bool` as one byte that must be 0 or 1,
-//! every sequence as a `u64` count and then its elements. One value has one
-//! encoding, so decode → encode reproduces the bytes. Writing appends to a
-//! `Vec<u8>`; reading goes through [`Reader`], which is total: short or lying
-//! input is an `Err`, never a panic, and a count is checked against the bytes
-//! that are left before anything is reserved for it.
+//! `-0.0` survive by construction), every sequence as a `u64` count and then
+//! its elements. One value has one encoding, so decode → encode reproduces
+//! the bytes. Writing appends to a `Vec<u8>`; reading goes through
+//! [`Reader`], which is total: short or lying input is an `Err`, never a
+//! panic, and a count is checked against the bytes that are left before
+//! anything is reserved for it.
 
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -21,10 +21,6 @@ pub fn put_usize(out: &mut Vec<u8>, n: usize) {
 
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
-}
-
-pub fn put_bool(out: &mut Vec<u8>, b: bool) {
-    out.push(u8::from(b));
 }
 
 /// A count, then each value's bits.
@@ -75,14 +71,6 @@ impl<'a> Reader<'a> {
 
     pub fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
-    }
-
-    pub fn bool(&mut self) -> Result<bool, String> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(format!("byte {b} is not a bool")),
-        }
     }
 
     pub fn u64(&mut self) -> Result<u64, String> {
@@ -165,14 +153,11 @@ mod tests {
         let mut out = Vec::new();
         put_u64(&mut out, u64::MAX);
         put_usize(&mut out, 7);
-        put_bool(&mut out, true);
-        put_bool(&mut out, false);
         put_f64s(&mut out, &floats);
         put_usizes(&mut out, &[3, 0, 9]);
         let mut r = Reader::new(&out);
         assert_eq!(r.u64(), Ok(u64::MAX));
         assert_eq!(r.usize(), Ok(7));
-        assert_eq!((r.bool(), r.bool()), (Ok(true), Ok(false)));
         let back = r.f64s().unwrap();
         assert_eq!(
             back.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
@@ -209,6 +194,5 @@ mod tests {
         let mut r = Reader::new(&out);
         assert!(r.f64s().is_ok());
         assert_eq!(r.finish(), Err("1 trailing bytes".to_string()));
-        assert!(Reader::new(&[2]).bool().is_err());
     }
 }

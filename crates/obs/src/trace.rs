@@ -81,8 +81,9 @@ pub struct DecisionEvent {
     /// `paused:external-change`, `frozen`, ... The action log spells its
     /// entries' reasons the same way.
     pub reason: String,
-    /// Reward credited this tick for the *previous* action (None while
-    /// onboarding or when no transition was observed).
+    /// Reward credited this tick for the *previous* policy action (None
+    /// when no policy action was pending one). Traced only: the DQN learns
+    /// in retrain's offline episodes.
     pub reward: Option<f64>,
 }
 

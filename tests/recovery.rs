@@ -20,7 +20,6 @@
 
 #![allow(clippy::expect_used)]
 
-use agent::{AgentAction, Transition};
 use cdw_sim::{
     Account, QuerySpec, Simulator, WarehouseConfig, WarehouseId, WarehouseSize, DAY_MS, HOUR_MS,
     MINUTE_MS,
@@ -32,7 +31,7 @@ use keebo::drill::{
 use keebo::persist::{decode_record, decode_snapshot, encode_record, encode_snapshot};
 use keebo::{
     scan_frames, DetRng, MemStore, Orchestrator, PersistError, PersistRecord, RecoveryStats,
-    RetrainRecord, Rule, RuleEffect, SliderPosition, StateStore, TickEffects, TimeWindow,
+    RetrainRecord, Rule, RuleEffect, SliderPosition, StateStore, TimeWindow,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -297,7 +296,7 @@ fn restore_rebuilds_each_warehouses_telemetry_from_the_account() {
 #[test]
 fn a_restored_optimizer_has_taken_the_uninterrupted_runs_train_steps() {
     // Onboarding sits in the WAL: replay re-runs its episodes under the
-    // recorded seed, and its ten ticks only re-observe their transitions.
+    // recorded seed, and its ten ticks take no step.
     let (mut sim, store) = two_warehouse_crash();
     let (mut restored, _) = Orchestrator::restore(Box::new(store), &sim).expect("recovery");
     let mut twin = Orchestrator::new(5);
@@ -368,52 +367,6 @@ fn store_of(snapshot: &[u8], records: &[Vec<u8>]) -> MemStore {
         store.append(record).expect("mem store appends");
     }
     store
-}
-
-#[test]
-fn a_wal_transition_of_the_wrong_shape_is_corrupt_not_a_panic() {
-    // Replay hands a tick's transition to the replay ring, which copies
-    // `STATE_DIM` values per state and keeps the action in a byte. A record
-    // whose state is one value short, or whose action is past the last,
-    // is refused before it gets there, naming the warehouse and the tick.
-    let (sim, mut store) = two_warehouse_crash();
-    let contents = store.load().expect("mem store loads");
-    let snapshot = contents.snapshot.expect("the day-one snapshot landed");
-    let learned = |bytes: &Vec<u8>| match decode_record(bytes) {
-        Ok(PersistRecord::Tick { effects, .. }) => effects.learned.is_some(),
-        _ => false,
-    };
-    let at = (contents.records.iter().position(learned)).expect("a journaled tick learned");
-    let edits: [fn(&mut Transition); 2] = [
-        |t| {
-            t.state.pop();
-        },
-        |t| t.action = AgentAction::COUNT,
-    ];
-    for edit in edits {
-        let mut record = decode_record(&contents.records[at]).expect("decodes");
-        let PersistRecord::Tick {
-            warehouse,
-            now,
-            effects:
-                TickEffects {
-                    learned: Some(transition),
-                    ..
-                },
-            ..
-        } = &mut record
-        else {
-            unreachable!("record {at} is a tick that learned");
-        };
-        edit(transition);
-        let expect = format!("tick record of {warehouse} at {now} carries a malformed transition");
-        let mut records = contents.records.clone();
-        records[at] = encode_record(&record).expect("encodes");
-        match Orchestrator::restore(Box::new(store_of(&snapshot, &records)), &sim) {
-            Err(PersistError::Corrupt(msg)) => assert_eq!(msg, expect),
-            other => panic!("expected Corrupt, got {:?}", other.map(|(_, stats)| stats)),
-        }
-    }
 }
 
 #[test]
