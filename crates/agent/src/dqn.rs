@@ -1,6 +1,13 @@
 //! Deep Q-network policy with target network and experience replay —
 //! the paper's "detailed architecture for incorporating real-time
 //! performance feedback using deep reinforcement learning" (§6).
+//!
+//! Between retrains an agent is its online network, its config and two
+//! counters: the serving path reads nothing else, and a snapshot carries
+//! nothing else. What only training reads — the target network, the Adam
+//! moments and the replay ring with its bootstrap cache — is one
+//! [`Learner`], built at the first `observe` of a retrain and dropped when
+//! [`crate::train_on_workload`] returns.
 
 use crate::action::AgentAction;
 use crate::replay::ReplayRing;
@@ -68,25 +75,45 @@ pub struct Transition {
 #[derive(Debug, Clone)]
 pub struct DqnAgent {
     online: Mlp,
+    /// What one retrain trains with; `None` between retrains.
+    learner: Option<Learner>,
+    config: DqnConfig,
+    selections: u64,
+    train_steps: u64,
+}
+
+/// The state only training reads, with the lifetime of one
+/// `train_on_workload` call: built from the online network at the retrain's
+/// first `observe`, dropped on return (`drop_learner`), never persisted. A
+/// fresh target is a copy of the online network and fresh moments are
+/// unsized, so building one anew is what an agent that has never trained
+/// holds.
+#[derive(Debug, Clone)]
+struct Learner {
     target: Mlp,
     optimizer: Adam,
-    /// The transitions the next `train_step` draws from. Its lifetime is one
-    /// `train_on_workload` call, which starts it empty and empties it again
-    /// on return (`clear_replay`); it is never persisted.
+    /// The transitions the next `train_step` draws from.
     replay: ReplayRing,
     /// `bootstrap[slot]` caches `max_a' Q_target(s', a')` under the stored
     /// mask for the transition in that replay slot; `NaN` = not computed.
     /// It is a pure function of (target parameters, slot contents), so it is
     /// forgotten at exactly three points: the slot alone when `observe`
     /// writes it, everything when the target network syncs, and everything
-    /// with the ring itself (`new`, `from_bytes`, `clear_replay`). `NaN` is
-    /// free to mean "unknown" because [`masked_max`] cannot return it
-    /// (`f64::max` drops a `NaN` operand); were one ever stored, it would only
-    /// be recomputed at every draw.
+    /// with the learner itself. `NaN` is free to mean "unknown" because
+    /// [`masked_max`] cannot return it (`f64::max` drops a `NaN` operand);
+    /// were one ever stored, it would only be recomputed at every draw.
     bootstrap: Vec<f64>,
-    config: DqnConfig,
-    selections: u64,
-    train_steps: u64,
+}
+
+impl Learner {
+    fn new(online: &Mlp, config: &DqnConfig) -> Self {
+        Self {
+            target: online.clone(),
+            optimizer: Adam::new(config.learning_rate, online.optimizer_slots()),
+            replay: ReplayRing::new(config.replay_capacity),
+            bootstrap: Vec::new(),
+        }
+    }
 }
 
 impl DqnConfig {
@@ -121,15 +148,13 @@ impl DqnConfig {
 
 impl DqnAgent {
     /// The agent section a snapshot carries (`nn::le`: fixed-width
-    /// little-endian fields, every float as its bits): both networks, the
-    /// Adam moments, the config and the two counters. The replay ring is not
-    /// in it: it lives for one `train_on_workload` call and is empty between
+    /// little-endian fields, every float as its bits): the online network,
+    /// the config and the two counters. The learner is not in it: it lives
+    /// for one `train_on_workload` call and does not exist between
     /// retrains, when snapshots are taken.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.online.write_le(&mut out);
-        self.target.write_le(&mut out);
-        self.optimizer.write_le(&mut out);
         self.config.write_le(&mut out);
         le::put_u64(&mut out, self.selections);
         le::put_u64(&mut out, self.train_steps);
@@ -138,47 +163,47 @@ impl DqnAgent {
 
     /// The inverse of [`DqnAgent::to_bytes`], total on arbitrary bytes:
     /// `Err` for anything that is not exactly one encoded agent. This is the
-    /// door every restored agent comes through, so every shape the training
-    /// step indexes by is checked here, once: both networks, the optimizer's
-    /// moments against them, and the batch size and ring capacity the next
-    /// retrain builds its ring and draws its minibatches with. The agent
-    /// comes back with an empty ring.
+    /// door every restored agent comes through, so everything the next
+    /// retrain builds its learner from and indexes by is checked here, once:
+    /// the network's shapes, and the batch size, ring capacity, learning
+    /// rate and sync interval of the config. The agent comes back with no
+    /// learner.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let mut r = Reader::new(bytes);
         let online = Mlp::read_le(&mut r)?;
-        let target = Mlp::read_le(&mut r)?;
-        let optimizer = Adam::read_le(&mut r)?;
         let config = DqnConfig::read_le(&mut r)?;
         let selections = r.u64()?;
         let train_steps = r.u64()?;
         r.finish()?;
 
-        for (name, net) in [("online", &online), ("target", &target)] {
-            net.validate().map_err(|e| format!("{name} network: {e}"))?;
-        }
+        online
+            .validate()
+            .map_err(|e| format!("online network: {e}"))?;
         let sizes = online.layer_sizes();
-        if (online.input_dim(), online.output_dim()) != (STATE_DIM, AgentAction::COUNT)
-            || sizes != target.layer_sizes()
-        {
+        if (online.input_dim(), online.output_dim()) != (STATE_DIM, AgentAction::COUNT) {
             return Err(format!(
-                "online {sizes:?} and target {:?} networks are not one {STATE_DIM} -> {} architecture",
-                target.layer_sizes(),
+                "online network {sizes:?} is not a {STATE_DIM} -> {} architecture",
                 AgentAction::COUNT
             ));
         }
-        optimizer.validate(&online.tensor_lens())?;
         if config.batch_size == 0 {
             return Err("batch_size must be positive".into());
         }
         if config.replay_capacity == 0 {
             return Err("replay buffer capacity must be positive".into());
         }
+        if config.learning_rate.is_nan() || config.learning_rate <= 0.0 {
+            return Err(format!(
+                "learning rate must be positive, not {}",
+                config.learning_rate
+            ));
+        }
+        if config.target_sync_interval == 0 {
+            return Err("target_sync_interval must be positive".into());
+        }
         Ok(Self {
             online,
-            target,
-            optimizer,
-            replay: ReplayRing::new(config.replay_capacity),
-            bootstrap: Vec::new(),
+            learner: None,
             config,
             selections,
             train_steps,
@@ -209,21 +234,22 @@ thread_local! {
 
 impl DqnAgent {
     /// Builds a fresh agent with seeded initialization.
+    ///
+    /// # Panics
+    /// Panics if the learning rate is not positive.
     pub fn new(config: DqnConfig, rng: &mut impl Rng) -> Self {
+        assert!(config.learning_rate > 0.0, "learning rate must be positive");
         let mut layers = vec![STATE_DIM];
         layers.extend_from_slice(&config.hidden);
         layers.push(AgentAction::COUNT);
         let online = Mlp::new(MlpConfig::new(layers.clone()), rng);
-        let mut target = Mlp::new(MlpConfig::new(layers), rng);
-        target.copy_parameters_from(&online);
-        let optimizer = Adam::new(config.learning_rate, online.optimizer_slots());
-        let replay = ReplayRing::new(config.replay_capacity);
+        // The target network's initialization is drawn and discarded: a
+        // learner's target starts as a copy of the online network, and the
+        // draw keeps every later use of `rng` where it was.
+        drop(Mlp::new(MlpConfig::new(layers), rng));
         Self {
             online,
-            target,
-            optimizer,
-            replay,
-            bootstrap: Vec::new(),
+            learner: None,
             config,
             selections: 0,
             train_steps: 0,
@@ -246,16 +272,21 @@ impl DqnAgent {
         }
     }
 
-    /// Transitions stored so far.
+    /// Transitions stored so far in this retrain (0 between retrains).
     pub fn replay_len(&self) -> usize {
-        self.replay.len()
+        self.learner.as_ref().map_or(0, |l| l.replay.len())
     }
 
-    /// Drops the replay ring and its bootstrap cache for fresh, empty ones,
-    /// which reserve nothing.
-    pub(crate) fn clear_replay(&mut self) {
-        self.replay = ReplayRing::new(self.config.replay_capacity);
-        self.bootstrap = Vec::new();
+    /// The target network and the optimizer of the retrain in progress, or
+    /// `None` between retrains, when neither exists.
+    pub fn learner(&self) -> Option<(&Mlp, &Adam)> {
+        self.learner.as_ref().map(|l| (&l.target, &l.optimizer))
+    }
+
+    /// Ends a retrain: drops the target network, the Adam moments and the
+    /// replay ring with its bootstrap cache.
+    pub(crate) fn drop_learner(&mut self) {
+        self.learner = None;
     }
 
     /// Training steps taken.
@@ -307,35 +338,44 @@ impl DqnAgent {
     }
 
     /// Stores a transition, by reference or by value: its rows are copied
-    /// into the replay ring either way.
+    /// into the replay ring either way. The first one of a retrain builds
+    /// the learner.
     ///
     /// # Panics
     /// Panics if a state is not `STATE_DIM` long or the action is out of
     /// range.
     pub fn observe(&mut self, t: impl Borrow<Transition>) {
-        let slot = self.replay.push(t.borrow());
-        match self.bootstrap.get_mut(slot) {
+        let (online, config) = (&self.online, &self.config);
+        let learner = self
+            .learner
+            .get_or_insert_with(|| Learner::new(online, config));
+        let slot = learner.replay.push(t.borrow());
+        match learner.bootstrap.get_mut(slot) {
             Some(cached) => *cached = f64::NAN,
-            None => self.bootstrap.push(f64::NAN),
+            None => learner.bootstrap.push(f64::NAN),
         }
     }
 
     /// One mini-batch Q-learning update. Returns the batch's mean absolute
-    /// TD error, or `None` when the buffer is smaller than a batch.
+    /// TD error, or `None` when the buffer is smaller than a batch (between
+    /// retrains there is no buffer).
     ///
     /// The whole batch goes through `nn`'s minibatch kernel out of the
     /// thread's [`SCRATCH`]; the replay indices are drawn first, so the RNG
     /// stream is the one a per-sample implementation would consume. The
     /// target network is forwarded only over the drawn slots whose bootstrap
     /// is not cached: it is frozen between syncs, and a batch of any size
-    /// gives each sample the same bits.
+    /// gives each sample the same bits. Syncs fall on multiples of the
+    /// agent's `train_steps`, which counts every retrain's steps.
     pub fn train_step(&mut self, rng: &mut impl Rng) -> Option<f64> {
         let batch = self.config.batch_size;
         assert!(batch > 0, "batch_size must be positive");
-        if self.replay.len() < batch {
+        let learner = self.learner.as_mut()?;
+        if learner.replay.len() < batch {
             return None;
         }
-        debug_assert_eq!(self.bootstrap.len(), self.replay.len());
+        debug_assert_eq!(learner.bootstrap.len(), learner.replay.len());
+        let gamma = self.config.gamma;
         let td_sum = SCRATCH.with_borrow_mut(|scratch| {
             let (indices, misses, trace) = (
                 &mut scratch.indices,
@@ -347,7 +387,13 @@ impl DqnAgent {
                 &mut scratch.output_grads,
                 &mut scratch.grads,
             );
-            self.replay.sample_indices(batch, rng, indices);
+            let Learner {
+                target,
+                optimizer,
+                replay,
+                bootstrap,
+            } = learner;
+            replay.sample_indices(batch, rng, indices);
             let q_values = |trace: &ForwardTrace, sample: usize| {
                 let mut q = [0.0; AgentAction::COUNT];
                 trace.output_into(sample, &mut q);
@@ -360,40 +406,40 @@ impl DqnAgent {
             misses.clear();
             misses.reserve(batch);
             for &i in &*indices {
-                let unknown = !self.replay.slot(i).terminal && self.bootstrap[i].is_nan();
+                let unknown = !replay.slot(i).terminal && bootstrap[i].is_nan();
                 if unknown && !misses.contains(&i) {
                     misses.push(i);
                 }
             }
             if !misses.is_empty() {
-                let next_states = misses.iter().map(|&i| &self.replay.next_state(i)[..]);
-                self.target.forward_batch(trace, next_states);
+                let next_states = misses.iter().map(|&i| &replay.next_state(i)[..]);
+                target.forward_batch(trace, next_states);
                 for (s, &i) in misses.iter().enumerate() {
-                    let mask = self.replay.slot(i).next_mask();
-                    self.bootstrap[i] = masked_max(&q_values(trace, s), &mask);
+                    let mask = replay.slot(i).next_mask();
+                    bootstrap[i] = masked_max(&q_values(trace, s), &mask);
                 }
             }
             targets.clear();
             targets.extend(indices.iter().map(|&i| {
-                let t = self.replay.slot(i);
-                let bootstrap = if t.terminal { 0.0 } else { self.bootstrap[i] };
-                t.reward + self.config.gamma * bootstrap
+                let t = replay.slot(i);
+                let bootstrap = if t.terminal { 0.0 } else { bootstrap[i] };
+                t.reward + gamma * bootstrap
             }));
             #[cfg(test)]
             assert_eq!(
                 targets.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
-                self.recomputed_target_bits(indices),
+                recomputed_target_bits(target, replay, gamma, indices),
                 "a cached bootstrap went stale"
             );
 
-            let states = indices.iter().map(|&i| &self.replay.state(i)[..]);
+            let states = indices.iter().map(|&i| &replay.state(i)[..]);
             self.online.forward_batch(trace, states);
             output_grads.resize(batch * AgentAction::COUNT, 0.0);
             let mut td_sum = 0.0;
             let samples = indices.iter().zip(&*targets);
             let grad_rows = output_grads.chunks_exact_mut(AgentAction::COUNT);
             for (s, ((&i, &target_q), grad_out)) in samples.zip(grad_rows).enumerate() {
-                let action = self.replay.slot(i).action();
+                let action = replay.slot(i).action();
                 let q = q_values(trace, s)[action];
                 td_sum += (q - target_q).abs();
 
@@ -406,7 +452,7 @@ impl DqnAgent {
             self.online.backward_batch(trace, output_grads, grads);
             grads.scale(1.0 / batch as f64);
             grads.clip_l2_norm(self.config.grad_clip);
-            self.online.apply_gradients(grads, &mut self.optimizer);
+            self.online.apply_gradients(grads, optimizer);
             td_sum
         });
 
@@ -415,39 +461,45 @@ impl DqnAgent {
             .train_steps
             .is_multiple_of(self.config.target_sync_interval)
         {
-            self.target.copy_parameters_from(&self.online);
-            self.bootstrap.fill(f64::NAN);
+            learner.target.copy_parameters_from(&self.online);
+            learner.bootstrap.fill(f64::NAN);
         }
         Some(td_sum / batch as f64)
     }
 }
 
+/// The oracle the bootstrap cache is held to, at every step any unit test of
+/// this crate takes: the targets as they were computed before there was a
+/// cache, the target network forwarded over the whole batch.
+#[cfg(test)]
+fn recomputed_target_bits(
+    target: &Mlp,
+    replay: &ReplayRing,
+    gamma: f64,
+    indices: &[usize],
+) -> Vec<u64> {
+    let mut trace = ForwardTrace::default();
+    let next_states = indices.iter().map(|&i| &replay.next_state(i)[..]);
+    target.forward_batch(&mut trace, next_states);
+    let targets = indices.iter().enumerate().map(|(s, &i)| {
+        let t = replay.slot(i);
+        let mut q = [0.0; AgentAction::COUNT];
+        trace.output_into(s, &mut q);
+        let bootstrap = if t.terminal {
+            0.0
+        } else {
+            masked_max(&q, &t.next_mask())
+        };
+        (t.reward + gamma * bootstrap).to_bits()
+    });
+    targets.collect()
+}
+
 #[cfg(test)]
 impl DqnAgent {
-    /// The oracle the bootstrap cache is held to, at every step any unit
-    /// test of this crate takes: the targets as they were computed before
-    /// there was a cache, the target network forwarded over the whole batch.
-    fn recomputed_target_bits(&self, indices: &[usize]) -> Vec<u64> {
-        let mut trace = ForwardTrace::default();
-        let next_states = indices.iter().map(|&i| &self.replay.next_state(i)[..]);
-        self.target.forward_batch(&mut trace, next_states);
-        let targets = indices.iter().enumerate().map(|(s, &i)| {
-            let t = self.replay.slot(i);
-            let mut q = [0.0; AgentAction::COUNT];
-            trace.output_into(s, &mut q);
-            let bootstrap = if t.terminal {
-                0.0
-            } else {
-                masked_max(&q, &t.next_mask())
-            };
-            (t.reward + self.config.gamma * bootstrap).to_bits()
-        });
-        targets.collect()
-    }
-
     /// Rows the replay ring has stored, over every transition ever pushed.
     pub(crate) fn replay_rows_pushed(&self) -> u64 {
-        self.replay.rows_pushed()
+        self.learner.as_ref().map_or(0, |l| l.replay.rows_pushed())
     }
 }
 
@@ -674,34 +726,44 @@ mod tests {
         assert_eq!(a.q_values(&s), b.q_values(&s));
     }
 
-    /// Export/import must be lossless: between two training runs, when the
-    /// ring is empty, the restored agent takes the exact same training
-    /// trajectory as the original.
+    /// A retrain on a small idle-heavy workload, its seed given.
+    fn retrain(a: &mut DqnAgent, seed: u64) {
+        use crate::{train_on_workload, ConstraintSet, EpisodeConfig, SliderPosition};
+        use cdw_sim::{QuerySpec, WarehouseConfig, WarehouseSize, HOUR_MS, MINUTE_MS};
+        let specs: Vec<QuerySpec> = (0..6u64)
+            .map(|h| {
+                QuerySpec::builder(h)
+                    .work_ms_xs(20_000.0)
+                    .arrival_ms(h * HOUR_MS + 5 * MINUTE_MS)
+                    .build()
+            })
+            .collect();
+        let config = WarehouseConfig::new(WarehouseSize::Medium).with_auto_suspend_secs(600);
+        let episodes = EpisodeConfig {
+            decision_interval_ms: 20 * MINUTE_MS,
+            ..EpisodeConfig::default()
+        };
+        let (slider, rules) = (SliderPosition::Balanced, ConstraintSet::new());
+        train_on_workload(a, &specs, &config, slider, &rules, &episodes, 2, seed);
+    }
+
+    /// Export/import must be lossless: between two retrains, when the agent
+    /// holds no learner, the restored agent takes the exact same training
+    /// trajectory through the next retrain as the original.
     #[test]
     fn exported_state_round_trips_bit_identically() {
         let state = vec![0.4; STATE_DIM];
-        let feed = |a: &mut DqnAgent, rng: &mut StdRng, steps: usize| {
-            for i in 0..steps {
-                a.observe(Transition {
-                    state: state.clone(),
-                    action: i % AgentAction::COUNT,
-                    reward: (i as f64) * 0.01,
-                    next_state: state.clone(),
-                    next_mask: full_mask(),
-                    terminal: i % 3 == 0,
-                });
-                a.train_step(rng);
-            }
-        };
         let mut a = agent(13);
-        feed(&mut a, &mut StdRng::seed_from_u64(14), 40);
-        a.clear_replay();
+        retrain(&mut a, 14);
+        assert!(a.learner().is_none(), "a retrain drops its learner");
         let mut b = DqnAgent::from_bytes(&a.to_bytes()).unwrap();
         assert_eq!(a.q_values(&state), b.q_values(&state));
         assert_eq!((b.replay_len(), b.train_steps()), (0, a.train_steps()));
         // Continued training diverges only if hidden state differs.
-        feed(&mut a, &mut StdRng::seed_from_u64(99), 30);
-        feed(&mut b, &mut StdRng::seed_from_u64(99), 30);
+        let before = a.train_steps();
+        retrain(&mut a, 99);
+        retrain(&mut b, 99);
+        assert!(b.train_steps() > before, "the second retrain trained");
         assert_eq!(a.q_values(&state), b.q_values(&state));
         assert_eq!(a.to_bytes(), b.to_bytes());
     }
@@ -758,8 +820,14 @@ mod tests {
             let t = transition(&mut feed);
             cached.observe(t.clone());
             reference.observe(t);
-            reference.bootstrap.fill(f64::NAN);
-            known += cached.bootstrap.iter().filter(|b| !b.is_nan()).count();
+            fn bootstrap(a: &mut DqnAgent) -> &mut Vec<f64> {
+                &mut a.learner.as_mut().unwrap().bootstrap
+            }
+            bootstrap(&mut reference).fill(f64::NAN);
+            known += bootstrap(&mut cached)
+                .iter()
+                .filter(|b| !b.is_nan())
+                .count();
             let (td_c, td_r) = (
                 cached.train_step(&mut rng_c),
                 reference.train_step(&mut rng_r),
@@ -778,9 +846,12 @@ mod tests {
         );
         // Both networks, the Adam moments and every counter.
         assert_eq!(cached.to_bytes(), reference.to_bytes());
+        let learner = |a: &DqnAgent| serde_json::to_string(&a.learner().unwrap()).unwrap();
+        assert_eq!(learner(&cached), learner(&reference));
     }
 
-    /// An agent that has trained, so the Adam moments are sized.
+    /// An agent between retrains that has trained: its online network has
+    /// moved off its initialization, and its learner is gone.
     fn trained() -> DqnAgent {
         let mut a = agent(21);
         let mut rng = StdRng::seed_from_u64(22);
@@ -795,16 +866,15 @@ mod tests {
             });
         }
         assert!(a.train_step(&mut rng).is_some());
+        a.drop_learner();
         a
     }
 
-    /// Where the config starts in `a.to_bytes()`: after both networks and
-    /// the optimizer. Its first word is the hidden layers' count.
+    /// Where the config starts in `a.to_bytes()`: after the online
+    /// network. Its first word is the hidden layers' count.
     fn config_at(a: &DqnAgent) -> usize {
         let mut head = Vec::new();
         a.online.write_le(&mut head);
-        a.target.write_le(&mut head);
-        a.optimizer.write_le(&mut head);
         head.len()
     }
 
@@ -858,7 +928,13 @@ mod tests {
         assert_eq!(c.epsilon_end.to_bits(), (-0.0f64).to_bits());
         assert_eq!(c.grad_clip, f64::NEG_INFINITY);
         assert_eq!((back.selections, back.train_steps), (0, 1));
-        assert_eq!(back.replay_len(), 0, "the ring is not persisted");
+        assert!(back.learner().is_none(), "the learner is not persisted");
+        // Between retrains that is all of the agent: the next retrain runs
+        // on from the decoded one bit for bit, odd floats and all.
+        let mut back = back;
+        retrain(&mut a, 28);
+        retrain(&mut back, 28);
+        assert_eq!(back.to_bytes(), a.to_bytes());
         // Every cut inside the scalar-dense ends, a stride through the tensors.
         for cut in (0..bytes.len()).filter(|c| *c < 256 || c % 61 == 0 || c + 256 > bytes.len()) {
             assert!(
@@ -892,7 +968,7 @@ mod tests {
 
     #[test]
     fn from_state_accepts_what_it_exported() {
-        // Moments sized by training, and still unsized on a fresh agent.
+        // Trained, and fresh.
         assert!(DqnAgent::from_bytes(&trained().to_bytes()).is_ok());
         assert!(DqnAgent::from_bytes(&agent(24).to_bytes()).is_ok());
     }
@@ -911,7 +987,7 @@ mod tests {
     fn from_state_rejects_layers_that_do_not_chain() {
         let mut a = trained();
         // Same 2048 values, transposed shape: a valid matrix in the wrong place.
-        a.target = edited(&a.target, &[32, 64], &[64, 32]);
+        a.online = edited(&a.online, &[32, 64], &[64, 32]);
         assert_rejected(
             a.to_bytes(),
             "(64, 14, Some(896), 64), (64, 32, Some(2048), 32)",
@@ -929,42 +1005,10 @@ mod tests {
     fn from_state_rejects_networks_of_the_wrong_dimensions() {
         let mut a = trained();
         a.online = fresh_net(&[STATE_DIM + 1, 8, AgentAction::COUNT]);
-        assert_rejected(a.to_bytes(), "online [15, 8, 8] and target");
+        assert_rejected(a.to_bytes(), "online network [15, 8, 8] is not a 14 -> 8");
         let mut a = trained();
-        a.target = fresh_net(&[STATE_DIM, 8, AgentAction::COUNT + 1]);
-        assert_rejected(
-            a.to_bytes(),
-            "target [14, 8, 9] networks are not one 14 -> 8",
-        );
-    }
-
-    #[test]
-    fn from_state_rejects_online_and_target_of_different_shapes() {
-        let mut a = trained();
-        a.target = fresh_net(&[STATE_DIM, 16, AgentAction::COUNT]);
-        assert_rejected(a.to_bytes(), "target [14, 16, 8] networks are not one");
-    }
-
-    #[test]
-    fn from_state_rejects_an_optimizer_with_the_wrong_slot_count() {
-        let mut a = trained();
-        a.optimizer = Adam::new(1e-3, 4);
-        assert_rejected(
-            a.to_bytes(),
-            "moments [0, 0, 0, 0] / [0, 0, 0, 0] do not fit",
-        );
-    }
-
-    #[test]
-    fn from_state_rejects_moments_sized_for_another_network() {
-        let mut a = trained();
-        // Same six slots, different tensor lengths.
-        a.online = fresh_net(&[STATE_DIM, 32, 64, AgentAction::COUNT]);
-        a.target = a.online.clone();
-        assert_rejected(
-            a.to_bytes(),
-            "do not fit parameter tensors [448, 32, 2048, 64, 512, 8]",
-        );
+        a.online = fresh_net(&[STATE_DIM, 8, AgentAction::COUNT + 1]);
+        assert_rejected(a.to_bytes(), "online network [14, 8, 9] is not a 14 -> 8");
     }
 
     /// A zero batch would panic in the first retrain's `train_step`, a zero
@@ -977,6 +1021,38 @@ mod tests {
         let mut a = trained();
         a.config.replay_capacity = 0;
         assert_rejected(a.to_bytes(), "replay buffer capacity must be positive");
+    }
+
+    /// The next retrain builds its Adam from the learning rate, which
+    /// `Adam::new` asserts is positive, and syncs its target on multiples of
+    /// `target_sync_interval`, of which 0 has none past step 0: a learner
+    /// whose target never moves.
+    #[test]
+    fn from_state_rejects_a_config_the_learner_cannot_be_built_or_run_from() {
+        for lr in [0.0, -1e-3, f64::NAN, -f64::NAN, f64::NEG_INFINITY] {
+            let mut a = trained();
+            a.config.learning_rate = lr;
+            assert_rejected(a.to_bytes(), "learning rate must be positive");
+        }
+        let mut a = trained();
+        a.config.target_sync_interval = 0;
+        assert_rejected(a.to_bytes(), "target_sync_interval must be positive");
+        // The smallest values that are not refused build and run a learner.
+        let mut a = trained();
+        (a.config.learning_rate, a.config.target_sync_interval) = (f64::MIN_POSITIVE, 1);
+        let mut b = DqnAgent::from_bytes(&a.to_bytes()).unwrap();
+        let mut rng = StdRng::seed_from_u64(25);
+        for i in 0..b.config.batch_size {
+            b.observe(Transition {
+                state: vec![0.2; STATE_DIM],
+                action: i % AgentAction::COUNT,
+                reward: 1.0,
+                next_state: vec![0.4; STATE_DIM],
+                next_mask: full_mask(),
+                terminal: false,
+            });
+        }
+        assert!(b.train_step(&mut rng).is_some());
     }
 
     /// The replay ring against the plain `Vec` ring it replaced, whose

@@ -11,9 +11,13 @@
 //!    `T_realtime`), accumulating credits and performance signals;
 //! 3. **Q-learning** — every interval yields a transition whose reward is
 //!    `−credits − λ(slider)·perf_penalty`, pushed into the replay ring
-//!    with a training step per decision. The ring holds this training run's
-//!    transitions and no others: it is created when [`train_on_workload`]
-//!    starts and dropped when it returns.
+//!    with a training step per decision. Training state lives for one
+//!    retrain: the ring, its bootstrap cache, the target network and the
+//!    Adam moments are built at the run's first transition and dropped when
+//!    [`train_on_workload`] returns, so between retrains the agent is its
+//!    online network alone. The ring holds this run's transitions and no
+//!    others; the target network starts as a copy of the online one, and
+//!    the moments start unsized.
 
 use crate::action::AgentAction;
 use crate::constraints::ConstraintSet;
@@ -133,9 +137,9 @@ fn rollout_static(specs: &[QuerySpec], config: &WarehouseConfig) -> (Simulator, 
 }
 
 /// Trains `agent` by rolling out `episodes` passes over the workload.
-/// Returns training statistics; the agent is mutated in place. Its replay
-/// ring lives for this call: it starts empty, and the transitions the
-/// episodes stored are dropped on return.
+/// Returns training statistics; the agent is mutated in place. Its learner
+/// (target network, Adam moments, replay ring) lives for this call: a fresh
+/// one is built at the first transition, and it is dropped on return.
 #[allow(clippy::too_many_arguments)]
 pub fn train_on_workload(
     agent: &mut DqnAgent,
@@ -147,7 +151,7 @@ pub fn train_on_workload(
     episodes: usize,
     seed: u64,
 ) -> TrainingStats {
-    agent.clear_replay();
+    agent.drop_learner();
     let mut stats = TrainingStats::default();
     let mut rng = StdRng::seed_from_u64(seed);
     let horizon = specs.iter().map(|s| s.arrival).max().unwrap_or(0) + episode_cfg.tail_ms;
@@ -171,7 +175,7 @@ pub fn train_on_workload(
         stats.episodes += 1;
     }
     stats.final_epsilon = agent.epsilon();
-    agent.clear_replay();
+    agent.drop_learner();
     stats
 }
 
@@ -382,14 +386,14 @@ mod tests {
         assert_eq!(stats.episodes, 3);
         assert!(stats.transitions > 50, "transitions {}", stats.transitions);
         assert!(agent.train_steps() > 0);
-        assert_eq!(agent.replay_len(), 0, "the ring lives for one run");
+        assert!(agent.learner().is_none(), "the learner lives for one run");
         assert!(stats.final_epsilon < 1.0);
     }
 
     /// An episode is a chain — each transition starts in the state the one
     /// before it ended in — so its replay ring holds about one state row per
     /// transition, not two. The episode runs outside `train_on_workload`,
-    /// which would drop the ring on return.
+    /// which would drop the learner and its ring on return.
     #[test]
     fn an_episode_stores_each_state_once() {
         let mut rng = StdRng::seed_from_u64(3);

@@ -11,7 +11,7 @@
 
 use agent::{AgentAction, DqnAgent, DqnConfig, Transition, STATE_DIM};
 use nn::le::Reader;
-use nn::{Adam, Mlp};
+use nn::Mlp;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt::Write as _;
 use telemetry::hash_query_text;
@@ -62,13 +62,12 @@ fn training_hash(batch_size: usize) -> u64 {
         write!(folded, "{:016x}", td.to_bits()).unwrap();
     }
     assert_eq!(agent.train_steps(), 250);
-    // The agent's own bytes open with both networks and the Adam moments.
+    // The agent's own bytes open with the online network; the target
+    // network and the Adam moments exist while the learner does.
     let bytes = agent.to_bytes();
-    let mut r = Reader::new(&bytes);
-    let online = Mlp::read_le(&mut r).unwrap();
-    let target = Mlp::read_le(&mut r).unwrap();
-    let optimizer = Adam::read_le(&mut r).unwrap();
-    folded.push_str(&serde_json::to_string(&(online, target, optimizer)).unwrap());
+    let online = Mlp::read_le(&mut Reader::new(&bytes)).unwrap();
+    let (target, optimizer) = agent.learner().expect("a learner is training");
+    folded.push_str(&serde_json::to_string(&(&online, target, optimizer)).unwrap());
     hash_query_text(&folded)
 }
 

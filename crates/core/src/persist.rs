@@ -24,7 +24,11 @@
 //!   expected config at resume time. A live tick trains nothing and observes
 //!   nothing into the agent (format v9): the DQN learns only in a retrain's
 //!   episodes, from a replay ring that lives for that retrain, so neither a
-//!   tick record nor the agent section carries a transition;
+//!   tick record nor the agent section carries a transition. Nor does the
+//!   agent section carry the rest of that retrain's learner (format v10):
+//!   the target network and the Adam moments are built with the ring and
+//!   dropped with it, so between retrains, when snapshots are taken, the
+//!   agent is its online network, config and counters;
 //! * side effects already applied to the surviving simulator/warehouse
 //!   (fetch overhead charges, ALTER statements) are *not* re-run — replay
 //!   re-ingests telemetry by cursor range and re-trains models, but never
@@ -34,7 +38,7 @@
 //!   snapshot's `0..cursor`, a `Tick`'s range) re-deliver from the stream.
 //!
 //! Two encodings, split by what a traced `fleet_durable` run measured. The
-//! agent's tensors — both networks and the Adam moments — are the bulk of a
+//! agent's tensors — its online network's weights — are the bulk of a
 //! snapshot, and printing and parsing them was most of what a snapshot
 //! cost, so they travel binary: one length-prefixed agent section per
 //! optimizer in the `KWSN` envelope. The `agent` crate writes and reads its
@@ -62,7 +66,7 @@ use crate::actuator::ActionLogEntry;
 /// Bumped on any incompatible change to the persisted schema. Decode
 /// refuses every other version: no store outlives its process here, so
 /// there is no dual decode.
-pub const FORMAT_VERSION: u32 = 9;
+pub const FORMAT_VERSION: u32 = 10;
 
 /// Magic prefix of the snapshot envelope, the only snapshot format: bytes
 /// that do not start with it are not a snapshot.
@@ -493,6 +497,44 @@ mod tests {
         }
     }
 
+    /// The agent section v9 wrote: the online network, then the target
+    /// network and the Adam moments, then the config and counters. This
+    /// build's decoder reads the target's bytes as a config and refuses the
+    /// section; restore names the warehouse it belongs to.
+    #[test]
+    fn a_v9_agent_section_with_its_target_and_moments_is_corrupt() {
+        use crate::store::{MemStore, StateStore};
+        use nn::le::{self, Reader};
+        let (sim, bytes) = managed();
+        let mut snap = decode_snapshot(&bytes).unwrap();
+        let v10 = &snap.agents[0];
+        let mut online = Vec::new();
+        nn::Mlp::read_le(&mut Reader::new(v10))
+            .unwrap()
+            .write_le(&mut online);
+        let (online, rest) = v10.split_at(online.len());
+        // A fresh Adam as v9 encoded it: lr, betas, eps, the timestep, then
+        // two sets of six still-unsized moment slots.
+        let mut adam = Vec::new();
+        for v in [1e-3, 0.9, 0.999, 1e-8] {
+            le::put_f64(&mut adam, v);
+        }
+        le::put_u64(&mut adam, 0);
+        for _ in 0..2 {
+            le::put_usize(&mut adam, 6);
+            (0..6).for_each(|_| le::put_usize(&mut adam, 0));
+        }
+        snap.agents[0] = [online, online, &adam, rest].concat();
+        let mut store = MemStore::new();
+        store
+            .write_snapshot(&encode_snapshot(&snap).unwrap())
+            .unwrap();
+        match crate::Orchestrator::restore(Box::new(store), &sim) {
+            Err(PersistError::Corrupt(m)) => assert!(m.contains("agent section of WH"), "{m}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|(_, s)| s)),
+        }
+    }
+
     #[test]
     fn a_flapping_warehouse_does_not_grow_its_tick_records() {
         use crate::health::HealthSignals;
@@ -580,9 +622,10 @@ mod tests {
         format!("[{}]", [v; agent::STATE_DIM].join(","))
     }
 
-    /// A tick record as v8 would have journaled it: a v9 record's JSON with
-    /// `learned` (in the shape the caller gives) in its effects, and the
-    /// pending state vector where v9 keeps its reward basis.
+    /// A tick record as v8 would have journaled it: this format's record
+    /// JSON (v9 and v10 journal a tick alike) with `learned` (in the shape
+    /// the caller gives) in its effects, and the pending state vector where
+    /// v9 put the reward basis.
     fn tick_json_v8(learned: &str) -> String {
         let record = PersistRecord::Tick {
             warehouse: "WH".to_string(),
@@ -595,11 +638,11 @@ mod tests {
                 2,
             ),
         };
-        let v9 = String::from_utf8(encode_record(&record).unwrap()).unwrap();
-        assert!(decode_record(v9.as_bytes()).is_ok());
+        let current = String::from_utf8(encode_record(&record).unwrap()).unwrap();
+        assert!(decode_record(current.as_bytes()).is_ok());
         let basis = "\"reward_basis\":{\"action\":null,\"credits\":0.0,\"dropped\":0}";
         let state = state_json("0.5");
-        let v8 = v9
+        let v8 = current
             .replace(
                 basis,
                 &format!("\"prev_state\":[{state},0],\"prev_credits\":0.0,\"prev_dropped\":0"),
@@ -688,15 +731,16 @@ mod tests {
 
     #[test]
     fn mismatched_body_version_header_is_corrupt() {
-        // The previous formats: no dual decode. v8 journaled a tick's
-        // transition and persisted the replay ring in the agent section, v7
-        // carried the spike window in every tick record, v6 journaled a tick's
-        // transition with the seed of its train step, v5 stored each log
-        // entry's SQL, outcome and kind and the health history, v4 journaled
-        // a tick's transition and its seed as two fields, v3 had a tagged
-        // header that copied the body's version, v2 was the all-JSON
-        // snapshot.
-        for version in [8, 7, 6, 5, 4, 3, 2, 1] {
+        // The previous formats: no dual decode. v9 persisted the target
+        // network and the Adam moments in the agent section, v8 journaled a
+        // tick's transition and persisted the replay ring in the agent
+        // section, v7 carried the spike window in every tick record, v6
+        // journaled a tick's transition with the seed of its train step, v5
+        // stored each log entry's SQL, outcome and kind and the health
+        // history, v4 journaled a tick's transition and its seed as two
+        // fields, v3 had a tagged header that copied the body's version, v2
+        // was the all-JSON snapshot.
+        for version in [9, 8, 7, 6, 5, 4, 3, 2, 1] {
             assert_version_refused(version);
         }
         // A v3 snapshot as v3 wrote it: magic, envelope version 1, two

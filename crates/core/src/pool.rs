@@ -4,10 +4,15 @@
 //! result back in spec order". A [`WorkerPool`] is therefore only a width
 //! cap: each batch runs inside one [`std::thread::scope`], so tasks borrow
 //! the caller's data (no `'static`, no `Arc`) and nothing outlives the call.
-//! The traffic is one batch per fleet run and one per gateway tick, each
-//! milliseconds long against a scoped spawn+join of tens of microseconds,
-//! and no job keeps warm state — a persistent thread set had nothing to
-//! amortize.
+//! The traffic is one batch per fleet run and one per gateway tick. A fleet
+//! run's batch is long; a gateway tick's is not: on a 2-vCPU host
+//! `gateway_serve`'s median tick (`step_ms`, width 2) is 0.33–0.52 ms, and
+//! the one empty scoped spawn+join a width-2 batch adds costs 25–30 µs
+//! there, 5–9 % of a tick. Nor is a job stateless: every helper thread
+//! starts with a cold `SCRATCH` thread-local (`agent::dqn`'s training and
+//! serving scratch), which `greedy_action` fills on serving ticks. A
+//! persistent thread set would amortize both; it is a measured candidate,
+//! not yet the design (EXPERIMENTS.md, "Fleet, gateway and durability").
 //!
 //! * **Determinism.** The pool never influences results: a ticket is only an
 //!   index, every shard is self-contained, and [`WorkerPool::map`] returns

@@ -1,5 +1,5 @@
 //! The little-endian byte codec under the durable snapshot's binary
-//! sections: `Matrix` / `Mlp` / `Adam` here, the agent state in `agent`.
+//! sections: `Matrix` / `Mlp` here, the agent state in `agent`.
 //!
 //! Fixed-width fields in declaration order, no tags, no padding: `u64` and
 //! `usize` as eight bytes, `f64` as its `to_bits()` (so NaN payloads and

@@ -373,13 +373,6 @@ impl Mlp {
             .sum()
     }
 
-    /// Length of each parameter tensor in optimizer-slot order (weights,
-    /// then biases, per layer).
-    pub fn tensor_lens(&self) -> Vec<usize> {
-        let lens = |l: &Layer| [l.weights.as_slice().len(), l.biases.len()];
-        self.layers.iter().flat_map(lens).collect()
-    }
-
     /// Forward pass returning only the output.
     pub fn forward(&self, input: &[f64]) -> Vec<f64> {
         self.forward_trace(input)
@@ -995,7 +988,7 @@ mod tests {
 
     #[test]
     fn binary_codec_round_trips_every_bit_and_refuses_every_cut() {
-        // Weights no float printer is trusted with, and sized Adam moments.
+        // Weights no float printer is trusted with.
         let mut net = tiny_net(5);
         net.config.activation = Activation::Tanh;
         let odd = [
@@ -1006,32 +999,21 @@ mod tests {
         ];
         net.layers[0].weights.as_mut_slice()[..4].copy_from_slice(&odd);
         net.layers[1].biases[0] = f64::from_bits(0xFFF0_0000_0000_0001);
-        let mut adam = Adam::new(1e-3, net.optimizer_slots());
-        let trace = net.forward_trace(&[0.5, -0.5]);
-        let grads = tiny_net(6).backward(&trace, &[1.0]);
-        net.apply_gradients(&grads, &mut adam);
 
         let mut bytes = Vec::new();
         net.write_le(&mut bytes);
-        adam.write_le(&mut bytes);
         let mut r = le::Reader::new(&bytes);
-        let (net_back, adam_back) = (
-            Mlp::read_le(&mut r).unwrap(),
-            Adam::read_le(&mut r).unwrap(),
-        );
+        let net_back = Mlp::read_le(&mut r).unwrap();
         assert_eq!(r.finish(), Ok(()));
         assert_eq!(net_back.config.activation, Activation::Tanh);
         assert_eq!(net_back.validate(), Ok(()));
-        assert_eq!(adam_back.validate(&net_back.tensor_lens()), Ok(()));
         let mut again = Vec::new();
         net_back.write_le(&mut again);
-        adam_back.write_le(&mut again);
         assert_eq!(again, bytes, "decode then encode reproduces the bytes");
 
         for cut in 0..bytes.len() {
             let mut r = le::Reader::new(&bytes[..cut]);
-            let both = Mlp::read_le(&mut r).and_then(|_| Adam::read_le(&mut r));
-            assert!(both.is_err(), "a {cut}-byte prefix decoded");
+            assert!(Mlp::read_le(&mut r).is_err(), "a {cut}-byte prefix decoded");
         }
     }
 

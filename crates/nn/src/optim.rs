@@ -4,7 +4,6 @@
 //! own the state (moments) for every parameter tensor of a network: the MLP
 //! uses two slots per layer (weights, biases).
 
-use crate::le;
 use serde::Serialize;
 
 /// Adam optimizer (Kingma & Ba) with bias correction, over flat parameter
@@ -34,49 +33,6 @@ impl Adam {
             m: vec![Vec::new(); slots],
             v: vec![Vec::new(); slots],
         }
-    }
-
-    /// Appends the binary encoding: hyper-parameters, timestep, moments.
-    pub fn write_le(&self, out: &mut Vec<u8>) {
-        for v in [self.lr, self.beta1, self.beta2, self.eps] {
-            le::put_f64(out, v);
-        }
-        le::put_u64(out, self.t);
-        for moments in [&self.m, &self.v] {
-            le::put_usize(out, moments.len());
-            for slot in moments {
-                le::put_f64s(out, slot);
-            }
-        }
-    }
-
-    /// The inverse of [`Adam::write_le`]; [`Adam::validate`] checks what it
-    /// decoded against the network.
-    pub fn read_le(r: &mut le::Reader<'_>) -> Result<Self, String> {
-        Ok(Self {
-            lr: r.f64()?,
-            beta1: r.f64()?,
-            beta2: r.f64()?,
-            eps: r.f64()?,
-            t: r.u64()?,
-            m: r.seq(8, le::Reader::f64s)?,
-            v: r.seq(8, le::Reader::f64s)?,
-        })
-    }
-
-    /// Checks decoded state against the lengths of the parameter tensors it
-    /// will update, in slot order: one slot per tensor, each slot's moments
-    /// either still unsized (they are sized on first use) or exactly as long.
-    pub fn validate(&self, tensor_lens: &[usize]) -> Result<(), String> {
-        let lens = |moments: &[Vec<f64>]| moments.iter().map(Vec::len).collect::<Vec<_>>();
-        let (m, v) = (lens(&self.m), lens(&self.v));
-        let sized = |(&have, &want): (&usize, &usize)| have == 0 || have == want;
-        if m == v && m.len() == tensor_lens.len() && m.iter().zip(tensor_lens).all(sized) {
-            return Ok(());
-        }
-        Err(format!(
-            "optimizer moments {m:?} / {v:?} do not fit parameter tensors {tensor_lens:?}"
-        ))
     }
 
     /// Signals the start of a new update step. Called implicitly by slot 0;

@@ -112,8 +112,10 @@ fn smoke_campaign_runs_clean() {
 }
 
 /// A genome the binary agent-section decoder reads as a count of 2^60
-/// layer sizes in eight bytes. The decoder must answer with an error — no
-/// panic, and no attempt to reserve the claimed 8 EiB.
+/// layer sizes in eight bytes: the v10 section (online network, config,
+/// counters) opens with the online network's layer sizes, as every earlier
+/// layout did. The decoder must answer with an error — no panic, and no
+/// attempt to reserve the claimed 8 EiB.
 const AGENT_SECTION_GENOME_HEX: &str = "0000000000000010";
 
 #[test]
