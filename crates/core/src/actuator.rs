@@ -11,12 +11,16 @@
 //!
 //! An entry stores facts only — the commands, how each ended, and a typed
 //! [`Reason`]. Its SQL, overall outcome and kind are derived when read.
+//! A snapshot carries a log as binary ([`encode_log`]), a WAL tick record
+//! the entries it appended as JSON.
 
+use crate::persist::PersistError;
 use agent::AgentAction;
 use cdw_sim::{
-    ActionSource, AlterError, SimTime, Simulator, WarehouseCommand, WarehouseConfig, WarehouseId,
-    WarehouseName,
+    ActionSource, AlterError, ScalingPolicy, SimTime, Simulator, WarehouseCommand, WarehouseConfig,
+    WarehouseId, WarehouseName, WarehouseSize,
 };
+use nn::le::{self, Reader};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -394,22 +398,158 @@ impl Actuator {
             .sum()
     }
 
-    /// Appends previously recorded entries (WAL replay during crash
-    /// recovery — the commands already ran, only the record is restored).
-    /// An entry naming `name`'s warehouse shares that handle instead of the
-    /// copy its decoding allocated.
+    /// Appends previously recorded entries (crash recovery — the commands
+    /// already ran, only the record is restored), each sharing `name`'s
+    /// handle. An entry naming another warehouse is corruption.
     pub(crate) fn extend_log(
         &mut self,
         name: &WarehouseName,
         entries: impl IntoIterator<Item = ActionLogEntry>,
-    ) {
-        self.log.extend(entries.into_iter().map(|mut e| {
-            if e.warehouse == *name {
-                e.warehouse = name.clone();
+    ) -> Result<(), PersistError> {
+        for mut e in entries {
+            if e.warehouse != *name {
+                return Err(PersistError::Corrupt(format!(
+                    "action-log entry of {} in the log of {name}",
+                    e.warehouse
+                )));
             }
-            e
-        }));
+            e.warehouse = name.clone();
+            self.log.push(e);
+        }
+        Ok(())
     }
+}
+
+/// The scaling policies in tag order.
+const POLICIES: [ScalingPolicy; 3] = [
+    ScalingPolicy::Standard,
+    ScalingPolicy::Economy,
+    ScalingPolicy::Maximized,
+];
+
+/// Appends `entries` as one log section (`nn::le`): a count, then per entry
+/// its time, its action's and reason's indices in `ALL` and its commands,
+/// each a tagged command, a tagged status and the attempts. No entry
+/// carries a name: a section is one warehouse's.
+pub fn encode_log(entries: &[ActionLogEntry], out: &mut Vec<u8>) {
+    le::put_usize(out, entries.len());
+    for e in entries {
+        le::put_u64(out, e.at);
+        out.extend([e.action.index() as u8, e.reason as u8]);
+        le::put_usize(out, e.commands.len());
+        for c in &e.commands {
+            put_command(out, c.command);
+            put_status(out, &c.status);
+            le::put_u64(out, u64::from(c.attempts));
+        }
+    }
+}
+
+fn put_command(out: &mut Vec<u8>, command: WarehouseCommand) {
+    match command {
+        WarehouseCommand::SetSize(size) => out.extend([0, size.index() as u8]),
+        WarehouseCommand::SetAutoSuspend { ms } => {
+            out.push(1);
+            le::put_u64(out, ms);
+        }
+        WarehouseCommand::SetClusterRange { min, max } => {
+            out.push(2);
+            le::put_u64(out, min.into());
+            le::put_u64(out, max.into());
+        }
+        WarehouseCommand::SetScalingPolicy(policy) => out.extend([3, policy as u8]),
+        WarehouseCommand::Suspend => out.push(4),
+        WarehouseCommand::Resume => out.push(5),
+    }
+}
+
+/// One tag for a status and, if it failed, its error; then an error's text.
+fn put_status(out: &mut Vec<u8>, status: &CommandStatus) {
+    let (tag, text) = match status {
+        CommandStatus::Applied => (0, None),
+        CommandStatus::NoChange => (1, None),
+        CommandStatus::Skipped => (2, None),
+        CommandStatus::Failed(AlterError::UnknownWarehouse(name)) => (3, Some(name)),
+        CommandStatus::Failed(AlterError::InvalidConfig(message)) => (4, Some(message)),
+        CommandStatus::Failed(AlterError::AlreadySuspended) => (5, None),
+        CommandStatus::Failed(AlterError::AlreadyRunning) => (6, None),
+        CommandStatus::Failed(AlterError::ServiceUnavailable) => (7, None),
+        CommandStatus::Failed(AlterError::Throttled) => (8, None),
+    };
+    out.push(tag);
+    if let Some(text) = text {
+        le::put_str(out, text);
+    }
+}
+
+/// `table[tag]`, or an error naming `what` the tag failed to be.
+fn tagged<T: Copy>(table: &[T], tag: u8, what: &str) -> Result<T, String> {
+    table
+        .get(usize::from(tag))
+        .copied()
+        .ok_or_else(|| format!("unknown {what} tag {tag}"))
+}
+
+fn read_u32(r: &mut Reader) -> Result<u32, String> {
+    let n = r.u64()?;
+    u32::try_from(n).map_err(|_| format!("{n} does not fit a u32"))
+}
+
+/// The inverse of [`encode_log`], total: short, lying or trailing bytes are
+/// an `Err`, never a panic. Every entry shares `name`, the handle of the
+/// warehouse whose section this is.
+pub fn decode_log(bytes: &[u8], name: &WarehouseName) -> Result<Vec<ActionLogEntry>, String> {
+    let mut r = Reader::new(bytes);
+    // An entry is at least a time, two tags and a count; a command two tags
+    // and its attempts.
+    let entries = r.seq(8 + 2 + 8, |r| {
+        Ok(ActionLogEntry {
+            at: r.u64()?,
+            warehouse: name.clone(),
+            action: tagged(&AgentAction::ALL, r.u8()?, "action")?,
+            reason: tagged(&Reason::ALL, r.u8()?, "reason")?,
+            commands: r.seq(2 + 8, |r| {
+                Ok(CommandOutcome {
+                    command: read_command(r)?,
+                    status: read_status(r)?,
+                    attempts: read_u32(r)?,
+                })
+            })?,
+        })
+    })?;
+    r.finish()?;
+    Ok(entries)
+}
+
+fn read_command(r: &mut Reader) -> Result<WarehouseCommand, String> {
+    Ok(match r.u8()? {
+        0 => WarehouseCommand::SetSize(tagged(&WarehouseSize::ALL, r.u8()?, "size")?),
+        1 => WarehouseCommand::SetAutoSuspend { ms: r.u64()? },
+        2 => WarehouseCommand::SetClusterRange {
+            min: read_u32(r)?,
+            max: read_u32(r)?,
+        },
+        3 => WarehouseCommand::SetScalingPolicy(tagged(&POLICIES, r.u8()?, "scaling policy")?),
+        4 => WarehouseCommand::Suspend,
+        5 => WarehouseCommand::Resume,
+        tag => return Err(format!("unknown command tag {tag}")),
+    })
+}
+
+fn read_status(r: &mut Reader) -> Result<CommandStatus, String> {
+    let failed = CommandStatus::Failed;
+    Ok(match r.u8()? {
+        0 => CommandStatus::Applied,
+        1 => CommandStatus::NoChange,
+        2 => CommandStatus::Skipped,
+        3 => failed(AlterError::UnknownWarehouse(r.str()?)),
+        4 => failed(AlterError::InvalidConfig(r.str()?)),
+        5 => failed(AlterError::AlreadySuspended),
+        6 => failed(AlterError::AlreadyRunning),
+        7 => failed(AlterError::ServiceUnavailable),
+        8 => failed(AlterError::Throttled),
+        tag => return Err(format!("unknown status tag {tag}")),
+    })
 }
 
 #[cfg(test)]
@@ -608,6 +748,127 @@ mod tests {
             assert_eq!(serde_json::from_str::<Reason>(&json).unwrap(), reason);
         }
         assert!(serde_json::from_str::<Reason>(r#""reconcile""#).is_err());
+    }
+
+    /// Entries that between them hold every reason, action, command (each
+    /// size and scaling policy) and status, every error with it.
+    fn every_kind_of_entry(name: &WarehouseName) -> Vec<ActionLogEntry> {
+        let errors = [
+            AlterError::UnknownWarehouse("\"WH\" — Lager ☃".into()),
+            AlterError::InvalidConfig(String::new()),
+            AlterError::InvalidConfig("MIN \\ \"3\" > MAX ∞".into()),
+            AlterError::AlreadySuspended,
+            AlterError::AlreadyRunning,
+            AlterError::ServiceUnavailable,
+            AlterError::Throttled,
+        ];
+        let statuses = [
+            CommandStatus::Applied,
+            CommandStatus::NoChange,
+            CommandStatus::Skipped,
+        ]
+        .into_iter()
+        .chain(errors.into_iter().map(CommandStatus::Failed));
+        let mut commands = WarehouseSize::ALL.map(WarehouseCommand::SetSize).to_vec();
+        commands.extend(POLICIES.map(WarehouseCommand::SetScalingPolicy));
+        commands.extend([
+            WarehouseCommand::SetAutoSuspend { ms: u64::MAX },
+            WarehouseCommand::SetClusterRange {
+                min: 0,
+                max: u32::MAX,
+            },
+            WarehouseCommand::Suspend,
+            WarehouseCommand::Resume,
+        ]);
+        let outcomes: Vec<CommandOutcome> =
+            (commands.into_iter().zip(statuses.cycle()).enumerate())
+                .map(|(i, (command, status))| CommandOutcome {
+                    command,
+                    status,
+                    attempts: [0, 1, u32::MAX][i % 3],
+                })
+                .collect();
+        (Reason::ALL.into_iter().enumerate())
+            .map(|(i, reason)| ActionLogEntry {
+                at: i as u64 * 600_000,
+                warehouse: name.clone(),
+                action: AgentAction::ALL[i % AgentAction::COUNT],
+                reason,
+                commands: outcomes[i..].to_vec(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_log_section_round_trips_every_value_bit_for_bit() {
+        let name = WarehouseName::from("WH");
+        let entries = every_kind_of_entry(&name);
+        let statuses: Vec<_> = entries
+            .iter()
+            .flat_map(|e| &e.commands)
+            .map(|c| &c.status)
+            .collect();
+        assert!(statuses.contains(&&CommandStatus::Failed(AlterError::Throttled)));
+        assert!(entries.iter().any(|e| e.action == AgentAction::SuspendNow));
+        let mut bytes = Vec::new();
+        encode_log(&entries, &mut bytes);
+        let back = decode_log(&bytes, &name).unwrap();
+        assert_eq!(back, entries);
+        assert!(back
+            .iter()
+            .all(|e| WarehouseName::ptr_eq(&e.warehouse, &name)));
+        let mut again = Vec::new();
+        encode_log(&back, &mut again);
+        assert_eq!(again, bytes, "decode then encode reproduces the section");
+        // The tags are the indices in `ALL`.
+        assert!(Reason::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, r)| *r as usize == i));
+        assert_eq!(bytes[8 + 8..8 + 10], [0, 0], "entry 0: NoOp, observing");
+        let mut empty = Vec::new();
+        encode_log(&[], &mut empty);
+        assert_eq!(decode_log(&empty, &name), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn a_log_section_with_an_unknown_tag_or_a_lying_count_is_refused() {
+        let name = WarehouseName::from("WH");
+        let mut bytes = Vec::new();
+        encode_log(&every_kind_of_entry(&name)[..1], &mut bytes);
+        // Entry 0's action, then its reason, past the end of `ALL`.
+        for (at, what) in [(16, "action"), (17, "reason")] {
+            let mut bad = bytes.clone();
+            bad[at] = 13;
+            let err = decode_log(&bad, &name).unwrap_err();
+            assert_eq!(err, format!("unknown {what} tag 13"));
+        }
+        // 2^60 entries claimed, one present: refused before it reserves.
+        let mut lying = bytes.clone();
+        lying[..8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        assert!(decode_log(&lying, &name)
+            .unwrap_err()
+            .contains("cannot fit"));
+    }
+
+    #[test]
+    fn a_recorded_entry_naming_another_warehouse_is_refused() {
+        let (mut sim, wh, cfg) = setup();
+        let mut act = Actuator::new();
+        act.apply(&mut sim, wh, &cfg, AgentAction::SizeUp, Reason::Policy);
+        let name = sim.account().warehouse(wh).name().clone();
+        let mut entries = act.log().to_vec();
+        entries[0].warehouse = "WH".into();
+        let mut restored = Actuator::new();
+        restored.extend_log(&name, entries.clone()).unwrap();
+        assert!(WarehouseName::ptr_eq(&restored.log()[0].warehouse, &name));
+        entries[0].warehouse = "OTHER".into();
+        match restored.extend_log(&name, entries) {
+            Err(PersistError::Corrupt(m)) => {
+                assert_eq!(m, "action-log entry of OTHER in the log of WH")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

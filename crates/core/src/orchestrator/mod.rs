@@ -28,7 +28,7 @@ mod restore;
 mod ring;
 mod tick;
 
-use crate::actuator::Actuator;
+use crate::actuator::{decode_log, encode_log, Actuator};
 use crate::drng::DetRng;
 use crate::health::HealthMonitor;
 use crate::monitoring::Monitor;
@@ -414,14 +414,16 @@ impl WarehouseOptimizer {
     /// decision trace is deliberately excluded, and telemetry is re-derived
     /// from the surviving account by `ctl`'s fetcher cursors).
     fn export_snapshot(&self) -> (OptimizerSnapshot, Vec<u8>) {
+        let mut log = Vec::new();
+        encode_log(self.actuator.log(), &mut log);
         let snap = OptimizerSnapshot {
             name: self.name.to_string(),
             original_config: self.original_config.clone(),
             setup: self.setup.clone(),
             cost_model: self.cost_model.clone(),
-            actuator_log: self.actuator.log().to_vec(),
             monitor: self.monitor.clone(),
             ctl: self.ctl.clone(),
+            log,
         };
         (snap, self.agent.to_bytes())
     }
@@ -443,6 +445,8 @@ impl WarehouseOptimizer {
         let agent = DqnAgent::from_bytes(agent)
             .map_err(|e| PersistError::Corrupt(format!("agent section of {}: {e}", snap.name)))?;
         let name = sim.account().warehouse(wh).name().clone();
+        let log = decode_log(&snap.log, &name)
+            .map_err(|e| PersistError::Corrupt(format!("log section of {name}: {e}")))?;
         let mut o = WarehouseOptimizer::new(wh, name, snap.original_config, snap.setup, 0);
         if !snap.ctl.fetcher.covered_by(sim.account()) {
             return Err(PersistError::Corrupt(format!(
@@ -453,7 +457,7 @@ impl WarehouseOptimizer {
         o.agent = agent;
         o.cost_model = snap.cost_model;
         TelemetryFetcher::new().redeliver(sim.account(), &mut o.store, &snap.ctl.fetcher);
-        o.actuator.extend_log(&o.name, snap.actuator_log);
+        o.actuator.extend_log(&o.name, log)?;
         o.monitor = snap.monitor;
         o.ctl = snap.ctl;
         o.forget_read_events();

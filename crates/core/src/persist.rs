@@ -37,18 +37,18 @@
 //!   [`CtlState`] keeps the fetcher cursors and both restore paths (a
 //!   snapshot's `0..cursor`, a `Tick`'s range) re-deliver from the stream.
 //!
-//! Two encodings, split by what a traced `fleet_durable` run measured. The
-//! agent's tensors — its online network's weights — are the bulk of a
-//! snapshot, and printing and parsing them was most of what a snapshot
-//! cost, so they travel binary: one length-prefixed agent section per
-//! optimizer in the `KWSN` envelope. The `agent` crate writes and reads its
-//! own section (`nn::le`: fixed-width little-endian, every `f64` as its bits
-//! — exact for NaN payloads and `-0.0` too, by construction); this module
-//! frames the sections and never looks inside them. Control state — the
-//! snapshot's JSON body and every WAL record — stays serde JSON:
-//! self-describing, byte-exact for finite floats, and spread over ~45 types
-//! that change with almost every PR; what grows in it is the action log
-//! (DESIGN.md, "Durability").
+//! Two encodings, split by what traced `fleet_durable` runs measured. Two
+//! sections of each optimizer travel binary in the `KWSN` envelope: its
+//! agent (online network weights, whose printing and parsing was most of
+//! what a snapshot cost) and its action log (whose parsing was then most of
+//! what a restore cost, format v11). `agent` and [`crate::actuator`] write
+//! and read their own section in `nn::le` (fixed-width little-endian, every
+//! `f64` as its bits — exact for NaN payloads and `-0.0` too, by
+//! construction); this module frames the sections and never looks inside
+//! them. Control state — the snapshot's JSON body and every WAL record, a
+//! tick's new log entries included — stays serde JSON: self-describing,
+//! byte-exact for finite floats, and spread over ~45 types that change with
+//! almost every PR (DESIGN.md, "Durability").
 
 use crate::drng::DetRng;
 use crate::health::HealthMonitor;
@@ -66,7 +66,7 @@ use crate::actuator::ActionLogEntry;
 /// Bumped on any incompatible change to the persisted schema. Decode
 /// refuses every other version: no store outlives its process here, so
 /// there is no dual decode.
-pub const FORMAT_VERSION: u32 = 10;
+pub const FORMAT_VERSION: u32 = 11;
 
 /// Magic prefix of the snapshot envelope, the only snapshot format: bytes
 /// that do not start with it are not a snapshot.
@@ -263,18 +263,21 @@ pub enum PersistRecord {
 }
 
 /// Everything but the agent needed to rebuild one optimizer without
-/// replaying history: the part of a snapshot that is JSON.
+/// replaying history: the JSON part of a snapshot, and its log section.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OptimizerSnapshot {
     pub name: String,
     pub original_config: WarehouseConfig,
     pub setup: KwoSetup,
     pub cost_model: WarehouseCostModel,
-    pub actuator_log: Vec<ActionLogEntry>,
     /// The spike detector's whole window, which tick records carry one
     /// count at a time.
     pub monitor: Monitor,
     pub ctl: CtlState,
+    /// The action log as [`crate::actuator::encode_log`] wrote it: outside
+    /// the JSON body, a section of the envelope beside the agent's.
+    #[serde(skip)]
+    pub log: Vec<u8>,
 }
 
 /// A point-in-time snapshot of the whole orchestrator.
@@ -303,8 +306,9 @@ pub fn decode_record(bytes: &[u8]) -> Result<PersistRecord, PersistError> {
 }
 
 /// Encodes a snapshot in the enveloped format: `KWSN` magic, the number of
-/// agent sections (`u32` LE), each section as its `u32` LE length and its
-/// bytes, then the JSON body, which carries the format version.
+/// sections (`u32` LE), each section as its `u32` LE length and its bytes —
+/// per optimizer its agent section, then its log section — then the JSON
+/// body, which carries the format version.
 pub fn encode_snapshot(snapshot: &SnapshotState) -> Result<Vec<u8>, PersistError> {
     if snapshot.agents.len() != snapshot.optimizers.len() {
         return Err(PersistError::Codec(format!(
@@ -314,19 +318,22 @@ pub fn encode_snapshot(snapshot: &SnapshotState) -> Result<Vec<u8>, PersistError
         )));
     }
     let body = serde_json::to_vec(snapshot).map_err(|e| PersistError::Codec(e.to_string()))?;
-    envelope(&snapshot.agents, &body)
+    let sections: Vec<&[u8]> = (snapshot.agents.iter().zip(&snapshot.optimizers))
+        .flat_map(|(agent, o)| [&agent[..], &o.log[..]])
+        .collect();
+    envelope(&sections, &body)
 }
 
 /// Frames `sections` and `body` as [`encode_snapshot`] describes.
-fn envelope(sections: &[Vec<u8>], body: &[u8]) -> Result<Vec<u8>, PersistError> {
+fn envelope(sections: &[&[u8]], body: &[u8]) -> Result<Vec<u8>, PersistError> {
     let too_large = |what: &str| PersistError::Codec(format!("{what} too large for the envelope"));
-    let count = u32::try_from(sections.len()).map_err(|_| too_large("agent section count"))?;
+    let count = u32::try_from(sections.len()).map_err(|_| too_large("section count"))?;
     let header_len: usize = sections.iter().map(|s| 4 + s.len()).sum();
     let mut out = Vec::with_capacity(8 + header_len + body.len());
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.extend_from_slice(&count.to_le_bytes());
     for section in sections {
-        let len = u32::try_from(section.len()).map_err(|_| too_large("agent section"))?;
+        let len = u32::try_from(section.len()).map_err(|_| too_large("section"))?;
         out.extend_from_slice(&len.to_le_bytes());
         out.extend_from_slice(section);
     }
@@ -354,7 +361,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotState, PersistError> {
     for _ in 0..count {
         let (len, tail) = take_u32(rest).ok_or_else(truncated)?;
         let (section, tail) = tail.split_at_checked(len as usize).ok_or_else(truncated)?;
-        sections.push(section.to_vec());
+        sections.push(section);
         rest = tail;
     }
     let mut snap: SnapshotState =
@@ -365,14 +372,17 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotState, PersistError> {
             snap.version
         )));
     }
-    if sections.len() != snap.optimizers.len() {
+    if sections.len() != 2 * snap.optimizers.len() {
         return Err(PersistError::Corrupt(format!(
-            "snapshot carries {} agent sections for {} optimizers",
+            "snapshot carries {} sections for {} optimizers (an agent and a log section each)",
             sections.len(),
             snap.optimizers.len()
         )));
     }
-    snap.agents = sections;
+    for (o, pair) in snap.optimizers.iter_mut().zip(sections.chunks_exact(2)) {
+        snap.agents.push(pair[0].to_vec());
+        o.log = pair[1].to_vec();
+    }
     Ok(snap)
 }
 
@@ -428,34 +438,161 @@ mod tests {
         ));
     }
 
+    /// A control plane that has acted on its idle-heavy warehouse for a day
+    /// past onboarding, then snapshotted on attach; the simulator it acted
+    /// on, its live action log, and the snapshot, whose log section holds
+    /// that log.
+    fn acted() -> (cdw_sim::Simulator, Vec<ActionLogEntry>, Vec<u8>) {
+        use crate::store::{MemStore, StateStore};
+        use cdw_sim::{QuerySpec, WarehouseSize, DAY_MS, HOUR_MS, MINUTE_MS};
+        let mut account = cdw_sim::Account::new();
+        let config = WarehouseConfig::new(WarehouseSize::Large).with_auto_suspend_secs(3600);
+        let wh = account.create_warehouse("WH", config);
+        let mut sim = cdw_sim::Simulator::new(account);
+        for h in 0..48 {
+            let query = QuerySpec::builder(h)
+                .work_ms_xs(30_000.0)
+                .arrival_ms(h * HOUR_MS + 7 * MINUTE_MS)
+                .build();
+            sim.submit_query(wh, query);
+        }
+        let setup = KwoSetup {
+            realtime_interval_ms: 30 * MINUTE_MS,
+            onboarding_episodes: 2,
+            refresh_episodes: 0,
+            ..KwoSetup::default()
+        };
+        let mut kwo = crate::Orchestrator::new(7);
+        kwo.manage(&sim, "WH", setup);
+        kwo.observe_until(&mut sim, DAY_MS);
+        kwo.onboard(&mut sim);
+        kwo.run_until(&mut sim, 2 * DAY_MS);
+        let log = kwo.optimizer("WH").unwrap().actuator().log().to_vec();
+        let mut store = MemStore::new();
+        kwo.attach_store(Box::new(store.clone()), sim.now());
+        (sim, log, store.load().unwrap().snapshot.unwrap())
+    }
+
     #[test]
     fn a_managed_snapshot_carries_its_agent_in_binary_and_round_trips() {
-        let bytes = managed_snapshot();
+        let (_, log, bytes) = acted();
+        assert!(log.len() > 4, "{} entries", log.len());
         let snap = decode_snapshot(&bytes).unwrap();
         assert_eq!((snap.optimizers.len(), snap.agents.len()), (1, 1));
         assert_eq!(encode_snapshot(&snap).unwrap(), bytes);
-        // The section is in the header, the tensors nowhere in the body.
-        let section = &snap.agents[0];
-        assert!(bytes.windows(section.len()).any(|w| w == section));
+        // The sections are in the header; the tensors and the log are
+        // nowhere in the body.
+        let mut section = Vec::new();
+        crate::actuator::encode_log(&log, &mut section);
+        assert_eq!(snap.optimizers[0].log, section);
+        for section in [&snap.agents[0], &section] {
+            assert!(bytes.windows(section.len()).any(|w| w == section));
+        }
         let body = &bytes[bytes.len() - serde_json::to_vec(&snap).unwrap().len()..];
         let body = std::str::from_utf8(body).expect("the body is JSON");
         assert!(body.contains("\"ctl\":") && !body.contains("\"online\":"));
+        assert!(!body.contains("\"commands\":") && !body.contains("actuator_log"));
+    }
+
+    #[test]
+    fn a_restored_log_is_the_live_one_naming_the_accounts_one_warehouse() {
+        use crate::store::{MemStore, StateStore};
+        let (sim, log, bytes) = acted();
+        let mut store = MemStore::new();
+        store.write_snapshot(&bytes).unwrap();
+        let (kwo, _) = crate::Orchestrator::restore(Box::new(store), &sim).unwrap();
+        let restored = kwo.optimizer("WH").unwrap().actuator().log();
+        assert_eq!(restored, log);
+        let account = sim.account();
+        let name = account
+            .warehouse(account.warehouse_id("WH").unwrap())
+            .name();
+        assert!(restored
+            .iter()
+            .all(|e| cdw_sim::WarehouseName::ptr_eq(&e.warehouse, name)));
+    }
+
+    #[test]
+    fn a_log_section_refuses_every_cut_and_every_extra_byte() {
+        use crate::actuator::decode_log;
+        use crate::store::{MemStore, StateStore};
+        let (sim, log, bytes) = acted();
+        let name = cdw_sim::WarehouseName::from("WH");
+        let section = decode_snapshot(&bytes).unwrap().optimizers[0].log.clone();
+        assert_eq!(decode_log(&section, &name).unwrap(), log);
+        for cut in 0..section.len() {
+            assert!(
+                decode_log(&section[..cut], &name).is_err(),
+                "a {cut}-byte prefix decoded"
+            );
+        }
+        let mut extended = section.clone();
+        extended.push(0);
+        assert_eq!(decode_log(&extended, &name), Err("1 trailing bytes".into()));
+        // The envelope carries a bad section opaque; restore refuses it as
+        // corruption of the warehouse it belongs to.
+        for bad in [&section[..section.len() - 1], &extended] {
+            let mut snap = decode_snapshot(&bytes).unwrap();
+            snap.optimizers[0].log = bad.to_vec();
+            let mut store = MemStore::new();
+            store
+                .write_snapshot(&encode_snapshot(&snap).unwrap())
+                .unwrap();
+            match crate::Orchestrator::restore(Box::new(store), &sim) {
+                Err(PersistError::Corrupt(m)) => {
+                    assert!(m.starts_with("log section of WH: "), "{m}")
+                }
+                other => panic!("expected Corrupt, got {:?}", other.map(|(_, s)| s)),
+            }
+        }
+    }
+
+    /// The snapshot v10 wrote: one agent section per optimizer, the action
+    /// log as JSON in the body. Refused by its version; relabelled v11, by
+    /// its section count.
+    #[test]
+    fn a_v10_snapshot_with_its_log_in_the_body_is_corrupt() {
+        let (_, log, bytes) = acted();
+        let mut snap = decode_snapshot(&bytes).unwrap();
+        let log_json = serde_json::to_string(&log).unwrap();
+        for (version, why) in [
+            (10, "v10 (this build reads v11)"),
+            (11, "1 sections for 1 optimizers"),
+        ] {
+            snap.version = version;
+            let body = String::from_utf8(serde_json::to_vec(&snap).unwrap()).unwrap();
+            let body = body.replacen(
+                "\"monitor\":",
+                &format!("\"actuator_log\":{log_json},\"monitor\":"),
+                1,
+            );
+            assert!(body.contains("\"commands\":"), "{body}");
+            let v10 = envelope(&[&snap.agents[0][..]], body.as_bytes()).unwrap();
+            match decode_snapshot(&v10) {
+                Err(PersistError::Corrupt(m)) => assert!(m.contains(why), "{m}"),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn agent_sections_must_number_the_optimizers() {
+        // Two sections an optimizer, its agent's and its log's.
         let managed = decode_snapshot(&managed_snapshot()).unwrap();
-        // One section too many.
+        // One section too many, then one pair too many.
         for snap in [&managed, &empty_snapshot()] {
-            let mut sections = snap.agents.clone();
-            sections.push(managed.agents[0].clone());
-            let bytes = envelope(&sections, &serde_json::to_vec(snap).unwrap()).unwrap();
-            match decode_snapshot(&bytes) {
-                Err(PersistError::Corrupt(m)) => assert!(m.contains("agent sections for"), "{m}"),
-                other => panic!("expected Corrupt, got {other:?}"),
+            let body = serde_json::to_vec(snap).unwrap();
+            let pairs = snap.agents.iter().zip(&snap.optimizers);
+            let mut sections: Vec<&[u8]> = pairs.flat_map(|(a, o)| [&a[..], &o.log[..]]).collect();
+            for extra in [&managed.agents[0], &managed.optimizers[0].log] {
+                sections.push(extra);
+                match decode_snapshot(&envelope(&sections, &body).unwrap()) {
+                    Err(PersistError::Corrupt(m)) => assert!(m.contains(" sections for "), "{m}"),
+                    other => panic!("expected Corrupt, got {other:?}"),
+                }
             }
         }
-        // One too few cannot even be written.
+        // One agent too few cannot even be written.
         let mut short = managed;
         short.agents.clear();
         assert!(matches!(
@@ -623,7 +760,7 @@ mod tests {
     }
 
     /// A tick record as v8 would have journaled it: this format's record
-    /// JSON (v9 and v10 journal a tick alike) with `learned` (in the shape
+    /// JSON (v9 to v11 journal a tick alike) with `learned` (in the shape
     /// the caller gives) in its effects, and the pending state vector where
     /// v9 put the reward basis.
     fn tick_json_v8(learned: &str) -> String {
@@ -731,7 +868,8 @@ mod tests {
 
     #[test]
     fn mismatched_body_version_header_is_corrupt() {
-        // The previous formats: no dual decode. v9 persisted the target
+        // The previous formats: no dual decode. v10 carried each action log
+        // as JSON in the body, v9 persisted the target
         // network and the Adam moments in the agent section, v8 journaled a
         // tick's transition and persisted the replay ring in the agent
         // section, v7 carried the spike window in every tick record, v6
@@ -740,7 +878,7 @@ mod tests {
         // history, v4 journaled a tick's transition and its seed as two
         // fields, v3 had a tagged header that copied the body's version, v2
         // was the all-JSON snapshot.
-        for version in [9, 8, 7, 6, 5, 4, 3, 2, 1] {
+        for version in [10, 9, 8, 7, 6, 5, 4, 3, 2, 1] {
             assert_version_refused(version);
         }
         // A v3 snapshot as v3 wrote it: magic, envelope version 1, two

@@ -1,14 +1,15 @@
 //! The little-endian byte codec under the durable snapshot's binary
-//! sections: `Matrix` / `Mlp` here, the agent state in `agent`.
+//! sections: `Matrix` / `Mlp` here, the agent state in `agent`, the action
+//! log in `keebo::actuator`.
 //!
-//! Fixed-width fields in declaration order, no tags, no padding: `u64` and
-//! `usize` as eight bytes, `f64` as its `to_bits()` (so NaN payloads and
-//! `-0.0` survive by construction), every sequence as a `u64` count and then
-//! its elements. One value has one encoding, so decode → encode reproduces
-//! the bytes. Writing appends to a `Vec<u8>`; reading goes through
-//! [`Reader`], which is total: short or lying input is an `Err`, never a
-//! panic, and a count is checked against the bytes that are left before
-//! anything is reserved for it.
+//! Fixed-width fields in declaration order, no padding: `u64` and `usize` as
+//! eight bytes, `f64` as its `to_bits()` (so NaN payloads and `-0.0` survive
+//! by construction), a sequence or string as a `u64` count and then its
+//! elements or UTF-8 bytes; a caller's enum tags are single bytes. One value
+//! has one encoding, so decode → encode reproduces the bytes. Writing
+//! appends to a `Vec<u8>`; reading goes through [`Reader`], which is total:
+//! short or lying input is an `Err`, never a panic, and a count is checked
+//! against the bytes that are left before anything is reserved for it.
 
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -38,6 +39,12 @@ pub fn put_usizes(out: &mut Vec<u8>, values: &[usize]) {
     for &n in values {
         put_usize(out, n);
     }
+}
+
+/// A count, then the string's UTF-8 bytes.
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_usize(out, s.len());
+    out.extend_from_slice(s.as_bytes());
 }
 
 fn u64_from_le(word: &[u8]) -> u64 {
@@ -106,6 +113,13 @@ impl<'a> Reader<'a> {
         Ok(words.map(|w| f64::from_bits(u64_from_le(w))).collect())
     }
 
+    /// The inverse of [`put_str`]: bytes that are not UTF-8 are an error.
+    pub fn str(&mut self) -> Result<String, String> {
+        let n = self.count(1)?;
+        let bytes = self.take(n)?;
+        String::from_utf8(bytes.to_vec()).map_err(|e| format!("string is not UTF-8: {e}"))
+    }
+
     /// The inverse of [`put_usizes`].
     pub fn usizes(&mut self) -> Result<Vec<usize>, String> {
         self.seq(8, Self::usize)
@@ -155,6 +169,7 @@ mod tests {
         put_usize(&mut out, 7);
         put_f64s(&mut out, &floats);
         put_usizes(&mut out, &[3, 0, 9]);
+        put_str(&mut out, "\"ALTER\" — ∅");
         let mut r = Reader::new(&out);
         assert_eq!(r.u64(), Ok(u64::MAX));
         assert_eq!(r.usize(), Ok(7));
@@ -164,6 +179,7 @@ mod tests {
             floats.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
         );
         assert_eq!(r.usizes(), Ok(vec![3, 0, 9]));
+        assert_eq!(r.str().as_deref(), Ok("\"ALTER\" — ∅"));
         assert_eq!(r.finish(), Ok(()));
     }
 
@@ -181,6 +197,15 @@ mod tests {
             .contains("cannot fit"));
         let nested = Reader::new(&out).seq(1, |r| r.f64s());
         assert!(nested.unwrap_err().contains("cannot fit"));
+        assert!(Reader::new(&out).str().unwrap_err().contains("cannot fit"));
+    }
+
+    #[test]
+    fn a_string_that_is_not_utf8_is_refused() {
+        let mut out = Vec::new();
+        put_usize(&mut out, 2);
+        out.extend_from_slice(&[0xC3, 0x28]);
+        assert!(Reader::new(&out).str().unwrap_err().contains("not UTF-8"));
     }
 
     #[test]

@@ -369,10 +369,11 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseStats, CaseFailure> {
 /// genome bytes. The decoders advertise totality — arbitrary input yields a
 /// value or an error, never a panic — and this probe holds them to it on
 /// every fuzz case: the frame scanner over the whole genome, the
-/// record/snapshot decoders and the agent-section decoder
-/// ([`agent::DqnAgent::from_bytes`], which the snapshot decoder leaves to
-/// restore) over the genome itself, and the record decoder again over each
-/// checksum-valid payload the scanner recovered.
+/// record/snapshot decoders and the section decoders
+/// ([`agent::DqnAgent::from_bytes`], [`keebo::actuator::decode_log`]: the
+/// snapshot decoder leaves them to restore) over the genome itself, and the
+/// record decoder again over each checksum-valid payload the scanner
+/// recovered.
 pub fn probe_persist_decoders(bytes: &[u8]) -> Result<(), CaseFailure> {
     catch_unwind(AssertUnwindSafe(|| {
         let scan = keebo::scan_frames(bytes);
@@ -389,6 +390,7 @@ pub fn probe_persist_decoders(bytes: &[u8]) -> Result<(), CaseFailure> {
             agent::DqnAgent::from_bytes(bytes).is_err(),
             "genome bytes decoded as an agent section"
         );
+        let _ = keebo::actuator::decode_log(bytes, &"FUZZ_WH".into());
     }))
     .map_err(|payload| {
         let message = payload

@@ -390,6 +390,48 @@ fn a_snapshot_that_names_a_warehouse_twice_is_corrupt() {
 }
 
 #[test]
+fn a_tick_records_log_entry_naming_another_warehouse_is_corrupt() {
+    // WH_A's action log is WH_A's alone: an entry journaled under WH_A that
+    // names WH_B would restore into the wrong warehouse's audit trail.
+    let (sim, mut store) = two_warehouse_crash();
+    let contents = store.load().expect("mem store loads");
+    let snapshot = contents.snapshot.expect("the day-one snapshot landed");
+    let mut records = contents.records;
+    let edited = records.iter_mut().any(|bytes| {
+        let Ok(PersistRecord::Tick {
+            warehouse,
+            now,
+            effects,
+            mut log_delta,
+            ctl,
+        }) = decode_record(bytes)
+        else {
+            return false;
+        };
+        if warehouse != "WH_A" || log_delta.is_empty() {
+            return false;
+        }
+        log_delta[0].warehouse = "WH_B".into();
+        let record = PersistRecord::Tick {
+            warehouse,
+            now,
+            effects,
+            log_delta,
+            ctl,
+        };
+        *bytes = encode_record(&record).expect("encodes");
+        true
+    });
+    assert!(edited, "a WH_A tick in the WAL logged an action");
+    match Orchestrator::restore(Box::new(store_of(&snapshot, &records)), &sim) {
+        Err(PersistError::Corrupt(msg)) => {
+            assert_eq!(msg, "action-log entry of WH_B in the log of WH_A")
+        }
+        other => panic!("expected Corrupt, got {:?}", other.map(|(_, stats)| stats)),
+    }
+}
+
+#[test]
 fn every_persisted_record_re_encodes_byte_identically() {
     // A real run exercising every record variant, captured via MemStore.
     let seed = 31;
