@@ -11,10 +11,9 @@
 //!
 //! An entry stores facts only — the commands, how each ended, and a typed
 //! [`Reason`]. Its SQL, overall outcome and kind are derived when read.
-//! A snapshot carries a log as binary ([`encode_log`]), a WAL tick record
-//! the entries it appended as JSON.
+//! A snapshot carries a log, and a WAL tick record the entries it appended,
+//! as one binary section each ([`encode_log`]).
 
-use crate::persist::PersistError;
 use agent::AgentAction;
 use cdw_sim::{
     ActionSource, AlterError, ScalingPolicy, SimTime, Simulator, WarehouseCommand, WarehouseConfig,
@@ -400,28 +399,22 @@ impl Actuator {
 
     /// Appends previously recorded entries (crash recovery — the commands
     /// already ran, only the record is restored), each sharing `name`'s
-    /// handle. An entry naming another warehouse is corruption.
+    /// handle. Persisted entries carry no name, so none can name another
+    /// warehouse.
     pub(crate) fn extend_log(
         &mut self,
         name: &WarehouseName,
         entries: impl IntoIterator<Item = ActionLogEntry>,
-    ) -> Result<(), PersistError> {
-        for mut e in entries {
-            if e.warehouse != *name {
-                return Err(PersistError::Corrupt(format!(
-                    "action-log entry of {} in the log of {name}",
-                    e.warehouse
-                )));
-            }
+    ) {
+        self.log.extend(entries.into_iter().map(|mut e| {
             e.warehouse = name.clone();
-            self.log.push(e);
-        }
-        Ok(())
+            e
+        }));
     }
 }
 
 /// The scaling policies in tag order.
-const POLICIES: [ScalingPolicy; 3] = [
+pub(crate) const POLICIES: [ScalingPolicy; 3] = [
     ScalingPolicy::Standard,
     ScalingPolicy::Economy,
     ScalingPolicy::Maximized,
@@ -483,14 +476,14 @@ fn put_status(out: &mut Vec<u8>, status: &CommandStatus) {
 }
 
 /// `table[tag]`, or an error naming `what` the tag failed to be.
-fn tagged<T: Copy>(table: &[T], tag: u8, what: &str) -> Result<T, String> {
+pub(crate) fn tagged<T: Copy>(table: &[T], tag: u8, what: &str) -> Result<T, String> {
     table
         .get(usize::from(tag))
         .copied()
         .ok_or_else(|| format!("unknown {what} tag {tag}"))
 }
 
-fn read_u32(r: &mut Reader) -> Result<u32, String> {
+pub(crate) fn read_u32(r: &mut Reader) -> Result<u32, String> {
     let n = r.u64()?;
     u32::try_from(n).map_err(|_| format!("{n} does not fit a u32"))
 }
@@ -500,9 +493,19 @@ fn read_u32(r: &mut Reader) -> Result<u32, String> {
 /// warehouse whose section this is.
 pub fn decode_log(bytes: &[u8], name: &WarehouseName) -> Result<Vec<ActionLogEntry>, String> {
     let mut r = Reader::new(bytes);
+    let entries = read_log(&mut r, name)?;
+    r.finish()?;
+    Ok(entries)
+}
+
+/// Reads one [`encode_log`] section off `r`, leaving what follows it.
+pub(crate) fn read_log(
+    r: &mut Reader,
+    name: &WarehouseName,
+) -> Result<Vec<ActionLogEntry>, String> {
     // An entry is at least a time, two tags and a count; a command two tags
     // and its attempts.
-    let entries = r.seq(8 + 2 + 8, |r| {
+    r.seq(8 + 2 + 8, |r| {
         Ok(ActionLogEntry {
             at: r.u64()?,
             warehouse: name.clone(),
@@ -516,9 +519,7 @@ pub fn decode_log(bytes: &[u8], name: &WarehouseName) -> Result<Vec<ActionLogEnt
                 })
             })?,
         })
-    })?;
-    r.finish()?;
-    Ok(entries)
+    })
 }
 
 fn read_command(r: &mut Reader) -> Result<WarehouseCommand, String> {
@@ -853,6 +854,10 @@ mod tests {
 
     #[test]
     fn a_recorded_entry_naming_another_warehouse_is_refused() {
+        // Restored entries share the account's handle. Persisted ones carry
+        // no name, so an entry naming another warehouse is refused where it
+        // would lose it: when its tick is encoded.
+        use crate::persist::{encode_record, CtlState, PersistError, PersistRecord};
         let (mut sim, wh, cfg) = setup();
         let mut act = Actuator::new();
         act.apply(&mut sim, wh, &cfg, AgentAction::SizeUp, Reason::Policy);
@@ -860,14 +865,21 @@ mod tests {
         let mut entries = act.log().to_vec();
         entries[0].warehouse = "WH".into();
         let mut restored = Actuator::new();
-        restored.extend_log(&name, entries.clone()).unwrap();
+        restored.extend_log(&name, entries.clone());
         assert!(WarehouseName::ptr_eq(&restored.log()[0].warehouse, &name));
         entries[0].warehouse = "OTHER".into();
-        match restored.extend_log(&name, entries) {
-            Err(PersistError::Corrupt(m)) => {
-                assert_eq!(m, "action-log entry of OTHER in the log of WH")
+        let tick = PersistRecord::Tick {
+            warehouse: "WH".into(),
+            now: 0,
+            effects: Default::default(),
+            log_delta: entries,
+            ctl: CtlState::new(cfg, crate::DetRng::seed_from_u64(1), 2),
+        };
+        match encode_record(&tick) {
+            Err(PersistError::Codec(m)) => {
+                assert_eq!(m, "action-log entry of OTHER in a tick of WH")
             }
-            other => panic!("expected Corrupt, got {other:?}"),
+            other => panic!("expected Codec, got {other:?}"),
         }
     }
 

@@ -5,13 +5,13 @@
 //! requires snapshotting RNG state, which `rand::rngs::StdRng` does not
 //! expose. [`DetRng`] is a repo-owned xoshiro256++ generator (the same
 //! algorithm family used for the repo's other deterministic streams) whose
-//! four-word state serializes with serde. It implements [`rand::RngCore`],
-//! so it drops in anywhere a `&mut impl Rng` is accepted.
+//! four-word state persists as four `nn::le` words. It implements
+//! [`rand::RngCore`], so it drops in anywhere a `&mut impl Rng` is accepted.
 
-use serde::{Deserialize, Serialize};
+use nn::le::{self, Reader};
 
-/// xoshiro256++ with splitmix64 seeding; state is `[u64; 4]` and serde-able.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// xoshiro256++ with splitmix64 seeding; state is `[u64; 4]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetRng {
     s: [u64; 4],
 }
@@ -38,6 +38,18 @@ impl DetRng {
                 splitmix64(&mut sm),
             ],
         }
+    }
+
+    /// Appends the four state words.
+    pub fn write_le(&self, out: &mut Vec<u8>) {
+        self.s.iter().for_each(|&w| le::put_u64(out, w));
+    }
+
+    /// The inverse of [`DetRng::write_le`].
+    pub fn read_le(r: &mut Reader) -> Result<Self, String> {
+        Ok(Self {
+            s: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
+        })
     }
 
     fn next(&mut self) -> u64 {
@@ -99,13 +111,17 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_preserves_the_stream() {
+    fn le_round_trip_preserves_the_stream() {
         let mut a = DetRng::seed_from_u64(42);
         for _ in 0..13 {
             a.gen::<u64>();
         }
-        let json = serde_json::to_string(&a).unwrap();
-        let mut b: DetRng = serde_json::from_str(&json).unwrap();
+        let mut bytes = Vec::new();
+        a.write_le(&mut bytes);
+        assert_eq!(bytes.len(), 32);
+        let mut r = Reader::new(&bytes);
+        let mut b = DetRng::read_le(&mut r).unwrap();
+        assert_eq!(r.finish(), Ok(()));
         assert_eq!(a, b);
         for _ in 0..50 {
             assert_eq!(a.gen::<u64>(), b.gen::<u64>());

@@ -42,6 +42,15 @@ pub enum HealthState {
 }
 
 impl HealthState {
+    /// Every state, in digest-code order: a persisted state's tag table.
+    pub const ALL: [HealthState; 5] = [
+        HealthState::Healthy,
+        HealthState::Degraded(DegradeReason::StaleTelemetry),
+        HealthState::Degraded(DegradeReason::ActuationFailures),
+        HealthState::Degraded(DegradeReason::ConfigDrift),
+        HealthState::Frozen,
+    ];
+
     /// Stable small integer identifying this state for digests. Every
     /// variant (including each degrade reason) maps to a distinct code, so
     /// hashing it makes [`crate::fleet::FleetReport::digest`] sensitive to
@@ -94,14 +103,15 @@ pub struct HealthSignals {
 }
 
 /// Evaluates [`HealthSignals`] into a [`HealthState`] and counts the ticks
-/// spent in each. Serializable so the state and tick counters survive a
-/// control-plane crash (the chaos KPIs are computed from them).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// spent in each. Journaled with the control state so the state and tick
+/// counters survive a control-plane crash (the chaos KPIs are computed from
+/// them).
+#[derive(Debug, Clone, Default)]
 pub struct HealthMonitor {
-    state: HealthState,
-    healthy_ticks: u64,
-    degraded_ticks: u64,
-    frozen_ticks: u64,
+    pub(crate) state: HealthState,
+    pub(crate) healthy_ticks: u64,
+    pub(crate) degraded_ticks: u64,
+    pub(crate) frozen_ticks: u64,
 }
 
 impl HealthMonitor {

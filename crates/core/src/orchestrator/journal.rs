@@ -4,7 +4,7 @@
 //! optimizers lets a tick borrow one optimizer and the journal disjointly.
 
 use super::{WarehouseOptimizer, DEFAULT_SNAPSHOT_INTERVAL_TICKS};
-use crate::persist::{self, PersistRecord, SnapshotState};
+use crate::persist::{self, PersistError, PersistRecord, SnapshotState};
 use crate::store::StateStore;
 use cdw_sim::SimTime;
 
@@ -38,6 +38,8 @@ pub(super) struct Journal {
     /// Ticks since a snapshot last landed. Failed writes do not reset it,
     /// so the next tick retries.
     pub(super) ticks_since_snapshot: u64,
+    /// The tick record being appended, its allocation kept between ticks.
+    tick_bytes: Vec<u8>,
 }
 
 impl Default for Journal {
@@ -46,6 +48,7 @@ impl Default for Journal {
             store: None,
             interval_ticks: DEFAULT_SNAPSHOT_INTERVAL_TICKS,
             ticks_since_snapshot: 0,
+            tick_bytes: Vec::new(),
         }
     }
 }
@@ -63,17 +66,25 @@ impl Journal {
     }
 
     /// Appends one record to the WAL, fail-open; a no-op with no store
-    /// attached. Transient store errors are retried in line; exhausting the
+    /// attached.
+    pub(super) fn append(&mut self, record: &PersistRecord) {
+        if self.store.is_some() {
+            self.write(persist::encode_record(record).as_deref());
+        }
+    }
+
+    /// Appends `encoded`, a record or the error that kept it from being
+    /// encoded. Transient store errors are retried in line; exhausting the
     /// retries detaches the store, because a WAL missing one record can
     /// never replay correctly.
-    pub(super) fn append(&mut self, record: &PersistRecord) {
+    fn write(&mut self, encoded: Result<&[u8], &PersistError>) {
         let Some(store) = self.store.as_mut() else {
             return;
         };
         let obs = keebo_obs::global();
-        if let Ok(bytes) = persist::encode_record(record) {
+        if let Ok(bytes) = encoded {
             for _ in 0..STORE_APPEND_ATTEMPTS {
-                if store.append(&bytes).is_ok() {
+                if store.append(bytes).is_ok() {
                     return;
                 }
                 obs.counter("keebo.store.append_errors").inc();
@@ -87,8 +98,8 @@ impl Journal {
 
     /// Runs one step of `o` (a control tick, or onboarding — which is a
     /// fetch + train, exactly what a tick record can replay) and journals
-    /// it as one `Tick` record. The record is only built with a store
-    /// attached: exporting the control state is the expensive part.
+    /// it as one `Tick` record, encoded straight from the optimizer. The
+    /// record is only built with a store attached.
     pub(super) fn journal_tick(
         &mut self,
         o: &mut WarehouseOptimizer,
@@ -98,7 +109,11 @@ impl Journal {
         let log_from = o.actuator.log().len();
         step(o);
         if self.store.is_some() {
-            self.append(&o.tick_record(now, log_from));
+            let mut bytes = std::mem::take(&mut self.tick_bytes);
+            bytes.clear();
+            let encoded = o.encode_tick(&mut bytes, now, log_from);
+            self.write(encoded.as_ref().map(|()| &bytes[..]));
+            self.tick_bytes = bytes;
         }
     }
 

@@ -32,7 +32,10 @@ use crate::actuator::{decode_log, encode_log, Actuator};
 use crate::drng::DetRng;
 use crate::health::HealthMonitor;
 use crate::monitoring::Monitor;
-use crate::persist::{CtlState, OptimizerSnapshot, PersistError, PersistRecord, TickEffects};
+use crate::persist::{
+    self, decode_ctl, encode_ctl, CtlState, OptimizerSnapshot, PersistError, PersistRecord,
+    TickEffects,
+};
 use crate::reconciler::Reconciler;
 use crate::store::StateStore;
 use agent::{
@@ -414,16 +417,17 @@ impl WarehouseOptimizer {
     /// decision trace is deliberately excluded, and telemetry is re-derived
     /// from the surviving account by `ctl`'s fetcher cursors).
     fn export_snapshot(&self) -> (OptimizerSnapshot, Vec<u8>) {
-        let mut log = Vec::new();
+        let (mut log, mut ctl) = (Vec::new(), Vec::new());
         encode_log(self.actuator.log(), &mut log);
+        encode_ctl(&self.ctl, &mut ctl);
         let snap = OptimizerSnapshot {
             name: self.name.to_string(),
             original_config: self.original_config.clone(),
             setup: self.setup.clone(),
             cost_model: self.cost_model.clone(),
             monitor: self.monitor.clone(),
-            ctl: self.ctl.clone(),
             log,
+            ctl,
         };
         (snap, self.agent.to_bytes())
     }
@@ -447,8 +451,10 @@ impl WarehouseOptimizer {
         let name = sim.account().warehouse(wh).name().clone();
         let log = decode_log(&snap.log, &name)
             .map_err(|e| PersistError::Corrupt(format!("log section of {name}: {e}")))?;
+        let ctl = decode_ctl(&snap.ctl)
+            .map_err(|e| PersistError::Corrupt(format!("ctl section of {name}: {e}")))?;
         let mut o = WarehouseOptimizer::new(wh, name, snap.original_config, snap.setup, 0);
-        if !snap.ctl.fetcher.covered_by(sim.account()) {
+        if !ctl.fetcher.covered_by(sim.account()) {
             return Err(PersistError::Corrupt(format!(
                 "snapshot telemetry cursors of {} reach past the simulator's account stream",
                 o.name
@@ -456,24 +462,24 @@ impl WarehouseOptimizer {
         }
         o.agent = agent;
         o.cost_model = snap.cost_model;
-        TelemetryFetcher::new().redeliver(sim.account(), &mut o.store, &snap.ctl.fetcher);
-        o.actuator.extend_log(&o.name, log)?;
+        TelemetryFetcher::new().redeliver(sim.account(), &mut o.store, &ctl.fetcher);
+        o.actuator.extend_log(&o.name, log);
         o.monitor = snap.monitor;
-        o.ctl = snap.ctl;
+        o.ctl = ctl;
         o.forget_read_events();
         Ok(o)
     }
 
-    /// Builds the WAL record for the tick that just ran. `log_from` is the
-    /// actuator-log length captured before the tick.
-    fn tick_record(&self, now: SimTime, log_from: usize) -> PersistRecord {
-        PersistRecord::Tick {
-            warehouse: self.name.to_string(),
-            now,
-            effects: self.effects.clone(),
-            log_delta: self.actuator.log()[log_from..].to_vec(),
-            ctl: self.ctl.clone(),
-        }
+    /// Appends the WAL record of the tick that just ran to `out`.
+    /// `log_from` is the actuator-log length captured before the tick.
+    fn encode_tick(
+        &self,
+        out: &mut Vec<u8>,
+        now: SimTime,
+        log_from: usize,
+    ) -> Result<(), PersistError> {
+        let log_delta = &self.actuator.log()[log_from..];
+        persist::encode_tick(out, &self.name, now, &self.effects, log_delta, &self.ctl)
     }
 }
 
@@ -927,9 +933,15 @@ mod tests {
             assert_eq!(o.ctl.last_train, DAY_MS, "tick {k} retrained");
             assert!(o.agent.to_bytes() == trained, "tick {k} moved the agent");
             assert_eq!(o.agent.replay_len(), 0, "tick {k} observed a transition");
-            let record = crate::persist::encode_record(&o.tick_record(sim.now(), 0)).unwrap();
-            let json = String::from_utf8(record).unwrap();
-            assert!(!json.contains("next_state"), "tick {k} journaled {json}");
+            // A binary tick has no field a transition could travel in: its
+            // bytes decode whole, as a tick.
+            let mut record = Vec::new();
+            o.encode_tick(&mut record, sim.now(), 0).unwrap();
+            let decoded = persist::decode_record(&record);
+            assert!(
+                matches!(decoded, Ok(PersistRecord::Tick { .. })),
+                "tick {k}"
+            );
         }
         // Every tick but the first rewards the previous action, in the trace.
         let trace = kwo.optimizers[0].trace();
@@ -1306,11 +1318,13 @@ mod tests {
                 o.monitor.push(1_000 + count);
             }
             o.effects.arrivals = o.monitor.newest();
-            let record = crate::persist::encode_record(&o.tick_record(0, 0)).unwrap();
+            let mut record = Vec::new();
+            o.encode_tick(&mut record, 0, 0).unwrap();
             (record.len(), o.export_snapshot().0.monitor)
         };
+        // Every field is fixed width: not even a digit more.
         let ((young, _), (old, window)) = (after(10), after(288));
-        assert!(old <= young + 64, "{old} B at 288 appends, {young} B at 10");
+        assert_eq!(old, young, "{old} B at 288 appends, {young} B at 10");
         let json = serde_json::to_string(&window).unwrap();
         assert_eq!(json.matches(',').count(), 287, "{json}");
 
@@ -1321,6 +1335,12 @@ mod tests {
         kwo.manage(&sim, "WH", fast_setup());
         kwo.observe_until(&mut sim, DAY_MS);
         kwo.onboard(&mut sim);
+        // A tick past onboarding that logged no action, in absolute terms.
+        let o = &kwo.optimizers[0];
+        let mut tick = Vec::new();
+        o.encode_tick(&mut tick, sim.now(), o.actuator.log().len())
+            .unwrap();
+        assert!(tick.len() <= 512, "{} B", tick.len());
         let onboarded = kwo.optimizers[0].export_snapshot().1;
         let config = DqnConfig::default();
         let mut one_step = DqnAgent::new(config.clone(), &mut DetRng::seed_from_u64(1));

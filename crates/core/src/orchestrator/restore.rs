@@ -20,8 +20,7 @@ impl WarehouseOptimizer {
     /// the spike window, but never touches the account (fetch overhead and
     /// ALTERs already happened before the crash) and never advances the live
     /// RNG — assigning the journaled [`CtlState`] last puts every control
-    /// scalar, RNG included, in its post-tick state. A logged entry naming
-    /// another warehouse is corruption.
+    /// scalar, RNG included, in its post-tick state.
     fn replay_tick(
         &mut self,
         sim: &Simulator,
@@ -29,7 +28,7 @@ impl WarehouseOptimizer {
         effects: TickEffects,
         log_delta: Vec<ActionLogEntry>,
         ctl: CtlState,
-    ) -> Result<(), PersistError> {
+    ) {
         if effects.fetched {
             self.ctl
                 .fetcher
@@ -41,10 +40,9 @@ impl WarehouseOptimizer {
         if let Some(count) = effects.arrivals {
             self.monitor.push(count);
         }
-        self.actuator.extend_log(&self.name, log_delta)?;
+        self.actuator.extend_log(&self.name, log_delta);
         self.ctl = ctl;
         self.forget_read_events();
-        Ok(())
     }
 }
 
@@ -211,7 +209,7 @@ impl Orchestrator {
                 ctl,
             } => {
                 self.replay_target("tick", &warehouse)?
-                    .replay_tick(sim, now, effects, log_delta, ctl)?;
+                    .replay_tick(sim, now, effects, log_delta, ctl);
             }
             PersistRecord::SliderChanged { warehouse, slider } => {
                 self.replay_target("slider", &warehouse)?.set_slider(slider);

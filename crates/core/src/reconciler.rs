@@ -18,7 +18,6 @@ use crate::actuator::{ActionOutcome, Actuator, Reason};
 use crate::drng::DetRng;
 use cdw_sim::{SimTime, Simulator, WarehouseCommand, WarehouseConfig, WarehouseId, MINUTE_MS};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// First retry delay after a failure.
 const BASE_BACKOFF_MS: SimTime = 10 * MINUTE_MS;
@@ -43,14 +42,15 @@ pub enum ReconcileOutcome {
 }
 
 /// Tracks the desired configuration of one warehouse and re-drives drift.
-/// Fully serializable (the jitter RNG included) so the durable control plane
-/// can freeze and resume backoff schedules bit-identically across a crash.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Journaled whole with the control state (the jitter RNG included) so the
+/// durable control plane can freeze and resume backoff schedules
+/// bit-identically across a crash.
+#[derive(Debug, Clone)]
 pub struct Reconciler {
-    desired: Option<WarehouseConfig>,
-    next_attempt_at: SimTime,
-    consecutive_failures: u32,
-    rng: DetRng,
+    pub(crate) desired: Option<WarehouseConfig>,
+    pub(crate) next_attempt_at: SimTime,
+    pub(crate) consecutive_failures: u32,
+    pub(crate) rng: DetRng,
 }
 
 impl Reconciler {

@@ -1,15 +1,18 @@
-//! The little-endian byte codec under the durable snapshot's binary
-//! sections: `Matrix` / `Mlp` here, the agent state in `agent`, the action
-//! log in `keebo::actuator`.
+//! The little-endian byte codec under the durable store's binary bytes:
+//! `Matrix` / `Mlp` here, the agent state in `agent`, the action log in
+//! `keebo::actuator`, the control state and the WAL tick record in
+//! `keebo::persist`.
 //!
 //! Fixed-width fields in declaration order, no padding: `u64` and `usize` as
 //! eight bytes, `f64` as its `to_bits()` (so NaN payloads and `-0.0` survive
 //! by construction), a sequence or string as a `u64` count and then its
-//! elements or UTF-8 bytes; a caller's enum tags are single bytes. One value
-//! has one encoding, so decode → encode reproduces the bytes. Writing
-//! appends to a `Vec<u8>`; reading goes through [`Reader`], which is total:
-//! short or lying input is an `Err`, never a panic, and a count is checked
-//! against the bytes that are left before anything is reserved for it.
+//! elements or UTF-8 bytes; a `bool` is one byte, 0 or 1, an `Option` that
+//! byte and then its value if present; a caller's enum tags are single
+//! bytes. One value has one encoding, so decode → encode reproduces the
+//! bytes. Writing appends to a `Vec<u8>`; reading goes through [`Reader`],
+//! which is total: short or lying input is an `Err`, never a panic, and a
+//! count is checked against the bytes that are left before anything is
+//! reserved for it.
 
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -47,6 +50,18 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+pub fn put_bool(out: &mut Vec<u8>, b: bool) {
+    out.push(u8::from(b));
+}
+
+/// Whether `v` is present, then its value written by `put`.
+pub fn put_option<T>(out: &mut Vec<u8>, v: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
+    put_bool(out, v.is_some());
+    if let Some(v) = v {
+        put(out, v);
+    }
+}
+
 fn u64_from_le(word: &[u8]) -> u64 {
     let mut bytes = [0u8; 8];
     bytes.copy_from_slice(word);
@@ -82,6 +97,27 @@ impl<'a> Reader<'a> {
 
     pub fn u64(&mut self) -> Result<u64, String> {
         Ok(u64_from_le(self.take(8)?))
+    }
+
+    /// The inverse of [`put_bool`]: a byte other than 0 or 1 is an error.
+    pub fn bool(&mut self) -> Result<bool, String> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(format!("{b} is not a bool byte")),
+        }
+    }
+
+    /// The inverse of [`put_option`], the value read by `read`.
+    pub fn option<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        if self.bool()? {
+            read(self).map(Some)
+        } else {
+            Ok(None)
+        }
     }
 
     pub fn usize(&mut self) -> Result<usize, String> {
@@ -170,6 +206,8 @@ mod tests {
         put_f64s(&mut out, &floats);
         put_usizes(&mut out, &[3, 0, 9]);
         put_str(&mut out, "\"ALTER\" — ∅");
+        put_option(&mut out, Some(-0.0), put_f64);
+        put_option(&mut out, None::<u64>, put_u64);
         let mut r = Reader::new(&out);
         assert_eq!(r.u64(), Ok(u64::MAX));
         assert_eq!(r.usize(), Ok(7));
@@ -180,6 +218,9 @@ mod tests {
         );
         assert_eq!(r.usizes(), Ok(vec![3, 0, 9]));
         assert_eq!(r.str().as_deref(), Ok("\"ALTER\" — ∅"));
+        let zero = r.option(Reader::f64).unwrap().map(f64::to_bits);
+        assert_eq!(zero, Some((-0.0f64).to_bits()));
+        assert_eq!(r.option(Reader::u64), Ok(None));
         assert_eq!(r.finish(), Ok(()));
     }
 
@@ -206,6 +247,17 @@ mod tests {
         put_usize(&mut out, 2);
         out.extend_from_slice(&[0xC3, 0x28]);
         assert!(Reader::new(&out).str().unwrap_err().contains("not UTF-8"));
+    }
+
+    #[test]
+    fn a_bool_or_presence_byte_other_than_0_or_1_is_refused() {
+        // Were 2 read as `true`, it would re-encode as 1: one value, two
+        // encodings.
+        for b in [2u8, 0xFF] {
+            assert!(Reader::new(&[b]).bool().unwrap_err().contains("not a bool"));
+            let opt = Reader::new(&[b, 0, 0, 0, 0, 0, 0, 0, 0]).option(Reader::u64);
+            assert!(opt.unwrap_err().contains("not a bool"));
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Cumulative fetcher statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FetchStats {
     pub fetches: u64,
     pub overhead_credits: f64,
@@ -56,7 +56,7 @@ const BASE_COST_PER_FETCH: f64 = 0.002;
 const COST_PER_1K_RECORDS: f64 = 0.001;
 
 /// Pulls telemetry from an [`Account`] into a [`TelemetryStore`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TelemetryFetcher {
     /// Index of the next unconsumed query record in the account stream.
     query_cursor: usize,
@@ -70,6 +70,26 @@ pub struct TelemetryFetcher {
 impl TelemetryFetcher {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The fetcher a journal recorded: its cursors (as [`Self::cursors`]
+    /// gives them), its last successful fetch and its statistics.
+    pub fn from_parts(
+        (query_cursor, event_cursor): (usize, usize),
+        last_success_at: Option<SimTime>,
+        stats: FetchStats,
+    ) -> Self {
+        Self {
+            query_cursor,
+            event_cursor,
+            last_success_at,
+            stats,
+        }
+    }
+
+    /// The query and event cursors into the account's stream.
+    pub fn cursors(&self) -> (usize, usize) {
+        (self.query_cursor, self.event_cursor)
     }
 
     /// Fetches new records from the account into the store, charging

@@ -370,10 +370,12 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseStats, CaseFailure> {
 /// value or an error, never a panic — and this probe holds them to it on
 /// every fuzz case: the frame scanner over the whole genome, the
 /// record/snapshot decoders and the section decoders
-/// ([`agent::DqnAgent::from_bytes`], [`keebo::actuator::decode_log`]: the
-/// snapshot decoder leaves them to restore) over the genome itself, and the
-/// record decoder again over each checksum-valid payload the scanner
-/// recovered.
+/// ([`agent::DqnAgent::from_bytes`], [`keebo::actuator::decode_log`],
+/// [`keebo::persist::decode_ctl`]: the snapshot decoder leaves them to
+/// restore) over the genome itself, the record decoder over the genome
+/// behind the binary tick's magic (random bytes almost never start with
+/// it), and the record decoder again over each checksum-valid payload the
+/// scanner recovered.
 pub fn probe_persist_decoders(bytes: &[u8]) -> Result<(), CaseFailure> {
     catch_unwind(AssertUnwindSafe(|| {
         let scan = keebo::scan_frames(bytes);
@@ -385,12 +387,15 @@ pub fn probe_persist_decoders(bytes: &[u8]) -> Result<(), CaseFailure> {
             let _ = keebo::persist::decode_record(payload);
         }
         let _ = keebo::persist::decode_record(bytes);
+        let tick = [&keebo::persist::TICK_MAGIC[..], bytes].concat();
+        let _ = keebo::persist::decode_record(&tick);
         let _ = keebo::persist::decode_snapshot(bytes);
         assert!(
             agent::DqnAgent::from_bytes(bytes).is_err(),
             "genome bytes decoded as an agent section"
         );
         let _ = keebo::actuator::decode_log(bytes, &"FUZZ_WH".into());
+        let _ = keebo::persist::decode_ctl(bytes);
     }))
     .map_err(|payload| {
         let message = payload

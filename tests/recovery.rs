@@ -30,8 +30,8 @@ use keebo::drill::{
 };
 use keebo::persist::{decode_record, decode_snapshot, encode_record, encode_snapshot};
 use keebo::{
-    scan_frames, DetRng, MemStore, Orchestrator, PersistError, PersistRecord, RecoveryStats,
-    RetrainRecord, Rule, RuleEffect, SliderPosition, StateStore, TimeWindow,
+    scan_frames, DetRng, MemStore, Orchestrator, PersistError, PersistRecord, RecoveryStats, Rule,
+    RuleEffect, SliderPosition, StateStore, TimeWindow,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -390,14 +390,16 @@ fn a_snapshot_that_names_a_warehouse_twice_is_corrupt() {
 }
 
 #[test]
-fn a_tick_records_log_entry_naming_another_warehouse_is_corrupt() {
-    // WH_A's action log is WH_A's alone: an entry journaled under WH_A that
-    // names WH_B would restore into the wrong warehouse's audit trail.
+fn a_tick_records_log_entry_naming_another_warehouse_is_refused() {
+    // WH_A's action log is WH_A's alone. A tick's entries travel without a
+    // name and restore as the tick's warehouse's, so an entry naming WH_B is
+    // refused when the tick is encoded; a tick whose every name is another,
+    // unmanaged warehouse's encodes, and replay refuses it.
     let (sim, mut store) = two_warehouse_crash();
     let contents = store.load().expect("mem store loads");
     let snapshot = contents.snapshot.expect("the day-one snapshot landed");
     let mut records = contents.records;
-    let edited = records.iter_mut().any(|bytes| {
+    let renamed = |bytes: &[u8], entry: &str, tick: &str| {
         let Ok(PersistRecord::Tick {
             warehouse,
             now,
@@ -406,26 +408,43 @@ fn a_tick_records_log_entry_naming_another_warehouse_is_corrupt() {
             ctl,
         }) = decode_record(bytes)
         else {
-            return false;
+            return None;
         };
         if warehouse != "WH_A" || log_delta.is_empty() {
-            return false;
+            return None;
         }
-        log_delta[0].warehouse = "WH_B".into();
+        log_delta
+            .iter_mut()
+            .for_each(|e| e.warehouse = entry.into());
         let record = PersistRecord::Tick {
-            warehouse,
+            warehouse: tick.to_string(),
             now,
             effects,
             log_delta,
             ctl,
         };
-        *bytes = encode_record(&record).expect("encodes");
+        Some(encode_record(&record))
+    };
+    let foreign = records
+        .iter()
+        .find_map(|bytes| renamed(bytes, "WH_B", "WH_A"));
+    match foreign.expect("a WH_A tick in the WAL logged an action") {
+        Err(PersistError::Codec(msg)) => {
+            assert_eq!(msg, "action-log entry of WH_B in a tick of WH_A")
+        }
+        other => panic!("expected Codec, got {other:?}"),
+    }
+    let edited = records.iter_mut().any(|bytes| {
+        let Some(moved) = renamed(bytes, "WH_C", "WH_C") else {
+            return false;
+        };
+        *bytes = moved.expect("a tick naming one warehouse throughout encodes");
         true
     });
-    assert!(edited, "a WH_A tick in the WAL logged an action");
+    assert!(edited);
     match Orchestrator::restore(Box::new(store_of(&snapshot, &records)), &sim) {
         Err(PersistError::Corrupt(msg)) => {
-            assert_eq!(msg, "action-log entry of WH_B in the log of WH_A")
+            assert_eq!(msg, "tick record for unmanaged warehouse WH_C")
         }
         other => panic!("expected Corrupt, got {:?}", other.map(|(_, stats)| stats)),
     }
@@ -470,26 +489,31 @@ fn every_persisted_record_re_encodes_byte_identically() {
         }] = true;
         let re = encode_record(&record).expect("re-encode");
         assert_eq!(&re, bytes, "record round trip must be byte-identical");
-        // A tick journals state only: the slider is `SliderChanged`'s, and
-        // fixed tuning is not re-serialised per tick.
-        if let PersistRecord::Tick { .. } = record {
-            let text = std::str::from_utf8(bytes).expect("records are JSON");
-            let ctl = &text[text.find("\"ctl\":").expect("a tick carries ctl")..];
-            for key in [
-                "slider",
-                "settings",
-                "max_history",
-                "spike_zscore",
-                "base_cost_per_fetch",
-                "cost_per_1k_records",
-                "actuator_cost_per_command",
-                "actuator_max_transient_retries",
-                "actuator_transient_retries",
-            ] {
-                assert!(!ctl.contains(&format!("\"{key}\":")), "ctl carries {key}");
-            }
-            // The serving baseline is the monitor's alone.
-            assert_eq!(ctl.matches("\"baseline_p99_ms\":").count(), 1);
+        // A tick journals state only: its bytes are its name, time, effects
+        // and new log entries, then the control state and nothing more. The
+        // slider is `SliderChanged`'s and fixed tuning is no field, so
+        // neither is reachable from a decoded tick.
+        if let PersistRecord::Tick {
+            warehouse,
+            effects,
+            ctl,
+            ..
+        } = record
+        {
+            assert!(bytes.starts_with(&keebo::persist::TICK_MAGIC));
+            let mut tail = Vec::new();
+            keebo::persist::encode_ctl(&ctl, &mut tail);
+            assert!(bytes.ends_with(&tail), "a tick ends with its control state");
+            let head = 4 + 8 + warehouse.len() + 8 + 1;
+            let retrain = effects
+                .retrain
+                .map_or(1, |rt| 1 + 8 + 1 + 8 * rt.seed.iter().len());
+            let arrivals = 1 + 8 * effects.arrivals.iter().len();
+            let log = &bytes[head + retrain + arrivals..bytes.len() - tail.len()];
+            assert_eq!(
+                keebo::actuator::decode_log(log, &WAREHOUSE.into()).map(|_| ()),
+                Ok(())
+            );
         }
     }
     // The genesis record is compacted away by attach_store's immediate
@@ -529,6 +553,7 @@ fn decoders_are_total_on_arbitrary_bytes() {
             bytes.len()
         );
         let _ = decode_record(&bytes);
+        let _ = decode_record(&[&keebo::persist::TICK_MAGIC[..], &bytes].concat());
         let _ = decode_snapshot(&bytes);
     }
     // Mutations of a valid encoding: every single-byte corruption must
@@ -561,22 +586,15 @@ fn simple_persisted_types_round_trip() {
         for _ in 0..draws {
             det.gen::<u64>();
         }
-        let json = serde_json::to_string(&det).expect("encode DetRng");
-        let mut back: DetRng = serde_json::from_str(&json).expect("decode DetRng");
+        let mut bytes = Vec::new();
+        det.write_le(&mut bytes);
+        let mut back = DetRng::read_le(&mut nn::le::Reader::new(&bytes)).expect("decode DetRng");
         assert_eq!(det, back, "case {case}: after {draws} draws");
         assert_eq!(
             det.gen::<u64>(),
             back.gen::<u64>(),
             "case {case}: streams diverge after {draws} draws"
         );
-
-        let retrain = RetrainRecord {
-            episodes: rng.gen_range(0..10_000),
-            seed: rng.gen::<bool>().then(|| rng.gen()),
-        };
-        let json = serde_json::to_string(&retrain).expect("encode RetrainRecord");
-        let back: RetrainRecord = serde_json::from_str(&json).expect("decode RetrainRecord");
-        assert_eq!(retrain, back, "case {case}");
 
         let replayed: u64 = rng.gen();
         let stats = RecoveryStats {
