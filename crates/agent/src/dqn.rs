@@ -5,7 +5,7 @@
 //! Between retrains an agent is its online network, its config and two
 //! counters: the serving path reads nothing else, and a snapshot carries
 //! nothing else. What only training reads — the target network, the Adam
-//! moments and the replay ring with its bootstrap cache — is one
+//! moments and the replay ring, whose entries cache their bootstraps — is one
 //! [`Learner`], built at the first `observe` of a retrain and dropped when
 //! [`crate::train_on_workload`] returns.
 
@@ -92,17 +92,15 @@ pub struct DqnAgent {
 struct Learner {
     target: Mlp,
     optimizer: Adam,
-    /// The transitions the next `train_step` draws from.
+    /// The transitions the next `train_step` draws from. Each entry caches
+    /// `max_a' Q_target(s', a')` under its stored mask, a pure function of
+    /// (target parameters, entry), so it is forgotten at exactly three
+    /// points: an entry's own when a push writes it, everything when the
+    /// target network syncs, and everything with the learner itself. `NaN`
+    /// is free to mean "unknown" because [`masked_max`] cannot return it
+    /// (`f64::max` drops a `NaN` operand); were one ever stored, it would
+    /// only be recomputed at every draw.
     replay: ReplayRing,
-    /// `bootstrap[slot]` caches `max_a' Q_target(s', a')` under the stored
-    /// mask for the transition in that replay slot; `NaN` = not computed.
-    /// It is a pure function of (target parameters, slot contents), so it is
-    /// forgotten at exactly three points: the slot alone when `observe`
-    /// writes it, everything when the target network syncs, and everything
-    /// with the learner itself. `NaN` is free to mean "unknown" because
-    /// [`masked_max`] cannot return it (`f64::max` drops a `NaN` operand);
-    /// were one ever stored, it would only be recomputed at every draw.
-    bootstrap: Vec<f64>,
 }
 
 impl Learner {
@@ -111,7 +109,6 @@ impl Learner {
             target: online.clone(),
             optimizer: Adam::new(config.learning_rate, online.optimizer_slots()),
             replay: ReplayRing::new(config.replay_capacity),
-            bootstrap: Vec::new(),
         }
     }
 }
@@ -164,9 +161,10 @@ impl DqnAgent {
     /// The inverse of [`DqnAgent::to_bytes`], total on arbitrary bytes:
     /// `Err` for anything that is not exactly one encoded agent. This is the
     /// door every restored agent comes through, so everything the next
-    /// retrain builds its learner from and indexes by is checked here, once:
-    /// the network's shapes, and the batch size, ring capacity, learning
-    /// rate and sync interval of the config. The agent comes back with no
+    /// retrain builds its learner from, indexes by and computes with is
+    /// checked here, once: the network's shapes, and the batch size, ring
+    /// capacity, learning rate, sync interval, discount, exploration rates
+    /// and gradient clip of the config. The agent comes back with no
     /// learner.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let mut r = Reader::new(bytes);
@@ -186,20 +184,32 @@ impl DqnAgent {
                 AgentAction::COUNT
             ));
         }
-        if config.batch_size == 0 {
-            return Err("batch_size must be positive".into());
+        let c = &config;
+        let counts = [
+            ("batch_size", c.batch_size as u64),
+            ("replay buffer capacity", c.replay_capacity as u64),
+            ("target_sync_interval", c.target_sync_interval),
+        ];
+        if let Some((name, _)) = counts.iter().find(|(_, n)| *n == 0) {
+            return Err(format!("{name} must be positive"));
         }
-        if config.replay_capacity == 0 {
-            return Err("replay buffer capacity must be positive".into());
+        // A `NaN` clip is no clip (`norm > NaN` is false), and a negative
+        // one turns every step into gradient ascent.
+        let rates = [
+            ("learning rate", c.learning_rate),
+            ("grad_clip", c.grad_clip),
+        ];
+        if let Some((name, v)) = rates.iter().find(|(_, v)| v.is_nan() || *v <= 0.0) {
+            return Err(format!("{name} must be positive, not {v}"));
         }
-        if config.learning_rate.is_nan() || config.learning_rate <= 0.0 {
-            return Err(format!(
-                "learning rate must be positive, not {}",
-                config.learning_rate
-            ));
-        }
-        if config.target_sync_interval == 0 {
-            return Err("target_sync_interval must be positive".into());
+        // A `NaN` discount makes every TD target `NaN`, terminal ones too.
+        let unit = [
+            ("gamma", c.gamma),
+            ("epsilon_start", c.epsilon_start),
+            ("epsilon_end", c.epsilon_end),
+        ];
+        if let Some((name, v)) = unit.iter().find(|(_, v)| !(0.0..=1.0).contains(v)) {
+            return Err(format!("{name} must lie in [0, 1], not {v}"));
         }
         Ok(Self {
             online,
@@ -215,7 +225,7 @@ impl DqnAgent {
 #[derive(Default)]
 struct TrainScratch {
     indices: Vec<usize>,
-    /// Drawn slots whose bootstrap is not cached, each once.
+    /// Drawn entries whose bootstrap is not cached, each once.
     misses: Vec<usize>,
     trace: ForwardTrace,
     targets: Vec<f64>,
@@ -284,7 +294,7 @@ impl DqnAgent {
     }
 
     /// Ends a retrain: drops the target network, the Adam moments and the
-    /// replay ring with its bootstrap cache.
+    /// replay ring.
     pub(crate) fn drop_learner(&mut self) {
         self.learner = None;
     }
@@ -349,11 +359,7 @@ impl DqnAgent {
         let learner = self
             .learner
             .get_or_insert_with(|| Learner::new(online, config));
-        let slot = learner.replay.push(t.borrow());
-        match learner.bootstrap.get_mut(slot) {
-            Some(cached) => *cached = f64::NAN,
-            None => learner.bootstrap.push(f64::NAN),
-        }
+        learner.replay.push(t.borrow());
     }
 
     /// One mini-batch Q-learning update. Returns the batch's mean absolute
@@ -363,10 +369,10 @@ impl DqnAgent {
     /// The whole batch goes through `nn`'s minibatch kernel out of the
     /// thread's [`SCRATCH`]; the replay indices are drawn first, so the RNG
     /// stream is the one a per-sample implementation would consume. The
-    /// target network is forwarded only over the drawn slots whose bootstrap
-    /// is not cached: it is frozen between syncs, and a batch of any size
-    /// gives each sample the same bits. Syncs fall on multiples of the
-    /// agent's `train_steps`, which counts every retrain's steps.
+    /// target network is forwarded only over the drawn entries whose
+    /// bootstrap is not cached: it is frozen between syncs, and a batch of
+    /// any size gives each sample the same bits. Syncs fall on multiples of
+    /// the agent's `train_steps`, which counts every retrain's steps.
     pub fn train_step(&mut self, rng: &mut impl Rng) -> Option<f64> {
         let batch = self.config.batch_size;
         assert!(batch > 0, "batch_size must be positive");
@@ -374,7 +380,6 @@ impl DqnAgent {
         if learner.replay.len() < batch {
             return None;
         }
-        debug_assert_eq!(learner.bootstrap.len(), learner.replay.len());
         let gamma = self.config.gamma;
         let td_sum = SCRATCH.with_borrow_mut(|scratch| {
             let (indices, misses, trace) = (
@@ -391,7 +396,6 @@ impl DqnAgent {
                 target,
                 optimizer,
                 replay,
-                bootstrap,
             } = learner;
             replay.sample_indices(batch, rng, indices);
             let q_values = |trace: &ForwardTrace, sample: usize| {
@@ -406,24 +410,26 @@ impl DqnAgent {
             misses.clear();
             misses.reserve(batch);
             for &i in &*indices {
-                let unknown = !replay.slot(i).terminal && bootstrap[i].is_nan();
-                if unknown && !misses.contains(&i) {
+                let e = &replay.entries()[i];
+                if !e.terminal && e.bootstrap.is_nan() && !misses.contains(&i) {
                     misses.push(i);
                 }
             }
             if !misses.is_empty() {
-                let next_states = misses.iter().map(|&i| &replay.next_state(i)[..]);
+                let entries = replay.entries_mut();
+                let next_states = misses.iter().map(|&i| &entries[i].next_state[..]);
                 target.forward_batch(trace, next_states);
                 for (s, &i) in misses.iter().enumerate() {
-                    let mask = replay.slot(i).next_mask();
-                    bootstrap[i] = masked_max(&q_values(trace, s), &mask);
+                    let e = &mut entries[i];
+                    e.bootstrap = masked_max(&q_values(trace, s), &e.next_mask());
                 }
             }
+            let entries = replay.entries();
             targets.clear();
             targets.extend(indices.iter().map(|&i| {
-                let t = replay.slot(i);
-                let bootstrap = if t.terminal { 0.0 } else { bootstrap[i] };
-                t.reward + gamma * bootstrap
+                let e = &entries[i];
+                let bootstrap = if e.terminal { 0.0 } else { e.bootstrap };
+                e.reward + gamma * bootstrap
             }));
             #[cfg(test)]
             assert_eq!(
@@ -432,14 +438,14 @@ impl DqnAgent {
                 "a cached bootstrap went stale"
             );
 
-            let states = indices.iter().map(|&i| &replay.state(i)[..]);
+            let states = indices.iter().map(|&i| &entries[i].state[..]);
             self.online.forward_batch(trace, states);
             output_grads.resize(batch * AgentAction::COUNT, 0.0);
             let mut td_sum = 0.0;
             let samples = indices.iter().zip(&*targets);
             let grad_rows = output_grads.chunks_exact_mut(AgentAction::COUNT);
             for (s, ((&i, &target_q), grad_out)) in samples.zip(grad_rows).enumerate() {
-                let action = replay.slot(i).action();
+                let action = entries[i].action();
                 let q = q_values(trace, s)[action];
                 td_sum += (q - target_q).abs();
 
@@ -462,7 +468,9 @@ impl DqnAgent {
             .is_multiple_of(self.config.target_sync_interval)
         {
             learner.target.copy_parameters_from(&self.online);
-            learner.bootstrap.fill(f64::NAN);
+            for e in learner.replay.entries_mut() {
+                e.bootstrap = f64::NAN;
+            }
         }
         Some(td_sum / batch as f64)
     }
@@ -479,10 +487,11 @@ fn recomputed_target_bits(
     indices: &[usize],
 ) -> Vec<u64> {
     let mut trace = ForwardTrace::default();
-    let next_states = indices.iter().map(|&i| &replay.next_state(i)[..]);
+    let entries = replay.entries();
+    let next_states = indices.iter().map(|&i| &entries[i].next_state[..]);
     target.forward_batch(&mut trace, next_states);
     let targets = indices.iter().enumerate().map(|(s, &i)| {
-        let t = replay.slot(i);
+        let t = &entries[i];
         let mut q = [0.0; AgentAction::COUNT];
         trace.output_into(s, &mut q);
         let bootstrap = if t.terminal {
@@ -493,14 +502,6 @@ fn recomputed_target_bits(
         (t.reward + gamma * bootstrap).to_bits()
     });
     targets.collect()
-}
-
-#[cfg(test)]
-impl DqnAgent {
-    /// Rows the replay ring has stored, over every transition ever pushed.
-    pub(crate) fn replay_rows_pushed(&self) -> u64 {
-        self.learner.as_ref().map_or(0, |l| l.replay.rows_pushed())
-    }
 }
 
 /// Argmax of `q` restricted to mask-true indices.
@@ -768,8 +769,8 @@ mod tests {
         assert_eq!(a.to_bytes(), b.to_bytes());
     }
 
-    /// `NaN` marks an unknown slot of the bootstrap cache, which is sound
-    /// only while no real bootstrap is `NaN`.
+    /// `NaN` marks a bootstrap the cache does not know, which is sound only
+    /// while no real bootstrap is `NaN`.
     #[test]
     fn masked_max_never_returns_nan() {
         let nan = [f64::NAN; AgentAction::COUNT];
@@ -782,8 +783,8 @@ mod tests {
 
     /// An agent reading bootstraps from the cache against one that forgets
     /// them all before every step, over three target syncs on a ring of 64
-    /// that wraps (slots are overwritten in the middle of a sync period), and
-    /// with next states the target network maps to `NaN` Q-values. Every
+    /// that wraps (entries are overwritten in the middle of a sync period),
+    /// and with next states the target network maps to `NaN` Q-values. Every
     /// step of both also runs `recomputed_target_bits`.
     #[test]
     fn cached_bootstraps_equal_recomputing_them_every_step() {
@@ -820,13 +821,15 @@ mod tests {
             let t = transition(&mut feed);
             cached.observe(t.clone());
             reference.observe(t);
-            fn bootstrap(a: &mut DqnAgent) -> &mut Vec<f64> {
-                &mut a.learner.as_mut().unwrap().bootstrap
+            fn entries(a: &mut DqnAgent) -> &mut [crate::replay::Entry] {
+                a.learner.as_mut().unwrap().replay.entries_mut()
             }
-            bootstrap(&mut reference).fill(f64::NAN);
-            known += bootstrap(&mut cached)
+            entries(&mut reference)
+                .iter_mut()
+                .for_each(|e| e.bootstrap = f64::NAN);
+            known += entries(&mut cached)
                 .iter()
-                .filter(|b| !b.is_nan())
+                .filter(|e| !e.bootstrap.is_nan())
                 .count();
             let (td_c, td_r) = (
                 cached.train_step(&mut rng_c),
@@ -915,18 +918,19 @@ mod tests {
     #[test]
     fn state_bytes_round_trip_and_every_cut_or_extra_byte_is_refused() {
         let mut a = trained();
-        // Config values a float printer would not be trusted with: a NaN
-        // payload, `-0.0` and `-inf`.
-        a.config.gamma = f64::from_bits(0x7FF8_0000_0000_0BAD);
+        // Accepted config values a float printer would not be trusted with:
+        // the float just below 1, `-0.0` and `+inf`.
+        let below_one = f64::from_bits(1.0f64.to_bits() - 1);
+        a.config.gamma = below_one;
         a.config.epsilon_end = -0.0;
-        a.config.grad_clip = f64::NEG_INFINITY;
+        a.config.grad_clip = f64::INFINITY;
         let bytes = a.to_bytes();
         let back = DqnAgent::from_bytes(&bytes).unwrap();
         assert_eq!(back.to_bytes(), bytes, "decode then encode reproduces it");
         let c = &back.config;
-        assert_eq!(c.gamma.to_bits(), 0x7FF8_0000_0000_0BAD);
+        assert_eq!(c.gamma.to_bits(), below_one.to_bits());
         assert_eq!(c.epsilon_end.to_bits(), (-0.0f64).to_bits());
-        assert_eq!(c.grad_clip, f64::NEG_INFINITY);
+        assert_eq!(c.grad_clip, f64::INFINITY);
         assert_eq!((back.selections, back.train_steps), (0, 1));
         assert!(back.learner().is_none(), "the learner is not persisted");
         // Between retrains that is all of the agent: the next retrain runs
@@ -1026,7 +1030,10 @@ mod tests {
     /// The next retrain builds its Adam from the learning rate, which
     /// `Adam::new` asserts is positive, and syncs its target on multiples of
     /// `target_sync_interval`, of which 0 has none past step 0: a learner
-    /// whose target never moves.
+    /// whose target never moves. A discount outside [0, 1] (`NaN` makes
+    /// every target `NaN`), an exploration rate that is no probability, and
+    /// a clip that is `NaN` (no clip) or not positive (gradient ascent)
+    /// would run, and poison what it trains.
     #[test]
     fn from_state_rejects_a_config_the_learner_cannot_be_built_or_run_from() {
         for lr in [0.0, -1e-3, f64::NAN, -f64::NAN, f64::NEG_INFINITY] {
@@ -1037,30 +1044,67 @@ mod tests {
         let mut a = trained();
         a.config.target_sync_interval = 0;
         assert_rejected(a.to_bytes(), "target_sync_interval must be positive");
-        // The smallest values that are not refused build and run a learner.
-        let mut a = trained();
-        (a.config.learning_rate, a.config.target_sync_interval) = (f64::MIN_POSITIVE, 1);
-        let mut b = DqnAgent::from_bytes(&a.to_bytes()).unwrap();
-        let mut rng = StdRng::seed_from_u64(25);
-        for i in 0..b.config.batch_size {
-            b.observe(Transition {
-                state: vec![0.2; STATE_DIM],
-                action: i % AgentAction::COUNT,
-                reward: 1.0,
-                next_state: vec![0.4; STATE_DIM],
-                next_mask: full_mask(),
-                terminal: false,
-            });
+        let outside_unit = [
+            -1e-300,
+            1.0 + f64::EPSILON,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+        ];
+        type Field = fn(&mut DqnConfig) -> &mut f64;
+        let unit_fields: [(&str, Field); 3] = [
+            ("gamma", |c| &mut c.gamma),
+            ("epsilon_start", |c| &mut c.epsilon_start),
+            ("epsilon_end", |c| &mut c.epsilon_end),
+        ];
+        for (name, field) in unit_fields {
+            for value in outside_unit {
+                let mut a = trained();
+                *field(&mut a.config) = value;
+                assert_rejected(a.to_bytes(), &format!("{name} must lie in [0, 1]"));
+            }
         }
-        assert!(b.train_step(&mut rng).is_some());
+        for clip in [0.0, -0.0, -5.0, f64::NAN, f64::NEG_INFINITY] {
+            let mut a = trained();
+            a.config.grad_clip = clip;
+            assert_rejected(a.to_bytes(), "grad_clip must be positive");
+        }
+        // The extreme values that are not refused build and run a learner
+        // whose targets and weights stay finite.
+        for (gamma, epsilon) in [(0.0, 0.0), (1.0, 1.0)] {
+            let mut a = trained();
+            let c = &mut a.config;
+            (c.learning_rate, c.target_sync_interval) = (f64::MIN_POSITIVE, 1);
+            (c.gamma, c.epsilon_start, c.epsilon_end) = (gamma, epsilon, epsilon);
+            c.grad_clip = f64::MIN_POSITIVE;
+            let mut b = DqnAgent::from_bytes(&a.to_bytes()).unwrap();
+            let mut rng = StdRng::seed_from_u64(25);
+            for i in 0..b.config.batch_size {
+                b.observe(Transition {
+                    state: vec![0.2; STATE_DIM],
+                    action: i % AgentAction::COUNT,
+                    reward: 1.0,
+                    next_state: vec![0.4; STATE_DIM],
+                    next_mask: full_mask(),
+                    terminal: false,
+                });
+            }
+            for _ in 0..3 {
+                let td = b.train_step(&mut rng);
+                assert!(td.is_some_and(f64::is_finite), "{td:?} at gamma {gamma}");
+            }
+            let q = b.q_values(&[0.4; STATE_DIM]);
+            assert!(q.iter().all(|q| q.is_finite()), "{q:?} at gamma {gamma}");
+            let action = b.select_action(&[0.4; STATE_DIM], &full_mask(), &mut rng, true);
+            assert!(action.index() < AgentAction::COUNT);
+        }
     }
 
-    /// The replay ring against the plain `Vec` ring it replaced, whose
-    /// semantics live on here as the oracle: random capacities (and one of
-    /// 300, whose slots span two chunks, full and wrapped); chained,
-    /// unchained, sign-flipped (`-0.0`) and `NaN` states; and wraps. Every
-    /// push returns the oracle's index, and after it both hold and draw the
-    /// same transitions, bit for bit.
+    /// The replay ring against a plain `Vec` of transitions with a cursor,
+    /// the oracle: random capacities (and one of 300, full and wrapped);
+    /// chained, unchained, sign-flipped (`-0.0`) and `NaN` states; and wraps.
+    /// Every push returns the oracle's index, and after it both hold and draw
+    /// the same transitions, bit for bit.
     #[test]
     fn replay_ring_behaves_as_a_vec_of_transitions() {
         struct Oracle {

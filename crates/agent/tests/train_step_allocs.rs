@@ -71,11 +71,8 @@ fn a_warm_training_step_allocates_nothing() {
         ..DqnConfig::default()
     };
     let mut agent = DqnAgent::new(config, &mut rng);
-    // Two fills of the ring, not one: its rows live in fixed chunks that
-    // are released once every slot naming them is evicted, and a full ring
-    // reuses the one it keeps as a spare instead of allocating. The second
-    // fill wraps the row arena, so that spare is in hand before counting.
-    for _ in 0..2 * 256 {
+    // One fill of the ring: a full ring overwrites its oldest entry in place.
+    for _ in 0..256 {
         agent.observe(transition(&mut rng));
     }
     assert!(agent.train_step(&mut rng).is_some(), "warm-up step");

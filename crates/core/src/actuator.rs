@@ -20,13 +20,12 @@ use cdw_sim::{
     WarehouseId, WarehouseName, WarehouseSize,
 };
 use nn::le::{self, Reader};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why the controller did what it did: the reason of an action-log entry,
-/// and of a control tick in the decision trace. Both serialize it as its
-/// [`Reason::as_str`] text, so the log and the JSONL export spell each
-/// reason one way.
+/// and of a control tick in the decision trace. The JSONL export and the
+/// rendered log spell it as its [`Reason::as_str`] text; the binary log
+/// section stores its index in [`Reason::ALL`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reason {
     /// Still learning the workload; nothing is acted on.
@@ -100,22 +99,6 @@ impl fmt::Display for Reason {
     }
 }
 
-impl Serialize for Reason {
-    fn write_json(&self, out: &mut String) {
-        serde::write_str(self.as_str(), out);
-    }
-}
-
-impl Deserialize for Reason {
-    fn from_value(v: serde::Value) -> Result<Self, serde::Error> {
-        let text = String::from_value(v)?;
-        Reason::ALL
-            .into_iter()
-            .find(|r| r.as_str() == text)
-            .ok_or_else(|| serde::Error(format!("unknown reason `{text}`")))
-    }
-}
-
 /// How one action application ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ActionOutcome {
@@ -128,7 +111,7 @@ pub enum ActionOutcome {
 }
 
 /// How a single command within an action ended.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommandStatus {
     /// The command took effect.
     Applied,
@@ -141,7 +124,7 @@ pub enum CommandStatus {
 }
 
 /// Per-command record inside one log entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommandOutcome {
     pub command: WarehouseCommand,
     pub status: CommandStatus,
@@ -165,7 +148,7 @@ pub enum LogEntryKind {
 
 /// One entry in the action log — this is what the web portal's "real-time
 /// actions taken on each warehouse" view renders (§4.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActionLogEntry {
     pub at: SimTime,
     /// The warehouse's shared name handle (see [`WarehouseName`]).
@@ -744,11 +727,13 @@ mod tests {
         ];
         assert_eq!(Reason::ALL.map(Reason::as_str), texts);
         for reason in Reason::ALL {
-            let json = serde_json::to_string(&reason).unwrap();
-            assert_eq!(json, format!("\"{reason}\""));
-            assert_eq!(serde_json::from_str::<Reason>(&json).unwrap(), reason);
+            assert_eq!(reason.to_string(), reason.as_str());
+            // Its text names it alone.
+            let named = Reason::ALL
+                .into_iter()
+                .filter(|r| r.as_str() == reason.as_str());
+            assert_eq!(named.collect::<Vec<_>>(), [reason]);
         }
-        assert!(serde_json::from_str::<Reason>(r#""reconcile""#).is_err());
     }
 
     /// Entries that between them hold every reason, action, command (each
@@ -883,16 +868,10 @@ mod tests {
         }
     }
 
+    /// An entry holds each command as data and its reason; its SQL, outcome
+    /// and kind are derived on read.
     #[test]
-    fn log_entry_json_is_pinned_and_round_trips() {
-        // Re-pinned when the entry stopped storing its SQL, outcome and
-        // kind: it holds each command as data and its reason as its text.
-        const PINNED: &str = concat!(
-            r#"{"at":12345,"warehouse":"WH","action":"NoOp","reason":"backoff-rollback","commands":["#,
-            r#"{"command":{"SetAutoSuspend":{"ms":60000}},"status":"Applied","attempts":1},"#,
-            r#"{"command":{"SetClusterRange":{"min":3,"max":2}},"#,
-            r#""status":{"Failed":{"InvalidConfig":"MIN_CLUSTER_COUNT (3) exceeds MAX_CLUSTER_COUNT (2)"}},"attempts":1}]}"#,
-        );
+    fn a_log_entry_derives_its_sql_outcome_and_kind_and_shares_its_name() {
         let (mut sim, wh, _cfg) = setup();
         sim.run_until(12_345);
         let mut act = Actuator::new();
@@ -902,11 +881,7 @@ mod tests {
         ];
         act.apply_commands(&mut sim, wh, &cmds, Reason::BackoffRollback);
         let entry = &act.log()[0];
-        let json = serde_json::to_string(entry).unwrap();
-        assert_eq!(json, PINNED);
-        let back: ActionLogEntry = serde_json::from_str(&json).unwrap();
-        assert_eq!(&back, entry);
-        // What the old pin stored, derived.
+        assert_eq!((entry.at, entry.action), (12_345, AgentAction::NoOp));
         assert_eq!(
             entry.sql().collect::<Vec<_>>(),
             [

@@ -1026,14 +1026,19 @@ mod tests {
     /// its version and, relabelled v12, by its section count.
     #[test]
     fn a_v10_snapshot_with_its_log_in_the_body_is_corrupt() {
-        let (_, log, bytes) = acted();
+        let (_, _, bytes) = acted();
         let mut snap = decode_snapshot(&bytes).unwrap();
         let (agent, log_section) = (snap.agents[0].clone(), snap.optimizers[0].log.clone());
         let ctl_json = V11_TICK_JSON
             .split_once("\"ctl\":")
             .and_then(|(_, ctl)| ctl.strip_suffix("}}"))
             .unwrap();
-        let log_json = serde_json::to_string(&log).unwrap();
+        // A log of one entry, in the JSON v10 wrote.
+        let log_json = concat!(
+            r#"[{"at":12345,"warehouse":"WH","action":"NoOp","reason":"backoff-rollback","#,
+            r#""commands":[{"command":{"SetAutoSuspend":{"ms":60000}},"status":"Applied","#,
+            r#""attempts":1}]}]"#,
+        );
         let v11 = format!("\"ctl\":{ctl_json},\"monitor\":");
         let v10 = format!("\"actuator_log\":{log_json},{v11}");
         for (version, sections, body_keys) in [
@@ -1094,21 +1099,27 @@ mod tests {
 
     #[test]
     fn a_lying_agent_section_is_a_decode_error_naming_it() {
-        // A count of 2^60 layer sizes in eight bytes of section, and an
-        // agent whose zero batch size would panic its first retrain. The
+        // A count of 2^60 layer sizes in eight bytes of section, an agent
+        // whose zero batch size would panic its first retrain, and one whose
+        // `NaN` discount would make every TD target of it `NaN`. The
         // envelope carries each opaque; restore is where it is refused, as
         // corruption of the warehouse it belongs to.
         use crate::store::{MemStore, StateStore};
         use agent::{DqnAgent, DqnConfig};
-        let zero_batch = DqnConfig {
+        let agent = |config| DqnAgent::new(config, &mut DetRng::seed_from_u64(1)).to_bytes();
+        let zero_batch = agent(DqnConfig {
             batch_size: 0,
             ..DqnConfig::default()
-        };
-        let zero_batch = DqnAgent::new(zero_batch, &mut DetRng::seed_from_u64(1)).to_bytes();
+        });
+        let nan_gamma = agent(DqnConfig {
+            gamma: f64::NAN,
+            ..DqnConfig::default()
+        });
         let (sim, bytes) = managed();
         for (section, why) in [
             ((1u64 << 60).to_le_bytes().to_vec(), "cannot fit"),
             (zero_batch, "batch_size must be positive"),
+            (nan_gamma, "gamma must lie in [0, 1]"),
         ] {
             let mut snap = decode_snapshot(&bytes).unwrap();
             snap.agents[0] = section;
