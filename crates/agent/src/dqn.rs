@@ -114,6 +114,39 @@ impl Learner {
 }
 
 impl DqnConfig {
+    /// Why a learner cannot be built or run from this config, if it cannot.
+    /// Both doors an agent comes through, [`DqnAgent::new`] and
+    /// [`DqnAgent::from_bytes`], call it; no other code checks these fields.
+    pub fn validate(&self) -> Result<(), String> {
+        let counts = [
+            ("batch_size", self.batch_size as u64),
+            ("replay buffer capacity", self.replay_capacity as u64),
+            ("target_sync_interval", self.target_sync_interval),
+        ];
+        if let Some((name, _)) = counts.iter().find(|(_, n)| *n == 0) {
+            return Err(format!("{name} must be positive"));
+        }
+        // A `NaN` clip is no clip (`norm > NaN` is false), and a negative
+        // one turns every step into gradient ascent.
+        let rates = [
+            ("learning rate", self.learning_rate),
+            ("grad_clip", self.grad_clip),
+        ];
+        if let Some((name, v)) = rates.iter().find(|(_, v)| v.is_nan() || *v <= 0.0) {
+            return Err(format!("{name} must be positive, not {v}"));
+        }
+        // A `NaN` discount makes every TD target `NaN`, terminal ones too.
+        let unit = [
+            ("gamma", self.gamma),
+            ("epsilon_start", self.epsilon_start),
+            ("epsilon_end", self.epsilon_end),
+        ];
+        if let Some((name, v)) = unit.iter().find(|(_, v)| !(0.0..=1.0).contains(v)) {
+            return Err(format!("{name} must lie in [0, 1], not {v}"));
+        }
+        Ok(())
+    }
+
     fn write_le(&self, out: &mut Vec<u8>) {
         le::put_usizes(out, &self.hidden);
         le::put_f64(out, self.gamma);
@@ -162,10 +195,8 @@ impl DqnAgent {
     /// `Err` for anything that is not exactly one encoded agent. This is the
     /// door every restored agent comes through, so everything the next
     /// retrain builds its learner from, indexes by and computes with is
-    /// checked here, once: the network's shapes, and the batch size, ring
-    /// capacity, learning rate, sync interval, discount, exploration rates
-    /// and gradient clip of the config. The agent comes back with no
-    /// learner.
+    /// checked here, once: the network's shapes, and the config by
+    /// [`DqnConfig::validate`]. The agent comes back with no learner.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let mut r = Reader::new(bytes);
         let online = Mlp::read_le(&mut r)?;
@@ -184,33 +215,7 @@ impl DqnAgent {
                 AgentAction::COUNT
             ));
         }
-        let c = &config;
-        let counts = [
-            ("batch_size", c.batch_size as u64),
-            ("replay buffer capacity", c.replay_capacity as u64),
-            ("target_sync_interval", c.target_sync_interval),
-        ];
-        if let Some((name, _)) = counts.iter().find(|(_, n)| *n == 0) {
-            return Err(format!("{name} must be positive"));
-        }
-        // A `NaN` clip is no clip (`norm > NaN` is false), and a negative
-        // one turns every step into gradient ascent.
-        let rates = [
-            ("learning rate", c.learning_rate),
-            ("grad_clip", c.grad_clip),
-        ];
-        if let Some((name, v)) = rates.iter().find(|(_, v)| v.is_nan() || *v <= 0.0) {
-            return Err(format!("{name} must be positive, not {v}"));
-        }
-        // A `NaN` discount makes every TD target `NaN`, terminal ones too.
-        let unit = [
-            ("gamma", c.gamma),
-            ("epsilon_start", c.epsilon_start),
-            ("epsilon_end", c.epsilon_end),
-        ];
-        if let Some((name, v)) = unit.iter().find(|(_, v)| !(0.0..=1.0).contains(v)) {
-            return Err(format!("{name} must lie in [0, 1], not {v}"));
-        }
+        config.validate()?;
         Ok(Self {
             online,
             learner: None,
@@ -246,9 +251,13 @@ impl DqnAgent {
     /// Builds a fresh agent with seeded initialization.
     ///
     /// # Panics
-    /// Panics if the learning rate is not positive.
+    /// Panics with [`DqnConfig::validate`]'s message if the config is
+    /// invalid, and if a hidden width is zero (`Mlp::new`).
     pub fn new(config: DqnConfig, rng: &mut impl Rng) -> Self {
-        assert!(config.learning_rate > 0.0, "learning rate must be positive");
+        #[expect(clippy::panic, reason = "documented panicking constructor")]
+        config
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid DQN config: {e}"));
         let mut layers = vec![STATE_DIM];
         layers.extend_from_slice(&config.hidden);
         layers.push(AgentAction::COUNT);
@@ -375,7 +384,6 @@ impl DqnAgent {
     /// the agent's `train_steps`, which counts every retrain's steps.
     pub fn train_step(&mut self, rng: &mut impl Rng) -> Option<f64> {
         let batch = self.config.batch_size;
-        assert!(batch > 0, "batch_size must be positive");
         let learner = self.learner.as_mut()?;
         if learner.replay.len() < batch {
             return None;
@@ -915,6 +923,19 @@ mod tests {
         assert!(err.contains(expect), "{err:?} does not mention {expect:?}");
     }
 
+    /// `a`'s config is refused at both doors an agent comes through, with
+    /// one message: `from_bytes` returns it and `new` panics with it.
+    fn assert_config_refused(a: DqnAgent, expect: &str) {
+        assert_rejected(a.to_bytes(), expect);
+        let built =
+            std::panic::catch_unwind(|| DqnAgent::new(a.config, &mut StdRng::seed_from_u64(1)));
+        let panic = built
+            .map(|_| ())
+            .expect_err("an invalid config must not build an agent");
+        let msg = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.contains(expect), "{msg:?} does not mention {expect:?}");
+    }
+
     #[test]
     fn state_bytes_round_trip_and_every_cut_or_extra_byte_is_refused() {
         let mut a = trained();
@@ -1015,16 +1036,16 @@ mod tests {
         assert_rejected(a.to_bytes(), "online network [14, 8, 9] is not a 14 -> 8");
     }
 
-    /// A zero batch would panic in the first retrain's `train_step`, a zero
-    /// capacity in the ring that retrain builds.
+    /// A zero batch is no mini-batch at all, and a zero capacity would
+    /// panic the ring's first push.
     #[test]
     fn from_state_rejects_a_config_with_a_zero_batch_or_capacity() {
         let mut a = trained();
         a.config.batch_size = 0;
-        assert_rejected(a.to_bytes(), "batch_size must be positive");
+        assert_config_refused(a, "batch_size must be positive");
         let mut a = trained();
         a.config.replay_capacity = 0;
-        assert_rejected(a.to_bytes(), "replay buffer capacity must be positive");
+        assert_config_refused(a, "replay buffer capacity must be positive");
     }
 
     /// The next retrain builds its Adam from the learning rate, which
@@ -1039,11 +1060,11 @@ mod tests {
         for lr in [0.0, -1e-3, f64::NAN, -f64::NAN, f64::NEG_INFINITY] {
             let mut a = trained();
             a.config.learning_rate = lr;
-            assert_rejected(a.to_bytes(), "learning rate must be positive");
+            assert_config_refused(a, "learning rate must be positive");
         }
         let mut a = trained();
         a.config.target_sync_interval = 0;
-        assert_rejected(a.to_bytes(), "target_sync_interval must be positive");
+        assert_config_refused(a, "target_sync_interval must be positive");
         let outside_unit = [
             -1e-300,
             1.0 + f64::EPSILON,
@@ -1061,13 +1082,13 @@ mod tests {
             for value in outside_unit {
                 let mut a = trained();
                 *field(&mut a.config) = value;
-                assert_rejected(a.to_bytes(), &format!("{name} must lie in [0, 1]"));
+                assert_config_refused(a, &format!("{name} must lie in [0, 1]"));
             }
         }
         for clip in [0.0, -0.0, -5.0, f64::NAN, f64::NEG_INFINITY] {
             let mut a = trained();
             a.config.grad_clip = clip;
-            assert_rejected(a.to_bytes(), "grad_clip must be positive");
+            assert_config_refused(a, "grad_clip must be positive");
         }
         // The extreme values that are not refused build and run a learner
         // whose targets and weights stay finite.

@@ -56,13 +56,10 @@ pub(crate) struct ReplayRing {
 }
 
 impl ReplayRing {
-    /// A ring holding at most `capacity` transitions. Nothing is reserved up
+    /// A ring holding at most `capacity` transitions, which
+    /// [`crate::DqnConfig::validate`] holds positive. Nothing is reserved up
     /// front: entries grow as transitions arrive.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "replay buffer capacity must be positive");
         Self {
             capacity,
             entries: Vec::new(),
@@ -237,12 +234,6 @@ mod tests {
             ring.push(&t(i as f64));
         }
         assert_eq!(draw(&ring, 5, 9), draw(&ring, 5, 9));
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_panics() {
-        ReplayRing::new(0);
     }
 
     /// An action is stored in a byte: 257 must not wrap to 1. A state of the

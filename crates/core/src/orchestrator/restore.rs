@@ -215,8 +215,10 @@ impl Orchestrator {
                 self.replay_target("slider", &warehouse)?.set_slider(slider);
             }
             PersistRecord::ConstraintAdded { warehouse, rule } => {
-                self.replay_target("constraint", &warehouse)?
-                    .add_constraint(rule);
+                let o = self.replay_target("constraint", &warehouse)?;
+                let refused = |e| PersistError::Corrupt(format!("constraint record: {e}"));
+                rule.validate().map_err(refused)?;
+                o.add_constraint(rule);
             }
             PersistRecord::AdminResume {
                 warehouse,

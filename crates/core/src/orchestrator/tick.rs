@@ -691,7 +691,7 @@ impl WarehouseOptimizer {
         state_vec: &[f64],
         mask: &MaskTrace,
     ) -> (Chosen, Reason) {
-        let streak_needed = (HOUR_MS / self.setup.realtime_interval_ms.max(1)).max(1) as u32;
+        let streak_needed = (HOUR_MS / self.setup.realtime_interval_ms).max(1) as u32;
         let decay = self.ctl.healthy_streak >= streak_needed;
         let (orig, policy) = (&self.original_config, Gate::Optimize.reason());
         let (action, reason) =
@@ -909,7 +909,7 @@ mod tests {
             .with_clusters(1, 3);
         let wh = Account::new().create_warehouse("WH", original.clone());
         let setup = KwoSetup::default();
-        let o = WarehouseOptimizer::new(wh, "WH".into(), original.clone(), setup, 7);
+        let o = WarehouseOptimizer::new(wh, "WH".into(), original.clone(), setup, 7).unwrap();
         let now = 30 * HOUR_MS;
         let ctx = TickCtx {
             now,

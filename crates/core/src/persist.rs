@@ -1100,22 +1100,29 @@ mod tests {
     #[test]
     fn a_lying_agent_section_is_a_decode_error_naming_it() {
         // A count of 2^60 layer sizes in eight bytes of section, an agent
-        // whose zero batch size would panic its first retrain, and one whose
-        // `NaN` discount would make every TD target of it `NaN`. The
-        // envelope carries each opaque; restore is where it is refused, as
-        // corruption of the warehouse it belongs to.
+        // whose batch size is zero, and one whose `NaN` discount would make
+        // every TD target of it `NaN`. The envelope
+        // carries each opaque; restore is where it is refused, as corruption
+        // of the warehouse it belongs to. `DqnAgent::new` refuses the last
+        // two configs, so they are a valid section with one word rewritten.
         use crate::store::{MemStore, StateStore};
-        use agent::{DqnAgent, DqnConfig};
-        let agent = |config| DqnAgent::new(config, &mut DetRng::seed_from_u64(1)).to_bytes();
-        let zero_batch = agent(DqnConfig {
-            batch_size: 0,
-            ..DqnConfig::default()
-        });
-        let nan_gamma = agent(DqnConfig {
-            gamma: f64::NAN,
-            ..DqnConfig::default()
-        });
         let (sim, bytes) = managed();
+        let valid = decode_snapshot(&bytes).unwrap().agents.remove(0);
+        // `word` counts from the config's first float, the discount: the
+        // online network and the hidden widths come before it.
+        let patched = |word: usize, value: u64| {
+            let mut online = Vec::new();
+            nn::Mlp::read_le(&mut Reader::new(&valid))
+                .unwrap()
+                .write_le(&mut online);
+            let hidden = Reader::new(&valid[online.len()..]).u64().unwrap() as usize;
+            let at = online.len() + 8 * (1 + hidden + word);
+            let mut section = valid.clone();
+            section[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            section
+        };
+        let zero_batch = patched(2, 0);
+        let nan_gamma = patched(0, f64::NAN.to_bits());
         for (section, why) in [
             ((1u64 << 60).to_le_bytes().to_vec(), "cannot fit"),
             (zero_batch, "batch_size must be positive"),

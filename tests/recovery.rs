@@ -30,8 +30,8 @@ use keebo::drill::{
 };
 use keebo::persist::{decode_record, decode_snapshot, encode_record, encode_snapshot};
 use keebo::{
-    scan_frames, DetRng, MemStore, Orchestrator, PersistError, PersistRecord, RecoveryStats, Rule,
-    RuleEffect, SliderPosition, StateStore, TimeWindow,
+    scan_frames, DetRng, KwoSetup, MemStore, Orchestrator, PersistError, PersistRecord,
+    RecoveryStats, Rule, RuleEffect, SliderPosition, StateStore, TimeWindow,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -386,6 +386,207 @@ fn a_snapshot_that_names_a_warehouse_twice_is_corrupt() {
             assert_eq!(msg, "snapshot names warehouse WH_A twice")
         }
         other => panic!("expected Corrupt, got {:?}", other.map(|(_, stats)| stats)),
+    }
+}
+
+/// What a configuration door answers: `Ok`, or the refusal's message.
+type Verdict = Result<(), String>;
+
+/// The simulator every door below is shown, fresh for each.
+fn door_sim() -> Simulator {
+    build_sim(0, 5).0
+}
+
+/// Restores `store` against a fresh `door_sim`. A restored control plane
+/// observes, onboards and runs out one day, where a value no door checked
+/// would panic.
+fn restore_door(store: MemStore) -> Verdict {
+    let mut sim = door_sim();
+    match Orchestrator::restore(Box::new(store), &sim) {
+        Err(e) => Err(e.to_string()),
+        Ok((mut kwo, _)) => {
+            kwo.observe_until(&mut sim, OBSERVE_MS / 2);
+            kwo.onboard(&mut sim);
+            kwo.run_until(&mut sim, OBSERVE_MS);
+            let o = kwo.optimizer(WAREHOUSE).expect("restored the warehouse");
+            assert!(o.onboarded() && o.train_steps() > 0);
+            Ok(())
+        }
+    }
+}
+
+/// A snapshot of `WAREHOUSE` managed under `setup` from `original`.
+fn snapshot_door(setup: &KwoSetup, original: &WarehouseConfig) -> Verdict {
+    let sim = door_sim();
+    let mut kwo = Orchestrator::new(11);
+    kwo.manage(&sim, WAREHOUSE, fast_setup());
+    let mut store = MemStore::new();
+    kwo.attach_store(Box::new(store.clone()), sim.now());
+    let contents = store.load().expect("mem store loads");
+    let mut snap = decode_snapshot(&contents.snapshot.expect("attach snapshots")).expect("decodes");
+    snap.optimizers[0].setup = setup.clone();
+    snap.optimizers[0].original_config = original.clone();
+    restore_door(store_of(&encode_snapshot(&snap).expect("encodes"), &[]))
+}
+
+/// A snapshot-less WAL: genesis, then `records`.
+fn wal_door(records: &[PersistRecord]) -> Verdict {
+    let mut store = MemStore::new();
+    let genesis = PersistRecord::Genesis { seed: 11, at: 0 };
+    for record in std::iter::once(&genesis).chain(records) {
+        store
+            .append(&encode_record(record).expect("encodes"))
+            .expect("mem store appends");
+    }
+    restore_door(store)
+}
+
+fn manage_record(setup: &KwoSetup, original: &WarehouseConfig) -> PersistRecord {
+    PersistRecord::Manage {
+        warehouse: WAREHOUSE.to_string(),
+        original_config: original.clone(),
+        setup: setup.clone(),
+    }
+}
+
+/// `Orchestrator::add_constraint` on the managed warehouse and on one that
+/// is not: the same verdict, and a refused rule is neither applied nor
+/// journaled.
+fn add_constraint_door(rule: &Rule) -> Verdict {
+    let sim = door_sim();
+    let mut kwo = Orchestrator::new(11);
+    kwo.manage(&sim, WAREHOUSE, fast_setup());
+    let store = MemStore::new();
+    kwo.attach_store(Box::new(store.clone()), sim.now());
+    let unmanaged = kwo.add_constraint("NOPE", rule.clone());
+    let verdict = kwo.add_constraint(WAREHOUSE, rule.clone());
+    assert_eq!(unmanaged, verdict);
+    let added = u64::from(verdict.is_ok());
+    assert_eq!(store.wal_records(), added);
+    let mut probe = MemStore::new();
+    kwo.attach_store(Box::new(probe.clone()), sim.now());
+    let snapshot = probe.load().expect("mem store loads").snapshot;
+    let snap = decode_snapshot(&snapshot.expect("attach snapshots")).expect("decodes");
+    let rules = snap.optimizers[0].setup.constraints.rules().len();
+    assert_eq!(rules as u64, added);
+    verdict.map_err(|e| e.to_string())
+}
+
+/// One table of bad configuration values, each refused with one message at
+/// every door that can carry it: `try_manage`, `add_constraint`, snapshot
+/// restore, and the replay of a WAL `Manage` or `ConstraintAdded` record.
+/// A restore refuses as `Corrupt` and never panics. JSON has no `NaN`, so
+/// a setup holding one reaches a snapshot body or a WAL record as `null`,
+/// which restore refuses as a decode error before any check sees it. The
+/// last row is a valid rule, which every door takes.
+#[test]
+fn bad_configuration_is_refused_with_one_message_at_every_door() {
+    /// What a row sets wrong: the whole setup, its one rule, or the
+    /// original configuration.
+    enum Edit {
+        Setup(KwoSetup),
+        Rule(Rule),
+        Original(WarehouseConfig),
+    }
+    let rule = |window| Rule::new("r", window, RuleEffect::NoSuspend);
+    // The warehouse's own configuration, which a valid row keeps.
+    let (sim, wh) = build_sim(0, 5);
+    let large = sim.account().describe(wh).config;
+    let never_ticks = KwoSetup {
+        realtime_interval_ms: 0,
+        ..fast_setup()
+    };
+    let rows = [
+        (
+            Edit::Setup(never_ticks),
+            Some("realtime_interval_ms must be > 0"),
+        ),
+        (
+            Edit::Rule(rule(TimeWindow::daily(f64::NAN, 6.0))),
+            Some("rule `r`: hours NaN..6 are not within [0, 24]"),
+        ),
+        (
+            Edit::Rule(rule(TimeWindow::daily(9.0, 25.0))),
+            Some("rule `r`: hours 9..25 are not within [0, 24]"),
+        ),
+        (
+            Edit::Rule(rule(TimeWindow::always().on_days(vec![7]))),
+            Some("rule `r`: weekday 7 is above 6"),
+        ),
+        (
+            Edit::Rule(rule(TimeWindow::always().on_days(vec![]))),
+            Some("rule `r`: its day list is empty"),
+        ),
+        (
+            Edit::Original(large.clone().with_clusters(0, 1)),
+            Some("original config: min_clusters must be at least 1"),
+        ),
+        (
+            Edit::Original(large.clone().with_clusters(3, 2)),
+            Some("original config: max_clusters (2) < min_clusters (3)"),
+        ),
+        (Edit::Rule(rule(TimeWindow::daily(22.0, 6.0))), None),
+    ];
+    for (edit, refusal) in rows {
+        let (setup, original, rule) = match edit {
+            Edit::Setup(setup) => (setup, None, None),
+            Edit::Rule(rule) => {
+                let constraints = keebo::ConstraintSet::new().with_rule(rule.clone());
+                let setup = KwoSetup {
+                    constraints,
+                    ..fast_setup()
+                };
+                (setup, None, Some(rule))
+            }
+            Edit::Original(original) => (fast_setup(), Some(original), None),
+        };
+        let json = serde_json::to_string(&setup).expect("encodes");
+        let travels = serde_json::from_str::<KwoSetup>(&json).is_ok();
+        let original_or_own = original.as_ref().unwrap_or(&large);
+        let mut verdicts = vec![
+            ("snapshot restore", snapshot_door(&setup, original_or_own)),
+            (
+                "WAL Manage replay",
+                wal_door(&[manage_record(&setup, original_or_own)]),
+            ),
+        ];
+        if original.is_none() {
+            // Live, the original configuration is the warehouse's own.
+            let sim = door_sim();
+            let mut kwo = Orchestrator::new(11);
+            let verdict = kwo.try_manage(&sim, WAREHOUSE, setup.clone());
+            assert_eq!(kwo.optimizers().len(), usize::from(verdict.is_ok()));
+            verdicts.push(("try_manage", verdict.map_err(|e| e.to_string())));
+        }
+        if let Some(rule) = rule {
+            verdicts.push(("add_constraint", add_constraint_door(&rule)));
+            let added = PersistRecord::ConstraintAdded {
+                warehouse: WAREHOUSE.to_string(),
+                rule,
+            };
+            let records = [manage_record(&fast_setup(), &large), added];
+            verdicts.push(("WAL ConstraintAdded replay", wal_door(&records)));
+        }
+        for (door, verdict) in verdicts {
+            let Some(why) = refusal else {
+                assert_eq!(verdict, Ok(()), "{door}");
+                continue;
+            };
+            // Live doors refuse as `ManageError::InvalidSetup`; restore
+            // refuses as `Corrupt`, or as a decode error for a value JSON
+            // cannot hold.
+            let (head, tail) = match door {
+                "try_manage" | "add_constraint" => ("invalid setup: ", why),
+                _ if !travels => ("state decode error: ", ""),
+                _ => ("persisted state corrupt: ", why),
+            };
+            assert!(
+                verdict
+                    .as_ref()
+                    .is_err_and(|m| m.starts_with(head) && m.contains(tail)),
+                "{door}: {verdict:?} is not a refusal with {why:?}"
+            );
+        }
     }
 }
 
