@@ -130,40 +130,13 @@ impl AgentAction {
         next
     }
 
-    /// Translates the move into `ALTER WAREHOUSE` commands for the actuator.
+    /// Translates the move into `ALTER WAREHOUSE` commands for the actuator:
+    /// [`AgentAction::SuspendNow`] suspends, every other move changes at
+    /// most one knob.
     pub fn to_commands(self, config: &WarehouseConfig) -> Vec<WarehouseCommand> {
         match self {
-            AgentAction::NoOp => Vec::new(),
             AgentAction::SuspendNow => vec![WarehouseCommand::Suspend],
-            AgentAction::SizeUp | AgentAction::SizeDown => {
-                let next = self.target_config(config);
-                if next.size == config.size {
-                    Vec::new()
-                } else {
-                    vec![WarehouseCommand::SetSize(next.size)]
-                }
-            }
-            AgentAction::ClustersUp | AgentAction::ClustersDown => {
-                let next = self.target_config(config);
-                if next.max_clusters == config.max_clusters {
-                    Vec::new()
-                } else {
-                    vec![WarehouseCommand::SetClusterRange {
-                        min: next.min_clusters,
-                        max: next.max_clusters,
-                    }]
-                }
-            }
-            AgentAction::AutoSuspendUp | AgentAction::AutoSuspendDown => {
-                let next = self.target_config(config);
-                if next.auto_suspend_ms == config.auto_suspend_ms {
-                    Vec::new()
-                } else {
-                    vec![WarehouseCommand::SetAutoSuspend {
-                        ms: next.auto_suspend_ms,
-                    }]
-                }
-            }
+            _ => config.commands_to(&self.target_config(config)),
         }
     }
 }
@@ -269,6 +242,34 @@ mod tests {
             AgentAction::SuspendNow.to_commands(&cfg()),
             vec![WarehouseCommand::Suspend]
         );
+    }
+
+    /// What the tick relies on: applying an action's commands yields its
+    /// target config, and it emits commands exactly when that differs.
+    #[test]
+    fn to_commands_reach_the_target_config() {
+        let mut grid = Vec::new();
+        for size in WarehouseSize::ALL {
+            for (min, max) in [(1, 1), (1, 3), (3, 3), (1, 10)] {
+                // Every rung, and one value off the ladder.
+                for ms in AUTO_SUSPEND_LADDER_MS.into_iter().chain([400_000]) {
+                    let mut c = WarehouseConfig::new(size).with_clusters(min, max);
+                    c.auto_suspend_ms = ms;
+                    grid.push(c);
+                }
+            }
+        }
+        for (a, c) in AgentAction::ALL
+            .into_iter()
+            .flat_map(|a| grid.iter().map(move |c| (a, c)))
+        {
+            let (cmds, target) = (a.to_commands(c), a.target_config(c));
+            assert_eq!(c.after(&cmds), target, "{a:?} from {c:?}");
+            if a != AgentAction::SuspendNow {
+                assert_eq!(cmds.is_empty(), target == *c, "{a:?} from {c:?}");
+                assert!(cmds.len() <= 1, "{a:?} from {c:?}: {cmds:?}");
+            }
+        }
     }
 
     #[test]

@@ -26,8 +26,8 @@ use crate::reward::{action_reward, PerfSignals};
 use crate::slider::SliderPosition;
 use crate::state::{AgentState, STATE_DIM};
 use cdw_sim::{
-    Account, ActionSource, AlterError, QueryRecord, QuerySpec, SimTime, Simulator, WarehouseConfig,
-    HOUR_MS, MINUTE_MS,
+    Account, ActionSource, QueryRecord, QuerySpec, SimTime, Simulator, WarehouseConfig, HOUR_MS,
+    MINUTE_MS,
 };
 use costmodel::LatencyScaler;
 use rand::rngs::StdRng;
@@ -272,12 +272,12 @@ fn run_episode(
         let action = agent.select_action(&features, &mask, rng, true);
         for cmd in action.to_commands(&desc.config) {
             match sim.alter_warehouse(wh, cmd, ActionSource::Keebo) {
-                Ok(()) | Err(AlterError::AlreadySuspended) | Err(AlterError::AlreadyRunning) => {}
                 #[expect(
                     clippy::panic,
                     reason = "training harness fail-fast; silent actuation loss corrupts rewards"
                 )]
-                Err(e) => panic!("actuation failed during training: {e}"),
+                Err(e) if !e.is_benign() => panic!("actuation failed during training: {e}"),
+                _ => {}
             }
         }
         std::mem::swap(&mut transition.state, &mut transition.next_state);

@@ -105,6 +105,15 @@ impl AlterError {
     pub fn is_transient(&self) -> bool {
         matches!(self, AlterError::ServiceUnavailable | AlterError::Throttled)
     }
+
+    /// Whether the command found the warehouse already in the state it
+    /// asked for: a no-op, not a failure.
+    pub fn is_benign(&self) -> bool {
+        matches!(
+            self,
+            AlterError::AlreadySuspended | AlterError::AlreadyRunning
+        )
+    }
 }
 
 impl fmt::Display for AlterError {

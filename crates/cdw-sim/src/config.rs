@@ -1,5 +1,6 @@
 //! Warehouse configuration — the knobs KWO optimizes.
 
+use crate::api::WarehouseCommand;
 use crate::policy::ScalingPolicy;
 use crate::size::WarehouseSize;
 use crate::time::{SimTime, SECOND_MS};
@@ -99,6 +100,52 @@ impl WarehouseConfig {
         Ok(())
     }
 
+    /// The `ALTER WAREHOUSE` commands that turn `self` into `target`, one
+    /// per knob that differs, in a fixed order: scaling policy, cluster
+    /// range, size, auto-suspend. Policy comes first so that leaving
+    /// Maximized (which requires min == max) relaxes before the range moves.
+    pub fn commands_to(&self, target: &WarehouseConfig) -> Vec<WarehouseCommand> {
+        let mut cmds = Vec::new();
+        if self.scaling_policy != target.scaling_policy {
+            cmds.push(WarehouseCommand::SetScalingPolicy(target.scaling_policy));
+        }
+        if (self.min_clusters, self.max_clusters) != (target.min_clusters, target.max_clusters) {
+            cmds.push(WarehouseCommand::SetClusterRange {
+                min: target.min_clusters,
+                max: target.max_clusters,
+            });
+        }
+        if self.size != target.size {
+            cmds.push(WarehouseCommand::SetSize(target.size));
+        }
+        if self.auto_suspend_ms != target.auto_suspend_ms {
+            cmds.push(WarehouseCommand::SetAutoSuspend {
+                ms: target.auto_suspend_ms,
+            });
+        }
+        cmds
+    }
+
+    /// The configuration `cmds` would produce from `self`, whether or not
+    /// the control plane applies them. Suspend and resume are runtime
+    /// state, not configuration, and leave it unchanged.
+    pub fn after(&self, cmds: &[WarehouseCommand]) -> WarehouseConfig {
+        let mut cfg = self.clone();
+        for cmd in cmds {
+            match *cmd {
+                WarehouseCommand::SetSize(size) => cfg.size = size,
+                WarehouseCommand::SetAutoSuspend { ms } => cfg.auto_suspend_ms = ms,
+                WarehouseCommand::SetClusterRange { min, max } => {
+                    cfg.min_clusters = min;
+                    cfg.max_clusters = max;
+                }
+                WarehouseCommand::SetScalingPolicy(p) => cfg.scaling_policy = p,
+                WarehouseCommand::Suspend | WarehouseCommand::Resume => {}
+            }
+        }
+        cfg
+    }
+
     /// Total compute throughput when `n` clusters are running, relative to a
     /// single X-Small cluster.
     pub fn throughput_with_clusters(&self, n: u32) -> f64 {
@@ -164,6 +211,27 @@ mod tests {
     fn validate_rejects_excessive_clusters() {
         let c = WarehouseConfig::new(WarehouseSize::XSmall).with_clusters(1, 11);
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn commands_to_cover_every_knob() {
+        let target = WarehouseConfig::new(WarehouseSize::Small)
+            .with_auto_suspend_secs(120)
+            .with_clusters(2, 4)
+            .with_policy(ScalingPolicy::Economy);
+        let current = WarehouseConfig::new(WarehouseSize::Medium).with_auto_suspend_secs(600);
+        let cmds = current.commands_to(&target);
+        assert_eq!(
+            cmds,
+            [
+                WarehouseCommand::SetScalingPolicy(ScalingPolicy::Economy),
+                WarehouseCommand::SetClusterRange { min: 2, max: 4 },
+                WarehouseCommand::SetSize(WarehouseSize::Small),
+                WarehouseCommand::SetAutoSuspend { ms: 120_000 },
+            ]
+        );
+        assert_eq!(current.after(&cmds), target);
+        assert!(target.commands_to(&target).is_empty());
     }
 
     #[test]

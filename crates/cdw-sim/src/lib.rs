@@ -54,6 +54,7 @@ pub mod cluster;
 pub mod config;
 pub mod exec;
 pub mod faults;
+pub mod mix;
 pub mod policy;
 pub mod query;
 pub mod records;

@@ -16,8 +16,7 @@ use std::sync::Arc;
 
 /// A warehouse's name as every record of it holds it: one allocation per
 /// warehouse, made by [`crate::Account::create_warehouse`], which every
-/// record, telemetry-store key and action-log entry naming the warehouse
-/// shares. A clone bumps a reference count; it copies no text. Eight bytes
+/// record, telemetry-store key and optimizer naming the warehouse shares. A clone bumps a reference count; it copies no text. Eight bytes
 /// (a thin pointer), compared and ordered as the text, and written
 /// as a plain JSON string, so every exported or persisted byte is the text's.
 #[derive(Clone)]

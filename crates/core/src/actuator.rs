@@ -17,7 +17,7 @@
 use agent::AgentAction;
 use cdw_sim::{
     ActionSource, AlterError, ScalingPolicy, SimTime, Simulator, WarehouseCommand, WarehouseConfig,
-    WarehouseId, WarehouseName, WarehouseSize,
+    WarehouseId, WarehouseSize,
 };
 use nn::le::{self, Reader};
 use std::fmt;
@@ -147,12 +147,11 @@ pub enum LogEntryKind {
 }
 
 /// One entry in the action log — this is what the web portal's "real-time
-/// actions taken on each warehouse" view renders (§4.1).
+/// actions taken on each warehouse" view renders (§4.1). An entry names no
+/// warehouse: a log is one warehouse's, and its optimizer holds the name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActionLogEntry {
     pub at: SimTime,
-    /// The warehouse's shared name handle (see [`WarehouseName`]).
-    pub warehouse: WarehouseName,
     /// The agent action the commands came from; `NoOp` for raw command
     /// moves (rollbacks, the analytic auto-suspend, reconciles).
     pub action: AgentAction,
@@ -162,11 +161,12 @@ pub struct ActionLogEntry {
 }
 
 impl ActionLogEntry {
-    /// The SQL the action translated to, in execution order.
-    pub fn sql(&self) -> impl Iterator<Item = String> + '_ {
+    /// The SQL the action translated to against `warehouse`, in execution
+    /// order.
+    pub fn sql<'a>(&'a self, warehouse: &'a str) -> impl Iterator<Item = String> + 'a {
         self.commands
             .iter()
-            .map(|c| c.command.to_sql(&self.warehouse))
+            .map(move |c| c.command.to_sql(warehouse))
     }
 
     /// The first failed command's error; else `Applied` if any command
@@ -257,9 +257,7 @@ impl Actuator {
                 let (res, attempts) = Self::run_command(sim, wh, command, now);
                 let status = match res {
                     Ok(()) => CommandStatus::Applied,
-                    Err(AlterError::AlreadySuspended) | Err(AlterError::AlreadyRunning) => {
-                        CommandStatus::NoChange
-                    }
+                    Err(e) if e.is_benign() => CommandStatus::NoChange,
                     Err(e) => {
                         failed = true;
                         CommandStatus::Failed(e)
@@ -277,7 +275,7 @@ impl Actuator {
     }
 
     /// Runs `commands` and logs them as one entry under `action` and
-    /// `reason`, naming the warehouse by the account's own handle.
+    /// `reason`.
     fn execute(
         &mut self,
         sim: &mut Simulator,
@@ -288,7 +286,6 @@ impl Actuator {
     ) -> ActionOutcome {
         let entry = ActionLogEntry {
             at: sim.now(),
-            warehouse: sim.account().warehouse(wh).name().clone(),
             action,
             reason,
             commands: Self::run_commands(sim, wh, commands),
@@ -381,18 +378,9 @@ impl Actuator {
     }
 
     /// Appends previously recorded entries (crash recovery — the commands
-    /// already ran, only the record is restored), each sharing `name`'s
-    /// handle. Persisted entries carry no name, so none can name another
-    /// warehouse.
-    pub(crate) fn extend_log(
-        &mut self,
-        name: &WarehouseName,
-        entries: impl IntoIterator<Item = ActionLogEntry>,
-    ) {
-        self.log.extend(entries.into_iter().map(|mut e| {
-            e.warehouse = name.clone();
-            e
-        }));
+    /// already ran, only the record is restored).
+    pub(crate) fn extend_log(&mut self, entries: impl IntoIterator<Item = ActionLogEntry>) {
+        self.log.extend(entries);
     }
 }
 
@@ -472,26 +460,21 @@ pub(crate) fn read_u32(r: &mut Reader) -> Result<u32, String> {
 }
 
 /// The inverse of [`encode_log`], total: short, lying or trailing bytes are
-/// an `Err`, never a panic. Every entry shares `name`, the handle of the
-/// warehouse whose section this is.
-pub fn decode_log(bytes: &[u8], name: &WarehouseName) -> Result<Vec<ActionLogEntry>, String> {
+/// an `Err`, never a panic.
+pub fn decode_log(bytes: &[u8]) -> Result<Vec<ActionLogEntry>, String> {
     let mut r = Reader::new(bytes);
-    let entries = read_log(&mut r, name)?;
+    let entries = read_log(&mut r)?;
     r.finish()?;
     Ok(entries)
 }
 
 /// Reads one [`encode_log`] section off `r`, leaving what follows it.
-pub(crate) fn read_log(
-    r: &mut Reader,
-    name: &WarehouseName,
-) -> Result<Vec<ActionLogEntry>, String> {
+pub(crate) fn read_log(r: &mut Reader) -> Result<Vec<ActionLogEntry>, String> {
     // An entry is at least a time, two tags and a count; a command two tags
     // and its attempts.
     r.seq(8 + 2 + 8, |r| {
         Ok(ActionLogEntry {
             at: r.u64()?,
-            warehouse: name.clone(),
             action: tagged(&AgentAction::ALL, r.u8()?, "action")?,
             reason: tagged(&Reason::ALL, r.u8()?, "reason")?,
             commands: r.seq(2 + 8, |r| {
@@ -563,7 +546,7 @@ mod tests {
         assert_eq!(out, ActionOutcome::Applied);
         assert_eq!(act.log().len(), 1);
         assert_eq!(
-            act.log()[0].sql().collect::<Vec<_>>(),
+            act.log()[0].sql("WH").collect::<Vec<_>>(),
             ["ALTER WAREHOUSE WH SET WAREHOUSE_SIZE=SMALL"]
         );
         assert_eq!(sim.account().describe(wh).config.size, WarehouseSize::Small);
@@ -738,7 +721,7 @@ mod tests {
 
     /// Entries that between them hold every reason, action, command (each
     /// size and scaling policy) and status, every error with it.
-    fn every_kind_of_entry(name: &WarehouseName) -> Vec<ActionLogEntry> {
+    fn every_kind_of_entry() -> Vec<ActionLogEntry> {
         let errors = [
             AlterError::UnknownWarehouse("\"WH\" — Lager ☃".into()),
             AlterError::InvalidConfig(String::new()),
@@ -777,7 +760,6 @@ mod tests {
         (Reason::ALL.into_iter().enumerate())
             .map(|(i, reason)| ActionLogEntry {
                 at: i as u64 * 600_000,
-                warehouse: name.clone(),
                 action: AgentAction::ALL[i % AgentAction::COUNT],
                 reason,
                 commands: outcomes[i..].to_vec(),
@@ -787,8 +769,7 @@ mod tests {
 
     #[test]
     fn a_log_section_round_trips_every_value_bit_for_bit() {
-        let name = WarehouseName::from("WH");
-        let entries = every_kind_of_entry(&name);
+        let entries = every_kind_of_entry();
         let statuses: Vec<_> = entries
             .iter()
             .flat_map(|e| &e.commands)
@@ -798,11 +779,8 @@ mod tests {
         assert!(entries.iter().any(|e| e.action == AgentAction::SuspendNow));
         let mut bytes = Vec::new();
         encode_log(&entries, &mut bytes);
-        let back = decode_log(&bytes, &name).unwrap();
+        let back = decode_log(&bytes).unwrap();
         assert_eq!(back, entries);
-        assert!(back
-            .iter()
-            .all(|e| WarehouseName::ptr_eq(&e.warehouse, &name)));
         let mut again = Vec::new();
         encode_log(&back, &mut again);
         assert_eq!(again, bytes, "decode then encode reproduces the section");
@@ -814,64 +792,30 @@ mod tests {
         assert_eq!(bytes[8 + 8..8 + 10], [0, 0], "entry 0: NoOp, observing");
         let mut empty = Vec::new();
         encode_log(&[], &mut empty);
-        assert_eq!(decode_log(&empty, &name), Ok(Vec::new()));
+        assert_eq!(decode_log(&empty), Ok(Vec::new()));
     }
 
     #[test]
     fn a_log_section_with_an_unknown_tag_or_a_lying_count_is_refused() {
-        let name = WarehouseName::from("WH");
         let mut bytes = Vec::new();
-        encode_log(&every_kind_of_entry(&name)[..1], &mut bytes);
+        encode_log(&every_kind_of_entry()[..1], &mut bytes);
         // Entry 0's action, then its reason, past the end of `ALL`.
         for (at, what) in [(16, "action"), (17, "reason")] {
             let mut bad = bytes.clone();
             bad[at] = 13;
-            let err = decode_log(&bad, &name).unwrap_err();
+            let err = decode_log(&bad).unwrap_err();
             assert_eq!(err, format!("unknown {what} tag 13"));
         }
         // 2^60 entries claimed, one present: refused before it reserves.
         let mut lying = bytes.clone();
         lying[..8].copy_from_slice(&(1u64 << 60).to_le_bytes());
-        assert!(decode_log(&lying, &name)
-            .unwrap_err()
-            .contains("cannot fit"));
-    }
-
-    #[test]
-    fn a_recorded_entry_naming_another_warehouse_is_refused() {
-        // Restored entries share the account's handle. Persisted ones carry
-        // no name, so an entry naming another warehouse is refused where it
-        // would lose it: when its tick is encoded.
-        use crate::persist::{encode_record, CtlState, PersistError, PersistRecord};
-        let (mut sim, wh, cfg) = setup();
-        let mut act = Actuator::new();
-        act.apply(&mut sim, wh, &cfg, AgentAction::SizeUp, Reason::Policy);
-        let name = sim.account().warehouse(wh).name().clone();
-        let mut entries = act.log().to_vec();
-        entries[0].warehouse = "WH".into();
-        let mut restored = Actuator::new();
-        restored.extend_log(&name, entries.clone());
-        assert!(WarehouseName::ptr_eq(&restored.log()[0].warehouse, &name));
-        entries[0].warehouse = "OTHER".into();
-        let tick = PersistRecord::Tick {
-            warehouse: "WH".into(),
-            now: 0,
-            effects: Default::default(),
-            log_delta: entries,
-            ctl: CtlState::new(cfg, crate::DetRng::seed_from_u64(1), 2),
-        };
-        match encode_record(&tick) {
-            Err(PersistError::Codec(m)) => {
-                assert_eq!(m, "action-log entry of OTHER in a tick of WH")
-            }
-            other => panic!("expected Codec, got {other:?}"),
-        }
+        assert!(decode_log(&lying).unwrap_err().contains("cannot fit"));
     }
 
     /// An entry holds each command as data and its reason; its SQL, outcome
     /// and kind are derived on read.
     #[test]
-    fn a_log_entry_derives_its_sql_outcome_and_kind_and_shares_its_name() {
+    fn a_log_entry_derives_its_sql_outcome_and_kind() {
         let (mut sim, wh, _cfg) = setup();
         sim.run_until(12_345);
         let mut act = Actuator::new();
@@ -883,7 +827,7 @@ mod tests {
         let entry = &act.log()[0];
         assert_eq!((entry.at, entry.action), (12_345, AgentAction::NoOp));
         assert_eq!(
-            entry.sql().collect::<Vec<_>>(),
+            entry.sql("WH").collect::<Vec<_>>(),
             [
                 "ALTER WAREHOUSE WH SET AUTO_SUSPEND=60",
                 "ALTER WAREHOUSE WH SET MIN_CLUSTER_COUNT=3 MAX_CLUSTER_COUNT=2"
@@ -897,9 +841,5 @@ mod tests {
             "invalid configuration: MIN_CLUSTER_COUNT (3) exceeds MAX_CLUSTER_COUNT (2)"
         );
         assert_eq!(entry.kind(), LogEntryKind::Rollback);
-        assert!(
-            WarehouseName::ptr_eq(&entry.warehouse, sim.account().warehouse(wh).name()),
-            "the entry shares the account's name"
-        );
     }
 }

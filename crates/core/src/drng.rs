@@ -8,20 +8,13 @@
 //! four-word state persists as four `nn::le` words. It implements
 //! [`rand::RngCore`], so it drops in anywhere a `&mut impl Rng` is accepted.
 
+use cdw_sim::mix::splitmix64_next;
 use nn::le::{self, Reader};
 
 /// xoshiro256++ with splitmix64 seeding; state is `[u64; 4]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetRng {
     s: [u64; 4],
-}
-
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl DetRng {
@@ -32,10 +25,10 @@ impl DetRng {
         let mut sm = seed;
         Self {
             s: [
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
+                splitmix64_next(&mut sm),
+                splitmix64_next(&mut sm),
+                splitmix64_next(&mut sm),
+                splitmix64_next(&mut sm),
             ],
         }
     }

@@ -10,7 +10,7 @@
 //!
 //! * [`orchestrator`] — the data-learning loop of Algorithm 1. Each
 //!   warehouse's control tick is one fixed pipeline of stages (sense →
-//!   assess → retrain → gate → decide → learn → act → journal) gated by a
+//!   assess → retrain → gate → decide → reward → act → journal) gated by a
 //!   single per-tick decision of what may run; admin events and WAL replay
 //!   share one apply path, and persistence sits behind one journal value;
 //! * [`monitoring`] — real-time state, load-spike detection, and

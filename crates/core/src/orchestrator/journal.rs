@@ -111,8 +111,8 @@ impl Journal {
         if self.store.is_some() {
             let mut bytes = std::mem::take(&mut self.tick_bytes);
             bytes.clear();
-            let encoded = o.encode_tick(&mut bytes, now, log_from);
-            self.write(encoded.as_ref().map(|()| &bytes[..]));
+            o.encode_tick(&mut bytes, now, log_from);
+            self.write(Ok(&bytes));
             self.tick_bytes = bytes;
         }
     }

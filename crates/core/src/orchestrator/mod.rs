@@ -42,6 +42,7 @@ use agent::{
     baseline_p99, reconstruct_specs, train_on_workload, ConstraintSet, DqnAgent, DqnConfig,
     EpisodeConfig, Rule, SliderPosition,
 };
+use cdw_sim::mix::{splitmix64, Fnv1a};
 use cdw_sim::{
     QueryRecord, SimTime, Simulator, WarehouseConfig, WarehouseId, WarehouseName, DAY_MS, HOUR_MS,
     MINUTE_MS,
@@ -126,18 +127,9 @@ impl KwoSetup {
 /// fleet (C5 isolation by construction), and fleet results are bit-identical
 /// regardless of worker-thread count.
 pub fn derive_stream_seed(root: u64, key: &str) -> u64 {
-    // FNV-1a over the key, then a splitmix64 finalizer to decorrelate
-    // nearby roots and short keys.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut z = root ^ h;
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    // FNV-1a over the key, then splitmix64 to decorrelate nearby roots and
+    // short keys.
+    splitmix64(root ^ Fnv1a::default().write(key.as_bytes()).finish())
 }
 
 fn gcd(mut a: SimTime, mut b: SimTime) -> SimTime {
@@ -466,7 +458,7 @@ impl WarehouseOptimizer {
         let agent = DqnAgent::from_bytes(agent)
             .map_err(|e| PersistError::Corrupt(format!("agent section of {}: {e}", snap.name)))?;
         let name = sim.account().warehouse(wh).name().clone();
-        let log = decode_log(&snap.log, &name)
+        let log = decode_log(&snap.log)
             .map_err(|e| PersistError::Corrupt(format!("log section of {name}: {e}")))?;
         let ctl = decode_ctl(&snap.ctl)
             .map_err(|e| PersistError::Corrupt(format!("ctl section of {name}: {e}")))?;
@@ -481,7 +473,7 @@ impl WarehouseOptimizer {
         o.agent = agent;
         o.cost_model = snap.cost_model;
         TelemetryFetcher::new().redeliver(sim.account(), &mut o.store, &ctl.fetcher);
-        o.actuator.extend_log(&o.name, log);
+        o.actuator.extend_log(log);
         o.monitor = snap.monitor;
         o.ctl = ctl;
         o.forget_read_events();
@@ -490,14 +482,9 @@ impl WarehouseOptimizer {
 
     /// Appends the WAL record of the tick that just ran to `out`.
     /// `log_from` is the actuator-log length captured before the tick.
-    fn encode_tick(
-        &self,
-        out: &mut Vec<u8>,
-        now: SimTime,
-        log_from: usize,
-    ) -> Result<(), PersistError> {
+    fn encode_tick(&self, out: &mut Vec<u8>, now: SimTime, log_from: usize) {
         let log_delta = &self.actuator.log()[log_from..];
-        persist::encode_tick(out, &self.name, now, &self.effects, log_delta, &self.ctl)
+        persist::encode_tick(out, &self.name, now, &self.effects, log_delta, &self.ctl);
     }
 }
 
@@ -942,7 +929,7 @@ mod tests {
             // A binary tick has no field a transition could travel in: its
             // bytes decode whole, as a tick.
             let mut record = Vec::new();
-            o.encode_tick(&mut record, sim.now(), 0).unwrap();
+            o.encode_tick(&mut record, sim.now(), 0);
             let decoded = persist::decode_record(&record);
             assert!(
                 matches!(decoded, Ok(PersistRecord::Tick { .. })),
@@ -1043,7 +1030,11 @@ mod tests {
         assert_eq!(o.reconciler().consecutive_failures(), 0);
         if let Some(want) = o.reconciler().desired() {
             assert!(
-                Reconciler::drift_commands(want, &sim.account().describe(wh).config).is_empty(),
+                sim.account()
+                    .describe(wh)
+                    .config
+                    .commands_to(want)
+                    .is_empty(),
                 "reconciler converged after the burst"
             );
         }
@@ -1098,6 +1089,12 @@ mod tests {
         assert_ne!(
             derive_stream_seed(42, "WH_A"),
             derive_stream_seed(43, "WH_A")
+        );
+        // Pinned: every warehouse's and tenant's seed stream hangs off these.
+        assert_eq!(derive_stream_seed(7, "WH"), 0xb0ce7d5cf4d6bbdc);
+        assert_eq!(
+            derive_stream_seed(1009, "tenant-3/BI_WH"),
+            0xe6d38d638d41715a
         );
     }
 
@@ -1275,7 +1272,7 @@ mod tests {
             }
             o.effects.arrivals = o.monitor.newest();
             let mut record = Vec::new();
-            o.encode_tick(&mut record, 0, 0).unwrap();
+            o.encode_tick(&mut record, 0, 0);
             (record.len(), o.export_snapshot().0.monitor)
         };
         // Every field is fixed width: not even a digit more.
@@ -1294,8 +1291,7 @@ mod tests {
         // A tick past onboarding that logged no action, in absolute terms.
         let o = &kwo.optimizers[0];
         let mut tick = Vec::new();
-        o.encode_tick(&mut tick, sim.now(), o.actuator.log().len())
-            .unwrap();
+        o.encode_tick(&mut tick, sim.now(), o.actuator.log().len());
         assert!(tick.len() <= 512, "{} B", tick.len());
         let onboarded = kwo.optimizers[0].export_snapshot().1;
         let config = DqnConfig::default();

@@ -40,7 +40,7 @@ impl WarehouseOptimizer {
         if let Some(count) = effects.arrivals {
             self.monitor.push(count);
         }
-        self.actuator.extend_log(&self.name, log_delta);
+        self.actuator.extend_log(log_delta);
         self.ctl = ctl;
         self.forget_read_events();
     }

@@ -19,7 +19,6 @@ use crate::actuator::Reason;
 use crate::health::{DegradeReason, HealthSignals, HealthState};
 use crate::monitoring::RealTimeState;
 use crate::persist::{RetrainRecord, TickEffects};
-use crate::reconciler::Reconciler;
 use agent::{AgentAction, AgentState, ConstraintSet, PerfSignals};
 use cdw_sim::account::WarehouseDescription;
 use cdw_sim::{
@@ -198,26 +197,6 @@ impl Decision {
     }
 }
 
-/// The configuration `commands` would produce starting from `cfg` — the
-/// *intent* recorded with the reconciler even when the control plane drops
-/// or delays the actual ALTERs. Suspend/resume are runtime state, not
-/// configuration, and pass through unchanged.
-fn intended_config(mut cfg: WarehouseConfig, commands: &[WarehouseCommand]) -> WarehouseConfig {
-    for cmd in commands {
-        match *cmd {
-            WarehouseCommand::SetSize(size) => cfg.size = size,
-            WarehouseCommand::SetAutoSuspend { ms } => cfg.auto_suspend_ms = ms,
-            WarehouseCommand::SetClusterRange { min, max } => {
-                cfg.min_clusters = min;
-                cfg.max_clusters = max;
-            }
-            WarehouseCommand::SetScalingPolicy(p) => cfg.scaling_policy = p,
-            WarehouseCommand::Suspend | WarehouseCommand::Resume => {}
-        }
-    }
-    cfg
-}
-
 impl WarehouseOptimizer {
     /// One real-time step of Algorithm 1 (lines 17–23), gated by health.
     /// Wall time per tick lands in the `keebo.tick.wall_us` histogram.
@@ -330,7 +309,11 @@ impl WarehouseOptimizer {
     /// (pre-reconcile: this tick's repair outcome is seen next tick).
     fn assess(&mut self, sim: &Simulator, now: SimTime) -> HealthState {
         let config_drift = self.ctl.reconciler.desired().is_some_and(|want| {
-            !Reconciler::drift_commands(want, &sim.account().describe(self.wh).config).is_empty()
+            !sim.account()
+                .describe(self.wh)
+                .config
+                .commands_to(want)
+                .is_empty()
         });
         self.ctl.health.evaluate(HealthSignals {
             telemetry_staleness_ms: self.ctl.fetcher.staleness_ms(now),
@@ -721,11 +704,11 @@ impl WarehouseOptimizer {
         let intent = match mv {
             Move::Action(action) => {
                 self.actuator.apply(sim, self.wh, current, action, reason);
-                intended_config(current.clone(), &action.to_commands(current))
+                action.target_config(current)
             }
             Move::Commands(cmds) => {
                 self.actuator.apply_commands(sim, self.wh, cmds, reason);
-                intended_config(current.clone(), cmds)
+                current.after(cmds)
             }
         };
         self.ctl.reconciler.set_desired(intent);

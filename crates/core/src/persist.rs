@@ -61,7 +61,7 @@ use crate::monitoring::Monitor;
 use crate::orchestrator::KwoSetup;
 use crate::reconciler::Reconciler;
 use agent::{AgentAction, Rule, SliderPosition};
-use cdw_sim::{SimTime, WarehouseConfig, WarehouseName, WarehouseSize};
+use cdw_sim::{SimTime, WarehouseConfig, WarehouseSize};
 use costmodel::WarehouseCostModel;
 use nn::le::{self, Reader};
 use serde::{Deserialize, Serialize};
@@ -369,7 +369,7 @@ pub fn encode_record(record: &PersistRecord) -> Result<Vec<u8>, PersistError> {
     };
     // A tick without log entries is ≈ 300 bytes.
     let mut out = Vec::with_capacity(512);
-    encode_tick(&mut out, warehouse, *now, effects, log_delta, ctl)?;
+    encode_tick(&mut out, warehouse, *now, effects, log_delta, ctl);
     Ok(out)
 }
 
@@ -387,9 +387,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<PersistRecord, PersistError> {
 
 /// Appends a `Tick` record: [`TICK_MAGIC`], the warehouse's name, `now`,
 /// the effects, the new log entries as one [`actuator::encode_log`]
-/// section, then the control state ([`encode_ctl`]). The section carries no
-/// names, so an entry naming another warehouse is refused: it would
-/// restore as one of this warehouse's.
+/// section, then the control state ([`encode_ctl`]).
 pub(crate) fn encode_tick(
     out: &mut Vec<u8>,
     warehouse: &str,
@@ -397,13 +395,7 @@ pub(crate) fn encode_tick(
     effects: &TickEffects,
     log_delta: &[ActionLogEntry],
     ctl: &CtlState,
-) -> Result<(), PersistError> {
-    if let Some(e) = log_delta.iter().find(|e| *e.warehouse != *warehouse) {
-        return Err(PersistError::Codec(format!(
-            "action-log entry of {} in a tick of {warehouse}",
-            e.warehouse
-        )));
-    }
+) {
     out.extend_from_slice(&TICK_MAGIC);
     le::put_str(out, warehouse);
     le::put_u64(out, now);
@@ -415,11 +407,9 @@ pub(crate) fn encode_tick(
     le::put_option(out, effects.arrivals, |out, n| le::put_u64(out, n.into()));
     actuator::encode_log(log_delta, out);
     encode_ctl(ctl, out);
-    Ok(())
 }
 
-/// The inverse of [`encode_tick`] past the magic. Log entries share one
-/// name handle; replay hands them the optimizer's.
+/// The inverse of [`encode_tick`] past the magic.
 fn decode_tick(bytes: &[u8]) -> Result<PersistRecord, String> {
     let mut r = Reader::new(bytes);
     let warehouse = r.str()?;
@@ -434,7 +424,7 @@ fn decode_tick(bytes: &[u8]) -> Result<PersistRecord, String> {
         })?,
         arrivals: r.option(read_u32)?,
     };
-    let log_delta = actuator::read_log(&mut r, &WarehouseName::from(warehouse.as_str()))?;
+    let log_delta = actuator::read_log(&mut r)?;
     let ctl = read_ctl(&mut r)?;
     r.finish()?;
     Ok(PersistRecord::Tick {
@@ -802,15 +792,17 @@ mod tests {
         let mut store = MemStore::new();
         store.write_snapshot(&bytes).unwrap();
         let (kwo, _) = crate::Orchestrator::restore(Box::new(store), &sim).unwrap();
-        let restored = kwo.optimizer("WH").unwrap().actuator().log();
-        assert_eq!(restored, log);
+        let restored = kwo.optimizer("WH").unwrap();
+        assert_eq!(restored.actuator().log(), log);
         let account = sim.account();
         let name = account
             .warehouse(account.warehouse_id("WH").unwrap())
             .name();
-        assert!(restored
-            .iter()
-            .all(|e| cdw_sim::WarehouseName::ptr_eq(&e.warehouse, name)));
+        assert_eq!(
+            restored.name().as_ptr(),
+            name.as_ptr(),
+            "the log's one name"
+        );
     }
 
     #[test]
@@ -818,18 +810,17 @@ mod tests {
         use crate::actuator::decode_log;
         use crate::store::{MemStore, StateStore};
         let (sim, log, bytes) = acted();
-        let name = cdw_sim::WarehouseName::from("WH");
         let section = decode_snapshot(&bytes).unwrap().optimizers[0].log.clone();
-        assert_eq!(decode_log(&section, &name).unwrap(), log);
+        assert_eq!(decode_log(&section).unwrap(), log);
         for cut in 0..section.len() {
             assert!(
-                decode_log(&section[..cut], &name).is_err(),
+                decode_log(&section[..cut]).is_err(),
                 "a {cut}-byte prefix decoded"
             );
         }
         let mut extended = section.clone();
         extended.push(0);
-        assert_eq!(decode_log(&extended, &name), Err("1 trailing bytes".into()));
+        assert_eq!(decode_log(&extended), Err("1 trailing bytes".into()));
         // The envelope carries a bad section opaque; restore refuses it as
         // corruption of the warehouse it belongs to.
         for bad in [&section[..section.len() - 1], &extended] {

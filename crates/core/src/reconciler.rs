@@ -16,7 +16,7 @@
 
 use crate::actuator::{ActionOutcome, Actuator, Reason};
 use crate::drng::DetRng;
-use cdw_sim::{SimTime, Simulator, WarehouseCommand, WarehouseConfig, WarehouseId, MINUTE_MS};
+use cdw_sim::{SimTime, Simulator, WarehouseConfig, WarehouseId, MINUTE_MS};
 use rand::Rng;
 
 /// First retry delay after a failure.
@@ -95,37 +95,6 @@ impl Reconciler {
         self.next_attempt_at
     }
 
-    /// Commands that transform `observed` into `desired`, knob by knob.
-    /// Ordering matters for validity: cluster range and scaling policy are
-    /// interdependent (Maximized requires min == max), so the range moves
-    /// first when widening and the policy first when it must relax.
-    pub fn drift_commands(
-        desired: &WarehouseConfig,
-        observed: &WarehouseConfig,
-    ) -> Vec<WarehouseCommand> {
-        let mut cmds = Vec::new();
-        if observed.scaling_policy != desired.scaling_policy {
-            cmds.push(WarehouseCommand::SetScalingPolicy(desired.scaling_policy));
-        }
-        if (observed.min_clusters, observed.max_clusters)
-            != (desired.min_clusters, desired.max_clusters)
-        {
-            cmds.push(WarehouseCommand::SetClusterRange {
-                min: desired.min_clusters,
-                max: desired.max_clusters,
-            });
-        }
-        if observed.size != desired.size {
-            cmds.push(WarehouseCommand::SetSize(desired.size));
-        }
-        if observed.auto_suspend_ms != desired.auto_suspend_ms {
-            cmds.push(WarehouseCommand::SetAutoSuspend {
-                ms: desired.auto_suspend_ms,
-            });
-        }
-        cmds
-    }
-
     fn schedule_backoff(&mut self, now: SimTime) {
         self.consecutive_failures += 1;
         let exp = self.consecutive_failures.saturating_sub(1).min(16);
@@ -152,7 +121,7 @@ impl Reconciler {
             return ReconcileOutcome::Idle;
         };
         let observed = sim.account().describe(wh).config.clone();
-        let cmds = Self::drift_commands(&desired, &observed);
+        let cmds = observed.commands_to(&desired);
         if cmds.is_empty() {
             self.consecutive_failures = 0;
             self.next_attempt_at = 0;
@@ -186,29 +155,13 @@ impl Reconciler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdw_sim::{Account, FaultPlan, ScalingPolicy, WarehouseSize, HOUR_MS};
+    use cdw_sim::{Account, FaultPlan, WarehouseSize, HOUR_MS};
 
     fn setup(plan: FaultPlan) -> (Simulator, WarehouseId, WarehouseConfig) {
         let mut account = Account::new();
         let cfg = WarehouseConfig::new(WarehouseSize::Medium).with_auto_suspend_secs(600);
         let wh = account.create_warehouse("WH", cfg.clone());
         (Simulator::with_faults(account, plan, 5), wh, cfg)
-    }
-
-    #[test]
-    fn drift_commands_cover_every_knob() {
-        let desired = WarehouseConfig::new(WarehouseSize::Small)
-            .with_auto_suspend_secs(120)
-            .with_clusters(2, 4)
-            .with_policy(ScalingPolicy::Economy);
-        let observed = WarehouseConfig::new(WarehouseSize::Medium).with_auto_suspend_secs(600);
-        let cmds = Reconciler::drift_commands(&desired, &observed);
-        assert_eq!(cmds.len(), 4);
-        assert!(cmds.contains(&WarehouseCommand::SetSize(WarehouseSize::Small)));
-        assert!(cmds.contains(&WarehouseCommand::SetAutoSuspend { ms: 120_000 }));
-        assert!(cmds.contains(&WarehouseCommand::SetClusterRange { min: 2, max: 4 }));
-        assert!(cmds.contains(&WarehouseCommand::SetScalingPolicy(ScalingPolicy::Economy)));
-        assert!(Reconciler::drift_commands(&desired, &desired).is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use super::{StateStore, StoreContents};
-use crate::drng::splitmix64;
+use cdw_sim::mix::splitmix64;
 
 /// Operation-kind salts for fault derivation — distinct streams per verb so
 /// e.g. a 100% append-fault plan leaves snapshot writes untouched.
@@ -77,11 +77,11 @@ impl StoreFaultPlan {
 
     /// One deterministic sample for operation `op_seq` of `kind`.
     fn roll(&self, kind: u64, op_seq: u64) -> u64 {
-        let mut s = self
-            .seed
-            .wrapping_add(kind.wrapping_mul(0x9E6D_29AA_C2A3_3F25))
-            .wrapping_add(op_seq.wrapping_mul(0xA24B_AED4_963E_E407));
-        splitmix64(&mut s)
+        splitmix64(
+            self.seed
+                .wrapping_add(kind.wrapping_mul(0x9E6D_29AA_C2A3_3F25))
+                .wrapping_add(op_seq.wrapping_mul(0xA24B_AED4_963E_E407)),
+        )
     }
 
     fn hits(&self, ppm: u32, kind: u64, op_seq: u64) -> bool {

@@ -37,7 +37,7 @@
 //! transient errors in line, counts every failure under `keebo.store.*`,
 //! and only detaches when an append can never land.
 
-use crate::drng::splitmix64;
+use cdw_sim::mix::splitmix64;
 use std::io;
 
 mod faulty;
@@ -237,9 +237,8 @@ impl CrashPlan {
     /// crash lands strictly inside the run (never before the first tick,
     /// never at/after the last) so recovery always has work on both sides.
     pub fn from_seed(seed: u64, total_ticks: u64) -> Self {
-        let mut sm = seed ^ 0xC2A5_9F5C_7E1D_3B41;
         let span = total_ticks.saturating_sub(2).max(1);
-        let crash_tick = 1 + splitmix64(&mut sm) % span;
+        let crash_tick = 1 + splitmix64(seed ^ 0xC2A5_9F5C_7E1D_3B41) % span;
         Self { crash_tick, seed }
     }
 
@@ -251,8 +250,7 @@ impl CrashPlan {
         if wal_len <= 1 {
             return 0;
         }
-        let mut sm = self.seed ^ 0x1B56_C4E9_9C30_A2F7;
-        splitmix64(&mut sm) % (wal_len - 1) + 1
+        splitmix64(self.seed ^ 0x1B56_C4E9_9C30_A2F7) % (wal_len - 1) + 1
     }
 }
 
@@ -272,6 +270,7 @@ pub(crate) mod test_support {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdw_sim::mix::splitmix64_next;
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -310,7 +309,7 @@ mod tests {
         ]);
         for (offset, len) in shapes {
             let buffer: Vec<u8> = (0..offset + len)
-                .map(|_| splitmix64(&mut sm).to_le_bytes()[0])
+                .map(|_| splitmix64_next(&mut sm).to_le_bytes()[0])
                 .collect();
             let bytes = &buffer[offset..];
             assert_eq!(

@@ -6,15 +6,19 @@
 //! both: FNV-1a over the raw text, and FNV-1a over a normalized template in
 //! which string and numeric literals are replaced by placeholders.
 
+use cdw_sim::mix::Fnv1a;
+
 /// FNV-1a 64-bit hash of the full query text.
 pub fn hash_query_text(text: &str) -> u64 {
-    fnv1a(text.as_bytes())
+    Fnv1a::default().write(text.as_bytes()).finish()
 }
 
 /// FNV-1a 64-bit hash of the query template ([`strip_literals`] applied
 /// first), so queries differing only in constants collide.
 pub fn hash_query_template(text: &str) -> u64 {
-    fnv1a(strip_literals(text).as_bytes())
+    Fnv1a::default()
+        .write(strip_literals(text).as_bytes())
+        .finish()
 }
 
 /// Replaces literals with placeholders: single-quoted strings become `'?'`,
@@ -79,17 +83,6 @@ pub fn strip_literals(text: &str) -> String {
     out.trim_end().to_string()
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,13 +139,5 @@ mod tests {
     fn decimal_and_scientific_literals_collapse() {
         let a = strip_literals("SELECT * FROM t WHERE x > 1.5e10");
         assert_eq!(a, "SELECT * FROM T WHERE X > ?");
-    }
-
-    #[test]
-    fn fnv_matches_known_vector() {
-        // Standard FNV-1a test vector: empty input yields the offset basis.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        // "a" -> known value.
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
     }
 }

@@ -394,7 +394,7 @@ pub fn probe_persist_decoders(bytes: &[u8]) -> Result<(), CaseFailure> {
             agent::DqnAgent::from_bytes(bytes).is_err(),
             "genome bytes decoded as an agent section"
         );
-        let _ = keebo::actuator::decode_log(bytes, &"FUZZ_WH".into());
+        let _ = keebo::actuator::decode_log(bytes);
         let _ = keebo::persist::decode_ctl(bytes);
     }))
     .map_err(|payload| {

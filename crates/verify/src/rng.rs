@@ -1,9 +1,12 @@
-//! A tiny self-contained PRNG so the fuzzer has no dependencies.
+//! The fuzzer's generator, and the hex codec of its repro artifacts.
 //!
-//! SplitMix64 (Steele, Lea & Flood 2014): a 64-bit counter run through a
-//! mixing finalizer. It is not cryptographic, but it is fast, passes BigCrush
-//! for this use, and — crucially for a fuzzer — its output is a pure function
-//! of the seed, so every generated case is reproducible from a single `u64`.
+//! SplitMix64 (Steele, Lea & Flood 2014; [`cdw_sim::mix`]): a 64-bit counter
+//! run through a mixing finalizer. It is not cryptographic, but it is fast,
+//! passes BigCrush for this use, and — crucially for a fuzzer — its output
+//! is a pure function of the seed, so every generated case is reproducible
+//! from a single `u64`.
+
+use cdw_sim::mix::splitmix64_next;
 
 /// Deterministic seed-driven generator; the whole fuzzer's randomness.
 #[derive(Debug, Clone)]
@@ -18,11 +21,7 @@ impl SplitMix64 {
 
     /// Next 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        splitmix64_next(&mut self.state)
     }
 
     /// Uniform in `[0, bound)`; `bound` must be non-zero. Modulo bias is

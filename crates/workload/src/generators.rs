@@ -1,7 +1,8 @@
 //! The four workload archetypes from the paper's evaluation.
 
 use crate::arrival::{diurnal_rate, month_end_multiplier, poisson_arrivals, scheduled_arrivals};
-use crate::template::{splitmix64, IdAllocator, QueryTemplate};
+use crate::template::{IdAllocator, QueryTemplate};
+use cdw_sim::mix::splitmix64;
 use cdw_sim::{QuerySpec, SimTime, DAY_MS, HOUR_MS, MINUTE_MS, SECOND_MS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -5,6 +5,7 @@
 //! same template share a `template_hash` and differ in their `text_hash`
 //! (standing in for different literal bindings) and sampled work.
 
+use cdw_sim::mix::splitmix64;
 use cdw_sim::{QuerySpec, SimTime};
 use rand::Rng;
 use rand_distr_free::sample_lognormal;
@@ -102,16 +103,6 @@ impl QueryTemplate {
             .arrival_ms(arrival)
             .build()
     }
-}
-
-/// SplitMix64 — a tiny, high-quality 64-bit mixer used for deterministic
-/// hash derivation (not cryptographic; telemetry hashing in the telemetry
-/// crate covers the C6 story).
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
 }
 
 /// Minimal log-normal sampling without the `rand_distr` crate: median `m`

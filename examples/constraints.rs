@@ -68,7 +68,7 @@ fn main() {
         .filter(|e| {
             let hod = (e.at % DAY_MS) as f64 / HOUR_MS as f64;
             (9.0..9.5).contains(&hod)
-                && e.sql().any(|s| {
+                && e.sql(o.name()).any(|s| {
                     s.contains("WAREHOUSE_SIZE=MEDIUM")
                         || s.contains("WAREHOUSE_SIZE=SMALL")
                         || s.contains("MAX_CLUSTER_COUNT=1")

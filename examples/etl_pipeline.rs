@@ -79,14 +79,14 @@ fn main() {
         .actuator()
         .log()
         .iter()
-        .filter(|e| e.sql().next().is_some())
+        .filter(|e| !e.commands.is_empty())
         .take(5)
     {
         println!(
             "  day {:.1} [{}] {}",
             entry.at as f64 / DAY_MS as f64,
             entry.reason,
-            entry.sql().collect::<Vec<_>>().join("; ")
+            entry.sql(o.name()).collect::<Vec<_>>().join("; ")
         );
     }
 }

@@ -97,7 +97,7 @@ fn render_log(log: &[ActionLogEntry]) -> String {
         };
         let (at, action, reason, kind) = (e.at, e.action, e.reason, e.kind());
         write!(out, "{at}|{action:?}|{reason}|{kind:?}|{outcome}|").unwrap();
-        for (sql, c) in e.sql().zip(&e.commands) {
+        for (sql, c) in e.sql(WAREHOUSE).zip(&e.commands) {
             let status = match &c.status {
                 CommandStatus::Failed(error) => format!("Failed: {error}"),
                 other => format!("{other:?}"),
